@@ -330,17 +330,14 @@ func benchMultiConnTC(b *testing.B, cfg ServerConfig, dcfg DialConfig, conns int
 }
 
 // BenchmarkMultiConnTCThroughput compares aggregate TC throughput at 4
-// concurrent initiator connections: the pre-shard transport (one
-// reactor, one inflight slot per connection — the serialized per-PDU
-// read→handle→read round trip — and one write syscall per PDU on both
-// ends) against the sharded pipelined/batched datapath with -shards=4.
-// The knobs reproduce the old deployment exactly, so the ratio is the
-// PR's aggregate win even on a single-core host; with real cores the
-// shards add CPU scaling on top.
+// concurrent initiator connections: one reactor with one write syscall
+// per PDU on both ends — the unbatched, unsharded transport — against the
+// sharded batched datapath with -shards=4. With real cores the shards add
+// CPU scaling on top of what batching wins.
 func BenchmarkMultiConnTCThroughput(b *testing.B) {
-	b.Run("baseline-1shard-serialized", func(b *testing.B) {
+	b.Run("baseline-1shard-unbatched", func(b *testing.B) {
 		benchMultiConnTC(b,
-			ServerConfig{Shards: 1, InflightPerConn: 1, WriteBatchBytes: 1},
+			ServerConfig{Shards: 1, WriteBatchBytes: 1},
 			DialConfig{WriteBatchBytes: 1}, 4)
 	})
 	b.Run("sharded-4", func(b *testing.B) {

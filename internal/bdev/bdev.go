@@ -28,6 +28,22 @@ type Device interface {
 	Flush() error
 }
 
+// NonBlocking is the marker a Device implements when its operations never
+// wait on anything slower than memory — no disk, no network, no sleep. A
+// caller with its own event loop (the TCP target's reactor) may run such a
+// device on that loop instead of handing each command to an executor
+// thread. Memory advertises it; File, whose operations are system calls
+// into a filesystem, does not.
+type NonBlocking interface {
+	NonBlocking() bool
+}
+
+// IsNonBlocking reports whether d advertises NonBlocking.
+func IsNonBlocking(d Device) bool {
+	nb, ok := d.(NonBlocking)
+	return ok && nb.NonBlocking()
+}
+
 // checkRange validates an access against device geometry.
 func checkRange(d Device, buf []byte, lba uint64) (blocks uint64, err error) {
 	bs := uint64(d.BlockSize())
@@ -124,6 +140,10 @@ func (m *Memory) WriteBlocks(buf []byte, lba uint64) error {
 
 // Flush implements Device (no-op for memory).
 func (m *Memory) Flush() error { return nil }
+
+// NonBlocking implements NonBlocking: every operation is a bounded copy
+// under a mutex held only for such copies.
+func (m *Memory) NonBlocking() bool { return true }
 
 // ExtentCount returns the number of materialized extents (test hook for
 // the sparseness property).

@@ -26,10 +26,9 @@ type HostPM struct {
 	pending CIDQueue
 	dyn     *DynamicWindow
 	stats   HostPMStats
-	// Observability hooks (optional; see SetTelemetry). tenant is the
+	// Observability hook (optional; see SetTelemetry). tenant is the
 	// target-assigned ID the instruments are keyed by.
 	tel    *telemetry.Registry
-	trace  telemetry.TraceFunc
 	tenant proto.TenantID
 }
 
@@ -84,13 +83,14 @@ func (h *HostPM) EnableDynamicWindow(d *DynamicWindow) {
 	}
 }
 
-// SetTelemetry attaches the live observability hooks, keyed by the
-// target-assigned tenant ID (known only after the handshake, which is why
-// this is not a constructor argument). Either hook may be nil.
-func (h *HostPM) SetTelemetry(tenant proto.TenantID, tel *telemetry.Registry, trace telemetry.TraceFunc) {
+// SetTelemetry attaches the live metrics registry (nil disables), keyed
+// by the target-assigned tenant ID (known only after the handshake, which
+// is why this is not a constructor argument). The PM emits no trace events
+// of its own: the session that owns it reports the draining flag Stamp
+// returns, after the submit event of the request that carries it.
+func (h *HostPM) SetTelemetry(tenant proto.TenantID, tel *telemetry.Registry) {
 	h.tenant = tenant
 	h.tel = tel
-	h.trace = trace
 	// Only the window gauge: the PM always runs in TC mode (the session
 	// routes non-TC requests around it), so h.prio is not the connection
 	// class — the session records that itself.
@@ -121,9 +121,6 @@ func (h *HostPM) Stamp(cid nvme.CID) proto.Priority {
 	if h.sinceDr >= h.window {
 		h.sinceDr = 0
 		h.stats.DrainsInserted++
-		if h.trace != nil {
-			h.trace(telemetry.Event{Stage: telemetry.StageDrainMark, Tenant: h.tenant, CID: cid, Prio: proto.PrioTCDraining, Aux: int64(h.window)})
-		}
 		return proto.PrioTCDraining
 	}
 	return proto.PrioThroughputCritical

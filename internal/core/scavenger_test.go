@@ -410,7 +410,7 @@ func TestHostPMTrackKeepsWindowUntouched(t *testing.T) {
 func TestSetWindowUpdatesTelemetryGauge(t *testing.T) {
 	tel := telemetry.New()
 	h := NewHostPM(proto.PrioThroughputCritical, 4)
-	h.SetTelemetry(5, tel, nil)
+	h.SetTelemetry(5, tel)
 	window := func() int64 {
 		for _, s := range tel.Tenants() {
 			if s.Tenant == 5 {

@@ -183,7 +183,10 @@ func (d *SessionDevice) ReadAsync(lba uint64, blocks uint32, meta bool, done fun
 			Op:     nvme.OpRead,
 			LBA:    d.base + lba,
 			Blocks: blocks,
-			Prio:   d.prioFor(meta),
+			// done keeps the bytes, so they get a buffer of their own
+			// rather than one the session reuses after the completion.
+			Data: make([]byte, int(blocks)*int(d.bs)),
+			Prio: d.prioFor(meta),
 			Done: func(r hostqp.Result) {
 				if !r.Status.OK() {
 					done(nil, fmt.Errorf("hdf5: read failed: %v", r.Status))

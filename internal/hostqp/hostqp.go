@@ -87,8 +87,9 @@ type Config struct {
 	// dumps onto one time axis. Nil disables.
 	Recorder *telemetry.Recorder
 	// OnReadBuffer and OnReadRetire are transport-owned hooks for the
-	// zero-copy read path. When the namespace geometry is known, Submit
-	// preallocates each read's destination buffer and announces it via
+	// zero-copy read path. When a read's length is known, Submit settles
+	// its destination buffer (IO.Data, or one lent from the session's free
+	// list) and announces it via
 	// OnReadBuffer(cid, buf) before the command reaches the wire; the
 	// transport registers it so its reader can land C2HData payloads
 	// directly at the right offset (proto.Reader.SetC2HSink).
@@ -117,10 +118,14 @@ func (c Config) Validate() error {
 
 // Result is delivered to the IO callback on completion.
 type Result struct {
-	Status      nvme.Status
-	Data        []byte // read payload (nil for writes/flush)
-	SubmittedAt int64  // clock value at submission
-	CompletedAt int64  // clock value at application-visible completion
+	Status nvme.Status
+	// Data is the read payload (nil for writes and flushes). For a read
+	// submitted with IO.Data set it aliases that buffer; for a read
+	// submitted with IO.Data nil it is a session-owned buffer, valid only
+	// until the Done callback returns (see IO.Data).
+	Data        []byte
+	SubmittedAt int64 // clock value at submission
+	CompletedAt int64 // clock value at application-visible completion
 }
 
 // Latency returns the request's end-to-end latency in clock units.
@@ -131,7 +136,19 @@ type IO struct {
 	Op     nvme.Opcode
 	LBA    uint64
 	Blocks uint32
-	Data   []byte // write payload; must be Blocks * blocksize bytes
+	// Data is the write payload, or the read destination; either way it
+	// must be Blocks × block size bytes, and it stays the caller's: the
+	// session only references it until Done runs.
+	//
+	// A read may leave Data nil. The session then lends a buffer from its
+	// own free list: Result.Data is valid until the Done callback returns,
+	// after which the buffer is reused for a later read — a caller that
+	// hands the bytes onward (returns them, stores them, passes them to
+	// another goroutine) must supply its own Data instead. Session-owned
+	// buffers are recycled only after a normal completion; the buffers of
+	// requests failed by FailAll are dropped, because the transport's
+	// reader may still be landing bytes in them.
+	Data []byte
 	// Prio optionally overrides the connection class for this request
 	// (zero value means "use the connection class").
 	Prio proto.Priority
@@ -154,6 +171,7 @@ type pendingReq struct {
 	coalescable  bool           // routed through the host PM's pending queue
 	submittedAt  int64
 	readBuf      []byte
+	lentBuf      bool   // readBuf came from the session's free list
 	readBytes    int    // bytes covered by accepted (non-overlapping) fragments
 	expectedRead int    // Blocks × block size; 0 when geometry is unknown
 	spans        []span // accepted C2HData fragments, kept sorted by start
@@ -222,6 +240,14 @@ type Session struct {
 	// never emit updates pay nothing.
 	e2e *telemetry.E2EAccum
 
+	// Free lists, so a steady-state read allocates neither its destination
+	// nor its request state. Per session, never a shared pool: a target
+	// that sends C2HData after the response it belongs to can then only
+	// scribble on reads of its own connection.
+	freeBufs [][]byte
+	freeReqs []*pendingReq
+	one      [1]nvme.CID // handleResp's single-completion list
+
 	stats Stats
 }
 
@@ -246,7 +272,7 @@ func New(cfg Config, send func(proto.PDU), clock func() int64) (*Session, error)
 	}
 	if cfg.Recorder != nil {
 		// One chained hook feeds both the caller's trace and the flight
-		// recorder; the PM inherits the chain through SetTelemetry.
+		// recorder.
 		cfg.Trace = telemetry.ChainTrace(cfg.Trace, cfg.Recorder.Trace)
 	}
 	return &Session{
@@ -383,12 +409,28 @@ func (s *Session) Submit(io IO) error {
 	if eff.ThroughputCritical() && s.cfg.Class.Scavenger() {
 		return errors.New("hostqp: throughput-critical override on a scavenger connection; open a TC-class connection instead")
 	}
+	// A caller-supplied read destination is checked here, before the CID
+	// allocation, for the same reason. Without namespace geometry the
+	// caller's length is the only statement of the read's size there is.
+	var expectedRead int
+	if io.Op == nvme.OpRead {
+		expectedRead = int(io.Blocks) * int(s.nsBlockSize)
+		if io.Data != nil {
+			if expectedRead == 0 {
+				expectedRead = len(io.Data)
+			} else if len(io.Data) != expectedRead {
+				return fmt.Errorf("hostqp: read destination is %d bytes, want %d (%d blocks of %d)",
+					len(io.Data), expectedRead, io.Blocks, s.nsBlockSize)
+			}
+		}
+	}
 	cid, ok := s.cids.Alloc()
 	if !ok {
 		return ErrQueueFull
 	}
 
-	req := &pendingReq{io: io, submittedAt: s.clock()}
+	req := s.getReq()
+	req.io, req.submittedAt = io, s.clock()
 	var wire proto.Priority
 	switch {
 	case eff.ThroughputCritical():
@@ -418,19 +460,21 @@ func (s *Session) Submit(io IO) error {
 		req.bytesMoved = int64(len(data))
 		s.stats.BytesWrited += int64(len(data))
 	case nvme.OpRead:
-		if s.nsBlockSize > 0 {
-			// Geometry known: preallocate the full destination so inbound
-			// C2HData can land directly at Offset (the transport's reader
-			// sinks payload bytes straight into this buffer) and so wire
-			// offsets are validated against the expected length, not
-			// trusted.
-			req.expectedRead = int(io.Blocks) * int(s.nsBlockSize)
-			req.readBuf = make([]byte, req.expectedRead)
+		// With the length known the whole destination exists up front —
+		// the caller's buffer, or one lent from the free list — so inbound
+		// C2HData can land directly at Offset (the transport's reader
+		// sinks payload bytes straight into it) and wire offsets are
+		// validated against the expected length, not trusted. Otherwise
+		// the buffer grows as data arrives, capped at maxDataLen.
+		req.expectedRead = expectedRead
+		if expectedRead > 0 {
+			req.readBuf = io.Data
+			if req.readBuf == nil {
+				req.readBuf, req.lentBuf = s.getReadBuf(expectedRead), true
+			}
 			if s.cfg.OnReadBuffer != nil {
 				s.cfg.OnReadBuffer(cid, req.readBuf)
 			}
-		} else {
-			req.readBuf = nil // grown as data arrives, capped at maxDataLen
 		}
 	}
 	s.reqs[cid] = req
@@ -438,10 +482,47 @@ func (s *Session) Submit(io IO) error {
 	s.stats.CmdPDUs++
 	s.cfg.Telemetry.IncSubmitted(s.tenant, int64(len(data)))
 	if s.cfg.Trace != nil {
+		// Causal order: the request exists (submit) before the flag it
+		// carries does, so the window's own draining request reconstructs
+		// like every other.
 		s.cfg.Trace(telemetry.Event{Stage: telemetry.StageSubmit, Tenant: s.tenant, CID: cid, Prio: wire})
+		if wire.Draining() {
+			s.cfg.Trace(telemetry.Event{Stage: telemetry.StageDrainMark, Tenant: s.tenant, CID: cid, Prio: wire, Aux: int64(s.pm.Window())})
+		}
 	}
 	s.send(&proto.CapsuleCmd{Cmd: cmd, Prio: wire, Tenant: s.tenant, Data: data})
 	return nil
+}
+
+// getReq draws request state from the session's free list.
+func (s *Session) getReq() *pendingReq {
+	if n := len(s.freeReqs); n > 0 {
+		r := s.freeReqs[n-1]
+		s.freeReqs = s.freeReqs[:n-1]
+		return r
+	}
+	return new(pendingReq)
+}
+
+// putReq retires request state, keeping the span slice's backing array.
+func (s *Session) putReq(r *pendingReq) {
+	*r = pendingReq{spans: r.spans[:0]}
+	s.freeReqs = append(s.freeReqs, r)
+}
+
+// getReadBuf lends an n-byte read destination from the free list. The
+// bytes are stale: a read completes successfully only once accepted
+// fragments cover all of it.
+func (s *Session) getReadBuf(n int) []byte {
+	if k := len(s.freeBufs); k > 0 {
+		b := s.freeBufs[k-1]
+		s.freeBufs[k-1] = nil
+		s.freeBufs = s.freeBufs[:k-1]
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
 }
 
 // Flush forces the next TC request to carry a draining flag, so a tail
@@ -493,7 +574,7 @@ func (s *Session) handleICResp(pdu *proto.ICResp) error {
 	s.connected = true
 	// The tenant ID is only known now, so the observability hooks attach
 	// here rather than in New.
-	s.pm.SetTelemetry(s.tenant, s.cfg.Telemetry, s.cfg.Trace)
+	s.pm.SetTelemetry(s.tenant, s.cfg.Telemetry)
 	s.cfg.Telemetry.SetClass(s.tenant, s.cfg.Class)
 	s.cfg.Telemetry.IncConnection()
 	for _, fn := range s.onConnect {
@@ -593,7 +674,8 @@ func (s *Session) handleResp(pdu *proto.CapsuleResp) error {
 			return err
 		}
 	} else {
-		done = []nvme.CID{cid}
+		s.one[0] = cid
+		done = s.one[:]
 	}
 	now := s.clock()
 	var windowBytes int64
@@ -639,6 +721,13 @@ func (s *Session) handleResp(pdu *proto.CapsuleResp) error {
 			SubmittedAt: r.submittedAt,
 			CompletedAt: now,
 		})
+		// The response follows the read's data on the byte stream, so
+		// nothing is landing in a lent buffer any more: Done has returned,
+		// the next read may have it.
+		if r.lentBuf {
+			s.freeBufs = append(s.freeBufs, r.readBuf)
+		}
+		s.putReq(r)
 	}
 	if pdu.Coalesced {
 		s.drainedBytes += windowBytes
@@ -668,7 +757,9 @@ func (s *Session) OldestSubmittedAt() (ts int64, ok bool) {
 // connection dies (read error, request deadline, teardown) so no Done
 // callback is stranded and no queue depth leaks. It returns the number of
 // requests failed. Completions are delivered in CID order for
-// determinism.
+// determinism. Lent read buffers are dropped, not recycled: the peer never
+// acknowledged these reads, so the transport's reader may still be landing
+// bytes in them.
 func (s *Session) FailAll(st nvme.Status) int {
 	s.connected = false
 	s.pm.DropPending()

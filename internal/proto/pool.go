@@ -175,16 +175,42 @@ type pooledDecoder interface {
 // and call Next again immediately.
 type Reader struct {
 	r       io.Reader
+	peek    peeker // r, when it buffers (see Ready)
 	scratch []byte
 	pooled  bool
 	sink    C2HSink
+}
+
+// peeker is what Ready needs of a buffering stream; *bufio.Reader has it.
+type peeker interface {
+	Buffered() int
+	Peek(n int) ([]byte, error)
 }
 
 // NewReader wraps r. pooled selects pooled structs and payloads (the
 // transport datapath); pass false when PDU payloads escape to callers
 // that never release them.
 func NewReader(r io.Reader, pooled bool) *Reader {
-	return &Reader{r: r, scratch: make([]byte, 4096), pooled: pooled}
+	rd := &Reader{r: r, scratch: make([]byte, 4096), pooled: pooled}
+	rd.peek, _ = r.(peeker)
+	return rd
+}
+
+// Ready reports whether the next PDU already sits whole in the stream's
+// buffer, so that Next returns it without reading from underneath. A read
+// loop uses it to tell where a burst of pipelined PDUs ends. Always false
+// over a stream that does not buffer.
+func (rd *Reader) Ready() bool {
+	if rd.peek == nil || rd.peek.Buffered() < chSize {
+		return false
+	}
+	h, err := rd.peek.Peek(chSize)
+	if err != nil {
+		return false
+	}
+	// A PLen Next would reject counts as ready: the error is due now.
+	plen := binary.LittleEndian.Uint32(h[4:])
+	return plen > MaxPDUSize || int(plen) <= rd.peek.Buffered()
 }
 
 // C2HSink resolves the destination buffer for an inbound C2HData

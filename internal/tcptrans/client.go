@@ -156,22 +156,34 @@ func (d DialConfig) withDefaults() DialConfig {
 // goroutine are serialized onto the connection's reactor, which owns the
 // hostqp session. Synchronous helpers (Read/Write/Flush) block the caller
 // until the request completes; Submit is the asynchronous primitive.
+//
+// Three goroutines serve a connection — reader, reactor, writer — joined
+// by burstQueues: submitters and the reader post to the reactor's run
+// queue, the reactor stages what a burst produced and hands it to the
+// writer once. Each hand-off costs one lock and at most one wake per
+// burst, never one per request.
 type Conn struct {
 	conn      net.Conn
 	sess      *hostqp.Session
 	tel       *telemetry.Registry
-	events    chan func()
+	q         burstQueue[cliEvent]  // the reactor's run queue
+	out       burstQueue[proto.PDU] // the writer's queue; the reactor produces
 	quit      chan struct{}
 	dead      chan struct{} // closed when the transport breaks
-	idle      *time.Timer
 	wg        sync.WaitGroup
 	mu        sync.Mutex
 	closed    bool
-	waiting   []hostqp.IO
 	connErr   error
 	closeOnce sync.Once
 	netOnce   sync.Once
 	netErr    error
+
+	// Owned by the reactor.
+	waiting  []hostqp.IO // submissions beyond the queue depth, FIFO
+	staged   []proto.PDU // the current burst's output, not yet in out
+	idle     *time.Timer // tail-flush timer (see armIdleDrain)
+	idleOn   bool        // idle is armed and has not fired
+	lastPump time.Time   // when the reactor last pumped with a TC window open
 
 	// readBufs registers each in-flight read's destination buffer by CID
 	// (written by the reactor via the hostqp hooks, read by the reader's
@@ -179,6 +191,18 @@ type Conn struct {
 	// buffer at Offset — the zero-copy read path.
 	readMu   sync.Mutex
 	readBufs map[nvme.CID][]byte
+
+	// bs is the namespace block size, set by the handshake before DialWith
+	// returns and constant afterwards (Read sizes its buffers with it).
+	bs uint32
+}
+
+// cliEvent is one entry of a connection's run queue: a submission (io.Done
+// set), an inbound PDU, or control work that must run on the reactor.
+type cliEvent struct {
+	io  hostqp.IO
+	pdu proto.PDU
+	fn  func()
 }
 
 // netClose closes the socket exactly once, from whichever path gets
@@ -213,15 +237,16 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 	c := &Conn{
 		conn:     nc,
 		tel:      cfg.Telemetry,
-		events:   make(chan func(), 1024),
 		quit:     make(chan struct{}),
 		dead:     make(chan struct{}),
 		readBufs: make(map[nvme.CID][]byte),
 	}
+	c.q.init()
+	c.out.init()
 	// The read-buffer hooks are transport-owned: the session announces
-	// each read's preallocated destination before the command hits the
-	// wire and retires it when the request leaves the pending set, so the
-	// reader's sink below can land C2HData payloads with no staging copy.
+	// each read's destination before the command hits the wire and retires
+	// it when the request leaves the pending set, so the reader's sink
+	// below can land C2HData payloads with no staging copy.
 	cfg.OnReadBuffer = func(cid nvme.CID, buf []byte) {
 		c.readMu.Lock()
 		c.readBufs[cid] = buf
@@ -232,13 +257,10 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		delete(c.readBufs, cid)
 		c.readMu.Unlock()
 	}
-	out := make(chan proto.PDU, 256)
-	sess, err := hostqp.New(cfg, func(p proto.PDU) {
-		select {
-		case out <- p:
-		case <-c.quit:
-		}
-	}, func() int64 { return time.Now().UnixNano() })
+	// The session's output is staged on the reactor and published by
+	// flush, once per burst.
+	sess, err := hostqp.New(cfg, func(p proto.PDU) { c.staged = append(c.staged, p) },
+		func() int64 { return time.Now().UnixNano() })
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -261,7 +283,7 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		drainWriter(nc, out, c.dead, c.quit, writerConfig{
+		drainWriter(nc, &c.out, writerConfig{
 			batch:         dcfg.WriteBatchBytes,
 			coalesceBytes: dcfg.CoalesceBytes,
 			coalesceDelay: dcfg.CoalesceDelay,
@@ -273,14 +295,7 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		for {
-			select {
-			case fn := <-c.events:
-				fn()
-			case <-c.quit:
-				return
-			}
-		}
+		c.run()
 	}()
 	// Reader: a pooling decoder with a zero-copy sink — C2HData payloads
 	// for registered reads are written from the socket directly into the
@@ -289,7 +304,8 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 	// pooled fallback) and rejected by the session as protocol errors.
 	// Response structs still come from the proto pools and are released
 	// right after the session consumes them, so the receive hot path is
-	// allocation-free.
+	// allocation-free. Everything the socket delivered at once reaches the
+	// reactor in one post.
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -308,23 +324,27 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 			}
 			return buf[off : off+n]
 		})
+		burst := make([]cliEvent, 0, maxBurst)
 		for {
 			p, err := rd.Next()
-			if err != nil {
-				c.post(func() { c.failAll(fmt.Errorf("tcptrans: read: %w", err)) })
+			if err == nil {
+				burst = append(burst, cliEvent{pdu: p})
+				if len(burst) < maxBurst && rd.Ready() {
+					continue
+				}
+			} else {
+				// After what was decoded before it, the error.
+				burst = append(burst, cliEvent{fn: func() { c.failAll(fmt.Errorf("tcptrans: read: %w", err)) }})
+			}
+			if !c.q.put(laneNormal, burst...) {
+				for i := range burst {
+					proto.ReleaseInbound(burst[i].pdu)
+				}
 				return
 			}
-			ok := c.post(func() {
-				herr := sess.HandlePDU(p)
-				proto.ReleaseInbound(p)
-				if herr != nil {
-					c.failAll(herr)
-					return
-				}
-				c.pump()
-			})
-			if !ok {
-				proto.ReleaseInbound(p)
+			clear(burst)
+			burst = burst[:0]
+			if err != nil {
 				return
 			}
 		}
@@ -337,35 +357,17 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		if period < time.Millisecond {
 			period = time.Millisecond
 		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			tick := time.NewTicker(period)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					c.post(func() {
-						if c.connErr != nil {
-							return
-						}
-						ts, ok := c.sess.OldestSubmittedAt()
-						if !ok {
-							return
-						}
-						if age := time.Now().UnixNano() - ts; age > int64(dcfg.RequestTimeout) {
-							c.netClose()
-							c.failAll(fmt.Errorf("tcptrans: request timeout: oldest outstanding request %v old (limit %v)",
-								time.Duration(age), dcfg.RequestTimeout))
-						}
-					})
-				case <-c.dead:
-					return
-				case <-c.quit:
-					return
-				}
+		c.every(period, func() {
+			ts, ok := c.sess.OldestSubmittedAt()
+			if !ok {
+				return
 			}
-		}()
+			if age := time.Now().UnixNano() - ts; age > int64(dcfg.RequestTimeout) {
+				c.netClose()
+				c.failAll(fmt.Errorf("tcptrans: request timeout: oldest outstanding request %v old (limit %v)",
+					time.Duration(age), dcfg.RequestTimeout))
+			}
+		})
 	}
 
 	// Telemetry cadence: on each tick the reactor snapshots the session's
@@ -373,38 +375,20 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 	// Heartbeat updates (no new samples) still go out — they refresh the
 	// target's queue-depth gauge and the clock-offset estimate.
 	if dcfg.TelemetryInterval > 0 {
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			tick := time.NewTicker(dcfg.TelemetryInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					c.post(func() {
-						if c.connErr != nil {
-							return
-						}
-						if u := c.sess.BuildTelemetryUpdate(); u != nil {
-							select {
-							case out <- u:
-							case <-c.quit:
-							}
-						}
-					})
-				case <-c.dead:
-					return
-				case <-c.quit:
-					return
-				}
+		c.every(dcfg.TelemetryInterval, func() {
+			if u := c.sess.BuildTelemetryUpdate(); u != nil {
+				c.staged = append(c.staged, u)
 			}
-		}()
+		})
 	}
 
 	// Handshake.
 	connected := make(chan error, 1)
 	c.post(func() {
-		sess.OnConnect(func() { connected <- nil })
+		sess.OnConnect(func() {
+			c.bs = sess.BlockSize()
+			connected <- nil
+		})
 		sess.Start()
 	})
 	select {
@@ -422,6 +406,93 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		return nil, fmt.Errorf("tcptrans: handshake timeout after %v", dcfg.HandshakeTimeout)
 	}
 	return c, nil
+}
+
+// every runs fn on the reactor each period while the connection is
+// healthy, from a goroutine that ends with the connection.
+func (c *Conn) every(period time.Duration, fn func()) {
+	tick := func() {
+		if c.connErr == nil {
+			fn()
+		}
+	}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				c.post(tick)
+			case <-c.dead:
+				return
+			case <-c.quit:
+				return
+			}
+		}
+	}()
+}
+
+// run is the reactor loop: it handles one burst of events, submits what
+// queue depth now allows (only traffic pumps, so the idle timer's own
+// event does not count as activity), and hands everything the burst
+// produced to the writer in one go.
+func (c *Conn) run() {
+	var burst []cliEvent
+	for {
+		var open bool
+		if burst, open = c.q.next(burst); !open {
+			return
+		}
+		traffic := false // a submission arrived or a PDU may have freed a slot
+		for i := range burst {
+			switch ev := &burst[i]; {
+			case ev.fn != nil:
+				// Control work keeps its place among the submissions: a
+				// DrainNext posted between two Submits flags the second.
+				if traffic && c.connErr == nil {
+					c.pump()
+					traffic = false
+				}
+				ev.fn()
+			case ev.pdu != nil:
+				if c.connErr == nil {
+					if err := c.sess.HandlePDU(ev.pdu); err != nil {
+						c.failAll(err)
+					}
+				}
+				proto.ReleaseInbound(ev.pdu)
+				traffic = true
+			case c.connErr != nil:
+				ev.io.Done(hostqp.Result{Status: nvme.StatusInternalError})
+			default:
+				c.waiting = append(c.waiting, ev.io)
+				traffic = true
+			}
+		}
+		clear(burst)
+		if traffic && c.connErr == nil {
+			c.pump()
+		}
+		c.flush()
+	}
+}
+
+// flush publishes the staged PDUs to the writer: one lock, at most one
+// wake. Once the writer is gone they are released instead. Runs on the
+// reactor.
+func (c *Conn) flush() {
+	if len(c.staged) == 0 {
+		return
+	}
+	if !c.out.put(laneNormal, c.staged...) {
+		for _, p := range c.staged {
+			releaseClientPDU(p)
+		}
+	}
+	clear(c.staged)
+	c.staged = c.staged[:0]
 }
 
 // IsPermanent reports whether a dial error is a protocol-level rejection
@@ -516,22 +587,8 @@ func (c *Conn) Err() error {
 	}
 }
 
-// post schedules fn on the reactor. After Close it reliably reports
-// false — the quit check runs first, so a buffered events channel cannot
-// win the select and swallow a stray post (e.g. a late idle-timer fire).
-func (c *Conn) post(fn func()) bool {
-	select {
-	case <-c.quit:
-		return false
-	default:
-	}
-	select {
-	case c.events <- fn:
-		return true
-	case <-c.quit:
-		return false
-	}
-}
+// post schedules fn on the reactor; false once the connection is closed.
+func (c *Conn) post(fn func()) bool { return c.q.put(laneNormal, cliEvent{fn: fn}) }
 
 // failAll marks the connection broken, fails every outstanding request —
 // in-flight CIDs through hostqp.Session.FailAll (releasing them, so
@@ -550,19 +607,22 @@ func (c *Conn) failAll(err error) {
 		}
 		close(c.dead)
 		c.netClose()
+		c.out.close() // the writer ends here; later output is released, not queued
 	}
 	c.sess.FailAll(nvme.StatusAborted)
 	for _, io := range c.waiting {
 		io.Done(hostqp.Result{Status: nvme.StatusAborted})
 	}
-	c.waiting = nil
+	clear(c.waiting)
+	c.waiting = c.waiting[:0]
 }
 
 // pump submits queued ops while the session has queue-depth headroom.
-// Runs on the reactor.
+// Runs on the reactor, once per burst of events.
 func (c *Conn) pump() {
-	for len(c.waiting) > 0 {
-		io := c.waiting[0]
+	n := 0
+	for ; n < len(c.waiting); n++ {
+		io := c.waiting[n]
 		if io.Op == nvme.OpFlush {
 			// A flush is a durability barrier: make it drain the current
 			// TC window so everything before it completes with it.
@@ -570,39 +630,41 @@ func (c *Conn) pump() {
 		}
 		if err := c.sess.Submit(io); err != nil {
 			if errors.Is(err, hostqp.ErrQueueFull) {
-				return
+				break
 			}
-			c.waiting = c.waiting[1:]
 			io.Done(hostqp.Result{Status: nvme.StatusInternalError})
-			continue
 		}
-		c.waiting = c.waiting[1:]
+	}
+	if n > 0 {
+		rest := copy(c.waiting, c.waiting[n:])
+		clear(c.waiting[rest:])
+		c.waiting = c.waiting[:rest]
 	}
 	c.armIdleDrain()
 }
 
-// armIdleDrain (re)starts the tail-flush timer; runs on the reactor. One
-// timer per connection, created on first use and re-armed with Reset —
-// pumping a deep queue must not allocate (and leak, until it fires) a
-// fresh timer per submission.
+// armIdleDrain keeps the tail-flush timer running while a TC window is
+// open; runs on the reactor. The timer is not pushed back on every pump:
+// a pump only notes the time, and the timer, when it fires, re-arms itself
+// for whatever is left of idleDrainDelay since the last pump — one timer
+// operation per delay, not per burst.
 func (c *Conn) armIdleDrain() {
-	if c.idle != nil {
-		c.idle.Stop()
-	}
-	if c.sess.Scavenger() {
-		// Scavenger windows drain on the target's schedule (leftover
-		// capacity or the aging bound), not the host's: flushing the tail
-		// here would defeat the whole point of parking best-effort work.
+	// Scavenger windows drain on the target's schedule (leftover capacity
+	// or the aging bound), not the host's: flushing the tail here would
+	// defeat the whole point of parking best-effort work.
+	if c.sess.Scavenger() || c.sess.PendingTC() == 0 {
 		return
 	}
-	if c.sess.PendingTC() == 0 {
+	c.lastPump = time.Now()
+	if c.idleOn {
 		return
 	}
+	c.idleOn = true
 	if c.idle == nil {
 		c.idle = time.AfterFunc(idleDrainDelay, c.idleFlush)
-		return
+	} else {
+		c.idle.Reset(idleDrainDelay)
 	}
-	c.idle.Reset(idleDrainDelay)
 }
 
 // idleFlush is the idle timer's callback: flush the partial TC window of
@@ -610,8 +672,17 @@ func (c *Conn) armIdleDrain() {
 // no-op, so a timer that fires during teardown cannot touch dead state.
 func (c *Conn) idleFlush() {
 	c.post(func() {
-		if c.connErr != nil || c.sess.Scavenger() || c.sess.PendingTC() == 0 || !c.sess.CanSubmit() {
+		c.idleOn = false
+		if c.connErr != nil || c.sess.Scavenger() || c.sess.PendingTC() == 0 {
 			return
+		}
+		if quiet := time.Since(c.lastPump); quiet < idleDrainDelay {
+			c.idleOn = true
+			c.idle.Reset(idleDrainDelay - quiet)
+			return
+		}
+		if !c.sess.CanSubmit() {
+			return // the completion that frees a slot pumps, and re-arms
 		}
 		c.sess.Flush()
 		_ = c.sess.Submit(hostqp.IO{Op: nvme.OpFlush, Done: func(hostqp.Result) {}})
@@ -621,18 +692,17 @@ func (c *Conn) idleFlush() {
 // Submit issues an asynchronous I/O; the Done callback runs on the
 // connection's reactor goroutine. Ops beyond the queue depth wait
 // internally.
+//
+// A read's destination follows hostqp.IO.Data: with io.Data set (Blocks ×
+// block size bytes) the payload lands there and Result.Data aliases it;
+// with io.Data nil, Result.Data is a buffer owned by the connection,
+// valid until Done returns and then reused — copy out of it, or supply
+// Data, to keep the bytes longer.
 func (c *Conn) Submit(io hostqp.IO) error {
 	if io.Done == nil {
 		return errors.New("tcptrans: IO without Done callback")
 	}
-	if !c.post(func() {
-		if c.connErr != nil {
-			io.Done(hostqp.Result{Status: nvme.StatusInternalError})
-			return
-		}
-		c.waiting = append(c.waiting, io)
-		c.pump()
-	}) {
+	if !c.q.put(laneNormal, cliEvent{io: io}) {
 		return ErrClosed
 	}
 	return nil
@@ -645,6 +715,11 @@ type result struct {
 
 // do runs one I/O synchronously.
 func (c *Conn) do(io hostqp.IO) (hostqp.Result, error) {
+	if io.Op == nvme.OpRead && io.Data == nil {
+		// The result outlives the completion callback, so the destination
+		// must be the caller's to keep, not one the session lends and reuses.
+		io.Data = make([]byte, int(io.Blocks)*int(c.bs))
+	}
 	ch := make(chan result, 1)
 	io.Done = func(r hostqp.Result) { ch <- result{r} }
 	if err := c.Submit(io); err != nil {
@@ -817,6 +892,8 @@ func (c *Conn) Close() error {
 		c.mu.Unlock()
 		c.netClose()
 		close(c.quit)
+		c.q.close()
+		c.out.close()
 		c.wg.Wait()
 		// The reactor has exited (wg.Wait above), so reading the timer it
 		// owned is race-free.

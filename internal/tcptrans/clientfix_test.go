@@ -8,12 +8,15 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"nvmeopf/internal/hostqp"
+	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/proto"
 	"nvmeopf/internal/targetqp"
+	"nvmeopf/internal/telemetry"
 )
 
 // TestRetryLoopZeroBackoffFloored pins the busy-spin fix: with a zero
@@ -134,5 +137,58 @@ func TestWriteClosedConnReportsError(t *testing.T) {
 	}
 	if !errors.Is(err, ErrClosed) && c.Err() == nil {
 		t.Errorf("Write on closed conn: %v is neither ErrClosed nor the connection error", err)
+	}
+}
+
+// TestDrainNextKeepsItsPlaceInABurst: the connection's reactor handles a
+// burst of events and submits once at its end, but control work must not
+// overtake the submissions posted before it — a DrainNext between two
+// Submits flags the second request, even when all three reach the reactor
+// in one burst.
+func TestDrainNextKeepsItsPlaceInABurst(t *testing.T) {
+	srv, err := NewMemoryServer("127.0.0.1:0", targetqp.ModeOPF, 4096, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var mu sync.Mutex
+	var submits, marks []nvme.CID
+	c, err := Dial(srv.Addr(), hostqp.Config{Class: proto.PrioThroughputCritical, Window: 8, QueueDepth: 16, NSID: 1,
+		Trace: func(e telemetry.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch e.Stage {
+			case telemetry.StageSubmit:
+				submits = append(submits, e.CID)
+			case telemetry.StageDrainMark:
+				marks = append(marks, e.CID)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	held, gate := make(chan struct{}), make(chan struct{})
+	c.post(func() { close(held); <-gate })
+	<-held // everything below queues up behind the held reactor: one burst
+	done := make(chan struct{}, 2)
+	write := func(lba uint64) {
+		if err := c.Submit(hostqp.IO{Op: nvme.OpWrite, LBA: lba, Blocks: 1, Data: make([]byte, 4096),
+			Done: func(hostqp.Result) { done <- struct{}{} }}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1)
+	c.DrainNext()
+	write(2)
+	close(gate)
+	<-done
+	<-done
+	mu.Lock()
+	defer mu.Unlock()
+	// (A slow run may add the idle-drain's own flush behind the two.)
+	if len(submits) < 2 || len(marks) < 1 || marks[0] != submits[1] {
+		t.Fatalf("submitted CIDs %v, draining flag on %v: want it first on the second submission", submits, marks)
 	}
 }

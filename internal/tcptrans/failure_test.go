@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nvmeopf/internal/bdev"
 	"nvmeopf/internal/hostqp"
 	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/proto"
@@ -255,48 +256,22 @@ func TestIdleDrainFlushesPartialWindow(t *testing.T) {
 // orphaned requests, recycle the tenant ID, and keep serving everyone else.
 // Before session teardown existed, the dead tenant's queue sat in the PM
 // forever and its tenant ID was lost permanently.
+//
+// The recycling contract is per shard: a freed ID returns to the free list
+// of the shard that issued it, and that shard's next connection gets it.
+// With one shard (pinned here — the default is GOMAXPROCS) that is simply
+// the next dial; TestTenantIDRecyclesWithinShardLane covers several.
 func TestTargetTearsDownDeadInitiatorMidWindow(t *testing.T) {
-	srv, err := NewMemoryServer("127.0.0.1:0", targetqp.ModeOPF, 4096, 1<<14)
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Mode: targetqp.ModeOPF, Device: newBdevMemory(t, 4096, 1<<14), Shards: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	// Drive the victim with raw PDUs: a real Conn's idle-drain timer would
-	// flush the partial window, but a dead-mid-window initiator leaves it
-	// parked — exactly the state teardown has to clean up.
-	raw, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := proto.WritePDU(raw, &proto.ICReq{PFV: 1, QueueDepth: 32,
-		Prio: proto.PrioThroughputCritical, NSID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	icr, err := proto.ReadPDU(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victimTenant := icr.(*proto.ICResp).Tenant
 	const parked = 5
-	for i := 0; i < parked; i++ {
-		err := proto.WritePDU(raw, &proto.CapsuleCmd{
-			Cmd:  nvme.Command{Opcode: nvme.OpWrite, CID: nvme.CID(i), NSID: 1, SLBA: uint64(i)},
-			Prio: proto.PrioThroughputCritical, Tenant: victimTenant,
-			Data: make([]byte, 4096),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "parked window to reach the target", func() bool {
-		return srv.Stats().CmdPDUs >= parked
-	})
-	raw.Close() // die without teardown
-
-	waitFor(t, "target to tear the session down", func() bool {
-		return srv.ActiveSessions() == 0
-	})
+	victimTenant := dieMidWindow(t, srv, parked)
 	if st := srv.Stats(); st.Disconnects != 1 || st.TeardownDrops != parked {
 		t.Fatalf("disconnects=%d teardownDrops=%d, want 1 and %d", st.Disconnects, st.TeardownDrops, parked)
 	}
@@ -322,6 +297,101 @@ func TestTargetTearsDownDeadInitiatorMidWindow(t *testing.T) {
 	got, err := repl.Read(200, 1, 0)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("replacement read-back: %v", err)
+	}
+}
+
+// newBdevMemory returns a bdev.Memory device, the one the target runs
+// inline on its reactors (the package's own memoryDevice goes to the
+// executor pool).
+func newBdevMemory(t *testing.T, bs uint32, blocks uint64) *bdev.Memory {
+	t.Helper()
+	dev, err := bdev.NewMemory(bs, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+// dieMidWindow opens a raw TC connection, parks n writes of a wider
+// window at the target and dies without a teardown, returning the tenant
+// ID the victim held once the target has torn its session down. Raw PDUs
+// because a real Conn's idle-drain timer would flush the partial window,
+// where a dead-mid-window initiator leaves it parked — exactly the state
+// teardown has to clean up.
+func dieMidWindow(t *testing.T, srv *Server, n int) proto.TenantID {
+	t.Helper()
+	before := srv.Stats()
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := proto.WritePDU(raw, &proto.ICReq{PFV: 1, QueueDepth: 32,
+		Prio: proto.PrioThroughputCritical, NSID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	icr, err := proto.ReadPDU(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant := icr.(*proto.ICResp).Tenant
+	for i := 0; i < n; i++ {
+		err := proto.WritePDU(raw, &proto.CapsuleCmd{
+			Cmd:  nvme.Command{Opcode: nvme.OpWrite, CID: nvme.CID(i), NSID: 1, SLBA: uint64(i)},
+			Prio: proto.PrioThroughputCritical, Tenant: tenant,
+			Data: make([]byte, 4096),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "parked window to reach the target", func() bool {
+		return srv.Stats().CmdPDUs >= before.CmdPDUs+int64(n)
+	})
+	raw.Close() // die without teardown
+	waitFor(t, "target to tear the session down", func() bool {
+		return srv.Stats().Disconnects > before.Disconnects
+	})
+	return tenant
+}
+
+// TestTenantIDRecyclesWithinShardLane is the sharded reading of the
+// recycling contract. Accepts rotate over the shards and shard i hands
+// out IDs congruent to i modulo Shards, so a replacement dialled right
+// after a victim dies lands on the next shard and must get an ID from
+// that shard's lane — not the victim's — while the dial that comes back
+// round to the victim's shard gets the victim's ID itself.
+func TestTenantIDRecyclesWithinShardLane(t *testing.T) {
+	const shards = 3
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Mode: targetqp.ModeOPF, Device: newBdevMemory(t, 4096, 1<<14), Shards: shards,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	victim := dieMidWindow(t, srv, 5) // first accept: shard 0
+	if int(victim)%shards != 0 {
+		t.Fatalf("victim tenant %d is not in shard 0's lane", victim)
+	}
+	cfg := hostqp.Config{Class: proto.PrioThroughputCritical, Window: 2, QueueDepth: 8, NSID: 1}
+	for dial := 1; dial <= shards; dial++ { // shards 1, 2, then 0 again
+		c, err := Dial(srv.Addr(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		got := c.Tenant()
+		if want := dial % shards; int(got)%shards != want {
+			t.Errorf("dial %d: tenant %d is not congruent to its shard %d modulo %d", dial, got, want, shards)
+		}
+		if onVictimShard := dial == shards; (got == victim) != onVictimShard {
+			t.Errorf("dial %d: tenant %d, victim was %d: a freed ID is reused on its own shard and only there", dial, got, victim)
+		}
+		if err := c.Write(uint64(100*dial), bytes.Repeat([]byte{byte(dial)}, 4096), 0); err != nil {
+			t.Errorf("dial %d: write as tenant %d: %v", dial, got, err)
+		}
 	}
 }
 

@@ -60,8 +60,11 @@ func (d *connDevice) ReadAsync(lba uint64, blocks uint32, meta bool, done func([
 		done(nil, fmt.Errorf("tcptrans: partition read [%d,+%d) out of range", lba, blocks))
 		return
 	}
+	// done keeps the bytes (the HDF5 layer parses and caches them), so the
+	// destination is its own allocation, not a buffer the connection reuses.
 	err := d.c.Submit(hostqp.IO{
 		Op: nvme.OpRead, LBA: d.base + lba, Blocks: blocks, Prio: d.prioFor(meta),
+		Data: make([]byte, int(blocks)*int(d.bs)),
 		Done: func(r hostqp.Result) {
 			if !r.Status.OK() {
 				done(nil, fmt.Errorf("tcptrans: read failed: %v", r.Status))

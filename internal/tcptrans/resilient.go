@@ -371,11 +371,20 @@ func (rc *ResilientClient) Submit(io hostqp.IO, done func(hostqp.Result, error))
 	return nil
 }
 
-// Do runs one I/O synchronously through the recovery machinery.
+// Do runs one I/O synchronously through the recovery machinery. The
+// Result of a read never aliases a connection-owned buffer: with io.Data
+// nil the destination is allocated here.
 func (rc *ResilientClient) Do(io hostqp.IO) (hostqp.Result, error) {
 	type outcome struct {
 		r   hostqp.Result
 		err error
+	}
+	if io.Op == nvme.OpRead && io.Data == nil {
+		// The result outlives the completion callback, and a buffer lent by
+		// whichever connection serves the read would be reused (or, across a
+		// reconnect, dropped) once it returns: the destination is allocated
+		// here and is the caller's to keep.
+		io.Data = make([]byte, int(io.Blocks)*int(rc.BlockSize()))
 	}
 	ch := make(chan outcome, 1)
 	if err := rc.Submit(io, func(r hostqp.Result, err error) { ch <- outcome{r, err} }); err != nil {

@@ -6,25 +6,56 @@
 // model.
 //
 // The target datapath is sharded, mirroring SPDK's reactor-per-core
-// deployment: the server runs ServerConfig.Shards reactor goroutines
-// (default GOMAXPROCS), each the sole owner of one targetqp.Target
-// holding the sessions assigned to it round-robin at accept time. A
-// shard's sessions, PM queues, and request pool are touched only by its
-// reactor, so — exactly as in the paper's per-initiator isolation
-// argument (§IV) — the priority-manager state needs no locks even with
-// every core busy. Tenant IDs are strided across shards (shard i hands
-// out i, i+N, i+2N, …), so shared per-tenant telemetry stays exact.
-// Device completions are posted back to the owning shard; the device
-// executor pool and the backing bdev (which has its own synchronization)
-// are server-wide.
+// deployment: the server runs ServerConfig.Shards reactors (default
+// GOMAXPROCS), each the sole owner of one targetqp.Target holding the
+// sessions assigned to it round-robin at accept time. A shard's sessions,
+// PM queues, and request pool are touched only by its reactor, so —
+// exactly as in the paper's per-initiator isolation argument (§IV) — the
+// priority-manager state needs no locks even with every core busy. Tenant
+// IDs are strided across shards (shard i hands out i, i+N, i+2N, …), so
+// shared per-tenant telemetry stays exact.
 //
-// Per connection, a reader goroutine decodes PDUs with a pooling
-// proto.Reader and pipelines them onto the shard's event queue under an
-// InflightPerConn bound — no per-PDU blocking round trip — and a writer
-// goroutine drains its outbound channel into batched vectored writes
-// (one syscall per drain window) marshalled allocation-free into a
-// reused buffer. Payload buffers and hot-path PDU structs cycle through
-// internal/proto's pools on both sides of the socket.
+// Threading model. Per shard there is one goroutine, the reactor, and it
+// runs a command to completion: it takes a burst of inbound PDUs off its
+// run queue, drives the session state machine, executes the device
+// command itself, and leaves the response on the connection's outbound
+// queue. Per connection there are two more: a reader that decodes PDUs
+// with a pooling proto.Reader and posts every burst the socket delivered
+// at once to the shard's run queue, and a writer that swaps whole bursts
+// out of the outbound queue into batched vectored writes (one syscall per
+// drain window) marshalled allocation-free into a reused buffer. So a
+// command crosses two goroutine boundaries on the target — reader →
+// reactor, reactor → writer — because a socket read and a socket write
+// may each block and the reactor must not. Both are burstQueue hand-offs:
+// one lock and at most one wake per burst on either side, nothing per
+// PDU, and the reactor never waits for either. Flow control lives in the
+// reader: it stops taking commands off the socket while its connection
+// has maxQueuedPerConn PDUs unhandled or maxUnsentBytes of output
+// unflushed. A peer that stops reading its socket is recognised by lack of
+// progress, not by the size of its backlog: a server-wide watchdog resets
+// any connection that holds unsent output while its writer has flushed
+// nothing for stallAfter.
+//
+// The run queue has two lanes. A connection that opened with a
+// latency-sensitive ICReq posts to the LS lane, everything else to the
+// normal one; the reactor empties the LS lane first and looks at it again
+// between any two units of normal work, so an LS command waits for at most
+// one TC or scavenger request, never a whole drain window. A connection
+// stays on one lane for life, so its PDUs — and the teardown posted behind
+// them — are handled in arrival order.
+//
+// Where the device runs is read off the device: one that advertises
+// bdev.NonBlocking (bdev.Memory), on a server with no injected
+// ReadLatency/WriteLatency, runs inline on the reactor from a shard-local
+// ready list — high-priority commands first, one command per turn. Any
+// other device (bdev.File, a latency-injected one) would stall the
+// reactor, so its commands go to the server-wide executor pool and their
+// completions come back through the run queue: two more hand-offs, paid
+// only where a device wait dwarfs them. The backing bdev has its own
+// synchronization either way.
+//
+// Payload buffers and hot-path PDU structs cycle through internal/proto's
+// pools on both sides of the socket.
 package tcptrans
 
 import (
@@ -39,7 +70,6 @@ import (
 	"nvmeopf/internal/autotune"
 	"nvmeopf/internal/bdev"
 	"nvmeopf/internal/core"
-	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/proto"
 	"nvmeopf/internal/targetqp"
 	"nvmeopf/internal/telemetry"
@@ -52,15 +82,11 @@ type ServerConfig struct {
 	// Device is the backing store.
 	Device bdev.Device
 	// Shards is the number of reactor shards, each owning the sessions
-	// assigned to it (round-robin) with its own target state and event
+	// assigned to it (round-robin) with its own target state and run
 	// queue. Default GOMAXPROCS, capped at 256 reactor lanes (the 16-bit
 	// tenant-ID space leaves each lane 256 stride slots).
 	// 1 reproduces the old single-reactor deployment.
 	Shards int
-	// InflightPerConn bounds how many inbound PDUs one connection may
-	// have posted to its shard and not yet handled (default 64). 1
-	// degenerates to the old serialized read→handle→read round trip.
-	InflightPerConn int
 	// WriteBatchBytes caps how many marshalled bytes one outbound drain
 	// may coalesce into a single write syscall (default 256 KiB). 1
 	// degenerates to one syscall per PDU, the pre-shard writer.
@@ -96,11 +122,13 @@ type ServerConfig struct {
 	// so parked windows age out even on an otherwise idle connection.
 	// Zero disables the bound.
 	ScavengerAging time.Duration
-	// Workers is the device executor pool size (default 8), shared by all
-	// shards.
+	// Workers is the size of the executor pool (default 8) that serves
+	// blocking devices for all shards. Devices that never block run on the
+	// reactors and do not use it.
 	Workers int
 	// ReadLatency/WriteLatency optionally inject device service time, so
-	// a RAM-backed target behaves like flash.
+	// a RAM-backed target behaves like flash. The injection is a sleep, so
+	// setting either moves every device onto the executor pool.
 	ReadLatency, WriteLatency time.Duration
 	// ExtraNamespaces attaches additional devices under explicit NSIDs
 	// (Device itself serves NSID 1).
@@ -128,25 +156,6 @@ type ServerConfig struct {
 	Autotune *autotune.Config
 }
 
-// shard is one reactor: a goroutine that solely owns one targetqp.Target
-// and the sessions assigned to it.
-type shard struct {
-	srv    *Server
-	target *targetqp.Target
-	events chan func()
-}
-
-// post schedules fn on this shard's reactor; false if the server is
-// closed.
-func (sh *shard) post(fn func()) bool {
-	select {
-	case sh.events <- fn:
-		return true
-	case <-sh.srv.quit:
-		return false
-	}
-}
-
 // Server is a TCP NVMe-oPF target bound to a listener.
 type Server struct {
 	cfg       ServerConfig
@@ -157,7 +166,7 @@ type Server struct {
 	quit      chan struct{}
 	wg        sync.WaitGroup
 	mu        sync.Mutex
-	conns     map[net.Conn]struct{}
+	conns     map[*srvConn]struct{}
 	closed    bool
 }
 
@@ -178,9 +187,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.Shards > 256 {
 		cfg.Shards = 256 // one stride lane per shard, 256 tenants each
 	}
-	if cfg.InflightPerConn <= 0 {
-		cfg.InflightPerConn = 64
-	}
 	if cfg.WriteBatchBytes <= 0 {
 		cfg.WriteBatchBytes = maxWriteBatch
 	}
@@ -193,7 +199,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		ln:    ln,
 		jobs:  make(chan func(), 1024),
 		quit:  make(chan struct{}),
-		conns: make(map[net.Conn]struct{}),
+		conns: make(map[*srvConn]struct{}),
 	}
 	clock := func() int64 { return time.Now().UnixNano() }
 	// Adaptive windows: one controller per shard (owned by its reactor,
@@ -219,8 +225,10 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		}
 		return (total + cfg.Shards - 1) / cfg.Shards
 	}
+	pooled := false // some device blocks, so the executor pool is needed
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{srv: s, events: make(chan func(), 1024)}
+		sh := &shard{srv: s}
+		sh.q.init()
 		var ctrl *autotune.Controller
 		if cfg.Autotune != nil {
 			ctrl, err = autotune.New(atCfg)
@@ -229,6 +237,8 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 				return nil, err
 			}
 		}
+		be := newExecBackend(sh, 1, cfg.Device)
+		pooled = pooled || !be.inline
 		tgt, err := targetqp.NewTarget(targetqp.Config{
 			Mode:                cfg.Mode,
 			MaxPending:          cfg.MaxPending,
@@ -247,13 +257,15 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 			TenantBase:          i,
 			TenantStride:        cfg.Shards,
 			PooledPayloads:      true,
-		}, &execBackend{sh: sh, nsid: 1, dev: cfg.Device})
+		}, be)
 		if err != nil {
 			ln.Close()
 			return nil, err
 		}
 		for nsid, dev := range cfg.ExtraNamespaces {
-			if err := tgt.AddNamespace(&execBackend{sh: sh, nsid: nsid, dev: dev}); err != nil {
+			be := newExecBackend(sh, nsid, dev)
+			pooled = pooled || !be.inline
+			if err := tgt.AddNamespace(be); err != nil {
 				ln.Close()
 				return nil, err
 			}
@@ -268,14 +280,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			for {
-				select {
-				case fn := <-sh.events:
-					fn()
-				case <-s.quit:
-					return
-				}
-			}
+			sh.run()
 		}()
 	}
 	// Drain watchdog: one ticker fanning the check out to every shard's
@@ -330,9 +335,25 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 			}
 		}()
 	}
-	// Device executor pool, shared across shards (the bdev has its own
-	// synchronization; completions route back to the owning shard).
-	for i := 0; i < cfg.Workers; i++ {
+	// Stall watchdog: resets connections whose peer has stopped reading.
+	stallTick := time.NewTicker(stallAfter)
+	s.wg.Add(1)
+	go func(t *time.Ticker) {
+		defer s.wg.Done()
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				s.resetStalled()
+			case <-s.quit:
+				return
+			}
+		}
+	}(stallTick)
+	// Device executor pool for blocking devices, shared across shards (the
+	// bdev has its own synchronization; completions route back to the
+	// owning shard). A server whose devices all run inline starts none.
+	for i := 0; i < cfg.Workers && pooled; i++ {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -361,12 +382,15 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 				conn.Close()
 				return
 			}
-			s.conns[conn] = struct{}{}
+			sh := s.shards[int(s.nextShard.Add(1)-1)%len(s.shards)]
+			c := &srvConn{sh: sh, nc: conn, credit: make(chan struct{}, 1)}
+			c.out.init()
+			s.conns[c] = struct{}{}
 			s.mu.Unlock()
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				s.serveConn(conn)
+				s.serveConn(c)
 			}()
 		}
 	}()
@@ -446,7 +470,7 @@ func (s *Server) Close() error {
 	s.closed = true
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
-		conns = append(conns, c)
+		conns = append(conns, c.nc)
 	}
 	s.mu.Unlock()
 	err := s.ln.Close()
@@ -454,210 +478,113 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	close(s.quit)
+	for _, sh := range s.shards {
+		sh.q.close()
+	}
 	s.wg.Wait()
 	return err
 }
 
+// resetStalled is one sweep of the stall watchdog: a connection that had
+// output waiting at the previous sweep, has output waiting now, and whose
+// writer flushed nothing in between is talking to a peer that stopped
+// reading its socket. Its socket is closed — failing the writer's blocked
+// write, which in turn ends the reader, whose exit tears the session down —
+// so what the reactor produced for it is released instead of pinned for as
+// long as the peer cares to hold the connection open.
+func (s *Server) resetStalled() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c := range s.conns {
+		flushed, backlog := c.flushed.Load(), c.backlog() > 0
+		if backlog && c.sweptBacklog && flushed == c.sweptFlushed {
+			s.cfg.Telemetry.IncTransportError()
+			c.nc.Close()
+			delete(s.conns, c) // reset once; serveConn is on its way out
+			continue
+		}
+		c.sweptFlushed, c.sweptBacklog = flushed, backlog
+	}
+}
+
 // serveConn runs one initiator connection on the shard it is assigned
 // to: a writer goroutine batches outbound PDUs into single writes, and
-// the read loop pipelines inbound PDUs onto the shard's reactor under
-// the per-connection inflight bound — the reader does not wait for one
-// PDU to be handled before decoding the next.
-func (s *Server) serveConn(conn net.Conn) {
+// the read loop posts inbound PDUs to the shard's run queue a burst at a
+// time — it does not wait for one burst to be handled before decoding the
+// next.
+func (s *Server) serveConn(c *srvConn) {
+	conn, sh := c.nc, c.sh
 	defer conn.Close()
 	defer func() {
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
-	sh := s.shards[int(s.nextShard.Add(1)-1)%len(s.shards)]
 
-	out := make(chan proto.PDU, 256)
-	connDone := make(chan struct{}) // closed when this connection ends
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
+	writerDone := make(chan struct{})
 	go func() {
-		defer writerWG.Done()
-		drainWriter(conn, out, connDone, s.quit, writerConfig{
+		defer close(writerDone)
+		drainWriter(conn, &c.out, writerConfig{
 			batch:   s.cfg.WriteBatchBytes,
 			release: releaseServerPDU,
+			flushed: c.onFlush,
 		})
 	}()
 
-	// Session creation must run on the shard's reactor. The send closure
-	// may be invoked (by late device completions) long after the
-	// connection is gone, so it must never block or touch a closed
-	// channel: it selects against connDone and releases PDUs it drops for
-	// dead connections.
-	sessCh := make(chan *targetqp.Session, 1)
-	posted := sh.post(func() {
-		sess, err := sh.target.NewSession(func(p proto.PDU) {
-			select {
-			case out <- p:
-			case <-connDone:
-				releaseServerPDU(p)
-			case <-s.quit:
-				releaseServerPDU(p)
-			}
-		})
-		if err != nil {
-			sessCh <- nil
-			return
-		}
-		sessCh <- sess
-	})
-	var sess *targetqp.Session
-	if posted {
-		sess = <-sessCh
-	}
-	if sess == nil {
-		close(connDone)
-		writerWG.Wait()
-		return
-	}
-
-	// Pipelined inbound: decode with a pooling reader, acquire an
-	// inflight slot, post the PDU to the reactor, decode the next —
-	// handler outcomes come back asynchronously. A protocol violation
-	// closes the socket from the reactor, which surfaces here as a read
-	// error on the next decode.
-	// Buffered socket reads: a burst of pipelined capsules arrives in
-	// one syscall instead of two reads (header, body) per PDU.
+	// Buffered socket reads: a burst of pipelined capsules arrives in one
+	// syscall instead of two reads (header, body) per PDU, and is posted
+	// to the reactor in one hand-off. The reactor creates the session when
+	// the first PDU reaches it; handler outcomes come back asynchronously,
+	// and a protocol violation closes the socket from the reactor, which
+	// surfaces here as a read error on the next decode.
 	rd := proto.NewReader(bufio.NewReaderSize(conn, 64<<10), true)
-	inflight := make(chan struct{}, s.cfg.InflightPerConn)
-	for {
+	lane := laneNormal
+	burst := make([]event, 0, maxBurst)
+	for first, alive := true, true; alive; first = false {
 		p, err := rd.Next()
-		if err != nil {
-			break
-		}
-		select {
-		case inflight <- struct{}{}:
-		case <-s.quit:
-			proto.ReleaseInbound(p)
-			p = nil
-		}
-		if p == nil {
-			break
-		}
-		if !sh.post(func() {
-			herr := sess.HandlePDU(p)
-			proto.ReleaseInbound(p)
-			<-inflight
-			if herr != nil {
-				// A protocol violation, not a normal disconnect (those
-				// surface as read errors in the read loop). The nil
-				// sentinel makes the writer flush anything queued ahead
-				// of it — a TermReq explaining the rejection — before
-				// closing the socket.
-				s.cfg.Telemetry.IncTransportError()
-				select {
-				case out <- nil:
-				case <-connDone:
-				case <-s.quit:
-				}
+		if err == nil {
+			if ic, ok := p.(*proto.ICReq); ok && first && ic.Prio.LatencySensitive() {
+				// Decided once, by the connection's opening PDU: a lane
+				// change later on would let a PDU overtake its predecessor.
+				lane = laneLS
 			}
-		}) {
-			<-inflight
-			proto.ReleaseInbound(p)
-			break
+			burst = append(burst, event{conn: c, pdu: p})
+			if len(burst) < maxBurst && rd.Ready() {
+				continue
+			}
+		} else {
+			alive = false // what was decoded before the error still counts
+		}
+		if len(burst) == 0 {
+			continue
+		}
+		c.queued.Add(int32(len(burst)))
+		if !sh.q.put(lane, burst...) {
+			for i := range burst {
+				proto.ReleaseInbound(burst[i].pdu)
+			}
+			alive = false
+		}
+		clear(burst)
+		burst = burst[:0]
+		// Intake pauses while the reactor is behind on this connection's
+		// commands or its writer on their responses, and the socket's own
+		// flow control takes it from there.
+		for alive && (c.queued.Load() >= maxQueuedPerConn || c.backlog() >= maxUnsentBytes) {
+			select {
+			case <-c.credit:
+			case <-writerDone:
+				alive = false // write error or reset: nothing left to serve
+			case <-s.quit:
+				alive = false
+			}
 		}
 	}
-	// The connection is dead: tear the session down on its reactor so its
-	// queued requests are dropped, its tenant ID eventually recycles, and
-	// in-flight completions stop trying to send. The reactor queue is
-	// FIFO, so teardown runs after every pipelined PDU above. Late device
-	// completions for this session still land on the reactor after this,
-	// where the tombstoned session absorbs them.
-	sh.post(func() { sh.target.CloseSession(sess) })
-	close(connDone)
-	writerWG.Wait()
-}
-
-// execBackend runs device commands on the worker pool with optional
-// injected latency, delivering completions back on the owning shard's
-// reactor. One instance serves one (shard, namespace) pair.
-type execBackend struct {
-	sh   *shard
-	nsid uint32
-	dev  bdev.Device
-}
-
-// Namespace implements targetqp.Backend.
-func (b *execBackend) Namespace() nvme.Namespace {
-	return nvme.Namespace{ID: b.nsid, BlockSize: b.dev.BlockSize(), Capacity: b.dev.NumBlocks()}
-}
-
-// Submit implements targetqp.Backend. highPrio maps to executor priority:
-// high-priority jobs run on a dedicated fast path (direct goroutine) so a
-// deep TC backlog in the job queue cannot delay them — the real-transport
-// analogue of the simulator's device-queue bypass.
-func (b *execBackend) Submit(cmd nvme.Command, data []byte, highPrio bool, done func(nvme.Completion, []byte)) {
-	srv := b.sh.srv
-	run := func() {
-		cpl, out := b.execute(cmd, data)
-		b.sh.post(func() { done(cpl, out) })
-	}
-	if highPrio {
-		go run()
-		return
-	}
-	select {
-	case srv.jobs <- run:
-	case <-srv.quit:
-	default:
-		// Job queue saturated: spill to a goroutine rather than dropping
-		// or blocking the reactor.
-		go run()
-	}
-}
-
-// execute performs the device operation. Read buffers come from the
-// proto buffer pool; the completion path (or the drop path, for dead
-// sessions) returns them.
-func (b *execBackend) execute(cmd nvme.Command, data []byte) (nvme.Completion, []byte) {
-	dev := b.dev
-	ns := b.Namespace()
-	cfg := &b.sh.srv.cfg
-	cpl := nvme.Completion{CID: cmd.CID, Status: nvme.StatusSuccess}
-	if cmd.Opcode != nvme.OpFlush {
-		if st := ns.CheckRange(cmd.SLBA, cmd.Blocks()); !st.OK() {
-			cpl.Status = st
-			return cpl, nil
-		}
-	}
-	switch cmd.Opcode {
-	case nvme.OpRead:
-		if cfg.ReadLatency > 0 {
-			time.Sleep(cfg.ReadLatency)
-		}
-		out := proto.GetBuf(ns.Bytes(cmd.Blocks()))
-		if err := dev.ReadBlocks(out, cmd.SLBA); err != nil {
-			proto.PutBuf(out)
-			cpl.Status = nvme.StatusInternalError
-			return cpl, nil
-		}
-		return cpl, out
-	case nvme.OpWrite:
-		if cfg.WriteLatency > 0 {
-			time.Sleep(cfg.WriteLatency)
-		}
-		if len(data) != ns.Bytes(cmd.Blocks()) {
-			cpl.Status = nvme.StatusDataXferError
-			return cpl, nil
-		}
-		if err := dev.WriteBlocks(data, cmd.SLBA); err != nil {
-			cpl.Status = nvme.StatusInternalError
-		}
-		return cpl, nil
-	case nvme.OpFlush:
-		if err := dev.Flush(); err != nil {
-			cpl.Status = nvme.StatusInternalError
-		}
-		return cpl, nil
-	default:
-		cpl.Status = nvme.StatusInvalidOpcode
-		return cpl, nil
-	}
+	// The connection is dead: tear the session down on its reactor. The
+	// lane is FIFO, so the teardown runs after every PDU posted above.
+	sh.q.put(lane, event{conn: c})
+	c.out.close()
+	<-writerDone
 }
 
 // NewMemoryServer is a convenience: an in-memory target of the given

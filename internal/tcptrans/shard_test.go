@@ -1,10 +1,10 @@
 package tcptrans
 
 // Sharded-datapath tests: tenant-ID striding across shards, correctness
-// of the pipelined inbound path at both extremes of the inflight bound,
-// aggregate stats across shards, and a multi-connection chaos run where
-// one tenant dies mid-window while survivors on every shard keep meeting
-// their drain windows. Run with -race.
+// of the pipelined inbound path with a connection's reader pinned at the
+// run queue's bound, aggregate stats across shards, and a multi-connection
+// chaos run where one tenant dies mid-window while survivors on every
+// shard keep meeting their drain windows. Run with -race.
 
 import (
 	"bytes"
@@ -74,30 +74,63 @@ func TestShardedTenantIDsUnique(t *testing.T) {
 	}
 }
 
-// TestInflightPerConnOne pins the degenerate pipelining bound: with one
-// inflight slot the connection serializes read→handle→read exactly like
-// the pre-shard datapath, and everything still completes correctly.
-func TestInflightPerConnOne(t *testing.T) {
+// TestRoundTripAtThePipeliningBound pins the tightest pipelining the
+// transport imposes (the job TestInflightPerConnOne did while the bound was
+// a ServerConfig field): the owning reactor is held until the connection's
+// reader sits at maxQueuedPerConn with more commands waiting in the socket,
+// so everything after that flows reader→reactor under the bound, a credit
+// at a time. On the executor-pool path, at one shard and at four, every
+// write must complete and a latency-sensitive read must see its bytes.
+func TestRoundTripAtThePipeliningBound(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			srv, err := Listen("127.0.0.1:0", ServerConfig{
-				Mode: targetqp.ModeOPF, Device: newMemoryDevice(4096, 1<<12),
-				Shards: shards, InflightPerConn: 1,
+				Mode: targetqp.ModeOPF, Device: newMemoryDevice(4096, 1<<12), Shards: shards,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			c, err := Dial(srv.Addr(), hostqp.Config{Class: proto.PrioThroughputCritical, Window: 4, QueueDepth: 8, NSID: 1})
+			const writes = 4 * maxQueuedPerConn
+			c, err := Dial(srv.Addr(), hostqp.Config{Class: proto.PrioThroughputCritical, Window: 4, QueueDepth: writes, NSID: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
+
+			sh := srv.shards[0] // the first connection's shard
+			held, gate := make(chan struct{}), make(chan struct{})
+			sh.post(func() { close(held); <-gate })
+			<-held
 			want := bytes.Repeat([]byte{0x5A}, 4096)
-			for i := 0; i < 32; i++ {
-				if err := c.Write(uint64(i%8), want, 0); err != nil {
-					t.Fatalf("write %d: %v", i, err)
+			var wg sync.WaitGroup
+			var failed atomic.Int32
+			for i := 0; i < writes; i++ {
+				wg.Add(1)
+				err := c.Submit(hostqp.IO{Op: nvme.OpWrite, LBA: uint64(i % 8), Blocks: 1, Data: want, Done: func(r hostqp.Result) {
+					if !r.Status.OK() {
+						failed.Add(1)
+					}
+					wg.Done()
+				}})
+				if err != nil {
+					t.Fatal(err)
 				}
+			}
+			queued := func() int {
+				sh.q.mu.Lock()
+				defer sh.q.mu.Unlock()
+				return len(sh.q.lanes[laneNormal])
+			}
+			waitFor(t, "the reader to reach the bound", func() bool { return queued() >= maxQueuedPerConn })
+			time.Sleep(20 * time.Millisecond)
+			if got := queued(); got >= maxQueuedPerConn+maxBurst {
+				t.Errorf("%d PDUs queued with the reactor held, bound is %d plus one burst of %d", got, maxQueuedPerConn, maxBurst)
+			}
+			close(gate)
+			wg.Wait()
+			if n := failed.Load(); n != 0 {
+				t.Fatalf("%d of %d writes failed", n, writes)
 			}
 			got, err := c.Read(3, 1, proto.PrioLatencySensitive)
 			if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // maxWriteBatch caps how many marshalled bytes one drain of the outbound
-// channel may accumulate before flushing — a full coalesced drain window
+// queue may accumulate before flushing — a full coalesced drain window
 // of data PDUs goes out in one syscall, but a slow peer cannot force
 // unbounded buffering.
 const maxWriteBatch = 256 << 10
@@ -56,6 +56,10 @@ type writerConfig struct {
 	// writing to the raw *net.TCPConn, so the writev fast path is not
 	// defeated by a wrapper type.
 	closeConn func()
+	// flushed, when set, is told the wire bytes of each batch once its
+	// write has returned — the progress signal for whoever meters the
+	// connection's unsent backlog.
+	flushed func(bytes int)
 }
 
 // wbatch stages one flush worth of PDUs: fixed prefixes (headers, and the
@@ -156,15 +160,16 @@ func (b *wbatch) retire(release func(proto.PDU)) {
 }
 
 // drainWriter is the outbound half of one connection, shared by the
-// server and the client: it pulls PDUs off out, stages them — headers
-// marshalled allocation-free into one reused buffer, large payloads
-// referenced in place — greedily draining whatever else is already
-// queued, up to cfg.batch bytes, then flushes the whole batch with a
+// server and the client: it swaps whole bursts of PDUs out of q, stages
+// them — headers marshalled allocation-free into one reused buffer, large
+// payloads referenced in place — picking up whatever else was queued
+// meanwhile, up to cfg.batch bytes, then flushes the whole batch with a
 // single (vectored) write. Payload bytes travel from the owner's buffer
 // to the socket without an intermediate copy, and a burst of N coalesced
-// responses costs one syscall instead of N.
+// responses costs one syscall instead of N. Producers never block on q
+// and wake the writer at most once per burst; the writer parks on q alone.
 //
-// A nil PDU on out is the flush-then-close sentinel: everything queued
+// A nil PDU in q is the flush-then-close sentinel: everything queued
 // before it is written, then the socket is closed — how a reactor-side
 // protocol error tears the connection down without racing a final
 // TermReq off the wire.
@@ -172,9 +177,11 @@ func (b *wbatch) retire(release func(proto.PDU)) {
 // cfg.release retires each PDU after its flush resolves (success, write
 // error, or teardown drop) — exactly once, never at stage time, because
 // the write vector references pooled payload bytes until the syscall
-// lands. done is closed by the connection's read loop at teardown; quit
-// is the server/client-wide shutdown signal.
-func drainWriter(conn net.Conn, out <-chan proto.PDU, done, quit <-chan struct{}, cfg writerConfig) {
+// lands. The writer returns once q is closed (the connection's owner
+// closes it at teardown), after the sentinel, or after a write error — it
+// closes q itself in the last two cases, so later puts fail and their
+// callers release what they hold.
+func drainWriter(conn net.Conn, q *burstQueue[proto.PDU], cfg writerConfig) {
 	if cfg.batch <= 0 {
 		cfg.batch = maxWriteBatch
 	}
@@ -182,115 +189,83 @@ func drainWriter(conn net.Conn, out <-chan proto.PDU, done, quit <-chan struct{}
 	if closeConn == nil {
 		closeConn = func() { conn.Close() }
 	}
-	free := func(p proto.PDU) {
-		if p != nil && cfg.release != nil {
-			cfg.release(p)
-		}
-	}
 	b := &wbatch{hdr: make([]byte, 0, 64<<10)}
 	coalescing := cfg.coalesceBytes > 0 && cfg.coalesceDelay > 0
-	var coalesceTimer *time.Timer
+	var timer *time.Timer
+	armed, expired := false, false // the coalescing window of the batch being staged
+	var in []proto.PDU             // the burst in hand; in[:next] is staged already
+	next := 0
+	defer func() {
+		// Whatever ended the writer, each PDU that reached q is released
+		// exactly once: the staged batch, the rest of the burst in hand,
+		// and what was queued behind it.
+		b.retire(cfg.release)
+		for _, rest := range [][]proto.PDU{in[next:], q.take(laneNormal, nil)} {
+			for _, p := range rest {
+				if p != nil && cfg.release != nil {
+					cfg.release(p)
+				}
+			}
+		}
+	}()
 	for {
-		var p proto.PDU
-		select {
-		case p = <-out:
-		case <-done:
-			// Best-effort: retire anything still queued so pooled buffers
-			// return instead of waiting for GC.
-			for {
-				select {
-				case p := <-out:
-					free(p)
-				default:
-					return
-				}
-			}
-		case <-quit:
-			return
-		}
-		closeAfter := p == nil
-		if p != nil {
-			b.add(p)
-		}
-	drain:
-		for !closeAfter && b.bytes < cfg.batch {
-			select {
-			case p = <-out:
-				if p == nil {
-					closeAfter = true
-					break drain
-				}
-				b.add(p)
-			default:
-				break drain
+		if next == len(in) && b.bytes == 0 {
+			var open bool
+			next = 0
+			if in, open = q.next(in); !open {
+				return
 			}
 		}
-		if coalescing && !closeAfter && b.bytes < cfg.batch && b.bytes < cfg.coalesceBytes {
-			// Aggregation window: the queue ran dry below the coalescing
-			// threshold, so hold the batch briefly — small submissions
-			// arriving within the window share one vectored flush instead
-			// of paying a syscall each.
-			if coalesceTimer == nil {
-				coalesceTimer = time.NewTimer(cfg.coalesceDelay)
+		closeAfter := false
+		for next < len(in) && b.bytes < cfg.batch && !closeAfter {
+			p := in[next]
+			in[next] = nil
+			next++
+			if p == nil {
+				closeAfter = true
 			} else {
-				coalesceTimer.Reset(cfg.coalesceDelay)
-			}
-			expired := false
-		wait:
-			for !closeAfter && b.bytes < cfg.batch && b.bytes < cfg.coalesceBytes {
-				select {
-				case p = <-out:
-					if p == nil {
-						closeAfter = true
-						break wait
-					}
-					b.add(p)
-				case <-coalesceTimer.C:
-					expired = true
-					break wait
-				case <-done:
-					// Teardown mid-window: the connection is gone, so the
-					// staged batch is dropped (released once), like every
-					// queued-but-unwritten PDU.
-					b.retire(cfg.release)
-					for {
-						select {
-						case p := <-out:
-							free(p)
-						default:
-							return
-						}
-					}
-				case <-quit:
-					b.retire(cfg.release)
-					return
-				}
-			}
-			if !expired && !coalesceTimer.Stop() {
-				<-coalesceTimer.C
+				b.add(p)
 			}
 		}
-		if b.bytes > 0 {
-			err := b.write(conn)
-			b.retire(cfg.release)
-			if err != nil {
-				closeConn() // unblocks the read loop
-				// Keep consuming (and releasing) until teardown so
-				// senders blocked on the channel make progress.
-				for {
-					select {
-					case p := <-out:
-						free(p)
-					case <-done:
-						return
-					case <-quit:
-						return
+		if next == len(in) && b.bytes < cfg.batch && !closeAfter {
+			// The burst ran dry below the cap: take what was queued while
+			// it was being staged.
+			if in, next = q.take(laneNormal, in), 0; len(in) > 0 {
+				continue
+			}
+			if coalescing && b.bytes < cfg.coalesceBytes && !expired {
+				// Aggregation window: hold the batch briefly — small
+				// submissions arriving within the window share one
+				// vectored flush instead of paying a syscall each.
+				if !armed {
+					if timer == nil {
+						timer = time.NewTimer(cfg.coalesceDelay)
+					} else {
+						timer.Reset(cfg.coalesceDelay)
 					}
+					armed = true
 				}
+				ready, open := q.wait(timer.C)
+				if !open {
+					return // teardown mid-window: the staged batch is dropped
+				}
+				expired = !ready
+				continue
 			}
 		}
-		if closeAfter {
-			closeConn() // unblocks the read loop; queued PDUs flushed
+		if armed && !expired && !timer.Stop() {
+			<-timer.C
+		}
+		armed, expired = false, false
+		err := b.write(conn)
+		if cfg.flushed != nil {
+			cfg.flushed(b.bytes)
+		}
+		b.retire(cfg.release)
+		if err != nil || closeAfter {
+			closeConn() // unblocks the read loop; on the sentinel, after the flush
+			q.close()
+			return
 		}
 	}
 }

@@ -3,7 +3,7 @@ package tcptrans
 // Unit tests for the vectored drainWriter: the byte stream must be
 // identical to concatenated proto.Marshal output under every knob
 // combination (the zero-copy and coalescing acceptance criterion), every
-// staged PDU must be released exactly once on every exit path (success,
+// queued PDU must be released exactly once on every exit path (success,
 // write error, sentinel, teardown), and the coalescing window must merge
 // back-to-back submissions into a single flush.
 
@@ -58,36 +58,41 @@ func marshalAll(pdus []proto.PDU) []byte {
 	return want
 }
 
+// newOutQueue returns a ready outbound queue holding pdus.
+func newOutQueue(pdus ...proto.PDU) *burstQueue[proto.PDU] {
+	q := new(burstQueue[proto.PDU])
+	q.init()
+	q.put(laneNormal, pdus...)
+	return q
+}
+
 // runWriterCollect feeds pdus (then the close sentinel) through a
 // drainWriter over the given connection pair and returns the bytes that
 // arrived, after the writer closed the socket.
-func runWriterCollect(t *testing.T, wc, rc net.Conn, cfg writerConfig, pdus []proto.PDU, feed func(chan<- proto.PDU)) []byte {
+func runWriterCollect(t *testing.T, wc, rc net.Conn, cfg writerConfig, pdus []proto.PDU, feed func(*burstQueue[proto.PDU])) []byte {
 	t.Helper()
-	out := make(chan proto.PDU, len(pdus)+1)
-	done := make(chan struct{})
-	quit := make(chan struct{})
-	defer close(done)
+	q := newOutQueue()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		drainWriter(wc, out, done, quit, cfg)
+		drainWriter(wc, q, cfg)
 	}()
 	go func() {
 		if feed != nil {
-			feed(out)
+			feed(q)
 		} else {
 			for _, p := range pdus {
-				out <- p
+				q.put(laneNormal, p)
 			}
 		}
-		out <- nil // flush-then-close sentinel
+		q.put(laneNormal, nil) // flush-then-close sentinel
 	}()
 	got, err := io.ReadAll(rc)
 	if err != nil {
 		t.Fatalf("read stream: %v", err)
 	}
-	// The sentinel closed the socket; unblock and join the writer.
+	wg.Wait() // the sentinel closed the socket and ended the writer
 	return got
 }
 
@@ -165,12 +170,12 @@ func TestWriterWireIdentityStaggered(t *testing.T) {
 	want := marshalAll(pdus)
 	wc, rc := tcpPair(t)
 	cfg := writerConfig{coalesceBytes: 4 << 10, coalesceDelay: 100 * time.Microsecond}
-	got := runWriterCollect(t, wc, rc, cfg, pdus, func(out chan<- proto.PDU) {
+	got := runWriterCollect(t, wc, rc, cfg, pdus, func(q *burstQueue[proto.PDU]) {
 		for i, p := range pdus {
 			if i%2 == 1 {
 				time.Sleep(300 * time.Microsecond) // outlast the window
 			}
-			out <- p
+			q.put(laneNormal, p)
 		}
 	})
 	if !bytes.Equal(got, want) {
@@ -244,53 +249,56 @@ func (c *errConn) Close() error {
 }
 
 // TestWriterReleaseExactlyOnceWriteError: a failing flush must release
-// the staged batch once, close the connection, and keep draining (and
-// releasing) queued PDUs until teardown — never a double release.
+// the staged batch and everything queued behind it once, close the
+// connection, and close the queue so that later puts hand their PDUs back
+// to the caller — never a double release.
 func TestWriterReleaseExactlyOnceWriteError(t *testing.T) {
 	pdus := writerTestPDUs()
 	conn := &errConn{failAfter: 0} // first write fails
 	cr := newCountReleases()
-	out := make(chan proto.PDU, len(pdus))
-	done := make(chan struct{})
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		drainWriter(conn, out, done, quit, writerConfig{batch: 1, release: cr.release})
-	}()
-	for _, p := range pdus {
-		out <- p
-	}
-	// The writer is now in its post-error consume loop; every queued PDU
-	// must have been (or will be) freed. Give it a moment, then tear down.
-	waitFor(t, "all PDUs consumed", func() bool {
-		cr.mu.Lock()
-		defer cr.mu.Unlock()
-		return len(cr.counts) == len(pdus)
-	})
-	close(done)
-	wg.Wait()
+	q := newOutQueue(pdus...)
+	drainWriter(conn, q, writerConfig{batch: 1, release: cr.release})
 	cr.verify(t, pdus)
 	if conn.closed.Load() == 0 {
 		t.Error("write error did not close the connection")
 	}
+	if q.put(laneNormal, pdus[0]) {
+		t.Error("queue still accepts PDUs after the writer gave up")
+	}
 }
 
-// TestWriterReleaseExactlyOnceTeardown: PDUs still queued when the read
-// loop tears the connection down are drained and released exactly once.
+// TestWriterReleaseExactlyOnceTeardown: PDUs still queued when the
+// connection's owner closes the queue are released exactly once, whether
+// the writer had staged them or not.
 func TestWriterReleaseExactlyOnceTeardown(t *testing.T) {
 	pdus := writerTestPDUs()
 	cr := newCountReleases()
-	out := make(chan proto.PDU, len(pdus))
-	for _, p := range pdus {
-		out <- p
-	}
-	done := make(chan struct{})
-	close(done) // teardown already signalled: writer must drain-and-free
-	quit := make(chan struct{})
-	drainWriter(&errConn{failAfter: 1 << 30}, out, done, quit, writerConfig{release: cr.release})
+	q := newOutQueue(pdus...)
+	q.close() // teardown already signalled: the writer must take-and-free
+	drainWriter(&errConn{failAfter: 1 << 30}, q, writerConfig{release: cr.release})
 	cr.verify(t, pdus)
+
+	// Teardown in the middle of a coalescing window drops the staged batch.
+	cr = newCountReleases()
+	q = newOutQueue(pdus[5]) // 24 bytes: far below the window's threshold
+	conn := &countWriteConn{closed: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		drainWriter(conn, q, writerConfig{release: cr.release,
+			coalesceBytes: 64 << 10, coalesceDelay: time.Minute})
+	}()
+	waitFor(t, "the writer to open its window", func() bool {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return q.parked
+	})
+	q.close()
+	<-done
+	cr.verify(t, pdus[5:6])
+	if conn.writes.Load() != 0 {
+		t.Error("a batch dropped at teardown was written")
+	}
 }
 
 // TestWriterSentinelFlushesBeforeClose: everything queued ahead of the
@@ -299,14 +307,7 @@ func TestWriterSentinelFlushesBeforeClose(t *testing.T) {
 	pdus := writerTestPDUs()
 	want := marshalAll(pdus)
 	wc, rc := tcpPair(t)
-	out := make(chan proto.PDU, len(pdus)+1)
-	for _, p := range pdus {
-		out <- p
-	}
-	out <- nil
-	done := make(chan struct{})
-	defer close(done)
-	go drainWriter(wc, out, done, make(chan struct{}), writerConfig{})
+	go drainWriter(wc, newOutQueue(append(pdus, nil)...), writerConfig{})
 	got, err := io.ReadAll(rc) // EOF only after the writer closes wc
 	if err != nil {
 		t.Fatal(err)
@@ -344,17 +345,15 @@ func TestWriterCoalescingMergesFlushes(t *testing.T) {
 	p1 := &proto.CapsuleCmd{Cmd: nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1}}
 	p2 := &proto.CapsuleCmd{Cmd: nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1}}
 	conn := &countWriteConn{closed: make(chan struct{})}
-	out := make(chan proto.PDU, 4)
-	done := make(chan struct{})
-	defer close(done)
-	go drainWriter(conn, out, done, make(chan struct{}), writerConfig{
+	q := newOutQueue()
+	go drainWriter(conn, q, writerConfig{
 		coalesceBytes: 64 << 10,
 		coalesceDelay: 500 * time.Millisecond, // far longer than the gap below
 	})
-	out <- p1
+	q.put(laneNormal, p1)
 	time.Sleep(2 * time.Millisecond) // writer is now waiting in the window
-	out <- p2
-	out <- nil // closes the window and flushes
+	q.put(laneNormal, p2)
+	q.put(laneNormal, nil) // closes the window and flushes
 	<-conn.closed
 	if n := conn.writes.Load(); n != 1 {
 		t.Errorf("coalescing produced %d flushes, want 1", n)

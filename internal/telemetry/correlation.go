@@ -199,31 +199,17 @@ func Correlate(host, target *Dump) *Correlation {
 
 	if host != nil {
 		out.Anomalies = append(out.Anomalies, host.Anomalies...)
-		// The host PM stamps the draining flag (and emits drain-mark)
-		// before the submit event of the same request. When a CID is
-		// reused from a completion callback the previous epoch is already
-		// closed, so a drain-mark seen after a complete belongs to the
-		// *next* submit of that key — hold it until the epoch opens.
-		pendingMark := map[reqKey]*TimelinePoint{}
+		// Every host event after a request's submit — the drain-mark the
+		// session emits right behind the submit of the request carrying the
+		// flag, then replay and complete — belongs to the key's open epoch.
 		for _, e := range host.Events {
 			k := reqKey{e.Tenant, e.CID}
 			pt := TimelinePoint{Stage: Stage(e.Stage), TS: e.TS, Aux: e.Aux, Host: true}
 			switch Stage(e.Stage) {
 			case StageSubmit:
 				tl := corr.open(k, e.Prio)
-				if pm := pendingMark[k]; pm != nil {
-					tl.Points = append(tl.Points, *pm)
-					delete(pendingMark, k)
-				}
 				tl.Points = append(tl.Points, pt)
-			case StageDrainMark:
-				if tl := corr.last(k); tl != nil && !tl.Has(StageComplete) {
-					tl.Points = append(tl.Points, pt)
-				} else {
-					p := pt
-					pendingMark[k] = &p
-				}
-			case StageReplay, StageComplete:
+			case StageDrainMark, StageReplay, StageComplete:
 				if tl := corr.last(k); tl != nil {
 					tl.Points = append(tl.Points, pt)
 				}
