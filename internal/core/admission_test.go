@@ -202,3 +202,33 @@ func TestExpireStaleDisabledWithoutClockOrDeadline(t *testing.T) {
 		t.Fatal("watchdog ran with a zero deadline")
 	}
 }
+
+// TestExpireStaleReleasesOldestFirst: when one watchdog sweep finds several
+// stale queues, their windows come back oldest first, tenant ID breaking
+// ties — the order they then reach the device must not vary run to run.
+// Fifty fresh PMs, because an order that merely happens to come out right
+// (map iteration) does so one time in six.
+func TestExpireStaleReleasesOldestFirst(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		pm, now := watchdogPM(100)
+		*now = 10
+		pm.OnCommand(9, 1, proto.PrioThroughputCritical)
+		*now = 20
+		pm.OnCommand(5, 1, proto.PrioThroughputCritical)
+		pm.OnCommand(3, 1, proto.PrioThroughputCritical) // same age as tenant 5's
+		pm.OnCommand(3, 2, proto.PrioThroughputCritical)
+		*now = 150
+		pm.OnCommand(4, 1, proto.PrioThroughputCritical) // not stale yet
+		batches := pm.ExpireStale(150)
+		var order []proto.TenantID
+		for _, b := range batches {
+			order = append(order, b[0].Tenant)
+		}
+		if want := []proto.TenantID{9, 3, 5}; len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+			t.Fatalf("run %d: stale windows released for tenants %v, want %v", run, order, want)
+		}
+		if len(batches[1]) != 2 || pm.QueueDepth(4) != 1 {
+			t.Fatalf("run %d: tenant 3's window has %d members, tenant 4 has %d parked", run, len(batches[1]), pm.QueueDepth(4))
+		}
+	}
+}

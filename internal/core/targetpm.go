@@ -106,6 +106,14 @@ type TargetPMConfig struct {
 	// Clock supplies monotonic time for the drain watchdog (nanoseconds;
 	// virtual clocks work too — only differences matter). Nil disables
 	// the watchdog regardless of WatchdogNS.
+	//
+	// The PM calls it only to anchor a queue's age when the queue goes
+	// non-empty, and compares that anchor with the now its caller passes to
+	// ExpireStale and PollScavenger. Both may be cached readings of one
+	// clock (targetqp passes its per-turn stamp for both): an anchor stale
+	// by a and a now stale by b misjudge an age by b-a, so a bound fires at
+	// most max(a, b) early or late — one reactor burst, against bounds of
+	// milliseconds.
 	Clock func() int64
 	// WatchdogNS is the drain watchdog deadline: a TC queue whose oldest
 	// parked request has waited this long with no draining flag is
@@ -160,8 +168,9 @@ type DrainCompletion struct {
 }
 
 // drainBatch tracks one executing TC window awaiting coalesced completion.
+// Records are recycled: a steady stream of windows allocates none.
 type drainBatch struct {
-	owner     proto.TenantID // tenant whose drain (or overflow) formed the batch
+	owner     *tenantState // tenant whose drain (or overflow) formed the batch
 	drainCID  nvme.CID
 	hasDrain  bool
 	size      int // window size at formation (remaining counts down)
@@ -177,6 +186,11 @@ type drainBatch struct {
 	noCoalesce bool
 	// scavenger marks a best-effort window (propagated to the drain hook).
 	scavenger bool
+	// members is the window as handed to the caller. The record keeps the
+	// backing array until the window has completed — the caller iterates it
+	// while executing — and the next window formed on this record hands it
+	// to its queue to refill (formBatch).
+	members []TaggedCID
 }
 
 // pendingQueue is one TC queue: FIFO of tagged CIDs. In isolated mode all
@@ -190,24 +204,62 @@ type pendingQueue struct {
 
 func (q *pendingQueue) push(e TaggedCID) { q.entries = append(q.entries, e) }
 func (q *pendingQueue) depth() int       { return len(q.entries) }
-func (q *pendingQueue) popAll() []TaggedCID {
-	out := q.entries
-	q.entries = nil
-	q.firstAt = 0
-	return out
+
+// tenantState is everything the PM keeps for one tenant — its queues, its
+// executing windows, its admission count and its controller overrides —
+// behind a single TenantTable lookup per call. Records are created on a
+// tenant's first request and kept: tenant IDs recycle, so their number is
+// bounded by the peak number of concurrent tenants.
+type tenantState struct {
+	id proto.TenantID
+	// tc is the tenant's TC queue in isolated mode (the shared-queue
+	// ablation parks every tenant in TargetPM.shared instead); scav is its
+	// best-effort queue, per tenant in either mode, so a scavenger drain can
+	// never flush foreign requests and its coalesced response stays safely
+	// ordered against the owner's own stream.
+	tc, scav pendingQueue
+	// scavListed: the tenant is on TargetPM.scavs.
+	scavListed bool
+	// inflight holds the tenant's executing batches in window order.
+	// Coalesced responses are released strictly in this order: a later
+	// window that the out-of-order device finishes first must not be
+	// announced before an earlier window, because the host replays its
+	// pending queue prefix on every coalesced response (Alg. 2) and would
+	// otherwise report the earlier window complete prematurely.
+	inflight []*drainBatch
+	// batches maps each of the tenant's executing window members to its
+	// batch, indexed by CID. The PM is told no queue depth, so the table
+	// grows to the highest CID seen; the session in front of it refuses
+	// CIDs past the depth its peer advertised before they get here.
+	batches nvme.Slots[drainBatch]
+	// pending counts admitted-but-uncompleted requests (all classes) for
+	// admission control.
+	pending int
+	// winOv/capOv are overrides a controller may set at run time,
+	// tightening (never loosening) the configured MaxPending valve and
+	// MaxPendingPerTenant cap. Zero means "no override", so an idle
+	// controller leaves behavior bit-identical to the static configuration.
+	winOv, capOv int32
 }
 
-// popN removes and returns the first n entries (all of them when n covers
-// the queue). When entries remain, their aging anchor restarts at now: the
-// drained chunk consumed this deadline, and the remainder earns its own.
-func (q *pendingQueue) popN(n int, now int64) []TaggedCID {
-	if n >= len(q.entries) {
-		return q.popAll()
+// byAge sorts tenants oldest queue first, tenant ID as the tie-break.
+type byAge struct {
+	ts   []*tenantState
+	scav bool // order by the scavenger queue's age, not the TC queue's
+}
+
+func (s *byAge) Len() int      { return len(s.ts) }
+func (s *byAge) Swap(i, j int) { s.ts[i], s.ts[j] = s.ts[j], s.ts[i] }
+func (s *byAge) Less(i, j int) bool {
+	a, b := s.ts[i], s.ts[j]
+	ai, bi := a.tc.firstAt, b.tc.firstAt
+	if s.scav {
+		ai, bi = a.scav.firstAt, b.scav.firstAt
 	}
-	out := q.entries[:n:n]
-	q.entries = q.entries[n:]
-	q.firstAt = now
-	return out
+	if ai != bi {
+		return ai < bi
+	}
+	return a.id < b.id
 }
 
 // TargetPM is the target-side priority manager: it decides execution order
@@ -220,24 +272,16 @@ func (q *pendingQueue) popN(n int, now int64) []TaggedCID {
 // from its single poller loop, exactly as SPDK reactors drive per-core
 // state.
 type TargetPM struct {
-	cfg     TargetPMConfig
-	queues  map[proto.TenantID]*pendingQueue
-	batches map[TaggedCID]*drainBatch
-	// scavQueues holds the per-tenant scavenger (best-effort) queues.
-	// Always keyed per tenant — even in the shared-queue ablation — so a
-	// scavenger drain can never flush foreign requests and its coalesced
-	// response stays safely ordered against the owner's own stream.
-	scavQueues map[proto.TenantID]*pendingQueue
-	// inflight holds each tenant's executing batches in window order.
-	// Coalesced responses are released strictly in this order: a later
-	// window that the out-of-order device finishes first must not be
-	// announced before an earlier window, because the host replays its
-	// pending queue prefix on every coalesced response (Alg. 2) and would
-	// otherwise report the earlier window complete prematurely.
-	inflight map[proto.TenantID][]*drainBatch
-	// pending counts admitted-but-uncompleted requests per tenant (all
-	// classes) for admission control; pendingTotal is their sum.
-	pending      map[proto.TenantID]int
+	cfg TargetPMConfig
+	// tenants finds a tenant's record; all lists every record (the drain
+	// watchdog's sweep) and scavs the tenants that have used a scavenger
+	// queue since they last connected (the scavenger poll's).
+	tenants TenantTable[tenantState]
+	all     []*tenantState
+	scavs   []*tenantState
+	// shared is the one TC queue of the shared-queue ablation.
+	shared pendingQueue
+	// pendingTotal is the sum of every tenant's pending count.
 	pendingTotal int
 	// lsPending counts admitted-but-uncompleted latency-sensitive
 	// requests and tcParked counts parked (queued, unexecuted) TC
@@ -259,45 +303,13 @@ type TargetPM struct {
 
 	// drainHook fires once per completed window (see SetDrainHook).
 	drainHook func(DrainCompletion)
-	// winOv/capOv are per-tenant overrides a controller may set at run
-	// time, tightening (never loosening) the configured MaxPending valve
-	// and MaxPendingPerTenant cap. Zero means "no override" — paged
-	// fixed-size arrays covering the full uint16 TenantID space, so the
-	// hot-path lookups cost two indexes (no map probe) and an idle
-	// controller leaves behavior bit-identical to the static
-	// configuration.
-	winOv tenantVals
-	capOv tenantVals
-}
 
-// tenantVals is a sparse per-tenant int32 table covering all 65536
-// possible TenantIDs as lazily allocated 256-entry pages. The PM runs
-// single-threaded on its reactor, so plain (non-atomic) pointers and
-// loads suffice; an untouched page reads as zero without allocating.
-// This replaces the former [256]int32 arrays whose direct indexing by a
-// uint16 TenantID panicked the reactor for tenant IDs >= 256.
-type tenantVals struct {
-	pages [256]*[256]int32
-}
-
-func (v *tenantVals) get(t proto.TenantID) int32 {
-	pg := v.pages[t>>8]
-	if pg == nil {
-		return 0
-	}
-	return pg[t&0xff]
-}
-
-func (v *tenantVals) set(t proto.TenantID, x int32) {
-	pg := v.pages[t>>8]
-	if pg == nil {
-		if x == 0 {
-			return
-		}
-		pg = new([256]int32)
-		v.pages[t>>8] = pg
-	}
-	pg[t&0xff] = x
+	// Reused across calls so the steady state allocates nothing: retired
+	// batch records, the decisions OnDeviceCompletion returns, and the
+	// sweep order of ExpireStale and PollScavenger.
+	freeBatches []*drainBatch
+	resp        []RespDecision
+	order       byAge
 }
 
 // TargetPMStats counts PM-level events for the experiments.
@@ -338,14 +350,7 @@ func (s *TargetPMStats) Accumulate(o TargetPMStats) {
 
 // NewTargetPM creates a priority manager.
 func NewTargetPM(cfg TargetPMConfig) *TargetPM {
-	return &TargetPM{
-		cfg:        cfg,
-		queues:     make(map[proto.TenantID]*pendingQueue),
-		batches:    make(map[TaggedCID]*drainBatch),
-		scavQueues: make(map[proto.TenantID]*pendingQueue),
-		inflight:   make(map[proto.TenantID][]*drainBatch),
-		pending:    make(map[proto.TenantID]int),
-	}
+	return &TargetPM{cfg: cfg}
 }
 
 // Stats returns a copy of the PM counters.
@@ -363,106 +368,100 @@ func (pm *TargetPM) SetTrace(fn telemetry.TraceFunc) { pm.trace = fn }
 // Set*/Reset* control methods re-entrantly.
 func (pm *TargetPM) SetDrainHook(fn func(DrainCompletion)) { pm.drainHook = fn }
 
+// tenant returns t's record, creating it on first use.
+func (pm *TargetPM) tenant(t proto.TenantID) *tenantState {
+	ts := pm.tenants.Get(t)
+	if ts == nil {
+		ts = &tenantState{id: t}
+		pm.tenants.Set(t, ts)
+		pm.all = append(pm.all, ts)
+	}
+	return ts
+}
+
 // SetTenantWindow sets (w > 0) or clears (w <= 0) tenant t's drain-window
 // valve override: the tenant's queue force-drains at depth w even when the
 // host keeps stamping a larger window, so the effective window becomes
 // min(host window, w). The override can only tighten the configured
 // MaxPending valve, never loosen it.
-func (pm *TargetPM) SetTenantWindow(t proto.TenantID, w int) {
-	if w < 0 {
-		w = 0
-	}
-	pm.winOv.set(t, int32(w))
-}
+func (pm *TargetPM) SetTenantWindow(t proto.TenantID, w int) { pm.tenant(t).winOv = int32(max(w, 0)) }
 
 // TenantWindow returns tenant t's valve override (0 when none).
-func (pm *TargetPM) TenantWindow(t proto.TenantID) int { return int(pm.winOv.get(t)) }
+func (pm *TargetPM) TenantWindow(t proto.TenantID) int {
+	if ts := pm.tenants.Get(t); ts != nil {
+		return int(ts.winOv)
+	}
+	return 0
+}
 
 // SetTenantCap sets (c > 0) or clears (c <= 0) tenant t's admission-cap
 // override, tightening (never loosening) MaxPendingPerTenant for this
 // tenant only.
-func (pm *TargetPM) SetTenantCap(t proto.TenantID, c int) {
-	if c < 0 {
-		c = 0
-	}
-	pm.capOv.set(t, int32(c))
-}
+func (pm *TargetPM) SetTenantCap(t proto.TenantID, c int) { pm.tenant(t).capOv = int32(max(c, 0)) }
 
 // TenantCap returns tenant t's admission-cap override (0 when none).
-func (pm *TargetPM) TenantCap(t proto.TenantID) int { return int(pm.capOv.get(t)) }
+func (pm *TargetPM) TenantCap(t proto.TenantID) int {
+	if ts := pm.tenants.Get(t); ts != nil {
+		return int(ts.capOv)
+	}
+	return 0
+}
 
 // ResetTenantControls clears both of tenant t's overrides (session
 // teardown: the ID may be recycled to an unrelated initiator).
 func (pm *TargetPM) ResetTenantControls(t proto.TenantID) {
-	pm.winOv.set(t, 0)
-	pm.capOv.set(t, 0)
+	if ts := pm.tenants.Get(t); ts != nil {
+		ts.winOv, ts.capOv = 0, 0
+	}
 }
 
 // valveFor returns the effective force-drain valve for a request arriving
-// from tenant t: the tighter of the configured MaxPending and the tenant's
+// from ts: the tighter of the configured MaxPending and the tenant's
 // override (0 disables).
-func (pm *TargetPM) valveFor(t proto.TenantID) int {
+func (pm *TargetPM) valveFor(ts *tenantState) int {
 	v := pm.cfg.MaxPending
-	if o := int(pm.winOv.get(t)); o > 0 && (v == 0 || o < v) {
+	if o := int(ts.winOv); o > 0 && (v == 0 || o < v) {
 		return o
 	}
 	return v
 }
 
-// capFor returns tenant t's effective pending-request cap: the tighter of
+// capFor returns ts's effective pending-request cap: the tighter of
 // MaxPendingPerTenant and the tenant's override (0 disables).
-func (pm *TargetPM) capFor(t proto.TenantID) int {
+func (pm *TargetPM) capFor(ts *tenantState) int {
 	c := pm.cfg.MaxPendingPerTenant
-	if o := int(pm.capOv.get(t)); o > 0 && (c == 0 || o < c) {
+	if o := int(ts.capOv); o > 0 && (c == 0 || o < c) {
 		return o
 	}
 	return c
 }
 
-// key maps a tenant to its queue owner: per-tenant when isolated, one
-// shared slot otherwise.
-func (pm *TargetPM) key(t proto.TenantID) proto.TenantID {
+// tcQueue returns the TC queue serving ts: its own when isolated, the one
+// shared queue otherwise.
+func (pm *TargetPM) tcQueue(ts *tenantState) *pendingQueue {
 	if pm.cfg.Isolated {
-		return t
+		return &ts.tc
 	}
-	return 0
-}
-
-func (pm *TargetPM) queue(t proto.TenantID) *pendingQueue {
-	k := pm.key(t)
-	q, ok := pm.queues[k]
-	if !ok {
-		q = &pendingQueue{}
-		pm.queues[k] = q
-	}
-	return q
+	return &pm.shared
 }
 
 // QueueDepth returns the number of pending (unexecuted) TC requests in the
 // queue serving tenant t.
 func (pm *TargetPM) QueueDepth(t proto.TenantID) int {
-	if q, ok := pm.queues[pm.key(t)]; ok {
-		return q.depth()
+	if !pm.cfg.Isolated {
+		return pm.shared.depth()
+	}
+	if ts := pm.tenants.Get(t); ts != nil {
+		return ts.tc.depth()
 	}
 	return 0
-}
-
-// scavQueue returns tenant t's scavenger queue, creating it on first use.
-// Scavenger queues are always per-tenant (never shared), see scavQueues.
-func (pm *TargetPM) scavQueue(t proto.TenantID) *pendingQueue {
-	q, ok := pm.scavQueues[t]
-	if !ok {
-		q = &pendingQueue{}
-		pm.scavQueues[t] = q
-	}
-	return q
 }
 
 // ScavQueueDepth returns the number of parked scavenger requests tenant t
 // has at this PM.
 func (pm *TargetPM) ScavQueueDepth(t proto.TenantID) int {
-	if q, ok := pm.scavQueues[t]; ok {
-		return q.depth()
+	if ts := pm.tenants.Get(t); ts != nil {
+		return ts.scav.depth()
 	}
 	return 0
 }
@@ -497,8 +496,9 @@ func (pm *TargetPM) TCParked() int { return pm.tcParked }
 // A false return means the caller must answer StatusBusy — the command was
 // never executed, so the host may resubmit verbatim.
 func (pm *TargetPM) Admit(t proto.TenantID, prio proto.Priority) bool {
+	ts := pm.tenant(t)
 	if !prio.Draining() {
-		if limit := pm.capFor(t); limit > 0 && pm.pending[t] >= limit {
+		if limit := pm.capFor(ts); limit > 0 && ts.pending >= limit {
 			pm.reject(t)
 			return false
 		}
@@ -515,7 +515,7 @@ func (pm *TargetPM) Admit(t proto.TenantID, prio proto.Priority) bool {
 			}
 		}
 	}
-	pm.pending[t]++
+	ts.pending++
 	pm.pendingTotal++
 	if prio.LatencySensitive() {
 		pm.lsPending++
@@ -534,12 +534,9 @@ func (pm *TargetPM) reject(t proto.TenantID) {
 // per-tenant one, so a spurious double release cannot desynchronize
 // sum(pending) from pendingTotal.
 func (pm *TargetPM) Release(t proto.TenantID, prio proto.Priority) {
-	if pm.pending[t] > 0 {
-		pm.pending[t]--
+	if ts := pm.tenants.Get(t); ts != nil && ts.pending > 0 {
+		ts.pending--
 		pm.pendingTotal--
-		if pm.pending[t] == 0 {
-			delete(pm.pending, t)
-		}
 		if prio.LatencySensitive() && pm.lsPending > 0 {
 			pm.lsPending--
 		}
@@ -548,7 +545,12 @@ func (pm *TargetPM) Release(t proto.TenantID, prio proto.Priority) {
 
 // PendingRequests returns tenant t's admitted-but-uncompleted request
 // count.
-func (pm *TargetPM) PendingRequests(t proto.TenantID) int { return pm.pending[t] }
+func (pm *TargetPM) PendingRequests(t proto.TenantID) int {
+	if ts := pm.tenants.Get(t); ts != nil {
+		return ts.pending
+	}
+	return 0
+}
 
 // PendingTotal returns the admitted-but-uncompleted request count across
 // all tenants.
@@ -556,12 +558,19 @@ func (pm *TargetPM) PendingTotal() int { return pm.pendingTotal }
 
 // OnCommand classifies one arriving command (Alg. 3). For
 // DispositionDrainBatch, batch lists every request to execute now, in FIFO
-// order, ending with the triggering command.
+// order, ending with the triggering command. The slice is the PM's: it
+// stays intact until the window it names has completed, and is reused for a
+// later window after that.
 func (pm *TargetPM) OnCommand(t proto.TenantID, cid nvme.CID, prio proto.Priority) (d Disposition, batch []TaggedCID) {
 	self := TaggedCID{Tenant: t, CID: cid}
+	ts := pm.tenant(t)
 	switch {
 	case prio.Scavenger():
-		q := pm.scavQueue(t)
+		q := &ts.scav
+		if !ts.scavListed {
+			ts.scavListed = true
+			pm.scavs = append(pm.scavs, ts)
+		}
 		if q.depth() == 0 && pm.cfg.Clock != nil {
 			q.firstAt = pm.cfg.Clock()
 		}
@@ -575,21 +584,20 @@ func (pm *TargetPM) OnCommand(t proto.TenantID, cid nvme.CID, prio proto.Priorit
 		return DispositionQueued, nil
 
 	case prio.Draining():
-		q := pm.queue(t)
-		popped := q.popAll()
-		pm.tcParked -= len(popped)
-		batch = append(popped, self)
-		pm.beginBatch(t, cid, true, false, batch)
+		q := pm.tcQueue(ts)
+		pm.tcParked -= q.depth()
+		q.push(self)
+		b := pm.formBatch(q, q.depth(), 0, true, false)
 		pm.stats.Drains++
-		pm.tel.ObserveDrain(t, len(batch), false)
+		pm.tel.ObserveDrain(t, b.size, false)
 		pm.tel.SetQueueDepth(t, 0)
 		if pm.trace != nil {
-			pm.trace(telemetry.Event{Stage: telemetry.StageDrainStart, Tenant: t, CID: cid, Prio: prio, Aux: int64(len(batch))})
+			pm.trace(telemetry.Event{Stage: telemetry.StageDrainStart, Tenant: t, CID: cid, Prio: prio, Aux: int64(b.size)})
 		}
-		return DispositionDrainBatch, batch
+		return DispositionDrainBatch, b.members
 
 	case prio.ThroughputCritical():
-		q := pm.queue(t)
+		q := pm.tcQueue(ts)
 		if q.depth() == 0 && pm.cfg.Clock != nil {
 			q.firstAt = pm.cfg.Clock()
 		}
@@ -601,18 +609,13 @@ func (pm *TargetPM) OnCommand(t proto.TenantID, cid nvme.CID, prio proto.Priorit
 		if pm.trace != nil {
 			pm.trace(telemetry.Event{Stage: telemetry.StageEnqueue, Tenant: t, CID: cid, Prio: prio, Aux: int64(q.depth())})
 		}
-		if valve := pm.valveFor(t); valve > 0 && q.depth() >= valve {
-			batch = q.popAll()
-			pm.tcParked -= len(batch)
-			last := batch[len(batch)-1]
-			pm.beginBatch(last.Tenant, last.CID, false, false, batch)
-			pm.stats.ForcedDrains++
-			pm.tel.ObserveDrain(last.Tenant, len(batch), true)
+		if valve := pm.valveFor(ts); valve > 0 && q.depth() >= valve {
+			b := pm.forceDrain(q, false)
 			pm.tel.SetQueueDepth(t, 0)
 			if pm.trace != nil {
-				pm.trace(telemetry.Event{Stage: telemetry.StageDrainStart, Tenant: last.Tenant, CID: last.CID, Prio: prio, Aux: int64(len(batch))})
+				pm.trace(telemetry.Event{Stage: telemetry.StageDrainStart, Tenant: b.owner.id, CID: b.drainCID, Prio: prio, Aux: int64(b.size)})
 			}
-			return DispositionDrainBatch, batch
+			return DispositionDrainBatch, b.members
 		}
 		return DispositionQueued, nil
 
@@ -625,41 +628,69 @@ func (pm *TargetPM) OnCommand(t proto.TenantID, cid nvme.CID, prio proto.Priorit
 	}
 }
 
+// forceDrain releases a whole TC queue with no draining flag — the safety
+// valve, or (watchdog set) the drain watchdog. The batch owner is the last
+// parked request's tenant.
+func (pm *TargetPM) forceDrain(q *pendingQueue, watchdog bool) *drainBatch {
+	pm.tcParked -= q.depth()
+	b := pm.formBatch(q, q.depth(), 0, false, false)
+	pm.stats.ForcedDrains++
+	if watchdog {
+		pm.stats.WatchdogDrains++
+	}
+	pm.tel.ObserveDrain(b.owner.id, b.size, true)
+	return b
+}
+
 // ExpireStale is the drain watchdog (needs both Clock and WatchdogNS
 // configured): every TC queue whose oldest parked request has waited at
 // least WatchdogNS with no draining flag is force-drained, and its batch
 // returned for the caller to execute — exactly as a DispositionDrainBatch
 // would be, except no triggering command exists (the batch owner is the
 // last parked request). Parked requests must never wedge forever just
-// because their host crashed mid-window. The runtime calls this from the
-// same reactor that calls OnCommand; like the rest of the PM it is not
+// because their host crashed mid-window. Stale queues are released oldest
+// first, tenant ID as the tie-break, so the order their windows reach the
+// device is the same on every run. The runtime calls this from the same
+// reactor that calls OnCommand; like the rest of the PM it is not
 // synchronized.
 func (pm *TargetPM) ExpireStale(now int64) [][]TaggedCID {
 	if pm.cfg.Clock == nil || pm.cfg.WatchdogNS <= 0 {
 		return nil
 	}
-	var out [][]TaggedCID
-	for _, q := range pm.queues {
-		if q.depth() == 0 || now-q.firstAt < pm.cfg.WatchdogNS {
-			continue
+	stale := func(q *pendingQueue) bool { return q.depth() > 0 && now-q.firstAt >= pm.cfg.WatchdogNS }
+	if !pm.cfg.Isolated {
+		if !stale(&pm.shared) {
+			return nil
 		}
-		batch := q.popAll()
-		pm.tcParked -= len(batch)
-		last := batch[len(batch)-1]
-		pm.beginBatch(last.Tenant, last.CID, false, false, batch)
-		pm.stats.ForcedDrains++
-		pm.stats.WatchdogDrains++
-		pm.tel.ObserveDrain(last.Tenant, len(batch), true)
-		pm.tel.SetQueueDepth(last.Tenant, 0)
-		if pm.trace != nil {
-			// DrainStart keeps window correlation working; ForcedDrain
-			// marks why the window released.
-			pm.trace(telemetry.Event{Stage: telemetry.StageDrainStart, Tenant: last.Tenant, CID: last.CID, Aux: int64(len(batch))})
-			pm.trace(telemetry.Event{Stage: telemetry.StageForcedDrain, Tenant: last.Tenant, CID: last.CID, Aux: int64(len(batch))})
-		}
-		out = append(out, batch)
+		return [][]TaggedCID{pm.expire(&pm.shared)}
 	}
+	pm.order.ts, pm.order.scav = pm.order.ts[:0], false
+	for _, ts := range pm.all {
+		if stale(&ts.tc) {
+			pm.order.ts = append(pm.order.ts, ts)
+		}
+	}
+	sort.Sort(&pm.order)
+	var out [][]TaggedCID
+	for _, ts := range pm.order.ts {
+		out = append(out, pm.expire(&ts.tc))
+	}
+	clear(pm.order.ts)
 	return out
+}
+
+// expire force-drains one stale queue for the watchdog and returns its
+// window.
+func (pm *TargetPM) expire(q *pendingQueue) []TaggedCID {
+	b := pm.forceDrain(q, true)
+	pm.tel.SetQueueDepth(b.owner.id, 0)
+	if pm.trace != nil {
+		// DrainStart keeps window correlation working; ForcedDrain
+		// marks why the window released.
+		pm.trace(telemetry.Event{Stage: telemetry.StageDrainStart, Tenant: b.owner.id, CID: b.drainCID, Aux: int64(b.size)})
+		pm.trace(telemetry.Event{Stage: telemetry.StageForcedDrain, Tenant: b.owner.id, CID: b.drainCID, Aux: int64(b.size)})
+	}
+	return b.members
 }
 
 // PollScavenger releases parked scavenger queues, returning the batches
@@ -679,9 +710,11 @@ func (pm *TargetPM) ExpireStale(now int64) [][]TaggedCID {
 //
 // The runtime calls this from the reactor after command dispatch and
 // after device completions (the points where leftover capacity can
-// appear), and from a ticker for the aging bound.
+// appear), and from a ticker for the aging bound. With no scavenger tenant
+// connected it returns at once, so callers need not read a clock for now
+// before they know one is.
 func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
-	if len(pm.scavQueues) == 0 {
+	if len(pm.scavs) == 0 {
 		return nil
 	}
 	chunk := pm.cfg.ScavengerChunk
@@ -689,28 +722,24 @@ func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
 		chunk = DefaultScavengerChunk
 	}
 	// Deterministic release order: oldest queue first, tenant ID as the
-	// tie-break. Map iteration order would vary run to run and leak into
-	// the device's jitter stream, breaking same-seed reproducibility.
-	order := make([]proto.TenantID, 0, len(pm.scavQueues))
-	for t, q := range pm.scavQueues {
-		if q.depth() > 0 {
-			order = append(order, t)
+	// tie-break. Any other order would vary run to run and leak into the
+	// device's jitter stream, breaking same-seed reproducibility.
+	pm.order.ts, pm.order.scav = pm.order.ts[:0], true
+	for _, ts := range pm.scavs {
+		if ts.scav.depth() > 0 {
+			pm.order.ts = append(pm.order.ts, ts)
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		qi, qj := pm.scavQueues[order[i]], pm.scavQueues[order[j]]
-		if qi.firstAt != qj.firstAt {
-			return qi.firstAt < qj.firstAt
-		}
-		return order[i] < order[j]
-	})
+	if len(pm.order.ts) > 1 {
+		sort.Sort(&pm.order)
+	}
 	var out [][]TaggedCID
-	for _, t := range order {
-		q := pm.scavQueues[t]
+	for _, ts := range pm.order.ts {
+		t, q := ts.id, &ts.scav
 		aged := pm.cfg.ScavengerAgingNS > 0 && pm.cfg.Clock != nil &&
 			now-q.firstAt >= pm.cfg.ScavengerAgingNS
 		// The idle path additionally waits for the previous chunk's device
-		// work to finish (scavInFlight, charged by the beginBatch below),
+		// work to finish (scavInFlight, charged by the formBatch below),
 		// so repeated polls during one foreground gap cannot stack chunks
 		// into the device — at most one chunk is ever in service, and an
 		// LS arrival always finds free device capacity. The aging path
@@ -722,12 +751,10 @@ func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
 		// Never more than a chunk at once: even on a fully idle target, the
 		// next command could be an LS arrival, and it must not find a
 		// device-deep backlog ahead of it. The remainder's aging anchor
-		// restarts now (inside popN), so under continuous foreground load a
-		// deep backlog drains one chunk per aging period — slow, but
+		// restarts now (inside formBatch), so under continuous foreground
+		// load a deep backlog drains one chunk per aging period — slow, but
 		// bounded, which is all best-effort promises.
-		batch := q.popN(chunk, now)
-		last := batch[len(batch)-1]
-		pm.beginBatch(t, last.CID, false, true, batch)
+		b := pm.formBatch(q, chunk, now, false, true)
 		pm.stats.ScavDrains++
 		forced := aged && !foregroundIdle
 		if forced {
@@ -736,21 +763,44 @@ func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
 		pm.tel.ObserveScavDrain(t, forced)
 		pm.tel.SetScavQueueDepth(t, q.depth())
 		if pm.trace != nil {
-			pm.trace(telemetry.Event{Stage: telemetry.StageDrainStart, Tenant: t, CID: last.CID, Prio: proto.PrioScavenger, Aux: int64(len(batch))})
+			pm.trace(telemetry.Event{Stage: telemetry.StageDrainStart, Tenant: t, CID: b.drainCID, Prio: proto.PrioScavenger, Aux: int64(b.size)})
 			if forced {
-				pm.trace(telemetry.Event{Stage: telemetry.StageForcedDrain, Tenant: t, CID: last.CID, Prio: proto.PrioScavenger, Aux: int64(len(batch))})
+				pm.trace(telemetry.Event{Stage: telemetry.StageForcedDrain, Tenant: t, CID: b.drainCID, Prio: proto.PrioScavenger, Aux: int64(b.size)})
 			}
 		}
-		out = append(out, batch)
+		out = append(out, b.members)
 	}
+	clear(pm.order.ts)
 	return out
 }
 
-// beginBatch registers an executing window so completions can be counted.
-func (pm *TargetPM) beginBatch(owner proto.TenantID, drainCID nvme.CID, hasDrain, scavenger bool, members []TaggedCID) {
-	b := &drainBatch{
+// formBatch turns the first n entries of q (all of them when n covers the
+// queue) into an executing window and registers it so completions can be
+// counted. The window's owner and drain CID are its last member's. When
+// entries remain parked, their aging anchor restarts at now: the drained
+// chunk consumed this deadline, and the remainder earns its own.
+func (pm *TargetPM) formBatch(q *pendingQueue, n int, now int64, hasDrain, scavenger bool) *drainBatch {
+	var b *drainBatch
+	if k := len(pm.freeBatches); k > 0 {
+		b = pm.freeBatches[k-1]
+		pm.freeBatches = pm.freeBatches[:k-1]
+	} else {
+		b = new(drainBatch)
+	}
+	members := q.entries
+	if n >= len(members) {
+		// The window takes the queue's array and the queue refills the one
+		// this record's previous, completed window left behind.
+		q.entries, q.firstAt = b.members[:0], 0
+	} else {
+		members = members[:n:n]
+		q.entries, q.firstAt = q.entries[n:], now
+	}
+	last := members[len(members)-1]
+	owner := pm.tenant(last.Tenant)
+	*b = drainBatch{
 		owner:     owner,
-		drainCID:  drainCID,
+		drainCID:  last.CID,
 		hasDrain:  hasDrain,
 		size:      len(members),
 		remaining: len(members),
@@ -760,17 +810,21 @@ func (pm *TargetPM) beginBatch(owner proto.TenantID, drainCID nvme.CID, hasDrain
 		// forces per-request responses there cannot arise.
 		noCoalesce: !pm.cfg.Isolated && !scavenger,
 		scavenger:  scavenger,
+		members:    members,
 	}
 	if scavenger {
 		pm.scavInFlight += len(members)
 	}
 	for _, m := range members {
-		pm.batches[m] = b
-		if m.Tenant != owner {
+		mt := owner
+		if m.Tenant != owner.id {
+			mt = pm.tenant(m.Tenant)
 			pm.stats.PrematureFlush++
 		}
+		mt.batches.Set(m.CID, b)
 	}
-	pm.inflight[owner] = append(pm.inflight[owner], b)
+	owner.inflight = append(owner.inflight, b)
+	return b
 }
 
 // OnDeviceCompletion processes one device completion (Alg. 4) and decides
@@ -780,43 +834,35 @@ func (pm *TargetPM) beginBatch(owner proto.TenantID, drainCID nvme.CID, hasDrain
 // (shared-queue mode only: another tenant's requests prematurely flushed
 // by this drain) receive individual responses, because a coalesced
 // response can only cover the owner's connection.
+//
+// The returned slice is the PM's scratch, overwritten by the next call: a
+// caller whose handling of one decision can re-enter the PM must copy the
+// rest out first.
 func (pm *TargetPM) OnDeviceCompletion(t proto.TenantID, cid nvme.CID, st nvme.Status) []RespDecision {
-	key := TaggedCID{Tenant: t, CID: cid}
-	b, ok := pm.batches[key]
-	if !ok {
-		// Not part of any TC batch: LS or legacy request.
-		pm.stats.RespsSent++
-		pm.tel.IncResponse(t, false)
-		return []RespDecision{{Send: true, Tenant: t, CID: cid, Status: st}}
+	out := pm.resp[:0]
+	ts := pm.tenants.Get(t)
+	var b *drainBatch
+	if ts != nil {
+		b = ts.batches.Delete(cid)
 	}
-	delete(pm.batches, key)
-	b.remaining--
-	if b.scavenger && pm.scavInFlight > 0 {
-		pm.scavInFlight--
-	}
-
-	if b.noCoalesce {
-		// Shared-queue mode: every member answers individually; the
-		// batch still gates releaseInOrder so pure batches of other
-		// owners behind it stay ordered.
-		pm.stats.RespsSent++
-		pm.tel.IncResponse(t, false)
-		out := []RespDecision{{Send: true, Tenant: t, CID: cid, Status: st}}
-		if b.remaining == 0 {
-			b.done = true
-			out = append(out, pm.releaseInOrder(b.owner)...)
+	if b != nil {
+		b.remaining--
+		if b.scavenger && pm.scavInFlight > 0 {
+			pm.scavInFlight--
 		}
-		return out
 	}
-
-	var out []RespDecision
-	if t != b.owner {
-		// Premature flush victim: respond individually so the victim's
-		// initiator does not hang; its coalescing benefit is lost.
+	switch {
+	case b == nil || b.noCoalesce || ts != b.owner:
+		// Not part of any TC batch (LS or legacy request); or shared-queue
+		// mode, where every member answers individually while the batch
+		// still gates releaseInOrder so pure batches of other owners behind
+		// it stay ordered; or a premature-flush victim, answered
+		// individually so its initiator does not hang — its coalescing
+		// benefit is lost.
 		pm.stats.RespsSent++
 		pm.tel.IncResponse(t, false)
 		out = append(out, RespDecision{Send: true, Tenant: t, CID: cid, Status: st})
-	} else {
+	default:
 		if !st.OK() && b.status.OK() {
 			b.status = st
 		}
@@ -826,63 +872,63 @@ func (pm *TargetPM) OnDeviceCompletion(t proto.TenantID, cid nvme.CID, st nvme.S
 			// coalesced response waits for the whole window regardless.
 			pm.stats.RespsSuppressed++
 			pm.tel.IncSuppressed(t)
-			return []RespDecision{{Send: false}}
 		}
 	}
-	if b.remaining == 0 {
+	if b != nil && b.remaining == 0 {
 		b.done = true
-		out = append(out, pm.releaseInOrder(b.owner)...)
+		out = pm.releaseInOrder(b.owner, out)
 	}
 	if len(out) == 0 {
 		out = append(out, RespDecision{Send: false})
 	}
+	pm.resp = out
 	return out
 }
 
-// releaseInOrder emits coalesced responses for the tenant's completed
-// windows, strictly in window order; a finished window parked behind an
-// unfinished earlier one stays unannounced until its turn.
-func (pm *TargetPM) releaseInOrder(owner proto.TenantID) []RespDecision {
-	var out []RespDecision
-	q := pm.inflight[owner]
-	for len(q) > 0 && q[0].done {
-		b := q[0]
-		q = q[1:]
+// releaseInOrder appends to out the coalesced responses for the tenant's
+// completed windows, strictly in window order; a finished window parked
+// behind an unfinished earlier one stays unannounced until its turn.
+func (pm *TargetPM) releaseInOrder(owner *tenantState, out []RespDecision) []RespDecision {
+	q := owner.inflight
+	n := 0
+	for ; n < len(q) && q[n].done; n++ {
+		b := q[n]
 		if pm.drainHook != nil {
 			pm.drainHook(DrainCompletion{
-				Tenant:    b.owner,
+				Tenant:    owner.id,
 				Window:    b.size,
 				Forced:    !b.hasDrain,
-				Queued:    pm.QueueDepth(b.owner),
-				Pending:   pm.pending[b.owner],
+				Queued:    pm.tcQueue(owner).depth(),
+				Pending:   owner.pending,
 				Scavenger: b.scavenger,
 			})
 		}
-		if b.noCoalesce {
-			// Members already answered individually.
-			continue
+		if !b.noCoalesce {
+			// Batch complete: one response for the whole window (§III-B:
+			// "instead of sending four completion requests, only one will
+			// be sent"). A noCoalesce batch's members already answered
+			// individually.
+			pm.stats.RespsSent++
+			pm.tel.IncResponse(owner.id, true)
+			if pm.trace != nil {
+				pm.trace(telemetry.Event{Stage: telemetry.StageCoalescedNotify, Tenant: owner.id, CID: b.drainCID, Aux: int64(b.size)})
+			}
+			out = append(out, RespDecision{
+				Send:      true,
+				Tenant:    owner.id,
+				CID:       b.drainCID,
+				Coalesced: true,
+				Status:    b.status,
+			})
 		}
-		// Batch complete: one response for the whole window (§III-B:
-		// "instead of sending four completion requests, only one will
-		// be sent").
-		pm.stats.RespsSent++
-		pm.tel.IncResponse(b.owner, true)
-		if pm.trace != nil {
-			pm.trace(telemetry.Event{Stage: telemetry.StageCoalescedNotify, Tenant: b.owner, CID: b.drainCID, Aux: int64(b.size)})
-		}
-		out = append(out, RespDecision{
-			Send:      true,
-			Tenant:    b.owner,
-			CID:       b.drainCID,
-			Coalesced: true,
-			Status:    b.status,
-		})
+		// Every member has completed, so nobody reads the window any more:
+		// the record, and the array it carries, go back for the next one.
+		*b = drainBatch{members: b.members[:0]}
+		pm.freeBatches = append(pm.freeBatches, b)
 	}
-	if len(q) == 0 {
-		delete(pm.inflight, owner)
-	} else {
-		pm.inflight[owner] = q
-	}
+	rest := copy(q, q[n:])
+	clear(q[rest:])
+	owner.inflight = q[:rest]
 	return out
 }
 
@@ -895,38 +941,42 @@ func (pm *TargetPM) releaseInOrder(owner proto.TenantID) []RespDecision {
 // in-flight batch) are untouched; their device callbacks complete into
 // the tombstoned session and keep sibling batch ordering exact.
 func (pm *TargetPM) DropTenant(t proto.TenantID) []nvme.CID {
+	ts := pm.tenants.Get(t)
+	if ts == nil {
+		return nil
+	}
 	var dropped []nvme.CID
-	k := pm.key(t)
-	if q, ok := pm.queues[k]; ok && q.depth() > 0 {
-		if pm.cfg.Isolated {
-			// The whole queue belongs to t.
-			for _, e := range q.popAll() {
+	if q := pm.tcQueue(ts); q.depth() > 0 {
+		// Keep the others' entries in FIFO order. Isolated, the whole queue
+		// belongs to t and nothing is kept.
+		kept := q.entries[:0]
+		for _, e := range q.entries {
+			if e.Tenant == t {
 				dropped = append(dropped, e.CID)
+			} else {
+				kept = append(kept, e)
 			}
-			delete(pm.queues, k)
-		} else {
-			// Shared-queue ablation: filter t's entries, keep the others
-			// in FIFO order.
-			kept := q.entries[:0]
-			for _, e := range q.entries {
-				if e.Tenant == t {
-					dropped = append(dropped, e.CID)
-				} else {
-					kept = append(kept, e)
-				}
-			}
-			q.entries = kept
 		}
+		q.entries = kept
 		pm.tcParked -= len(dropped)
 	}
 	// A dead tenant's parked scavenger window must not linger either: its
 	// drain would complete into a torn-down session. Scavenger queues are
 	// always per-tenant, so the whole queue goes.
-	if q, ok := pm.scavQueues[t]; ok {
-		for _, e := range q.popAll() {
+	if ts.scavListed {
+		for _, e := range ts.scav.entries {
 			dropped = append(dropped, e.CID)
 		}
-		delete(pm.scavQueues, t)
+		ts.scav = pendingQueue{entries: ts.scav.entries[:0]}
+		ts.scavListed = false
+		for i, o := range pm.scavs {
+			if o == ts {
+				last := len(pm.scavs) - 1
+				pm.scavs[i], pm.scavs[last] = pm.scavs[last], nil
+				pm.scavs = pm.scavs[:last]
+				break
+			}
+		}
 		pm.tel.SetScavQueueDepth(t, 0)
 	}
 	if len(dropped) == 0 {
@@ -939,4 +989,10 @@ func (pm *TargetPM) DropTenant(t proto.TenantID) []nvme.CID {
 
 // OutstandingBatchCIDs returns how many executing TC requests have not yet
 // completed (diagnostic/test hook).
-func (pm *TargetPM) OutstandingBatchCIDs() int { return len(pm.batches) }
+func (pm *TargetPM) OutstandingBatchCIDs() int {
+	n := 0
+	for _, ts := range pm.all {
+		n += ts.batches.Len()
+	}
+	return n
+}

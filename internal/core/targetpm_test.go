@@ -171,11 +171,12 @@ func TestSameCIDDifferentTenants(t *testing.T) {
 	// CIDs are per-connection; both tenants use CID 0 concurrently.
 	pm.OnCommand(1, 0, proto.PrioTCDraining)
 	pm.OnCommand(2, 0, proto.PrioTCDraining)
+	// The decisions are the PM's scratch: read before the next completion.
 	rd1 := pm.OnDeviceCompletion(1, 0, nvme.StatusSuccess)
-	rd2 := pm.OnDeviceCompletion(2, 0, nvme.StatusSuccess)
 	if !rd1[0].Send || rd1[0].Tenant != 1 {
 		t.Fatalf("tenant 1 response: %+v", rd1)
 	}
+	rd2 := pm.OnDeviceCompletion(2, 0, nvme.StatusSuccess)
 	if !rd2[0].Send || rd2[0].Tenant != 2 {
 		t.Fatalf("tenant 2 response: %+v", rd2)
 	}

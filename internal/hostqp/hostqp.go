@@ -219,7 +219,7 @@ type Session struct {
 	clock  func() int64
 	pm     *core.HostPM
 	cids   *nvme.CIDAllocator
-	reqs   map[nvme.CID]*pendingReq
+	reqs   nvme.Slots[pendingReq] // in flight, by CID: one slot per CID the allocator hands out
 	tenant proto.TenantID
 
 	connected    bool
@@ -281,7 +281,7 @@ func New(cfg Config, send func(proto.PDU), clock func() int64) (*Session, error)
 		clock: clock,
 		pm:    pm,
 		cids:  nvme.NewCIDAllocator(cfg.QueueDepth),
-		reqs:  make(map[nvme.CID]*pendingReq, cfg.QueueDepth),
+		reqs:  nvme.NewSlots[pendingReq](cfg.QueueDepth),
 	}, nil
 }
 
@@ -477,7 +477,7 @@ func (s *Session) Submit(io IO) error {
 			}
 		}
 	}
-	s.reqs[cid] = req
+	s.reqs.Set(cid, req)
 	s.stats.Submitted++
 	s.stats.CmdPDUs++
 	s.cfg.Telemetry.IncSubmitted(s.tenant, int64(len(data)))
@@ -618,8 +618,11 @@ func (s *Session) handleTelemetryAck(pdu *proto.TelemetryAck) error {
 // transports escalate to a connection reset.
 func (s *Session) handleData(pdu *proto.C2HData) error {
 	s.stats.DataPDUs++
-	req, ok := s.reqs[pdu.CCCID]
-	if !ok {
+	req := s.reqs.Get(pdu.CCCID)
+	if req == nil {
+		if !s.reqs.InRange(pdu.CCCID) {
+			return s.outOfRange("C2HData", pdu.CCCID)
+		}
 		return &ProtocolError{Reason: fmt.Sprintf("C2HData for unknown CID %d", pdu.CCCID)}
 	}
 	if req.io.Op != nvme.OpRead {
@@ -657,11 +660,21 @@ func (s *Session) handleData(pdu *proto.C2HData) error {
 	return nil
 }
 
+// outOfRange is the rejection of a PDU naming a CID this queue pair never
+// had: the session sized its slots from the depth it advertised, so the
+// peer is not speaking the protocol the handshake agreed.
+func (s *Session) outOfRange(what string, cid nvme.CID) error {
+	return &ProtocolError{Reason: fmt.Sprintf("%s for CID %d, outside the queue depth of %d", what, cid, s.cfg.QueueDepth)}
+}
+
 func (s *Session) handleResp(pdu *proto.CapsuleResp) error {
 	s.stats.RespPDUs++
 	cid := pdu.Cpl.CID
-	req, ok := s.reqs[cid]
-	if !ok {
+	req := s.reqs.Get(cid)
+	if req == nil {
+		if !s.reqs.InRange(cid) {
+			return s.outOfRange("response", cid)
+		}
 		return fmt.Errorf("hostqp: response for unknown CID %d", cid)
 	}
 	var done []nvme.CID
@@ -680,11 +693,10 @@ func (s *Session) handleResp(pdu *proto.CapsuleResp) error {
 	now := s.clock()
 	var windowBytes int64
 	for _, c := range done {
-		r, ok := s.reqs[c]
-		if !ok {
+		r := s.reqs.Delete(c)
+		if r == nil {
 			return fmt.Errorf("hostqp: completion replay names unknown CID %d", c)
 		}
-		delete(s.reqs, c)
 		if err := s.cids.Release(c); err != nil {
 			return err
 		}
@@ -742,8 +754,11 @@ func (s *Session) handleResp(pdu *proto.CapsuleResp) error {
 // sweep it against their request deadline: if the oldest request has been
 // waiting longer than the deadline, the connection is declared dead.
 func (s *Session) OldestSubmittedAt() (ts int64, ok bool) {
-	for _, req := range s.reqs {
-		if !ok || req.submittedAt < ts {
+	if s.reqs.Len() == 0 {
+		return 0, false
+	}
+	for cid := 0; cid < s.reqs.Cap(); cid++ {
+		if req := s.reqs.Get(nvme.CID(cid)); req != nil && (!ok || req.submittedAt < ts) {
 			ts = req.submittedAt
 			ok = true
 		}
@@ -763,16 +778,16 @@ func (s *Session) OldestSubmittedAt() (ts int64, ok bool) {
 func (s *Session) FailAll(st nvme.Status) int {
 	s.connected = false
 	s.pm.DropPending()
-	cids := make([]nvme.CID, 0, len(s.reqs))
-	for cid := range s.reqs {
-		cids = append(cids, cid)
-	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
 	now := s.clock()
-	for _, cid := range cids {
-		req := s.reqs[cid]
-		delete(s.reqs, cid)
-		_ = s.cids.Release(cid)
+	failed := 0
+	for i := 0; i < s.reqs.Cap(); i++ {
+		cid := nvme.CID(i)
+		req := s.reqs.Delete(cid)
+		if req == nil {
+			continue
+		}
+		failed++
+		_ = s.cids.Release(cid) // outstanding: it held a slot
 		if req.io.Op == nvme.OpRead && s.cfg.OnReadRetire != nil {
 			s.cfg.OnReadRetire(cid)
 		}
@@ -788,7 +803,7 @@ func (s *Session) FailAll(st nvme.Status) int {
 			CompletedAt: now,
 		})
 	}
-	return len(cids)
+	return failed
 }
 
 // PMStats exposes the host priority manager counters.

@@ -475,7 +475,7 @@ func TestHostileOffsetRejected(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("hostile offset surfaced as %T (%v), want *ProtocolError", err, err)
 	}
-	if req := h.sess.reqs[cid]; len(req.readBuf) != 0 {
+	if req := h.sess.reqs.Get(cid); len(req.readBuf) != 0 {
 		t.Fatalf("hostile offset grew the read buffer to %d bytes", len(req.readBuf))
 	}
 }
@@ -494,7 +494,7 @@ func TestHostileOffsetRejectedGeometryKnown(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("out-of-bounds fragment surfaced as %T (%v), want *ProtocolError", err, err)
 	}
-	if req := h.sess.reqs[cid]; len(req.readBuf) != 4096 {
+	if req := h.sess.reqs.Get(cid); len(req.readBuf) != 4096 {
 		t.Fatalf("read buffer resized to %d bytes, want the preallocated 4096", len(req.readBuf))
 	}
 }
@@ -674,5 +674,36 @@ func TestGeometryUnknownReadsStillGrow(t *testing.T) {
 	}
 	if len(got) != 4096 || got[0] != 47 {
 		t.Fatalf("lazy-grow assembly wrong: len=%d", len(got))
+	}
+}
+
+// TestCIDOutsideQueueDepthIsProtocolError: the session has one slot per CID
+// of its queue depth. A response or a data PDU naming any other CID comes
+// from a target that is not speaking the negotiated protocol — a typed
+// *ProtocolError, with the in-flight request untouched — where a CID that
+// is in range but idle keeps its plain "unknown CID" error.
+func TestCIDOutsideQueueDepthIsProtocolError(t *testing.T) {
+	h := newHarness(t, Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 2, NSID: 1})
+	h.connect(t, 1)
+	if err := h.sess.Submit(IO{Op: nvme.OpRead, Blocks: 1, Done: func(Result) { t.Error("request completed") }}); err != nil {
+		t.Fatal(err)
+	}
+	var pe *ProtocolError
+	for _, cid := range []nvme.CID{2, 3, 4096, 65535} {
+		if err := h.sess.HandlePDU(&proto.CapsuleResp{Cpl: nvme.Completion{CID: cid}}); !errors.As(err, &pe) {
+			t.Fatalf("response for CID %d at depth 2 surfaced as %T (%v), want *ProtocolError", cid, err, err)
+		}
+		if err := h.sess.HandlePDU(&proto.CapsuleResp{Cpl: nvme.Completion{CID: cid}, Coalesced: true}); !errors.As(err, &pe) {
+			t.Fatalf("coalesced response for CID %d surfaced as %T (%v), want *ProtocolError", cid, err, err)
+		}
+		if err := h.sess.HandlePDU(&proto.C2HData{CCCID: cid, Data: make([]byte, 8)}); !errors.As(err, &pe) {
+			t.Fatalf("C2HData for CID %d surfaced as %T (%v), want *ProtocolError", cid, err, err)
+		}
+	}
+	if err := h.sess.HandlePDU(&proto.CapsuleResp{Cpl: nvme.Completion{CID: 1}}); err == nil || errors.As(err, &pe) {
+		t.Fatalf("response for the idle in-range CID 1: %v, want a plain unknown-CID error", err)
+	}
+	if h.sess.Outstanding() != 1 {
+		t.Fatalf("outstanding = %d after the rejected PDUs, want the one read", h.sess.Outstanding())
 	}
 }

@@ -1,0 +1,5 @@
+//go:build race
+
+package targetqp
+
+const raceEnabled = true

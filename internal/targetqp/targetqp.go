@@ -58,6 +58,17 @@ type Backend interface {
 	Namespace() nvme.Namespace
 }
 
+// RequestBackend is a Backend that can queue the target's own request
+// handle instead of a copy of the command, its payload and a callback: the
+// target then calls SubmitRequest in place of Submit, and the backend
+// finishes the request with Request.Complete. A backend that runs commands
+// from a list of its own (the TCP transport's reactor) implements it to
+// keep a list entry to two words.
+type RequestBackend interface {
+	Backend
+	SubmitRequest(r *Request, highPrio bool)
+}
+
 // Config describes a target.
 type Config struct {
 	Mode Mode
@@ -110,6 +121,18 @@ type Config struct {
 	// clock the ICResp shares with hosts for cross-runtime trace
 	// correlation. Nil disables latency recording; counters are
 	// unaffected.
+	//
+	// The target does not call it per use. It keeps one reading — a stamp —
+	// and refreshes it in Stamp: on entry to HandlePDU, CheckWatchdog and
+	// CheckScavenger, and whenever a device command completes. Arrival
+	// times, queue ages, both scavenger polls and service latency all read
+	// the stamp, so a service-latency sample still spans the device call. A
+	// reactor that delivers a burst through HandleStamped after one Stamp
+	// makes the stamp as stale as the burst is long: the time to handle the
+	// PDUs of one burst that reach no device (those that do refresh it),
+	// microseconds on the TCP transport, against aging and watchdog bounds
+	// of milliseconds. In the simulator every read within one event returns
+	// the same virtual time anyway.
 	Clock func() int64
 	// Autotune optionally attaches an adaptive drain-window controller
 	// owned by this target's reactor shard: it is bound to the PM, fed
@@ -179,19 +202,42 @@ func (s *Stats) Accumulate(o Stats) {
 // mirroring SPDK's reactor-per-core deployment).
 type Target struct {
 	cfg        Config
-	backends   map[uint32]Backend // NSID -> device
+	namespaces []nsEntry // attached devices: one or a few, so routing a command is a scan
 	defaultNS  uint32
 	pm         *core.TargetPM
+	now        int64 // the current stamp of Config.Clock (see Stamp)
 	nextTenant int
 	// freeTenants holds IDs recycled from torn-down sessions, reusable
 	// once the dead session's last in-flight device callback lands — so a
 	// stale completion can never be attributed to the ID's new owner.
 	freeTenants []proto.TenantID
 	// freeReqs recycles request-pool entries so a steady-state datapath
-	// never allocates a tReq. Shard-local, like everything else here.
-	freeReqs []*tReq
+	// never allocates a Request. Shard-local, like everything else here.
+	freeReqs []*Request
 	stats    Stats
-	sessions map[proto.TenantID]*Session
+	sessions core.TenantTable[Session]
+}
+
+// nsEntry is one attached device.
+type nsEntry struct {
+	nsid uint32
+	be   Backend
+	rb   RequestBackend // be, when it takes request handles; else nil
+}
+
+func newNSEntry(be Backend) nsEntry {
+	rb, _ := be.(RequestBackend)
+	return nsEntry{nsid: be.Namespace().ID, be: be, rb: rb}
+}
+
+// namespace returns the device serving nsid, nil when none is attached.
+func (t *Target) namespace(nsid uint32) *nsEntry {
+	for i := range t.namespaces {
+		if t.namespaces[i].nsid == nsid {
+			return &t.namespaces[i]
+		}
+	}
+	return nil
 }
 
 // NewTarget creates a target whose backend serves its namespace's own ID
@@ -216,31 +262,46 @@ func NewTarget(cfg Config, backend Backend) (*Target, error) {
 	if cfg.Recorder != nil {
 		cfg.Trace = telemetry.ChainTrace(cfg.Trace, cfg.Recorder.Trace)
 	}
-	pm := core.NewTargetPM(core.TargetPMConfig{
+	t := &Target{
+		cfg:        cfg,
+		namespaces: []nsEntry{newNSEntry(backend)},
+		defaultNS:  ns.ID,
+		nextTenant: cfg.TenantBase,
+	}
+	pmCfg := core.TargetPMConfig{
 		Isolated:            !cfg.SharedQueueAblation,
 		MaxPending:          cfg.MaxPending,
 		MaxPendingPerTenant: cfg.MaxPendingPerTenant,
 		MaxPendingGlobal:    cfg.MaxPendingGlobal,
 		LSHeadroom:          cfg.LSHeadroom,
 		ScavengerHeadroom:   cfg.ScavengerHeadroom,
-		Clock:               cfg.Clock,
 		WatchdogNS:          cfg.DrainWatchdog.Nanoseconds(),
 		ScavengerAgingNS:    cfg.ScavengerAging.Nanoseconds(),
-	})
-	pm.SetTelemetry(cfg.Telemetry)
-	pm.SetTrace(cfg.Trace)
-	if cfg.Autotune != nil {
-		cfg.Autotune.Bind(pm)
-		pm.SetDrainHook(cfg.Autotune.OnDrainComplete)
 	}
-	return &Target{
-		cfg:        cfg,
-		backends:   map[uint32]Backend{ns.ID: backend},
-		defaultNS:  ns.ID,
-		pm:         pm,
-		nextTenant: cfg.TenantBase,
-		sessions:   make(map[proto.TenantID]*Session),
-	}, nil
+	if cfg.Clock != nil {
+		// The PM anchors queue ages at the target's stamp, the same reading
+		// its polls are handed.
+		pmCfg.Clock = func() int64 { return t.now }
+	}
+	t.pm = core.NewTargetPM(pmCfg)
+	t.pm.SetTelemetry(cfg.Telemetry)
+	t.pm.SetTrace(cfg.Trace)
+	if cfg.Autotune != nil {
+		cfg.Autotune.Bind(t.pm)
+		t.pm.SetDrainHook(cfg.Autotune.OnDrainComplete)
+	}
+	return t, nil
+}
+
+// Stamp reads Config.Clock and makes the reading the target's time until
+// the next Stamp (see Config.Clock). It returns the reading, 0 with no
+// clock. A reactor calls it once per burst of PDUs it is about to deliver
+// through HandleStamped.
+func (t *Target) Stamp() int64 {
+	if t.cfg.Clock != nil {
+		t.now = t.cfg.Clock()
+	}
+	return t.now
 }
 
 // AddNamespace attaches another device to the target, served under its
@@ -253,18 +314,18 @@ func (t *Target) AddNamespace(backend Backend) error {
 	if err := ns.Validate(); err != nil {
 		return err
 	}
-	if _, dup := t.backends[ns.ID]; dup {
+	if t.namespace(ns.ID) != nil {
 		return fmt.Errorf("targetqp: namespace %d already attached", ns.ID)
 	}
-	t.backends[ns.ID] = backend
+	t.namespaces = append(t.namespaces, newNSEntry(backend))
 	return nil
 }
 
 // Namespaces returns the attached namespace IDs.
 func (t *Target) Namespaces() []uint32 {
-	out := make([]uint32, 0, len(t.backends))
-	for id := range t.backends {
-		out = append(out, id)
+	out := make([]uint32, 0, len(t.namespaces))
+	for i := range t.namespaces {
+		out = append(out, t.namespaces[i].nsid)
 	}
 	return out
 }
@@ -288,7 +349,7 @@ func (t *Target) Mode() Mode { return t.cfg.Mode }
 
 // ActiveSessions returns the number of handshaken sessions not yet torn
 // down.
-func (t *Target) ActiveSessions() int { return len(t.sessions) }
+func (t *Target) ActiveSessions() int { return t.sessions.Len() }
 
 // CloseSession tears down one initiator session after its connection
 // dies. Queued-but-unexecuted requests are dropped from the PM (they can
@@ -302,20 +363,19 @@ func (t *Target) CloseSession(s *Session) {
 		return
 	}
 	s.dead = true
-	delete(t.sessions, s.tenant)
+	t.sessions.Set(s.tenant, nil)
 	dropped := t.pm.DropTenant(s.tenant)
 	for _, cid := range dropped {
 		// Dropped CIDs are queued (TC or scavenger) requests, so their pool
 		// entries exist; the priority feeds Release's class accounting.
 		prio := proto.PrioNormal
-		if req := s.reqs[cid]; req != nil {
+		if req := s.reqs.Delete(cid); req != nil {
 			prio = req.prio
 			if t.cfg.PooledPayloads {
 				proto.PutBuf(req.data)
 			}
 			t.putReq(req)
 		}
-		delete(s.reqs, cid)
 		t.pm.Release(s.tenant, prio)
 	}
 	t.stats.Disconnects++
@@ -334,7 +394,7 @@ func (t *Target) CloseSession(s *Session) {
 	if t.cfg.Trace != nil {
 		t.cfg.Trace(telemetry.Event{Stage: telemetry.StageTeardown, Tenant: s.tenant, Aux: int64(len(dropped))})
 	}
-	if len(s.reqs) == 0 {
+	if s.reqs.Len() == 0 {
 		t.freeTenants = append(t.freeTenants, s.tenant)
 	}
 }
@@ -348,41 +408,60 @@ func (t *Target) NewSession(send func(proto.PDU)) (*Session, error) {
 	if t.nextTenant > 65535 && len(t.freeTenants) == 0 {
 		return nil, errors.New("targetqp: tenant ID space exhausted (65536 initiators)")
 	}
-	s := &Session{
-		target: t,
-		send:   send,
-		reqs:   make(map[nvme.CID]*tReq),
-	}
-	return s, nil
+	return &Session{target: t, send: send}, nil
 }
 
-// tReq is the target-side request pool entry: the single owner of the
+// Request is the target-side request pool entry: the single owner of the
 // command and its in-capsule payload while the request waits in a PM
 // queue (the PM itself stores only CIDs — the zero-copy property of
-// §IV-B: this pool holds one reference per request, never copies).
-type tReq struct {
+// §IV-B: this pool holds one reference per request, never copies). It sits
+// in its session's slot table under its CID, and is the handle a
+// RequestBackend queues.
+type Request struct {
 	cmd  nvme.Command
 	prio proto.Priority
 	data []byte
-	// arrivedAt is the Config.Clock value at command arrival, for
+	// arrivedAt is the target's clock stamp at command arrival, for
 	// target-side service-latency samples (0 when no clock is wired).
 	arrivedAt int64
+	// sess owns the request while it is admitted; nil in the free list.
+	sess *Session
+	// done is Complete as a func value, made once per pool entry: what a
+	// plain Backend is handed, with no closure allocated per command.
+	done func(nvme.Completion, []byte)
+}
+
+// Command returns the request's command. The backend must not modify it.
+func (r *Request) Command() *nvme.Command { return &r.cmd }
+
+// Data returns the request's in-capsule (write) payload.
+func (r *Request) Data() []byte { return r.data }
+
+// Complete delivers the request's device completion (and read data when
+// the command is a successful read). The backend calls it exactly once; a
+// call on a request that has already completed is ignored.
+func (r *Request) Complete(cpl nvme.Completion, data []byte) {
+	if s := r.sess; s != nil {
+		s.onDeviceCompletion(r, cpl.Status, data)
+	}
 }
 
 // getReq draws a request-pool entry from the shard-local freelist.
-func (t *Target) getReq() *tReq {
+func (t *Target) getReq() *Request {
 	if n := len(t.freeReqs); n > 0 {
 		r := t.freeReqs[n-1]
 		t.freeReqs = t.freeReqs[:n-1]
 		return r
 	}
-	return new(tReq)
+	r := new(Request)
+	r.done = r.Complete
+	return r
 }
 
 // putReq retires a request-pool entry. The caller releases req.data first
 // when it is pool-owned; putReq only drops the reference.
-func (t *Target) putReq(r *tReq) {
-	*r = tReq{}
+func (t *Target) putReq(r *Request) {
+	*r = Request{done: r.done}
 	t.freeReqs = append(t.freeReqs, r)
 }
 
@@ -396,7 +475,9 @@ type Session struct {
 	// and no per-tenant telemetry recorded, but in-flight device callbacks
 	// still run PM completion accounting so sibling batches release.
 	dead bool
-	reqs map[nvme.CID]*tReq
+	// reqs holds the admitted requests by CID, sized at the handshake from
+	// the queue depth the initiator advertised.
+	reqs nvme.Slots[Request]
 }
 
 // Tenant returns the tenant ID assigned to this connection.
@@ -405,8 +486,16 @@ func (s *Session) Tenant() proto.TenantID { return s.tenant }
 // Dead reports whether the session has been torn down.
 func (s *Session) Dead() bool { return s.dead }
 
-// HandlePDU processes one inbound PDU from the initiator.
+// HandlePDU processes one inbound PDU from the initiator, at the time
+// Config.Clock shows now.
 func (s *Session) HandlePDU(p proto.PDU) error {
+	s.target.Stamp()
+	return s.HandleStamped(p)
+}
+
+// HandleStamped is HandlePDU at the time of the target's last Stamp: the
+// entry point for a reactor that stamps the clock once per burst.
+func (s *Session) HandleStamped(p proto.PDU) error {
 	switch pdu := p.(type) {
 	case *proto.ICReq:
 		return s.handleICReq(pdu)
@@ -434,8 +523,8 @@ func (s *Session) handleICReq(pdu *proto.ICReq) error {
 	if nsid == 0 {
 		nsid = t.defaultNS
 	}
-	be, ok := t.backends[nsid]
-	if !ok {
+	dev := t.namespace(nsid)
+	if dev == nil {
 		s.send(&proto.TermReq{Dir: proto.TypeC2HTermReq, FES: 2,
 			Reason: fmt.Sprintf("unknown namespace %d", nsid)})
 		return fmt.Errorf("targetqp: connect to unknown namespace %d", nsid)
@@ -453,12 +542,16 @@ func (s *Session) handleICReq(pdu *proto.ICReq) error {
 		s.tenant = proto.TenantID(t.nextTenant)
 		t.nextTenant += t.cfg.TenantStride
 	}
-	t.sessions[s.tenant] = s
+	t.sessions.Set(s.tenant, s)
+	// One slot per CID the initiator said it would use. A depth of zero
+	// (a peer that advertises none) leaves the table to grow on demand,
+	// bounded by the 16-bit CID space.
+	s.reqs = nvme.NewSlots[Request](int(pdu.QueueDepth))
 	t.stats.Connections++
 	t.cfg.Telemetry.IncConnection()
 	t.cfg.Telemetry.SetClass(s.tenant, pdu.Prio)
 	s.connected = true
-	ns := be.Namespace()
+	ns := dev.be.Namespace()
 	resp := &proto.ICResp{
 		PFV:        ProtocolVersion,
 		Tenant:     s.tenant,
@@ -519,7 +612,14 @@ func (s *Session) handleCmd(pdu *proto.CapsuleCmd) error {
 	t := s.target
 	t.stats.CmdPDUs++
 	cid := pdu.Cmd.CID
-	if _, dup := s.reqs[cid]; dup {
+	if !s.reqs.InRange(cid) {
+		// At or past the queue depth the initiator itself advertised: no
+		// slot exists for it, and it is refused before it can touch the
+		// slot table, the admission counts or the PM.
+		s.respond(cid, nvme.StatusInvalidField, false)
+		return nil
+	}
+	if s.reqs.Get(cid) != nil {
 		s.respond(cid, nvme.StatusIDConflict, false)
 		return nil
 	}
@@ -543,15 +643,13 @@ func (s *Session) handleCmd(pdu *proto.CapsuleCmd) error {
 	}
 	req := t.getReq()
 	req.cmd, req.prio, req.data = pdu.Cmd, prio, pdu.Data
+	req.sess, req.arrivedAt = s, t.now
 	if t.cfg.PooledPayloads {
 		// Take ownership of the pooled payload: the transport's
 		// ReleaseInbound must not free data parked in the request pool.
 		pdu.Data = nil
 	}
-	if t.cfg.Clock != nil {
-		req.arrivedAt = t.cfg.Clock()
-	}
-	s.reqs[cid] = req
+	s.reqs.Set(cid, req)
 	t.cfg.Telemetry.IncSubmitted(s.tenant, int64(len(req.data)))
 	if t.cfg.Trace != nil {
 		t.cfg.Trace(telemetry.Event{Stage: telemetry.StageArrive, Tenant: s.tenant, CID: cid, Prio: prio, Aux: int64(len(req.data))})
@@ -571,22 +669,20 @@ func (s *Session) handleCmd(pdu *proto.CapsuleCmd) error {
 	}
 	// A scavenger command parked on an idle target, or a drained TC window,
 	// may have made leftover capacity available — drain it now.
-	if _, err := t.CheckScavenger(); err != nil {
-		return err
-	}
-	return nil
+	_, err := t.pollScavenger()
+	return err
 }
 
 // executeBatch transitions one released window (drain-, valve-, or
 // watchdog-triggered) to the execution state, in FIFO order.
 func (t *Target) executeBatch(batch []core.TaggedCID) error {
 	for _, m := range batch {
-		owner := t.sessions[m.Tenant]
+		owner := t.sessions.Get(m.Tenant)
 		if owner == nil {
 			return fmt.Errorf("targetqp: batch member for unknown tenant %d", m.Tenant)
 		}
-		r, ok := owner.reqs[m.CID]
-		if !ok {
+		r := owner.reqs.Get(m.CID)
+		if r == nil {
 			return fmt.Errorf("targetqp: batch member CID %d missing from pool", m.CID)
 		}
 		owner.execute(r)
@@ -603,7 +699,7 @@ func (t *Target) CheckWatchdog() (int, error) {
 	if t.cfg.Clock == nil || t.cfg.DrainWatchdog <= 0 {
 		return 0, nil
 	}
-	batches := t.pm.ExpireStale(t.cfg.Clock())
+	batches := t.pm.ExpireStale(t.Stamp())
 	for _, batch := range batches {
 		if err := t.executeBatch(batch); err != nil {
 			return len(batches), err
@@ -621,13 +717,16 @@ func (t *Target) CheckWatchdog() (int, error) {
 // the TCP transport also runs it on a timer so a parked window ages out
 // on an otherwise idle connection. The target calls it opportunistically
 // after every command dispatch and device completion — the two points
-// where leftover capacity appears.
+// where leftover capacity appears — at the stamp it already holds, so
+// those polls read no clock.
 func (t *Target) CheckScavenger() (int, error) {
-	var now int64
-	if t.cfg.Clock != nil {
-		now = t.cfg.Clock()
-	}
-	batches := t.pm.PollScavenger(now)
+	t.Stamp()
+	return t.pollScavenger()
+}
+
+// pollScavenger is CheckScavenger at the target's current stamp.
+func (t *Target) pollScavenger() (int, error) {
+	batches := t.pm.PollScavenger(t.now)
 	for _, batch := range batches {
 		if err := t.executeBatch(batch); err != nil {
 			return len(batches), err
@@ -638,15 +737,13 @@ func (t *Target) CheckScavenger() (int, error) {
 
 // execute hands one request to its namespace's backend, routed by the
 // command's NSID. LS requests jump the device queue in oPF mode.
-func (s *Session) execute(req *tReq) {
+func (s *Session) execute(req *Request) {
 	t := s.target
-	tenant := s.tenant
-	cid := req.cmd.CID
-	be, ok := t.backends[req.cmd.NSID]
-	if !ok {
+	dev := t.namespace(req.cmd.NSID)
+	if dev == nil {
 		// Unknown namespace: complete with an error through the normal
 		// completion path so PM window accounting stays exact.
-		s.onDeviceCompletion(tenant, cid, nvme.StatusInvalidNSID, nil)
+		s.onDeviceCompletion(req, nvme.StatusInvalidNSID, nil)
 		return
 	}
 	high := t.cfg.Mode == ModeOPF && req.prio.LatencySensitive()
@@ -656,25 +753,27 @@ func (s *Session) execute(req *tReq) {
 	case nvme.OpWrite:
 		t.stats.Writes++
 	}
-	be.Submit(req.cmd, req.data, high, func(cpl nvme.Completion, data []byte) {
-		s.onDeviceCompletion(tenant, cid, cpl.Status, data)
-	})
+	if dev.rb != nil {
+		dev.rb.SubmitRequest(req, high)
+	} else {
+		dev.be.Submit(req.cmd, req.data, high, req.done)
+	}
 }
 
 // onDeviceCompletion runs Alg. 4: ship read data, then ask the PM whether
 // a response PDU goes on the wire.
-func (s *Session) onDeviceCompletion(tenant proto.TenantID, cid nvme.CID, st nvme.Status, data []byte) {
+func (s *Session) onDeviceCompletion(req *Request, st nvme.Status, data []byte) {
 	t := s.target
-	req := s.reqs[cid]
-	if req == nil {
-		// Completion for a request we no longer track — a backend bug.
-		return
-	}
+	tenant, cid := s.tenant, req.cmd.CID
+	// The device command has just returned: this reading closes its
+	// service-latency sample, and whatever the completion releases below is
+	// dispatched at it.
+	now := t.Stamp()
 	// Retire the pool entry before any PDU goes out: the host is entitled
 	// to reuse the CID the moment it sees the response, and with an
 	// in-process transport the reused command can arrive re-entrantly,
 	// before this function returns.
-	delete(s.reqs, cid)
+	s.reqs.Delete(cid)
 	t.pm.Release(tenant, req.prio)
 	if !st.OK() {
 		t.stats.Errors++
@@ -682,7 +781,7 @@ func (s *Session) onDeviceCompletion(tenant proto.TenantID, cid nvme.CID, st nvm
 	if !s.dead {
 		var svcLat int64 = -1 // <0 skips the latency sample
 		if t.cfg.Clock != nil && req.arrivedAt != 0 {
-			svcLat = t.cfg.Clock() - req.arrivedAt
+			svcLat = now - req.arrivedAt
 		}
 		if t.cfg.Autotune != nil && svcLat >= 0 && req.prio.LatencySensitive() {
 			// Feed the controller's LS signal with the target-side service
@@ -749,12 +848,23 @@ func (s *Session) onDeviceCompletion(tenant proto.TenantID, cid nvme.CID, st nvm
 	// tenant's in-flight commands may be members of a shared drain window,
 	// and siblings' coalesced responses must still release in order. The
 	// dead tenant's own responses find no session and are discarded.
-	for _, rd := range t.pm.OnDeviceCompletion(tenant, cid, st) {
+	rds := t.pm.OnDeviceCompletion(tenant, cid, st)
+	if len(rds) > 1 {
+		// The decisions are the PM's scratch, and sending one can re-enter
+		// the PM (an in-process transport hands the host's next command
+		// straight back). Several at once is the rare case — windows
+		// released together, or the shared-queue ablation — and pays a copy.
+		rds = append([]core.RespDecision(nil), rds...)
+	}
+	for _, rd := range rds {
 		if !rd.Send {
 			continue
 		}
-		dest := t.sessions[rd.Tenant]
-		if dest == nil {
+		dest := s
+		if rd.Tenant != tenant {
+			dest = t.sessions.Get(rd.Tenant)
+		}
+		if dest == nil || dest.dead {
 			continue
 		}
 		dest.respond(rd.CID, rd.Status, rd.Coalesced)
@@ -764,8 +874,8 @@ func (s *Session) onDeviceCompletion(tenant proto.TenantID, cid nvme.CID, st nvm
 	// executeBatch failure here mirrors CheckWatchdog's (a batch member
 	// whose tenant vanished — impossible while DropTenant purges dead
 	// tenants' queues) and has no caller to surface to on this path.
-	_, _ = t.CheckScavenger()
-	if s.dead && len(s.reqs) == 0 {
+	_, _ = t.pollScavenger()
+	if s.dead && s.reqs.Len() == 0 {
 		// Last in-flight callback has landed: the tenant ID is now safe to
 		// hand to a new connection.
 		t.freeTenants = append(t.freeTenants, s.tenant)

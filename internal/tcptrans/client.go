@@ -183,14 +183,20 @@ type Conn struct {
 	staged   []proto.PDU // the current burst's output, not yet in out
 	idle     *time.Timer // tail-flush timer (see armIdleDrain)
 	idleOn   bool        // idle is armed and has not fired
-	lastPump time.Time   // when the reactor last pumped with a TC window open
+	lastPump int64       // now, when the reactor last pumped with a TC window open
+	// now is the wall clock (UnixNano) as of the burst being handled: the
+	// reactor reads it once per burst, and the session's clock, the
+	// request-deadline sweep and the idle-drain timer all go by it.
+	now int64
 
-	// readBufs registers each in-flight read's destination buffer by CID
-	// (written by the reactor via the hostqp hooks, read by the reader's
-	// C2HSink) so inbound C2HData payloads land directly in the caller's
-	// buffer at Offset — the zero-copy read path.
+	// readBufs registers each in-flight read's destination buffer under
+	// its CID, one slot per CID of the queue depth (written by the reactor
+	// via the hostqp hooks, read by the reader's C2HSink under readMu) so
+	// inbound C2HData payloads land directly in the caller's buffer at
+	// Offset — the zero-copy read path. A CID the target made up finds no
+	// slot and falls back to the pooled, bounded path.
 	readMu   sync.Mutex
-	readBufs map[nvme.CID][]byte
+	readBufs [][]byte
 
 	// bs is the namespace block size, set by the handshake before DialWith
 	// returns and constant afterwards (Read sizes its buffers with it).
@@ -235,18 +241,20 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		return nil, err
 	}
 	c := &Conn{
-		conn:     nc,
-		tel:      cfg.Telemetry,
-		quit:     make(chan struct{}),
-		dead:     make(chan struct{}),
-		readBufs: make(map[nvme.CID][]byte),
+		conn: nc,
+		tel:  cfg.Telemetry,
+		quit: make(chan struct{}),
+		dead: make(chan struct{}),
 	}
+	c.now = time.Now().UnixNano()
 	c.q.init()
 	c.out.init()
 	// The read-buffer hooks are transport-owned: the session announces
 	// each read's destination before the command hits the wire and retires
 	// it when the request leaves the pending set, so the reader's sink
 	// below can land C2HData payloads with no staging copy.
+	// The session hands out CIDs below its queue depth only, so both hooks
+	// index in range.
 	cfg.OnReadBuffer = func(cid nvme.CID, buf []byte) {
 		c.readMu.Lock()
 		c.readBufs[cid] = buf
@@ -254,18 +262,19 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 	}
 	cfg.OnReadRetire = func(cid nvme.CID) {
 		c.readMu.Lock()
-		delete(c.readBufs, cid)
+		c.readBufs[cid] = nil
 		c.readMu.Unlock()
 	}
 	// The session's output is staged on the reactor and published by
 	// flush, once per burst.
 	sess, err := hostqp.New(cfg, func(p proto.PDU) { c.staged = append(c.staged, p) },
-		func() int64 { return time.Now().UnixNano() })
+		func() int64 { return c.now })
 	if err != nil {
 		nc.Close()
 		return nil, err
 	}
 	c.sess = sess
+	c.readBufs = make([][]byte, cfg.QueueDepth) // validated by hostqp.New
 	if dcfg.TelemetryInterval > 0 {
 		// Attach the accumulator before any goroutine can touch the
 		// session; the emission ticker starts below.
@@ -316,8 +325,11 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		// falling through to direct reads into the destination.
 		rd := proto.NewReader(bufio.NewReaderSize(nc, 64<<10), true)
 		rd.SetC2HSink(func(cid nvme.CID, off, n uint32) []byte {
+			var buf []byte
 			c.readMu.Lock()
-			buf := c.readBufs[cid]
+			if int(cid) < len(c.readBufs) {
+				buf = c.readBufs[cid]
+			}
 			c.readMu.Unlock()
 			if end := uint64(off) + uint64(n); buf == nil || end > uint64(len(buf)) {
 				return nil
@@ -328,7 +340,11 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		for {
 			p, err := rd.Next()
 			if err == nil {
-				burst = append(burst, cliEvent{pdu: p})
+				// burst[len:cap] is zeroed (cleared after every post) and
+				// len < maxBurst here, so the next event is claimed in
+				// place rather than built and copied in.
+				burst = burst[:len(burst)+1]
+				burst[len(burst)-1].pdu = p
 				if len(burst) < maxBurst && rd.Ready() {
 					continue
 				}
@@ -362,7 +378,7 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 			if !ok {
 				return
 			}
-			if age := time.Now().UnixNano() - ts; age > int64(dcfg.RequestTimeout) {
+			if age := c.now - ts; age > int64(dcfg.RequestTimeout) {
 				c.netClose()
 				c.failAll(fmt.Errorf("tcptrans: request timeout: oldest outstanding request %v old (limit %v)",
 					time.Duration(age), dcfg.RequestTimeout))
@@ -445,6 +461,7 @@ func (c *Conn) run() {
 		if burst, open = c.q.next(burst); !open {
 			return
 		}
+		c.now = time.Now().UnixNano()
 		traffic := false // a submission arrived or a PDU may have freed a slot
 		for i := range burst {
 			switch ev := &burst[i]; {
@@ -655,7 +672,7 @@ func (c *Conn) armIdleDrain() {
 	if c.sess.Scavenger() || c.sess.PendingTC() == 0 {
 		return
 	}
-	c.lastPump = time.Now()
+	c.lastPump = c.now
 	if c.idleOn {
 		return
 	}
@@ -676,7 +693,7 @@ func (c *Conn) idleFlush() {
 		if c.connErr != nil || c.sess.Scavenger() || c.sess.PendingTC() == 0 {
 			return
 		}
-		if quiet := time.Since(c.lastPump); quiet < idleDrainDelay {
+		if quiet := time.Duration(c.now - c.lastPump); quiet < idleDrainDelay {
 			c.idleOn = true
 			c.idle.Reset(idleDrainDelay - quiet)
 			return

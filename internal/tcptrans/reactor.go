@@ -51,12 +51,11 @@ type event struct {
 	fn func()
 }
 
-// job is one device command waiting on a shard's ready list.
+// job is one device command waiting on a shard's ready list: the target's
+// own request handle, not a copy of what it holds.
 type job struct {
-	be   *execBackend
-	cmd  nvme.Command
-	data []byte
-	done func(nvme.Completion, []byte)
+	be  *execBackend
+	req *targetqp.Request
 }
 
 // jobList is a FIFO of jobs; its backing array is reused once drained.
@@ -92,6 +91,10 @@ type shard struct {
 	readyLS, ready jobList
 	// dirty lists the connections holding staged, unpublished output.
 	dirty []*srvConn
+	// handled counts the PDUs of the connection handledOf handled since its
+	// queued count was last brought up to date (see credit).
+	handledOf *srvConn
+	handled   int32
 }
 
 // post schedules fn on this shard's reactor; false if the server is
@@ -105,6 +108,10 @@ func (sh *shard) post(fn func()) bool { return sh.q.put(laneNormal, event{fn: fn
 // to an LS arrival between two requests, not after the batch. Everything
 // else a burst of normal events produced is published once, when the burst
 // and the commands it released are done.
+//
+// The reactor owns time: it stamps the target's clock once per burst it
+// takes off the run queue, and the target stamps it again whenever a device
+// command completes, so handling a PDU reads no clock of its own.
 func (sh *shard) run() {
 	var ls, normal []event
 	next := 0 // normal[:next] is handled already
@@ -112,9 +119,11 @@ func (sh *shard) run() {
 		lsWork := false
 		if sh.q.urgent.Load() {
 			ls = sh.q.take(laneLS, ls)
+			sh.target.Stamp()
 			for i := range ls {
 				sh.handle(&ls[i])
 			}
+			sh.credit()
 			clear(ls)
 			lsWork = true
 		}
@@ -135,6 +144,7 @@ func (sh *shard) run() {
 			next++
 			continue
 		}
+		sh.credit()
 		sh.publish()
 		clear(normal)
 		normal, next = sh.q.take(laneNormal, normal), 0
@@ -142,7 +152,9 @@ func (sh *shard) run() {
 			if _, open := sh.q.wait(nil); !open {
 				return
 			}
+			continue
 		}
+		sh.target.Stamp()
 	}
 }
 
@@ -171,7 +183,7 @@ func (sh *shard) handle(ev *event) {
 			}
 			c.sess = sess
 		}
-		err := c.sess.HandlePDU(ev.pdu)
+		err := c.sess.HandleStamped(ev.pdu)
 		proto.ReleaseInbound(ev.pdu)
 		if err != nil {
 			// A protocol violation, not a normal disconnect (those surface
@@ -182,9 +194,30 @@ func (sh *shard) handle(ev *event) {
 			c.send(nil)
 		}
 	}
-	if ev.pdu != nil && c.queued.Add(-1) == maxQueuedPerConn-1 {
-		c.wake()
+	if ev.pdu != nil {
+		if sh.handledOf != c {
+			sh.credit()
+			sh.handledOf = c
+		}
+		// Half the bound at a time, so a connection that fills its quota
+		// has its reader going again while the other half is handled.
+		if sh.handled++; sh.handled == maxQueuedPerConn/2 {
+			sh.credit()
+		}
 	}
+}
+
+// credit takes the PDUs handled for one connection off its queued count —
+// one atomic for a run of them, where one per PDU bounced the counter's
+// cache line between reader and reactor — and wakes the reader if that
+// brought the count back under the bound.
+func (sh *shard) credit() {
+	if c, n := sh.handledOf, sh.handled; n > 0 {
+		if left := c.queued.Add(-n); left < maxQueuedPerConn && left+n >= maxQueuedPerConn {
+			c.wake()
+		}
+	}
+	sh.handledOf, sh.handled = nil, 0
 }
 
 // publish moves every connection's staged output to its writer.
@@ -304,28 +337,36 @@ func (b *execBackend) Namespace() nvme.Namespace {
 	return nvme.Namespace{ID: b.nsid, BlockSize: b.dev.BlockSize(), Capacity: b.dev.NumBlocks()}
 }
 
-// Submit implements targetqp.Backend; it runs on the reactor. An inline
-// device's command is only queued here — the reactor's loop runs it, so a
-// completion that releases more commands (a drain, a scavenger chunk)
-// extends a list instead of growing the stack. highPrio selects the list
-// the reactor empties first, or, on the pool, a goroutine of its own so a
-// deep backlog in the job queue cannot delay it — the real-transport
-// analogues of the simulator's device-queue bypass.
-func (b *execBackend) Submit(cmd nvme.Command, data []byte, highPrio bool, done func(nvme.Completion, []byte)) {
-	if b.inline {
-		l := &b.sh.ready
-		if highPrio {
-			l = &b.sh.readyLS
-		}
-		l.push(job{be: b, cmd: cmd, data: data, done: done})
+// SubmitRequest implements targetqp.RequestBackend, the entry point the
+// target uses; it runs on the reactor. An inline device's command is only
+// queued here — the reactor's loop runs it, so a completion that releases
+// more commands (a drain, a scavenger chunk) extends a list instead of
+// growing the stack — and highPrio selects the list the reactor empties
+// first. A blocking device's goes to the executor pool through Submit.
+func (b *execBackend) SubmitRequest(r *targetqp.Request, highPrio bool) {
+	if !b.inline {
+		b.Submit(*r.Command(), r.Data(), highPrio, r.Complete)
 		return
 	}
+	l := &b.sh.ready
+	if highPrio {
+		l = &b.sh.readyLS
+	}
+	l.push(job{be: b, req: r})
+}
+
+// Submit implements targetqp.Backend on the executor pool: the command
+// runs on a pool goroutine and its completion comes back through the run
+// queue. highPrio gives it a goroutine of its own, so a deep backlog in the
+// job queue cannot delay it — the real-transport analogue of the
+// simulator's device-queue bypass.
+func (b *execBackend) Submit(cmd nvme.Command, data []byte, highPrio bool, done func(nvme.Completion, []byte)) {
 	lane := laneNormal
 	if highPrio {
 		lane = laneLS
 	}
 	run := func() {
-		cpl, out := b.execute(cmd, data)
+		cpl, out := b.execute(&cmd, data)
 		if !b.sh.q.put(lane, event{fn: func() { done(cpl, out) }}) {
 			proto.PutBuf(out) // server closed under the command
 		}
@@ -344,12 +385,12 @@ func (b *execBackend) Submit(cmd nvme.Command, data []byte, highPrio bool, done 
 }
 
 // run executes one ready-list job and completes it, on the reactor.
-func (b *execBackend) run(j job) { j.done(b.execute(j.cmd, j.data)) }
+func (b *execBackend) run(j job) { j.req.Complete(b.execute(j.req.Command(), j.req.Data())) }
 
 // execute performs the device operation. Read buffers come from the
 // proto buffer pool; the completion path (or the drop path, for dead
 // sessions) returns them.
-func (b *execBackend) execute(cmd nvme.Command, data []byte) (nvme.Completion, []byte) {
+func (b *execBackend) execute(cmd *nvme.Command, data []byte) (nvme.Completion, []byte) {
 	dev := b.dev
 	ns := b.Namespace()
 	cfg := &b.sh.srv.cfg

@@ -141,8 +141,15 @@ type rawConn struct {
 	tenant proto.TenantID
 }
 
-// dialRaw connects and completes the handshake.
+// dialRaw connects and completes the handshake, advertising a queue depth
+// of 1024.
 func dialRaw(t *testing.T, srv *Server, class proto.Priority) *rawConn {
+	t.Helper()
+	return dialRawDepth(t, srv, class, 1024)
+}
+
+// dialRawDepth is dialRaw advertising the given queue depth.
+func dialRawDepth(t *testing.T, srv *Server, class proto.Priority, depth uint16) *rawConn {
 	t.Helper()
 	nc, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -150,7 +157,7 @@ func dialRaw(t *testing.T, srv *Server, class proto.Priority) *rawConn {
 	}
 	t.Cleanup(func() { nc.Close() })
 	r := &rawConn{t: t, nc: nc, class: class}
-	if err := proto.WritePDU(nc, &proto.ICReq{PFV: 1, QueueDepth: 1024, Prio: class, NSID: 1}); err != nil {
+	if err := proto.WritePDU(nc, &proto.ICReq{PFV: 1, QueueDepth: depth, Prio: class, NSID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	icr, err := proto.ReadPDU(nc)
