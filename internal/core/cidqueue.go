@@ -18,6 +18,11 @@ import "nvmeopf/internal/nvme"
 // request payloads or request structs, only CIDs, so PM memory does not
 // grow with I/O size and stays tiny per tenant.
 //
+// The ring's capacity is a power of two, so positions wrap with a mask.
+// Completions mostly name the oldest pending CID (or, coalesced, one a
+// window away from it), so every search starts at the front, and removing
+// the front CID moves nothing.
+//
 // The zero value is ready to use.
 type CIDQueue struct {
 	buf  []nvme.CID
@@ -34,23 +39,43 @@ func (q *CIDQueue) Empty() bool { return q.n == 0 }
 // Push appends a CID.
 func (q *CIDQueue) Push(cid nvme.CID) {
 	if q.n == len(q.buf) {
-		q.grow()
+		nb := make([]nvme.CID, max(2*len(q.buf), 16))
+		q.copyTo(nb)
+		q.buf, q.head = nb, 0
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = cid
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = cid
 	q.n++
 }
 
-func (q *CIDQueue) grow() {
-	newCap := len(q.buf) * 2
-	if newCap == 0 {
-		newCap = 16
+// copyTo copies the first len(dst) queued CIDs into dst in FIFO order:
+// the run from head to the end of the ring, then the wrapped remainder.
+func (q *CIDQueue) copyTo(dst []nvme.CID) {
+	k := copy(dst, q.buf[q.head:])
+	copy(dst[k:], q.buf[:q.head])
+}
+
+// drop discards the k oldest CIDs.
+func (q *CIDQueue) drop(k int) {
+	q.head = (q.head + k) & (len(q.buf) - 1)
+	q.n -= k
+}
+
+// index returns the position of the first occurrence of cid, or -1.
+func (q *CIDQueue) index(cid nvme.CID) int {
+	// Scan the ring's two contiguous runs, oldest first, so nothing wraps
+	// per step and a hit at the front costs one comparison.
+	first := q.buf[q.head:min(q.head+q.n, len(q.buf))]
+	for i, c := range first {
+		if c == cid {
+			return i
+		}
 	}
-	nb := make([]nvme.CID, newCap)
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
+	for i, c := range q.buf[:q.n-len(first)] {
+		if c == cid {
+			return len(first) + i
+		}
 	}
-	q.buf = nb
-	q.head = 0
+	return -1
 }
 
 // Front returns the oldest CID without removing it.
@@ -67,8 +92,7 @@ func (q *CIDQueue) PopFront() (nvme.CID, bool) {
 		return 0, false
 	}
 	cid := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
+	q.drop(1)
 	return cid, true
 }
 
@@ -78,10 +102,7 @@ func (q *CIDQueue) PopAll() []nvme.CID {
 	if q.n == 0 {
 		return nil
 	}
-	out := make([]nvme.CID, q.n)
-	for i := range out {
-		out[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
+	out := q.Snapshot()
 	q.head = 0
 	q.n = 0
 	return out
@@ -94,22 +115,13 @@ func (q *CIDQueue) PopAll() []nvme.CID {
 // and ok is false — a coalesced completion naming an unknown CID is a
 // protocol violation the caller must surface, not silently absorb.
 func (q *CIDQueue) DrainThrough(cid nvme.CID) (drained []nvme.CID, ok bool) {
-	idx := -1
-	for i := 0; i < q.n; i++ {
-		if q.buf[(q.head+i)%len(q.buf)] == cid {
-			idx = i
-			break
-		}
-	}
+	idx := q.index(cid)
 	if idx < 0 {
 		return nil, false
 	}
 	drained = make([]nvme.CID, idx+1)
-	for i := 0; i <= idx; i++ {
-		drained[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.head = (q.head + idx + 1) % len(q.buf)
-	q.n -= idx + 1
+	q.copyTo(drained)
+	q.drop(idx + 1)
 	return drained, true
 }
 
@@ -117,40 +129,35 @@ func (q *CIDQueue) DrainThrough(cid nvme.CID) (drained []nvme.CID, ok bool) {
 // rest. It is used for non-coalesced (per-request) completions of TC
 // requests, e.g. individual error responses.
 func (q *CIDQueue) Remove(cid nvme.CID) bool {
-	idx := -1
-	for i := 0; i < q.n; i++ {
-		if q.buf[(q.head+i)%len(q.buf)] == cid {
-			idx = i
-			break
-		}
-	}
+	idx := q.index(cid)
 	if idx < 0 {
 		return false
 	}
-	// Shift the tail segment left by one.
-	for i := idx; i < q.n-1; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = q.buf[(q.head+i+1)%len(q.buf)]
+	// Close the gap from whichever side is shorter: shift the older CIDs
+	// one slot towards the tail and advance the head, or shift the newer
+	// ones one slot towards the head.
+	mask := len(q.buf) - 1
+	if idx < q.n-1-idx {
+		for i := idx; i > 0; i-- {
+			q.buf[(q.head+i)&mask] = q.buf[(q.head+i-1)&mask]
+		}
+		q.head = (q.head + 1) & mask
+	} else {
+		for i := idx; i < q.n-1; i++ {
+			q.buf[(q.head+i)&mask] = q.buf[(q.head+i+1)&mask]
+		}
 	}
 	q.n--
 	return true
 }
 
 // Contains reports whether cid is queued.
-func (q *CIDQueue) Contains(cid nvme.CID) bool {
-	for i := 0; i < q.n; i++ {
-		if q.buf[(q.head+i)%len(q.buf)] == cid {
-			return true
-		}
-	}
-	return false
-}
+func (q *CIDQueue) Contains(cid nvme.CID) bool { return q.index(cid) >= 0 }
 
 // Snapshot returns the queued CIDs in FIFO order without mutating the
 // queue (diagnostics/tests).
 func (q *CIDQueue) Snapshot() []nvme.CID {
 	out := make([]nvme.CID, q.n)
-	for i := range out {
-		out[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
+	q.copyTo(out)
 	return out
 }

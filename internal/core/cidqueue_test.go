@@ -1,8 +1,8 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"nvmeopf/internal/nvme"
 )
@@ -164,89 +164,116 @@ func TestCIDQueueContains(t *testing.T) {
 	}
 }
 
-// Property: the queue behaves like a slice model under arbitrary
-// push/pop/drain/remove sequences.
+// The queue against a plain-slice reference, over long random sequences of
+// every operation. Each phase leans toward pushing until the backlog is a
+// few hundred deep and then toward consuming, so one run crosses several
+// grow-and-wrap cycles (16 slots to 512 or 1024) with the head anywhere in the
+// ring, and duplicate CIDs keep "first occurrence" honest.
 func TestCIDQueueModelProperty(t *testing.T) {
-	type op struct {
-		Kind byte
-		Arg  nvme.CID
-	}
-	f := func(ops []op) bool {
+	for _, seed := range []int64{1, 2, 3, 4} {
 		var q CIDQueue
 		var model []nvme.CID
-		next := nvme.CID(0)
-		for _, o := range ops {
-			switch o.Kind % 4 {
-			case 0: // push
-				q.Push(next)
-				model = append(model, next)
-				next++
-			case 1: // pop
+		rng := rand.New(rand.NewSource(seed))
+		indexOf := func(cid nvme.CID) int {
+			for i, m := range model {
+				if m == cid {
+					return i
+				}
+			}
+			return -1
+		}
+		// pick returns a CID that is usually queued (anywhere, or near
+		// the front, as completions mostly are) and sometimes not.
+		pick := func() nvme.CID {
+			switch r := rng.Intn(8); {
+			case len(model) == 0 || r == 0:
+				return nvme.CID(rng.Intn(1 << 16))
+			case r < 4:
+				return model[rng.Intn(min(len(model), 3))]
+			default:
+				return model[rng.Intn(len(model))]
+			}
+		}
+		filling := true
+		for step := 0; step < 60000; step++ {
+			if len(model) > 300+int(seed)*60 {
+				filling = false
+			} else if len(model) == 0 {
+				filling = true
+			}
+			op := rng.Intn(16)
+			if filling && op >= 6 {
+				op = 0
+			}
+			switch {
+			case op < 4: // push; a narrow CID range makes duplicates
+				cid := nvme.CID(rng.Intn(1024))
+				q.Push(cid)
+				model = append(model, cid)
+			case op < 8:
 				cid, ok := q.PopFront()
-				if ok != (len(model) > 0) {
-					return false
+				if ok != (len(model) > 0) || (ok && cid != model[0]) {
+					t.Fatalf("seed %d step %d: PopFront = %d,%v; model front %v", seed, step, cid, ok, model)
 				}
 				if ok {
-					if cid != model[0] {
-						return false
-					}
 					model = model[1:]
 				}
-			case 2: // drain through a (maybe present) cid
-				target := o.Arg % (next + 1)
-				drained, ok := q.DrainThrough(target)
-				idx := -1
-				for i, m := range model {
-					if m == target {
-						idx = i
-						break
+			case op < 10:
+				cid := pick()
+				idx := indexOf(cid)
+				drained, ok := q.DrainThrough(cid)
+				if ok != (idx >= 0) || len(drained) != idx+1 {
+					t.Fatalf("seed %d step %d: DrainThrough(%d) = %v,%v; model index %d", seed, step, cid, drained, ok, idx)
+				}
+				for i := range drained {
+					if drained[i] != model[i] {
+						t.Fatalf("seed %d step %d: DrainThrough(%d)[%d] = %d, model %d", seed, step, cid, i, drained[i], model[i])
 					}
 				}
-				if ok != (idx >= 0) {
-					return false
+				model = model[idx+1:]
+			case op < 13:
+				cid := pick()
+				idx := indexOf(cid)
+				if ok := q.Remove(cid); ok != (idx >= 0) {
+					t.Fatalf("seed %d step %d: Remove(%d) = %v; model index %d", seed, step, cid, ok, idx)
 				}
-				if ok {
-					if len(drained) != idx+1 {
-						return false
+				if idx >= 0 {
+					model = append(model[:idx:idx], model[idx+1:]...)
+				}
+			case op < 15:
+				cid := pick()
+				if got := q.Contains(cid); got != (indexOf(cid) >= 0) {
+					t.Fatalf("seed %d step %d: Contains(%d) = %v", seed, step, cid, got)
+				}
+			default:
+				if rng.Intn(64) != 0 {
+					continue // PopAll empties the queue: keep it rare
+				}
+				all := q.PopAll()
+				if len(all) != len(model) {
+					t.Fatalf("seed %d step %d: PopAll returned %d CIDs, model holds %d", seed, step, len(all), len(model))
+				}
+				for i := range all {
+					if all[i] != model[i] {
+						t.Fatalf("seed %d step %d: PopAll[%d] = %d, model %d", seed, step, i, all[i], model[i])
 					}
-					for i := 0; i <= idx; i++ {
-						if drained[i] != model[i] {
-							return false
-						}
-					}
-					model = model[idx+1:]
 				}
-			case 3: // remove
-				target := o.Arg % (next + 1)
-				ok := q.Remove(target)
-				idx := -1
-				for i, m := range model {
-					if m == target {
-						idx = i
-						break
-					}
-				}
-				if ok != (idx >= 0) {
-					return false
-				}
-				if ok {
-					model = append(model[:idx], model[idx+1:]...)
-				}
+				model = nil
 			}
-			if q.Len() != len(model) {
-				return false
+			if q.Len() != len(model) || q.Empty() != (len(model) == 0) {
+				t.Fatalf("seed %d step %d: Len = %d, model %d", seed, step, q.Len(), len(model))
+			}
+			if front, ok := q.Front(); ok != (len(model) > 0) || (ok && front != model[0]) {
+				t.Fatalf("seed %d step %d: Front = %d,%v", seed, step, front, ok)
+			}
+			if step%97 == 0 {
+				snap := q.Snapshot()
+				for i := range model {
+					if snap[i] != model[i] {
+						t.Fatalf("seed %d step %d: Snapshot[%d] = %d, model %d", seed, step, i, snap[i], model[i])
+					}
+				}
 			}
 		}
-		// Final order check.
-		snap := q.Snapshot()
-		for i := range model {
-			if snap[i] != model[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,20 +6,45 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"nvmeopf/internal/targetqp"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_*.txt from this build")
 
-// TestReportsMatchGolden pins the simulator's virtual-time decisions: the
-// golden files were written by the commit that still kept the target's
-// request, batch and tenant state in Go maps and read the clock per
-// request, so a byte-identical report for three seeds shows that indexed
-// slots and a per-turn clock stamp changed no decision the PM makes.
+// h5Quick is the quick Fig. 9 case (one pair, three ranks, backed SSD) in
+// both modes, rendered with every digit the result carries.
+func h5Quick(cfg Config) (*Report, error) {
+	rep := &Report{ID: "h5quick", Title: "quick Fig. 9 case", Table: newFigTable("design", "result")}
+	for _, mode := range []targetqp.Mode{targetqp.ModeBaseline, targetqp.ModeOPF} {
+		r, err := runH5Case(cfg, mode, 1, 3, 128*1024)
+		if err != nil {
+			return nil, err
+		}
+		rep.Table.AddRow(designName(mode), fmt.Sprintf("%+v", r))
+	}
+	return rep, nil
+}
+
+// TestReportsMatchGolden pins the simulator's virtual-time decisions. A
+// report is a function of the sequence of Engine.At calls and nothing
+// else, so a byte-identical report for three seeds shows that a change
+// underneath (indexed slots and a per-turn clock stamp in PR 18; the typed
+// event heap, the transit and device-op records in PR 19) moved no event in
+// time or order. fig6a/fig7/fig8p1 were written by the commit before PR 18,
+// the other families by the commit before PR 19: they add the write and
+// mixed paths, multi-pair topologies, the shared-queue and no-bypass
+// ablations, autotune with the telemetry cadence (shiftmix, e2egap: the
+// Pending() > telTicks liveness check) and a backed SSD under HDF5.
 func TestReportsMatchGolden(t *testing.T) {
 	figs := []struct {
 		name string
 		run  Runner
-	}{{"fig6a", Fig6a}, {"fig7", Fig7}, {"fig8p1", Fig8Pattern1}}
+	}{
+		{"fig6a", Fig6a}, {"fig7", Fig7}, {"fig8p1", Fig8Pattern1},
+		{"fig6b", Fig6b}, {"fig8p2", Fig8Pattern2}, {"ablations", Ablations},
+		{"shiftmix", ShiftMix}, {"e2egap", E2EGap}, {"h5quick", h5Quick},
+	}
 	for _, f := range figs {
 		for _, seed := range []uint64{1, 7, 42} {
 			t.Run(fmt.Sprintf("%s/seed%d", f.name, seed), func(t *testing.T) {

@@ -32,6 +32,9 @@ type Cluster struct {
 	hostRec   *telemetry.Recorder
 	targetRec *telemetry.Recorder
 	errs      []error
+	// freeTransits recycles PDU transit records (see transit). It belongs
+	// to the cluster, not the package: clusters run in parallel.
+	freeTransits *transit
 }
 
 // Options configures cluster-wide behaviour.
@@ -209,9 +212,8 @@ func (b *ssdBackend) Namespace() nvme.Namespace { return b.node.SSD.Namespace() 
 // Submit implements targetqp.Backend.
 func (b *ssdBackend) Submit(cmd nvme.Command, data []byte, highPrio bool, done func(nvme.Completion, []byte)) {
 	node := b.node
-	node.CPU.Exec(node.CPU.SubmitCost(), func() {
-		node.SSD.Submit(ssdsim.Request{Cmd: cmd, Data: data, Done: done}, highPrio)
-	})
+	node.CPU.Exec(node.CPU.SubmitCost(),
+		node.SSD.Deferred(ssdsim.Request{Cmd: cmd, Data: data, Done: done}, highPrio))
 }
 
 // InitiatorNode is one client machine: a poller CPU and a NIC-link to its
@@ -239,6 +241,75 @@ type Initiator struct {
 	Node    *InitiatorNode
 	Session *hostqp.Session
 	tsess   *targetqp.Session
+	// toTarget and toHost are the two directions of the connection.
+	toTarget, toHost route
+}
+
+// route is one direction of a connection through the modelled fabric: the
+// sender's poller stages the PDU, it serializes on two links in turn (the
+// host's cable and the target node's NIC, in the order the direction
+// crosses them), the receiver's poller takes delivery, and the receiving
+// protocol session handles it.
+type route struct {
+	c       *Cluster
+	tx, rx  *simnet.CPU
+	links   [2]*simnet.Link
+	dir     int
+	deliver func(proto.PDU) error
+}
+
+// transit is one PDU on its way along a route. The same record is handed
+// from hop to hop: every Exec/Send gets step, a method value bound once
+// when the record is made, so a hop costs an event in the engine's heap
+// and nothing else. Records recycle through the cluster's free list; one
+// returns there just before its PDU is delivered, so the sends that
+// delivery triggers reuse it straight away. (A PDU an attached fault
+// profile drops never reaches delivery; its record is left to the GC.)
+type transit struct {
+	route      *route
+	pdu        proto.PDU
+	size       int  // wire bytes, for the links
+	payload    int  // data bytes, for the per-byte CPU cost
+	standalone bool // an isolated small send (see standalonePDU)
+	hop        int
+	step       func()
+	next       *transit // free list
+}
+
+// send starts p along the route: the sender's poller stages it now.
+func (r *route) send(p proto.PDU) {
+	c := r.c
+	t := c.freeTransits
+	if t == nil {
+		t = &transit{}
+		t.step = t.advance
+	} else {
+		c.freeTransits = t.next
+	}
+	t.route, t.pdu, t.hop = r, p, 0
+	t.size, t.payload, t.standalone = p.WireSize(), payloadBytes(p), standalonePDU(p)
+	t.advance()
+}
+
+// advance moves the PDU one hop further; the hop's resource calls it again
+// when the PDU has cleared it.
+func (t *transit) advance() {
+	r := t.route
+	hop := t.hop
+	t.hop++
+	switch hop {
+	case 0:
+		r.tx.Exec(r.tx.TxCost(t.payload, t.standalone), t.step)
+	case 1, 2:
+		r.links[hop-1].Send(r.dir, t.size, t.step)
+	case 3:
+		r.rx.Exec(r.rx.RxCost(t.payload, t.standalone), t.step)
+	default:
+		p := t.pdu
+		t.route, t.pdu = nil, nil
+		t.next, r.c.freeTransits = r.c.freeTransits, t
+		r.c.fail(r.deliver(p))
+	}
 }
 
 // payloadBytes returns the data bytes a PDU carries, which drive per-byte
@@ -258,7 +329,8 @@ func payloadBytes(p proto.PDU) int {
 
 // standalonePDU reports whether a PDU is emitted as an isolated small send
 // (a completion notification triggered by a device-completion event) as
-// opposed to the batched submission/data path.
+// opposed to the batched submission/data path. Only the target emits them,
+// so the surcharge lands on the target's transmit and the host's receive.
 func standalonePDU(p proto.PDU) bool {
 	_, isResp := p.(*proto.CapsuleResp)
 	return isResp
@@ -272,48 +344,29 @@ func (n *InitiatorNode) Connect(cfg hostqp.Config) (*Initiator, error) {
 	if cfg.Recorder == nil {
 		cfg.Recorder = c.hostRec // nil when no recorders are attached
 	}
+	tn := n.target
 	ini := &Initiator{Node: n}
+	// Host -> target: host poller tx, host link, target NIC, target rx.
+	ini.toTarget = route{c: c, tx: n.CPU, rx: tn.CPU,
+		links: [2]*simnet.Link{n.Link, tn.NIC}, dir: simnet.DirAtoB}
+	// Target -> host: target poller tx, target NIC, host link, host rx.
+	ini.toHost = route{c: c, tx: tn.CPU, rx: n.CPU,
+		links: [2]*simnet.Link{tn.NIC, n.Link}, dir: simnet.DirBtoA}
 
-	tsess, err := n.target.Target.NewSession(func(p proto.PDU) {
-		// Target -> host: poller tx, target NIC, host link, host rx.
-		size := p.WireSize()
-		payload := payloadBytes(p)
-		tn := n.target
-		tn.CPU.Exec(tn.CPU.TxCost(payload, standalonePDU(p)), func() {
-			tn.NIC.Send(simnet.DirBtoA, size, func() {
-				n.Link.Send(simnet.DirBtoA, size, func() {
-					n.CPU.Exec(n.CPU.RxCost(payload, standalonePDU(p)), func() {
-						c.fail(ini.Session.HandlePDU(p))
-					})
-				})
-			})
-		})
-	})
+	tsess, err := tn.Target.NewSession(ini.toHost.send)
 	if err != nil {
 		return nil, err
 	}
 	ini.tsess = tsess
+	ini.toTarget.deliver = tsess.HandlePDU
 
-	hostSend := func(p proto.PDU) {
-		// Host -> target: poller tx, host link, target NIC, target rx.
-		size := p.WireSize()
-		payload := payloadBytes(p)
-		tn := n.target
-		n.CPU.Exec(n.CPU.TxCost(payload, false), func() {
-			n.Link.Send(simnet.DirAtoB, size, func() {
-				tn.NIC.Send(simnet.DirAtoB, size, func() {
-					tn.CPU.Exec(tn.CPU.RxCost(payload, standalonePDU(p)), func() {
-						c.fail(tsess.HandlePDU(p))
-					})
-				})
-			})
-		})
-	}
+	hostSend := ini.toTarget.send
 	sess, err := hostqp.New(cfg, hostSend, c.Eng.Now)
 	if err != nil {
 		return nil, err
 	}
 	ini.Session = sess
+	ini.toHost.deliver = sess.HandlePDU
 	sess.Start()
 	if c.hostTelNS > 0 {
 		sess.EnableE2E()

@@ -9,7 +9,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -23,32 +22,31 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []event
+// before orders events by (at, seq). seq is unique, so the order is total:
+// whatever shape the heap takes, the pop sequence is the same.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
+// heapArity is the fan-out of the event heap. Four children per node halve
+// the depth of a binary heap, and a node's children are adjacent in memory,
+// so the sift-down that dominates a pop touches about half as many cache
+// lines per level.
+const heapArity = 4
 
 // Engine is a discrete-event scheduler. The zero value is ready to use.
 // Engine is not safe for concurrent use: all simulation code runs inside
 // event callbacks on the caller's goroutine.
+//
+// The pending set is a 4-ary min-heap of event values in one slice. An
+// event is never boxed or allocated on its own: scheduling with a func
+// value the caller already holds (a method value bound once, say) costs no
+// allocation at all, which is what lets simcluster and ssdsim recycle their
+// per-PDU and per-command records instead of building a closure per hop.
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
+	events  []event
 	stopped bool
 }
 
@@ -73,7 +71,57 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	// Sift up: pull ancestors down into the hole until ev fits.
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.events = h
+}
+
+// pop removes and returns the earliest event. The slot it vacates at the
+// end of the slice is cleared, so a consumed callback (and whatever PDU or
+// payload it references) is not kept reachable by the backing array.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	e.events = h
+	if n == 0 {
+		return top
+	}
+	// Sift down: pull the smallest child up into the hole until last fits.
+	i := 0
+	for {
+		first := i*heapArity + 1
+		if first >= n {
+			break
+		}
+		small := first
+		for c, end := first+1, min(first+heapArity, n); c < end; c++ {
+			if h[c].before(&h[small]) {
+				small = c
+			}
+		}
+		if !h[small].before(&last) {
+			break
+		}
+		h[i] = h[small]
+		i = small
+	}
+	h[i] = last
+	return top
 }
 
 // Run processes events until none remain or Stop is called. It returns the
@@ -81,7 +129,7 @@ func (e *Engine) At(t Time, fn func()) {
 func (e *Engine) Run() Time {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
-		ev := heap.Pop(&e.events).(event)
+		ev := e.pop()
 		e.now = ev.at
 		ev.fn()
 	}
@@ -89,15 +137,18 @@ func (e *Engine) Run() Time {
 }
 
 // RunUntil processes events with timestamps <= deadline (or until Stop).
-// Events beyond the deadline stay queued; the clock is advanced to the
-// deadline so a subsequent RunUntil continues seamlessly.
+// Events beyond the deadline stay queued; once nothing at or before the
+// deadline remains the clock is advanced to it, so a subsequent RunUntil
+// continues seamlessly. After Stop the clock stays at the last executed
+// event: events it left queued before the deadline are still in the
+// future, and virtual time never runs backwards to reach them.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at > deadline {
-			break
+	for len(e.events) > 0 && e.events[0].at <= deadline {
+		if e.stopped {
+			return e.now
 		}
-		ev := heap.Pop(&e.events).(event)
+		ev := e.pop()
 		e.now = ev.at
 		ev.fn()
 	}

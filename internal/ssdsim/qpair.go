@@ -69,25 +69,22 @@ func (qp *QueuePair) Ring() {
 		data := qp.payloads[cmd.CID]
 		delete(qp.payloads, cmd.CID)
 		qp.inflight++
-		c := cmd
-		qp.eng.Schedule(0, func() {
-			qp.ssd.Submit(Request{
-				Cmd:  c,
-				Data: data,
-				Done: func(cpl nvme.Completion, rd []byte) {
-					qp.inflight--
-					if rd != nil {
-						qp.readData[cpl.CID] = rd
-					}
-					cpl.SQHead = qp.sq.Head()
-					if !qp.cq.Push(cpl) {
-						// A full CQ with SQ-sized rings cannot happen:
-						// completions never outnumber submissions.
-						panic("ssdsim: completion queue overflow")
-					}
-				},
-			}, false)
-		})
+		qp.eng.Schedule(0, qp.ssd.Deferred(Request{
+			Cmd:  cmd,
+			Data: data,
+			Done: func(cpl nvme.Completion, rd []byte) {
+				qp.inflight--
+				if rd != nil {
+					qp.readData[cpl.CID] = rd
+				}
+				cpl.SQHead = qp.sq.Head()
+				if !qp.cq.Push(cpl) {
+					// A full CQ with SQ-sized rings cannot happen:
+					// completions never outnumber submissions.
+					panic("ssdsim: completion queue overflow")
+				}
+			},
+		}, false))
 	}
 }
 

@@ -81,10 +81,80 @@ type SSD struct {
 	// always dispatch before normal ones, no matter how deep the normal
 	// backlog is. Baseline SPDK mode never uses the high queue, so its
 	// LS requests wait behind the full FIFO (§V-C).
-	high   []Request
-	normal []Request
+	high   opRing
+	normal opRing
+
+	// freeOps recycles op records. It belongs to the device, not the
+	// package: simulations run in parallel.
+	freeOps *op
 
 	stats Stats
+}
+
+// op is one request's record inside the device, from submission to
+// completion. The engine callbacks a request needs — admission, when the
+// submission was deferred, then completion — are both step, a method value
+// bound once when the record is made, so a command costs its events in the
+// engine's heap and no closure. Records recycle through the device's free
+// list; one returns there just before Done runs.
+type op struct {
+	s       *SSD
+	req     Request
+	high    bool
+	service bool // a channel is serving it: the next step completes it
+	step    func()
+	next    *op // free list
+}
+
+func (s *SSD) newOp(req Request, high bool) *op {
+	if req.Done == nil {
+		panic("ssdsim: Submit without Done callback")
+	}
+	o := s.freeOps
+	if o == nil {
+		o = &op{s: s}
+		o.step = o.advance
+	} else {
+		s.freeOps = o.next
+	}
+	o.req, o.high, o.service = req, high, false
+	return o
+}
+
+func (o *op) advance() {
+	if o.service {
+		o.s.complete(o)
+	} else {
+		o.s.admit(o)
+	}
+}
+
+// opRing is a FIFO of queued ops: a power-of-two ring that reuses its
+// backing array and clears each slot as it is popped, so the device never
+// keeps a dispatched request (and its payload) reachable.
+type opRing struct {
+	buf  []*op
+	head int
+	n    int
+}
+
+func (r *opRing) push(o *op) {
+	if r.n == len(r.buf) {
+		nb := make([]*op, max(2*len(r.buf), 16))
+		k := copy(nb, r.buf[r.head:])
+		copy(nb[k:], r.buf[:r.head])
+		r.buf, r.head = nb, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = o
+	r.n++
+}
+
+func (r *opRing) pop() *op {
+	o := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return o
 }
 
 // zeroBuf backs read completions of unbacked (timing-only) devices: the
@@ -136,21 +206,29 @@ func (s *SSD) Stats() Stats { return s.stats }
 
 // QueueDepth returns the number of requests waiting for a channel
 // (excluding in-service ones).
-func (s *SSD) QueueDepth() int { return len(s.high) + len(s.normal) }
+func (s *SSD) QueueDepth() int { return s.high.n + s.normal.n }
 
 // Submit admits one request. When high is true the request is placed in
 // the priority class that dispatches ahead of any queued normal request
 // (the NVMe-oPF latency-sensitive bypass). Completion is delivered via
 // req.Done on the event loop.
 func (s *SSD) Submit(req Request, high bool) {
-	if req.Done == nil {
-		panic("ssdsim: Submit without Done callback")
-	}
+	s.admit(s.newOp(req, high))
+}
+
+// Deferred returns a callback that submits req when it runs, for callers
+// that admit a request from a later event (the target poller charging its
+// submission cost first). The callback is good for one call.
+func (s *SSD) Deferred(req Request, high bool) func() {
+	return s.newOp(req, high).step
+}
+
+func (s *SSD) admit(o *op) {
 	s.stats.Submitted++
-	if high {
-		s.high = append(s.high, req)
+	if o.high {
+		s.high.push(o)
 	} else {
-		s.normal = append(s.normal, req)
+		s.normal.push(o)
 	}
 	if q := s.QueueDepth(); q > s.stats.MaxQueue {
 		s.stats.MaxQueue = q
@@ -170,10 +248,7 @@ func (s *SSD) SubmitBatch(reqs []Request, high bool) {
 // dispatch assigns queued requests to free channels.
 func (s *SSD) dispatch() {
 	now := s.eng.Now()
-	for {
-		if len(s.high) == 0 && len(s.normal) == 0 {
-			return
-		}
+	for s.high.n > 0 || s.normal.n > 0 {
 		// Find a free channel.
 		ch := -1
 		for i, free := range s.channelFree {
@@ -185,19 +260,17 @@ func (s *SSD) dispatch() {
 		if ch < 0 {
 			return // all channels busy; completion events re-dispatch
 		}
-		var req Request
-		if len(s.high) > 0 {
-			req = s.high[0]
-			s.high = s.high[1:]
+		var o *op
+		if s.high.n > 0 {
+			o = s.high.pop()
 		} else {
-			req = s.normal[0]
-			s.normal = s.normal[1:]
+			o = s.normal.pop()
 		}
-		svc := s.serviceTime(req.Cmd)
+		svc := s.serviceTime(o.req.Cmd)
 		s.channelFree[ch] = now + svc
 		s.stats.BusyTime += svc
-		r := req
-		s.eng.At(now+svc, func() { s.complete(r) })
+		o.service = true
+		s.eng.At(now+svc, o.step)
 	}
 }
 
@@ -226,7 +299,10 @@ func (s *SSD) serviceTime(cmd nvme.Command) simnet.Time {
 
 // complete finishes one command: touch the store, build the CQE, invoke
 // Done, and pull more work onto the freed channel.
-func (s *SSD) complete(req Request) {
+func (s *SSD) complete(o *op) {
+	req := o.req
+	o.req = Request{}
+	o.next, s.freeOps = s.freeOps, o
 	cpl := nvme.Completion{CID: req.Cmd.CID, Status: nvme.StatusSuccess}
 	var data []byte
 	ns := s.cfg.Namespace

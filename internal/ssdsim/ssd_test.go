@@ -194,6 +194,9 @@ func TestHighPriorityBypassesBacklog(t *testing.T) {
 	}
 }
 
+// With one channel, normal requests complete in submission order — also
+// when submissions arrive in rounds faster than the channel drains them, so
+// the admission ring wraps and grows with its head mid-array.
 func TestNormalFIFOOrderOnSingleChannel(t *testing.T) {
 	eng := simnet.NewEngine()
 	cfg := testCfg(false)
@@ -201,16 +204,24 @@ func TestNormalFIFOOrderOnSingleChannel(t *testing.T) {
 	cfg.ReadJitter = 0
 	s, _ := New(eng, cfg)
 	var order []nvme.CID
-	for i := 0; i < 10; i++ {
-		s.Submit(Request{
-			Cmd:  nvme.Command{Opcode: nvme.OpRead, CID: nvme.CID(i), NSID: 1},
-			Done: func(cpl nvme.Completion, _ []byte) { order = append(order, cpl.CID) },
-		}, false)
+	next := nvme.CID(0)
+	for round := 0; round < 12; round++ {
+		for i := 0; i < 5+round*3; i++ {
+			s.Submit(Request{
+				Cmd:  nvme.Command{Opcode: nvme.OpRead, CID: next, NSID: 1},
+				Done: func(cpl nvme.Completion, _ []byte) { order = append(order, cpl.CID) },
+			}, false)
+			next++
+		}
+		eng.RunUntil(eng.Now() + 400_000) // completes 8: the backlog keeps growing
 	}
 	eng.Run()
+	if len(order) != int(next) {
+		t.Fatalf("completed %d of %d", len(order), next)
+	}
 	for i, cid := range order {
 		if cid != nvme.CID(i) {
-			t.Fatalf("single-channel FIFO violated: %v", order)
+			t.Fatalf("single-channel FIFO violated at completion %d: CID %d", i, cid)
 		}
 	}
 }
@@ -344,5 +355,52 @@ func TestDefaultConfigSaturation(t *testing.T) {
 	// 16 channels / 52us = ~308K IOPS.
 	if iops < 250_000 || iops > 350_000 {
 		t.Fatalf("default device read IOPS = %.0f, want ~308K", iops)
+	}
+}
+
+// TestDrainedQueuesHoldNoRequests: the admission rings clear each slot as
+// it is dispatched and reuse their backing arrays, so a drained device
+// references no request or write payload anywhere up to the rings'
+// capacity, pooled op records included.
+func TestDrainedQueuesHoldNoRequests(t *testing.T) {
+	eng := simnet.NewEngine()
+	s := newSSD(t, eng, true)
+	cid := nvme.CID(0)
+	submit := func(high bool) {
+		c := cid
+		cid++
+		s.Submit(Request{
+			Cmd:  nvme.Command{Opcode: nvme.OpWrite, CID: c, NSID: 1, SLBA: uint64(c)},
+			Data: make([]byte, 4096),
+			Done: func(nvme.Completion, []byte) {},
+		}, high)
+	}
+	// Bursts deeper than the rings' first allocation, each submitted while
+	// the previous one is still draining, so the heads sit mid-ring when
+	// the rings wrap and grow.
+	for burst := 0; burst < 6; burst++ {
+		for i := 0; i < 60; i++ {
+			submit(i%2 == 0)
+		}
+		eng.RunUntil(eng.Now() + 600_000)
+	}
+	eng.Run()
+	if st := s.Stats(); st.Completed != int64(cid) || s.QueueDepth() != 0 {
+		t.Fatalf("completed %d of %d, %d still queued", st.Completed, cid, s.QueueDepth())
+	}
+	for name, r := range map[string]*opRing{"high": &s.high, "normal": &s.normal} {
+		if cap(r.buf) < 32 {
+			t.Fatalf("%s ring never grew (cap %d): the test no longer crosses a wrap", name, cap(r.buf))
+		}
+		for i, o := range r.buf[:cap(r.buf)] {
+			if o != nil {
+				t.Fatalf("%s ring slot %d of %d still references a dispatched request", name, i, cap(r.buf))
+			}
+		}
+	}
+	for o := s.freeOps; o != nil; o = o.next {
+		if o.req.Done != nil || o.req.Data != nil {
+			t.Fatal("a pooled op record still references its last request")
+		}
 	}
 }
