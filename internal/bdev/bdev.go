@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // Device is a linear array of fixed-size logical blocks. Implementations
@@ -45,31 +46,57 @@ func IsNonBlocking(d Device) bool {
 }
 
 // checkRange validates an access against device geometry.
-func checkRange(d Device, buf []byte, lba uint64) (blocks uint64, err error) {
+func checkRange(d Device, buf []byte, lba uint64) error {
 	bs := uint64(d.BlockSize())
 	if uint64(len(buf))%bs != 0 || len(buf) == 0 {
-		return 0, fmt.Errorf("bdev: buffer %d bytes is not a positive multiple of block size %d", len(buf), bs)
+		return fmt.Errorf("bdev: buffer %d bytes is not a positive multiple of block size %d", len(buf), bs)
 	}
-	blocks = uint64(len(buf)) / bs
+	blocks := uint64(len(buf)) / bs
 	if lba >= d.NumBlocks() || blocks > d.NumBlocks()-lba {
-		return 0, fmt.Errorf("bdev: access [%d, %d) beyond capacity %d", lba, lba+blocks, d.NumBlocks())
+		return fmt.Errorf("bdev: access [%d, %d) beyond capacity %d", lba, lba+blocks, d.NumBlocks())
 	}
-	return blocks, nil
+	return nil
 }
 
 // Memory is a sparse in-memory Device. Blocks are materialized in
 // fixed-size extents on first write, so multi-terabyte namespaces cost
 // memory proportional to the touched footprint only.
+//
+// Nothing in it is device-wide: extents hang off a two-level table read
+// with atomic loads and filled in by compare-and-swap, and each extent
+// carries its own lock. A command is executed one extent run at a time —
+// the contiguous part of it that falls inside one extent, copied whole
+// under that extent's lock — so:
+//
+//   - a block is never torn, and a command that stays inside one extent is
+//     atomic against every other command;
+//   - a command that spans extents is atomic per extent run only (another
+//     command may land between two of its runs), which is what NVMe
+//     promises a host that has not been given an AWUPF to lean on;
+//   - commands on different extents share no lock at all.
 type Memory struct {
 	blockSize uint32
 	numBlocks uint64
-
-	mu      sync.RWMutex
-	extents map[uint64][]byte // extent index -> extentBlocks*blockSize bytes
+	pages     []atomic.Pointer[extentPage] // extent index / pageExtents -> page
 }
 
-// extentBlocks is the number of blocks per sparse extent.
-const extentBlocks = 256
+const (
+	// extentBlocks is the number of blocks per sparse extent.
+	extentBlocks = 256
+	// pageExtents is the number of extent slots per table page: 8 KiB of
+	// pointers covering 2^18 blocks, which keeps the root of a 4 TiB
+	// namespace (2^30 blocks of 4 KiB) at 4096 pointers.
+	pageExtents = 1024
+)
+
+// extent is extentBlocks consecutive blocks and the lock that orders
+// commands on them.
+type extent struct {
+	mu   sync.RWMutex
+	data []byte // extentBlocks*blockSize bytes
+}
+
+type extentPage [pageExtents]atomic.Pointer[extent]
 
 // NewMemory creates a sparse in-memory device.
 func NewMemory(blockSize uint32, numBlocks uint64) (*Memory, error) {
@@ -79,10 +106,11 @@ func NewMemory(blockSize uint32, numBlocks uint64) (*Memory, error) {
 	if numBlocks == 0 {
 		return nil, fmt.Errorf("bdev: zero capacity")
 	}
+	extents := (numBlocks-1)/extentBlocks + 1
 	return &Memory{
 		blockSize: blockSize,
 		numBlocks: numBlocks,
-		extents:   make(map[uint64][]byte),
+		pages:     make([]atomic.Pointer[extentPage], (extents-1)/pageExtents+1),
 	}, nil
 }
 
@@ -92,48 +120,66 @@ func (m *Memory) BlockSize() uint32 { return m.blockSize }
 // NumBlocks implements Device.
 func (m *Memory) NumBlocks() uint64 { return m.numBlocks }
 
+// extent returns extent number ext, or nil while nothing has been written
+// to it. With create set it materializes the page and the extent: racing
+// creators all allocate, one compare-and-swap wins, and every one of them
+// returns the winner.
+func (m *Memory) extent(ext uint64, create bool) *extent {
+	root := &m.pages[ext/pageExtents]
+	pg := root.Load()
+	if pg == nil {
+		if !create {
+			return nil
+		}
+		root.CompareAndSwap(nil, new(extentPage))
+		pg = root.Load()
+	}
+	slot := &pg[ext%pageExtents]
+	e := slot.Load()
+	if e == nil && create {
+		slot.CompareAndSwap(nil, &extent{data: make([]byte, extentBlocks*uint64(m.blockSize))})
+		e = slot.Load()
+	}
+	return e
+}
+
 // ReadBlocks implements Device.
 func (m *Memory) ReadBlocks(buf []byte, lba uint64) error {
-	blocks, err := checkRange(m, buf, lba)
-	if err != nil {
+	if err := checkRange(m, buf, lba); err != nil {
 		return err
 	}
 	bs := uint64(m.blockSize)
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for i := uint64(0); i < blocks; i++ {
-		blk := lba + i
-		ext, off := blk/extentBlocks, (blk%extentBlocks)*bs
-		dst := buf[i*bs : (i+1)*bs]
-		if e, ok := m.extents[ext]; ok {
-			copy(dst, e[off:off+bs])
+	for len(buf) > 0 {
+		off := (lba % extentBlocks) * bs
+		run := buf[:min(uint64(len(buf)), extentBlocks*bs-off)]
+		if e := m.extent(lba/extentBlocks, false); e != nil {
+			e.mu.RLock()
+			copy(run, e.data[off:])
+			e.mu.RUnlock()
 		} else {
-			for j := range dst {
-				dst[j] = 0
-			}
+			clear(run)
 		}
+		buf = buf[len(run):]
+		lba += uint64(len(run)) / bs
 	}
 	return nil
 }
 
 // WriteBlocks implements Device.
 func (m *Memory) WriteBlocks(buf []byte, lba uint64) error {
-	blocks, err := checkRange(m, buf, lba)
-	if err != nil {
+	if err := checkRange(m, buf, lba); err != nil {
 		return err
 	}
 	bs := uint64(m.blockSize)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := uint64(0); i < blocks; i++ {
-		blk := lba + i
-		ext, off := blk/extentBlocks, (blk%extentBlocks)*bs
-		e, ok := m.extents[ext]
-		if !ok {
-			e = make([]byte, extentBlocks*bs)
-			m.extents[ext] = e
-		}
-		copy(e[off:off+bs], buf[i*bs:(i+1)*bs])
+	for len(buf) > 0 {
+		off := (lba % extentBlocks) * bs
+		run := buf[:min(uint64(len(buf)), extentBlocks*bs-off)]
+		e := m.extent(lba/extentBlocks, true)
+		e.mu.Lock()
+		copy(e.data[off:], run)
+		e.mu.Unlock()
+		buf = buf[len(run):]
+		lba += uint64(len(run)) / bs
 	}
 	return nil
 }
@@ -142,15 +188,25 @@ func (m *Memory) WriteBlocks(buf []byte, lba uint64) error {
 func (m *Memory) Flush() error { return nil }
 
 // NonBlocking implements NonBlocking: every operation is a bounded copy
-// under a mutex held only for such copies.
+// under a lock held only for such copies.
 func (m *Memory) NonBlocking() bool { return true }
 
 // ExtentCount returns the number of materialized extents (test hook for
 // the sparseness property).
 func (m *Memory) ExtentCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.extents)
+	n := 0
+	for i := range m.pages {
+		pg := m.pages[i].Load()
+		if pg == nil {
+			continue
+		}
+		for j := range pg {
+			if pg[j].Load() != nil {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // File is a Device backed by an *os.File (or any ReaderAt/WriterAt with
@@ -190,7 +246,7 @@ func (d *File) NumBlocks() uint64 { return d.numBlocks }
 
 // ReadBlocks implements Device.
 func (d *File) ReadBlocks(buf []byte, lba uint64) error {
-	if _, err := checkRange(d, buf, lba); err != nil {
+	if err := checkRange(d, buf, lba); err != nil {
 		return err
 	}
 	_, err := d.f.ReadAt(buf, int64(lba)*int64(d.blockSize))
@@ -199,7 +255,7 @@ func (d *File) ReadBlocks(buf []byte, lba uint64) error {
 
 // WriteBlocks implements Device.
 func (d *File) WriteBlocks(buf []byte, lba uint64) error {
-	if _, err := checkRange(d, buf, lba); err != nil {
+	if err := checkRange(d, buf, lba); err != nil {
 		return err
 	}
 	_, err := d.f.WriteAt(buf, int64(lba)*int64(d.blockSize))

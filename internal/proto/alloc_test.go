@@ -7,7 +7,6 @@ package proto
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"nvmeopf/internal/nvme"
@@ -74,71 +73,41 @@ func TestReaderZeroAllocCapsuleResp(t *testing.T) {
 
 func TestReaderZeroAllocCapsuleCmdWithPayload(t *testing.T) {
 	skipIfRace(t)
-	wire := Marshal(&CapsuleCmd{
-		Cmd:  nvme.Command{Opcode: nvme.OpWrite, CID: 7, NSID: 1},
-		Data: bytes.Repeat([]byte{0xAB}, 4096),
-	})
-	rd := NewReader(&loopReader{data: wire}, true)
-	for i := 0; i < 16; i++ {
-		p, err := rd.Next()
-		if err != nil {
-			t.Fatal(err)
+	for _, size := range []int{4096, 128 << 10} {
+		wire := Marshal(&CapsuleCmd{
+			Cmd:  nvme.Command{Opcode: nvme.OpWrite, CID: 7, NSID: 1},
+			Data: bytes.Repeat([]byte{0xAB}, size),
+		})
+		rd := NewReader(&loopReader{data: wire}, true)
+		for i := 0; i < 16; i++ {
+			p, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ReleaseInbound(p)
 		}
-		ReleaseInbound(p)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		p, err := rd.Next()
-		if err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(200, func() {
+			p, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ReleaseInbound(p)
+		})
+		if allocs != 0 {
+			t.Errorf("Reader.Next(CapsuleCmd+%d B): %v allocs/op, want 0", size, allocs)
 		}
-		ReleaseInbound(p)
-	})
-	if allocs != 0 {
-		t.Errorf("Reader.Next(CapsuleCmd+4KiB): %v allocs/op, want 0", allocs)
 	}
 }
 
+// TestReaderPooledMatchesPlainDecode: one stream carrying every hot PDU
+// type decodes the same in every reader mode, however the bytes arrive,
+// and the same as Unmarshal frame by frame.
 func TestReaderPooledMatchesPlainDecode(t *testing.T) {
-	pdus := []PDU{
-		&ICReq{PFV: 1, QueueDepth: 64, Prio: PrioThroughputCritical, NSID: 1},
-		&CapsuleCmd{
-			Cmd:    nvme.Command{Opcode: nvme.OpWrite, CID: 3, NSID: 1, SLBA: 8, NLB: 1},
-			Prio:   PrioTCDraining,
-			Tenant: 5,
-			Data:   bytes.Repeat([]byte{0x5C}, 8192),
-		},
-		&CapsuleResp{Cpl: nvme.Completion{CID: 3, Status: nvme.StatusSuccess}, Coalesced: true},
-		&C2HData{CCCID: 3, Offset: 512, Data: bytes.Repeat([]byte{0x77}, 1024)},
-		&H2CData{CCCID: 4, Offset: 0, Data: []byte{1, 2, 3}},
-	}
 	var wire []byte
-	for _, p := range pdus {
+	for _, p := range splitTestPDUs() {
 		wire = AppendPDU(wire, p)
 	}
-	for _, pooled := range []bool{false, true} {
-		rd := NewReader(bytes.NewReader(wire), pooled)
-		for i, want := range pdus {
-			got, err := rd.Next()
-			if err != nil {
-				t.Fatalf("pooled=%v pdu %d: %v", pooled, i, err)
-			}
-			checkPDUEqual(t, got, want)
-		}
-		if _, err := rd.Next(); err != io.EOF {
-			t.Fatalf("pooled=%v: want EOF at stream end, got %v", pooled, err)
-		}
-	}
-}
-
-func checkPDUEqual(t *testing.T, got, want PDU) {
-	t.Helper()
-	if got.PDUType() != want.PDUType() {
-		t.Fatalf("type %v != %v", got.PDUType(), want.PDUType())
-	}
-	// Re-marshal both: equal wire bytes means equal decoded state.
-	if !bytes.Equal(Marshal(got), Marshal(want)) {
-		t.Fatalf("%v decoded state differs from original", want.PDUType())
-	}
+	checkStreamMatchesUnmarshal(t, wire, len(splitTestPDUs())+1)
 }
 
 func TestBufPool(t *testing.T) {

@@ -1,10 +1,11 @@
 package proto
 
 // Fuzz entry for the PDU decode surface: the Reader (pooled and plain,
-// with and without a zero-copy sink) and one-shot Unmarshal must never
-// panic, over-allocate beyond MaxPDUSize, or mis-handle a truncated or
-// hostile stream. CI runs this as a short -fuzztime smoke; longer local
-// runs explore deeper.
+// with and without a zero-copy sink, over a stream chunked three ways) and
+// one-shot Unmarshal must agree on every frame, and never panic,
+// over-allocate beyond MaxPDUSize, or mis-handle a truncated or hostile
+// stream. CI runs this as a short -fuzztime smoke; longer local runs
+// explore deeper.
 
 import (
 	"bytes"
@@ -47,39 +48,16 @@ func FuzzPDUDecode(f *testing.F) {
 	f.Add(hostile)
 	f.Add([]byte{0xEE, 0, 8, 8, 12, 0, 0, 0, 1, 2, 3, 4})
 
-	dst := make([]byte, 4096)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// One-shot decode.
 		if p, err := Unmarshal(data); err == nil && p == nil {
 			t.Fatal("Unmarshal returned nil PDU with nil error")
 		}
-		// Streaming decode under each reader mode: every PDU the stream
-		// yields must re-marshal without panicking, and pooled PDUs must
-		// survive a full release cycle.
-		sink := func(_ nvme.CID, _, length uint32) []byte {
-			if int(length) <= len(dst) {
-				return dst[:length]
-			}
-			return nil
-		}
-		for _, mode := range []struct {
-			pooled  bool
-			useSink bool
-		}{{false, false}, {true, false}, {true, true}} {
-			rd := NewReader(bytes.NewReader(data), mode.pooled)
-			if mode.useSink {
-				rd.SetC2HSink(sink)
-			}
-			for i := 0; i < 16; i++ {
-				p, err := rd.Next()
-				if err != nil {
-					break
-				}
-				Marshal(p)
-				if mode.pooled {
-					ReleaseInbound(p)
-				}
-			}
-		}
+		// Streaming decode, differentially: under each reader mode and
+		// each chunking of the stream, every PDU Next yields must equal
+		// what Unmarshal makes of the same frame, Next must fail on the
+		// frame Unmarshal refuses, and pooled PDUs must survive a full
+		// release cycle.
+		checkStreamMatchesUnmarshal(t, data, 16)
 	})
 }

@@ -9,14 +9,21 @@ package proto
 //     sync.Pools so a steady-state datapath never allocates a PDU header
 //     object. Cold types (ICReq, ICResp, TermReq, discovery) are not
 //     pooled — they appear once per connection, not once per request.
-//   - the Reader's scratch buffer: one per connection, grown to the
-//     largest PDU seen and reused for every wire read.
+//   - the Reader's scratch buffer: one per connection, 4 KiB for its whole
+//     life. Only common headers, the fixed part of data-bearing PDUs and
+//     small control PDUs pass through it; payloads never do.
 //
 // Ownership rules (the transports enforce them; the simulator never
 // pools):
 //
 //   - A buffer obtained from GetBuf has exactly one owner at a time; the
 //     owner either hands it off (send path) or returns it with PutBuf.
+//   - An inbound payload is written once, by the socket read that lands it
+//     in the buffer Reader.payloadBuf chose, and that buffer is the PDU's
+//     Data from then on: the Reader owns it until Next returns (a failed
+//     read releases it), the consumer until ReleaseInbound — or, when it
+//     clears Data first (the target parking write data until the device
+//     has it), until its own PutBuf.
 //   - Recycle never touches the payload: callers that retained or pooled
 //     a PDU's Data release it separately, *before* recycling the struct.
 //   - PutBuf ignores slices whose capacity is not an exact pool class, so
@@ -156,18 +163,13 @@ func ReleaseInbound(p PDU) {
 	Recycle(p)
 }
 
-// pooledDecoder is implemented by the data-bearing PDU types: decode with
-// the payload drawn from the buffer pool instead of a fresh allocation.
-type pooledDecoder interface {
-	decodeBodyPooled(src []byte) error
-}
-
-// Reader decodes a PDU stream with a reusable scratch buffer. With
-// pooling enabled, per-request PDU structs come from the struct pools and
-// payloads from the buffer pool, making Next allocation-free in steady
-// state; the consumer retires each PDU with ReleaseInbound when done.
-// Without pooling, Next behaves like ReadPDU (fresh structs, fresh
-// payloads) while still reusing the scratch buffer for the wire read.
+// Reader decodes a PDU stream with a fixed 4 KiB scratch buffer for the
+// fixed fields. With pooling enabled, per-request PDU structs come from
+// the struct pools and payloads from the buffer pool, making Next
+// allocation-free in steady state; the consumer retires each PDU with
+// ReleaseInbound when done. Without pooling, Next yields what ReadPDU
+// would (fresh structs, fresh payloads). Either way there is one decode
+// path per PDU type, shared with Unmarshal.
 //
 // A Reader is not safe for concurrent use; each connection's read loop
 // owns one. The PDU returned by Next is independent of the scratch
@@ -232,182 +234,117 @@ func (rd *Reader) SetC2HSink(s C2HSink) { rd.sink = s }
 
 // Next reads and decodes one PDU. The returned PDU does not alias the
 // reader's internal buffer.
+//
+// Only the fixed fields of a PDU pass through scratch. A data-bearing PDU
+// (CapsuleCmd, C2HData, H2CData) has its payload read from the stream
+// straight into the buffer it will be handed on in, chosen by payloadBuf;
+// from there to PutBuf (ReleaseInbound, or whoever the consumer passed the
+// buffer to) nothing copies it again.
 func (rd *Reader) Next() (PDU, error) {
 	if _, err := io.ReadFull(rd.r, rd.scratch[:chSize]); err != nil {
 		return nil, err
 	}
+	typ, flags := Type(rd.scratch[0]), rd.scratch[1]
 	plen := binary.LittleEndian.Uint32(rd.scratch[4:])
 	if plen < chSize || plen > MaxPDUSize {
 		return nil, fmt.Errorf("proto: bad PLen %d", plen)
 	}
-	if rd.sink != nil && Type(rd.scratch[0]) == TypeC2HData && plen >= chSize+c2hPSHSize {
-		return rd.nextC2HDataSink(int(plen), rd.scratch[1])
-	}
-	if int(plen) > len(rd.scratch) {
-		grown := make([]byte, 1<<bitsFor(int(plen)))
-		copy(grown, rd.scratch[:chSize])
-		rd.scratch = grown
-	}
-	buf := rd.scratch[:plen]
-	if _, err := io.ReadFull(rd.r, buf[chSize:]); err != nil {
+	p, err := rd.alloc(typ)
+	if err != nil {
 		return nil, err
 	}
-	typ := Type(buf[0])
-	flags := buf[1]
-	var p PDU
-	if rd.pooled {
-		switch typ {
-		case TypeCapsuleCmd:
-			p = GetCapsuleCmd()
-		case TypeCapsuleResp:
-			p = GetCapsuleResp()
-		case TypeC2HData:
-			p = GetC2HData()
-		}
-	}
-	if p == nil {
-		var err error
-		if p, err = newPDU(typ); err != nil {
-			return nil, err
-		}
-	}
-	body := buf[chSize:]
-	var err error
-	if pd, ok := p.(pooledDecoder); ok && rd.pooled {
-		err = pd.decodeBodyPooled(body)
+	if sp, ok := p.(splitPDU); ok {
+		err = rd.readSplit(sp, int(plen)-chSize)
 	} else {
-		err = p.decodeBody(body)
+		err = rd.readWhole(p, int(plen)-chSize)
 	}
 	if err != nil {
+		// Whatever p holds by now — pooled struct, pooled or borrowed
+		// payload buffer — goes back the way a delivered PDU's would.
 		if rd.pooled {
 			ReleaseInbound(p)
 		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the stream ended inside a PDU
+		}
 		return nil, err
 	}
 	p.setHeaderFlags(flags)
 	return p, nil
 }
 
-// nextC2HDataSink is the zero-copy read path: the 16-byte PDU-specific
-// header is decoded from scratch, then the payload bytes are read from
-// the wire directly into the destination the sink resolves — the pooled
-// staging copy the plain path pays disappears. When the sink declines
-// (unknown CID, out-of-range offset), the payload falls back to a pooled
-// buffer sized by the actual wire length — never by the untrusted offset
-// — and the consumer decides whether to reject the PDU.
-func (rd *Reader) nextC2HDataSink(plen int, flags uint8) (PDU, error) {
-	psh := rd.scratch[chSize : chSize+c2hPSHSize]
-	if _, err := io.ReadFull(rd.r, psh); err != nil {
-		return nil, err
-	}
-	payload := plen - chSize - c2hPSHSize
-	n := binary.LittleEndian.Uint32(psh[8:])
-	if int(n) != payload {
-		return nil, fmt.Errorf("proto: C2HData length field %d != payload %d", n, payload)
-	}
-	var p *C2HData
+// alloc returns an empty PDU of the given wire type, from the struct pools
+// when the Reader pools and the type is a per-request one.
+func (rd *Reader) alloc(typ Type) (PDU, error) {
 	if rd.pooled {
-		p = GetC2HData()
-	} else {
-		p = &C2HData{}
-	}
-	p.CCCID = binary.LittleEndian.Uint16(psh[0:])
-	p.Offset = binary.LittleEndian.Uint32(psh[4:])
-	p.Borrowed = false
-	if payload == 0 {
-		p.Data = nil
-		p.setHeaderFlags(flags)
-		return p, nil
-	}
-	if dst := rd.sink(p.CCCID, p.Offset, n); len(dst) == payload {
-		if _, err := io.ReadFull(rd.r, dst); err != nil {
-			if rd.pooled {
-				Recycle(p)
-			}
-			return nil, err
+		switch typ {
+		case TypeCapsuleCmd:
+			return GetCapsuleCmd(), nil
+		case TypeCapsuleResp:
+			return GetCapsuleResp(), nil
+		case TypeC2HData:
+			return GetC2HData(), nil
 		}
-		p.Data = dst
-		p.Borrowed = true
-		p.setHeaderFlags(flags)
-		return p, nil
 	}
-	var buf []byte
-	if rd.pooled {
-		buf = GetBuf(payload)
-	} else {
-		buf = make([]byte, payload)
-	}
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		if rd.pooled {
-			PutBuf(buf)
-			Recycle(p)
-		}
-		return nil, err
-	}
-	p.Data = buf
-	p.setHeaderFlags(flags)
-	return p, nil
+	return newPDU(typ)
 }
 
-// bitsFor returns ceil(log2(n)) for n >= 1.
-func bitsFor(n int) uint {
-	var b uint
-	for (1 << b) < n {
-		b++
+// readWhole reads an n-byte body without a detachable payload and decodes
+// it in place. The per-request types fit scratch; a rare larger one (a
+// discovery log page, a TermReq with a long reason) gets a buffer for the
+// one call, so nothing a peer sends pins memory to the connection.
+func (rd *Reader) readWhole(p PDU, n int) error {
+	body := rd.scratch[chSize:]
+	if n > len(body) {
+		body = make([]byte, n)
 	}
-	return b
-}
-
-// clonePayload copies src into a pooled buffer (nil for empty payloads).
-func clonePayload(src []byte) []byte {
-	if len(src) == 0 {
-		return nil
-	}
-	dst := GetBuf(len(src))
-	copy(dst, src)
-	return dst
-}
-
-// decodeBodyPooled implements pooledDecoder for CapsuleCmd.
-func (p *CapsuleCmd) decodeBodyPooled(src []byte) error {
-	if len(src) < nvme.CommandSize {
-		return fmt.Errorf("proto: short CapsuleCmd body: %d", len(src))
-	}
-	if err := p.Cmd.Unmarshal(src); err != nil {
+	if _, err := io.ReadFull(rd.r, body[:n]); err != nil {
 		return err
 	}
-	p.Prio = decodePriority(src[sqePrioOffset])
-	p.Tenant = TenantID(binary.LittleEndian.Uint16(src[sqeTenantOffset:]))
-	p.Data = clonePayload(src[nvme.CommandSize:])
-	return nil
+	return p.decodeBody(body[:n])
 }
 
-// decodeBodyPooled implements pooledDecoder for C2HData.
-func (p *C2HData) decodeBodyPooled(src []byte) error {
-	if len(src) < c2hPSHSize {
-		return fmt.Errorf("proto: short C2HData body: %d", len(src))
+// readSplit reads an n-byte body of a data-bearing PDU: the fixed part
+// through scratch, the payload into its final buffer. The buffer is
+// attached to p before the read, so a stream that fails mid-payload
+// releases it with the PDU, once.
+func (rd *Reader) readSplit(p splitPDU, n int) error {
+	fixed := p.fixedSize()
+	if n < fixed {
+		return fmt.Errorf("proto: short %v body: %d", p.PDUType(), n)
 	}
-	p.CCCID = binary.LittleEndian.Uint16(src[0:])
-	p.Offset = binary.LittleEndian.Uint32(src[4:])
-	n := binary.LittleEndian.Uint32(src[8:])
-	if int(n) != len(src)-c2hPSHSize {
-		return fmt.Errorf("proto: C2HData length field %d != payload %d", n, len(src)-c2hPSHSize)
+	hdr := rd.scratch[chSize : chSize+fixed]
+	if _, err := io.ReadFull(rd.r, hdr); err != nil {
+		return err
 	}
-	p.Data = clonePayload(src[c2hPSHSize:])
-	return nil
+	if err := p.decodeFixed(hdr, n-fixed); err != nil {
+		return err
+	}
+	if n == fixed {
+		return nil
+	}
+	buf := rd.payloadBuf(p, n-fixed)
+	p.setPayload(buf)
+	_, err := io.ReadFull(rd.r, buf)
+	return err
 }
 
-// decodeBodyPooled implements pooledDecoder for H2CData.
-func (p *H2CData) decodeBodyPooled(src []byte) error {
-	if len(src) < c2hPSHSize {
-		return fmt.Errorf("proto: short H2CData body: %d", len(src))
+// payloadBuf is the one place an inbound payload's buffer is chosen: the
+// caller's own memory when a C2HSink accepts the PDU (marked Borrowed so
+// release paths leave it alone), else the buffer pool when the Reader
+// pools, else a fresh allocation. A sink that declines (unknown CID,
+// out-of-range offset) or answers with the wrong length falls through, so
+// the buffer is sized by the wire length — never by the untrusted offset —
+// and the consumer decides whether to reject the PDU.
+func (rd *Reader) payloadBuf(p splitPDU, n int) []byte {
+	if d, ok := p.(*C2HData); ok && rd.sink != nil {
+		if dst := rd.sink(d.CCCID, d.Offset, uint32(n)); len(dst) == n {
+			d.Borrowed = true
+			return dst
+		}
 	}
-	p.CCCID = binary.LittleEndian.Uint16(src[0:])
-	p.Offset = binary.LittleEndian.Uint32(src[4:])
-	n := binary.LittleEndian.Uint32(src[8:])
-	if int(n) != len(src)-c2hPSHSize {
-		return fmt.Errorf("proto: H2CData length field %d != payload %d", n, len(src)-c2hPSHSize)
+	if rd.pooled {
+		return GetBuf(n)
 	}
-	p.Data = clonePayload(src[c2hPSHSize:])
-	return nil
+	return make([]byte, n)
 }

@@ -314,22 +314,20 @@ func (p *CapsuleCmd) encodeFixed(dst []byte) {
 
 func (p *CapsuleCmd) payloadRef() []byte { return p.Data }
 
-func (p *CapsuleCmd) decodeBody(src []byte) error {
-	if len(src) < nvme.CommandSize {
-		return fmt.Errorf("proto: short CapsuleCmd body: %d", len(src))
-	}
+func (p *CapsuleCmd) setPayload(b []byte) { p.Data = b }
+
+func (*CapsuleCmd) fixedSize() int { return nvme.CommandSize }
+
+func (p *CapsuleCmd) decodeFixed(src []byte, _ int) error {
 	if err := p.Cmd.Unmarshal(src); err != nil {
 		return err
 	}
 	p.Prio = decodePriority(src[sqePrioOffset])
 	p.Tenant = TenantID(binary.LittleEndian.Uint16(src[sqeTenantOffset:]))
-	if len(src) > nvme.CommandSize {
-		p.Data = append([]byte(nil), src[nvme.CommandSize:]...)
-	} else {
-		p.Data = nil
-	}
 	return nil
 }
+
+func (p *CapsuleCmd) decodeBody(src []byte) error { return decodeSplit(p, src) }
 
 func (p *CapsuleCmd) headerFlags() uint8     { return 0 }
 func (p *CapsuleCmd) setHeaderFlags(f uint8) {}
@@ -409,19 +407,16 @@ func (p *C2HData) encodeFixed(dst []byte) {
 
 func (p *C2HData) payloadRef() []byte { return p.Data }
 
-func (p *C2HData) decodeBody(src []byte) error {
-	if len(src) < c2hPSHSize {
-		return fmt.Errorf("proto: short C2HData body: %d", len(src))
-	}
-	p.CCCID = binary.LittleEndian.Uint16(src[0:])
-	p.Offset = binary.LittleEndian.Uint32(src[4:])
-	n := binary.LittleEndian.Uint32(src[8:])
-	if int(n) != len(src)-c2hPSHSize {
-		return fmt.Errorf("proto: C2HData length field %d != payload %d", n, len(src)-c2hPSHSize)
-	}
-	p.Data = append([]byte(nil), src[c2hPSHSize:]...)
-	return nil
+func (p *C2HData) setPayload(b []byte) { p.Data = b }
+
+func (*C2HData) fixedSize() int { return c2hPSHSize }
+
+func (p *C2HData) decodeFixed(src []byte, payload int) (err error) {
+	p.CCCID, p.Offset, err = decodeDataPSH(TypeC2HData, src, payload)
+	return err
 }
+
+func (p *C2HData) decodeBody(src []byte) error { return decodeSplit(p, src) }
 
 func (p *C2HData) headerFlags() uint8     { return 0 }
 func (p *C2HData) setHeaderFlags(f uint8) {}
@@ -454,18 +449,25 @@ func (p *H2CData) encodeFixed(dst []byte) {
 
 func (p *H2CData) payloadRef() []byte { return p.Data }
 
-func (p *H2CData) decodeBody(src []byte) error {
-	if len(src) < c2hPSHSize {
-		return fmt.Errorf("proto: short H2CData body: %d", len(src))
+func (p *H2CData) setPayload(b []byte) { p.Data = b }
+
+func (*H2CData) fixedSize() int { return c2hPSHSize }
+
+func (p *H2CData) decodeFixed(src []byte, payload int) (err error) {
+	p.CCCID, p.Offset, err = decodeDataPSH(TypeH2CData, src, payload)
+	return err
+}
+
+func (p *H2CData) decodeBody(src []byte) error { return decodeSplit(p, src) }
+
+// decodeDataPSH decodes the 16-byte PDU-specific header C2HData and
+// H2CData share, holding its length field to the payload bytes the common
+// header's PLen leaves after it.
+func decodeDataPSH(t Type, src []byte, payload int) (cccid nvme.CID, offset uint32, err error) {
+	if n := binary.LittleEndian.Uint32(src[8:]); uint64(n) != uint64(payload) {
+		return 0, 0, fmt.Errorf("proto: %v length field %d != payload %d", t, n, payload)
 	}
-	p.CCCID = binary.LittleEndian.Uint16(src[0:])
-	p.Offset = binary.LittleEndian.Uint32(src[4:])
-	n := binary.LittleEndian.Uint32(src[8:])
-	if int(n) != len(src)-c2hPSHSize {
-		return fmt.Errorf("proto: H2CData length field %d != payload %d", n, len(src)-c2hPSHSize)
-	}
-	p.Data = append([]byte(nil), src[c2hPSHSize:]...)
-	return nil
+	return binary.LittleEndian.Uint16(src[0:]), binary.LittleEndian.Uint32(src[4:]), nil
 }
 
 func (p *H2CData) headerFlags() uint8     { return 0 }
@@ -529,14 +531,37 @@ func Marshal(p PDU) []byte {
 	return AppendPDU(make([]byte, 0, p.WireSize()), p)
 }
 
-// splitPDU is implemented by the data-bearing PDU types whose encoding
-// ends in a verbatim payload: the fixed prefix (common header + command
-// or PDU-specific header) can be marshalled separately from the payload
-// bytes, which a scatter-gather writer then sends straight from the
-// owner's buffer.
+// splitPDU is implemented by the data-bearing PDU types (CapsuleCmd,
+// C2HData, H2CData), whose encoding is a fixed part — the 64-byte SQE or
+// the 16-byte PDU-specific header — followed by a verbatim payload. Both
+// directions split there: a scatter-gather writer marshals the fixed part
+// and sends the payload straight from the owner's buffer, and a decoder
+// parses the fixed part once (decodeFixed is the only decode of those
+// fields) and puts the payload wherever its caller wants it — a private
+// copy for Unmarshal, the final buffer read off the stream for Reader.
 type splitPDU interface {
-	encodeFixed(dst []byte) // dst has WireSize()-chSize-len(payloadRef()) bytes
+	PDU
+	fixedSize() int
+	encodeFixed(dst []byte) // dst has fixedSize() bytes
+	// decodeFixed parses src (fixedSize() bytes) and holds any length field
+	// in it to payload, the count of bytes that follow.
+	decodeFixed(src []byte, payload int) error
 	payloadRef() []byte
+	setPayload([]byte)
+}
+
+// decodeSplit decodes a data-bearing PDU whose whole body is in memory,
+// giving it a copy of the payload (nil when there is none).
+func decodeSplit(p splitPDU, src []byte) error {
+	n := p.fixedSize()
+	if len(src) < n {
+		return fmt.Errorf("proto: short %v body: %d", p.PDUType(), len(src))
+	}
+	if err := p.decodeFixed(src[:n], len(src)-n); err != nil {
+		return err
+	}
+	p.setPayload(append([]byte(nil), src[n:]...))
+	return nil
 }
 
 // AppendPDUHeader appends the encoding of p minus its trailing payload

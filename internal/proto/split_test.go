@@ -225,23 +225,3 @@ func TestReaderZeroAllocC2HDataSink(t *testing.T) {
 		t.Errorf("Reader.Next(C2HData via sink): %v allocs/op, want 0", allocs)
 	}
 }
-
-// TestSinkPooledMatchesPlainDecode: a stream mixing C2HData with other
-// PDU types decodes identically with and without a sink installed.
-func TestSinkPooledMatchesPlainDecode(t *testing.T) {
-	pdus := splitTestPDUs()
-	var wire []byte
-	for _, p := range pdus {
-		wire = AppendPDU(wire, p)
-	}
-	dst := make([]byte, 1<<16)
-	rd := NewReader(bytes.NewReader(wire), true)
-	rd.SetC2HSink(func(_ nvme.CID, _, length uint32) []byte { return dst[:length] })
-	for i, want := range pdus {
-		got, err := rd.Next()
-		if err != nil {
-			t.Fatalf("pdu %d: %v", i, err)
-		}
-		checkPDUEqual(t, got, want)
-	}
-}

@@ -55,7 +55,18 @@
 // synchronization either way.
 //
 // Payload buffers and hot-path PDU structs cycle through internal/proto's
-// pools on both sides of the socket.
+// pools on both sides of the socket. A write payload crosses user space
+// once on its way in: the connection's reader has proto.Reader parse the
+// 64-byte SQE out of its scratch and read the payload from the socket
+// into the pooled buffer that becomes CapsuleCmd.Data (what the 64 KiB
+// bufio.Reader had already buffered when the header arrived is copied out
+// of it; the rest is read straight into place), the session parks that
+// buffer with the request, the reactor copies it into the device —
+// bdev.Memory takes one lock per extent, none device-wide, so two shards
+// writing different extents never meet — and the request's completion
+// returns it to the pool. Reads mirror it: the device fills a pooled
+// buffer that rides the write vector by reference, and the host's reader
+// lands it in the caller's buffer through the C2HSink.
 package tcptrans
 
 import (

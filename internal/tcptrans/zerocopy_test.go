@@ -4,15 +4,19 @@ package tcptrans
 // larger than the target's MaxDataLen arrive as multiple C2HData
 // fragments and reassemble exactly; a hostile target pushing an
 // out-of-range C2HData offset gets its connection reset instead of
-// forcing a multi-gigabyte allocation.
+// forcing a multi-gigabyte allocation; a MaxDataLen write streams off the
+// socket into the device and reads back intact on every shard.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"nvmeopf/internal/bdev"
 	"nvmeopf/internal/hostqp"
 	"nvmeopf/internal/proto"
 	"nvmeopf/internal/targetqp"
@@ -175,4 +179,69 @@ func TestOverlappingC2HDataResetsConnection(t *testing.T) {
 	waitFor(t, "connection marked permanently failed", func() bool {
 		return c.Err() != nil && IsPermanent(c.Err())
 	})
+}
+
+// TestMaxDataLenWriteReadBackSharded: the largest payload the target
+// advertises, written and read back on both reactors of a two-shard server
+// over real sockets. A 1 MiB CapsuleCmd is streamed from the socket into a
+// pooled buffer by the connection's reader, copied into bdev.Memory by the
+// shard's reactor across an extent boundary, and comes back as one C2HData
+// through the client's sink; every block carries its connection, round and
+// LBA at both ends, so a misplaced, torn or recycled-too-early buffer shows.
+func TestMaxDataLenWriteReadBackSharded(t *testing.T) {
+	const bs, ioBlocks, rounds = 4096, 256, 4 // ioBlocks * bs == default MaxDataLen
+	dev, err := bdev.NewMemory(bs, 1<<14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Mode: targetqp.ModeOPF, Device: dev, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	stamp := func(buf []byte, conn, round int, lba uint64) {
+		for b := 0; b < len(buf); b += bs {
+			v := uint64(conn)<<56 | uint64(round)<<48 | (lba + uint64(b/bs))
+			binary.LittleEndian.PutUint64(buf[b:], v)
+			binary.LittleEndian.PutUint64(buf[b+bs-8:], ^v)
+		}
+	}
+	var wg sync.WaitGroup
+	for conn := 0; conn < 2; conn++ { // serial dials land on shards 0 and 1
+		c, err := Dial(srv.Addr(), hostqp.Config{
+			Class: proto.PrioThroughputCritical, Window: 2, QueueDepth: 4, NSID: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		wg.Add(1)
+		go func(conn int) {
+			defer wg.Done()
+			// Unaligned in the extent, so every command splits into two runs.
+			lba := uint64(conn)*4096 + 100
+			want := make([]byte, ioBlocks*bs)
+			for round := 1; round <= rounds; round++ {
+				stamp(want, conn, round, lba)
+				if err := c.Write(lba, want, 0); err != nil {
+					t.Errorf("conn %d round %d: write: %v", conn, round, err)
+					return
+				}
+				got, err := c.Read(lba, ioBlocks, 0)
+				if err != nil {
+					t.Errorf("conn %d round %d: read: %v", conn, round, err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("conn %d round %d: 1 MiB read-back differs from what was written", conn, round)
+					return
+				}
+			}
+		}(conn)
+	}
+	wg.Wait()
+	if got := dev.ExtentCount(); got != 4 {
+		t.Errorf("device materialised %d extents, want 4 (two straddled per connection)", got)
+	}
 }
