@@ -45,6 +45,19 @@ func IsNonBlocking(d Device) bool {
 	return ok && nb.NonBlocking()
 }
 
+// Adopter is implemented by a Device that can keep a write's buffer instead
+// of copying it — what a target whose payloads were received into buffers
+// of their own (the TCP transport's pooled ones) hands its writes to.
+// AdoptBlocks stores buf at lba exactly as WriteBlocks would and returns
+// the buffer the caller holds in buf's place: buf itself when the device
+// copied it, or, when the device kept buf, whatever it gave up for it —
+// possibly nil. The caller gives buf up either way; the returned buffer
+// shares no memory with anything the device still holds. Memory
+// implements it; File, which copies into the kernel anyway, does not.
+type Adopter interface {
+	AdoptBlocks(buf []byte, lba uint64) (owned []byte, err error)
+}
+
 // checkRange validates an access against device geometry.
 func checkRange(d Device, buf []byte, lba uint64) error {
 	bs := uint64(d.BlockSize())
@@ -58,15 +71,20 @@ func checkRange(d Device, buf []byte, lba uint64) error {
 	return nil
 }
 
-// Memory is a sparse in-memory Device. Blocks are materialized in
-// fixed-size extents on first write, so multi-terabyte namespaces cost
-// memory proportional to the touched footprint only.
+// Memory is a sparse in-memory Device, so multi-terabyte namespaces cost
+// memory proportional to the touched footprint only. Blocks are grouped at
+// two sizes:
 //
-// Nothing in it is device-wide: extents hang off a two-level table read
-// with atomic loads and filled in by compare-and-swap, and each extent
-// carries its own lock. A command is executed one extent run at a time —
-// the contiguous part of it that falls inside one extent, copied whole
-// under that extent's lock — so:
+//   - an extent (256 blocks) is the unit of the table and of locking:
+//     extents hang off a two-level table read with atomic loads and filled
+//     in by compare-and-swap, and each carries its own lock;
+//   - a chunk (128 KiB — at least one block, at most an extent) is the unit
+//     of storage: an extent's data is a row of separately allocated chunks,
+//     each created on its first write; a chunk never written reads as
+//     zeros.
+//
+// A command is executed one extent run at a time — the contiguous part of
+// it inside one extent, every chunk of it under that extent's lock — so:
 //
 //   - a block is never torn, and a command that stays inside one extent is
 //     atomic against every other command;
@@ -74,15 +92,28 @@ func checkRange(d Device, buf []byte, lba uint64) error {
 //     command may land between two of its runs), which is what NVMe
 //     promises a host that has not been given an AWUPF to lean on;
 //   - commands on different extents share no lock at all.
+//
+// WriteBlocks copies. AdoptBlocks (Adopter) does too, except for a buffer
+// that is exactly one aligned chunk with no spare capacity — a 128 KiB
+// write received into a 128 KiB buffer: that buffer becomes the chunk, in
+// one pointer swap under the extent's lock, and the chunk it replaced goes
+// back to the caller.
 type Memory struct {
-	blockSize uint32
-	numBlocks uint64
-	pages     []atomic.Pointer[extentPage] // extent index / pageExtents -> page
+	blockSize   uint32
+	numBlocks   uint64
+	chunkBlocks uint64                       // blocks per chunk; divides extentBlocks
+	pages       []atomic.Pointer[extentPage] // extent index / pageExtents -> page
 }
 
 const (
 	// extentBlocks is the number of blocks per sparse extent.
 	extentBlocks = 256
+	// chunkBytes is the storage unit inside an extent, and the size of a
+	// write AdoptBlocks keeps: 128 KiB, SPDK NVMe/TCP's default I/O unit and
+	// an exact size class of the proto buffer pool the replaced chunk goes
+	// back to. A device whose extent is smaller uses one chunk per extent;
+	// one whose block is larger, one block per chunk.
+	chunkBytes = 128 << 10
 	// pageExtents is the number of extent slots per table page: 8 KiB of
 	// pointers covering 2^18 blocks, which keeps the root of a 4 TiB
 	// namespace (2^30 blocks of 4 KiB) at 4096 pointers.
@@ -92,8 +123,8 @@ const (
 // extent is extentBlocks consecutive blocks and the lock that orders
 // commands on them.
 type extent struct {
-	mu   sync.RWMutex
-	data []byte // extentBlocks*blockSize bytes
+	mu     sync.RWMutex
+	chunks [][]byte // extentBlocks/chunkBlocks entries, nil until first written
 }
 
 type extentPage [pageExtents]atomic.Pointer[extent]
@@ -108,9 +139,10 @@ func NewMemory(blockSize uint32, numBlocks uint64) (*Memory, error) {
 	}
 	extents := (numBlocks-1)/extentBlocks + 1
 	return &Memory{
-		blockSize: blockSize,
-		numBlocks: numBlocks,
-		pages:     make([]atomic.Pointer[extentPage], (extents-1)/pageExtents+1),
+		blockSize:   blockSize,
+		numBlocks:   numBlocks,
+		chunkBlocks: min(max(chunkBytes/uint64(blockSize), 1), extentBlocks),
+		pages:       make([]atomic.Pointer[extentPage], (extents-1)/pageExtents+1),
 	}, nil
 }
 
@@ -137,10 +169,25 @@ func (m *Memory) extent(ext uint64, create bool) *extent {
 	slot := &pg[ext%pageExtents]
 	e := slot.Load()
 	if e == nil && create {
-		slot.CompareAndSwap(nil, &extent{data: make([]byte, extentBlocks*uint64(m.blockSize))})
+		slot.CompareAndSwap(nil, &extent{chunks: make([][]byte, extentBlocks/m.chunkBlocks)})
 		e = slot.Load()
 	}
 	return e
+}
+
+// extentRun returns the part of buf, an access starting at lba, that lies
+// inside lba's extent.
+func (m *Memory) extentRun(buf []byte, lba uint64) []byte {
+	return buf[:min(uint64(len(buf)), (extentBlocks-lba%extentBlocks)*uint64(m.blockSize))]
+}
+
+// chunkRun returns the part of buf, an access starting at lba, that lies
+// inside lba's chunk, that chunk's slot in extent e, and where in the chunk
+// the part starts.
+func (m *Memory) chunkRun(e *extent, buf []byte, lba uint64) (part []byte, chunk *[]byte, off uint64) {
+	bs := uint64(m.blockSize)
+	off = lba % m.chunkBlocks * bs
+	return buf[:min(uint64(len(buf)), m.chunkBlocks*bs-off)], &e.chunks[lba%extentBlocks/m.chunkBlocks], off
 }
 
 // ReadBlocks implements Device.
@@ -150,45 +197,84 @@ func (m *Memory) ReadBlocks(buf []byte, lba uint64) error {
 	}
 	bs := uint64(m.blockSize)
 	for len(buf) > 0 {
-		off := (lba % extentBlocks) * bs
-		run := buf[:min(uint64(len(buf)), extentBlocks*bs-off)]
-		if e := m.extent(lba/extentBlocks, false); e != nil {
-			e.mu.RLock()
-			copy(run, e.data[off:])
-			e.mu.RUnlock()
-		} else {
-			clear(run)
-		}
+		run := m.extentRun(buf, lba)
 		buf = buf[len(run):]
-		lba += uint64(len(run)) / bs
+		e := m.extent(lba/extentBlocks, false)
+		if e == nil {
+			clear(run)
+			lba += uint64(len(run)) / bs
+			continue
+		}
+		e.mu.RLock()
+		for len(run) > 0 {
+			part, c, off := m.chunkRun(e, run, lba)
+			if *c != nil {
+				copy(part, (*c)[off:])
+			} else {
+				clear(part)
+			}
+			run = run[len(part):]
+			lba += uint64(len(part)) / bs
+		}
+		e.mu.RUnlock()
 	}
 	return nil
 }
 
 // WriteBlocks implements Device.
 func (m *Memory) WriteBlocks(buf []byte, lba uint64) error {
+	_, err := m.write(buf, lba, false)
+	return err
+}
+
+// AdoptBlocks implements Adopter: a buffer that is exactly one aligned
+// chunk (len == cap == 128 KiB on a device of 4 KiB blocks) becomes that
+// chunk and the chunk it replaced is returned, nil if it was never written;
+// anything else is copied and buf is returned.
+func (m *Memory) AdoptBlocks(buf []byte, lba uint64) ([]byte, error) {
+	return m.write(buf, lba, true)
+}
+
+// write is the write loop behind WriteBlocks and AdoptBlocks. It returns
+// what the caller holds in buf's place: buf, unless donate is set and buf
+// is a whole chunk it may keep.
+func (m *Memory) write(buf []byte, lba uint64, donate bool) ([]byte, error) {
 	if err := checkRange(m, buf, lba); err != nil {
-		return err
+		return buf, err
 	}
 	bs := uint64(m.blockSize)
+	chunkLen := m.chunkBlocks * bs
+	adopt := donate && uint64(len(buf)) == chunkLen && cap(buf) == len(buf) && lba%m.chunkBlocks == 0
+	owned := buf
 	for len(buf) > 0 {
-		off := (lba % extentBlocks) * bs
-		run := buf[:min(uint64(len(buf)), extentBlocks*bs-off)]
+		run := m.extentRun(buf, lba)
+		buf = buf[len(run):]
 		e := m.extent(lba/extentBlocks, true)
 		e.mu.Lock()
-		copy(e.data[off:], run)
+		for len(run) > 0 {
+			part, c, off := m.chunkRun(e, run, lba)
+			if adopt { // part is all of buf
+				*c, owned = part, *c
+			} else {
+				if *c == nil {
+					*c = make([]byte, chunkLen)
+				}
+				copy((*c)[off:], part)
+			}
+			run = run[len(part):]
+			lba += uint64(len(part)) / bs
+		}
 		e.mu.Unlock()
-		buf = buf[len(run):]
-		lba += uint64(len(run)) / bs
 	}
-	return nil
+	return owned, nil
 }
 
 // Flush implements Device (no-op for memory).
 func (m *Memory) Flush() error { return nil }
 
 // NonBlocking implements NonBlocking: every operation is a bounded copy
-// under a lock held only for such copies.
+// (or a chunk's first allocation, or a pointer swap) under a lock held only
+// for such work.
 func (m *Memory) NonBlocking() bool { return true }
 
 // ExtentCount returns the number of materialized extents (test hook for
@@ -215,7 +301,6 @@ type File struct {
 	blockSize uint32
 	numBlocks uint64
 	f         *os.File
-	mu        sync.Mutex // serialize WriteAt/ReadAt pairs for sparse files
 }
 
 // OpenFile creates or opens a file-backed device of the given geometry,

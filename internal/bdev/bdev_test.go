@@ -148,20 +148,92 @@ func TestMemoryNewIsSparse(t *testing.T) {
 
 func TestMemoryCrossExtentWrite(t *testing.T) {
 	m, _ := NewMemory(512, 10_000)
-	// Write spanning an extent boundary (extentBlocks = 256).
+	// Four blocks, two on each side of the first extent boundary.
 	w := make([]byte, 512*4)
 	for i := range w {
 		w[i] = byte(i)
 	}
-	if err := m.WriteBlocks(w, 254); err != nil {
+	if err := m.WriteBlocks(w, extentBlocks-2); err != nil {
 		t.Fatal(err)
 	}
 	r := make([]byte, 512*4)
-	if err := m.ReadBlocks(r, 254); err != nil {
+	if err := m.ReadBlocks(r, extentBlocks-2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(r, w) {
 		t.Fatal("cross-extent round trip mismatch")
+	}
+}
+
+// TestMemoryAdoptBlocks walks the adoption rule on a device of 4 KiB
+// blocks: only a buffer of exactly one aligned 128 KiB chunk with no spare
+// capacity is kept, the first time in exchange for nothing, after that for
+// the chunk it replaces.
+func TestMemoryAdoptBlocks(t *testing.T) {
+	for _, g := range []struct {
+		bs     uint32
+		blocks uint64
+	}{{4096, 32}, {512, 256}, {64, 256}, {1 << 20, 1}} {
+		m, _ := NewMemory(g.bs, 1024)
+		if m.chunkBlocks != g.blocks {
+			t.Errorf("%d-byte blocks: %d blocks per chunk, want %d", g.bs, m.chunkBlocks, g.blocks)
+		}
+	}
+	if _, ok := Device(&File{}).(Adopter); ok {
+		t.Error("File implements Adopter")
+	}
+
+	m, _ := NewMemory(4096, 4*extentBlocks)
+	var dev Device = m
+	ad, ok := dev.(Adopter)
+	if !ok {
+		t.Fatal("Memory does not implement Adopter")
+	}
+	const chunk = chunkBytes
+	a, b := bytes.Repeat([]byte{1}, chunk), bytes.Repeat([]byte{2}, chunk)
+	lba := uint64(extentBlocks + 3*32) // the fourth chunk of the second extent
+	if owned, err := ad.AdoptBlocks(a, lba); err != nil || owned != nil {
+		t.Fatalf("adopting into a chunk never written returned %d bytes, %v; want nil", len(owned), err)
+	}
+	owned, err := ad.AdoptBlocks(b, lba)
+	if err != nil || len(owned) != chunk || &owned[0] != &a[0] {
+		t.Fatalf("second adoption returned %d bytes, %v; want the first buffer back", len(owned), err)
+	}
+	clear(owned) // the caller's now: the device must not see this
+	got := make([]byte, chunk+2*4096)
+	if err := m.ReadBlocks(got, lba-1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[4096:4096+chunk], b) || !bytes.Equal(got[:4096], make([]byte, 4096)) || !bytes.Equal(got[4096+chunk:], make([]byte, 4096)) {
+		t.Fatal("read around the adopted chunk: want zeros, the second buffer, zeros")
+	}
+
+	// Everything else is copied and handed straight back.
+	for _, c := range []struct {
+		name string
+		buf  []byte
+		lba  uint64
+	}{
+		{"misaligned", make([]byte, chunk), lba + 1},
+		{"spare capacity", make([]byte, chunk, chunk+4096), lba},
+		{"partial", make([]byte, chunk-4096), lba},
+		{"two chunks", make([]byte, 2*chunk), lba - 32},
+	} {
+		for i := range c.buf {
+			c.buf[i] = 3
+		}
+		owned, err := ad.AdoptBlocks(c.buf, c.lba)
+		if err != nil || len(owned) != len(c.buf) || &owned[0] != &c.buf[0] {
+			t.Fatalf("%s: AdoptBlocks returned %d bytes, %v; want the buffer back", c.name, len(owned), err)
+		}
+		clear(owned)
+		got := make([]byte, len(c.buf))
+		if err := m.ReadBlocks(got, c.lba); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{3}, len(got))) {
+			t.Fatalf("%s: copied write did not read back (%v)", c.name, err)
+		}
+	}
+	if owned, err := ad.AdoptBlocks(make([]byte, chunk), 4*extentBlocks); err == nil || len(owned) != chunk {
+		t.Fatalf("adoption past the end: %d bytes back, err %v; want the buffer and an error", len(owned), err)
 	}
 }
 
@@ -199,29 +271,37 @@ func TestMemoryConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMemoryModelProperty: long seeded runs of writes and reads behave
-// like a flat byte array. The geometry is twelve extents of which two are
-// never written, and the op mix forces unaligned starts and runs that
-// cross one and two extent boundaries, so every split in ReadBlocks and
-// WriteBlocks — first partial run, whole middle extent, last partial run,
-// a hole between written extents — is taken thousands of times.
+// TestMemoryModelProperty: long seeded runs of writes, adoptions and reads
+// behave like a flat byte array. The geometry is 48 extents of eight
+// chunks each, two extents never written, and the op mix forces unaligned
+// starts and runs that cross one and two extent boundaries, so every split
+// in ReadBlocks and the write loop — first partial run, whole middle
+// extent, last partial run, chunk boundary inside an extent, a hole
+// between written extents — is taken thousands of times. A third of the
+// writes go through AdoptBlocks: aligned whole chunks (kept, into a fresh
+// chunk or in place of an old one), chunk-sized buffers at a misaligned
+// LBA or with spare capacity, partial chunks, and the general mix (all
+// copied); whatever comes back is overwritten before the range is read
+// back.
 func TestMemoryModelProperty(t *testing.T) {
 	const (
 		bs      = 64
-		extents = 12
+		cb      = 32 // blocks per chunk, as on a device of 4 KiB blocks
+		extents = 48
 		nb      = extents*extentBlocks - 37 // the last extent is a partial one
 		ops     = 20_000
 	)
 	holes := map[uint64]bool{3: true, 9: true}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m, err := NewMemory(bs, nb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := make([]byte, bs*nb)
-		touched := map[uint64]bool{}
-		var crossed [3]int // ops by extent boundaries crossed: 0, 1, 2+
+		x := newMemModel(t, bs, nb, cb)
+		// Write contents are windows of a random pattern at byte offsets,
+		// so no two writes look alike and filling one costs a copy.
+		pattern := make([]byte, 4*extentBlocks*bs)
+		rng.Read(pattern)
+		touched, written := map[uint64]bool{}, map[uint64]bool{} // extents, chunks
+		var crossed [3]int                                       // ops by extent boundaries crossed: 0, 1, 2+
+		var misaligned, spareCap, partial int
 		buf := make([]byte, 3*extentBlocks*bs)
 		for i := 0; i < ops; i++ {
 			var blocks uint64
@@ -234,44 +314,68 @@ func TestMemoryModelProperty(t *testing.T) {
 				blocks = extentBlocks + 1 + uint64(rng.Intn(2*extentBlocks-1))
 			}
 			lba := uint64(rng.Int63n(nb))
+			var b []byte      // the payload when the shape picks its own buffer
+			op := rng.Intn(9) // 0-2 read, 3-6 WriteBlocks, 7-8 AdoptBlocks
+			if op >= 7 {
+				switch rng.Intn(5) {
+				case 0: // aligned whole chunk: kept
+					lba, blocks, b = uint64(rng.Int63n(nb/cb))*cb, cb, x.chunk()
+					if rng.Intn(2) == 0 { // into the next chunk never written, if one is left
+						for k := lba / cb; k < nb/cb; k++ {
+							if !written[k] && !holes[k*cb/extentBlocks] {
+								lba = k * cb
+								break
+							}
+						}
+					}
+				case 1: // a whole chunk's buffer across a chunk boundary
+					lba, blocks, b = uint64(rng.Int63n(nb/cb-1))*cb+1+uint64(rng.Int63n(cb-1)), cb, x.chunk()
+					misaligned++
+				case 2: // aligned chunk, but the buffer has room to spare
+					lba, blocks = uint64(rng.Int63n(nb/cb))*cb, cb
+					spareCap++
+				case 3: // part of a chunk
+					blocks = 1 + uint64(rng.Int63n(cb-1))
+					partial++
+				}
+			}
 			blocks = min(blocks, nb-lba)
 			first, last := lba/extentBlocks, (lba+blocks-1)/extentBlocks
-			write := rng.Intn(3) > 0
-			for e := first; e <= last && write; e++ {
-				write = !holes[e]
-			}
-			b := buf[:blocks*bs]
-			if write {
-				rng.Read(b)
-				if err := m.WriteBlocks(b, lba); err != nil {
-					t.Fatalf("seed %d op %d: %v", seed, i, err)
+			for e := first; e <= last && op >= 3; e++ {
+				if holes[e] {
+					op = 0
 				}
-				copy(model[lba*bs:], b)
+			}
+			if b == nil {
+				b = buf[:blocks*bs]
+			}
+			if op < 3 {
+				x.read(b, lba)
+				if &b[0] != &buf[0] { // a chunk buffer, turned into a read by a hole
+					x.spare = append(x.spare, b)
+				}
+			} else {
+				copy(b, pattern[rng.Intn(len(pattern)-len(b)+1):])
+				x.write(b, lba, op >= 7)
 				for e := first; e <= last; e++ {
 					touched[e] = true
 				}
-			} else {
-				if err := m.ReadBlocks(b, lba); err != nil {
-					t.Fatalf("seed %d op %d: %v", seed, i, err)
-				}
-				if !bytes.Equal(b, model[lba*bs:(lba+blocks)*bs]) {
-					t.Fatalf("seed %d op %d: read [%d,+%d) differs from the model", seed, i, lba, blocks)
+				for k := lba / cb; k <= (lba+blocks-1)/cb; k++ {
+					written[k] = true
 				}
 			}
 			crossed[min(last-first, 2)]++
 		}
-		got := make([]byte, bs*nb)
-		if err := m.ReadBlocks(got, 0); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, model) {
-			t.Fatalf("seed %d: device differs from the model after %d ops", seed, ops)
-		}
-		if len(touched) != extents-len(holes) || m.ExtentCount() != len(touched) {
-			t.Fatalf("seed %d: %d extents materialised, %d written, want %d", seed, m.ExtentCount(), len(touched), extents-len(holes))
+		x.verify()
+		if len(touched) != extents-len(holes) || x.m.ExtentCount() != len(touched) {
+			t.Fatalf("seed %d: %d extents materialised, %d written, want %d", seed, x.m.ExtentCount(), len(touched), extents-len(holes))
 		}
 		if crossed[1] < 1000 || crossed[2] < 300 {
 			t.Fatalf("seed %d: only %d one-boundary and %d two-boundary ops; the mix no longer tests the splits", seed, crossed[1], crossed[2])
+		}
+		if x.fresh < 15 || x.replaced < 200 || x.copied < 1000 || misaligned < 100 || spareCap < 100 || partial < 100 {
+			t.Fatalf("seed %d: adoptions kept %d into fresh chunks and %d in place of old ones, copied %d (%d misaligned, %d with spare capacity, %d partial); the mix no longer tests adoption",
+				seed, x.fresh, x.replaced, x.copied, misaligned, spareCap, partial)
 		}
 	}
 }
@@ -284,15 +388,16 @@ func TestMemoryModelProperty(t *testing.T) {
 // extent run of a command-sized range for one stamp throughout.
 func TestMemoryConcurrentWritersNeverTear(t *testing.T) {
 	const (
-		bs     = 512
-		cmd    = 16 // blocks per command
+		bs     = 4096 // 32-block chunks, eight to an extent
+		cmd    = 16   // blocks per command
 		rounds = 400
 	)
 	m, _ := NewMemory(bs, 8*extentBlocks)
 	// Each target is one command-sized range. Two writers share the first
-	// (inside extent 0), the next two sit alone on extents 2 and 3, and the
-	// last straddles the 4|5 boundary with two writers on it.
-	targets := []uint64{40, 2*extentBlocks + 7, 3 * extentBlocks, 5*extentBlocks - 5}
+	// (inside extent 0, across its first chunk boundary), the next two sit
+	// alone on extents 2 and 3, and the last straddles the 4|5 boundary with
+	// two writers on it.
+	targets := []uint64{24, 2*extentBlocks + 7, 3 * extentBlocks, 5*extentBlocks - 5}
 	writers := []int{0, 0, 1, 2, 3, 3}
 
 	stamp := func(buf []byte, v uint64) {
@@ -380,47 +485,161 @@ func TestMemoryConcurrentWritersNeverTear(t *testing.T) {
 	}
 }
 
+// TestMemoryAdoptNeverTears is the whole-chunk contract under the race
+// detector: adopters swapping their buffers into one 128 KiB chunk, a
+// copying writer of the same chunk, and readers of it never let a reader
+// see a torn block or two commands' blocks in one read — a whole-chunk
+// write is atomic whichever entry point took it. Each adopter stamps the
+// buffers adoption hands back and adopts them again, so a chunk the device
+// still held while its former owner scribbled on it would show up both as
+// a race report and as a stamp that changes under a reader.
+func TestMemoryAdoptNeverTears(t *testing.T) {
+	const (
+		bs     = 4096
+		cmd    = chunkBytes / bs
+		rounds = 300
+		lba    = extentBlocks + 2*cmd // one chunk, inside one extent
+	)
+	m, _ := NewMemory(bs, 4*extentBlocks)
+	stamp := func(buf []byte, v uint64) {
+		for b := 0; b < len(buf); b += bs {
+			binary.LittleEndian.PutUint64(buf[b:], v)
+			binary.LittleEndian.PutUint64(buf[b+bs-8:], v)
+		}
+	}
+	check := func(buf []byte) error {
+		first := binary.LittleEndian.Uint64(buf)
+		for b := 0; b < len(buf); b += bs {
+			head, tail := binary.LittleEndian.Uint64(buf[b:]), binary.LittleEndian.Uint64(buf[b+bs-8:])
+			if head != tail {
+				return fmt.Errorf("block %d torn: head %#x tail %#x", lba+b/bs, head, tail)
+			}
+			if head != first {
+				return fmt.Errorf("block %d carries %#x inside a chunk stamped %#x", lba+b/bs, head, first)
+			}
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ { // writers 0 and 1 adopt, writer 2 copies
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, chunkBytes)
+			for i := 1; i <= rounds; i++ {
+				stamp(buf, uint64(w+1)<<32|uint64(i))
+				if w == 2 {
+					if err := m.WriteBlocks(buf, lba); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				owned, err := m.AdoptBlocks(buf, lba)
+				if err != nil || (owned != nil && &owned[0] == &buf[0]) {
+					t.Errorf("writer %d round %d: aligned whole chunk not kept (%v)", w, i, err)
+					return
+				}
+				if buf = owned; buf == nil {
+					buf = make([]byte, chunkBytes)
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			buf := make([]byte, chunkBytes)
+			for {
+				if err := m.ReadBlocks(buf, lba); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := check(buf); err != nil { // all zeros until the first write lands
+					t.Error(err)
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	buf := make([]byte, chunkBytes)
+	if err := m.ReadBlocks(buf, lba); err != nil {
+		t.Fatal(err)
+	}
+	if err := check(buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint64(buf) & 0xFFFF_FFFF; got != rounds {
+		t.Fatalf("chunk ends on round %d, want %d", got, rounds)
+	}
+}
+
 // BenchmarkMemoryWriteParallel is the device leg of tc-write-128k on its
 // own: 128 KiB sequential writes, each goroutine inside its own 64 MiB
 // region, so no two ever share an extent. MB/s at 2 goroutines against 1
-// is what a device-wide lock caps at 1x and per-extent locks do not.
+// is what a device-wide lock caps at 1x and per-extent locks do not. The
+// copy variant goes through WriteBlocks; the adopt variant through
+// AdoptBlocks, each goroutine writing with the chunk the previous write
+// handed back — what the TCP target does with its pooled receive buffers.
 func BenchmarkMemoryWriteParallel(b *testing.B) {
 	const (
 		bs           = 4096
-		ioBlocks     = 32
+		ioBlocks     = chunkBytes / bs
 		regionBlocks = 64 << 20 / bs
 	)
-	for _, g := range []int{1, 2} {
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			m, _ := NewMemory(bs, uint64(g)*regionBlocks)
-			buf := make([]byte, ioBlocks*bs)
-			for w := 0; w < g; w++ { // materialise, so the timed part is copies
-				for lba := uint64(0); lba < regionBlocks; lba += extentBlocks {
-					if err := m.WriteBlocks(buf[:bs], uint64(w)*regionBlocks+lba); err != nil {
+	for _, adopt := range []bool{false, true} {
+		for _, g := range []int{1, 2} {
+			mode := "copy"
+			if adopt {
+				mode = "adopt"
+			}
+			b.Run(fmt.Sprintf("%s/goroutines=%d", mode, g), func(b *testing.B) {
+				m, _ := NewMemory(bs, uint64(g)*regionBlocks)
+				buf := make([]byte, ioBlocks*bs)
+				for lba := uint64(0); lba < m.NumBlocks(); lba += ioBlocks { // materialise every chunk, so the timed part is copies or swaps
+					if err := m.WriteBlocks(buf[:bs], lba); err != nil {
 						b.Fatal(err)
 					}
 				}
-			}
-			b.SetBytes(ioBlocks * bs)
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < g; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					buf := make([]byte, ioBlocks*bs)
-					base := uint64(w) * regionBlocks
-					for i := w; i < b.N; i += g {
-						lba := base + uint64(i/g)*ioBlocks%regionBlocks
-						if err := m.WriteBlocks(buf, lba); err != nil {
-							b.Error(err)
-							return
+				b.SetBytes(ioBlocks * bs)
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for w := 0; w < g; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						buf := make([]byte, ioBlocks*bs)
+						base := uint64(w) * regionBlocks
+						for i := w; i < b.N; i += g {
+							lba := base + uint64(i/g)*ioBlocks%regionBlocks
+							var err error
+							if adopt {
+								buf, err = m.AdoptBlocks(buf, lba)
+							} else {
+								err = m.WriteBlocks(buf, lba)
+							}
+							if err != nil {
+								b.Error(err)
+								return
+							}
 						}
-					}
-				}(w)
-			}
-			wg.Wait()
-		})
+					}(w)
+				}
+				wg.Wait()
+			})
+		}
 	}
 }
 

@@ -50,9 +50,11 @@ func (m Mode) String() string {
 
 // Backend abstracts the device under the target: the simulator SSD or a
 // bdev-backed executor. Submit hands over one command; done must be
-// invoked exactly once with the completion (and read data when the command
-// is a successful read). highPrio requests jump the device queue — the
-// LS bypass; baseline mode never sets it.
+// invoked exactly once with the completion and, besides it, the read data
+// of a successful read, or — for a write whose payload the backend kept —
+// the buffer to release in the payload's place (see Request.Complete).
+// highPrio requests jump the device queue — the LS bypass; baseline mode
+// never sets it.
 type Backend interface {
 	Submit(cmd nvme.Command, data []byte, highPrio bool, done func(cpl nvme.Completion, data []byte))
 	Namespace() nvme.Namespace
@@ -150,12 +152,13 @@ type Config struct {
 	TenantStride int
 	// PooledPayloads opts the target into the proto buffer/struct pools:
 	// inbound write payloads are treated as pool-owned (taken from the
-	// CapsuleCmd and released once the device completes), and outbound
-	// CapsuleResp/C2HData PDUs come from the struct pools with pooled read
-	// buffers, to be released by the send function after marshal. Only a
-	// transport whose send path honours that ownership contract (the TCP
-	// server) may set it; the simulator passes PDUs by reference and must
-	// leave it false.
+	// CapsuleCmd and released once the device completes — or, when the
+	// backend keeps one, the buffer it hands back is released instead), and
+	// outbound CapsuleResp/C2HData PDUs come from the struct pools with
+	// pooled read buffers, to be released by the send function after
+	// marshal. Only a transport whose send path honours that ownership
+	// contract (the TCP server) may set it; the simulator passes PDUs by
+	// reference and must leave it false.
 	PooledPayloads bool
 }
 
@@ -437,9 +440,14 @@ func (r *Request) Command() *nvme.Command { return &r.cmd }
 // Data returns the request's in-capsule (write) payload.
 func (r *Request) Data() []byte { return r.data }
 
-// Complete delivers the request's device completion (and read data when
-// the command is a successful read). The backend calls it exactly once; a
-// call on a request that has already completed is ignored.
+// Complete delivers the request's device completion. For a successful
+// read, data is the read data. For a write, nil data means the backend is
+// done with the payload, and non-nil data that it kept the payload (a
+// device that adopts whole-chunk writes, bdev.Adopter): data is then the
+// buffer to release in the payload's place — empty when there is nothing
+// to release — and the payload itself is never released by the target.
+// The backend calls Complete exactly once; a call on a request that has
+// already completed is ignored.
 func (r *Request) Complete(cpl nvme.Completion, data []byte) {
 	if s := r.sess; s != nil {
 		s.onDeviceCompletion(r, cpl.Status, data)
@@ -765,6 +773,11 @@ func (s *Session) execute(req *Request) {
 func (s *Session) onDeviceCompletion(req *Request, st nvme.Status, data []byte) {
 	t := s.target
 	tenant, cid := s.tenant, req.cmd.CID
+	if req.cmd.Opcode == nvme.OpWrite && data != nil {
+		// The backend kept the payload: what it handed back is released in
+		// its place, and is not read data.
+		req.data, data = data, nil
+	}
 	// The device command has just returned: this reading closes its
 	// service-latency sample, and whatever the completion releases below is
 	// dispatched at it.
@@ -840,7 +853,7 @@ func (s *Session) onDeviceCompletion(req *Request, st nvme.Status, data []byte) 
 	}
 	if t.cfg.PooledPayloads {
 		proto.PutBuf(data)     // read data that never went on the wire
-		proto.PutBuf(req.data) // write payload, durably applied by now
+		proto.PutBuf(req.data) // write payload, or what the backend gave for it
 		req.data = nil
 	}
 	t.putReq(req)

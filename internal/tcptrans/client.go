@@ -767,34 +767,23 @@ func (c *Conn) Read(lba uint64, blocks uint32, prio proto.Priority) ([]byte, err
 
 // Write stores data (a multiple of the namespace block size) synchronously.
 func (c *Conn) Write(lba uint64, data []byte, prio proto.Priority) error {
-	bs := c.BlockSize()
-	if bs == 0 {
-		// The handshake always learns a nonzero block size, so a zero here
-		// means the connection is closed or broken — report that instead
-		// of validating the payload against invented geometry.
-		if err := c.Err(); err != nil {
-			return fmt.Errorf("tcptrans: connection broken: %w", err)
-		}
-		return ErrClosed
+	// c.bs is the handshake's geometry, valid for the life of the
+	// connection; a closed or broken one is reported by do.
+	if len(data) == 0 || len(data)%int(c.bs) != 0 {
+		return fmt.Errorf("tcptrans: %d bytes is not a multiple of the %dB block size", len(data), c.bs)
 	}
-	if len(data) == 0 || len(data)%int(bs) != 0 {
-		return fmt.Errorf("tcptrans: %d bytes is not a multiple of the %dB block size", len(data), bs)
-	}
-	_, err := c.do(hostqp.IO{Op: nvme.OpWrite, LBA: lba, Blocks: uint32(len(data) / int(bs)), Data: data, Prio: prio})
+	_, err := c.do(hostqp.IO{Op: nvme.OpWrite, LBA: lba, Blocks: uint32(len(data) / int(c.bs)), Data: data, Prio: prio})
 	return err
 }
 
-// BlockSize returns the namespace block size discovered at handshake.
+// BlockSize returns the namespace block size discovered at handshake, 0
+// once the connection is closed. It does not wait for the reactor.
 func (c *Conn) BlockSize() uint32 {
-	ch := make(chan uint32, 1)
-	if !c.post(func() { ch <- c.sess.BlockSize() }) {
-		return 0
-	}
 	select {
-	case v := <-ch:
-		return v
 	case <-c.quit:
 		return 0
+	default:
+		return c.bs
 	}
 }
 

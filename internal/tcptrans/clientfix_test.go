@@ -1,8 +1,9 @@
 package tcptrans
 
 // Regression tests for the transport-edge bugs: the DialRetry busy-spin
-// when backoff is zero, the per-pump idle-timer churn, and Conn.Write
-// inventing a 4096-byte geometry on a closed connection.
+// when backoff is zero, the per-pump idle-timer churn, Conn.Write
+// inventing a 4096-byte geometry on a closed connection, and Conn.Write
+// waiting on the reactor for a block size it already had.
 
 import (
 	"errors"
@@ -137,6 +138,46 @@ func TestWriteClosedConnReportsError(t *testing.T) {
 	}
 	if !errors.Is(err, ErrClosed) && c.Err() == nil {
 		t.Errorf("Write on closed conn: %v is neither ErrClosed nor the connection error", err)
+	}
+}
+
+// TestBlockSizeDoesNotWaitForTheReactor: the block size is the
+// handshake's, read without a trip through the connection's reactor — so
+// it answers while the reactor is held busy, and Write, which sizes its
+// command with it, pays no extra reactor hand-off before the command is
+// queued.
+func TestBlockSizeDoesNotWaitForTheReactor(t *testing.T) {
+	srv, err := NewMemoryServer("127.0.0.1:0", targetqp.ModeOPF, 512, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr(), hostqp.Config{Window: 2, QueueDepth: 4, NSID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce() // before Close, which waits for the reactor
+	c.Defer(func() {
+		close(held)
+		<-release
+	})
+	<-held
+	got := make(chan uint32, 1)
+	go func() { got <- c.BlockSize() }()
+	select {
+	case bs := <-got:
+		if bs != 512 {
+			t.Fatalf("BlockSize() = %d, want 512", bs)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("BlockSize() waited for a reactor held busy")
+	}
+	releaseOnce()
+	if err := c.Write(0, make([]byte, 512), 0); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -319,6 +319,9 @@ type execBackend struct {
 	sh   *shard
 	nsid uint32
 	dev  bdev.Device
+	// adopt is dev, when it can keep a write's payload buffer instead of
+	// copying it; nil otherwise.
+	adopt bdev.Adopter
 	// inline: the device never blocks (it says so itself, and no service
 	// latency is injected), so the reactor runs its commands in place from
 	// the ready lists — no executor hand-off in either direction. Blocking
@@ -328,7 +331,8 @@ type execBackend struct {
 
 func newExecBackend(sh *shard, nsid uint32, dev bdev.Device) *execBackend {
 	cfg := &sh.srv.cfg
-	return &execBackend{sh: sh, nsid: nsid, dev: dev,
+	adopt, _ := dev.(bdev.Adopter)
+	return &execBackend{sh: sh, nsid: nsid, dev: dev, adopt: adopt,
 		inline: bdev.IsNonBlocking(dev) && cfg.ReadLatency == 0 && cfg.WriteLatency == 0}
 }
 
@@ -389,7 +393,11 @@ func (b *execBackend) run(j job) { j.req.Complete(b.execute(j.req.Command(), j.r
 
 // execute performs the device operation. Read buffers come from the
 // proto buffer pool; the completion path (or the drop path, for dead
-// sessions) returns them.
+// sessions) returns them. A write goes to an Adopter device as an
+// adoption: the payload is the request's pooled receive buffer, so when
+// the device keeps it (a whole-chunk write) nothing is copied, and what
+// the device handed back is returned as the completion's data for the
+// target to release in the payload's place (targetqp.Request.Complete).
 func (b *execBackend) execute(cmd *nvme.Command, data []byte) (nvme.Completion, []byte) {
 	dev := b.dev
 	ns := b.Namespace()
@@ -421,10 +429,20 @@ func (b *execBackend) execute(cmd *nvme.Command, data []byte) (nvme.Completion, 
 			cpl.Status = nvme.StatusDataXferError
 			return cpl, nil
 		}
-		if err := dev.WriteBlocks(data, cmd.SLBA); err != nil {
+		if b.adopt == nil {
+			if err := dev.WriteBlocks(data, cmd.SLBA); err != nil {
+				cpl.Status = nvme.StatusInternalError
+			}
+			return cpl, nil
+		}
+		owned, err := b.adopt.AdoptBlocks(data, cmd.SLBA)
+		if err != nil {
 			cpl.Status = nvme.StatusInternalError
 		}
-		return cpl, nil
+		if owned == nil {
+			owned = []byte{} // kept, with nothing to give back
+		}
+		return cpl, owned
 	case nvme.OpFlush:
 		if err := dev.Flush(); err != nil {
 			cpl.Status = nvme.StatusInternalError

@@ -61,12 +61,16 @@
 // into the pooled buffer that becomes CapsuleCmd.Data (what the 64 KiB
 // bufio.Reader had already buffered when the header arrived is copied out
 // of it; the rest is read straight into place), the session parks that
-// buffer with the request, the reactor copies it into the device —
+// buffer with the request, and the reactor hands it to the device. A
+// device that adopts (bdev.Adopter) keeps a buffer that is exactly one of
+// its chunks — bdev.Memory's 128 KiB, an aligned 128 KiB write — in a
+// pointer swap and hands back the chunk it replaced, which the request's
+// completion returns to the pool in the payload's place; any other write
+// is copied into the device and its buffer returned to the pool.
 // bdev.Memory takes one lock per extent, none device-wide, so two shards
-// writing different extents never meet — and the request's completion
-// returns it to the pool. Reads mirror it: the device fills a pooled
-// buffer that rides the write vector by reference, and the host's reader
-// lands it in the caller's buffer through the C2HSink.
+// writing different extents never meet. Reads mirror it: the device fills
+// a pooled buffer that rides the write vector by reference, and the host's
+// reader lands it in the caller's buffer through the C2HSink.
 package tcptrans
 
 import (

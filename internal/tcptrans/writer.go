@@ -76,9 +76,13 @@ type wbatch struct {
 	cuts     []int
 	payloads [][]byte
 	vec      net.Buffers
-	join     []byte
-	pending  []proto.PDU
-	bytes    int
+	// out is vec handed to a vectored write, which consumes the slice it
+	// is called on: a field, so the call does not move a local to the heap
+	// on every flush, and not vec itself, whose backing array is reused.
+	out     net.Buffers
+	join    []byte
+	pending []proto.PDU
+	bytes   int
 }
 
 // add stages one PDU.
@@ -130,7 +134,9 @@ func (b *wbatch) write(conn net.Conn) error {
 		}
 		_, err = conn.Write(b.join)
 	default:
-		_, err = vec.WriteTo(conn) // consumes the local header only
+		b.out = vec
+		_, err = b.out.WriteTo(conn)
+		b.out = nil
 	}
 	// Clear the saved entries so retired payloads are not pinned by the
 	// reused backing array until the next flush overwrites them.
