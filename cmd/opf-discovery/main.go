@@ -2,7 +2,7 @@
 // endpoint that tracks member liveness through TTL'd keep-alive
 // registrations and maintains the shard → primary/replica map under a
 // monotonic epoch. Targets register via opf-target's -discovery/-nqn/
-// -keepalive flags; hosts resolve subsystems with tcptrans.Discover,
+// -keepalive flags; hosts resolve subsystems with tcptrans.DiscoverCluster,
 // nvmeopf.DialDiscovered, or route replicated I/O with cluster.Dial.
 //
 // Usage:

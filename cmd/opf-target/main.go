@@ -193,7 +193,9 @@ func main() {
 				log.Printf("registered %q with discovery at %s (keep-alive %v, shards %v)",
 					*nqn, *discovery, *keepalive, shards)
 			}
-		} else if derr := tcptrans.RegisterRemote(*discovery, *nqn, srv.Addr(), m); derr != nil {
+		} else if _, derr := tcptrans.RegisterCluster(*discovery, proto.DiscRegister{
+			Entry: proto.DiscEntry{NQN: *nqn, Addr: srv.Addr(), Mode: uint8(m)},
+		}, nil); derr != nil {
 			log.Printf("discovery registration failed: %v", derr)
 		} else {
 			log.Printf("registered %q with discovery at %s", *nqn, *discovery)

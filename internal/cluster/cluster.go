@@ -72,8 +72,8 @@ type Config struct {
 // whenever the map hands the role to a different target.
 type shardConn struct {
 	mu         sync.Mutex
-	primary    *tcptrans.ResilientClient
-	replica    *tcptrans.ResilientClient
+	primary    *tcptrans.Conn
+	replica    *tcptrans.Conn
 	replicaNQN string // NQN the current replica client was built for
 }
 
@@ -290,7 +290,7 @@ func (c *Client) dialCfg(shard int, replica bool) tcptrans.DialConfig {
 }
 
 // ensurePrimary returns the shard's primary client, dialing on first use.
-func (c *Client) ensurePrimary(shard int) (*tcptrans.ResilientClient, error) {
+func (c *Client) ensurePrimary(shard int) (*tcptrans.Conn, error) {
 	sc := c.shards[shard]
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -301,17 +301,17 @@ func (c *Client) ensurePrimary(shard int) (*tcptrans.ResilientClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc, err := tcptrans.DialResilient(addr, c.cfg.Conn, c.dialCfg(shard, false))
+	conn, err := tcptrans.DialWith(addr, c.cfg.Conn, c.dialCfg(shard, false))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial shard %d primary: %w", shard, err)
 	}
-	sc.primary = rc
-	return rc, nil
+	sc.primary = conn
+	return conn, nil
 }
 
 // ensureReplica returns the shard's replica client, dialing on first use.
 // (nil, nil) means the shard is knowingly unreplicated in the held map.
-func (c *Client) ensureReplica(shard int) (*tcptrans.ResilientClient, error) {
+func (c *Client) ensureReplica(shard int) (*tcptrans.Conn, error) {
 	sc := c.shards[shard]
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -325,25 +325,26 @@ func (c *Client) ensureReplica(shard int) (*tcptrans.ResilientClient, error) {
 	if err != nil {
 		return nil, nil // role vanished since reconciliation: unreplicated
 	}
-	rc, err := tcptrans.DialResilient(addr, c.cfg.Conn, c.dialCfg(shard, true))
+	conn, err := tcptrans.DialWith(addr, c.cfg.Conn, c.dialCfg(shard, true))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial shard %d replica: %w", shard, err)
 	}
-	sc.replica = rc
+	sc.replica = conn
 	sc.replicaNQN = nqn
-	return rc, nil
+	return conn, nil
 }
 
-// submit issues one asynchronous I/O on a resilient client, folding a
-// non-OK device status into the error and delivering exactly one value.
-func submit(rc *tcptrans.ResilientClient, io hostqp.IO, errs chan<- error) {
-	err := rc.Submit(io, func(r hostqp.Result, err error) {
+// submit issues one asynchronous I/O, folding a non-OK device status into
+// the error and delivering exactly one value.
+func submit(c *tcptrans.Conn, io hostqp.IO, errs chan<- error) {
+	io.Done = func(r hostqp.Result) {
+		err := r.Err
 		if err == nil && !r.Status.OK() {
 			err = fmt.Errorf("cluster: I/O failed: %v", r.Status)
 		}
 		errs <- err
-	})
-	if err != nil {
+	}
+	if err := c.Submit(io); err != nil {
 		errs <- err
 	}
 }

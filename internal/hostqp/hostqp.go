@@ -126,6 +126,11 @@ type Result struct {
 	Data        []byte
 	SubmittedAt int64 // clock value at submission
 	CompletedAt int64 // clock value at application-visible completion
+	// Err is non-nil exactly when the request ended without a device
+	// status: it never reached a completion because its connection was
+	// lost or closed (FailAll's cause), or a transport's recovery policy
+	// gave up on it. Status is then StatusAborted (or the local rejection).
+	Err error
 }
 
 // Latency returns the request's end-to-end latency in clock units.
@@ -156,8 +161,8 @@ type IO struct {
 	// even if the original may have executed (e.g. a whole-block write of
 	// self-contained content). Reads and flushes are always idempotent;
 	// writes are replayed after a connection loss only when the caller
-	// sets this. Only the recovery layer (tcptrans.ResilientClient)
-	// consults it.
+	// sets this. Only a transport's recovery policy (tcptrans
+	// DialConfig.Recovery) consults it.
 	Idempotent bool
 	// Done receives the completion. It runs on the session's event
 	// context (the simulator loop or the transport reader goroutine).
@@ -766,7 +771,8 @@ func (s *Session) OldestSubmittedAt() (ts int64, ok bool) {
 	return ts, ok
 }
 
-// FailAll completes every in-flight request with status st, releases all
+// FailAll completes every in-flight request with StatusAborted and cause
+// as Result.Err, releases all
 // CIDs, clears the PM pending queue, and marks the session disconnected
 // so no further submissions are accepted. Transports call it when the
 // connection dies (read error, request deadline, teardown) so no Done
@@ -775,7 +781,7 @@ func (s *Session) OldestSubmittedAt() (ts int64, ok bool) {
 // determinism. Lent read buffers are dropped, not recycled: the peer never
 // acknowledged these reads, so the transport's reader may still be landing
 // bytes in them.
-func (s *Session) FailAll(st nvme.Status) int {
+func (s *Session) FailAll(cause error) int {
 	s.connected = false
 	s.pm.DropPending()
 	now := s.clock()
@@ -798,9 +804,10 @@ func (s *Session) FailAll(st nvme.Status) int {
 			s.cfg.Trace(telemetry.Event{Stage: telemetry.StageComplete, Tenant: s.tenant, CID: cid, Prio: req.prio, Aux: now - req.submittedAt})
 		}
 		req.io.Done(Result{
-			Status:      st,
+			Status:      nvme.StatusAborted,
 			SubmittedAt: req.submittedAt,
 			CompletedAt: now,
+			Err:         cause,
 		})
 	}
 	return failed

@@ -357,13 +357,14 @@ func TestFailAllReleasesEverything(t *testing.T) {
 	if h.sess.Outstanding() != 3 || h.sess.PendingTC() != 3 {
 		t.Fatalf("outstanding=%d pendingTC=%d before FailAll", h.sess.Outstanding(), h.sess.PendingTC())
 	}
-	n := h.sess.FailAll(nvme.StatusAborted)
+	cause := errors.New("link lost")
+	n := h.sess.FailAll(cause)
 	if n != 3 || len(results) != 3 {
 		t.Fatalf("FailAll failed %d requests, %d callbacks ran; want 3", n, len(results))
 	}
 	for _, r := range results {
-		if r.Status != nvme.StatusAborted {
-			t.Fatalf("failed request status %v, want aborted", r.Status)
+		if r.Status != nvme.StatusAborted || r.Err != cause {
+			t.Fatalf("failed request status %v err %v, want aborted with the cause", r.Status, r.Err)
 		}
 	}
 	if h.sess.Outstanding() != 0 {
@@ -386,7 +387,7 @@ func TestFailAllReleasesEverything(t *testing.T) {
 func TestFailAllIdleSession(t *testing.T) {
 	h := newHarness(t, tcConfig(4, 8))
 	h.connect(t, 1)
-	if n := h.sess.FailAll(nvme.StatusAborted); n != 0 {
+	if n := h.sess.FailAll(errors.New("link lost")); n != 0 {
 		t.Fatalf("idle FailAll failed %d requests", n)
 	}
 	if h.sess.Connected() {
@@ -637,7 +638,7 @@ func TestReadBufferHooksLifecycle(t *testing.T) {
 	// read, then kill the session.
 	_ = h.sess.Submit(IO{Op: nvme.OpRead, LBA: 8, Blocks: 1, Done: func(Result) {}})
 	readCID := h.lastCmd(t).Cmd.CID
-	h.sess.FailAll(nvme.StatusAborted)
+	h.sess.FailAll(errors.New("link lost"))
 	if retired[readCID] != 1 {
 		t.Fatalf("FailAll did not retire the in-flight read (retired=%d)", retired[readCID])
 	}

@@ -6,6 +6,7 @@ package hostqp
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -117,11 +118,11 @@ func TestLentReadBufferRecycledOnlyOnCompletion(t *testing.T) {
 	if len(h.sess.freeBufs) != 0 {
 		t.Fatalf("free list holds %d buffers with both lent out", len(h.sess.freeBufs))
 	}
-	if n := h.sess.FailAll(nvme.StatusAborted); n != 2 || len(failed) != 2 {
+	if n := h.sess.FailAll(errors.New("link lost")); n != 2 || len(failed) != 2 {
 		t.Fatalf("FailAll failed %d requests, %d callbacks ran", n, len(failed))
 	}
 	for _, r := range failed {
-		if r.Status.OK() || r.Data != nil {
+		if r.Status.OK() || r.Err == nil || r.Data != nil {
 			t.Fatalf("failed read delivered status %v and %d bytes", r.Status, len(r.Data))
 		}
 	}

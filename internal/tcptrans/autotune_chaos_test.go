@@ -76,7 +76,7 @@ func TestAutotuneChaosAdaptsAcrossReplay(t *testing.T) {
 
 	// Victim: a resilient TC connection through faultnet, killed mid-flight.
 	inj := faultnet.NewInjector(7)
-	rc, err := DialResilient(srv.Addr(), hostqp.Config{
+	rc, err := DialWith(srv.Addr(), hostqp.Config{
 		Class: proto.PrioThroughputCritical, Window: 4, QueueDepth: 8, NSID: 1,
 	}, DialConfig{
 		RequestTimeout: 2 * time.Second,
@@ -101,14 +101,16 @@ func TestAutotuneChaosAdaptsAcrossReplay(t *testing.T) {
 			err := rc.Submit(hostqp.IO{
 				Op: nvme.OpWrite, LBA: uint64(i), Blocks: 1,
 				Data: chaosPayload(i, 4096), Idempotent: true,
-			}, func(r hostqp.Result, err error) {
-				counts[i].Add(1)
-				if err != nil || !r.Status.OK() {
-					mu.Lock()
-					failures = append(failures, fmt.Sprintf("op %d: status=%v err=%v", i, r.Status, err))
-					mu.Unlock()
-				}
-				completed.Add(1)
+				Done: func(r hostqp.Result) {
+					err := r.Err
+					counts[i].Add(1)
+					if err != nil || !r.Status.OK() {
+						mu.Lock()
+						failures = append(failures, fmt.Sprintf("op %d: status=%v err=%v", i, r.Status, err))
+						mu.Unlock()
+					}
+					completed.Add(1)
+				},
 			})
 			if err != nil {
 				t.Fatalf("submit %d: %v", i, err)

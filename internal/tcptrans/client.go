@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nvmeopf/internal/hostqp"
@@ -31,8 +32,9 @@ type DialConfig struct {
 	// outstanding (default 30s, the Linux nvme-tcp io-timeout default; <0
 	// disables). A request exceeding it does not fail alone: like the
 	// kernel initiator, the timeout escalates to a connection reset —
-	// every outstanding request fails with StatusAborted and its CID is
-	// released, so queue-pair depth cannot leak to a wedged target.
+	// every outstanding request fails with StatusAborted and the reset's
+	// cause in Result.Err, and its CID is released, so queue-pair depth
+	// cannot leak to a wedged target.
 	RequestTimeout time.Duration
 	// Dialer optionally replaces net.Dial (fault injection wraps the
 	// socket here; see internal/faultnet.Dialer).
@@ -60,16 +62,17 @@ type DialConfig struct {
 	// appears on the wire and the session skips e2e accumulation, so
 	// behavior is bit-identical to a build without it.
 	TelemetryInterval time.Duration
-	// Recovery opts the connection into transparent reconnect + replay:
-	// DialResilient returns a ResilientClient that re-dials after a
-	// connection death and resubmits eligible requests instead of
-	// surfacing every failure to the caller. Nil (the default) keeps the
-	// plain fail-fast Conn semantics.
+	// Recovery is the connection's policy when its socket dies. Nil (the
+	// default) fails fast: every outstanding request completes with the
+	// cause in Result.Err and later submissions are refused the same way.
+	// Set, the same Conn re-dials in the background and resubmits what the
+	// policy allows — the replayed requests re-enter the reactor's backlog
+	// in order — instead of surfacing the loss to the caller.
 	Recovery *RecoveryConfig
 }
 
-// RecoveryConfig tunes a ResilientClient. The zero value of each field
-// selects the default documented on it.
+// RecoveryConfig is a Conn's reconnect-and-replay policy. The zero value
+// of each field selects the default documented on it.
 type RecoveryConfig struct {
 	// MaxAttempts bounds each reconnect's dial loop (default 8); the
 	// backoff policy is DialRetry's (exponential, 32× cap, jitter).
@@ -154,33 +157,47 @@ func (d DialConfig) withDefaults() DialConfig {
 
 // Conn is one initiator connection to a TCP target. Submissions from any
 // goroutine are serialized onto the connection's reactor, which owns the
-// hostqp session. Synchronous helpers (Read/Write/Flush) block the caller
-// until the request completes; Submit is the asynchronous primitive.
+// hostqp session. Synchronous helpers (Read/Write/Flush/Do) block the
+// caller until the request completes; Submit is the asynchronous
+// primitive.
 //
-// Three goroutines serve a connection — reader, reactor, writer — joined
-// by burstQueues: submitters and the reader post to the reactor's run
-// queue, the reactor stages what a burst produced and hands it to the
-// writer once. Each hand-off costs one lock and at most one wake per
-// burst, never one per request.
+// Three goroutines serve a socket — reader, reactor, writer — joined by
+// burstQueues: submitters and the reader post to the reactor's run queue,
+// the reactor stages what a burst produced and hands it to the writer
+// once. Each hand-off costs one lock and at most one wake per burst, never
+// one per request.
+//
+// The reactor, its run queue and its backlog belong to the Conn; the
+// socket, session, reader and writer belong to a link, which is what a
+// reconnect under DialConfig.Recovery replaces.
 type Conn struct {
-	conn      net.Conn
-	sess      *hostqp.Session
+	addr      string // what the next dial goes to (the Resolver may move it)
+	cfg       hostqp.Config
+	dcfg      DialConfig
+	rcfg      *RecoveryConfig // nil: fail fast
 	tel       *telemetry.Registry
-	q         burstQueue[cliEvent]  // the reactor's run queue
-	out       burstQueue[proto.PDU] // the writer's queue; the reactor produces
+	q         burstQueue[cliEvent] // the reactor's run queue
 	quit      chan struct{}
-	dead      chan struct{} // closed when the transport breaks
+	dead      chan struct{} // closed when a fail-fast connection breaks
 	wg        sync.WaitGroup
-	mu        sync.Mutex
-	closed    bool
-	connErr   error
 	closeOnce sync.Once
-	netOnce   sync.Once
-	netErr    error
+	closed    atomic.Bool
+
+	mu  sync.Mutex
+	err error // Err's answer, written by the reactor
+
+	// bs is the namespace block size of the latest handshake; an outage
+	// keeps it (Read and Write size their commands with it).
+	bs         atomic.Uint32
+	reconnects atomic.Int64
 
 	// Owned by the reactor.
+	ln   *link
+	sess *hostqp.Session // ln's session
+	// connErr is why ln is down; nil while it is handshaking or up.
+	connErr  error
 	waiting  []hostqp.IO // submissions beyond the queue depth, FIFO
-	staged   []proto.PDU // the current burst's output, not yet in out
+	staged   []proto.PDU // the current burst's output, not yet in ln.out
 	idle     *time.Timer // tail-flush timer (see armIdleDrain)
 	idleOn   bool        // idle is armed and has not fired
 	lastPump int64       // now, when the reactor last pumped with a TC window open
@@ -188,6 +205,27 @@ type Conn struct {
 	// reactor reads it once per burst, and the session's clock, the
 	// request-deadline sweep and the idle-drain timer all go by it.
 	now int64
+
+	// Recovery state, owned by the reactor (see recovery.go).
+	dialing    bool       // a redial is in progress
+	replaying  bool       // failAll is failing in-flight requests of a lost link
+	parked     []parkedIO // busy rejections waiting out BusyBackoff, by due time
+	retry      *time.Timer
+	retryOn    bool
+	owed       int64 // resubmissions not yet counted in telemetry
+	tokens     int
+	lastRefill int64
+}
+
+// link is one socket's worth of a Conn: the part a reconnect replaces.
+type link struct {
+	nc      net.Conn
+	out     burstQueue[proto.PDU] // the writer's queue; the reactor produces
+	wg      sync.WaitGroup        // reader and writer
+	up      chan error            // the handshake's outcome, sent once
+	settled bool                  // up was sent (reactor-owned)
+	netOnce sync.Once
+	netErr  error
 
 	// readBufs registers each in-flight read's destination buffer under
 	// its CID, one slot per CID of the queue depth (written by the reactor
@@ -197,10 +235,21 @@ type Conn struct {
 	// slot and falls back to the pooled, bounded path.
 	readMu   sync.Mutex
 	readBufs [][]byte
+}
 
-	// bs is the namespace block size, set by the handshake before DialWith
-	// returns and constant afterwards (Read sizes its buffers with it).
-	bs uint32
+// close closes the socket exactly once, from whichever path gets there
+// first (writer error, request-timeout escalation, failAll).
+func (ln *link) close() {
+	ln.netOnce.Do(func() { ln.netErr = ln.nc.Close() })
+}
+
+// settle reports the handshake's outcome to the dial waiting for it, once.
+// Runs on the reactor.
+func (ln *link) settle(err error) {
+	if !ln.settled {
+		ln.settled = true
+		ln.up <- err
+	}
 }
 
 // cliEvent is one entry of a connection's run queue: a submission (io.Done
@@ -209,12 +258,6 @@ type cliEvent struct {
 	io  hostqp.IO
 	pdu proto.PDU
 	fn  func()
-}
-
-// netClose closes the socket exactly once, from whichever path gets
-// there first (writer error, request-timeout escalation, failAll, Close).
-func (c *Conn) netClose() {
-	c.netOnce.Do(func() { c.netErr = c.conn.Close() })
 }
 
 // idleDrainDelay bounds how long a partial throughput-critical window may
@@ -232,160 +275,60 @@ func Dial(addr string, cfg hostqp.Config) (*Conn, error) {
 	return DialWith(addr, cfg, DialConfig{})
 }
 
-// DialWith is Dial with explicit transport timeouts and an optional
-// custom dialer.
+// DialWith is Dial with explicit transport timeouts, an optional custom
+// dialer, and an optional recovery policy. It returns once the first
+// handshake completes: a target that is down at start-up fails the dial
+// whatever the policy.
 func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
-	dcfg = dcfg.withDefaults()
-	nc, err := dcfg.Dialer("tcp", addr)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	dcfg = dcfg.withDefaults()
 	c := &Conn{
-		conn: nc,
-		tel:  cfg.Telemetry,
-		quit: make(chan struct{}),
-		dead: make(chan struct{}),
+		addr:    addr,
+		cfg:     cfg,
+		dcfg:    dcfg,
+		tel:     cfg.Telemetry,
+		quit:    make(chan struct{}),
+		dead:    make(chan struct{}),
+		connErr: ErrClosed, // no link yet
+		dialing: true,      // the first dial below
+	}
+	if dcfg.Recovery != nil {
+		r := dcfg.Recovery.withDefaults()
+		c.rcfg = &r
+		c.tokens = r.Budget
 	}
 	c.now = time.Now().UnixNano()
+	c.lastRefill = c.now
 	c.q.init()
-	c.out.init()
-	// The read-buffer hooks are transport-owned: the session announces
-	// each read's destination before the command hits the wire and retires
-	// it when the request leaves the pending set, so the reader's sink
-	// below can land C2HData payloads with no staging copy.
-	// The session hands out CIDs below its queue depth only, so both hooks
-	// index in range.
-	cfg.OnReadBuffer = func(cid nvme.CID, buf []byte) {
-		c.readMu.Lock()
-		c.readBufs[cid] = buf
-		c.readMu.Unlock()
-	}
-	cfg.OnReadRetire = func(cid nvme.CID) {
-		c.readMu.Lock()
-		c.readBufs[cid] = nil
-		c.readMu.Unlock()
-	}
-	// The session's output is staged on the reactor and published by
-	// flush, once per burst.
-	sess, err := hostqp.New(cfg, func(p proto.PDU) { c.staged = append(c.staged, p) },
-		func() int64 { return c.now })
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	c.sess = sess
-	c.readBufs = make([][]byte, cfg.QueueDepth) // validated by hostqp.New
-	if dcfg.TelemetryInterval > 0 {
-		// Attach the accumulator before any goroutine can touch the
-		// session; the emission ticker starts below.
-		sess.EnableE2E()
-	}
-
-	// Writer: stages queued PDUs into vectored batches (the same drain
-	// helper as the server side) — headers into a reused buffer, large
-	// write payloads referenced in place — and flushes each batch with
-	// one (scatter-gather) write. Flushed structs recycle afterwards;
-	// write payloads stay caller-owned, only the reference is dropped.
-	// The writer gets the raw conn so writev is not defeated by a
-	// wrapper type; socket teardown stays on the once-only netClose path
-	// via closeConn.
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		drainWriter(nc, &c.out, writerConfig{
-			batch:         dcfg.WriteBatchBytes,
-			coalesceBytes: dcfg.CoalesceBytes,
-			coalesceDelay: dcfg.CoalesceDelay,
-			release:       releaseClientPDU,
-			closeConn:     c.netClose,
-		})
-	}()
-	// Reactor: owns the session.
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		c.run()
 	}()
-	// Reader: a pooling decoder with a zero-copy sink — C2HData payloads
-	// for registered reads are written from the socket directly into the
-	// request's destination buffer at Offset (no pool staging, no copy),
-	// with out-of-range offsets and unknown CIDs declined here (bounded
-	// pooled fallback) and rejected by the session as protocol errors.
-	// Response structs still come from the proto pools and are released
-	// right after the session consumes them, so the receive hot path is
-	// allocation-free. Everything the socket delivered at once reaches the
-	// reactor in one post.
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		// Buffered socket reads: the zero-copy sink splits each C2HData
-		// into header/PSH/payload reads, so without buffering every data
-		// PDU would cost an extra read syscall. With the buffer, headers
-		// come from memory and payload reads drain the buffer before
-		// falling through to direct reads into the destination.
-		rd := proto.NewReader(bufio.NewReaderSize(nc, 64<<10), true)
-		rd.SetC2HSink(func(cid nvme.CID, off, n uint32) []byte {
-			var buf []byte
-			c.readMu.Lock()
-			if int(cid) < len(c.readBufs) {
-				buf = c.readBufs[cid]
-			}
-			c.readMu.Unlock()
-			if end := uint64(off) + uint64(n); buf == nil || end > uint64(len(buf)) {
-				return nil
-			}
-			return buf[off : off+n]
-		})
-		burst := make([]cliEvent, 0, maxBurst)
-		for {
-			p, err := rd.Next()
-			if err == nil {
-				// burst[len:cap] is zeroed (cleared after every post) and
-				// len < maxBurst here, so the next event is claimed in
-				// place rather than built and copied in.
-				burst = burst[:len(burst)+1]
-				burst[len(burst)-1].pdu = p
-				if len(burst) < maxBurst && rd.Ready() {
-					continue
-				}
-			} else {
-				// After what was decoded before it, the error.
-				burst = append(burst, cliEvent{fn: func() { c.failAll(fmt.Errorf("tcptrans: read: %w", err)) }})
-			}
-			if !c.q.put(laneNormal, burst...) {
-				for i := range burst {
-					proto.ReleaseInbound(burst[i].pdu)
-				}
-				return
-			}
-			clear(burst)
-			burst = burst[:0]
-			if err != nil {
-				return
-			}
-		}
-	}()
+	if err := c.connect(addr); err != nil {
+		c.Close()
+		return nil, err
+	}
+	c.post(func() { c.redialed(nil) })
+
 	// Request-deadline sweeper: if the oldest outstanding request exceeds
 	// RequestTimeout, reset the connection (all CIDs fail and release via
 	// failAll) rather than waiting on a wedged or partitioned target.
 	if dcfg.RequestTimeout > 0 {
-		period := dcfg.RequestTimeout / 4
-		if period < time.Millisecond {
-			period = time.Millisecond
-		}
+		period := max(dcfg.RequestTimeout/4, time.Millisecond)
 		c.every(period, func() {
 			ts, ok := c.sess.OldestSubmittedAt()
 			if !ok {
 				return
 			}
 			if age := c.now - ts; age > int64(dcfg.RequestTimeout) {
-				c.netClose()
 				c.failAll(fmt.Errorf("tcptrans: request timeout: oldest outstanding request %v old (limit %v)",
 					time.Duration(age), dcfg.RequestTimeout))
 			}
 		})
 	}
-
 	// Telemetry cadence: on each tick the reactor snapshots the session's
 	// e2e deltas into one TelemetryUpdate and queues it on the writer.
 	// Heartbeat updates (no new samples) still go out — they refresh the
@@ -397,38 +340,179 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 			}
 		})
 	}
-
-	// Handshake.
-	connected := make(chan error, 1)
-	c.post(func() {
-		sess.OnConnect(func() {
-			c.bs = sess.BlockSize()
-			connected <- nil
-		})
-		sess.Start()
-	})
-	select {
-	case <-connected:
-	case <-c.dead:
-		// The target rejected or dropped us: fail now with the real
-		// error instead of sitting out the timeout. connErr is written on
-		// the reactor before dead is closed, so this read is safe.
-		err := c.connErr
-		c.Close()
-		return nil, fmt.Errorf("tcptrans: handshake failed: %w", err)
-	case <-time.After(dcfg.HandshakeTimeout):
-		c.Close()
-		c.tel.IncTransportError()
-		return nil, fmt.Errorf("tcptrans: handshake timeout after %v", dcfg.HandshakeTimeout)
-	}
 	return c, nil
 }
 
-// every runs fn on the reactor each period while the connection is
-// healthy, from a goroutine that ends with the connection.
+// connect dials addr and runs the handshake on the reactor, returning once
+// it has completed or failed. A failed link's reader and writer have
+// exited by the time it returns, so nothing of it can reach the reactor
+// after a later link is installed. Runs off the reactor: the dial blocks.
+func (c *Conn) connect(addr string) error {
+	nc, err := c.dcfg.Dialer("tcp", addr)
+	if err != nil {
+		return err
+	}
+	ln := &link{nc: nc, up: make(chan error, 1)}
+	ln.out.init()
+	ln.wg.Add(2) // install starts the reader and the writer, or stands in for them
+	if !c.post(func() { c.install(ln) }) {
+		nc.Close()
+		return ErrClosed
+	}
+	timeout := time.AfterFunc(c.dcfg.HandshakeTimeout, func() {
+		c.post(func() {
+			if c.ln == ln && c.connErr == nil && !c.sess.Connected() {
+				c.failAll(fmt.Errorf("tcptrans: handshake timeout after %v", c.dcfg.HandshakeTimeout))
+			}
+		})
+	})
+	err = <-ln.up
+	timeout.Stop()
+	if err != nil {
+		ln.wg.Wait()
+		return fmt.Errorf("tcptrans: handshake failed: %w", err)
+	}
+	return nil
+}
+
+// install makes ln the connection's link — a fresh session, its writer and
+// reader — and sends the ICReq. Runs on the reactor.
+func (c *Conn) install(ln *link) {
+	if c.closed.Load() {
+		ln.close()
+		ln.wg.Done()
+		ln.wg.Done()
+		ln.settle(ErrClosed)
+		return
+	}
+	// The read-buffer hooks are transport-owned: the session announces
+	// each read's destination before the command hits the wire and retires
+	// it when the request leaves the pending set, so the reader's sink can
+	// land C2HData payloads with no staging copy. The session hands out
+	// CIDs below its queue depth only, so both hooks index in range.
+	ln.readBufs = make([][]byte, c.cfg.QueueDepth)
+	cfg := c.cfg
+	cfg.OnReadBuffer = func(cid nvme.CID, buf []byte) {
+		ln.readMu.Lock()
+		ln.readBufs[cid] = buf
+		ln.readMu.Unlock()
+	}
+	cfg.OnReadRetire = func(cid nvme.CID) {
+		ln.readMu.Lock()
+		ln.readBufs[cid] = nil
+		ln.readMu.Unlock()
+	}
+	// The session's output is staged on the reactor and published by
+	// flush, once per burst. cfg was validated by DialWith.
+	sess, _ := hostqp.New(cfg, c.stage, c.clock)
+	if c.dcfg.TelemetryInterval > 0 {
+		sess.EnableE2E()
+	}
+	c.ln, c.sess, c.connErr = ln, sess, nil
+
+	// Writer: stages queued PDUs into vectored batches (the same drain
+	// helper as the server side) — headers into a reused buffer, large
+	// write payloads referenced in place — and flushes each batch with
+	// one (scatter-gather) write. Flushed structs recycle afterwards;
+	// write payloads stay caller-owned, only the reference is dropped.
+	// The writer gets the raw conn so writev is not defeated by a
+	// wrapper type; socket teardown stays on the once-only close path.
+	go func() {
+		defer ln.wg.Done()
+		drainWriter(ln.nc, &ln.out, writerConfig{
+			batch:         c.dcfg.WriteBatchBytes,
+			coalesceBytes: c.dcfg.CoalesceBytes,
+			coalesceDelay: c.dcfg.CoalesceDelay,
+			release:       releaseClientPDU,
+			closeConn:     ln.close,
+		})
+	}()
+	go func() {
+		defer ln.wg.Done()
+		c.read(ln)
+	}()
+	sess.OnConnect(func() {
+		c.bs.Store(sess.BlockSize())
+		c.setErr(nil)
+		ln.settle(nil)
+	})
+	sess.Start()
+}
+
+func (c *Conn) stage(p proto.PDU) { c.staged = append(c.staged, p) }
+
+func (c *Conn) clock() int64 { return c.now }
+
+// live reports whether the link is up and past its handshake. Runs on the
+// reactor.
+func (c *Conn) live() bool { return c.connErr == nil && c.sess.Connected() }
+
+// read is ln's reader: a pooling decoder with a zero-copy sink — C2HData
+// payloads for registered reads are written from the socket directly into
+// the request's destination buffer at Offset (no pool staging, no copy),
+// with out-of-range offsets and unknown CIDs declined here (bounded pooled
+// fallback) and rejected by the session as protocol errors. Response
+// structs still come from the proto pools and are released right after
+// the session consumes them, so the receive hot path is allocation-free.
+// Everything the socket delivered at once reaches the reactor in one post.
+func (c *Conn) read(ln *link) {
+	// Buffered socket reads: the zero-copy sink splits each C2HData into
+	// header/PSH/payload reads, so without buffering every data PDU would
+	// cost an extra read syscall. With the buffer, headers come from
+	// memory and payload reads drain the buffer before falling through to
+	// direct reads into the destination.
+	rd := proto.NewReader(bufio.NewReaderSize(ln.nc, 64<<10), true)
+	rd.SetC2HSink(func(cid nvme.CID, off, n uint32) []byte {
+		var buf []byte
+		ln.readMu.Lock()
+		if int(cid) < len(ln.readBufs) {
+			buf = ln.readBufs[cid]
+		}
+		ln.readMu.Unlock()
+		if end := uint64(off) + uint64(n); buf == nil || end > uint64(len(buf)) {
+			return nil
+		}
+		return buf[off : off+n]
+	})
+	burst := make([]cliEvent, 0, maxBurst)
+	for {
+		p, err := rd.Next()
+		if err == nil {
+			// burst[len:cap] is zeroed (cleared after every post) and
+			// len < maxBurst here, so the next event is claimed in place
+			// rather than built and copied in.
+			burst = burst[:len(burst)+1]
+			burst[len(burst)-1].pdu = p
+			if len(burst) < maxBurst && rd.Ready() {
+				continue
+			}
+		} else {
+			// After what was decoded before it, the error.
+			burst = append(burst, cliEvent{fn: func() {
+				if c.ln == ln {
+					c.failAll(fmt.Errorf("tcptrans: read: %w", err))
+				}
+			}})
+		}
+		if !c.q.put(laneNormal, burst...) {
+			for i := range burst {
+				proto.ReleaseInbound(burst[i].pdu)
+			}
+			return
+		}
+		clear(burst)
+		burst = burst[:0]
+		if err != nil {
+			return
+		}
+	}
+}
+
+// every runs fn on the reactor each period while the link is up, from a
+// goroutine that ends with the connection.
 func (c *Conn) every(period time.Duration, fn func()) {
 	tick := func() {
-		if c.connErr == nil {
+		if c.live() {
 			fn()
 		}
 	}
@@ -450,50 +534,72 @@ func (c *Conn) every(period time.Duration, fn func()) {
 	}()
 }
 
-// run is the reactor loop: it handles one burst of events, submits what
-// queue depth now allows (only traffic pumps, so the idle timer's own
-// event does not count as activity), and hands everything the burst
-// produced to the writer in one go.
+// run is the reactor loop. Once the connection is closed it handles what
+// was still queued — a submission fails, a freshly dialed link is shut —
+// and then fails everything outstanding with ErrClosed, so every
+// completion has run by the time Close returns.
 func (c *Conn) run() {
 	var burst []cliEvent
 	for {
 		var open bool
 		if burst, open = c.q.next(burst); !open {
-			return
+			break
 		}
-		c.now = time.Now().UnixNano()
-		traffic := false // a submission arrived or a PDU may have freed a slot
-		for i := range burst {
-			switch ev := &burst[i]; {
-			case ev.fn != nil:
-				// Control work keeps its place among the submissions: a
-				// DrainNext posted between two Submits flags the second.
-				if traffic && c.connErr == nil {
-					c.pump()
-					traffic = false
-				}
-				ev.fn()
-			case ev.pdu != nil:
-				if c.connErr == nil {
-					if err := c.sess.HandlePDU(ev.pdu); err != nil {
-						c.failAll(err)
-					}
-				}
-				proto.ReleaseInbound(ev.pdu)
-				traffic = true
-			case c.connErr != nil:
-				ev.io.Done(hostqp.Result{Status: nvme.StatusInternalError})
-			default:
-				c.waiting = append(c.waiting, ev.io)
-				traffic = true
-			}
-		}
-		clear(burst)
-		if traffic && c.connErr == nil {
-			c.pump()
-		}
-		c.flush()
+		c.handle(burst)
 	}
+	c.handle(c.q.take(laneNormal, burst))
+	c.failAll(ErrClosed)
+	if c.idle != nil {
+		c.idle.Stop()
+	}
+	if c.retry != nil {
+		c.retry.Stop()
+	}
+}
+
+// handle runs one burst of events, submits what queue depth now allows
+// (only traffic pumps, so the idle timer's own event does not count as
+// activity), and hands everything the burst produced to the writer in one
+// go.
+func (c *Conn) handle(burst []cliEvent) {
+	c.now = time.Now().UnixNano()
+	traffic := false // a submission arrived or a PDU may have freed a slot
+	for i := range burst {
+		switch ev := &burst[i]; {
+		case ev.fn != nil:
+			// Control work keeps its place among the submissions: a
+			// DrainNext posted between two Submits flags the second.
+			if traffic && c.live() {
+				c.pump()
+				traffic = false
+			}
+			ev.fn()
+		case ev.pdu != nil:
+			if c.connErr == nil {
+				if err := c.sess.HandlePDU(ev.pdu); err != nil {
+					c.failAll(err)
+				}
+			}
+			proto.ReleaseInbound(ev.pdu)
+			traffic = true
+		case c.rcfg != nil:
+			c.waiting = append(c.waiting, c.guard(ev.io))
+			if c.connErr != nil {
+				c.redial()
+			}
+			traffic = true
+		case c.connErr != nil:
+			ev.io.Done(hostqp.Result{Status: nvme.StatusAborted, Err: c.connErr})
+		default:
+			c.waiting = append(c.waiting, ev.io)
+			traffic = true
+		}
+	}
+	clear(burst)
+	if traffic && c.live() {
+		c.pump()
+	}
+	c.flush()
 }
 
 // flush publishes the staged PDUs to the writer: one lock, at most one
@@ -503,7 +609,7 @@ func (c *Conn) flush() {
 	if len(c.staged) == 0 {
 		return
 	}
-	if !c.out.put(laneNormal, c.staged...) {
+	if !c.ln.out.put(laneNormal, c.staged...) {
 		for _, p := range c.staged {
 			releaseClientPDU(p)
 		}
@@ -553,12 +659,12 @@ func DialRetryWith(addr string, cfg hostqp.Config, dcfg DialConfig, attempts int
 // no jitter to break the lockstep.
 const defaultRetryBackoff = 10 * time.Millisecond
 
-// retryLoop is DialRetry's backoff engine, with the clock (sleep) and
-// jitter source injectable so the policy is testable without real waits:
-// the wait after attempt N doubles per attempt from backoff (floored at
-// defaultRetryBackoff), capped at 32×backoff, plus up to 50% jitter; a
-// permanent protocol rejection stops the loop immediately. Returns how
-// many attempts were consumed.
+// retryLoop is the backoff engine of DialRetry and of a recovering Conn's
+// redial, with the clock (sleep) and jitter source injectable so the
+// policy is testable without real waits: the wait after attempt N doubles
+// per attempt from backoff (floored at defaultRetryBackoff), capped at
+// 32×backoff, plus up to 50% jitter; a permanent protocol rejection stops
+// the loop immediately. Returns how many attempts were consumed.
 func retryLoop(attempts int, backoff time.Duration, sleep func(time.Duration), rng *rand.Rand, dial func() (*Conn, error)) (*Conn, int, error) {
 	if attempts < 1 {
 		attempts = 1
@@ -593,50 +699,78 @@ func retryLoop(attempts int, backoff time.Duration, sleep func(time.Duration), r
 }
 
 // Err returns the error that broke the connection, or nil while it is
-// healthy. Safe from any goroutine: connErr is written on the reactor
-// strictly before dead is closed.
+// healthy (under a recovery policy: while its link is up). It is the
+// cause every request failed by the break carries in Result.Err, and it
+// is ErrClosed to errors.Is. Safe from any goroutine.
 func (c *Conn) Err() error {
-	select {
-	case <-c.dead:
-		return c.connErr
-	default:
-		return nil
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+func (c *Conn) setErr(err error) {
+	c.mu.Lock()
+	c.err = err
+	c.mu.Unlock()
 }
 
 // post schedules fn on the reactor; false once the connection is closed.
 func (c *Conn) post(fn func()) bool { return c.q.put(laneNormal, cliEvent{fn: fn}) }
 
-// failAll marks the connection broken, fails every outstanding request —
-// in-flight CIDs through hostqp.Session.FailAll (releasing them, so
-// queue-pair depth cannot leak), then the not-yet-submitted backlog — and
-// closes the socket. Runs on the reactor.
+// failAll takes the link down — closes its socket and ends its writer —
+// and fails what it held: in-flight CIDs through hostqp.Session.FailAll
+// (releasing them, so queue-pair depth cannot leak), and, without a
+// recovery policy or at Close, the backlog too. Under a policy the
+// requests it may replay re-enter the backlog instead, and a redial
+// starts. Every failed request carries the cause, wrapped as ErrClosed, in
+// Result.Err. Runs on the reactor.
 func (c *Conn) failAll(err error) {
+	closing := c.closed.Load()
 	if c.connErr == nil {
+		c.ln.settle(err)
+		if !errors.Is(err, ErrClosed) {
+			err = fmt.Errorf("%w (%w)", ErrClosed, err)
+		}
 		c.connErr = err
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if !closed {
-			// Count only real failures, not the reader unblocking
-			// during a deliberate Close.
+		c.setErr(err)
+		if !closing {
+			// Count only real failures, not the reader unblocking during a
+			// deliberate Close.
 			c.tel.IncTransportError()
 		}
-		close(c.dead)
-		c.netClose()
-		c.out.close() // the writer ends here; later output is released, not queued
+		c.ln.close()
+		c.ln.out.close() // the writer ends here; later output is released, not queued
+		if c.rcfg == nil {
+			close(c.dead)
+		}
 	}
-	c.sess.FailAll(nvme.StatusAborted)
+	if c.sess == nil {
+		return // no link was ever installed
+	}
+	c.replaying = c.rcfg != nil && !closing
+	c.sess.FailAll(c.connErr)
+	c.replaying = false
+	if c.rcfg != nil && !closing {
+		c.redial()
+		return
+	}
 	for _, io := range c.waiting {
-		io.Done(hostqp.Result{Status: nvme.StatusAborted})
+		io.Done(hostqp.Result{Status: nvme.StatusAborted, Err: c.connErr})
+	}
+	for _, p := range c.parked {
+		p.io.Done(hostqp.Result{Status: nvme.StatusAborted, Err: c.connErr})
 	}
 	clear(c.waiting)
-	c.waiting = c.waiting[:0]
+	clear(c.parked)
+	c.waiting, c.parked = c.waiting[:0], c.parked[:0]
 }
 
 // pump submits queued ops while the session has queue-depth headroom.
 // Runs on the reactor, once per burst of events.
 func (c *Conn) pump() {
+	if c.owed > 0 {
+		c.countReplays()
+	}
 	n := 0
 	for ; n < len(c.waiting); n++ {
 		io := c.waiting[n]
@@ -649,7 +783,7 @@ func (c *Conn) pump() {
 			if errors.Is(err, hostqp.ErrQueueFull) {
 				break
 			}
-			io.Done(hostqp.Result{Status: nvme.StatusInternalError})
+			io.Done(hostqp.Result{Status: nvme.StatusInternalError, Err: err})
 		}
 	}
 	if n > 0 {
@@ -690,7 +824,7 @@ func (c *Conn) armIdleDrain() {
 func (c *Conn) idleFlush() {
 	c.post(func() {
 		c.idleOn = false
-		if c.connErr != nil || c.sess.Scavenger() || c.sess.PendingTC() == 0 {
+		if !c.live() || c.sess.Scavenger() || c.sess.PendingTC() == 0 {
 			return
 		}
 		if quiet := time.Duration(c.now - c.lastPump); quiet < idleDrainDelay {
@@ -706,9 +840,10 @@ func (c *Conn) idleFlush() {
 	})
 }
 
-// Submit issues an asynchronous I/O; the Done callback runs on the
-// connection's reactor goroutine. Ops beyond the queue depth wait
-// internally.
+// Submit issues an asynchronous I/O; the Done callback runs exactly once,
+// on the connection's reactor goroutine — at the latest before Close
+// returns. Ops beyond the queue depth wait internally. Result.Err is set
+// when the request ended without a device status (see hostqp.Result).
 //
 // A read's destination follows hostqp.IO.Data: with io.Data set (Blocks ×
 // block size bytes) the payload lands there and Result.Data aliases it;
@@ -725,97 +860,110 @@ func (c *Conn) Submit(io hostqp.IO) error {
 	return nil
 }
 
-// result pairs a Result with transport-level errors for the sync API.
-type result struct {
-	r hostqp.Result
-}
-
-// do runs one I/O synchronously.
-func (c *Conn) do(io hostqp.IO) (hostqp.Result, error) {
+// Do runs one I/O synchronously. The error is Result.Err when the request
+// ended without a device status, else a non-OK status. A read submitted
+// with io.Data nil gets a destination allocated here — the result
+// outlives the completion callback, so it must be the caller's to keep,
+// not one the session lends and reuses.
+func (c *Conn) Do(io hostqp.IO) (hostqp.Result, error) {
 	if io.Op == nvme.OpRead && io.Data == nil {
-		// The result outlives the completion callback, so the destination
-		// must be the caller's to keep, not one the session lends and reuses.
-		io.Data = make([]byte, int(io.Blocks)*int(c.bs))
+		io.Data = make([]byte, int(io.Blocks)*int(c.bs.Load()))
 	}
-	ch := make(chan result, 1)
-	io.Done = func(r hostqp.Result) { ch <- result{r} }
+	ch := make(chan hostqp.Result, 1)
+	io.Done = func(r hostqp.Result) { ch <- r }
 	if err := c.Submit(io); err != nil {
 		return hostqp.Result{}, err
 	}
-	select {
-	case res := <-ch:
-		if !res.r.Status.OK() {
-			return res.r, fmt.Errorf("tcptrans: I/O failed: %v", res.r.Status)
-		}
-		return res.r, nil
-	case <-c.dead:
-		return hostqp.Result{}, fmt.Errorf("tcptrans: connection broken: %w", ErrClosed)
-	case <-c.quit:
-		return hostqp.Result{}, ErrClosed
+	r := <-ch
+	if r.Err != nil {
+		return r, r.Err
 	}
+	if !r.Status.OK() {
+		return r, fmt.Errorf("tcptrans: I/O failed: %v", r.Status)
+	}
+	return r, nil
 }
 
 // Read fetches blocks synchronously. prio overrides the connection class
 // when nonzero.
 func (c *Conn) Read(lba uint64, blocks uint32, prio proto.Priority) ([]byte, error) {
-	r, err := c.do(hostqp.IO{Op: nvme.OpRead, LBA: lba, Blocks: blocks, Prio: prio})
+	r, err := c.Do(hostqp.IO{Op: nvme.OpRead, LBA: lba, Blocks: blocks, Prio: prio})
 	if err != nil {
 		return nil, err
 	}
 	return r.Data, nil
 }
 
-// Write stores data (a multiple of the namespace block size) synchronously.
+// Write stores data (a multiple of the namespace block size)
+// synchronously. Under a recovery policy it is not replayed after a
+// connection loss; Do with IO.Idempotent set is the write that may be.
 func (c *Conn) Write(lba uint64, data []byte, prio proto.Priority) error {
-	// c.bs is the handshake's geometry, valid for the life of the
-	// connection; a closed or broken one is reported by do.
-	if len(data) == 0 || len(data)%int(c.bs) != 0 {
-		return fmt.Errorf("tcptrans: %d bytes is not a multiple of the %dB block size", len(data), c.bs)
+	// bs is the handshake's geometry, kept across outages; a closed or
+	// broken connection is reported by Do.
+	bs := int(c.bs.Load())
+	if len(data) == 0 || len(data)%bs != 0 {
+		return fmt.Errorf("tcptrans: %d bytes is not a multiple of the %dB block size", len(data), bs)
 	}
-	_, err := c.do(hostqp.IO{Op: nvme.OpWrite, LBA: lba, Blocks: uint32(len(data) / int(c.bs)), Data: data, Prio: prio})
-	return err
-}
-
-// BlockSize returns the namespace block size discovered at handshake, 0
-// once the connection is closed. It does not wait for the reactor.
-func (c *Conn) BlockSize() uint32 {
-	select {
-	case <-c.quit:
-		return 0
-	default:
-		return c.bs
-	}
-}
-
-// Capacity returns the namespace capacity in blocks discovered at
-// handshake.
-func (c *Conn) Capacity() uint64 {
-	ch := make(chan uint64, 1)
-	if !c.post(func() { ch <- c.sess.Capacity() }) {
-		return 0
-	}
-	select {
-	case v := <-ch:
-		return v
-	case <-c.quit:
-		return 0
-	}
-}
-
-// WriteBlocks stores data of arbitrary block geometry.
-func (c *Conn) WriteBlocks(lba uint64, data []byte, blockSize uint32, prio proto.Priority) error {
-	if blockSize == 0 || len(data)%int(blockSize) != 0 {
-		return fmt.Errorf("tcptrans: %d bytes not a multiple of block size %d", len(data), blockSize)
-	}
-	_, err := c.do(hostqp.IO{Op: nvme.OpWrite, LBA: lba, Blocks: uint32(len(data) / int(blockSize)), Data: data, Prio: prio})
+	_, err := c.Do(hostqp.IO{Op: nvme.OpWrite, LBA: lba, Blocks: uint32(len(data) / bs), Data: data, Prio: prio})
 	return err
 }
 
 // Flush issues a flush command.
 func (c *Conn) Flush() error {
-	_, err := c.do(hostqp.IO{Op: nvme.OpFlush})
+	_, err := c.Do(hostqp.IO{Op: nvme.OpFlush})
 	return err
 }
+
+// BlockSize returns the namespace block size of the latest handshake — an
+// outage keeps it — and 0 once the connection is closed. It does not wait
+// for the reactor.
+func (c *Conn) BlockSize() uint32 {
+	if c.closed.Load() {
+		return 0
+	}
+	return c.bs.Load()
+}
+
+// ask runs get on the reactor and returns its answer, or the zero value
+// once the connection is closed.
+func ask[T any](c *Conn, get func() T) (v T) {
+	ch := make(chan T, 1)
+	if c.post(func() { ch <- get() }) {
+		select {
+		case v = <-ch:
+		case <-c.quit:
+		}
+	}
+	return v
+}
+
+// Capacity returns the namespace capacity in blocks discovered at
+// handshake.
+func (c *Conn) Capacity() uint64 { return ask(c, func() uint64 { return c.sess.Capacity() }) }
+
+// Stats snapshots the current session's counters.
+func (c *Conn) Stats() hostqp.Stats { return ask(c, func() hostqp.Stats { return c.sess.Stats() }) }
+
+// ClockOffset returns the handshake-estimated target-minus-host clock
+// offset and the RTT bounding its error (zero when the target shares no
+// clock). opf-trace uses it to merge host and target recorder dumps.
+func (c *Conn) ClockOffset() (offset, rtt int64) {
+	p := ask(c, func() [2]int64 {
+		o, r := c.sess.ClockOffset()
+		return [2]int64{o, r}
+	})
+	return p[0], p[1]
+}
+
+// Tenant returns the target-assigned tenant ID of the current session (a
+// reconnect may be handed another).
+func (c *Conn) Tenant() proto.TenantID {
+	return ask(c, func() proto.TenantID { return c.sess.Tenant() })
+}
+
+// Reconnects reports how many times a recovery policy re-established the
+// connection (0 without one).
+func (c *Conn) Reconnects() int64 { return c.reconnects.Load() }
 
 // DrainNext forces the next TC submission to carry the draining flag.
 func (c *Conn) DrainNext() {
@@ -833,79 +981,24 @@ func (c *Conn) Defer(fn func()) { c.post(fn) }
 // goroutine.
 func (c *Conn) Telemetry() *telemetry.Registry { return c.tel }
 
-// AddE2ERetries counts n host-side resubmissions into the connection's
-// e2e feedback accumulator. No-op when DialConfig.TelemetryInterval is
-// unset; safe from any goroutine (the accumulator is attached before the
-// connection's goroutines start and its counters are atomic).
-func (c *Conn) AddE2ERetries(n int64) { c.sess.E2E().AddRetries(n) }
-
-// Stats snapshots the session counters.
-func (c *Conn) Stats() hostqp.Stats {
-	ch := make(chan hostqp.Stats, 1)
-	if !c.post(func() { ch <- c.sess.Stats() }) {
-		return hostqp.Stats{}
-	}
-	select {
-	case st := <-ch:
-		return st
-	case <-c.quit:
-		return hostqp.Stats{}
-	}
-}
-
-// ClockOffset returns the handshake-estimated target-minus-host clock
-// offset and the RTT bounding its error (zero when the target shares no
-// clock). opf-trace uses it to merge host and target recorder dumps.
-func (c *Conn) ClockOffset() (offset, rtt int64) {
-	type pair struct{ off, rtt int64 }
-	ch := make(chan pair, 1)
-	if !c.post(func() {
-		o, r := c.sess.ClockOffset()
-		ch <- pair{o, r}
-	}) {
-		return 0, 0
-	}
-	select {
-	case p := <-ch:
-		return p.off, p.rtt
-	case <-c.quit:
-		return 0, 0
-	}
-}
-
-// Tenant returns the target-assigned tenant ID.
-func (c *Conn) Tenant() proto.TenantID {
-	ch := make(chan proto.TenantID, 1)
-	if !c.post(func() { ch <- c.sess.Tenant() }) {
-		return 0
-	}
-	select {
-	case t := <-ch:
-		return t
-	case <-c.quit:
-		return 0
-	}
-}
-
-// Close tears the connection down: closes the socket and waits for the
-// reader, writer, reactor, and deadline-sweeper goroutines to exit.
-// Idempotent and safe to call concurrently — every caller blocks until
-// the teardown (whichever call performs it) has finished.
+// Close tears the connection down: every outstanding request completes
+// with ErrClosed, then the socket closes and the reader, writer, reactor,
+// ticker and redial goroutines exit. Idempotent and safe to call
+// concurrently — every caller blocks until the teardown (whichever call
+// performs it) has finished.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
-		c.mu.Lock()
-		c.closed = true
-		c.mu.Unlock()
-		c.netClose()
+		c.closed.Store(true)
 		close(c.quit)
 		c.q.close()
-		c.out.close()
 		c.wg.Wait()
-		// The reactor has exited (wg.Wait above), so reading the timer it
-		// owned is race-free.
-		if c.idle != nil {
-			c.idle.Stop()
+		// The reactor has exited, so its link is safe to read.
+		if c.ln != nil {
+			c.ln.wg.Wait()
 		}
 	})
-	return c.netErr
+	if c.ln == nil {
+		return nil
+	}
+	return c.ln.netErr
 }

@@ -10,26 +10,24 @@ import (
 	"nvmeopf/internal/targetqp"
 )
 
-func TestWriteBlocksGeometry(t *testing.T) {
+// TestWriteGeometry: Write sizes its command from the handshake's block
+// size, and refuses a payload that is not a whole number of blocks.
+func TestWriteGeometry(t *testing.T) {
 	srv := startServer(t, targetqp.ModeOPF)
 	c := dial(t, srv, proto.PrioLatencySensitive, 1, 4)
 	data := bytes.Repeat([]byte{0x3C}, 8192)
-	if err := c.WriteBlocks(10, data, 4096, 0); err != nil {
+	if err := c.Write(10, data, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Read(10, 2, 0)
 	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("WriteBlocks round trip: %v", err)
+		t.Fatalf("Write round trip: %v", err)
 	}
-	if err := c.WriteBlocks(0, data[:100], 4096, 0); err == nil {
-		t.Error("non-multiple write accepted")
-	}
-	if err := c.WriteBlocks(0, data, 0, 0); err == nil {
-		t.Error("zero block size accepted")
-	}
-	// Write validates against the discovered block size too.
 	if err := c.Write(0, data[:100], 0); err == nil {
 		t.Error("Write with partial block accepted")
+	}
+	if err := c.Write(0, nil, 0); err == nil {
+		t.Error("empty Write accepted")
 	}
 }
 
@@ -103,7 +101,7 @@ func TestServerDoubleClose(t *testing.T) {
 }
 
 func TestDiscoverUnreachable(t *testing.T) {
-	if _, err := Discover("127.0.0.1:1"); err == nil {
+	if _, err := DiscoverCluster("127.0.0.1:1", nil); err == nil {
 		t.Fatal("unreachable discovery succeeded")
 	}
 }

@@ -491,12 +491,7 @@ func DiscoverCluster(addr string, dial Dialer) (*proto.DiscResp, error) {
 
 func dialDiscovery(addr string, dial Dialer) (net.Conn, error) {
 	if dial == nil {
-		conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		conn.SetDeadline(time.Now().Add(10 * time.Second))
-		return conn, nil
+		dial = func(network, addr string) (net.Conn, error) { return net.DialTimeout(network, addr, 10*time.Second) }
 	}
 	conn, err := dial("tcp", addr)
 	if err != nil {
@@ -504,15 +499,6 @@ func dialDiscovery(addr string, dial Dialer) (net.Conn, error) {
 	}
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	return conn, nil
-}
-
-// Discover queries a discovery endpoint and returns its log.
-func Discover(addr string) ([]proto.DiscEntry, error) {
-	resp, err := DiscoverCluster(addr, nil)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil
 }
 
 // RegisterCluster performs one keep-alive registration carrying the
@@ -549,23 +535,13 @@ func RegisterCluster(discoveryAddr string, reg proto.DiscRegister, dial Dialer) 
 	}
 }
 
-// RegisterRemote registers a subsystem in a remote discovery endpoint's
-// log with no TTL (what opf-target does at startup when given -discovery
-// and no keep-alive interval).
-func RegisterRemote(discoveryAddr, nqn, addr string, mode targetqp.Mode) error {
-	_, err := RegisterCluster(discoveryAddr, proto.DiscRegister{
-		Entry: proto.DiscEntry{NQN: nqn, Addr: addr, Mode: uint8(mode)},
-	}, nil)
-	return err
-}
-
 // DialDiscovered resolves nqn through a discovery endpoint and connects.
 func DialDiscovered(discoveryAddr, nqn string, cfg ConnConfig) (*Conn, error) {
-	entries, err := Discover(discoveryAddr)
+	resp, err := DiscoverCluster(discoveryAddr, nil)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
+	for _, e := range resp.Entries {
 		if e.NQN == nqn {
 			return Dial(e.Addr, cfg)
 		}

@@ -29,7 +29,7 @@ func TestDiscoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries, err := Discover(disc.Addr())
+	entries, err := discover(disc.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestDiscoveryUnregister(t *testing.T) {
 	defer disc.Close()
 	_ = disc.Register("nqn.a", "x:1", targetqp.ModeOPF)
 	disc.Unregister("nqn.a")
-	entries, err := Discover(disc.Addr())
+	entries, err := discover(disc.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,16 +117,34 @@ func TestDiscoveryRejectsNonDiscReq(t *testing.T) {
 	}
 }
 
+// discover returns a discovery endpoint's log.
+func discover(addr string) ([]proto.DiscEntry, error) {
+	resp, err := DiscoverCluster(addr, nil)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Entries, nil
+}
+
+// registerRemote registers a subsystem with no TTL, as opf-target does
+// when given -discovery and no keep-alive interval.
+func registerRemote(discoveryAddr, nqn, addr string, mode targetqp.Mode) error {
+	_, err := RegisterCluster(discoveryAddr, proto.DiscRegister{
+		Entry: proto.DiscEntry{NQN: nqn, Addr: addr, Mode: uint8(mode)},
+	}, nil)
+	return err
+}
+
 func TestRegisterRemote(t *testing.T) {
 	disc, err := ListenDiscovery("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disc.Close()
-	if err := RegisterRemote(disc.Addr(), "nqn.remote", "10.1.2.3:4420", targetqp.ModeOPF); err != nil {
+	if err := registerRemote(disc.Addr(), "nqn.remote", "10.1.2.3:4420", targetqp.ModeOPF); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := Discover(disc.Addr())
+	entries, err := discover(disc.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +152,15 @@ func TestRegisterRemote(t *testing.T) {
 		t.Fatalf("entries = %+v", entries)
 	}
 	// Re-registration updates in place.
-	if err := RegisterRemote(disc.Addr(), "nqn.remote", "10.1.2.3:9999", targetqp.ModeBaseline); err != nil {
+	if err := registerRemote(disc.Addr(), "nqn.remote", "10.1.2.3:9999", targetqp.ModeBaseline); err != nil {
 		t.Fatal(err)
 	}
-	entries, _ = Discover(disc.Addr())
+	entries, _ = discover(disc.Addr())
 	if len(entries) != 1 || entries[0].Addr != "10.1.2.3:9999" {
 		t.Fatalf("update failed: %+v", entries)
 	}
 	// Invalid registrations rejected locally.
-	if err := RegisterRemote(disc.Addr(), "", "x:1", targetqp.ModeOPF); err == nil {
+	if err := registerRemote(disc.Addr(), "", "x:1", targetqp.ModeOPF); err == nil {
 		t.Fatal("empty NQN registered")
 	}
 }
@@ -349,7 +367,7 @@ func TestDiscoverMidResponseReset(t *testing.T) {
 		}
 		conn.Close()
 	}()
-	if _, err := Discover(ln.Addr().String()); err == nil {
+	if _, err := discover(ln.Addr().String()); err == nil {
 		t.Fatal("mid-response reset went unnoticed")
 	}
 }

@@ -2,6 +2,7 @@ package tcptrans
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
@@ -118,6 +119,11 @@ func TestRequestTimeoutEscalatesToReset(t *testing.T) {
 		if err == nil {
 			t.Fatal("wedged write reported success")
 		}
+		// The caller learns why: the reset's cause, which is also ErrClosed.
+		if cause := c.Err(); cause == nil || !errors.Is(err, cause) || !errors.Is(err, ErrClosed) ||
+			!strings.Contains(err.Error(), "request timeout") {
+			t.Fatalf("write failed with %v, want the connection's error %v", err, cause)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("write outlived RequestTimeout: deadline sweeper did not fire")
 	}
@@ -125,8 +131,8 @@ func TestRequestTimeoutEscalatesToReset(t *testing.T) {
 		t.Fatalf("write failed after only %v: not a timeout", elapsed)
 	}
 	// The connection is dead, and says so promptly rather than hanging.
-	if _, err := c.Read(0, 1, 0); err == nil {
-		t.Fatal("read succeeded on a reset connection")
+	if _, err := c.Read(0, 1, 0); err == nil || !errors.Is(err, c.Err()) {
+		t.Fatalf("read on a reset connection: %v, want the connection's error %v", err, c.Err())
 	}
 	c.Close()
 	srv.Close()
@@ -153,20 +159,23 @@ func TestRequestTimeoutReleasesAllCIDs(t *testing.T) {
 	}
 	defer c.Close()
 	const n = 12 // deliberately beyond the queue depth: some wait host-side
-	results := make(chan nvme.Status, n)
+	results := make(chan hostqp.Result, n)
 	for i := 0; i < n; i++ {
 		err := c.Submit(hostqp.IO{Op: nvme.OpWrite, LBA: uint64(i), Blocks: 1,
 			Data: make([]byte, 4096),
-			Done: func(r hostqp.Result) { results <- r.Status }})
+			Done: func(r hostqp.Result) { results <- r }})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i++ {
 		select {
-		case st := <-results:
-			if st.OK() {
+		case r := <-results:
+			if r.Status.OK() {
 				t.Fatalf("request %d reported success against a wedged target", i)
+			}
+			if cause := c.Err(); cause == nil || !errors.Is(r.Err, cause) {
+				t.Fatalf("request %d failed with %v, want the connection's error %v", i, r.Err, cause)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("request %d of %d stranded: CID never released", i+1, n)

@@ -700,17 +700,17 @@ func TestSessionOwnedReadBuffersAcrossReuse(t *testing.T) {
 // first result has to survive the reads that follow.
 func TestSynchronousReadResultsAreNotLent(t *testing.T) {
 	srv := startServer(t, targetqp.ModeOPF)
-	rc, err := DialResilient(srv.Addr(), hostqp.Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 4, NSID: 1},
+	rc, err := DialWith(srv.Addr(), hostqp.Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 4, NSID: 1},
 		DialConfig{Recovery: &RecoveryConfig{MaxAttempts: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
 	ones, twos := bytes.Repeat([]byte{1}, 4096), bytes.Repeat([]byte{2}, 4096)
-	if err := rc.Write(1, ones, 0, true); err != nil {
+	if err := rc.Write(1, ones, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := rc.Write(2, twos, 0, true); err != nil {
+	if err := rc.Write(2, twos, 0); err != nil {
 		t.Fatal(err)
 	}
 	first, err := rc.Do(hostqp.IO{Op: nvme.OpRead, LBA: 1, Blocks: 1})

@@ -1,7 +1,7 @@
 package tcptrans
 
-// Recovery-layer tests: the DialRetry backoff policy on a fake clock, the
-// ResilientClient's transparent reconnect + replay under injected
+// Recovery-policy tests: the DialRetry backoff policy on a fake clock, a
+// recovering Conn's transparent reconnect + replay under injected
 // connection resets (idempotent requests complete exactly once at the
 // application level; non-idempotent failures surface the original typed
 // transport error), busy-retry under target admission control, and the
@@ -117,7 +117,7 @@ func chaosPayload(i int, bs int) []byte {
 }
 
 // TestResilientChaosReplayExactlyOnce is the recovery acceptance test: a
-// faultnet link is reset under a ResilientClient — once before traffic and
+// faultnet link is reset under a recovering Conn — once before traffic and
 // once mid-flight — and every idempotent write must still complete exactly
 // once at the application level, with the device write log proving all
 // (re)executions of an LBA carried identical bytes.
@@ -133,7 +133,7 @@ func TestResilientChaosReplayExactlyOnce(t *testing.T) {
 
 	inj := faultnet.NewInjector(3)
 	hostReg := telemetry.New()
-	rc, err := DialResilient(srv.Addr(), hostqp.Config{
+	rc, err := DialWith(srv.Addr(), hostqp.Config{
 		Class: proto.PrioThroughputCritical, Window: 4, QueueDepth: 8, NSID: 1, Telemetry: hostReg,
 	}, DialConfig{
 		RequestTimeout: 2 * time.Second,
@@ -161,14 +161,16 @@ func TestResilientChaosReplayExactlyOnce(t *testing.T) {
 		err := rc.Submit(hostqp.IO{
 			Op: nvme.OpWrite, LBA: uint64(i), Blocks: 1,
 			Data: chaosPayload(i, 4096), Idempotent: true,
-		}, func(r hostqp.Result, err error) {
-			counts[i].Add(1)
-			if err != nil || !r.Status.OK() {
-				mu.Lock()
-				failures = append(failures, fmt.Sprintf("op %d: status=%v err=%v", i, r.Status, err))
-				mu.Unlock()
-			}
-			completed.Add(1)
+			Done: func(r hostqp.Result) {
+				err := r.Err
+				counts[i].Add(1)
+				if err != nil || !r.Status.OK() {
+					mu.Lock()
+					failures = append(failures, fmt.Sprintf("op %d: status=%v err=%v", i, r.Status, err))
+					mu.Unlock()
+				}
+				completed.Add(1)
+			},
 		})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -245,7 +247,7 @@ func TestResilientNonIdempotentSurfacesOriginalError(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := faultnet.NewInjector(5)
-	rc, err := DialResilient(srv.Addr(), hostqp.Config{
+	rc, err := DialWith(srv.Addr(), hostqp.Config{
 		Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 4, NSID: 1,
 	}, DialConfig{
 		Dialer: faultnet.Dialer(inj),
@@ -260,7 +262,8 @@ func TestResilientNonIdempotentSurfacesOriginalError(t *testing.T) {
 	writeErr := make(chan error, 1)
 	err = rc.Submit(hostqp.IO{
 		Op: nvme.OpWrite, LBA: 1, Blocks: 1, Data: make([]byte, 4096), // Idempotent NOT set
-	}, func(r hostqp.Result, err error) { writeErr <- err })
+		Done: func(r hostqp.Result) { writeErr <- r.Err },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +320,7 @@ func TestResilientBusyRetryOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	hostReg := telemetry.New()
-	rc, err := DialResilient(srv.Addr(), hostqp.Config{
+	rc, err := DialWith(srv.Addr(), hostqp.Config{
 		Class: proto.PrioThroughputCritical, Window: 4, QueueDepth: 32, NSID: 1, Telemetry: hostReg,
 	}, DialConfig{
 		Recovery: &RecoveryConfig{
@@ -344,14 +347,16 @@ func TestResilientBusyRetryOverload(t *testing.T) {
 		err := rc.Submit(hostqp.IO{
 			Op: nvme.OpWrite, LBA: uint64(i), Blocks: 1,
 			Data: chaosPayload(i, 4096), Idempotent: true,
-		}, func(r hostqp.Result, err error) {
-			counts[i].Add(1)
-			if err != nil || !r.Status.OK() {
-				mu.Lock()
-				failures = append(failures, fmt.Sprintf("op %d: status=%v err=%v", i, r.Status, err))
-				mu.Unlock()
-			}
-			completed.Add(1)
+			Done: func(r hostqp.Result) {
+				err := r.Err
+				counts[i].Add(1)
+				if err != nil || !r.Status.OK() {
+					mu.Lock()
+					failures = append(failures, fmt.Sprintf("op %d: status=%v err=%v", i, r.Status, err))
+					mu.Unlock()
+				}
+				completed.Add(1)
+			},
 		})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -403,6 +408,168 @@ func TestResilientBusyRetryOverload(t *testing.T) {
 	ls.Close()
 	srv.Close()
 	waitGoroutines(t, base)
+}
+
+// TestCloseFailsParkedBusyRetry: a busy-rejected request waits out its
+// backoff on the reactor, not on a timer goroutine of its own, so Close
+// fails it — every completion has run, with ErrClosed, by the time Close
+// returns.
+func TestCloseFailsParkedBusyRetry(t *testing.T) {
+	base := runtime.NumGoroutine()
+	dev := newMemoryDevice(4096, 1024)
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Mode: targetqp.ModeOPF, Device: dev, WriteLatency: time.Second, // holds the admitted write
+		MaxPendingPerTenant: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialWith(srv.Addr(), lsConfig(), DialConfig{
+		Recovery: &RecoveryConfig{BusyBackoff: time.Minute, RequeueLS: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	var completed atomic.Int32
+	var mu sync.Mutex
+	var wrong []string
+	for i := 0; i < n; i++ {
+		err := c.Submit(hostqp.IO{
+			Op: nvme.OpWrite, LBA: uint64(i), Blocks: 1, Data: make([]byte, 4096), Idempotent: true,
+			Done: func(r hostqp.Result) {
+				if !errors.Is(r.Err, ErrClosed) {
+					mu.Lock()
+					wrong = append(wrong, fmt.Sprintf("status=%v err=%v", r.Status, r.Err))
+					mu.Unlock()
+				}
+				completed.Add(1)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One write is admitted and held by the device; the rest are refused
+	// and parked for a minute.
+	waitFor(t, "busy rejections", func() bool { return srv.PMStats().BusyRejections >= n-1 })
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := completed.Load(); got != n {
+		t.Fatalf("%d of %d completions had run when Close returned", got, n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(wrong) > 0 {
+		t.Fatalf("requests failed by Close without ErrClosed: %v", wrong)
+	}
+	srv.Close()
+	waitGoroutines(t, base)
+}
+
+// TestResilientPolicyOnOneConn runs one kill schedule — a quarter of the
+// requests done, then the link reset — against the same Conn type with
+// and without a recovery policy. Without one, every request completes
+// exactly once, and each that the kill caught carries the transport error
+// in Result.Err. With one, the reads and idempotent writes all complete
+// exactly once and successfully, and read back byte-exact.
+func TestResilientPolicyOnOneConn(t *testing.T) {
+	for _, recovering := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recovery=%v", recovering), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			dev := newMemoryDevice(4096, 1<<12)
+			const n, readBase = 48, 1000
+			for i := 0; i < n; i++ {
+				if err := dev.WriteBlocks(chaosPayload(readBase+i, 4096), uint64(readBase+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, err := Listen("127.0.0.1:0", ServerConfig{
+				Mode: targetqp.ModeOPF, Device: dev,
+				ReadLatency: time.Millisecond, WriteLatency: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj := faultnet.NewInjector(11)
+			dcfg := DialConfig{Dialer: faultnet.Dialer(inj)}
+			if recovering {
+				dcfg.Recovery = &RecoveryConfig{
+					MaxAttempts: 64, Backoff: 500 * time.Microsecond,
+					Budget: 4096, RequeueLS: true, RequeueTC: true,
+				}
+			}
+			c, err := DialWith(srv.Addr(), hostqp.Config{
+				Class: proto.PrioThroughputCritical, Window: 4, QueueDepth: 8, NSID: 1,
+			}, dcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var completed atomic.Int64
+			counts := make([]atomic.Int32, n)
+			results := make([]hostqp.Result, n) // written once per op, read after all completed
+			for i := 0; i < n; i++ {
+				io := hostqp.IO{Op: nvme.OpWrite, LBA: uint64(i), Blocks: 1, Data: chaosPayload(i, 4096), Idempotent: true}
+				if i%2 == 1 {
+					io = hostqp.IO{Op: nvme.OpRead, LBA: uint64(readBase + i), Blocks: 1, Data: make([]byte, 4096)}
+				}
+				io.Done = func(r hostqp.Result) {
+					if counts[i].Add(1) == 1 {
+						results[i] = r
+					}
+					completed.Add(1)
+				}
+				if err := c.Submit(io); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "a quarter of the ops completed", func() bool { return completed.Load() >= n/4 })
+			inj.ResetAll()
+			waitFor(t, "all ops completed", func() bool { return completed.Load() == n })
+			time.Sleep(10 * time.Millisecond) // room for a second completion to show
+
+			lost := 0
+			for i := range counts {
+				if got := counts[i].Load(); got != 1 {
+					t.Fatalf("op %d completed %d times, want exactly once", i, got)
+				}
+				r := results[i]
+				switch {
+				case recovering && (r.Err != nil || !r.Status.OK()):
+					t.Fatalf("op %d failed under recovery: status=%v err=%v", i, r.Status, r.Err)
+				case r.Err != nil:
+					lost++
+					if !errors.Is(r.Err, faultnet.ErrInjectedReset) || !errors.Is(r.Err, c.Err()) || !errors.Is(r.Err, ErrClosed) {
+						t.Fatalf("op %d: %v does not wrap the transport error %v", i, r.Err, c.Err())
+					}
+				case !r.Status.OK():
+					t.Fatalf("op %d: status %v with no error", i, r.Status)
+				case i%2 == 1 && !bytes.Equal(r.Data, chaosPayload(readBase+i, 4096)):
+					t.Fatalf("read %d returned the wrong bytes", i)
+				}
+			}
+			if !recovering {
+				if lost == 0 {
+					t.Fatal("the kill caught no request outstanding")
+				}
+			} else {
+				if c.Reconnects() < 1 {
+					t.Fatalf("reconnects = %d, want >= 1", c.Reconnects())
+				}
+				for i := 0; i < n; i += 2 {
+					got, err := c.Read(uint64(i), 1, 0)
+					if err != nil || !bytes.Equal(got, chaosPayload(i, 4096)) {
+						t.Fatalf("lba %d: read-back mismatch (err %v)", i, err)
+					}
+				}
+			}
+			c.Close()
+			srv.Close()
+			waitGoroutines(t, base)
+		})
+	}
 }
 
 // TestWatchdogForceDrainsSilentHost parks a TC window through a raw-PDU

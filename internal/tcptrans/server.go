@@ -423,55 +423,38 @@ func (s *Server) Telemetry() *telemetry.Registry { return s.cfg.Telemetry }
 // Shards returns the number of reactor shards the server runs.
 func (s *Server) Shards() int { return len(s.shards) }
 
-// Stats returns the target's counters, merged across shards (each
-// shard's slice snapshotted on its own reactor).
-func (s *Server) Stats() targetqp.Stats {
-	var agg targetqp.Stats
+// fromShards asks every shard's reactor for get's answer and hands each
+// to add; a closed server contributes nothing.
+func fromShards[T any](s *Server, get func(*targetqp.Target) T, add func(T)) {
 	for _, sh := range s.shards {
-		ch := make(chan targetqp.Stats, 1)
-		if !sh.post(func() { ch <- sh.target.Stats() }) {
+		ch := make(chan T, 1)
+		if !sh.post(func() { ch <- get(sh.target) }) {
 			continue
 		}
 		select {
-		case st := <-ch:
-			agg.Accumulate(st)
+		case v := <-ch:
+			add(v)
 		case <-s.quit:
 		}
 	}
+}
+
+// Stats returns the target's counters, merged across shards (each
+// shard's slice snapshotted on its own reactor).
+func (s *Server) Stats() (agg targetqp.Stats) {
+	fromShards(s, (*targetqp.Target).Stats, agg.Accumulate)
 	return agg
 }
 
 // PMStats returns the priority managers' counters, merged across shards.
-func (s *Server) PMStats() core.TargetPMStats {
-	var agg core.TargetPMStats
-	for _, sh := range s.shards {
-		ch := make(chan core.TargetPMStats, 1)
-		if !sh.post(func() { ch <- sh.target.PMStats() }) {
-			continue
-		}
-		select {
-		case st := <-ch:
-			agg.Accumulate(st)
-		case <-s.quit:
-		}
-	}
+func (s *Server) PMStats() (agg core.TargetPMStats) {
+	fromShards(s, (*targetqp.Target).PMStats, agg.Accumulate)
 	return agg
 }
 
 // ActiveSessions returns the number of live sessions across all shards.
-func (s *Server) ActiveSessions() int {
-	total := 0
-	for _, sh := range s.shards {
-		ch := make(chan int, 1)
-		if !sh.post(func() { ch <- sh.target.ActiveSessions() }) {
-			continue
-		}
-		select {
-		case n := <-ch:
-			total += n
-		case <-s.quit:
-		}
-	}
+func (s *Server) ActiveSessions() (total int) {
+	fromShards(s, (*targetqp.Target).ActiveSessions, func(n int) { total += n })
 	return total
 }
 

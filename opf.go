@@ -291,7 +291,13 @@ func ListenDiscovery(addr string) (*DiscoveryServer, error) {
 }
 
 // Discover queries a discovery endpoint for its subsystem log.
-func Discover(addr string) ([]DiscoveryEntry, error) { return tcptrans.Discover(addr) }
+func Discover(addr string) ([]DiscoveryEntry, error) {
+	resp, err := tcptrans.DiscoverCluster(addr, nil)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Entries, nil
+}
 
 // DialDiscovered resolves a subsystem NQN through a discovery endpoint and
 // connects to it.
