@@ -7,12 +7,8 @@ package nvmeopf
 // stays tractable; run `opf-bench -exp all` for publication-scale tables.
 
 import (
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 
-	"nvmeopf/internal/bdev"
 	"nvmeopf/internal/core"
 	"nvmeopf/internal/experiments"
 	"nvmeopf/internal/nvme"
@@ -196,13 +192,24 @@ func BenchmarkHostPMStampResponse(b *testing.B) {
 	}
 }
 
-// BenchmarkHistogramRecord measures the latency histogram's O(1) record.
+// BenchmarkHistogramRecord measures the O(1) record of both views of the
+// latency histogram's grid: the plain one the simulator and experiments
+// use, and the concurrent one behind the live telemetry.
 func BenchmarkHistogramRecord(b *testing.B) {
-	var h stats.Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Record(int64(i%1_000_000 + 50_000))
-	}
+	b.Run("plain", func(b *testing.B) {
+		var h stats.Histogram
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.Record(int64(i%1_000_000 + 50_000))
+		}
+	})
+	b.Run("atomic", func(b *testing.B) {
+		var h stats.AtomicHistogram
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.Record(int64(i%1_000_000 + 50_000))
+		}
+	})
 }
 
 // BenchmarkSimulatedReadIOPS measures simulator event throughput: one TC
@@ -223,239 +230,4 @@ func BenchmarkSimulatedReadIOPS(b *testing.B) {
 		iops = r.TCIOPS
 	}
 	b.ReportMetric(iops, "sim_IOPS")
-}
-
-// BenchmarkTCPLoopbackWrite measures the real-transport datapath: 4 KiB
-// TC writes over a loopback socket to an in-memory oPF target.
-func BenchmarkTCPLoopbackWrite(b *testing.B) {
-	srv, err := ListenMemory("127.0.0.1:0", ModeOPF, 4096, 1<<16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := Dial(srv.Addr(), InitiatorConfig{
-		Class: ThroughputCritical, Window: 16, QueueDepth: 64, NSID: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	buf := make([]byte, 4096)
-	done := make(chan struct{}, 64)
-	b.SetBytes(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	inFlight := 0
-	for i := 0; i < b.N; i++ {
-		for inFlight >= 64 {
-			<-done
-			inFlight--
-		}
-		if err := conn.Submit(IO{
-			Op: OpWrite, LBA: uint64(i % 4096), Blocks: 1, Data: buf,
-			Done: func(Result) { done <- struct{}{} },
-		}); err != nil {
-			b.Fatal(err)
-		}
-		inFlight++
-	}
-	for inFlight > 0 {
-		<-done
-		inFlight--
-	}
-}
-
-// benchMultiConnTC drives 4 KiB TC writes from several concurrent
-// connections against one target and reports aggregate throughput.
-func benchMultiConnTC(b *testing.B, cfg ServerConfig, dcfg DialConfig, conns int) {
-	b.Helper()
-	dev, err := bdev.NewMemory(4096, 1<<16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.Mode = ModeOPF
-	cfg.Device = dev
-	srv, err := Listen("127.0.0.1:0", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	clients := make([]*Conn, conns)
-	for i := range clients {
-		c, err := DialWith(srv.Addr(), InitiatorConfig{
-			Class: ThroughputCritical, Window: 16, QueueDepth: 64, NSID: 1,
-		}, dcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	b.SetBytes(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for ci, conn := range clients {
-		n := b.N / conns
-		if ci < b.N%conns {
-			n++
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, 4096)
-			done := make(chan struct{}, 64)
-			inFlight := 0
-			for i := 0; i < n; i++ {
-				for inFlight >= 64 {
-					<-done
-					inFlight--
-				}
-				if err := conn.Submit(IO{
-					Op: OpWrite, LBA: uint64((ci*1024 + i%1024) * 8), Blocks: 1,
-					Data: buf, Done: func(Result) { done <- struct{}{} },
-				}); err != nil {
-					b.Error(err)
-					return
-				}
-				inFlight++
-			}
-			for inFlight > 0 {
-				<-done
-				inFlight--
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// BenchmarkMultiConnTCThroughput compares aggregate TC throughput at 4
-// concurrent initiator connections: one reactor with one write syscall
-// per PDU on both ends — the unbatched, unsharded transport — against the
-// sharded batched datapath with -shards=4. With real cores the shards add
-// CPU scaling on top of what batching wins.
-func BenchmarkMultiConnTCThroughput(b *testing.B) {
-	b.Run("baseline-1shard-unbatched", func(b *testing.B) {
-		benchMultiConnTC(b,
-			ServerConfig{Shards: 1, WriteBatchBytes: 1},
-			DialConfig{WriteBatchBytes: 1}, 4)
-	})
-	b.Run("sharded-4", func(b *testing.B) {
-		benchMultiConnTC(b, ServerConfig{Shards: 4}, DialConfig{}, 4)
-	})
-}
-
-// benchSmallIOReads drives small closed-loop reads from several
-// connections against one in-memory target and reports achieved IOPS.
-func benchSmallIOReads(b *testing.B, blockSize uint32, conns int, dcfg DialConfig) {
-	b.Helper()
-	const depth = 64
-	srv, err := ListenMemory("127.0.0.1:0", ModeOPF, blockSize, 1<<16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	clients := make([]*Conn, conns)
-	for i := range clients {
-		c, err := DialWith(srv.Addr(), InitiatorConfig{
-			Class: ThroughputCritical, Window: 16, QueueDepth: depth, NSID: 1,
-		}, dcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	b.SetBytes(int64(blockSize))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for ci, conn := range clients {
-		n := b.N / conns
-		if ci < b.N%conns {
-			n++
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			done := make(chan struct{}, depth)
-			inFlight := 0
-			for i := 0; i < n; i++ {
-				for inFlight >= depth {
-					<-done
-					inFlight--
-				}
-				if err := conn.Submit(IO{
-					Op: OpRead, LBA: uint64(ci*8192 + i%8192), Blocks: 1,
-					Done: func(Result) { done <- struct{}{} },
-				}); err != nil {
-					b.Error(err)
-					return
-				}
-				inFlight++
-			}
-			for inFlight > 0 {
-				<-done
-				inFlight--
-			}
-		}()
-	}
-	wg.Wait()
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N)/sec, "IOPS")
-	}
-}
-
-// BenchmarkSmallIOIOPS measures small-read IOPS over the real transport
-// across the sub-4K block sizes the paper's small-IO discussion covers
-// (512 B – 4 KiB) at one and four queue pairs. The per-PDU costs —
-// header parse, CID allocation, response stamping — dominate at these
-// sizes, so this is the regression canary for datapath CPU overhead.
-// The coalesced variants turn on host-side submission coalescing
-// (DialConfig.CoalesceBytes/CoalesceDelay) so the syscall-amortization
-// win — and the latency cost of the aggregation window — is measured
-// against the same workload.
-func BenchmarkSmallIOIOPS(b *testing.B) {
-	for _, bs := range []uint32{512, 1024, 2048, 4096} {
-		for _, conns := range []int{1, 4} {
-			b.Run(fmt.Sprintf("bs=%d/qp=%d", bs, conns), func(b *testing.B) {
-				benchSmallIOReads(b, bs, conns, DialConfig{})
-			})
-		}
-	}
-	for _, bs := range []uint32{512, 4096} {
-		for _, conns := range []int{1, 4} {
-			b.Run(fmt.Sprintf("bs=%d/qp=%d/coalesced", bs, conns), func(b *testing.B) {
-				benchSmallIOReads(b, bs, conns, DialConfig{
-					CoalesceBytes: 8 << 10,
-					CoalesceDelay: 20 * time.Microsecond,
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkTCPLoopbackLatency measures single-request round-trip latency
-// over the real transport (LS class).
-func BenchmarkTCPLoopbackLatency(b *testing.B) {
-	srv, err := ListenMemory("127.0.0.1:0", ModeOPF, 4096, 1<<12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := Dial(srv.Addr(), InitiatorConfig{
-		Class: LatencySensitive, Window: 1, QueueDepth: 1, NSID: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conn.Read(uint64(i%1024), 1, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -1,6 +1,6 @@
 // Command opf-perf is the SPDK-perf-equivalent client benchmark for a real
 // TCP target: it opens latency-sensitive, throughput-critical, and
-// scavenger (best-effort) connections, drives a closed-loop 4K workload
+// scavenger (best-effort) connections, drives a closed-loop one-block workload
 // for a wall-clock duration, and reports aggregate throughput plus
 // per-class latency percentiles.
 //
@@ -63,7 +63,7 @@ func (t *tenant) pickOp() nvme.Opcode {
 func (t *tenant) run(stopAt time.Time, wg *sync.WaitGroup) {
 	var inner sync.WaitGroup
 	var submit func()
-	buf := make([]byte, 4096)
+	buf := make([]byte, t.conn.BlockSize())
 	var mu sync.Mutex // guards lba/rng across reactor callbacks
 	submit = func() {
 		if time.Now().After(stopAt) {
@@ -291,6 +291,7 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
+	bs := float64(tenants[0].conn.BlockSize()) // every I/O moves one block
 
 	var lsHist, tcHist, scHist stats.Histogram
 	var lsOps, tcOps, scOps, errs int64
@@ -314,19 +315,19 @@ func main() {
 	if tcOps > 0 {
 		fmt.Printf("TC: %8.0f IOPS  %s  p50=%s p99=%s p99.99=%s\n",
 			float64(tcOps)/elapsed,
-			stats.FormatBytesPerSec(float64(tcOps)*4096/elapsed),
+			stats.FormatBytesPerSec(float64(tcOps)*bs/elapsed),
 			stats.FormatNanos(tcHist.P50()), stats.FormatNanos(tcHist.P99()), stats.FormatNanos(tcHist.P9999()))
 	}
 	if lsOps > 0 {
 		fmt.Printf("LS: %8.0f IOPS  %s  p50=%s p99=%s p99.99=%s\n",
 			float64(lsOps)/elapsed,
-			stats.FormatBytesPerSec(float64(lsOps)*4096/elapsed),
+			stats.FormatBytesPerSec(float64(lsOps)*bs/elapsed),
 			stats.FormatNanos(lsHist.P50()), stats.FormatNanos(lsHist.P99()), stats.FormatNanos(lsHist.P9999()))
 	}
 	if scOps > 0 {
 		fmt.Printf("SC: %8.0f IOPS  %s  p50=%s p99=%s p99.99=%s\n",
 			float64(scOps)/elapsed,
-			stats.FormatBytesPerSec(float64(scOps)*4096/elapsed),
+			stats.FormatBytesPerSec(float64(scOps)*bs/elapsed),
 			stats.FormatNanos(scHist.P50()), stats.FormatNanos(scHist.P99()), stats.FormatNanos(scHist.P9999()))
 	}
 	if tel != nil {

@@ -80,7 +80,6 @@ func main() {
 		drainWatchdog    = flag.Duration("drain-watchdog", 0, "force-drain a TC queue parked this long with no draining flag (0: off)")
 		scavAging        = flag.Duration("scavenger-aging", 0, "force-drain a scavenger queue parked this long behind foreground traffic (0: drain only on idle capacity)")
 
-		writeBatch = flag.Int("write-batch", 0, "per-connection writer batch cap in bytes before a vectored flush (0: default 256 KiB)")
 		maxDataLen = flag.Uint("max-data-len", 0, "largest single C2HData payload; larger reads are segmented (0: default 1 MiB)")
 	)
 	flag.Parse()
@@ -155,7 +154,6 @@ func main() {
 		ScavengerHeadroom:   *scavHeadroom,
 		DrainWatchdog:       *drainWatchdog,
 		ScavengerAging:      *scavAging,
-		WriteBatchBytes:     *writeBatch,
 		MaxDataLen:          uint32(*maxDataLen),
 		Telemetry:           tel,
 		Recorder:            rec,

@@ -27,6 +27,7 @@ import (
 
 	"nvmeopf/internal/core"
 	"nvmeopf/internal/proto"
+	"nvmeopf/internal/stats"
 	"nvmeopf/internal/telemetry"
 )
 
@@ -49,7 +50,7 @@ type Signal struct {
 	bad       atomic.Int64
 	e2eGood   atomic.Int64
 	e2eBad    atomic.Int64
-	hist      telemetry.Hist
+	hist      stats.AtomicHistogram
 }
 
 // NewSignal creates a signal judging observations against objectiveNS.
@@ -91,7 +92,7 @@ func (s *Signal) ObserveE2E(good, bad int64) {
 func (s *Signal) E2ECounts() (good, bad int64) { return s.e2eGood.Load(), s.e2eBad.Load() }
 
 // Snapshot copies the latency histogram for interval-quantile math.
-func (s *Signal) Snapshot() telemetry.HistSnapshot { return s.hist.Snapshot() }
+func (s *Signal) Snapshot() *stats.Histogram { return s.hist.Snapshot() }
 
 // Config parameterizes a controller. The zero values of everything but
 // ObjectiveNS select the documented defaults.
@@ -262,7 +263,7 @@ type tenantState struct {
 	lastBad     int64
 	lastE2EGood int64 // e2e signal counters at the last decision
 	lastE2EBad  int64
-	lastHist    telemetry.HistSnapshot
+	lastHist    *stats.Histogram
 	primed      bool // baseline counters captured
 	dry         int  // consecutive zero-sample decision intervals
 	healthy     int  // consecutive healthy grow-eligible intervals
@@ -383,7 +384,10 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 	dGood, dBad := good-st.lastGood, bad-st.lastBad
 	samples := dGood + dBad
 	cur := c.sig.Snapshot()
-	p99 := intervalQuantile(cur, st.lastHist, 0.99)
+	p99 := int64(-1) // no LS sample in the interval
+	if d := cur.Since(st.lastHist); d.Count() > 0 {
+		p99 = d.P99()
+	}
 	fill := float64(st.fillSum) / float64(st.drains*st.window)
 	burn := -1.0
 	if samples > 0 {
@@ -521,27 +525,4 @@ func (c *Controller) apply(t proto.TenantID, w int) int {
 	}
 	c.act.SetTenantCap(t, capv)
 	return capv
-}
-
-// intervalQuantile computes a quantile over the samples recorded between
-// two snapshots of the same histogram (-1 when the interval is empty).
-func intervalQuantile(cur, prev telemetry.HistSnapshot, q float64) int64 {
-	if cur.Count <= prev.Count || len(cur.Counts) == 0 {
-		return -1
-	}
-	delta := telemetry.HistSnapshot{
-		Counts: make([]int64, len(cur.Counts)),
-		Count:  cur.Count - prev.Count,
-		Sum:    cur.Sum - prev.Sum,
-		// Max is cumulative; the interval max is unknowable from two
-		// snapshots, so the lifetime max conservatively caps the result.
-		Max: cur.Max,
-	}
-	for i := range cur.Counts {
-		delta.Counts[i] = cur.Counts[i]
-		if i < len(prev.Counts) {
-			delta.Counts[i] -= prev.Counts[i]
-		}
-	}
-	return delta.Quantile(q)
 }

@@ -414,9 +414,14 @@ func (s *Session) Submit(io IO) error {
 	if eff.ThroughputCritical() && s.cfg.Class.Scavenger() {
 		return errors.New("hostqp: throughput-critical override on a scavenger connection; open a TC-class connection instead")
 	}
-	// A caller-supplied read destination is checked here, before the CID
-	// allocation, for the same reason. Without namespace geometry the
-	// caller's length is the only statement of the read's size there is.
+	// A write payload and a caller-supplied read destination are checked
+	// here, before the CID allocation, for the same reason. Without
+	// namespace geometry the caller's length is the only statement of the
+	// transfer's size there is.
+	if n := int(io.Blocks) * int(s.nsBlockSize); io.Op == nvme.OpWrite && n != 0 && len(io.Data) != n {
+		return fmt.Errorf("hostqp: write payload is %d bytes, want %d (%d blocks of %d)",
+			len(io.Data), n, io.Blocks, s.nsBlockSize)
+	}
 	var expectedRead int
 	if io.Op == nvme.OpRead {
 		expectedRead = int(io.Blocks) * int(s.nsBlockSize)

@@ -77,6 +77,32 @@ func TestReadDestinationIsCallersBuffer(t *testing.T) {
 	}
 }
 
+// TestWritePayloadMustMatchBlocks: a write whose payload is not Blocks
+// namespace blocks long is refused before a CID, a slot or the PM's
+// pending queue is touched; one that matches goes out.
+func TestWritePayloadMustMatchBlocks(t *testing.T) {
+	h := newHarness(t, Config{Class: proto.PrioThroughputCritical, Window: 4, QueueDepth: 4, NSID: 1})
+	h.connectGeometry(t)
+
+	for _, n := range []int{0, 511, 1023, 1025, 4096} {
+		err := h.sess.Submit(IO{Op: nvme.OpWrite, Blocks: 2, Data: make([]byte, n), Done: func(Result) {}})
+		if err == nil {
+			t.Fatalf("a %d-byte payload for a 2-block write of 512-byte blocks was accepted", n)
+		}
+	}
+	if h.sess.Outstanding() != 0 || len(h.out) != 0 || h.sess.Stats().Submitted != 0 ||
+		h.sess.pm.Pending() != 0 || h.sess.pm.SinceDrain() != 0 {
+		t.Fatalf("rejected writes left state: outstanding=%d sent=%d submitted=%d pending=%d",
+			h.sess.Outstanding(), len(h.out), h.sess.Stats().Submitted, h.sess.pm.Pending())
+	}
+	if err := h.sess.Submit(IO{Op: nvme.OpWrite, Blocks: 2, Data: make([]byte, 1024), Done: func(Result) {}}); err != nil {
+		t.Fatalf("a matching write was refused: %v", err)
+	}
+	if h.sess.Outstanding() != 1 || h.lastCmd(t).Cmd.NLB != 1 {
+		t.Fatalf("matching write not sent: outstanding=%d", h.sess.Outstanding())
+	}
+}
+
 // TestLentReadBufferRecycledOnlyOnCompletion: without IO.Data the session
 // lends a buffer that holds the payload while Done runs and serves the next
 // read afterwards; a buffer whose read was failed by FailAll — the path a

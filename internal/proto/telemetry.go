@@ -23,8 +23,8 @@ const (
 )
 
 // TelemetryBucket is one sparse histogram bucket delta: the count added to
-// bucket Index since the previous update. Indices address the telemetry
-// package's HDR bucket grid, so the target merges host deltas into its own
+// bucket Index since the previous update. Indices address the stats
+// package's histogram grid (64 sub-buckets per octave, 2816 buckets), so the target merges host deltas into its own
 // per-tenant histograms exactly (bucket-wise addition, no re-sampling).
 type TelemetryBucket struct {
 	Index uint16
@@ -53,8 +53,10 @@ type TelemetryUpdate struct {
 	// update; the target echoes it in the TelemetryAck.
 	HostClock int64
 	// SubBits tags the histogram geometry (sub-bucket resolution bits) the
-	// bucket indices assume. The target rejects a mismatched geometry
-	// rather than merge garbage.
+	// bucket indices assume: stats.SubBucketBits, 6. The target refuses an
+	// update whose tag differs from its own rather than merge garbage, so
+	// a host built when the telemetry grid had 5 sub-bucket bits is
+	// refused, not merged.
 	SubBits uint8
 	// QueueDepth is the host's outstanding command count at build time.
 	QueueDepth uint32

@@ -1,12 +1,12 @@
 package simcluster
 
 import (
-	"reflect"
 	"testing"
 
 	"nvmeopf/internal/hostqp"
 	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/proto"
+	"nvmeopf/internal/stats"
 	"nvmeopf/internal/targetqp"
 	"nvmeopf/internal/telemetry"
 )
@@ -75,14 +75,16 @@ func TestE2EExactMergeAcrossFabric(t *testing.T) {
 		t.Fatalf("histograms missing: host=%v target=%v", hostHist != nil, merged != nil)
 	}
 	want, got := hostHist.Snapshot(), merged.Snapshot()
-	if got.Count != int64(reqs) {
-		t.Fatalf("target merged %d samples, want %d", got.Count, reqs)
+	if got.Count() != int64(reqs) {
+		t.Fatalf("target merged %d samples, want %d", got.Count(), reqs)
 	}
-	if !reflect.DeepEqual(got.Counts, want.Counts) {
-		t.Fatal("merged bucket counts differ from the host's histogram")
+	for i := 0; i < stats.NumBuckets; i++ {
+		if got.Bucket(i) != want.Bucket(i) {
+			t.Fatalf("bucket %d: merged %d, host %d", i, got.Bucket(i), want.Bucket(i))
+		}
 	}
-	if got.Sum != want.Sum || got.Max != want.Max {
-		t.Fatalf("sum/max: got (%d, %d), want (%d, %d)", got.Sum, got.Max, want.Sum, want.Max)
+	if got.Sum() != want.Sum() || got.Max() != want.Max() {
+		t.Fatalf("sum/max: got (%d, %d), want (%d, %d)", got.Sum(), got.Max(), want.Sum(), want.Max())
 	}
 
 	// The e2e view includes the fabric: its p99 dominates the target-side

@@ -143,10 +143,11 @@ func TestScavengerAgedDrainUnderContinuousLS(t *testing.T) {
 	const scavIOs = 4
 	doneAt := make([]int64, 0, scavIOs)
 	scavIni.Session.OnConnect(func() {
+		payload := make([]byte, scavIni.Session.BlockSize())
 		for i := 0; i < scavIOs; i++ {
 			lba := uint64(1<<20 + i)
 			if serr := scavIni.Session.Submit(hostqp.IO{
-				Op: nvme.OpWrite, LBA: lba, Blocks: 1,
+				Op: nvme.OpWrite, LBA: lba, Blocks: 1, Data: payload,
 				Done: func(r hostqp.Result) {
 					if !r.Status.OK() {
 						t.Errorf("scavenger write: %v", r.Status)

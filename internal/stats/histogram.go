@@ -1,9 +1,13 @@
 // Package stats provides latency histograms, throughput counters, and
-// table rendering used by the benchmark harness and the experiment runners.
+// table rendering used by the benchmark harness, the experiment runners
+// and the live telemetry.
 //
 // The histogram is log-bucketed (HDR-style) so that recording is O(1) and
 // allocation-free on the hot path while still resolving high percentiles
-// (p99.99) with bounded relative error.
+// (p99.99) with bounded relative error. This package is the only one that
+// knows the bucket grid: Histogram is its plain view, AtomicHistogram its
+// concurrent one, and everything else reaches a bucket through NumBuckets,
+// BucketUpper and Histogram.Bucket.
 package stats
 
 import (
@@ -25,13 +29,22 @@ const subBuckets = 1 << subBucketBits
 // 4.8 hours, far beyond any latency this repo measures.
 const maxExp = 44
 
+// SubBucketBits tags the grid's geometry wherever bucket indices leave
+// this package (a wire encoding of a delta, say): two sides whose tags
+// differ cannot add their buckets.
+const SubBucketBits = subBucketBits
+
+// NumBuckets is the size of the bucket grid: every bucket index is in
+// [0, NumBuckets).
+const NumBuckets = maxExp * subBuckets
+
 // Histogram is a log-bucketed histogram of non-negative int64 samples
 // (nanoseconds by convention). The zero value is ready to use.
 // Histogram is not safe for concurrent use; in the simulator every
 // recording site runs on the single event-loop goroutine, and the TCP
 // driver keeps one histogram per worker and merges at the end.
 type Histogram struct {
-	counts [maxExp * subBuckets]int64
+	counts [NumBuckets]int64
 	n      int64
 	sum    int64
 	min    int64
@@ -65,6 +78,54 @@ func bucketLow(i int) int64 {
 	exp := i/subBuckets - 1
 	sub := i%subBuckets + subBuckets
 	return int64(sub) << uint(exp)
+}
+
+// BucketUpper returns the largest value bucket i admits; the last bucket
+// takes everything above its lower edge.
+func BucketUpper(i int) int64 {
+	if i >= NumBuckets-1 {
+		return math.MaxInt64
+	}
+	return bucketLow(i+1) - 1
+}
+
+// Bucket returns how many samples lie in bucket i.
+func (h *Histogram) Bucket(i int) int64 { return h.counts[i] }
+
+// CumulativeLE returns how many samples lie in buckets whose upper bound
+// is at most bound: the Prometheus histogram value for le=bound, exact
+// when bound is some bucket's upper bound.
+func (h *Histogram) CumulativeLE(bound int64) int64 {
+	var n int64
+	for i, c := range h.counts {
+		if c != 0 && BucketUpper(i) <= bound {
+			n += c
+		}
+	}
+	return n
+}
+
+// Since returns the samples h holds beyond prev, an earlier copy of the
+// same histogram: the interval between the two. Counts and sum are exact.
+// The extremes of the interval are not kept, so they are bounded by the
+// edges of its lowest and highest occupied buckets, within h's own.
+func (h *Histogram) Since(prev *Histogram) *Histogram {
+	d := &Histogram{n: h.n - prev.n, sum: h.sum - prev.sum}
+	lo, hi := -1, -1
+	for i := range h.counts {
+		if c := h.counts[i] - prev.counts[i]; c > 0 {
+			d.counts[i] = c
+			if lo < 0 {
+				lo = i
+			}
+			hi = i
+		}
+	}
+	if lo >= 0 {
+		d.min = max(bucketLow(lo), h.min)
+		d.max = min(BucketUpper(hi), h.max)
+	}
+	return d
 }
 
 // Record adds one sample.
@@ -240,25 +301,21 @@ func (h *Histogram) Percentiles() []struct {
 // ExactQuantile computes the q-quantile of raw samples; used by tests to
 // validate Histogram against ground truth.
 func ExactQuantile(samples []int64, q float64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
 	s := append([]int64(nil), samples...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if q <= 0 {
-		return s[0]
+	return NearestRank(s, q)
+}
+
+// NearestRank returns the q-quantile of already sorted samples by the
+// nearest-rank rule: the sample of rank ceil(q*n), clamped to the first
+// and last (0 when there are none).
+func NearestRank(sorted []int64, q float64) int64 {
+	if len(sorted) == 0 {
+		return 0
 	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(q*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
+	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
+	rank = min(max(rank, 0), len(sorted)-1)
+	return sorted[rank]
 }
 
 // FormatNanos renders a nanosecond count in a human unit.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -278,5 +279,67 @@ func TestHistogramReset(t *testing.T) {
 	h.Reset()
 	if h.Count() != 0 || h.Max() != 0 {
 		t.Fatal("reset did not clear histogram")
+	}
+}
+
+// TestSinceIsTheInterval: the interval delta between two copies of one
+// histogram holds exactly the samples recorded between them, so its p99
+// is the interval's (what the adaptive controller judges a tenant by),
+// not the lifetime's; its extremes stay within the interval's buckets.
+func TestSinceIsTheInterval(t *testing.T) {
+	var h, interval Histogram
+	for i := 0; i < 50; i++ {
+		h.Record(5_000_000) // slow history
+	}
+	before := h
+	for i := 0; i < 100; i++ {
+		v := int64(20_000 + 100*i)
+		h.Record(v)
+		interval.Record(v)
+	}
+	d := h.Since(&before)
+	if d.Count() != 100 || d.Sum() != interval.Sum() {
+		t.Fatalf("interval n=%d sum=%d, want n=100 sum=%d", d.Count(), d.Sum(), interval.Sum())
+	}
+	for i := 0; i < NumBuckets; i++ {
+		if d.Bucket(i) != interval.Bucket(i) {
+			t.Fatalf("bucket %d: %d, want %d", i, d.Bucket(i), interval.Bucket(i))
+		}
+	}
+	if got, want := d.P99(), interval.P99(); got != want {
+		t.Fatalf("interval p99 = %d, want %d (lifetime p99 %d)", got, want, h.P99())
+	}
+	if d.Min() > interval.Min() || d.Max() < interval.Max() || d.Max() >= 5_000_000 {
+		t.Fatalf("interval extremes [%d, %d] do not bound [%d, %d] within its buckets",
+			d.Min(), d.Max(), interval.Min(), interval.Max())
+	}
+	if e := h.Since(&h); e.Count() != 0 || e.P99() != 0 {
+		t.Fatalf("empty interval: %v", e)
+	}
+}
+
+// TestCumulativeLE: a bound that is a bucket's upper edge splits the
+// samples exactly.
+func TestCumulativeLE(t *testing.T) {
+	var h Histogram
+	for _, v := range []int64{10, 1023, 1024, 5000} {
+		h.Record(v)
+	}
+	for bound, want := range map[int64]int64{9: 0, 10: 1, 1023: 2, 2047: 3, math.MaxInt64: 4} {
+		if got := h.CumulativeLE(bound); got != want {
+			t.Errorf("CumulativeLE(%d) = %d, want %d", bound, got, want)
+		}
+	}
+}
+
+func TestNearestRank(t *testing.T) {
+	sorted := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for q, want := range map[float64]int64{-1: 1, 0: 1, 0.1: 1, 0.5: 5, 0.95: 10, 1: 10, 2: 10} {
+		if got := NearestRank(sorted, q); got != want {
+			t.Errorf("NearestRank(q=%v) = %d, want %d", q, got, want)
+		}
+	}
+	if NearestRank(nil, 0.5) != 0 {
+		t.Error("NearestRank of no samples not 0")
 	}
 }

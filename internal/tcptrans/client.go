@@ -39,10 +39,6 @@ type DialConfig struct {
 	// Dialer optionally replaces net.Dial (fault injection wraps the
 	// socket here; see internal/faultnet.Dialer).
 	Dialer func(network, addr string) (net.Conn, error)
-	// WriteBatchBytes caps how many marshalled bytes one outbound drain
-	// may coalesce into a single write syscall (default 256 KiB). 1
-	// degenerates to one syscall per PDU, the pre-shard writer.
-	WriteBatchBytes int
 	// CoalesceBytes/CoalesceDelay open the submission-coalescing window:
 	// when the outbound queue runs dry with fewer than CoalesceBytes
 	// staged, the writer holds the batch up to CoalesceDelay waiting for
@@ -140,9 +136,6 @@ func (d DialConfig) withDefaults() DialConfig {
 	}
 	if d.Dialer == nil {
 		d.Dialer = net.Dial
-	}
-	if d.WriteBatchBytes <= 0 {
-		d.WriteBatchBytes = maxWriteBatch
 	}
 	if d.CoalesceBytes > 0 || d.CoalesceDelay > 0 {
 		if d.CoalesceBytes <= 0 {
@@ -420,7 +413,6 @@ func (c *Conn) install(ln *link) {
 	go func() {
 		defer ln.wg.Done()
 		drainWriter(ln.nc, &ln.out, writerConfig{
-			batch:         c.dcfg.WriteBatchBytes,
 			coalesceBytes: c.dcfg.CoalesceBytes,
 			coalesceDelay: c.dcfg.CoalesceDelay,
 			release:       releaseClientPDU,

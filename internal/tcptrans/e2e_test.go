@@ -58,7 +58,7 @@ func TestE2EFeedbackChannel(t *testing.T) {
 	var samples int64
 	for time.Now().Before(deadline) {
 		if h := tel.E2EHist(tenant, telemetry.ClassLS); h != nil {
-			if samples = h.Count(); samples == 2*n {
+			if samples = h.Snapshot().Count(); samples == 2*n {
 				break
 			}
 		}

@@ -102,10 +102,6 @@ type ServerConfig struct {
 	// tenant-ID space leaves each lane 256 stride slots).
 	// 1 reproduces the old single-reactor deployment.
 	Shards int
-	// WriteBatchBytes caps how many marshalled bytes one outbound drain
-	// may coalesce into a single write syscall (default 256 KiB). 1
-	// degenerates to one syscall per PDU, the pre-shard writer.
-	WriteBatchBytes int
 	// MaxDataLen is the largest single data transfer the target puts in
 	// one PDU (advertised in the ICResp; default 1 MiB). Reads larger
 	// than this are segmented into multiple C2HData fragments with
@@ -201,9 +197,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Shards > 256 {
 		cfg.Shards = 256 // one stride lane per shard, 256 tenants each
-	}
-	if cfg.WriteBatchBytes <= 0 {
-		cfg.WriteBatchBytes = maxWriteBatch
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -523,7 +516,6 @@ func (s *Server) serveConn(c *srvConn) {
 	go func() {
 		defer close(writerDone)
 		drainWriter(conn, &c.out, writerConfig{
-			batch:   s.cfg.WriteBatchBytes,
 			release: releaseServerPDU,
 			flushed: c.onFlush,
 		})

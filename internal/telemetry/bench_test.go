@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"testing"
+
+	"nvmeopf/internal/proto"
 )
 
 // TestDisabledRegistryZeroAllocs is the hard guarantee behind "nil
@@ -56,16 +58,17 @@ func TestRecorderTraceZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestHistRecordZeroAllocs: the histogram record path is two atomic adds
-// plus a CAS loop for the max — never an allocation.
+// TestHistRecordZeroAllocs: a host's end-to-end record path lands in a
+// stats.AtomicHistogram installed on the class's first sample — after
+// that it never allocates.
 func TestHistRecordZeroAllocs(t *testing.T) {
-	h := &Hist{}
+	acc := NewE2EAccum()
 	v := int64(0)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		v += 997
-		h.Record(v)
+		acc.Record(proto.PrioLatencySensitive, v)
 	}); allocs != 0 {
-		t.Fatalf("hist Record allocated %.1f allocs/op, want 0", allocs)
+		t.Fatalf("E2EAccum.Record allocated %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -77,15 +80,6 @@ func BenchmarkRecorderTrace(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rec.Trace(ev)
-	}
-}
-
-// BenchmarkHistRecord measures the histogram record path in isolation.
-func BenchmarkHistRecord(b *testing.B) {
-	h := &Hist{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Record(int64(i))
 	}
 }
 

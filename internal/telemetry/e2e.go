@@ -5,23 +5,19 @@ import (
 	"sync/atomic"
 
 	"nvmeopf/internal/proto"
+	"nvmeopf/internal/stats"
 )
 
 // The end-to-end feedback plane: hosts accumulate what they actually
 // observe — end-to-end latency per class, busy push-back, resubmissions —
 // and ship sparse histogram deltas to the target inside TelemetryUpdate
 // PDUs on the transport's keep-alive cadence. The target merges each
-// tenant's deltas into per-tenant e2e histograms that share the service
-// histograms' bucket geometry, so the merge is exact (bucket-wise
-// addition, no re-sampling) and the egress gap — host e2e p99 minus
-// target service p99 — is directly comparable. This closes the blind spot
+// tenant's deltas into per-tenant e2e histograms on the one stats grid the
+// service histograms and the simulator use, so the merge is exact
+// (bucket-wise addition, no re-sampling) and the egress gap — host e2e p99
+// minus target service p99 — is directly comparable. This closes the blind spot
 // the service-side signal has by construction: queueing that happens
 // after a completion leaves the target's NIC.
-
-// HistSubBits is the histogram geometry tag carried in
-// proto.TelemetryUpdate.SubBits: the sub-bucket resolution of the HDR
-// grid both sides must share for deltas to merge exactly.
-const HistSubBits = histSubBits
 
 // wirePriority maps a latency class back to the representative wire
 // priority TelemetryUpdate carries for it.
@@ -44,9 +40,8 @@ func (c Class) wirePriority() proto.Priority {
 // must run on the session's event context (they share the delta
 // baseline).
 type E2EAccum struct {
-	hist    [numClasses]*Hist
-	prev    [numClasses][]int64
-	prevSum [numClasses]int64
+	hist    [numClasses]*stats.AtomicHistogram
+	prev    [numClasses]*stats.Histogram // baseline of the next delta
 	busy    atomic.Int64
 	retries atomic.Int64
 }
@@ -62,7 +57,8 @@ func (a *E2EAccum) Record(prio proto.Priority, latency int64) {
 	}
 	c := ClassOf(prio)
 	if a.hist[c] == nil {
-		a.hist[c] = &Hist{}
+		a.hist[c] = &stats.AtomicHistogram{}
+		a.prev[c] = &stats.Histogram{}
 	}
 	a.hist[c].Record(latency)
 }
@@ -91,49 +87,32 @@ func (a *E2EAccum) AddRetries(n int64) {
 // updates still refresh the clock estimate and queue-depth gauge, so
 // callers typically send either way.
 func (a *E2EAccum) FillUpdate(u *proto.TelemetryUpdate) bool {
-	u.SubBits = HistSubBits
+	u.SubBits = stats.SubBucketBits
 	u.Classes = nil
-	fresh := false
 	if a == nil {
 		return false
 	}
 	u.Busy = uint32(a.busy.Swap(0))
 	u.Retries = uint32(a.retries.Swap(0))
-	fresh = u.Busy > 0 || u.Retries > 0
+	fresh := u.Busy > 0 || u.Retries > 0
 	for c := Class(0); c < numClasses; c++ {
-		h := a.hist[c]
-		if h == nil {
+		if a.hist[c] == nil {
 			continue
 		}
-		snap := h.Snapshot()
-		prev := a.prev[c]
-		cd := proto.TelemetryClassDelta{Class: c.wirePriority()}
-		top := -1
-		for i, n := range snap.Counts {
-			var p int64
-			if prev != nil {
-				p = prev[i]
-			}
-			if d := n - p; d > 0 {
-				cd.Buckets = append(cd.Buckets, proto.TelemetryBucket{
-					Index: uint16(i), Count: uint32(d),
-				})
-				top = i
-			}
-		}
-		if top < 0 {
+		snap := a.hist[c].Snapshot()
+		d := snap.Since(a.prev[c])
+		if d.Count() == 0 {
 			continue
 		}
-		cd.Sum = uint64(snap.Sum - a.prevSum[c])
-		// The per-window maximum is bounded by the top occupied delta
-		// bucket (and never beyond the lifetime max).
-		mx := histBucketUpper(top)
-		if mx > snap.Max {
-			mx = snap.Max
+		// The interval's maximum is bounded by its top bucket and the
+		// lifetime maximum (Since).
+		cd := proto.TelemetryClassDelta{Class: c.wirePriority(), Sum: uint64(d.Sum()), Max: uint64(d.Max())}
+		for i := 0; i < stats.NumBuckets; i++ {
+			if n := d.Bucket(i); n > 0 {
+				cd.Buckets = append(cd.Buckets, proto.TelemetryBucket{Index: uint16(i), Count: uint32(n)})
+			}
 		}
-		cd.Max = uint64(mx)
-		a.prev[c] = snap.Counts
-		a.prevSum[c] = snap.Sum
+		a.prev[c] = snap
 		u.Classes = append(u.Classes, cd)
 		fresh = true
 	}
@@ -143,14 +122,15 @@ func (a *E2EAccum) FillUpdate(u *proto.TelemetryUpdate) bool {
 // ClassDeltaGoodBad splits one wire class delta's samples into within/over-
 // objective counts by bucket bound: a bucket whose upper bound meets the
 // objective counts as good. The verdict carries the histogram's resolution
-// (≤3.1% relative error) — the same contract as every quantile the
-// registry serves. Out-of-range indices are skipped, matching mergeDelta.
+// (≤1.6% relative error) — the same contract as every quantile the
+// registry serves. Out-of-range indices are skipped, as the merge skips
+// them.
 func ClassDeltaGoodBad(cd *proto.TelemetryClassDelta, objectiveNS int64) (good, bad int64) {
 	for _, b := range cd.Buckets {
-		if int(b.Index) >= histBuckets {
+		if int(b.Index) >= stats.NumBuckets {
 			continue
 		}
-		if histBucketUpper(int(b.Index)) <= objectiveNS {
+		if stats.BucketUpper(int(b.Index)) <= objectiveNS {
 			good += int64(b.Count)
 		} else {
 			bad += int64(b.Count)
@@ -159,45 +139,13 @@ func ClassDeltaGoodBad(cd *proto.TelemetryClassDelta, objectiveNS int64) (good, 
 	return good, bad
 }
 
-// e2eClassHist returns the tenant's e2e histogram for a class, installing
-// it on first use (same lazy-CAS pattern as the service histograms).
-func (s *tenantSlot) e2eClassHist(c Class) *Hist {
-	if h := s.e2eHist[c].Load(); h != nil {
-		return h
-	}
-	h := &Hist{}
-	if s.e2eHist[c].CompareAndSwap(nil, h) {
-		return h
-	}
-	return s.e2eHist[c].Load()
-}
-
-// mergeDelta adds one wire class delta into the histogram. Out-of-range
-// bucket indices are dropped (a host speaking a wider geometry already
-// failed the SubBits check; this is belt-and-suspenders for corruption).
-func (h *Hist) mergeDelta(cd *proto.TelemetryClassDelta) {
-	for _, b := range cd.Buckets {
-		if int(b.Index) >= histBuckets {
-			continue
-		}
-		h.counts[b.Index].Add(int64(b.Count))
-	}
-	h.sum.Add(int64(cd.Sum))
-	for {
-		m := h.max.Load()
-		if int64(cd.Max) <= m || h.max.CompareAndSwap(m, int64(cd.Max)) {
-			break
-		}
-	}
-}
-
 // MergeE2E merges one host's TelemetryUpdate into the tenant's end-to-end
 // view. The geometry tag must match this registry's grid — a mismatch is
 // an error (merging across grids would silently corrupt quantiles). A nil
 // registry accepts and drops the update.
 func (r *Registry) MergeE2E(t proto.TenantID, u *proto.TelemetryUpdate) error {
-	if u.SubBits != HistSubBits {
-		return fmt.Errorf("telemetry: TelemetryUpdate geometry sub-bits %d != %d", u.SubBits, HistSubBits)
+	if u.SubBits != stats.SubBucketBits {
+		return fmt.Errorf("telemetry: TelemetryUpdate geometry sub-bits %d != %d", u.SubBits, stats.SubBucketBits)
 	}
 	if r == nil {
 		return nil
@@ -212,14 +160,18 @@ func (r *Registry) MergeE2E(t proto.TenantID, u *proto.TelemetryUpdate) error {
 		if len(cd.Buckets) == 0 && cd.Sum == 0 {
 			continue
 		}
-		s.e2eClassHist(ClassOf(cd.Class)).mergeDelta(cd)
+		installHist(&s.e2eHist[ClassOf(cd.Class)]).MergeBuckets(func(add func(int, int64)) {
+			for _, b := range cd.Buckets {
+				add(int(b.Index), int64(b.Count))
+			}
+		}, int64(cd.Sum), int64(cd.Max))
 	}
 	return nil
 }
 
 // E2EHist returns the tenant's merged end-to-end histogram for a class
 // (nil when no host reported samples for it yet).
-func (r *Registry) E2EHist(t proto.TenantID, c Class) *Hist {
+func (r *Registry) E2EHist(t proto.TenantID, c Class) *stats.AtomicHistogram {
 	if r == nil || c >= numClasses {
 		return nil
 	}
@@ -317,18 +269,18 @@ func (r *Registry) E2E() []E2ESnapshot {
 				continue
 			}
 			hs := h.Snapshot()
-			if hs.Count == 0 {
+			if hs.Count() == 0 {
 				continue
 			}
 			cs := E2EClassSnapshot{
 				Class:   c.String(),
-				Samples: hs.Count,
-				P50NS:   hs.Quantile(0.50),
-				P99NS:   hs.Quantile(0.99),
-				MaxNS:   hs.Max,
+				Samples: hs.Count(),
+				P50NS:   hs.P50(),
+				P99NS:   hs.P99(),
+				MaxNS:   hs.Max(),
 			}
 			if sh := s.hist[c].Load(); sh != nil {
-				cs.ServiceP99NS = sh.Quantile(0.99)
+				cs.ServiceP99NS = sh.Snapshot().P99()
 			}
 			cs.GapP99NS = cs.P99NS - cs.ServiceP99NS
 			snap.Classes = append(snap.Classes, cs)

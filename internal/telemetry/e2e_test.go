@@ -1,60 +1,51 @@
 package telemetry
 
 import (
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 
 	"nvmeopf/internal/proto"
+	"nvmeopf/internal/stats"
 )
 
 // TestE2EAccumDeltaExactMerge pins the core contract of the feedback
-// channel: host-side deltas merged at the target reproduce the host's
-// histogram exactly (bucket counts and sums equal; max within the shared
-// bucket's bound), across multiple delta rounds.
+// channel: seeded random latencies recorded on a host accumulator and
+// shipped over several FillUpdate rounds merge at the target into the
+// histogram a plain stats.Histogram of the same samples is — bucket for
+// bucket, in count, in sum and in the maximum.
 func TestE2EAccumDeltaExactMerge(t *testing.T) {
 	acc := NewE2EAccum()
 	reg := New()
-	ref := &Hist{} // what the host actually observed
-
-	record := func(lat int64) {
-		acc.Record(proto.PrioLatencySensitive, lat)
-		ref.Record(lat)
-	}
-	merge := func() {
+	var want stats.Histogram
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 6; round++ {
+		for i := rng.Intn(400); i > 0; i-- {
+			lat := int64(5_000 * (1 + rng.ExpFloat64()*40))
+			acc.Record(proto.PrioLatencySensitive, lat)
+			want.Record(lat)
+		}
 		u := &proto.TelemetryUpdate{}
 		acc.FillUpdate(u)
 		if err := reg.MergeE2E(9, u); err != nil {
-			t.Fatalf("MergeE2E: %v", err)
+			t.Fatalf("round %d: MergeE2E: %v", round, err)
 		}
 	}
 
-	for _, lat := range []int64{1_000, 50_000, 50_001, 1_000_000} {
-		record(lat)
-	}
-	merge()
-	for _, lat := range []int64{25, 2_000_000, 50_000} {
-		record(lat)
-	}
-	merge()
-
 	got := reg.E2EHist(9, ClassLS).Snapshot()
-	want := ref.Snapshot()
-	if !reflect.DeepEqual(got.Counts, want.Counts) {
-		t.Fatal("merged bucket counts differ from the host histogram")
+	for i := 0; i < stats.NumBuckets; i++ {
+		if got.Bucket(i) != want.Bucket(i) {
+			t.Fatalf("bucket %d: merged %d, host %d", i, got.Bucket(i), want.Bucket(i))
+		}
 	}
-	if got.Sum != want.Sum || got.Count != want.Count {
-		t.Fatalf("sum/count: got (%d, %d), want (%d, %d)", got.Sum, got.Count, want.Sum, want.Count)
+	if got.Count() != want.Count() || got.Sum() != want.Sum() || got.Max() != want.Max() {
+		t.Fatalf("n/sum/max: merged (%d, %d, %d), host (%d, %d, %d)",
+			got.Count(), got.Sum(), got.Max(), want.Count(), want.Sum(), want.Max())
 	}
-	// The wire max is the top delta bucket's upper bound: same bucket as
-	// the true max, never below it.
-	if got.Max < want.Max || histBucketIndex(got.Max) != histBucketIndex(want.Max) {
-		t.Fatalf("max: got %d, want within bucket of %d", got.Max, want.Max)
-	}
-	if q := got.Quantile(0.99); q != want.Quantile(0.99) {
-		t.Fatalf("p99: got %d, want %d", q, want.Quantile(0.99))
+	if q := got.P99(); q != want.P99() {
+		t.Fatalf("p99: merged %d, host %d", q, want.P99())
 	}
 }
 
@@ -117,8 +108,8 @@ func TestE2EAccumBusyRetries(t *testing.T) {
 	}
 
 	reg := New()
-	reg.MergeE2E(1, &proto.TelemetryUpdate{SubBits: HistSubBits, Busy: 2, Retries: 3})
-	reg.MergeE2E(1, &proto.TelemetryUpdate{SubBits: HistSubBits, Busy: 1, QueueDepth: 5})
+	reg.MergeE2E(1, &proto.TelemetryUpdate{SubBits: stats.SubBucketBits, Busy: 2, Retries: 3})
+	reg.MergeE2E(1, &proto.TelemetryUpdate{SubBits: stats.SubBucketBits, Busy: 1, QueueDepth: 5})
 	e2e := reg.E2E()
 	if len(e2e) != 1 {
 		t.Fatalf("e2e snapshots = %d, want 1", len(e2e))
@@ -134,7 +125,7 @@ func TestE2EAccumBusyRetries(t *testing.T) {
 func TestMergeE2EGeometryMismatch(t *testing.T) {
 	reg := New()
 	u := &proto.TelemetryUpdate{
-		SubBits: HistSubBits + 1,
+		SubBits: stats.SubBucketBits + 1,
 		Classes: []proto.TelemetryClassDelta{{
 			Class:   proto.PrioLatencySensitive,
 			Sum:     100,
@@ -149,7 +140,7 @@ func TestMergeE2EGeometryMismatch(t *testing.T) {
 	}
 	// Out-of-range bucket indices are dropped, not written out of bounds.
 	ok := &proto.TelemetryUpdate{
-		SubBits: HistSubBits,
+		SubBits: stats.SubBucketBits,
 		Classes: []proto.TelemetryClassDelta{{
 			Class:   proto.PrioLatencySensitive,
 			Buckets: []proto.TelemetryBucket{{Index: 65535, Count: 1}, {Index: 3, Count: 2}},
@@ -158,7 +149,7 @@ func TestMergeE2EGeometryMismatch(t *testing.T) {
 	if err := reg.MergeE2E(4, ok); err != nil {
 		t.Fatalf("valid update rejected: %v", err)
 	}
-	if n := reg.E2EHist(4, ClassLS).Count(); n != 2 {
+	if n := reg.E2EHist(4, ClassLS).Snapshot().Count(); n != 2 {
 		t.Fatalf("merged %d samples, want 2 (out-of-range bucket dropped)", n)
 	}
 }
@@ -166,7 +157,7 @@ func TestMergeE2EGeometryMismatch(t *testing.T) {
 func TestClassDeltaGoodBad(t *testing.T) {
 	acc := NewE2EAccum()
 	acc.Record(proto.PrioLatencySensitive, 1_000)   // well under
-	acc.Record(proto.PrioLatencySensitive, 40_000)  // bucket upper 40959, still under
+	acc.Record(proto.PrioLatencySensitive, 40_000)  // bucket upper 40447, still under
 	acc.Record(proto.PrioLatencySensitive, 100_000) // over
 	var u proto.TelemetryUpdate
 	acc.FillUpdate(&u)
@@ -183,7 +174,7 @@ func TestClassDeltaGoodBad(t *testing.T) {
 
 func TestResetE2EGauges(t *testing.T) {
 	reg := New()
-	reg.MergeE2E(7, &proto.TelemetryUpdate{SubBits: HistSubBits, QueueDepth: 42, Busy: 1})
+	reg.MergeE2E(7, &proto.TelemetryUpdate{SubBits: stats.SubBucketBits, QueueDepth: 42, Busy: 1})
 	reg.ResetE2EGauges(7)
 	s := reg.E2E()[0]
 	if s.QueueDepth != 0 {
@@ -250,11 +241,11 @@ const e2eGoldenJSON = `{
         {
           "class": "ls",
           "samples": 2,
-          "p50_ns": 1000000,
-          "p99_ns": 1000000,
+          "p50_ns": 999424,
+          "p99_ns": 999424,
           "max_ns": 1000000,
           "service_p99_ns": 40000,
-          "gap_p99_ns": 960000
+          "gap_p99_ns": 959424
         }
       ]
     }
@@ -297,7 +288,7 @@ nvmeopf_e2e_latency_hist_ns_sum{tenant="2",class="ls"} 2000000
 nvmeopf_e2e_latency_hist_ns_count{tenant="2",class="ls"} 2
 # HELP nvmeopf_e2e_gap_ns Egress gap: host-observed e2e p99 minus target-side service p99.
 # TYPE nvmeopf_e2e_gap_ns gauge
-nvmeopf_e2e_gap_ns{tenant="2",class="ls"} 960000
+nvmeopf_e2e_gap_ns{tenant="2",class="ls"} 959424
 # HELP nvmeopf_e2e_updates_total TelemetryUpdate PDUs merged from hosts.
 # TYPE nvmeopf_e2e_updates_total counter
 nvmeopf_e2e_updates_total{tenant="2"} 1

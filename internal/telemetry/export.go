@@ -206,7 +206,7 @@ func (r *Registry) PrometheusText() string {
 		fmt.Fprintf(&b, "nvmeopf_tenant_latency_ns{tenant=\"%d\",quantile=\"0.999\"} %d\n", t.Tenant, t.LatencyP999)
 		fmt.Fprintf(&b, "nvmeopf_tenant_latency_ns{tenant=\"%d\",quantile=\"1\"} %d\n", t.Tenant, t.LatencyMax)
 	}
-	b.WriteString("# HELP nvmeopf_tenant_latency_hist_ns End-to-end latency histogram per class (log-bucketed, ~3% relative error).\n" +
+	b.WriteString("# HELP nvmeopf_tenant_latency_hist_ns End-to-end latency histogram per class (log-bucketed, ~1.6% relative error).\n" +
 		"# TYPE nvmeopf_tenant_latency_hist_ns histogram\n")
 	for _, t := range tenants {
 		for c := Class(0); c < numClasses; c++ {
@@ -215,7 +215,7 @@ func (r *Registry) PrometheusText() string {
 				continue
 			}
 			hs := h.Snapshot()
-			if hs.Count == 0 {
+			if hs.Count() == 0 {
 				continue
 			}
 			for _, le := range histExportBounds {
@@ -223,9 +223,9 @@ func (r *Registry) PrometheusText() string {
 					t.Tenant, c, le, hs.CumulativeLE(le))
 			}
 			fmt.Fprintf(&b, "nvmeopf_tenant_latency_hist_ns_bucket{tenant=\"%d\",class=\"%s\",le=\"+Inf\"} %d\n",
-				t.Tenant, c, hs.Count)
-			fmt.Fprintf(&b, "nvmeopf_tenant_latency_hist_ns_sum{tenant=\"%d\",class=\"%s\"} %d\n", t.Tenant, c, hs.Sum)
-			fmt.Fprintf(&b, "nvmeopf_tenant_latency_hist_ns_count{tenant=\"%d\",class=\"%s\"} %d\n", t.Tenant, c, hs.Count)
+				t.Tenant, c, hs.Count())
+			fmt.Fprintf(&b, "nvmeopf_tenant_latency_hist_ns_sum{tenant=\"%d\",class=\"%s\"} %d\n", t.Tenant, c, hs.Sum())
+			fmt.Fprintf(&b, "nvmeopf_tenant_latency_hist_ns_count{tenant=\"%d\",class=\"%s\"} %d\n", t.Tenant, c, hs.Count())
 		}
 	}
 	if slos := r.SLOs(r.now()); len(slos) > 0 {
@@ -291,7 +291,7 @@ func (r *Registry) PrometheusText() string {
 					continue
 				}
 				hs := h.Snapshot()
-				if hs.Count == 0 {
+				if hs.Count() == 0 {
 					continue
 				}
 				for _, le := range histExportBounds {
@@ -299,9 +299,9 @@ func (r *Registry) PrometheusText() string {
 						s.Tenant, c, le, hs.CumulativeLE(le))
 				}
 				fmt.Fprintf(&b, "nvmeopf_e2e_latency_hist_ns_bucket{tenant=\"%d\",class=\"%s\",le=\"+Inf\"} %d\n",
-					s.Tenant, c, hs.Count)
-				fmt.Fprintf(&b, "nvmeopf_e2e_latency_hist_ns_sum{tenant=\"%d\",class=\"%s\"} %d\n", s.Tenant, c, hs.Sum)
-				fmt.Fprintf(&b, "nvmeopf_e2e_latency_hist_ns_count{tenant=\"%d\",class=\"%s\"} %d\n", s.Tenant, c, hs.Count)
+					s.Tenant, c, hs.Count())
+				fmt.Fprintf(&b, "nvmeopf_e2e_latency_hist_ns_sum{tenant=\"%d\",class=\"%s\"} %d\n", s.Tenant, c, hs.Sum())
+				fmt.Fprintf(&b, "nvmeopf_e2e_latency_hist_ns_count{tenant=\"%d\",class=\"%s\"} %d\n", s.Tenant, c, hs.Count())
 			}
 		}
 		b.WriteString("# HELP nvmeopf_e2e_gap_ns Egress gap: host-observed e2e p99 minus target-side service p99.\n" +

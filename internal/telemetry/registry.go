@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nvmeopf/internal/proto"
+	"nvmeopf/internal/stats"
 )
 
 // MaxTenants is the tenant ID space (proto.TenantID is uint16). Slots are
@@ -68,9 +69,9 @@ type tenantSlot struct {
 	scavAgedDrains atomic.Int64 // of which forced by the aging bound
 
 	// hist holds the per-class latency histograms. Installed lazily (one
-	// 15 KiB Hist per active tenant-class, CAS once) so an idle registry
-	// stays small; after installation Record is allocation-free.
-	hist [numClasses]atomic.Pointer[Hist]
+	// 22 KiB histogram per active tenant-class, CAS once) so an idle
+	// registry stays small; after installation Record is allocation-free.
+	hist [numClasses]atomic.Pointer[stats.AtomicHistogram]
 
 	// SLO instruments. objective 0 means "no per-tenant SLO declared"
 	// (the registry default, if any, applies); budgetPPM is the error
@@ -83,7 +84,7 @@ type tenantSlot struct {
 	// Host-reported end-to-end view, merged from TelemetryUpdate PDUs
 	// (see e2e.go). The histograms share the service-side geometry, so
 	// host deltas add in exactly.
-	e2eHist       [numClasses]atomic.Pointer[Hist]
+	e2eHist       [numClasses]atomic.Pointer[stats.AtomicHistogram]
 	e2eUpdates    atomic.Int64 // TelemetryUpdates merged for this tenant
 	e2eQueueDepth atomic.Int64 // gauge: host outstanding at the last update
 	e2eBusy       atomic.Int64 // host-observed StatusBusy completions
@@ -96,17 +97,17 @@ type tenantSlot struct {
 	clockReestDelta atomic.Int64
 }
 
-// classHist returns the tenant's histogram for a class, installing it on
-// first use.
-func (s *tenantSlot) classHist(c Class) *Hist {
-	if h := s.hist[c].Load(); h != nil {
+// installHist returns the histogram in p, installing one on first use
+// (CAS once; the loser of a race adopts the winner's).
+func installHist(p *atomic.Pointer[stats.AtomicHistogram]) *stats.AtomicHistogram {
+	if h := p.Load(); h != nil {
 		return h
 	}
-	h := &Hist{}
-	if s.hist[c].CompareAndSwap(nil, h) {
+	h := &stats.AtomicHistogram{}
+	if p.CompareAndSwap(nil, h) {
 		return h
 	}
-	return s.hist[c].Load()
+	return p.Load()
 }
 
 // sloCheckpoint is one (time, counters) sample of a tenant's SLO
@@ -309,7 +310,7 @@ func (r *Registry) IncCompleted(t proto.TenantID, prio proto.Priority, latency i
 		s.bytesRead.Add(bytesRead)
 	}
 	if latency >= 0 {
-		s.classHist(ClassOf(prio)).Record(latency)
+		installHist(&s.hist[ClassOf(prio)]).Record(latency)
 		obj := s.sloObjective.Load()
 		if obj == 0 {
 			obj = r.defObjective.Load()
@@ -326,7 +327,7 @@ func (r *Registry) IncCompleted(t proto.TenantID, prio proto.Priority, latency i
 
 // LatencyHist returns the tenant's histogram for a class (nil when that
 // class recorded nothing yet).
-func (r *Registry) LatencyHist(t proto.TenantID, c Class) *Hist {
+func (r *Registry) LatencyHist(t proto.TenantID, c Class) *stats.AtomicHistogram {
 	if r == nil || c >= numClasses {
 		return nil
 	}
@@ -873,17 +874,19 @@ func (r *Registry) Tenants() []TenantSnapshot {
 		if snap.Responses > 0 {
 			snap.CoalescingRatio = float64(snap.Completed) / float64(snap.Responses)
 		}
-		merged := Hist{}
+		var hs stats.Histogram
 		for c := Class(0); c < numClasses; c++ {
-			merged.Merge(s.hist[c].Load())
+			if h := s.hist[c].Load(); h != nil {
+				hs.Merge(h.Snapshot())
+			}
 		}
-		if hs := merged.Snapshot(); hs.Count > 0 {
-			snap.LatencySamples = hs.Count
+		if hs.Count() > 0 {
+			snap.LatencySamples = hs.Count()
 			snap.LatencyP50 = hs.Quantile(0.50)
 			snap.LatencyP95 = hs.Quantile(0.95)
 			snap.LatencyP99 = hs.Quantile(0.99)
 			snap.LatencyP999 = hs.Quantile(0.999)
-			snap.LatencyMax = hs.Max
+			snap.LatencyMax = hs.Max()
 		}
 		out = append(out, snap)
 	})

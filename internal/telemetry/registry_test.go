@@ -131,8 +131,8 @@ func TestLatencyHistogramUnbounded(t *testing.T) {
 	if s.LatencyP50 != 500 || s.LatencyMax != 500 {
 		t.Fatalf("single-valued quantiles wrong: %+v", s)
 	}
-	if h := r.LatencyHist(tid, ClassLS); h.Count() != n {
-		t.Fatalf("LS hist count = %d, want %d", h.Count(), n)
+	if c := r.LatencyHist(tid, ClassLS).Snapshot().Count(); c != n {
+		t.Fatalf("LS hist count = %d, want %d", c, n)
 	}
 	if h := r.LatencyHist(tid, ClassTC); h != nil {
 		t.Fatalf("TC hist installed without TC samples")

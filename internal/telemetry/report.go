@@ -3,10 +3,10 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"nvmeopf/internal/proto"
+	"nvmeopf/internal/stats"
 )
 
 // Offline analysis over correlated timelines: the engine behind the
@@ -114,20 +114,6 @@ func (r *Report) ReconstructionRatio() float64 {
 	return float64(r.Complete) / float64(r.Submitted)
 }
 
-func exactQuantile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 // Analyze runs the detectors and aggregations over a correlation.
 func Analyze(c *Correlation, opts AnalyzeOptions) *Report {
 	if opts.HoLFactor <= 0 {
@@ -222,7 +208,7 @@ func Analyze(c *Correlation, opts AnalyzeOptions) *Report {
 	}
 	if len(lsService) > 0 {
 		sort.Slice(lsService, func(i, j int) bool { return lsService[i] < lsService[j] })
-		median := exactQuantile(lsService, 0.5)
+		median := stats.NearestRank(lsService, 0.5)
 		limit := int64(float64(median) * opts.HoLFactor)
 		for i := range c.Timelines {
 			tl := &c.Timelines[i]
@@ -287,9 +273,9 @@ func Analyze(c *Correlation, opts AnalyzeOptions) *Report {
 		sort.Slice(b.lats, func(i, j int) bool { return b.lats[i] < b.lats[j] })
 		ts := TenantStats{
 			Tenant: k.tenant, Class: Class(k.class), Count: b.n,
-			P50:      exactQuantile(b.lats, 0.50),
-			P95:      exactQuantile(b.lats, 0.95),
-			P99:      exactQuantile(b.lats, 0.99),
+			P50:      stats.NearestRank(b.lats, 0.50),
+			P95:      stats.NearestRank(b.lats, 0.95),
+			P99:      stats.NearestRank(b.lats, 0.99),
 			SpanMean: map[string]int64{},
 		}
 		if n := len(b.lats); n > 0 {
