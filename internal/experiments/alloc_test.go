@@ -10,10 +10,10 @@ import (
 // TestFig7CaseAllocationBudget pins what one simulated I/O costs the
 // allocator across the whole stack — workload, both protocol sessions,
 // fabric model, device model, engine — cluster construction included: at
-// most 5 objects per command (39 before the engine stopped boxing events
-// and the fabric and device models stopped building closures per hop).
-// What remains is the PDUs themselves and the workload's completion
-// callback.
+// most 3.5 objects per command (39 before the engine stopped boxing events
+// and the fabric and device models stopped building closures per hop, 3.8
+// while the workload built its completion callback per request). What
+// remains is the PDUs themselves.
 func TestFig7CaseAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -30,7 +30,7 @@ func TestFig7CaseAllocationBudget(t *testing.T) {
 	})
 	perIO := allocs / float64(cmds)
 	t.Logf("%.0f objects for %d commands: %.2f per I/O", allocs, cmds, perIO)
-	if cmds < 1000 || perIO > 5 {
-		t.Fatalf("%.2f objects per simulated I/O over %d commands, budget 5", perIO, cmds)
+	if cmds < 1000 || perIO > 3.5 {
+		t.Fatalf("%.2f objects per simulated I/O over %d commands, budget 3.5", perIO, cmds)
 	}
 }

@@ -260,10 +260,10 @@ type route struct {
 
 // transit is one PDU on its way along a route. The same record is handed
 // from hop to hop: every Exec/Send gets step, a method value bound once
-// when the record is made, so a hop costs an event in the engine's heap
-// and nothing else. Records recycle through the cluster's free list; one
-// returns there just before its PDU is delivered, so the sends that
-// delivery triggers reuse it straight away. (A PDU an attached fault
+// when the record is made, so a hop costs one event on the hop's resource
+// timeline and nothing else. Records recycle through the cluster's free
+// list; one returns there just before its PDU is delivered, so the sends
+// that delivery triggers reuse it straight away. (A PDU an attached fault
 // profile drops never reaches delivery; its record is left to the GC.)
 type transit struct {
 	route      *route

@@ -44,6 +44,7 @@ func (c CPUConfig) Validate() error {
 // CPU is a serialized compute resource on the engine.
 type CPU struct {
 	eng       *Engine
+	done      *timeline
 	cfg       CPUConfig
 	name      string
 	busyUntil Time
@@ -56,7 +57,7 @@ func NewCPU(eng *Engine, name string, cfg CPUConfig) *CPU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &CPU{eng: eng, cfg: cfg, name: name}
+	return &CPU{eng: eng, done: newTimeline(eng), cfg: cfg, name: name}
 }
 
 // Config returns the CPU's cost model.
@@ -78,7 +79,7 @@ func (c *CPU) Exec(cost Time, fn func()) Time {
 	c.busyTotal += cost
 	c.events++
 	if fn != nil {
-		c.eng.At(done, fn)
+		c.done.at(done, fn)
 	}
 	return done
 }

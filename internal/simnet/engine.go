@@ -43,10 +43,20 @@ const heapArity = 4
 // value the caller already holds (a method value bound once, say) costs no
 // allocation at all, which is what lets simcluster and ssdsim recycle their
 // per-PDU and per-command records instead of building a closure per hop.
+//
+// A serialized resource (a poller CPU, one direction of a link) keeps its
+// backlog in its own timeline, and only the backlog's earliest event sits in
+// the heap; behind counts the events waiting there behind it.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  []event
+	now    Time
+	seq    uint64
+	events []event
+	behind int
+	// hole: events[0] is the event running now. The first event its
+	// callback schedules takes that slot with one sift-down, instead of a
+	// sift-down to remove the old root and a sift-up to add the new event:
+	// the common case, a callback handing its PDU to the next resource.
+	hole    bool
 	stopped bool
 }
 
@@ -71,8 +81,18 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	ev := event{at: t, seq: e.seq, fn: fn}
-	// Sift up: pull ancestors down into the hole until ev fits.
+	e.push(event{at: t, seq: e.seq, fn: fn})
+}
+
+// push adds ev to the heap as it is: its time and sequence number are
+// already final.
+func (e *Engine) push(ev event) {
+	if e.hole {
+		e.hole = false
+		e.siftDown(ev)
+		return
+	}
+	// Sift up: pull ancestors down until ev fits.
 	h := append(e.events, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -87,21 +107,37 @@ func (e *Engine) At(t Time, fn func()) {
 	e.events = h
 }
 
-// pop removes and returns the earliest event. The slot it vacates at the
-// end of the slice is cleared, so a consumed callback (and whatever PDU or
-// payload it references) is not kept reachable by the backing array.
-func (e *Engine) pop() event {
-	h := e.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{}
-	h = h[:n]
-	e.events = h
-	if n == 0 {
-		return top
+// runNext runs the earliest pending event, leaving its slot to the first
+// event the callback schedules.
+func (e *Engine) runNext() {
+	top := e.events[0]
+	e.now = top.at
+	e.hole = true
+	top.fn()
+	if e.hole {
+		e.hole = false
+		e.removeTop()
 	}
-	// Sift down: pull the smallest child up into the hole until last fits.
+}
+
+// removeTop removes the earliest event. The slot it vacates at the end of
+// the slice is cleared, so a consumed callback (and whatever PDU or payload
+// it references) is not kept reachable by the backing array.
+func (e *Engine) removeTop() {
+	n := len(e.events) - 1
+	last := e.events[n]
+	e.events[n] = event{}
+	e.events = e.events[:n]
+	if n > 0 {
+		e.siftDown(last)
+	}
+}
+
+// siftDown puts ev in the root's place: it pulls the smallest child up
+// until ev fits.
+func (e *Engine) siftDown(ev event) {
+	h := e.events
+	n := len(h)
 	i := 0
 	for {
 		first := i*heapArity + 1
@@ -114,14 +150,13 @@ func (e *Engine) pop() event {
 				small = c
 			}
 		}
-		if !h[small].before(&last) {
+		if !h[small].before(&ev) {
 			break
 		}
 		h[i] = h[small]
 		i = small
 	}
-	h[i] = last
-	return top
+	h[i] = ev
 }
 
 // Run processes events until none remain or Stop is called. It returns the
@@ -129,9 +164,7 @@ func (e *Engine) pop() event {
 func (e *Engine) Run() Time {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
-		ev := e.pop()
-		e.now = ev.at
-		ev.fn()
+		e.runNext()
 	}
 	return e.now
 }
@@ -148,9 +181,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if e.stopped {
 			return e.now
 		}
-		ev := e.pop()
-		e.now = ev.at
-		ev.fn()
+		e.runNext()
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -162,7 +193,13 @@ func (e *Engine) RunUntil(deadline Time) Time {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int {
+	n := len(e.events) + e.behind
+	if e.hole {
+		n--
+	}
+	return n
+}
 
 // Rand is a small deterministic xorshift64* PRNG. The simulator cannot use
 // math/rand's global state because experiment reproducibility requires each

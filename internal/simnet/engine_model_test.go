@@ -47,9 +47,12 @@ func parseProgram(data []byte) (roots int, specs []eventSpec) {
 	return roots, specs
 }
 
+// firing is one event run: which, when, and how many events were pending
+// as its callback began.
 type firing struct {
-	id int
-	at Time
+	id      int
+	at      Time
+	pending int
 }
 
 // modelOrder is the reference scheduler: the pending set is a plain slice
@@ -87,7 +90,7 @@ func modelOrder(roots int, specs []eventSpec) []firing {
 		p := pending[best]
 		pending = append(pending[:best], pending[best+1:]...)
 		now = p.at
-		out = append(out, firing{p.id, now})
+		out = append(out, firing{p.id, now, len(pending)})
 		for _, k := range specs[p.id].kids {
 			schedule(k)
 		}
@@ -96,22 +99,33 @@ func modelOrder(roots int, specs []eventSpec) []firing {
 }
 
 // engineOrder runs the same program on the real engine. step > 0 drives it
-// through RunUntil in step-wide slices instead of one Run; the order must
-// not depend on which.
-func engineOrder(roots int, specs []eventSpec, step Time) []firing {
+// through RunUntil in step-wide slices instead of one Run; lanes > 0
+// schedules every event through one of that many timelines instead of
+// Engine.At, whether or not its time keeps the timeline in FIFO order. The
+// order must depend on neither.
+func engineOrder(roots int, specs []eventSpec, step Time, lanes int) []firing {
 	e := NewEngine()
+	tls := make([]*timeline, lanes)
+	for i := range tls {
+		tls[i] = newTimeline(e)
+	}
 	var out []firing
 	var schedule func(id int)
 	schedule = func(id int) {
 		fn := func() {
-			out = append(out, firing{id, e.Now()})
+			out = append(out, firing{id, e.Now(), e.Pending()})
 			for _, k := range specs[id].kids {
 				schedule(k)
 			}
 		}
-		if specs[id].abs {
+		switch {
+		case lanes > 0 && specs[id].abs:
+			tls[id%lanes].at(specs[id].v, fn)
+		case lanes > 0:
+			tls[id%lanes].at(e.Now()+specs[id].v, fn)
+		case specs[id].abs:
 			e.At(specs[id].v, fn)
-		} else {
+		default:
 			e.Schedule(time.Duration(specs[id].v), fn)
 		}
 	}
@@ -132,15 +146,17 @@ func checkAgainstModel(t *testing.T, data []byte) {
 	t.Helper()
 	roots, specs := parseProgram(data)
 	want := modelOrder(roots, specs)
-	for _, step := range []Time{0, 1, 7} {
-		got := engineOrder(roots, specs, step)
-		if len(got) != len(want) {
-			t.Fatalf("step %d: engine fired %d events, model %d", step, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("step %d: firing %d = event %d at t=%d, model says event %d at t=%d",
-					step, i, got[i].id, got[i].at, want[i].id, want[i].at)
+	for _, lanes := range []int{0, 1, 3} {
+		for _, step := range []Time{0, 1, 7} {
+			got := engineOrder(roots, specs, step, lanes)
+			if len(got) != len(want) {
+				t.Fatalf("lanes %d step %d: engine fired %d events, model %d", lanes, step, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("lanes %d step %d: firing %d = event %d at t=%d with %d pending, model says event %d at t=%d with %d pending",
+						lanes, step, i, got[i].id, got[i].at, got[i].pending, want[i].id, want[i].at, want[i].pending)
+				}
 			}
 		}
 	}
@@ -150,7 +166,9 @@ func checkAgainstModel(t *testing.T, data []byte) {
 // one statement: whatever interleaving of At and Schedule a program makes,
 // from outside the run or from inside callbacks, with past timestamps
 // and same-instant bursts, events fire in the order of a stable sort by
-// (clamped timestamp, call order), each observing Now() == its timestamp.
+// (clamped timestamp, call order), each observing Now() == its timestamp
+// and Pending() == the events still queued. Scheduling through resource
+// timelines changes none of it.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	rng := NewRand(19)
 	for round := 0; round < 300; round++ {

@@ -52,6 +52,9 @@ type Link struct {
 	// large one sent before it.
 	lastAt [2]Time
 
+	// deliveries per direction: lastAt keeps them in FIFO order.
+	deliveries [2]*timeline
+
 	// Stats per direction.
 	stats [2]LinkStats
 
@@ -92,7 +95,8 @@ func NewLink(eng *Engine, name string, cfg LinkConfig) *Link {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Link{eng: eng, cfg: cfg, name: name}
+	return &Link{eng: eng, cfg: cfg, name: name,
+		deliveries: [2]*timeline{newTimeline(eng), newTimeline(eng)}}
 }
 
 // Name returns the link's diagnostic name.
@@ -109,14 +113,9 @@ func (l *Link) PacketsFor(size int) int {
 	return (size + l.cfg.MTU - 1) / l.cfg.MTU
 }
 
-// wireBytes returns the on-the-wire byte count for a message of size bytes.
-func (l *Link) wireBytes(size int) int64 {
-	return int64(size) + int64(l.PacketsFor(size))*int64(l.cfg.PacketOverhead)
-}
-
-// txTime returns serialization time for a message of size bytes.
-func (l *Link) txTime(size int) Time {
-	bits := l.wireBytes(size) * 8
+// txTime returns serialization time for a message of wire bytes.
+func (l *Link) txTime(wire int64) Time {
+	bits := wire * 8
 	// ns = bits / (bits/sec) * 1e9, computed to avoid overflow for any
 	// realistic size (bits < 2^40, 1e9 multiplier fits in int64 via
 	// float64 intermediate kept exact for these magnitudes).
@@ -147,13 +146,15 @@ func (l *Link) Send(dir int, size int, deliver func()) Time {
 	if start < now {
 		start = now
 	}
-	tx := l.txTime(size)
+	packets := int64(l.PacketsFor(size))
+	wire := int64(size) + packets*int64(l.cfg.PacketOverhead)
+	tx := l.txTime(wire)
 	done := start + tx
 	l.busyUntil[dir] = done
 	st := &l.stats[dir]
 	st.Messages++
-	st.Packets += int64(l.PacketsFor(size))
-	st.Bytes += l.wireBytes(size)
+	st.Packets += packets
+	st.Bytes += wire
 	st.BusyTime += tx
 	at := done + l.cfg.PropagationDelay + extra
 	// An ordered stream never reorders: a message cannot arrive before
@@ -164,7 +165,7 @@ func (l *Link) Send(dir int, size int, deliver func()) Time {
 	}
 	l.lastAt[dir] = at
 	if deliver != nil {
-		l.eng.At(at, deliver)
+		l.deliveries[dir].at(at, deliver)
 	}
 	return at
 }

@@ -157,7 +157,8 @@ func TestLinkConservationProperty(t *testing.T) {
 			l.Send(DirAtoB, size, func() { last = e.Now() })
 		}
 		e.Run()
-		tx := l.txTime(size)
+		packets := int64(l.PacketsFor(size))
+		tx := l.txTime(int64(size) + packets*int64(l.cfg.PacketOverhead))
 		want := Time(n)*tx + l.cfg.PropagationDelay
 		// Integer truncation of per-message tx can accumulate at most
 		// n nanoseconds of slack.

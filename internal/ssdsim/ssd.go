@@ -81,8 +81,8 @@ type SSD struct {
 	// always dispatch before normal ones, no matter how deep the normal
 	// backlog is. Baseline SPDK mode never uses the high queue, so its
 	// LS requests wait behind the full FIFO (§V-C).
-	high   opRing
-	normal opRing
+	high   simnet.Ring[*op]
+	normal simnet.Ring[*op]
 
 	// freeOps recycles op records. It belongs to the device, not the
 	// package: simulations run in parallel.
@@ -127,34 +127,6 @@ func (o *op) advance() {
 	} else {
 		o.s.admit(o)
 	}
-}
-
-// opRing is a FIFO of queued ops: a power-of-two ring that reuses its
-// backing array and clears each slot as it is popped, so the device never
-// keeps a dispatched request (and its payload) reachable.
-type opRing struct {
-	buf  []*op
-	head int
-	n    int
-}
-
-func (r *opRing) push(o *op) {
-	if r.n == len(r.buf) {
-		nb := make([]*op, max(2*len(r.buf), 16))
-		k := copy(nb, r.buf[r.head:])
-		copy(nb[k:], r.buf[:r.head])
-		r.buf, r.head = nb, 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = o
-	r.n++
-}
-
-func (r *opRing) pop() *op {
-	o := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return o
 }
 
 // zeroBuf backs read completions of unbacked (timing-only) devices: the
@@ -206,7 +178,7 @@ func (s *SSD) Stats() Stats { return s.stats }
 
 // QueueDepth returns the number of requests waiting for a channel
 // (excluding in-service ones).
-func (s *SSD) QueueDepth() int { return s.high.n + s.normal.n }
+func (s *SSD) QueueDepth() int { return s.high.Len() + s.normal.Len() }
 
 // Submit admits one request. When high is true the request is placed in
 // the priority class that dispatches ahead of any queued normal request
@@ -226,9 +198,9 @@ func (s *SSD) Deferred(req Request, high bool) func() {
 func (s *SSD) admit(o *op) {
 	s.stats.Submitted++
 	if o.high {
-		s.high.push(o)
+		s.high.Push(o)
 	} else {
-		s.normal.push(o)
+		s.normal.Push(o)
 	}
 	if q := s.QueueDepth(); q > s.stats.MaxQueue {
 		s.stats.MaxQueue = q
@@ -248,7 +220,7 @@ func (s *SSD) SubmitBatch(reqs []Request, high bool) {
 // dispatch assigns queued requests to free channels.
 func (s *SSD) dispatch() {
 	now := s.eng.Now()
-	for s.high.n > 0 || s.normal.n > 0 {
+	for s.QueueDepth() > 0 {
 		// Find a free channel.
 		ch := -1
 		for i, free := range s.channelFree {
@@ -261,10 +233,10 @@ func (s *SSD) dispatch() {
 			return // all channels busy; completion events re-dispatch
 		}
 		var o *op
-		if s.high.n > 0 {
-			o = s.high.pop()
+		if s.high.Len() > 0 {
+			o = s.high.Pop()
 		} else {
-			o = s.normal.pop()
+			o = s.normal.Pop()
 		}
 		svc := s.serviceTime(o.req.Cmd)
 		s.channelFree[ch] = now + svc

@@ -358,10 +358,10 @@ func TestDefaultConfigSaturation(t *testing.T) {
 	}
 }
 
-// TestDrainedQueuesHoldNoRequests: the admission rings clear each slot as
-// it is dispatched and reuse their backing arrays, so a drained device
-// references no request or write payload anywhere up to the rings'
-// capacity, pooled op records included.
+// TestDrainedQueuesHoldNoRequests: a drained device references no request
+// or write payload: the admission rings are simnet.Rings, which clear each
+// slot as it is popped (TestRingFIFOAcrossWrapAndGrowth), and the pooled op
+// records let go of their last request.
 func TestDrainedQueuesHoldNoRequests(t *testing.T) {
 	eng := simnet.NewEngine()
 	s := newSSD(t, eng, true)
@@ -387,16 +387,6 @@ func TestDrainedQueuesHoldNoRequests(t *testing.T) {
 	eng.Run()
 	if st := s.Stats(); st.Completed != int64(cid) || s.QueueDepth() != 0 {
 		t.Fatalf("completed %d of %d, %d still queued", st.Completed, cid, s.QueueDepth())
-	}
-	for name, r := range map[string]*opRing{"high": &s.high, "normal": &s.normal} {
-		if cap(r.buf) < 32 {
-			t.Fatalf("%s ring never grew (cap %d): the test no longer crosses a wrap", name, cap(r.buf))
-		}
-		for i, o := range r.buf[:cap(r.buf)] {
-			if o != nil {
-				t.Fatalf("%s ring slot %d of %d still references a dispatched request", name, i, cap(r.buf))
-			}
-		}
 	}
 	for o := s.freeOps; o != nil; o = o.next {
 		if o.req.Done != nil || o.req.Data != nil {

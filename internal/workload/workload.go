@@ -160,6 +160,9 @@ type Runner struct {
 	flushed bool
 	backoff bool // a probe tick is armed
 	probe   int  // slow-start refill budget per tick
+	// doneFn is onDone bound once: a method value built per Submit would
+	// allocate a closure per request.
+	doneFn func(hostqp.Result)
 }
 
 // NewRunner prepares a runner over a connected (or connecting) session.
@@ -177,6 +180,7 @@ func NewRunner(sess *hostqp.Session, clock func() int64, spec Spec) (*Runner, er
 		rng:     simnet.NewRand(spec.Seed),
 		nextLBA: spec.RegionStart,
 	}
+	r.doneFn = r.onDone
 	if !spec.UniqueBuffers {
 		r.buf = make([]byte, int(spec.Blocks)*int(spec.BlockSize))
 	}
@@ -266,7 +270,7 @@ func (r *Runner) submitOne() bool {
 		LBA:    r.pickLBA(),
 		Blocks: r.spec.Blocks,
 		Data:   data,
-		Done:   r.onDone,
+		Done:   r.doneFn,
 	})
 	if err != nil {
 		// Queue full or disconnected; closed loop retries on the next
