@@ -164,8 +164,13 @@ type IO struct {
 	// sets this. Only a transport's recovery policy (tcptrans
 	// DialConfig.Recovery) consults it.
 	Idempotent bool
-	// Done receives the completion. It runs on the session's event
-	// context (the simulator loop or the transport reader goroutine).
+	// Done receives the completion. It runs in the session's event
+	// context: the simulator loop, or the transport's reactor — over
+	// tcptrans that is the connection's reactor goroutine or, on a
+	// latency-sensitive connection, the reader goroutine that borrowed the
+	// idle reactor to complete a burst. Never two at once for one session,
+	// never on the goroutine that submitted, and before the transport's
+	// Close returns.
 	Done func(Result)
 }
 

@@ -160,6 +160,13 @@ func (d DialConfig) withDefaults() DialConfig {
 // once. Each hand-off costs one lock and at most one wake per burst, never
 // one per request.
 //
+// A latency-sensitive connection skips the hand-offs it can: while the
+// reactor is parked with nothing queued, a submitter borrows it to submit
+// its request, and the reader borrows it to complete what a burst carried,
+// so Done runs on the reader's goroutine; while the writer is parked too,
+// whoever holds the reactor writes the burst's output itself, in one
+// non-blocking write. When either is busy the burst is posted as above.
+//
 // The reactor, its run queue and its backlog belong to the Conn; the
 // socket, session, reader and writer belong to a link, which is what a
 // reconnect under DialConfig.Recovery replaces.
@@ -175,6 +182,11 @@ type Conn struct {
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 	closed    atomic.Bool
+	// ls: the connection's class is latency-sensitive, so its submissions,
+	// completions and writes run inline whenever the reactor and writer
+	// are idle; lsInline and lsPosted count which way its bursts went.
+	ls                 bool
+	lsInline, lsPosted atomic.Int64
 
 	mu  sync.Mutex
 	err error // Err's answer, written by the reactor
@@ -214,6 +226,7 @@ type Conn struct {
 type link struct {
 	nc      net.Conn
 	out     burstQueue[proto.PDU] // the writer's queue; the reactor produces
+	direct  *direct               // nil: every write goes through the writer
 	wg      sync.WaitGroup        // reader and writer
 	up      chan error            // the handshake's outcome, sent once
 	settled bool                  // up was sent (reactor-owned)
@@ -286,6 +299,7 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		dead:    make(chan struct{}),
 		connErr: ErrClosed, // no link yet
 		dialing: true,      // the first dial below
+		ls:      cfg.Class.LatencySensitive(),
 	}
 	if dcfg.Recovery != nil {
 		r := dcfg.Recovery.withDefaults()
@@ -402,6 +416,11 @@ func (c *Conn) install(ln *link) {
 		sess.EnableE2E()
 	}
 	c.ln, c.sess, c.connErr = ln, sess, nil
+	if c.ls && c.dcfg.CoalesceBytes == 0 {
+		// A coalescing window holds submissions back on purpose; inline
+		// writes would bypass it.
+		ln.direct = newDirect(ln.nc, releaseClientPDU, nil)
+	}
 
 	// Writer: stages queued PDUs into vectored batches (the same drain
 	// helper as the server side) — headers into a reused buffer, large
@@ -417,6 +436,7 @@ func (c *Conn) install(ln *link) {
 			coalesceDelay: c.dcfg.CoalesceDelay,
 			release:       releaseClientPDU,
 			closeConn:     ln.close,
+			direct:        ln.direct,
 		})
 	}()
 	go func() {
@@ -446,7 +466,9 @@ func (c *Conn) live() bool { return c.connErr == nil && c.sess.Connected() }
 // fallback) and rejected by the session as protocol errors. Response
 // structs still come from the proto pools and are released right after
 // the session consumes them, so the receive hot path is allocation-free.
-// Everything the socket delivered at once reaches the reactor in one post.
+// Everything the socket delivered at once reaches the reactor in one post —
+// or, on a latency-sensitive connection whose reactor is parked with
+// nothing queued, is handled here on a loan of the reactor.
 func (c *Conn) read(ln *link) {
 	// Buffered socket reads: the zero-copy sink splits each C2HData into
 	// header/PSH/payload reads, so without buffering every data PDU would
@@ -486,11 +508,18 @@ func (c *Conn) read(ln *link) {
 				}
 			}})
 		}
-		if !c.q.put(laneNormal, burst...) {
+		switch {
+		case c.ls && c.q.borrow():
+			c.lsInline.Add(1)
+			c.handle(burst)
+			c.q.giveBack(false)
+		case !c.q.put(laneNormal, burst...):
 			for i := range burst {
 				proto.ReleaseInbound(burst[i].pdu)
 			}
 			return
+		case c.ls:
+			c.lsPosted.Add(1)
 		}
 		clear(burst)
 		burst = burst[:0]
@@ -595,13 +624,17 @@ func (c *Conn) handle(burst []cliEvent) {
 }
 
 // flush publishes the staged PDUs to the writer: one lock, at most one
-// wake. Once the writer is gone they are released instead. Runs on the
-// reactor.
+// wake. Once the writer is gone they are released instead. A
+// latency-sensitive connection whose writer is parked with nothing queued
+// writes them itself, when they fit one non-blocking write. Runs on the
+// reactor (or its borrower).
 func (c *Conn) flush() {
 	if len(c.staged) == 0 {
 		return
 	}
-	if !c.ln.out.put(laneNormal, c.staged...) {
+	if d := c.ln.direct; d != nil && d.fits(c.staged) && c.ln.out.borrow() {
+		c.ln.out.giveBack(d.send(c.staged))
+	} else if !c.ln.out.put(laneNormal, c.staged...) {
 		for _, p := range c.staged {
 			releaseClientPDU(p)
 		}
@@ -766,12 +799,7 @@ func (c *Conn) pump() {
 	n := 0
 	for ; n < len(c.waiting); n++ {
 		io := c.waiting[n]
-		if io.Op == nvme.OpFlush {
-			// A flush is a durability barrier: make it drain the current
-			// TC window so everything before it completes with it.
-			c.sess.Flush()
-		}
-		if err := c.sess.Submit(io); err != nil {
+		if err := c.sessionSubmit(io); err != nil {
 			if errors.Is(err, hostqp.ErrQueueFull) {
 				break
 			}
@@ -784,6 +812,16 @@ func (c *Conn) pump() {
 		c.waiting = c.waiting[:rest]
 	}
 	c.armIdleDrain()
+}
+
+// sessionSubmit hands one request to the session. Runs on the reactor.
+func (c *Conn) sessionSubmit(io hostqp.IO) error {
+	if io.Op == nvme.OpFlush {
+		// A flush is a durability barrier: make it drain the current TC
+		// window so everything before it completes with it.
+		c.sess.Flush()
+	}
+	return c.sess.Submit(io)
 }
 
 // armIdleDrain keeps the tail-flush timer running while a TC window is
@@ -833,9 +871,12 @@ func (c *Conn) idleFlush() {
 }
 
 // Submit issues an asynchronous I/O; the Done callback runs exactly once,
-// on the connection's reactor goroutine — at the latest before Close
-// returns. Ops beyond the queue depth wait internally. Result.Err is set
-// when the request ended without a device status (see hostqp.Result).
+// at the latest before Close returns. It runs on the connection's reactor
+// goroutine or — on a latency-sensitive connection — on its reader, which
+// borrows the idle reactor to complete a burst; never on the caller's
+// goroutine, and never concurrently with another Done of the connection.
+// Ops beyond the queue depth wait internally. Result.Err is set when the
+// request ended without a device status (see hostqp.Result).
 //
 // A read's destination follows hostqp.IO.Data: with io.Data set (Blocks ×
 // block size bytes) the payload lands there and Result.Data aliases it;
@@ -846,9 +887,44 @@ func (c *Conn) Submit(io hostqp.IO) error {
 	if io.Done == nil {
 		return errors.New("tcptrans: IO without Done callback")
 	}
+	if c.ls && c.q.borrow() {
+		return c.submitLent(io)
+	}
 	if !c.q.put(laneNormal, cliEvent{io: io}) {
 		return ErrClosed
 	}
+	if c.ls {
+		c.lsPosted.Add(1)
+	}
+	return nil
+}
+
+// submitLent is Submit on a loan of the parked reactor: the request goes to
+// the session and its command to the wire on the caller's goroutine, unless
+// the reactor would only have queued it (the link is down, requests wait
+// for queue depth, replays are owed) — then it is posted after all. A
+// failed submission's Done is posted too: it never runs on the caller.
+func (c *Conn) submitLent(io hostqp.IO) error {
+	defer c.q.giveBack(false)
+	if !c.live() || len(c.waiting) > 0 || c.owed > 0 || !c.sess.CanSubmit() {
+		if !c.q.put(laneNormal, cliEvent{io: io}) {
+			return ErrClosed
+		}
+		c.lsPosted.Add(1)
+		return nil
+	}
+	c.lsInline.Add(1)
+	c.now = time.Now().UnixNano()
+	if c.rcfg != nil {
+		io = c.guard(io)
+	}
+	if err := c.sessionSubmit(io); err != nil && !c.post(func() {
+		io.Done(hostqp.Result{Status: nvme.StatusInternalError, Err: err})
+	}) {
+		return ErrClosed
+	}
+	c.armIdleDrain()
+	c.flush()
 	return nil
 }
 
@@ -933,8 +1009,25 @@ func ask[T any](c *Conn, get func() T) (v T) {
 // handshake.
 func (c *Conn) Capacity() uint64 { return ask(c, func() uint64 { return c.sess.Capacity() }) }
 
-// Stats snapshots the current session's counters.
-func (c *Conn) Stats() hostqp.Stats { return ask(c, func() hostqp.Stats { return c.sess.Stats() }) }
+// ConnStats is what Conn.Stats reports: the current session's counters,
+// and how a latency-sensitive connection's bursts reached its reactor.
+type ConnStats struct {
+	hostqp.Stats
+	// InlineBursts counts submissions and reader bursts run on the
+	// submitter's or reader's goroutine, which borrowed the parked reactor;
+	// PostedBursts those posted to its run queue because it was busy. Both
+	// stay zero on other classes.
+	InlineBursts, PostedBursts int64
+}
+
+// Stats snapshots the current session's counters and the LS burst split.
+func (c *Conn) Stats() ConnStats {
+	return ConnStats{
+		Stats:        ask(c, func() hostqp.Stats { return c.sess.Stats() }),
+		InlineBursts: c.lsInline.Load(),
+		PostedBursts: c.lsPosted.Load(),
+	}
+}
 
 // ClockOffset returns the handshake-estimated target-minus-host clock
 // offset and the RTT bounding its error (zero when the target shares no
@@ -962,10 +1055,10 @@ func (c *Conn) DrainNext() {
 	c.post(func() { c.sess.Flush() })
 }
 
-// Defer runs fn on the connection's reactor goroutine — the context every
-// Submit completion callback runs on. Single-goroutine state machines
-// (e.g. the h5bench kernels) use it to serialize their own transitions
-// with their I/O callbacks.
+// Defer runs fn on the connection's reactor goroutine, serialized with
+// every Submit completion callback (those that run on a borrowing reader
+// included). Single-goroutine state machines (e.g. the h5bench kernels) use
+// it to serialize their own transitions with their I/O callbacks.
 func (c *Conn) Defer(fn func()) { c.post(fn) }
 
 // Telemetry returns the live metrics registry the connection was

@@ -105,7 +105,7 @@ func TestHostilePeerCannotExceedAdvertisedDepth(t *testing.T) {
 		t.Fatalf("%d of the neighbour's requests failed", n)
 	}
 	// An idle-drain flush of the neighbour's may still be in flight.
-	var host hostqp.Stats
+	var host ConnStats
 	waitFor(t, "the neighbour to go quiet", func() bool {
 		host = neighbour.Stats()
 		return host.Completed == host.Submitted

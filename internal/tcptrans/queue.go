@@ -23,11 +23,25 @@ const (
 // where a channel costs a lock and a possible wake per item and a select
 // over it locks every channel it names.
 //
+// The consumer's role can be lent (borrow, giveBack): while the consumer
+// is parked in an untimed wait with nothing queued, another goroutine may
+// do the consumer's work itself instead of waking it — how a
+// latency-sensitive burst runs to completion on the goroutine that holds
+// it. Consumer and borrower never overlap: the consumer stays parked for
+// the whole loan, and puts made meanwhile queue without waking it.
+//
 // The zero value is not ready; call init first.
 type burstQueue[T any] struct {
 	mu     sync.Mutex
 	lanes  [numLanes][]T
 	parked bool // the consumer is blocked in wait, or about to be
+	// untimed: the park is a wait with no timeout, the only kind that may
+	// be lent (a timed one could wake mid-loan on its own).
+	untimed bool
+	lent    bool // a borrower holds the consumer's role
+	// resume makes the parked consumer's wait return with nothing queued:
+	// a borrower left it work outside the queue.
+	resume bool
 	closed bool
 	// wake carries one token from the producer (or closer) that clears
 	// parked to the consumer: each park is answered by exactly one send,
@@ -52,13 +66,57 @@ func (q *burstQueue[T]) put(lane int, items ...T) bool {
 	if lane == laneLS {
 		q.urgent.Store(true)
 	}
-	wake := q.parked
-	q.parked = false
+	wake := q.parked && !q.lent // a loan's return wakes for it
+	if wake {
+		q.parked = false
+	}
 	q.mu.Unlock()
 	if wake {
 		q.wake <- struct{}{}
 	}
 	return true
+}
+
+// empty reports whether no lane holds anything. Called with mu held.
+func (q *burstQueue[T]) empty() bool {
+	for _, l := range q.lanes {
+		if len(l) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// borrow takes the consumer's role, and reports whether it did: only while
+// the consumer is parked in an untimed wait, nothing is queued, the queue
+// is open and no one else holds it. The borrower does the consumer's work
+// on its own goroutine and must end the loan with giveBack.
+func (q *burstQueue[T]) borrow() bool {
+	q.mu.Lock()
+	ok := q.parked && q.untimed && !q.lent && !q.closed && q.empty()
+	if ok {
+		q.lent = true
+	}
+	q.mu.Unlock()
+	return ok
+}
+
+// giveBack ends a loan. The consumer, still parked, wakes only if there is
+// a reason: something was put or the queue closed during the loan, or the
+// borrower says it left work behind outside the queue (more), in which
+// case the consumer's wait returns with nothing queued.
+func (q *burstQueue[T]) giveBack(more bool) {
+	q.mu.Lock()
+	q.lent = false
+	q.resume = q.resume || more
+	wake := q.parked && (q.resume || q.closed || !q.empty())
+	if wake {
+		q.parked = false
+	}
+	q.mu.Unlock()
+	if wake {
+		q.wake <- struct{}{}
+	}
 }
 
 // take swaps a lane's contents out for spare (emptied) without blocking.
@@ -78,21 +136,20 @@ func (q *burstQueue[T]) take(lane int, spare []T) []T {
 // wait parks the consumer until a lane holds something, the queue is
 // closed, or timeout (nil: never) fires. ready reports a non-empty lane
 // found before the timeout fired — exactly when the timeout's value was
-// not consumed; open turns false once the queue is closed, whatever it
-// still holds.
+// not consumed, or a returned loan left work behind; open turns false once
+// the queue is closed, whatever it still holds.
 func (q *burstQueue[T]) wait(timeout <-chan time.Time) (ready, open bool) {
 	timedOut := false
 	for {
 		q.mu.Lock()
-		for _, l := range q.lanes {
-			ready = ready || len(l) > 0
-		}
+		ready = ready || q.resume || !q.empty()
 		if ready || q.closed || timedOut {
+			q.resume = false
 			open = !q.closed
 			q.mu.Unlock()
 			return ready && !timedOut, open
 		}
-		q.parked = true
+		q.parked, q.untimed = true, timeout == nil
 		q.mu.Unlock()
 		if timeout == nil {
 			<-q.wake
@@ -124,10 +181,13 @@ func (q *burstQueue[T]) next(spare []T) ([]T, bool) {
 
 // close stops the queue: puts fail from here on and the consumer's wait
 // reports it. What is still queued stays for a final take. Idempotent.
+// A close during a loan wakes the consumer when the loan is given back.
 func (q *burstQueue[T]) close() {
 	q.mu.Lock()
-	wake := q.parked
-	q.parked = false
+	wake := q.parked && !q.lent
+	if wake {
+		q.parked = false
+	}
 	q.closed = true
 	q.mu.Unlock()
 	if wake {

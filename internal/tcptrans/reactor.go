@@ -66,6 +66,8 @@ type jobList struct {
 
 func (l *jobList) push(j job) { l.jobs = append(l.jobs, j) }
 
+func (l *jobList) len() int { return len(l.jobs) - l.head }
+
 func (l *jobList) pop() (job, bool) {
 	if l.head == len(l.jobs) {
 		return job{}, false
@@ -156,6 +158,33 @@ func (sh *shard) run() {
 		}
 		sh.target.Stamp()
 	}
+}
+
+// runLent is a latency-sensitive connection's burst run to completion on
+// its reader's goroutine, which borrowed the shard: the reactor was parked
+// with nothing queued, so waking it for the burst would only add a hand-off.
+// The reader does what the reactor's loop would — stamp, handle, credit,
+// run the LS ready list, publish the output of every other connection —
+// then gives the shard back, waking the reactor if work arrived meanwhile
+// or the burst released normal commands. Only then does c's own output go
+// out, inline through its writer when that is idle too: a socket write
+// never holds a shard its neighbours need.
+func (sh *shard) runLent(c *srvConn, burst []event) {
+	sh.target.Stamp()
+	for i := range burst {
+		sh.handle(&burst[i])
+	}
+	sh.credit()
+	for j, ok := sh.readyLS.pop(); ok; j, ok = sh.readyLS.pop() {
+		j.be.run(j)
+	}
+	// c's staged output becomes the reader's, so the reactor may stage
+	// more for c (a late completion) the moment the shard is back.
+	own, bytes := c.staged, c.stagedBytes
+	c.staged, c.stagedBytes = c.own, 0
+	sh.publish() // c, if dirty, has nothing staged now
+	sh.q.giveBack(sh.ready.len() > 0)
+	c.own = c.deliver(own, bytes)
 }
 
 // handle runs one run-queue event.
@@ -251,6 +280,12 @@ type srvConn struct {
 	sweptFlushed int64
 	sweptBacklog bool
 
+	// direct writes an LS connection's output without waking its writer
+	// (nil when the socket cannot be written that way); own is the reader's
+	// spare output slice for runLent.
+	direct *direct
+	own    []proto.PDU
+
 	// Owned by the reactor.
 	sess        *targetqp.Session
 	staged      []proto.PDU // output of the current burst, not yet in out
@@ -278,22 +313,40 @@ func (c *srvConn) send(p proto.PDU) {
 }
 
 // publish hands the staged PDUs to the writer: one lock, at most one wake.
-// On a closed connection they are released instead.
 func (c *srvConn) publish() {
-	if len(c.staged) == 0 {
-		return
+	c.staged, c.stagedBytes = c.hand(c.staged, c.stagedBytes), 0
+}
+
+// hand gives out — bytes of wire PDUs — to the writer, and returns out
+// emptied for reuse. On a closed connection they are released instead.
+func (c *srvConn) hand(out []proto.PDU, bytes int) []proto.PDU {
+	if len(out) == 0 {
+		return out
 	}
-	if c.out.put(laneNormal, c.staged...) {
-		c.produced.Add(int64(c.stagedBytes))
+	if c.out.put(laneNormal, out...) {
+		c.produced.Add(int64(bytes))
 	} else {
-		for _, p := range c.staged {
+		for _, p := range out {
 			if p != nil {
 				releaseServerPDU(p)
 			}
 		}
 	}
-	clear(c.staged)
-	c.staged, c.stagedBytes = c.staged[:0], 0
+	clear(out)
+	return out[:0]
+}
+
+// deliver is hand for an LS reader's own output: written inline when the
+// writer is parked with nothing queued — so nothing of the connection is
+// ahead of it — and it fits one non-blocking write, posted otherwise.
+func (c *srvConn) deliver(out []proto.PDU, bytes int) []proto.PDU {
+	if len(out) == 0 || c.direct == nil || !c.direct.fits(out) || !c.out.borrow() {
+		return c.hand(out, bytes)
+	}
+	c.produced.Add(int64(bytes))
+	c.out.giveBack(c.direct.send(out))
+	clear(out)
+	return out[:0]
 }
 
 // backlog is the connection's unsent output in wire bytes.

@@ -20,9 +20,10 @@ package tcptrans
 //     request instead of retrying: a sick target must shed load, not
 //     absorb a retry storm.
 //
-// All of it runs on the reactor, so Done still runs exactly once per
-// request, on the reactor, whether the request succeeded on the first
-// attempt, on the fifth link, or failed for good.
+// All of it runs on the reactor (or a goroutine holding its loan), so Done
+// still runs exactly once per request, serialized with every other,
+// whether the request succeeded on the first attempt, on the fifth link,
+// or failed for good.
 
 import (
 	"errors"

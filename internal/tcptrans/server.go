@@ -44,6 +44,16 @@
 // stays on one lane for life, so its PDUs — and the teardown posted behind
 // them — are handled in arrival order.
 //
+// A latency-sensitive command need not cross those boundaries at all. A
+// burstQueue can lend its consumer's role while the consumer is parked with
+// nothing queued, and an LS connection's reader borrows its parked shard:
+// it runs the burst itself, gives the shard back, and then writes the
+// response through its parked writer in one non-blocking write, leaving
+// whatever the kernel did not take to the writer goroutine. Nothing of the
+// connection is ever queued ahead of an inline burst, so its order holds;
+// a busy reactor or writer gets the burst posted as above. The host end
+// does the same on its reactor and writer (see Conn).
+//
 // Where the device runs is read off the device: one that advertises
 // bdev.NonBlocking (bdev.Memory), on a server with no injected
 // ReadLatency/WriteLatency, runs inline on the reactor from a shard-local
@@ -150,8 +160,9 @@ type ServerConfig struct {
 	// zero cost.
 	Telemetry *telemetry.Registry
 	// Trace optionally receives PDU lifecycle events from the target
-	// state machines. It runs on the reactor goroutines — possibly
-	// several concurrently — so it must be fast and thread-safe.
+	// state machines. It runs on the reactor goroutines, or on an LS
+	// reader running a burst in its shard's place — possibly several
+	// concurrently — so it must be fast and thread-safe.
 	Trace telemetry.TraceFunc
 	// Recorder optionally attaches a target-side flight recorder (chained
 	// after Trace; attach it to Telemetry with SetRecorder to serve
@@ -179,6 +190,19 @@ type Server struct {
 	mu        sync.Mutex
 	conns     map[*srvConn]struct{}
 	closed    bool
+	// LS reader bursts run on the reader (inline) or posted to the shard.
+	lsInline, lsPosted atomic.Int64
+}
+
+// ServerStats is what Server.Stats reports: the targets' counters, merged
+// across shards, and how latency-sensitive connections' bursts reached
+// their shard.
+type ServerStats struct {
+	targetqp.Stats
+	// InlineBursts counts LS reader bursts run to completion on the reader
+	// goroutine, which borrowed its parked shard; PostedBursts those posted
+	// to the shard's run queue because its reactor was busy.
+	InlineBursts, PostedBursts int64
 }
 
 // Listen starts a target on addr (e.g. "127.0.0.1:0").
@@ -433,9 +457,10 @@ func fromShards[T any](s *Server, get func(*targetqp.Target) T, add func(T)) {
 }
 
 // Stats returns the target's counters, merged across shards (each
-// shard's slice snapshotted on its own reactor).
-func (s *Server) Stats() (agg targetqp.Stats) {
+// shard's slice snapshotted on its own reactor), and the LS burst split.
+func (s *Server) Stats() (agg ServerStats) {
 	fromShards(s, (*targetqp.Target).Stats, agg.Accumulate)
+	agg.InlineBursts, agg.PostedBursts = s.lsInline.Load(), s.lsPosted.Load()
 	return agg
 }
 
@@ -512,12 +537,14 @@ func (s *Server) serveConn(c *srvConn) {
 		s.mu.Unlock()
 	}()
 
+	c.direct = newDirect(conn, releaseServerPDU, c.onFlush)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		drainWriter(conn, &c.out, writerConfig{
 			release: releaseServerPDU,
 			flushed: c.onFlush,
+			direct:  c.direct,
 		})
 	}()
 
@@ -549,11 +576,19 @@ func (s *Server) serveConn(c *srvConn) {
 			continue
 		}
 		c.queued.Add(int32(len(burst)))
-		if !sh.q.put(lane, burst...) {
+		switch {
+		case lane == laneLS && sh.q.borrow():
+			// The reactor is parked with nothing queued: run the burst
+			// here rather than wake it.
+			s.lsInline.Add(1)
+			sh.runLent(c, burst)
+		case !sh.q.put(lane, burst...):
 			for i := range burst {
 				proto.ReleaseInbound(burst[i].pdu)
 			}
 			alive = false
+		case lane == laneLS:
+			s.lsPosted.Add(1)
 		}
 		clear(burst)
 		burst = burst[:0]

@@ -2,6 +2,7 @@ package tcptrans
 
 import (
 	"net"
+	"syscall"
 	"time"
 
 	"nvmeopf/internal/proto"
@@ -60,6 +61,10 @@ type writerConfig struct {
 	// write has returned — the progress signal for whoever meters the
 	// connection's unsent backlog.
 	flushed func(bytes int)
+	// direct, when set, is where a goroutine that borrowed this writer's
+	// role wrote from; the writer finishes what the kernel did not take
+	// before anything queued, and releases it on exit.
+	direct *direct
 }
 
 // wbatch stages one flush worth of PDUs: fixed prefixes (headers, and the
@@ -128,11 +133,7 @@ func (b *wbatch) write(conn net.Conn) error {
 	case len(vec) == 1:
 		_, err = conn.Write(vec[0])
 	case b.bytes <= joinThreshold:
-		b.join = b.join[:0]
-		for _, s := range vec {
-			b.join = append(b.join, s...)
-		}
-		_, err = conn.Write(b.join)
+		_, err = conn.Write(b.joined(vec))
 	default:
 		b.out = vec
 		_, err = b.out.WriteTo(conn)
@@ -145,6 +146,15 @@ func (b *wbatch) write(conn net.Conn) error {
 	}
 	b.vec = b.vec[:0]
 	return err
+}
+
+// joined copies vec, the staged batch, into one contiguous buffer.
+func (b *wbatch) joined(vec net.Buffers) []byte {
+	b.join = b.join[:0]
+	for _, s := range vec {
+		b.join = append(b.join, s...)
+	}
+	return b.join
 }
 
 // retire releases every staged PDU exactly once and resets the batch.
@@ -204,8 +214,13 @@ func drainWriter(conn net.Conn, q *burstQueue[proto.PDU], cfg writerConfig) {
 	defer func() {
 		// Whatever ended the writer, each PDU that reached q is released
 		// exactly once: the staged batch, the rest of the burst in hand,
-		// and what was queued behind it.
+		// and what was queued behind it — and what a borrower left
+		// unsent, since no loan outlives the queue's close.
 		b.retire(cfg.release)
+		if d := cfg.direct; d != nil {
+			d.rest = nil
+			d.b.retire(cfg.release)
+		}
 		for _, rest := range [][]proto.PDU{in[next:], q.take(laneNormal, nil)} {
 			for _, p := range rest {
 				if p != nil && cfg.release != nil {
@@ -220,6 +235,22 @@ func drainWriter(conn net.Conn, q *burstQueue[proto.PDU], cfg writerConfig) {
 			next = 0
 			if in, open = q.next(in); !open {
 				return
+			}
+			if d := cfg.direct; d != nil && len(d.rest) > 0 {
+				// A borrower's write the kernel took only part of: its
+				// tail goes before anything queued since.
+				_, err := conn.Write(d.rest)
+				d.rest = nil
+				if cfg.flushed != nil {
+					cfg.flushed(d.b.bytes)
+				}
+				d.b.retire(cfg.release)
+				if err != nil {
+					closeConn()
+					q.close()
+					return
+				}
+				continue
 			}
 		}
 		closeAfter := false
@@ -274,6 +305,92 @@ func drainWriter(conn net.Conn, q *burstQueue[proto.PDU], cfg writerConfig) {
 			return
 		}
 	}
+}
+
+// direct lets a goroutine that borrowed a connection's parked writer (a
+// loan of its outbound queue: the writer is idle, nothing is queued or
+// staged) put a small burst on the wire itself, where a hand-off would wake
+// the writer goroutine for it. The burst is joined into one buffer and
+// written with one non-blocking write: an inline write never blocks, so a
+// peer that stopped reading cannot hold the borrower. Whatever the kernel
+// did not take stays in rest for the writer goroutine, which the loan's
+// return wakes to send it before anything queued behind it.
+type direct struct {
+	raw     syscall.RawConn
+	release func(proto.PDU)
+	flushed func(bytes int)
+	b       wbatch
+	rest    []byte // b's joined bytes not yet on the wire; b's PDUs wait for them
+	// n is what the last write took: a field, like its argument rest, so
+	// the callback handed to raw.Write is one method value bound once, not
+	// a closure per write.
+	n       int
+	writeFd func(fd uintptr) bool
+}
+
+// newDirect returns conn's direct writer, or nil when conn is not a socket
+// that can be written without blocking (a wrapped or in-memory conn): its
+// output always goes through the writer goroutine.
+func newDirect(conn net.Conn, release func(proto.PDU), flushed func(int)) *direct {
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		return nil
+	}
+	raw, err := sc.SyscallConn()
+	if err != nil {
+		return nil
+	}
+	d := &direct{raw: raw, release: release, flushed: flushed}
+	d.writeFd = d.write1
+	return d
+}
+
+// fits reports whether pdus may be written inline: a joined batch no
+// larger than joinThreshold, holding no flush-then-close sentinel (that
+// one needs the writer, which closes the socket after it).
+func (d *direct) fits(pdus []proto.PDU) bool {
+	n := 0
+	for _, p := range pdus {
+		if p == nil {
+			return false
+		}
+		n += p.WireSize()
+	}
+	return n <= joinThreshold
+}
+
+// write1 is one non-blocking write of d.rest; the poller never waits.
+func (d *direct) write1(fd uintptr) bool {
+	d.n = writeFD(fd, d.rest)
+	return true
+}
+
+// send writes pdus, which fit, holding the writer's loan, and reports
+// whether the writer must finish the job: the kernel took less than all
+// (a full socket, or an error the writer's own write will surface). Sent
+// in full, the PDUs are released here.
+func (d *direct) send(pdus []proto.PDU) (rest bool) {
+	b := &d.b
+	for _, p := range pdus {
+		b.add(p)
+	}
+	vec := b.flushVec()
+	d.rest = b.joined(vec)
+	clear(vec) // the join holds the bytes; drop the payload references
+	b.vec = vec[:0]
+	d.n = 0
+	if d.raw.Write(d.writeFd) == nil && d.n > 0 {
+		d.rest = d.rest[d.n:]
+	}
+	if len(d.rest) > 0 {
+		return true
+	}
+	d.rest = nil
+	if d.flushed != nil {
+		d.flushed(b.bytes)
+	}
+	b.retire(d.release)
+	return false
 }
 
 // releaseServerPDU retires an outbound PDU after the server writer has

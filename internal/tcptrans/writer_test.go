@@ -362,3 +362,94 @@ func TestWriterCoalescingMergesFlushes(t *testing.T) {
 		t.Errorf("flushed %d bytes, want %d", conn.bytes.Load(), want)
 	}
 }
+
+// TestWriterFinishesPartialInlineWrite drives one connection's output
+// through both paths at once: a borrower writes bursts inline whenever the
+// writer is parked with nothing queued, and puts them otherwise. The
+// reader starts draining the socket only after a hundred bursts, so inline
+// writes go out only in part and the writer goroutine sends the rest. The byte stream must
+// still be every PDU, whole and in submission order, each released once,
+// and the flushed bytes must add up to the stream.
+func TestWriterFinishesPartialInlineWrite(t *testing.T) {
+	wc, rc := tcpPair(t)
+	if err := wc.(*net.TCPConn).SetWriteBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	cr := newCountReleases()
+	var flushed atomic.Int64
+	d := newDirect(wc, cr.release, func(n int) { flushed.Add(int64(n)) })
+	if d == nil {
+		t.Fatal("no direct writer for a TCP conn")
+	}
+	q := newOutQueue()
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		drainWriter(wc, q, writerConfig{release: cr.release, flushed: func(n int) { flushed.Add(int64(n)) }, direct: d})
+	}()
+
+	var all []proto.PDU
+	inline, partial := 0, 0
+	gate := make(chan struct{})
+	got := make(chan []byte, 1)
+	go func() {
+		<-gate // nothing is read until the socket has filled
+		b, _ := io.ReadAll(rc)
+		got <- b
+	}()
+	// settle gives the writer up to d to park with nothing queued, so the
+	// next burst may go inline; a writer stuck on the full socket does not.
+	settle := func(d time.Duration) {
+		for end := time.Now().Add(d); time.Now().Before(end); time.Sleep(100 * time.Microsecond) {
+			q.mu.Lock()
+			idle := q.parked && q.empty()
+			q.mu.Unlock()
+			if idle {
+				return
+			}
+		}
+	}
+	for i := 0; i < 400; i++ {
+		if i == 100 {
+			close(gate)
+		}
+		if i < 100 {
+			settle(time.Millisecond)
+		} else if i%2 == 0 {
+			settle(5 * time.Second)
+		}
+		data := make([]byte, 4096)
+		for j := range data {
+			data[j] = byte(i + j)
+		}
+		burst := []proto.PDU{
+			&proto.C2HData{CCCID: nvme.CID(i), Data: data},
+			&proto.CapsuleResp{Cpl: nvme.Completion{CID: nvme.CID(i)}},
+		}
+		all = append(all, burst...)
+		if d.fits(burst) && q.borrow() {
+			inline++
+			rest := d.send(burst)
+			if rest {
+				partial++
+			}
+			q.giveBack(rest)
+		} else if !q.put(laneNormal, burst...) {
+			t.Fatal("writer queue closed early")
+		}
+	}
+	q.put(laneNormal, nil) // flush, then close the socket
+	<-writerDone
+	stream := <-got
+	if want := marshalAll(all); !bytes.Equal(stream, want) {
+		t.Fatalf("stream of %d bytes differs from the %d marshalled", len(stream), len(want))
+	}
+	if flushed.Load() != int64(len(stream)) {
+		t.Errorf("flushed %d bytes, stream has %d", flushed.Load(), len(stream))
+	}
+	cr.verify(t, all)
+	if inline == 0 || partial == 0 {
+		t.Errorf("%d bursts inline, %d of them partial: want both paths exercised", inline, partial)
+	}
+	t.Logf("%d bursts: %d inline (%d partial), %d posted", 400, inline, partial, 400-inline)
+}
