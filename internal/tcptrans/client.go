@@ -167,6 +167,11 @@ func (d DialConfig) withDefaults() DialConfig {
 // whoever holds the reactor writes the burst's output itself, in one
 // non-blocking write. When either is busy the burst is posted as above.
 //
+// A throughput-critical connection's reactor and writer park in the network
+// poller instead of on their wake channels while any latency-sensitive Conn
+// is open in the process, so the flood's hand-offs stop holding the LS
+// connection's goroutines off the processors (see parkInPoller).
+//
 // The reactor, its run queue and its backlog belong to the Conn; the
 // socket, session, reader and writer belong to a link, which is what a
 // reconnect under DialConfig.Recovery replaces.
@@ -306,9 +311,13 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		c.rcfg = &r
 		c.tokens = r.Budget
 	}
+	if c.ls {
+		lsConns.Add(1) // Close lowers it, whether or not the dial succeeds
+	}
 	c.now = time.Now().UnixNano()
 	c.lastRefill = c.now
 	c.q.init()
+	c.q.poller = cfg.Class.ThroughputCritical()
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -361,6 +370,7 @@ func (c *Conn) connect(addr string) error {
 	}
 	ln := &link{nc: nc, up: make(chan error, 1)}
 	ln.out.init()
+	ln.out.poller = c.q.poller
 	ln.wg.Add(2) // install starts the reader and the writer, or stands in for them
 	if !c.post(func() { c.install(ln) }) {
 		nc.Close()
@@ -568,6 +578,7 @@ func (c *Conn) run() {
 		}
 		c.handle(burst)
 	}
+	c.q.dropPipe() // the last wait has returned
 	c.handle(c.q.take(laneNormal, burst))
 	c.failAll(ErrClosed)
 	if c.idle != nil {
@@ -1073,6 +1084,9 @@ func (c *Conn) Telemetry() *telemetry.Registry { return c.tel }
 // performs it) has finished.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
+		if c.ls {
+			lsConns.Add(-1)
+		}
 		c.closed.Store(true)
 		close(c.quit)
 		c.q.close()

@@ -72,17 +72,40 @@ func (r *loanRef) wakes() bool { return !r.lent && (r.resume || r.closed || !r.e
 // that does not come within seconds is a lost wake-up.
 func TestBurstQueueLoanModel(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {
-		runLoanModel(t, seed, 200)
+		runLoanModel(t, seed, 200, false)
 		if t.Failed() {
 			t.Fatalf("seed %d", seed)
 		}
 	}
 }
 
-func runLoanModel(t *testing.T, seed int64, steps int) {
+// TestBurstQueuePollerLoanModel runs the same schedules with the consumer
+// parked in the network poller, as a throughput-critical Conn's queues are
+// while a latency-sensitive Conn is open: every park must read the pipe,
+// and wake-ups, contents and close behaviour must match the channel park's.
+// It raises the process-wide LS count, so it must not run in parallel with
+// tests that dial connections.
+func TestBurstQueuePollerLoanModel(t *testing.T) {
+	if !pollablePipe {
+		t.Skip("pipes are not pollable on this platform")
+	}
+	lsConns.Add(1)
+	defer lsConns.Add(-1)
+	for seed := int64(1); seed <= 400; seed++ {
+		runLoanModel(t, seed, 200, true)
+		if t.Failed() {
+			t.Fatalf("seed %d", seed)
+		}
+	}
+}
+
+// runLoanModel runs one random schedule against loanRef; poller sets the
+// queue's poller flag.
+func runLoanModel(t *testing.T, seed int64, steps int, poller bool) {
 	rng := rand.New(rand.NewSource(seed))
 	q := new(burstQueue[int])
 	q.init()
+	q.poller = poller
 	c := startLoanConsumer(q)
 	ref := &loanRef{}
 	var log []string
@@ -121,9 +144,13 @@ func runLoanModel(t *testing.T, seed int64, steps int) {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			q.mu.Lock()
-			parked := q.parked
+			parked, polled := q.parked, q.polled
 			q.mu.Unlock()
 			if parked {
+				if polled != poller {
+					fail("the consumer parked in the poller = %v, want %v", polled, poller)
+					return false
+				}
 				break
 			}
 			select {
@@ -233,6 +260,12 @@ func runLoanModel(t *testing.T, seed int64, steps int) {
 	if ref.took != ref.accepted {
 		fail("took %d items, puts accepted %d", ref.took, ref.accepted)
 	}
+	// The consumer has exited: its last wait returned, so the pipe, if it
+	// made one, is the test's to close.
+	if hasPipe := q.pipe != nil; hasPipe != (poller && q.parks > 0) {
+		fail("after %d parks the queue has a pipe = %v, want %v", q.parks, hasPipe, poller)
+	}
+	q.dropPipe()
 }
 
 // TestBurstQueueLoanCloseWakesAfterReturn pins the one case the model
@@ -283,11 +316,25 @@ func TestBurstQueueLoanCloseWakesAfterReturn(t *testing.T) {
 // happens-before edge, is a data race the race detector reports, and the
 // holder flag catches the overlap without it. No put is lost: every item a
 // put accepted is taken, in order per producer and lane, before the queue
-// is closed.
+// is closed. The poller subtest parks the consumer in the network poller,
+// where the token carries no happens-before edge of its own.
 func TestBurstQueueLoanConcurrent(t *testing.T) {
+	t.Run("channel", func(t *testing.T) { runLoanConcurrent(t, false) })
+	t.Run("poller", func(t *testing.T) {
+		if !pollablePipe {
+			t.Skip("pipes are not pollable on this platform")
+		}
+		lsConns.Add(1)
+		defer lsConns.Add(-1)
+		runLoanConcurrent(t, true)
+	})
+}
+
+func runLoanConcurrent(t *testing.T, poller bool) {
 	const producers, borrowers, perProducer = 3, 2, 4000
 	q := new(burstQueue[[2]int]) // producer, sequence number
 	q.init()
+	q.poller = poller
 	var (
 		holder   atomic.Int32 // 0: nobody in the consumer's role
 		shared   int          // written only by the role's holder
@@ -334,7 +381,14 @@ func TestBurstQueueLoanConcurrent(t *testing.T) {
 			seq := 0
 			for !stop.Load() {
 				if !q.borrow() {
-					runtime.Gosched()
+					if poller {
+						// A consumer woken through the poller runs only
+						// once some P runs out of goroutines; borrowers
+						// that only yield would hold it off to the end.
+						time.Sleep(10 * time.Microsecond)
+					} else {
+						runtime.Gosched()
+					}
 					continue
 				}
 				loans.Add(1)
@@ -375,6 +429,10 @@ func TestBurstQueueLoanConcurrent(t *testing.T) {
 	waitFor(t, "the consumer to take every item", func() bool { return taken.Load() == accepted.Load() })
 	q.close()
 	<-consumerDone
+	if poller && q.pollParks == 0 {
+		t.Error("the consumer never parked in the poller")
+	}
+	q.dropPipe()
 	if loans.Load() == 0 {
 		t.Error("no borrow ever succeeded: the loan path went untested")
 	}

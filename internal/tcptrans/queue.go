@@ -1,6 +1,7 @@
 package tcptrans
 
 import (
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,6 +31,12 @@ const (
 // it. Consumer and borrower never overlap: the consumer stays parked for
 // the whole loan, and puts made meanwhile queue without waking it.
 //
+// The consumer parks one of two ways, picked under mu at each park: on the
+// wake channel, or — for a queue with poller set, while a latency-sensitive
+// Conn is open (see parkInPoller) — reading a pollable pipe. Whoever clears
+// parked delivers the park's one token the way it was made, so FIFO order,
+// loans and close behave the same either way.
+//
 // The zero value is not ready; call init first.
 type burstQueue[T any] struct {
 	mu     sync.Mutex
@@ -50,6 +57,97 @@ type burstQueue[T any] struct {
 	// urgent mirrors "laneLS is not empty", so the consumer can look for
 	// latency-sensitive work between two normal items without the lock.
 	urgent atomic.Bool
+
+	// poller lets the consumer's untimed parks go to the network poller
+	// while a latency-sensitive Conn is open; set before the first wait.
+	poller bool
+	// polled: the current park reads pipe instead of wake.
+	polled bool
+	// pipe is made at the first park in the poller and closed by the
+	// consumer, through dropPipe, after its last wait has returned.
+	pipe *wakePipe
+	// parks and pollParks count the consumer's parks, and those of them
+	// made in the poller.
+	parks, pollParks int
+}
+
+// lsConns counts the latency-sensitive Conns open in the process. It is
+// process-wide because the Go scheduler the poller park acts on is.
+var lsConns atomic.Int32
+
+// wakePipe is a pipe registered with Go's network poller; a park's token
+// is one byte written to w and read from r.
+type wakePipe struct {
+	r, w *os.File
+	buf  [1]byte // r's read buffer, the consumer's alone
+}
+
+var wakeToken = []byte{1}
+
+// parkInPoller reports whether an untimed park should read the queue's
+// pipe rather than its wake channel, making the pipe if it has none.
+// Called with mu held, by the consumer.
+//
+// Why: a goroutine woken through a channel goes into its waker's runnext
+// slot, and runs next on the waker's P. Goroutines that hand work to each
+// other through channels, as a throughput-critical flood's reader, reactor
+// and writer do, so keep one P running their chain back to back, and that
+// P rarely gets to the scheduler's path that polls the network — which it
+// takes only when its run queues drain — or lets an idle P steal. Whichever
+// latency-sensitive goroutine next needs a processor waits behind the
+// chain. A goroutine woken through the poller is instead injected into the
+// scheduler's run queues, where an idle P picks it up, so the flood's
+// hand-offs stop chaining on one P. The pipe costs a write(2) per wake, so
+// it is only worth it while there is a latency-sensitive Conn to protect.
+func (q *burstQueue[T]) parkInPoller() bool {
+	if !pollablePipe || !q.poller || lsConns.Load() == 0 {
+		return false
+	}
+	if q.pipe == nil {
+		r, w, err := os.Pipe()
+		if err != nil {
+			return false // out of descriptors: the channel still works
+		}
+		q.pipe = &wakePipe{r: r, w: w}
+	}
+	return true
+}
+
+// unpark clears parked and returns where the park's token goes: the pipe
+// the consumer reads, or nil for the wake channel. Called with mu held,
+// only while parked; the caller passes the result to signal after
+// unlocking.
+func (q *burstQueue[T]) unpark() *wakePipe {
+	q.parked = false
+	if q.polled {
+		return q.pipe
+	}
+	return nil
+}
+
+// signal delivers the token of a park that unpark cleared.
+func (q *burstQueue[T]) signal(p *wakePipe) {
+	if p != nil {
+		// Cannot fail: the consumer keeps the pipe open until it has read
+		// this byte, and the pipe never holds more than one.
+		_, _ = p.w.Write(wakeToken)
+		return
+	}
+	q.wake <- struct{}{}
+}
+
+// dropPipe closes the queue's pipe, if it has one. The consumer calls it
+// once its last wait has returned: a producer writes only to a pipe it saw
+// the consumer parked on, and that park returned only after the write.
+func (q *burstQueue[T]) dropPipe() {
+	q.mu.Lock()
+	p := q.pipe
+	q.pipe = nil
+	q.mu.Unlock()
+	if p != nil {
+		p.r.Close()
+		p.w.Close()
+	}
 }
 
 func (q *burstQueue[T]) init() { q.wake = make(chan struct{}, 1) }
@@ -67,12 +165,13 @@ func (q *burstQueue[T]) put(lane int, items ...T) bool {
 		q.urgent.Store(true)
 	}
 	wake := q.parked && !q.lent // a loan's return wakes for it
+	var via *wakePipe
 	if wake {
-		q.parked = false
+		via = q.unpark()
 	}
 	q.mu.Unlock()
 	if wake {
-		q.wake <- struct{}{}
+		q.signal(via)
 	}
 	return true
 }
@@ -110,12 +209,13 @@ func (q *burstQueue[T]) giveBack(more bool) {
 	q.lent = false
 	q.resume = q.resume || more
 	wake := q.parked && (q.resume || q.closed || !q.empty())
+	var via *wakePipe
 	if wake {
-		q.parked = false
+		via = q.unpark()
 	}
 	q.mu.Unlock()
 	if wake {
-		q.wake <- struct{}{}
+		q.signal(via)
 	}
 }
 
@@ -150,6 +250,15 @@ func (q *burstQueue[T]) wait(timeout <-chan time.Time) (ready, open bool) {
 			return ready && !timedOut, open
 		}
 		q.parked, q.untimed = true, timeout == nil
+		q.polled = q.untimed && q.parkInPoller()
+		q.parks++
+		if q.polled {
+			q.pollParks++
+			p := q.pipe
+			q.mu.Unlock()
+			_, _ = p.r.Read(p.buf[:]) // returns with the token: both ends stay open
+			continue
+		}
 		q.mu.Unlock()
 		if timeout == nil {
 			<-q.wake
@@ -160,7 +269,7 @@ func (q *burstQueue[T]) wait(timeout <-chan time.Time) (ready, open bool) {
 		case <-timeout:
 			timedOut = true
 			q.mu.Lock()
-			answered := !q.parked
+			answered := !q.parked // a timed park is never in the poller
 			q.parked = false
 			q.mu.Unlock()
 			if answered {
@@ -185,12 +294,13 @@ func (q *burstQueue[T]) next(spare []T) ([]T, bool) {
 func (q *burstQueue[T]) close() {
 	q.mu.Lock()
 	wake := q.parked && !q.lent
+	var via *wakePipe
 	if wake {
-		q.parked = false
+		via = q.unpark()
 	}
 	q.closed = true
 	q.mu.Unlock()
 	if wake {
-		q.wake <- struct{}{}
+		q.signal(via)
 	}
 }

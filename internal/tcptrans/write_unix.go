@@ -11,3 +11,7 @@ func writeFD(fd uintptr, p []byte) int {
 	n, _ := syscall.Write(int(fd), p)
 	return n
 }
+
+// pollablePipe: os.Pipe's read end is registered with the network poller,
+// so a burstQueue consumer can park on it (see parkInPoller).
+const pollablePipe = true

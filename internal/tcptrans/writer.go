@@ -228,6 +228,7 @@ func drainWriter(conn net.Conn, q *burstQueue[proto.PDU], cfg writerConfig) {
 				}
 			}
 		}
+		q.dropPipe()
 	}()
 	for {
 		if next == len(in) && b.bytes == 0 {
