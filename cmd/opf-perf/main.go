@@ -212,8 +212,6 @@ func main() {
 		span     = flag.Uint64("span", 1<<16, "LBA span per connection")
 		metrics  = flag.String("metrics-addr", "", "serve host-side /metrics and /debug endpoints on this address (empty: off)")
 		telInt   = flag.Duration("telemetry-interval", 0, "emit in-band TelemetryUpdate e2e feedback to the target at this cadence (0: off, wire-identical to builds without the channel)")
-		coBytes  = flag.Int("coalesce-bytes", 0, "submission coalescing: flush once this many bytes are staged (0 with -coalesce-delay 0: off, wire-identical)")
-		coDelay  = flag.Duration("coalesce-delay", 0, "submission coalescing: hold staged submissions up to this long waiting for more (0 with -coalesce-bytes 0: off)")
 		traceOut = flag.String("trace-dump", "", "write a host-side flight-recorder dump (JSONL) to this file at exit; pair with the target's /debug/trace for opf-trace")
 
 		discovery  = flag.String("discovery", "", "cluster mode: route a replicated workload through this discovery control plane instead of -addr")
@@ -224,6 +222,11 @@ func main() {
 	if *discovery != "" {
 		clusterMode(*discovery, *clWrites, !*clReplOnly)
 		return
+	}
+	if *ls < 0 || *tc < 0 || *scav < 0 || *ls+*tc+*scav == 0 {
+		fmt.Fprintf(os.Stderr, "opf-perf: -ls, -tc and -scav must not be negative, and open at least one connection between them (got %d, %d, %d)\n", *ls, *tc, *scav)
+		flag.Usage()
+		os.Exit(2)
 	}
 	var tel *telemetry.Registry
 	var rec *telemetry.Recorder
@@ -266,11 +269,7 @@ func main() {
 		conn, err := tcptrans.DialWith(*addr, hostqp.Config{
 			Class: class, Window: w, QueueDepth: depth, NSID: 1,
 			Telemetry: tel, Recorder: rec,
-		}, tcptrans.DialConfig{
-			TelemetryInterval: *telInt,
-			CoalesceBytes:     *coBytes,
-			CoalesceDelay:     *coDelay,
-		})
+		}, tcptrans.DialConfig{TelemetryInterval: *telInt})
 		if err != nil {
 			log.Fatalf("dial %d: %v", i, err)
 		}

@@ -94,6 +94,27 @@ func (s *Signal) E2ECounts() (good, bad int64) { return s.e2eGood.Load(), s.e2eB
 // Snapshot copies the latency histogram for interval-quantile math.
 func (s *Signal) Snapshot() *stats.Histogram { return s.hist.Snapshot() }
 
+// The control law's fixed thresholds.
+const (
+	// burnShrink / burnGrow bound the hysteresis band: interval burn
+	// above burnShrink halves the window (multiplicative back-off), below
+	// burnGrow allows additive growth, and the band between them holds —
+	// the damping that keeps the loop from oscillating around the
+	// threshold.
+	burnShrink = 1.0
+	burnGrow   = 0.5
+	// growFill gates growth on achieved drain occupancy: windows only grow
+	// when the mean completed batch filled at least this fraction of the
+	// current window — a tenant whose batches run small gains nothing from
+	// a larger valve.
+	growFill = 0.5
+	// dryIntervals is how many consecutive zero-sample intervals release a
+	// tenant to the static bounds. A streak of truly empty intervals means
+	// the LS signal is gone — no one is left to protect — which is the one
+	// cold condition that should clear the overrides.
+	dryIntervals = 3
+)
+
 // Config parameterizes a controller. The zero values of everything but
 // ObjectiveNS select the documented defaults.
 type Config struct {
@@ -108,13 +129,6 @@ type Config struct {
 	// rate is the observed violation fraction over this budget; burn 1
 	// consumes the budget exactly as fast as it accrues.
 	BudgetPPM int64
-	// BurnShrink / BurnGrow bound the hysteresis band: interval burn
-	// above BurnShrink halves the window (multiplicative back-off),
-	// below BurnGrow allows additive growth, and the band between them
-	// holds — the damping that keeps the loop from oscillating around
-	// the threshold. Defaults 1.0 / 0.5.
-	BurnShrink float64
-	BurnGrow   float64
 	// MinWindow / MaxWindow clamp the controlled window. MaxWindow is the
 	// static formula's value for the deployment (core.OptimalWindow);
 	// at MaxWindow the controller clears its overrides entirely, so cold
@@ -124,11 +138,6 @@ type Config struct {
 	MaxWindow int
 	// GrowStep is the additive increase per grow decision (default 2).
 	GrowStep int
-	// GrowFill gates growth on achieved drain occupancy: windows only
-	// grow when the mean completed batch filled at least this fraction
-	// of the current window (default 0.5) — a tenant whose batches run
-	// small gains nothing from a larger valve.
-	GrowFill float64
 	// GrowIntervals is how many consecutive healthy intervals a tenant
 	// must string together before each grow step (default 1: grow on
 	// the first healthy verdict). Raising it discriminates transient
@@ -163,11 +172,6 @@ type Config struct {
 	// sparseness would teleport every constrained tenant back to the
 	// static bound and undo the back-off it just earned.
 	MinSamples int64
-	// DryIntervals is how many consecutive zero-sample intervals release
-	// a tenant to the static bounds (default 3). A streak of truly empty
-	// intervals means the LS signal is gone — no one is left to protect —
-	// which is the one cold condition that should clear the overrides.
-	DryIntervals int
 	// E2E folds the host-observed end-to-end term into the control law:
 	// within/over-objective counts fed through Signal.ObserveE2E join each
 	// decision, and the effective burn is the worse of the service and e2e
@@ -197,12 +201,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.BudgetPPM <= 0 {
 		cfg.BudgetPPM = 1000
 	}
-	if cfg.BurnShrink <= 0 {
-		cfg.BurnShrink = 1.0
-	}
-	if cfg.BurnGrow <= 0 {
-		cfg.BurnGrow = 0.5
-	}
 	if cfg.MinWindow <= 0 {
 		cfg.MinWindow = 1
 	}
@@ -211,9 +209,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.GrowStep <= 0 {
 		cfg.GrowStep = 2
-	}
-	if cfg.GrowFill <= 0 {
-		cfg.GrowFill = 0.5
 	}
 	if cfg.GrowIntervals <= 0 {
 		cfg.GrowIntervals = 1
@@ -229,9 +224,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = 32
-	}
-	if cfg.DryIntervals <= 0 {
-		cfg.DryIntervals = 3
 	}
 	if cfg.E2EObjectiveNS <= 0 {
 		cfg.E2EObjectiveNS = cfg.ObjectiveNS
@@ -427,18 +419,18 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 		// then release to the static formula's behavior.
 		st.dry++
 		action = "cold"
-		if st.dry >= c.cfg.DryIntervals {
+		if st.dry >= dryIntervals {
 			st.window = c.cfg.MaxWindow
 			reason = fmt.Sprintf("no LS samples for %d intervals: static bounds apply", st.dry)
 		} else {
-			reason = fmt.Sprintf("no LS samples (dry %d/%d): holding %d", st.dry, c.cfg.DryIntervals, st.window)
+			reason = fmt.Sprintf("no LS samples (dry %d/%d): holding %d", st.dry, dryIntervals, st.window)
 		}
 	case samples < c.cfg.MinSamples:
 		// Sparse: too few samples for a verdict, but the signal is alive.
 		// Hold the current actuation — back-off thins these very intervals.
 		action = "cold"
 		reason = fmt.Sprintf("%d LS samples < %d: holding %d", samples, c.cfg.MinSamples, st.window)
-	case burn > c.cfg.BurnShrink:
+	case burn > burnShrink:
 		st.healthy = 0
 		st.window = prev / 2
 		if st.window < c.cfg.MinWindow {
@@ -446,12 +438,12 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 		}
 		if st.window < prev {
 			action = "shrink"
-			reason = fmt.Sprintf("burn %.2f > %.2f: multiplicative back-off%s", burn, c.cfg.BurnShrink, e2eTag)
+			reason = fmt.Sprintf("burn %.2f > %.2f: multiplicative back-off%s", burn, burnShrink, e2eTag)
 		} else {
 			action = "hold"
-			reason = fmt.Sprintf("burn %.2f > %.2f at floor %d%s", burn, c.cfg.BurnShrink, c.cfg.MinWindow, e2eTag)
+			reason = fmt.Sprintf("burn %.2f > %.2f at floor %d%s", burn, burnShrink, c.cfg.MinWindow, e2eTag)
 		}
-	case burn < c.cfg.BurnGrow && st.window < c.cfg.MaxWindow && fill >= c.cfg.GrowFill:
+	case burn < burnGrow && st.window < c.cfg.MaxWindow && fill >= growFill:
 		st.healthy++
 		switch {
 		case st.healthy < c.cfg.GrowIntervals:
@@ -472,18 +464,18 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 			}
 			c.lastGrow, c.grown = now, true
 			action = "grow"
-			reason = fmt.Sprintf("burn %.2f < %.2f, fill %.2f: additive grow", burn, c.cfg.BurnGrow, fill)
+			reason = fmt.Sprintf("burn %.2f < %.2f, fill %.2f: additive grow", burn, burnGrow, fill)
 		}
 	default:
 		action = "hold"
 		switch {
 		case st.window >= c.cfg.MaxWindow:
 			reason = fmt.Sprintf("burn %.2f healthy at static bound %d", burn, c.cfg.MaxWindow)
-		case burn >= c.cfg.BurnGrow:
+		case burn >= burnGrow:
 			st.healthy = 0
-			reason = fmt.Sprintf("burn %.2f inside hysteresis band [%.2f, %.2f]", burn, c.cfg.BurnGrow, c.cfg.BurnShrink)
+			reason = fmt.Sprintf("burn %.2f inside hysteresis band [%.2f, %.2f]", burn, burnGrow, burnShrink)
 		default:
-			reason = fmt.Sprintf("fill %.2f < %.2f: window not earning growth", fill, c.cfg.GrowFill)
+			reason = fmt.Sprintf("fill %.2f < %.2f: window not earning growth", fill, growFill)
 		}
 	}
 

@@ -159,7 +159,7 @@ func TestDryStreakReleasesToStaticBounds(t *testing.T) {
 	drain(c, 3, 1, 16) // prime
 	observe(c, 0, 8)
 	drain(c, 3, 1, 16) // shrink to 8
-	// Two zero-sample intervals hold; the third (DryIntervals 3) proves
+	// Two zero-sample intervals hold; the third (dryIntervals 3) proves
 	// the LS signal is gone and releases to the static bound.
 	drain(c, 3, 2, 8)
 	if w := c.WindowFor(3); w != 8 {

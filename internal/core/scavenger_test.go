@@ -160,7 +160,7 @@ func TestScavengerAgingAnchorResetsPerWindow(t *testing.T) {
 }
 
 // TestScavengerDrainsInChunks pins the drain batch bound: leftover capacity
-// is consumed in ScavengerChunk-sized nibbles, never as one deep backlog
+// is consumed in DefaultScavengerChunk-sized nibbles, never as one deep backlog
 // dump that the next LS arrival would queue behind inside the device. Under
 // continuous foreground load, each aged chunk restarts the remainder's
 // aging anchor.
@@ -192,26 +192,26 @@ func TestScavengerDrainsInChunks(t *testing.T) {
 	}
 
 	// Aged path: the remainder's deadline restarts at the chunk drain.
+	const chunk = DefaultScavengerChunk
 	now := new(int64)
 	pm = NewTargetPM(TargetPMConfig{
 		Isolated:         true,
 		Clock:            func() int64 { return *now },
 		ScavengerAgingNS: 100,
-		ScavengerChunk:   2,
 	})
 	pm.Admit(1, proto.PrioLatencySensitive) // foreground stays busy
 	*now = 10
-	for cid := nvme.CID(1); cid <= 5; cid++ {
+	for cid := nvme.CID(1); cid <= 2*chunk+1; cid++ {
 		pm.OnCommand(7, cid, proto.PrioScavenger)
 	}
-	if got := pm.PollScavenger(110); len(got) != 1 || len(got[0]) != 2 || got[0][0].CID != 1 {
-		t.Fatalf("first aged chunk = %v, want CIDs 1-2", got)
+	if got := pm.PollScavenger(110); len(got) != 1 || len(got[0]) != chunk || got[0][0].CID != 1 {
+		t.Fatalf("first aged chunk = %v, want CIDs 1-%d", got, chunk)
 	}
 	if got := pm.PollScavenger(209); got != nil {
 		t.Fatalf("remainder aged out before its restarted deadline: %v", got)
 	}
-	if got := pm.PollScavenger(210); len(got) != 1 || len(got[0]) != 2 || got[0][0].CID != 3 {
-		t.Fatalf("second aged chunk = %v, want CIDs 3-4", got)
+	if got := pm.PollScavenger(210); len(got) != 1 || len(got[0]) != chunk || got[0][0].CID != chunk+1 {
+		t.Fatalf("second aged chunk = %v, want CIDs %d-%d", got, chunk+1, 2*chunk)
 	}
 	if st := pm.Stats(); st.ScavDrains != 2 || st.ScavAgedDrains != 2 {
 		t.Fatalf("ScavDrains=%d ScavAgedDrains=%d, want 2/2", st.ScavDrains, st.ScavAgedDrains)

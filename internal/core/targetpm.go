@@ -127,20 +127,16 @@ type TargetPMConfig struct {
 	// park it forever. Needs Clock; zero disables aging (scavenger then
 	// drains only on leftover capacity).
 	ScavengerAgingNS int64
-	// ScavengerChunk caps how many requests one scavenger drain releases
-	// to the device at once (zero: DefaultScavengerChunk). Leftover
-	// capacity is momentary — an instant with no LS request pending — so
-	// dumping a deep best-effort backlog into the device in one batch
-	// would make the next LS arrival queue behind it inside the device,
-	// defeating the class's whole point. Small chunks keep device-level
-	// interference bounded; the remainder drains on subsequent polls
-	// (every dispatch and completion re-polls, so an idle target still
-	// clears a backlog quickly).
-	ScavengerChunk int
 }
 
-// DefaultScavengerChunk is the scavenger drain batch bound when
-// TargetPMConfig.ScavengerChunk is zero.
+// DefaultScavengerChunk caps how many requests one scavenger drain
+// releases to the device at once. Leftover capacity is momentary — an
+// instant with no LS request pending — so dumping a deep best-effort
+// backlog into the device in one batch would make the next LS arrival
+// queue behind it inside the device, defeating the class's whole point.
+// Small chunks keep device-level interference bounded; the remainder
+// drains on subsequent polls (every dispatch and completion re-polls, so
+// an idle target still clears a backlog quickly).
 const DefaultScavengerChunk = 4
 
 // DrainCompletion describes one TC window whose device work has fully
@@ -704,7 +700,7 @@ func (pm *TargetPM) expire(q *pendingQueue) []TaggedCID {
 //     (needs Clock). Continuous foreground load can delay background
 //     work, but a parked scavenger window always eventually drains.
 //
-// Each release is capped at ScavengerChunk requests so a deep backlog
+// Each release is capped at DefaultScavengerChunk requests so a deep backlog
 // cannot flood the device ahead of the next foreground arrival; the
 // remainder stays parked for later polls.
 //
@@ -717,10 +713,7 @@ func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
 	if len(pm.scavs) == 0 {
 		return nil
 	}
-	chunk := pm.cfg.ScavengerChunk
-	if chunk <= 0 {
-		chunk = DefaultScavengerChunk
-	}
+	const chunk = DefaultScavengerChunk
 	// Deterministic release order: oldest queue first, tenant ID as the
 	// tie-break. Any other order would vary run to run and leak into the
 	// device's jitter stream, breaking same-seed reproducibility.

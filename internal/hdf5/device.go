@@ -58,8 +58,6 @@ type SessionDevice struct {
 	blocks  uint64
 	bs      uint32
 	waiting []func() error
-	// MetaPriority is the class for metadata ops (default LS).
-	MetaPriority proto.Priority
 
 	// deferFn schedules a function to run after the current event cascade
 	// (engine.Schedule(0, fn) in simulation). It powers the quiesce
@@ -85,8 +83,7 @@ func NewSessionDevice(sess *hostqp.Session, blockSize uint32, base, blocks uint6
 	}
 	return &SessionDevice{
 		sess: sess, base: base, blocks: blocks, bs: blockSize,
-		MetaPriority: proto.PrioLatencySensitive,
-		deferFn:      deferFn,
+		deferFn: deferFn,
 	}, nil
 }
 
@@ -164,10 +161,11 @@ func (d *SessionDevice) pump() {
 // Waiting returns the number of queued (not yet submitted) ops.
 func (d *SessionDevice) Waiting() int { return len(d.waiting) }
 
-// prioFor maps the meta flag to a wire priority override.
+// prioFor maps the meta flag to a wire priority override: metadata ops go
+// latency-sensitive.
 func (d *SessionDevice) prioFor(meta bool) proto.Priority {
 	if meta {
-		return d.MetaPriority
+		return proto.PrioLatencySensitive
 	}
 	return 0 // inherit session class
 }

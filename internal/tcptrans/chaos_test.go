@@ -25,6 +25,7 @@ import (
 
 	"nvmeopf/internal/faultnet"
 	"nvmeopf/internal/hostqp"
+	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/proto"
 	"nvmeopf/internal/targetqp"
 	"nvmeopf/internal/telemetry"
@@ -195,13 +196,15 @@ func TestChaosVictimKilledSurvivorsMeetDrainWindows(t *testing.T) {
 }
 
 // TestChaosVectoredFlushKill aims the kill switch at the scatter-gather
-// writer: the victim runs with submission coalescing enabled (so flushes
-// are multi-PDU vectored writes holding payload references) and is killed
-// over and over mid-flight, under -race. The invariants: no staged PDU is
-// released twice or leaked (the pools would corrupt and -race would
-// fire), reads landed by the zero-copy sink stay byte-exact across kills,
-// and every teardown returns its goroutines and target session.
+// writer: several submitters share the victim connection at queue depth
+// 16, each keeping four block writes in flight, so its writer's flushes
+// are multi-PDU vectored writes holding payload references; the victim is
+// killed over and over mid-flight, under -race. The invariants: no staged
+// PDU is released twice or leaked (the pools would corrupt and -race
+// would fire), reads landed by the zero-copy sink stay byte-exact across
+// kills, and every teardown returns its goroutines and target session.
 func TestChaosVectoredFlushKill(t *testing.T) {
+	const submitters, blocks = 4, 4 // each submitter owns blocks LBAs
 	base := runtime.NumGoroutine()
 	dev := newMemoryDevice(4096, 1<<14)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
@@ -217,28 +220,66 @@ func TestChaosVectoredFlushKill(t *testing.T) {
 		HandshakeTimeout: 5 * time.Second,
 		RequestTimeout:   500 * time.Millisecond,
 		Dialer:           faultnet.Dialer(inj),
-		CoalesceBytes:    32 << 10,
-		CoalesceDelay:    100 * time.Microsecond,
 	}
 
 	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
 	var wg sync.WaitGroup
 	var ops, reconnects atomic.Int64
+
+	// round writes a submitter's blocks with all of them in flight at once
+	// (large referenced payloads: MaxDataLen caps each capsule at one
+	// block), then reads them back as one multi-fragment read reassembled
+	// by the zero-copy sink. It reports false once the connection failed.
+	round := func(c *Conn, lba uint64, want []byte) bool {
+		done := make(chan bool, blocks)
+		for blk := 0; blk < blocks; blk++ {
+			err := c.Submit(hostqp.IO{
+				Op: nvme.OpWrite, LBA: lba + uint64(blk), Blocks: 1,
+				Data: want[blk*4096 : (blk+1)*4096],
+				Done: func(r hostqp.Result) { done <- r.Status.OK() && r.Err == nil },
+			})
+			if err != nil {
+				done <- false
+			}
+		}
+		ok := true
+		for blk := 0; blk < blocks; blk++ {
+			ok = <-done && ok
+		}
+		if !ok {
+			return false
+		}
+		got, err := c.Read(lba, blocks, 0)
+		if err != nil {
+			return false
+		}
+		if !bytes.Equal(got, want) {
+			t.Error("zero-copy read reassembled wrong bytes after a kill")
+			return false
+		}
+		return true
+	}
 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		want := make([]byte, 4*4096)
-		for i := range want {
-			want[i] = byte(i * 13)
+		var want [submitters][]byte
+		for s := range want {
+			want[s] = make([]byte, blocks*4096)
+			for i := range want[s] {
+				want[s][i] = byte(i*13 + s)
+			}
 		}
 		first := true
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for !stopped() {
 			c, err := DialRetryWith(srv.Addr(),
 				hostqp.Config{Class: proto.PrioThroughputCritical, Window: 4, QueueDepth: 16, NSID: 1},
 				victimDial, 50, 2*time.Millisecond)
@@ -250,37 +291,17 @@ func TestChaosVectoredFlushKill(t *testing.T) {
 				reconnects.Add(1)
 			}
 			first = false
-			for {
-				select {
-				case <-stop:
-					c.Close()
-					return
-				default:
-				}
-				// Large referenced write payloads (MaxDataLen caps each
-				// capsule at one block), then a multi-fragment read
-				// reassembled by the zero-copy sink.
-				werr := false
-				for blk := 0; blk < 4; blk++ {
-					if err := c.Write(uint64(blk), want[blk*4096:(blk+1)*4096], 0); err != nil {
-						werr = true
-						break
+			var sub sync.WaitGroup
+			for s := 0; s < submitters; s++ {
+				sub.Add(1)
+				go func(s int) {
+					defer sub.Done()
+					for !stopped() && round(c, uint64(s*blocks), want[s]) {
+						ops.Add(1)
 					}
-				}
-				if werr {
-					break
-				}
-				got, err := c.Read(0, 4, 0)
-				if err != nil {
-					break
-				}
-				if !bytes.Equal(got, want) {
-					t.Error("zero-copy read reassembled wrong bytes after a kill")
-					c.Close()
-					return
-				}
-				ops.Add(1)
+				}(s)
 			}
+			sub.Wait()
 			c.Close()
 		}
 	}()

@@ -39,17 +39,6 @@ type DialConfig struct {
 	// Dialer optionally replaces net.Dial (fault injection wraps the
 	// socket here; see internal/faultnet.Dialer).
 	Dialer func(network, addr string) (net.Conn, error)
-	// CoalesceBytes/CoalesceDelay open the submission-coalescing window:
-	// when the outbound queue runs dry with fewer than CoalesceBytes
-	// staged, the writer holds the batch up to CoalesceDelay waiting for
-	// more submissions, so a stream of small commands shares one vectored
-	// flush instead of paying a write syscall each — at the cost of up to
-	// CoalesceDelay added submission latency. Setting either enables the
-	// window (the other takes DefaultCoalesceBytes / DefaultCoalesceDelay);
-	// both zero (the default) disable it, leaving the wire stream
-	// byte-identical to an uncoalesced connection's.
-	CoalesceBytes int
-	CoalesceDelay time.Duration
 	// TelemetryInterval is the cadence the connection emits TelemetryUpdate
 	// PDUs on: the in-band feedback channel shipping host-observed
 	// end-to-end latency deltas, outstanding depth, and busy/retry counts
@@ -136,14 +125,6 @@ func (d DialConfig) withDefaults() DialConfig {
 	}
 	if d.Dialer == nil {
 		d.Dialer = net.Dial
-	}
-	if d.CoalesceBytes > 0 || d.CoalesceDelay > 0 {
-		if d.CoalesceBytes <= 0 {
-			d.CoalesceBytes = DefaultCoalesceBytes
-		}
-		if d.CoalesceDelay <= 0 {
-			d.CoalesceDelay = DefaultCoalesceDelay
-		}
 	}
 	return d
 }
@@ -426,9 +407,7 @@ func (c *Conn) install(ln *link) {
 		sess.EnableE2E()
 	}
 	c.ln, c.sess, c.connErr = ln, sess, nil
-	if c.ls && c.dcfg.CoalesceBytes == 0 {
-		// A coalescing window holds submissions back on purpose; inline
-		// writes would bypass it.
+	if c.ls {
 		ln.direct = newDirect(ln.nc, releaseClientPDU, nil)
 	}
 
@@ -442,11 +421,9 @@ func (c *Conn) install(ln *link) {
 	go func() {
 		defer ln.wg.Done()
 		drainWriter(ln.nc, &ln.out, writerConfig{
-			coalesceBytes: c.dcfg.CoalesceBytes,
-			coalesceDelay: c.dcfg.CoalesceDelay,
-			release:       releaseClientPDU,
-			closeConn:     ln.close,
-			direct:        ln.direct,
+			release:   releaseClientPDU,
+			closeConn: ln.close,
+			direct:    ln.direct,
 		})
 	}()
 	go func() {

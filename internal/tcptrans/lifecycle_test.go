@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,6 +35,106 @@ func waitGoroutines(t *testing.T, base int) {
 
 func lsConfig() hostqp.Config {
 	return hostqp.Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 4, NSID: 1}
+}
+
+// TestConnSubmitContract pins the contract documented on Conn.Submit at
+// the Conn level: on a latency-sensitive connection, where Done runs on
+// the reactor or on the reader that borrowed it, and on a
+// throughput-critical one at queue depth 8, several goroutines submit
+// reads and writes while Close races them. No two Done calls of the
+// connection overlap, every accepted request's Done runs exactly once —
+// a refused one's never — and all of them have run when Close returns.
+func TestConnSubmitContract(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  hostqp.Config
+	}{
+		{"ls", lsConfig()},
+		{"tc", hostqp.Config{Class: proto.PrioThroughputCritical, Window: 4, QueueDepth: 8, NSID: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const (
+				submitters = 4
+				perSub     = 1 << 13 // cap on one submitter's requests
+				inFlight   = 4       // requests one submitter keeps outstanding
+				closeAfter = 500     // completions before Close races the rest
+			)
+			srv := startServer(t, targetqp.ModeOPF)
+			c, err := Dial(srv.Addr(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				inDone, overlaps atomic.Int32
+				completed        atomic.Int64
+				runs             [submitters][perSub]atomic.Int32
+				accepted         [submitters][perSub]bool
+				wg               sync.WaitGroup
+			)
+			block := make([]byte, c.BlockSize())
+			for s := 0; s < submitters; s++ {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					sem := make(chan struct{}, inFlight)
+					for i := 0; i < perSub; i++ {
+						sem <- struct{}{}
+						io := hostqp.IO{Op: nvme.OpRead, LBA: uint64(s*perSub + i%64), Blocks: 1,
+							Done: func(hostqp.Result) {
+								if inDone.Add(1) != 1 {
+									overlaps.Add(1)
+								}
+								runtime.Gosched() // widen the window another Done could overlap
+								runs[s][i].Add(1)
+								completed.Add(1)
+								inDone.Add(-1)
+								<-sem
+							}}
+						if i%2 == 1 {
+							io.Op, io.Data = nvme.OpWrite, block
+						}
+						if c.Submit(io) != nil {
+							return // closed: this request and every later one refused
+						}
+						accepted[s][i] = true
+					}
+				}(s)
+			}
+			waitFor(t, "completions before Close", func() bool { return completed.Load() >= closeAfter })
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var atClose [submitters][perSub]int32
+			for s := range runs {
+				for i := range runs[s] {
+					atClose[s][i] = runs[s][i].Load()
+				}
+			}
+			wg.Wait()
+
+			if n := overlaps.Load(); n != 0 {
+				t.Errorf("%d Done calls started while another was running", n)
+			}
+			n := 0
+			for s := range runs {
+				for i := range runs[s] {
+					want := int32(0)
+					if accepted[s][i] {
+						want, n = 1, n+1
+					}
+					if got := runs[s][i].Load(); got != want || atClose[s][i] != want {
+						t.Fatalf("submitter %d request %d (accepted %v): Done ran %d times by Close's return, %d in all, want %d",
+							s, i, accepted[s][i], atClose[s][i], got, want)
+					}
+				}
+			}
+			cs := c.Stats()
+			if tc.cfg.Class == proto.PrioLatencySensitive && cs.InlineBursts == 0 {
+				t.Error("no reader burst borrowed the reactor: every Done ran on the reactor")
+			}
+			t.Logf("%d requests accepted; host: %d inline, %d posted", n, cs.InlineBursts, cs.PostedBursts)
+		})
+	}
 }
 
 // TestCloseIdempotentConcurrent: Close from many goroutines at once must

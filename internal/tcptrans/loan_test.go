@@ -20,18 +20,18 @@ import (
 // at a time: it reports each return from wait on woke, then takes both
 // lanes when told to and reports what it got.
 type loanConsumer struct {
-	woke    chan [2]bool // ready, open
+	woke    chan bool // open
 	proceed chan struct{}
 	taken   chan [numLanes][]int
 }
 
 func startLoanConsumer(q *burstQueue[int]) *loanConsumer {
-	c := &loanConsumer{woke: make(chan [2]bool), proceed: make(chan struct{}),
+	c := &loanConsumer{woke: make(chan bool), proceed: make(chan struct{}),
 		taken: make(chan [numLanes][]int)}
 	go func() {
 		for {
-			ready, open := q.wait(nil)
-			c.woke <- [2]bool{ready, open}
+			open := q.wait()
+			c.woke <- open
 			<-c.proceed
 			var got [numLanes][]int
 			for l := range got {
@@ -129,12 +129,11 @@ func runLoanModel(t *testing.T, seed int64, steps int, poller bool) {
 					fail("consumer woke during a loan")
 					return false
 				}
-				want := [2]bool{ref.resume || !ref.empty(), !ref.closed}
-				if got != want {
-					fail("wait returned (ready, open) = %v, want %v", got, want)
+				if got != !ref.closed {
+					fail("wait returned open = %v, want %v", got, !ref.closed)
 					return false
 				}
-				ref.resume, ref.running, ref.exiting = false, true, !got[1]
+				ref.resume, ref.running, ref.exiting = false, true, !got
 			case <-time.After(5 * time.Second):
 				fail("lost wake-up: the consumer did not return from wait")
 				return false
@@ -297,8 +296,8 @@ func TestBurstQueueLoanCloseWakesAfterReturn(t *testing.T) {
 	q.giveBack(false)
 	select {
 	case got := <-c.woke:
-		if got != [2]bool{true, false} {
-			t.Fatalf("after the loan's return wait = %v, want ready and closed", got)
+		if got {
+			t.Fatal("after the loan's return wait reports the closed queue open")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the loan's return did not wake the consumer of a closed queue")
@@ -353,7 +352,7 @@ func runLoanConcurrent(t *testing.T, poller bool) {
 		defer close(consumerDone)
 		next := map[[2]int]int{} // (producer, lane) -> next sequence number
 		for {
-			_, open := q.wait(nil)
+			open := q.wait()
 			enter(1)
 			for lane := 0; lane < numLanes; lane++ {
 				for _, it := range q.take(lane, nil) {

@@ -4,7 +4,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Lanes of a burstQueue. A shard's run queue uses both — a connection
@@ -25,11 +24,11 @@ const (
 // over it locks every channel it names.
 //
 // The consumer's role can be lent (borrow, giveBack): while the consumer
-// is parked in an untimed wait with nothing queued, another goroutine may
-// do the consumer's work itself instead of waking it — how a
-// latency-sensitive burst runs to completion on the goroutine that holds
-// it. Consumer and borrower never overlap: the consumer stays parked for
-// the whole loan, and puts made meanwhile queue without waking it.
+// is parked with nothing queued, another goroutine may do the consumer's
+// work itself instead of waking it — how a latency-sensitive burst runs to
+// completion on the goroutine that holds it. Consumer and borrower never
+// overlap: the consumer stays parked for the whole loan, and puts made
+// meanwhile queue without waking it.
 //
 // The consumer parks one of two ways, picked under mu at each park: on the
 // wake channel, or — for a queue with poller set, while a latency-sensitive
@@ -42,10 +41,7 @@ type burstQueue[T any] struct {
 	mu     sync.Mutex
 	lanes  [numLanes][]T
 	parked bool // the consumer is blocked in wait, or about to be
-	// untimed: the park is a wait with no timeout, the only kind that may
-	// be lent (a timed one could wake mid-loan on its own).
-	untimed bool
-	lent    bool // a borrower holds the consumer's role
+	lent   bool // a borrower holds the consumer's role
 	// resume makes the parked consumer's wait return with nothing queued:
 	// a borrower left it work outside the queue.
 	resume bool
@@ -58,8 +54,8 @@ type burstQueue[T any] struct {
 	// latency-sensitive work between two normal items without the lock.
 	urgent atomic.Bool
 
-	// poller lets the consumer's untimed parks go to the network poller
-	// while a latency-sensitive Conn is open; set before the first wait.
+	// poller lets the consumer's parks go to the network poller while a
+	// latency-sensitive Conn is open; set before the first wait.
 	poller bool
 	// polled: the current park reads pipe instead of wake.
 	polled bool
@@ -84,8 +80,8 @@ type wakePipe struct {
 
 var wakeToken = []byte{1}
 
-// parkInPoller reports whether an untimed park should read the queue's
-// pipe rather than its wake channel, making the pipe if it has none.
+// parkInPoller reports whether a park should read the queue's pipe rather
+// than its wake channel, making the pipe if it has none.
 // Called with mu held, by the consumer.
 //
 // Why: a goroutine woken through a channel goes into its waker's runnext
@@ -187,12 +183,12 @@ func (q *burstQueue[T]) empty() bool {
 }
 
 // borrow takes the consumer's role, and reports whether it did: only while
-// the consumer is parked in an untimed wait, nothing is queued, the queue
-// is open and no one else holds it. The borrower does the consumer's work
-// on its own goroutine and must end the loan with giveBack.
+// the consumer is parked, nothing is queued, the queue is open and no one
+// else holds it. The borrower does the consumer's work on its own
+// goroutine and must end the loan with giveBack.
 func (q *burstQueue[T]) borrow() bool {
 	q.mu.Lock()
-	ok := q.parked && q.untimed && !q.lent && !q.closed && q.empty()
+	ok := q.parked && !q.lent && !q.closed && q.empty()
 	if ok {
 		q.lent = true
 	}
@@ -234,23 +230,19 @@ func (q *burstQueue[T]) take(lane int, spare []T) []T {
 }
 
 // wait parks the consumer until a lane holds something, the queue is
-// closed, or timeout (nil: never) fires. ready reports a non-empty lane
-// found before the timeout fired — exactly when the timeout's value was
-// not consumed, or a returned loan left work behind; open turns false once
-// the queue is closed, whatever it still holds.
-func (q *burstQueue[T]) wait(timeout <-chan time.Time) (ready, open bool) {
-	timedOut := false
+// closed, or a returned loan left work behind. open turns false once the
+// queue is closed, whatever it still holds.
+func (q *burstQueue[T]) wait() (open bool) {
 	for {
 		q.mu.Lock()
-		ready = ready || q.resume || !q.empty()
-		if ready || q.closed || timedOut {
+		if q.resume || q.closed || !q.empty() {
 			q.resume = false
 			open = !q.closed
 			q.mu.Unlock()
-			return ready && !timedOut, open
+			return open
 		}
-		q.parked, q.untimed = true, timeout == nil
-		q.polled = q.untimed && q.parkInPoller()
+		q.parked = true
+		q.polled = q.parkInPoller()
 		q.parks++
 		if q.polled {
 			q.pollParks++
@@ -260,29 +252,14 @@ func (q *burstQueue[T]) wait(timeout <-chan time.Time) (ready, open bool) {
 			continue
 		}
 		q.mu.Unlock()
-		if timeout == nil {
-			<-q.wake
-			continue
-		}
-		select {
-		case <-q.wake:
-		case <-timeout:
-			timedOut = true
-			q.mu.Lock()
-			answered := !q.parked // a timed park is never in the poller
-			q.parked = false
-			q.mu.Unlock()
-			if answered {
-				<-q.wake // a producer answered the park; its token is ours
-			}
-		}
+		<-q.wake
 	}
 }
 
 // next is wait then take for a single-lane consumer: it blocks for the
 // next burst and reports false once the queue is closed.
 func (q *burstQueue[T]) next(spare []T) ([]T, bool) {
-	if _, open := q.wait(nil); !open {
+	if !q.wait() {
 		return spare[:0], false
 	}
 	return q.take(laneNormal, spare), true

@@ -151,7 +151,7 @@ func (sh *shard) run() {
 		clear(normal)
 		normal, next = sh.q.take(laneNormal, normal), 0
 		if len(normal) == 0 {
-			if _, open := sh.q.wait(nil); !open {
+			if !sh.q.wait() {
 				return
 			}
 			continue

@@ -22,9 +22,9 @@ import (
 )
 
 // TestBurstQueueLanesAndClose pins the queue primitive: a lane swaps out
-// whole and in order, the LS flag tracks its lane, a timed wait reports a
-// timeout as not-ready, and close fails later puts while leaving what was
-// queued for a final take.
+// whole and in order, the LS flag tracks its lane, a put wakes the parked
+// consumer, and close fails later puts while leaving what was queued for a
+// final take.
 func TestBurstQueueLanesAndClose(t *testing.T) {
 	var q burstQueue[int]
 	q.init()
@@ -41,16 +41,8 @@ func TestBurstQueueLanesAndClose(t *testing.T) {
 		t.Fatalf("normal lane = %v, want [1 2 3]", got)
 	}
 
-	expired := make(chan time.Time, 1)
-	expired <- time.Time{}
-	if ready, open := q.wait(expired); ready || !open {
-		t.Fatalf("wait on an empty queue past its timeout: ready=%v open=%v", ready, open)
-	}
 	woke := make(chan bool, 1)
-	go func() {
-		ready, _ := q.wait(nil)
-		woke <- ready
-	}()
+	go func() { woke <- q.wait() }()
 	waitFor(t, "the consumer to park", func() bool {
 		q.mu.Lock()
 		defer q.mu.Unlock()
@@ -58,14 +50,14 @@ func TestBurstQueueLanesAndClose(t *testing.T) {
 	})
 	q.put(laneNormal, 4)
 	if !<-woke {
-		t.Fatal("a put did not wake the parked consumer")
+		t.Fatal("wait reports an open queue closed")
 	}
 
 	q.close()
 	if q.put(laneNormal, 5) {
 		t.Fatal("put succeeded on a closed queue")
 	}
-	if _, open := q.wait(nil); open {
+	if q.wait() {
 		t.Fatal("wait reports a closed queue open")
 	}
 	if got := q.take(laneNormal, nil); fmt.Sprint(got) != "[4]" {

@@ -3,7 +3,6 @@ package tcptrans
 import (
 	"net"
 	"syscall"
-	"time"
 
 	"nvmeopf/internal/proto"
 )
@@ -20,13 +19,6 @@ const maxWriteBatch = 256 << 10
 // Below the threshold the copy is cheaper than an extra iovec entry.
 const zcPayloadThreshold = 1024
 
-// Coalescing defaults: when exactly one of DialConfig.CoalesceBytes /
-// CoalesceDelay is set, the other takes these values.
-const (
-	DefaultCoalesceBytes = 16 << 10
-	DefaultCoalesceDelay = 40 * time.Microsecond
-)
-
 // joinThreshold: a staged batch at or below this many wire bytes is
 // copied into one contiguous buffer and sent with a plain Write instead
 // of a vectored write. For a batch carrying a single small payload the
@@ -40,14 +32,6 @@ type writerConfig struct {
 	// batch caps how many wire bytes one drain may stage before flushing
 	// (<=0 means maxWriteBatch; 1 degenerates to one flush per PDU).
 	batch int
-	// coalesceBytes/coalesceDelay, both >0, open a submission-coalescing
-	// window: after draining everything already queued, the writer holds
-	// the staged batch up to coalesceDelay waiting for more PDUs, flushing
-	// early once coalesceBytes are staged. Zero values (the default)
-	// disable the window — the writer never waits, and the byte stream is
-	// identical to the uncoalesced writer's.
-	coalesceBytes int
-	coalesceDelay time.Duration
 	// release retires each staged PDU after its bytes are flushed (or
 	// dropped on error/teardown) — never earlier, because the payload
 	// slice is referenced by the write vector until the syscall lands.
@@ -206,10 +190,7 @@ func drainWriter(conn net.Conn, q *burstQueue[proto.PDU], cfg writerConfig) {
 		closeConn = func() { conn.Close() }
 	}
 	b := &wbatch{hdr: make([]byte, 0, 64<<10)}
-	coalescing := cfg.coalesceBytes > 0 && cfg.coalesceDelay > 0
-	var timer *time.Timer
-	armed, expired := false, false // the coalescing window of the batch being staged
-	var in []proto.PDU             // the burst in hand; in[:next] is staged already
+	var in []proto.PDU // the burst in hand; in[:next] is staged already
 	next := 0
 	defer func() {
 		// Whatever ended the writer, each PDU that reached q is released
@@ -271,30 +252,7 @@ func drainWriter(conn net.Conn, q *burstQueue[proto.PDU], cfg writerConfig) {
 			if in, next = q.take(laneNormal, in), 0; len(in) > 0 {
 				continue
 			}
-			if coalescing && b.bytes < cfg.coalesceBytes && !expired {
-				// Aggregation window: hold the batch briefly — small
-				// submissions arriving within the window share one
-				// vectored flush instead of paying a syscall each.
-				if !armed {
-					if timer == nil {
-						timer = time.NewTimer(cfg.coalesceDelay)
-					} else {
-						timer.Reset(cfg.coalesceDelay)
-					}
-					armed = true
-				}
-				ready, open := q.wait(timer.C)
-				if !open {
-					return // teardown mid-window: the staged batch is dropped
-				}
-				expired = !ready
-				continue
-			}
 		}
-		if armed && !expired && !timer.Stop() {
-			<-timer.C
-		}
-		armed, expired = false, false
 		err := b.write(conn)
 		if cfg.flushed != nil {
 			cfg.flushed(b.bytes)

@@ -1,11 +1,10 @@
 package tcptrans
 
 // Unit tests for the vectored drainWriter: the byte stream must be
-// identical to concatenated proto.Marshal output under every knob
-// combination (the zero-copy and coalescing acceptance criterion), every
-// queued PDU must be released exactly once on every exit path (success,
-// write error, sentinel, teardown), and the coalescing window must merge
-// back-to-back submissions into a single flush.
+// identical to concatenated proto.Marshal output at every batch size and
+// arrival pattern (the zero-copy acceptance criterion), and every queued
+// PDU must be released exactly once on every exit path (success, write
+// error, sentinel, teardown).
 
 import (
 	"bytes"
@@ -127,10 +126,10 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 	return c, r.c
 }
 
-// TestWriterWireIdentity pins the acceptance criterion: with coalescing
-// off (and on), at every batch size, over both a real TCP socket (writev)
-// and a non-TCP pipe (sequential fallback), the vectored writer emits a
-// byte stream identical to concatenating proto.Marshal for each PDU.
+// TestWriterWireIdentity pins the acceptance criterion: at every batch
+// size, over both a real TCP socket (writev) and a non-TCP pipe
+// (sequential fallback), the vectored writer emits a byte stream identical
+// to concatenating proto.Marshal for each PDU.
 func TestWriterWireIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -140,8 +139,6 @@ func TestWriterWireIdentity(t *testing.T) {
 		{"default-tcp", writerConfig{}, true},
 		{"default-pipe", writerConfig{}, false},
 		{"batch1-tcp", writerConfig{batch: 1}, true},
-		{"coalesced-tcp", writerConfig{coalesceBytes: 64 << 10, coalesceDelay: 200 * time.Microsecond}, true},
-		{"coalesced-pipe", writerConfig{coalesceBytes: 64 << 10, coalesceDelay: 200 * time.Microsecond}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,17 +160,16 @@ func TestWriterWireIdentity(t *testing.T) {
 }
 
 // TestWriterWireIdentityStaggered feeds PDUs one at a time with gaps so
-// the coalescing window opens and closes repeatedly — the stream must
-// still be byte-identical.
+// the writer parks and wakes between bursts — the stream must still be
+// byte-identical.
 func TestWriterWireIdentityStaggered(t *testing.T) {
 	pdus := writerTestPDUs()
 	want := marshalAll(pdus)
 	wc, rc := tcpPair(t)
-	cfg := writerConfig{coalesceBytes: 4 << 10, coalesceDelay: 100 * time.Microsecond}
-	got := runWriterCollect(t, wc, rc, cfg, pdus, func(q *burstQueue[proto.PDU]) {
+	got := runWriterCollect(t, wc, rc, writerConfig{}, pdus, func(q *burstQueue[proto.PDU]) {
 		for i, p := range pdus {
 			if i%2 == 1 {
-				time.Sleep(300 * time.Microsecond) // outlast the window
+				time.Sleep(300 * time.Microsecond) // let the writer park
 			}
 			q.put(laneNormal, p)
 		}
@@ -278,27 +274,6 @@ func TestWriterReleaseExactlyOnceTeardown(t *testing.T) {
 	drainWriter(&errConn{failAfter: 1 << 30}, q, writerConfig{release: cr.release})
 	cr.verify(t, pdus)
 
-	// Teardown in the middle of a coalescing window drops the staged batch.
-	cr = newCountReleases()
-	q = newOutQueue(pdus[5]) // 24 bytes: far below the window's threshold
-	conn := &countWriteConn{closed: make(chan struct{})}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		drainWriter(conn, q, writerConfig{release: cr.release,
-			coalesceBytes: 64 << 10, coalesceDelay: time.Minute})
-	}()
-	waitFor(t, "the writer to open its window", func() bool {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		return q.parked
-	})
-	q.close()
-	<-done
-	cr.verify(t, pdus[5:6])
-	if conn.writes.Load() != 0 {
-		t.Error("a batch dropped at teardown was written")
-	}
 }
 
 // TestWriterSentinelFlushesBeforeClose: everything queued ahead of the
@@ -314,52 +289,6 @@ func TestWriterSentinelFlushesBeforeClose(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("sentinel close lost bytes: got %d, want %d", len(got), len(want))
-	}
-}
-
-// countWriteConn counts flushes (Write calls) while discarding bytes.
-type countWriteConn struct {
-	net.Conn
-	writes atomic.Int32
-	bytes  atomic.Int64
-	closed chan struct{}
-	once   sync.Once
-}
-
-func (c *countWriteConn) Write(b []byte) (int, error) {
-	c.writes.Add(1)
-	c.bytes.Add(int64(len(b)))
-	return len(b), nil
-}
-
-func (c *countWriteConn) Close() error {
-	c.once.Do(func() { close(c.closed) })
-	return nil
-}
-
-// TestWriterCoalescingMergesFlushes: two small submissions arriving
-// within one coalescing window share a single flush. Small payloads stay
-// below zcPayloadThreshold, so the whole batch is one contiguous span and
-// one flush means exactly one Write call.
-func TestWriterCoalescingMergesFlushes(t *testing.T) {
-	p1 := &proto.CapsuleCmd{Cmd: nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1}}
-	p2 := &proto.CapsuleCmd{Cmd: nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1}}
-	conn := &countWriteConn{closed: make(chan struct{})}
-	q := newOutQueue()
-	go drainWriter(conn, q, writerConfig{
-		coalesceBytes: 64 << 10,
-		coalesceDelay: 500 * time.Millisecond, // far longer than the gap below
-	})
-	q.put(laneNormal, p1)
-	time.Sleep(2 * time.Millisecond) // writer is now waiting in the window
-	q.put(laneNormal, p2)
-	q.put(laneNormal, nil) // closes the window and flushes
-	<-conn.closed
-	if n := conn.writes.Load(); n != 1 {
-		t.Errorf("coalescing produced %d flushes, want 1", n)
-	}
-	if want := int64(p1.WireSize() + p2.WireSize()); conn.bytes.Load() != want {
-		t.Errorf("flushed %d bytes, want %d", conn.bytes.Load(), want)
 	}
 }
 

@@ -68,16 +68,17 @@ type RecorderConfig struct {
 	// whose oldest queued request has waited longer than this snapshots
 	// the tenant's ring for post-mortem inspection.
 	StallThreshold time.Duration
-	// MaxSnapshots bounds the retained anomaly snapshots (default 4; the
-	// first ones after arming are kept — the interesting ones, since later
-	// stalls are usually echoes of the first).
-	MaxSnapshots int
 	// Role labels dumps ("host" or "target") so the correlator knows which
 	// side it is looking at.
 	Role string
 }
 
 const defaultRecorderRing = 4096
+
+// maxSnapshots bounds the retained anomaly snapshots: the first ones after
+// arming are kept — the interesting ones, since later stalls are usually
+// echoes of the first.
+const maxSnapshots = 4
 
 // Recorder is the per-tenant flight recorder. A nil *Recorder is inert:
 // Trace and every accessor are nil-receiver-safe, so wiring an optional
@@ -118,9 +119,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 		n <<= 1
 	}
 	cfg.PerTenant = n
-	if cfg.MaxSnapshots <= 0 {
-		cfg.MaxSnapshots = 4
-	}
 	return &Recorder{cfg: cfg, stall: int64(cfg.StallThreshold)}
 }
 
@@ -210,11 +208,11 @@ type AnomalySnapshot struct {
 }
 
 // snapshotStall captures the tenant's ring (cold path: at most
-// MaxSnapshots times per process, under a mutex).
+// maxSnapshots times per process, under a mutex).
 func (r *Recorder) snapshotStall(t proto.TenantID, now, age int64) {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
-	if len(r.snaps) >= r.cfg.MaxSnapshots {
+	if len(r.snaps) >= maxSnapshots {
 		return
 	}
 	r.snaps = append(r.snaps, AnomalySnapshot{

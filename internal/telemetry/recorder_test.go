@@ -100,12 +100,12 @@ func TestRecorderDumpRoundTrip(t *testing.T) {
 
 // TestRecorderStallTrigger covers the arming logic: below-threshold drains
 // must not snapshot, an empty-queue drain must not trip on stale state,
-// and MaxSnapshots bounds the retained post-mortems.
+// and maxSnapshots bounds the retained post-mortems.
 func TestRecorderStallTrigger(t *testing.T) {
 	clk := &fakeClock{}
 	r := NewRecorder(RecorderConfig{
 		Clock: clk.Now, PerTenant: 16,
-		StallThreshold: 100 * time.Nanosecond, MaxSnapshots: 2,
+		StallThreshold: 100 * time.Nanosecond,
 	})
 	// Fast drain: no snapshot.
 	clk.now = 0 // exercises the virtual-clock zero: enqueue at t=0 must still arm
@@ -121,16 +121,16 @@ func TestRecorderStallTrigger(t *testing.T) {
 	if n := len(r.Snapshots()); n != 0 {
 		t.Fatalf("empty-queue drain produced %d snapshots", n)
 	}
-	// Repeated stalls: capped at MaxSnapshots.
-	for i := 0; i < 5; i++ {
+	// Repeated stalls: capped at maxSnapshots.
+	for i := 0; i < maxSnapshots+2; i++ {
 		clk.now += 10
 		r.Trace(Event{Stage: StageEnqueue, Tenant: 5, CID: uint16(i)})
 		clk.now += 500
 		r.Trace(Event{Stage: StageDrainStart, Tenant: 5})
 	}
 	snaps := r.Snapshots()
-	if len(snaps) != 2 {
-		t.Fatalf("retained %d snapshots, want MaxSnapshots=2", len(snaps))
+	if len(snaps) != maxSnapshots {
+		t.Fatalf("retained %d snapshots, want maxSnapshots=%d", len(snaps), maxSnapshots)
 	}
 	for _, s := range snaps {
 		if s.Kind != "drain-stall" || s.Tenant != 5 || s.AgeNS != 500 {

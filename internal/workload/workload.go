@@ -89,9 +89,6 @@ type Spec struct {
 	BusyBackoffNS int64
 	// Seed for the op-mix / random-address stream.
 	Seed uint64
-	// UniqueBuffers allocates a fresh write payload per request (needed
-	// when the target stores data); timing-only runs share one buffer.
-	UniqueBuffers bool
 	// BlockSize is the namespace block size in bytes (default 4096).
 	BlockSize uint32
 }
@@ -179,11 +176,9 @@ func NewRunner(sess *hostqp.Session, clock func() int64, spec Spec) (*Runner, er
 		spec:    spec,
 		rng:     simnet.NewRand(spec.Seed),
 		nextLBA: spec.RegionStart,
+		buf:     make([]byte, int(spec.Blocks)*int(spec.BlockSize)),
 	}
 	r.doneFn = r.onDone
-	if !spec.UniqueBuffers {
-		r.buf = make([]byte, int(spec.Blocks)*int(spec.BlockSize))
-	}
 	return r, nil
 }
 
@@ -256,14 +251,7 @@ func (r *Runner) submitOne() bool {
 	op := r.pickOp()
 	var data []byte
 	if op == nvme.OpWrite {
-		if r.spec.UniqueBuffers {
-			data = make([]byte, int(r.spec.Blocks)*int(r.spec.BlockSize))
-			for i := range data {
-				data[i] = byte(r.rng.Uint64())
-			}
-		} else {
-			data = r.buf
-		}
+		data = r.buf
 	}
 	err := r.sess.Submit(hostqp.IO{
 		Op:     op,

@@ -226,19 +226,3 @@ func TestMixedProducesBothOps(t *testing.T) {
 		t.Fatalf("mix skewed: %d reads, %d writes", reads, writes)
 	}
 }
-
-func TestUniqueBuffersGiveDistinctData(t *testing.T) {
-	lb := newLoopback(t, proto.PrioThroughputCritical, 1, 2)
-	r, err := NewRunner(lb.host, func() int64 { return lb.clock }, Spec{
-		Mix: WriteOnly, Pattern: Sequential, Blocks: 1, QueueDepth: 2,
-		RegionStart: 0, RegionBlocks: 4096,
-		WarmupUntil: 0, StopAt: 50_000, Seed: 5, UniqueBuffers: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Start()
-	if r.Result().Errors != 0 {
-		t.Fatalf("errors: %d", r.Result().Errors)
-	}
-}
