@@ -11,7 +11,8 @@
 //	opf-discovery -addr :4419 -min-shards 4 -debug-addr 127.0.0.1:9119
 //
 // With -debug-addr set, live membership and the shard map are served at
-// /debug/cluster and control-plane counters at /metrics.
+// /debug/cluster and the control-plane counters (TTL expiries, stale-epoch
+// rejections, epoch, degradation) in /debug/tenants' global block.
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:4419", "listen address")
 		minShards = flag.Int("min-shards", 0, "pre-size the shard map (it also grows to cover claimed shards)")
 		sweep     = flag.Duration("sweep", 25*time.Millisecond, "TTL-expiry sweep cadence")
-		debugAddr = flag.String("debug-addr", "", "serve /debug/cluster and /metrics on this address (empty: off)")
+		debugAddr = flag.String("debug-addr", "", "serve /debug/cluster and the telemetry routes on this address (empty: off)")
 	)
 	flag.Parse()
 
@@ -64,7 +65,7 @@ func main() {
 				log.Printf("debug server: %v", serr)
 			}
 		}()
-		log.Printf("cluster state on http://%s/debug/cluster (metrics: /metrics)", debugLn.Addr())
+		log.Printf("cluster state on http://%s/debug/cluster (counters: /debug/tenants)", debugLn.Addr())
 	}
 
 	// A control plane dies on operator interrupt AND on supervisor

@@ -329,10 +329,6 @@ func main() {
 			stats.FormatBytesPerSec(float64(scOps)*bs/elapsed),
 			stats.FormatNanos(scHist.P50()), stats.FormatNanos(scHist.P99()), stats.FormatNanos(scHist.P9999()))
 	}
-	if tel != nil {
-		fmt.Println()
-		fmt.Print(tel.SnapshotTable())
-	}
 	if rec != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {

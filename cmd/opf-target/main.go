@@ -64,8 +64,8 @@ func main() {
 		metrics   = flag.String("metrics-addr", "", "serve /metrics and /debug endpoints on this address (empty: off)")
 		recEvents = flag.Int("recorder-events", 4096, "flight-recorder ring capacity per tenant (0: recorder off)")
 		recStall  = flag.Duration("recorder-stall", 0, "drain-stall anomaly threshold for auto snapshots (0: off)")
-		sloObj    = flag.Duration("slo", 0, "default per-tenant latency objective (0: no SLO tracking)")
-		sloTarget = flag.Float64("slo-target", 0.999, "fraction of completions that must meet -slo")
+		sloObj    = flag.Duration("slo", 0, "LS latency objective -autotune enforces (required with -autotune)")
+		sloTarget = flag.Float64("slo-target", 0.999, "fraction of LS completions that must meet -slo")
 
 		auto    = flag.Bool("autotune", false, "adapt TC drain windows to the LS SLO (-slo must be set); off: static windows, bit-identical behavior")
 		autoMin = flag.Int("autotune-min-window", 0, "adaptive window floor (0: 1)")
@@ -114,9 +114,6 @@ func main() {
 	var rec *telemetry.Recorder
 	if *metrics != "" {
 		tel = telemetry.New()
-		if *sloObj > 0 {
-			tel.SetDefaultSLO(*sloObj, *sloTarget)
-		}
 		if *recEvents > 0 {
 			rec = telemetry.NewRecorder(telemetry.RecorderConfig{
 				PerTenant:      *recEvents,
@@ -170,7 +167,7 @@ func main() {
 			log.Fatalf("metrics: %v", merr)
 		}
 		defer exp.Close()
-		log.Printf("telemetry on http://%s/metrics (debug: /debug/tenants, /debug/windows, /debug/slo, /debug/autotune, /debug/e2e, /debug/trace, /debug/pprof/)", exp.Addr())
+		log.Printf("telemetry on http://%s/metrics (debug: /debug/tenants, /debug/autotune, /debug/e2e, /debug/trace)", exp.Addr())
 	}
 	if *discovery != "" {
 		shards, perr := parseShards(*clusterSh)

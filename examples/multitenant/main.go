@@ -25,12 +25,11 @@ const (
 	runFor    = 2 * time.Second
 )
 
-func run(mode nvmeopf.Mode) (lsHist *stats.Histogram, respPDUs, cmdPDUs int64, tel *nvmeopf.Telemetry) {
+func run(mode nvmeopf.Mode) (lsHist *stats.Histogram, respPDUs, cmdPDUs int64) {
 	dev, err := bdev.NewMemory(4096, 1<<16)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tel = nvmeopf.NewTelemetry()
 	srv, err := nvmeopf.Listen("127.0.0.1:0", nvmeopf.ServerConfig{
 		Mode:   mode,
 		Device: dev,
@@ -38,7 +37,6 @@ func run(mode nvmeopf.Mode) (lsHist *stats.Histogram, respPDUs, cmdPDUs int64, t
 		ReadLatency:  100 * time.Microsecond,
 		WriteLatency: 300 * time.Microsecond,
 		Workers:      4,
-		Telemetry:    tel,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -109,23 +107,19 @@ func run(mode nvmeopf.Mode) (lsHist *stats.Histogram, respPDUs, cmdPDUs int64, t
 
 	wg.Wait()
 	st := srv.Stats()
-	return &hist, st.RespPDUs, st.CmdPDUs, tel
+	return &hist, st.RespPDUs, st.CmdPDUs
 }
 
 func main() {
 	fmt.Printf("multi-tenant demo: 1 LS reader + %d TC writers (QD %d, window %d) for %v per mode\n\n",
 		tcTenants, tcQD, window, runFor)
-	var finalTel *nvmeopf.Telemetry
 	for _, mode := range []nvmeopf.Mode{nvmeopf.ModeBaseline, nvmeopf.ModeOPF} {
-		hist, resp, cmd, tel := run(mode)
+		hist, resp, cmd := run(mode)
 		fmt.Printf("%-14s LS reads=%d p50=%s p99=%s max=%s | target: %d cmds -> %d completion PDUs\n",
 			mode.String()+":", hist.Count(),
 			stats.FormatNanos(hist.P50()), stats.FormatNanos(hist.P99()), stats.FormatNanos(hist.Max()),
 			cmd, resp)
-		finalTel = tel
 	}
 	fmt.Println("\nNVMe-oPF coalesces completion notifications (fewer response PDUs)")
 	fmt.Println("and bypasses the TC backlog for the latency-sensitive tenant.")
-	fmt.Println("\nFinal oPF target telemetry (per tenant):")
-	fmt.Print(finalTel.SnapshotTable())
 }

@@ -187,8 +187,8 @@ type Config struct {
 	// Clock stamps decisions (nanoseconds; virtual clocks work). Nil
 	// stamps zero.
 	Clock func() int64
-	// Telemetry receives per-decision records for /debug/autotune and
-	// /metrics. Nil disables.
+	// Telemetry receives per-decision records for /debug/autotune. Nil
+	// disables.
 	Telemetry *telemetry.Registry
 	// Signal is the LS observation stream. Nil creates a private one
 	// with ObjectiveNS; a sharded deployment shares one Signal across
@@ -233,8 +233,8 @@ func (cfg Config) withDefaults() Config {
 
 // BudgetPPMForTarget converts a compliance target (the fraction of LS
 // observations that must meet the objective, e.g. 0.999) to an error
-// budget in parts per million, mirroring the telemetry registry's SLO
-// accounting. Out-of-range targets select the 99.9% default.
+// budget in parts per million (opf-target's -slo-target). Out-of-range
+// targets select the 99.9% default.
 func BudgetPPMForTarget(target float64) int64 {
 	if target <= 0 || target >= 1 {
 		return 1000

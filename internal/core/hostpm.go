@@ -61,9 +61,8 @@ func (h *HostPM) Window() int { return h.window }
 // SetWindow changes the drain window size at run time (§IV-D: "the window
 // size can be dynamically changed during runtime after a draining request
 // completion notification is received"). Values < 1 clamp to 1. The
-// telemetry window gauge follows the live value, so /debug/windows stays
-// current across runtime resizes, not just the SetTelemetry snapshot and
-// dynamic-tuner decisions.
+// telemetry window gauge follows the live value across runtime resizes,
+// not just the SetTelemetry snapshot and dynamic-tuner decisions.
 func (h *HostPM) SetWindow(w int) {
 	if w < 1 {
 		w = 1
@@ -195,18 +194,7 @@ func (h *HostPM) OnDrainCompleted(bytesMoved int64, now int64) int {
 	if h.dyn == nil {
 		return h.window
 	}
-	prev := h.window
 	h.window = h.dyn.Observe(bytesMoved, now)
-	if h.window != prev {
-		// The optimizer moved a rung: log the decision for
-		// /debug/windows. Happens at most once per epoch — cold path.
-		h.tel.RecordWindowDecision(telemetry.WindowDecision{
-			Tenant:     h.tenant,
-			Window:     h.window,
-			PrevWindow: prev,
-			Bytes:      bytesMoved,
-			Source:     telemetry.SourceDynamic,
-		})
-	}
+	h.tel.SetWindow(h.tenant, h.window)
 	return h.window
 }

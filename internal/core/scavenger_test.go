@@ -405,7 +405,7 @@ func TestHostPMTrackKeepsWindowUntouched(t *testing.T) {
 }
 
 // TestSetWindowUpdatesTelemetryGauge is the regression for the stale
-// /debug/windows gauge: SetWindow changed the live window but the gauge
+// drain-window gauge: SetWindow changed the live window but the gauge
 // kept the SetTelemetry-time value until the next dynamic-tuner decision.
 func TestSetWindowUpdatesTelemetryGauge(t *testing.T) {
 	tel := telemetry.New()

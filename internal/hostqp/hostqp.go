@@ -505,7 +505,11 @@ func (s *Session) Submit(io IO) error {
 			s.cfg.Trace(telemetry.Event{Stage: telemetry.StageDrainMark, Tenant: s.tenant, CID: cid, Prio: wire, Aux: int64(s.pm.Window())})
 		}
 	}
-	s.send(&proto.CapsuleCmd{Cmd: cmd, Prio: wire, Tenant: s.tenant, Data: data})
+	// From the pool the transport's writer recycles sent capsules into; a
+	// send hook that never recycles (the simulator) just keeps drawing new.
+	c := proto.GetCapsuleCmd()
+	c.Cmd, c.Prio, c.Tenant, c.Data = cmd, wire, s.tenant, data
+	s.send(c)
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package tcptrans
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,6 +91,18 @@ func TestE2EFeedbackChannel(t *testing.T) {
 	if cs.ServiceP99NS <= 0 || cs.GapP99NS < 0 {
 		t.Fatalf("service p99 %d / gap %d, want positive service p99 and non-negative gap",
 			cs.ServiceP99NS, cs.GapP99NS)
+	}
+
+	// The operator's view of the same merge: the exported histogram counts
+	// every host completion, in every bucket up to +Inf.
+	text := tel.PrometheusText()
+	for _, series := range []string{
+		fmt.Sprintf(`nvmeopf_e2e_latency_hist_ns_bucket{tenant="%d",class="ls",le="+Inf"} %d`, tenant, 2*n),
+		fmt.Sprintf(`nvmeopf_e2e_latency_hist_ns_count{tenant="%d",class="ls"} %d`, tenant, 2*n),
+	} {
+		if !strings.Contains(text, series+"\n") {
+			t.Fatalf("/metrics lacks %q", series)
+		}
 	}
 
 	// The acks re-estimated the clock offset on the host.

@@ -315,73 +315,30 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 			sh.run()
 		}()
 	}
-	// Drain watchdog: one ticker fanning the check out to every shard's
-	// reactor, each of which solely owns its target state. Ticking at a
-	// quarter of the deadline bounds how late past the deadline a
-	// force-drain can fire.
-	if cfg.DrainWatchdog > 0 {
-		tick := cfg.DrainWatchdog / 4
+	// Drain watchdog and scavenger aging: a ticker at a quarter of the
+	// bound, which bounds how late past it a force-drain fires, fans the
+	// check out to every shard's reactor, the sole owner of its target
+	// state. The target also polls aging on every command and completion;
+	// the ticker covers the quiet case where no foreground event fires.
+	fanOut := func(bound time.Duration, check func(*targetqp.Target) (int, error)) {
+		tick := bound / 4
 		if tick <= 0 {
-			tick = cfg.DrainWatchdog
+			tick = bound
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			t := time.NewTicker(tick)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					for _, sh := range s.shards {
-						sh.post(func() { _, _ = sh.target.CheckWatchdog() })
-					}
-				case <-s.quit:
-					return
-				}
+		s.every(tick, func() {
+			for _, sh := range s.shards {
+				sh.post(func() { _, _ = check(sh.target) })
 			}
-		}()
+		})
 	}
-	// Scavenger aging: same fan-out shape as the watchdog. The target also
-	// polls opportunistically on every command and completion; this ticker
-	// only covers the quiet case where no foreground event ever fires to
-	// notice that a parked window aged past the bound.
+	if cfg.DrainWatchdog > 0 {
+		fanOut(cfg.DrainWatchdog, (*targetqp.Target).CheckWatchdog)
+	}
 	if cfg.ScavengerAging > 0 {
-		tick := cfg.ScavengerAging / 4
-		if tick <= 0 {
-			tick = cfg.ScavengerAging
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			t := time.NewTicker(tick)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					for _, sh := range s.shards {
-						sh.post(func() { _, _ = sh.target.CheckScavenger() })
-					}
-				case <-s.quit:
-					return
-				}
-			}
-		}()
+		fanOut(cfg.ScavengerAging, (*targetqp.Target).CheckScavenger)
 	}
 	// Stall watchdog: resets connections whose peer has stopped reading.
-	stallTick := time.NewTicker(stallAfter)
-	s.wg.Add(1)
-	go func(t *time.Ticker) {
-		defer s.wg.Done()
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				s.resetStalled()
-			case <-s.quit:
-				return
-			}
-		}
-	}(stallTick)
+	s.every(stallAfter, s.resetStalled)
 	// Device executor pool for blocking devices, shared across shards (the
 	// bdev has its own synchronization; completions route back to the
 	// owning shard). A server whose devices all run inline starts none.
@@ -499,6 +456,24 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	return err
+}
+
+// every runs fn each period from a goroutine that ends with the server.
+func (s *Server) every(period time.Duration, fn func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				fn()
+			case <-s.quit:
+				return
+			}
+		}
+	}()
 }
 
 // resetStalled is one sweep of the stall watchdog: a connection that had

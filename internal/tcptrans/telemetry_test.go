@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nvmeopf/internal/bdev"
 	"nvmeopf/internal/hostqp"
+	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/proto"
 	"nvmeopf/internal/targetqp"
 	"nvmeopf/internal/telemetry"
@@ -140,10 +144,9 @@ func TestServerTelemetryScrape(t *testing.T) {
 	}
 }
 
-// TestServerObservabilityEndpoints covers the full live-wire observability
-// surface added with the flight recorder: histogram and SLO burn-rate
-// series on /metrics, the /debug/slo JSON view, a parseable /debug/trace
-// JSONL dump, pprof under /debug/pprof/, and a handshake-estimated clock
+// TestServerObservabilityEndpoints covers the live-wire flight-recorder
+// surface: latency histogram series on /metrics, a parseable /debug/trace
+// JSONL dump (what opf-trace merges), and a handshake-estimated clock
 // offset on the client connection.
 func TestServerObservabilityEndpoints(t *testing.T) {
 	dev, err := bdev.NewMemory(512, 4096)
@@ -151,7 +154,6 @@ func TestServerObservabilityEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := telemetry.New()
-	tel.SetDefaultSLO(time.Second, 0.999)
 	rec := telemetry.NewRecorder(telemetry.RecorderConfig{Role: "target"})
 	tel.SetRecorder(rec)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
@@ -216,22 +218,11 @@ func TestServerObservabilityEndpoints(t *testing.T) {
 			fmt.Sprintf(`nvmeopf_tenant_latency_hist_ns_bucket{tenant="%d",class="tc",le="+Inf"}`, tenant),
 			"nvmeopf_tenant_latency_hist_ns_sum",
 			"nvmeopf_tenant_latency_hist_ns_count",
-			fmt.Sprintf(`nvmeopf_tenant_slo_objective_ns{tenant="%d"} 1000000000`, tenant),
-			"nvmeopf_tenant_slo_good_total",
-			"nvmeopf_tenant_slo_violations_total",
-			`nvmeopf_tenant_slo_burn_rate{tenant="` + fmt.Sprint(tenant) + `",window="total"}`,
 		} {
 			if !strings.Contains(text, series) {
 				t.Fatalf("/metrics missing %q:\n%s", series, text)
 			}
 		}
-	}
-
-	if code, body := get("/debug/slo"); code != http.StatusOK || !strings.Contains(body, `"objective_ns"`) {
-		t.Fatalf("/debug/slo status %d body %s", code, body)
-	}
-	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
-		t.Fatalf("/debug/pprof/ status %d", code)
 	}
 
 	code, body := get("/debug/trace")
@@ -259,6 +250,214 @@ func TestServerObservabilityEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("recorder-less /debug/trace status %d, want 404", resp.StatusCode)
+	}
+}
+
+// scrapeMetrics fetches /metrics from a live exporter and indexes every
+// sample by its series name and labels.
+func scrapeMetrics(t *testing.T, addr string) map[string]string {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := make(map[string]string)
+	for _, line := range strings.Split(string(body), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			samples[line[:i]] = line[i+1:]
+		}
+	}
+	return samples
+}
+
+// TestMetricsFollowTheDatapath is the reader of the per-tenant /metrics
+// families. One LS, one TC and one scavenger connection run against a
+// telemetry-enabled target; every datapath family is then scraped over
+// HTTP and checked against what the priority manager must have done: the
+// LS tenant bypassed the queues and got one response per command, the TC
+// tenant queued everything and got one coalesced response per drained
+// window, the scavenger tenant parked its writes, and nothing was refused,
+// replayed or dropped.
+func TestMetricsFollowTheDatapath(t *testing.T) {
+	tel := telemetry.New()
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Mode: targetqp.ModeOPF, Device: mustMem(t), Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	exp, err := tel.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+
+	const (
+		lsReads  = 8
+		window   = 8
+		tcWrites = 4 * window
+		scWrites = 4
+		block    = 4096
+	)
+	ls := dial2(t, srv, proto.PrioLatencySensitive, 1, 1)
+	tc := dial2(t, srv, proto.PrioThroughputCritical, window, tcWrites)
+	sc := dial2(t, srv, proto.PrioScavenger, 4, 8)
+	for i := 0; i < lsReads; i++ {
+		if _, err := ls.Read(uint64(i), 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := make([]byte, block)
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	for i := 0; i < tcWrites; i++ {
+		wg.Add(1)
+		err := tc.Submit(hostqp.IO{Op: nvme.OpWrite, LBA: uint64(100 + i), Blocks: 1, Data: payload,
+			Done: func(r hostqp.Result) {
+				if r.Err != nil || !r.Status.OK() {
+					failed.Add(1)
+				}
+				wg.Done()
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d TC writes failed", n)
+	}
+	for i := 0; i < scWrites; i++ {
+		if err := sc.Write(uint64(200+i), payload, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m := scrapeMetrics(t, exp.Addr())
+	get := func(family string, tenant proto.TenantID) string {
+		t.Helper()
+		series := fmt.Sprintf("%s{tenant=%q}", family, fmt.Sprint(tenant))
+		v, ok := m[series]
+		if !ok {
+			t.Fatalf("/metrics has no %s", series)
+		}
+		return v
+	}
+	expect := func(family string, tenant proto.TenantID, want int) {
+		t.Helper()
+		if got := get(family, tenant); got != fmt.Sprint(want) {
+			t.Errorf("%s{tenant=%d} = %s, want %d", family, tenant, got, want)
+		}
+	}
+	histCount := func(tenant proto.TenantID, class string) string {
+		return m[fmt.Sprintf("nvmeopf_tenant_latency_hist_ns_count{tenant=%q,class=%q}", fmt.Sprint(tenant), class)]
+	}
+
+	// The host closes a TC window with a drain flag every window-th
+	// command. Should the submitting goroutine stall for the idle-drain
+	// delay mid-window, the connection closes that window early with one
+	// extra flush command; everything below holds either way.
+	tcOps, _ := strconv.Atoi(get("nvmeopf_tenant_submitted_total", tc.Tenant()))
+	if tcOps < tcWrites || tcOps > 2*tcWrites {
+		t.Fatalf("TC submitted = %d, want %d plus idle flushes", tcOps, tcWrites)
+	}
+
+	// Every tenant: each command completed once, nothing errored, nothing
+	// was refused admission or replayed, and no request is still queued.
+	for _, c := range []struct {
+		conn *Conn
+		ops  int
+	}{{ls, lsReads}, {tc, tcOps}, {sc, scWrites}} {
+		id := c.conn.Tenant()
+		expect("nvmeopf_tenant_submitted_total", id, c.ops)
+		expect("nvmeopf_tenant_completed_total", id, c.ops)
+		expect("nvmeopf_tenant_errors_total", id, 0)
+		expect("nvmeopf_tenant_queue_depth", id, 0)
+		expect("nvmeopf_busy_rejections_total", id, 0)
+		expect("nvmeopf_replayed_requests_total", id, 0)
+		expect("nvmeopf_tenant_forced_drains_total", id, 0)
+	}
+
+	// LS: bypassed the queues, one individual response per read.
+	id := ls.Tenant()
+	expect("nvmeopf_tenant_bytes_read_total", id, lsReads*block)
+	expect("nvmeopf_tenant_bytes_written_total", id, 0)
+	expect("nvmeopf_tenant_ls_bypass_total", id, lsReads)
+	expect("nvmeopf_tenant_tc_queued_total", id, 0)
+	expect("nvmeopf_tenant_drains_total", id, 0)
+	expect("nvmeopf_tenant_suppressed_total", id, 0)
+	expect("nvmeopf_tenant_responses_total", id, lsReads)
+	expect("nvmeopf_tenant_coalesced_responses_total", id, 0)
+	if got := get("nvmeopf_tenant_coalescing_ratio", id); got != "1.0000" {
+		t.Errorf("LS coalescing ratio = %s, want 1.0000", got)
+	}
+	if got := histCount(id, "ls"); got != fmt.Sprint(lsReads) {
+		t.Errorf("LS service-latency samples = %q, want %d", got, lsReads)
+	}
+
+	// TC: every command but a window's draining one parked in the tenant
+	// queue; each drained window answered by one coalesced response, every
+	// other completion suppressed.
+	id = tc.Tenant()
+	expect("nvmeopf_tenant_bytes_written_total", id, tcWrites*block)
+	expect("nvmeopf_tenant_ls_bypass_total", id, 0)
+	drains, _ := strconv.Atoi(get("nvmeopf_tenant_drains_total", id))
+	if drains < tcWrites/window || drains > tcOps {
+		t.Fatalf("TC drains = %d, want %d..%d", drains, tcWrites/window, tcOps)
+	}
+	expect("nvmeopf_tenant_tc_queued_total", id, tcOps-drains)
+	expect("nvmeopf_tenant_responses_total", id, drains)
+	expect("nvmeopf_tenant_coalesced_responses_total", id, drains)
+	expect("nvmeopf_tenant_suppressed_total", id, tcOps-drains)
+	if got, want := get("nvmeopf_tenant_coalescing_ratio", id), fmt.Sprintf("%.4f", float64(tcOps)/float64(drains)); got != want {
+		t.Errorf("TC coalescing ratio = %s, want %s", got, want)
+	}
+	if w, _ := strconv.Atoi(get("nvmeopf_tenant_drain_window", id)); w < 1 || w > window {
+		t.Errorf("TC drain window gauge = %d, want 1..%d", w, window)
+	}
+	if got := histCount(id, "tc"); got != fmt.Sprint(tcOps) {
+		t.Errorf("TC service-latency samples = %q, want %d", got, tcOps)
+	}
+
+	// Scavenger: every write parked in the best-effort queue and left it
+	// on idle capacity (no aging bound is configured).
+	id = sc.Tenant()
+	expect("nvmeopf_scavenger_queued_total", id, scWrites)
+	expect("nvmeopf_scavenger_queue_depth", id, 0)
+	expect("nvmeopf_scavenger_aged_drains_total", id, 0)
+	if d, _ := strconv.Atoi(get("nvmeopf_scavenger_drains_total", id)); d < 1 {
+		t.Errorf("scavenger drains = %d, want >= 1", d)
+	}
+	if _, ok := m[fmt.Sprintf("nvmeopf_scavenger_queued_total{tenant=%q}", fmt.Sprint(tc.Tenant()))]; ok {
+		t.Error("a tenant without scavenger traffic exports scavenger series")
+	}
+
+	// Target-wide: three healthy connections on every shard.
+	for series, want := range map[string]int{
+		"nvmeopf_connections_total":      3,
+		"nvmeopf_reconnects_total":       0,
+		"nvmeopf_transport_errors_total": 0,
+		"nvmeopf_disconnects_total":      0,
+		"nvmeopf_teardown_dropped_total": 0,
+		"nvmeopf_target_shards":          srv.Shards(),
+	} {
+		if got := m[series]; got != fmt.Sprint(want) {
+			t.Errorf("%s = %q, want %d", series, got, want)
+		}
+	}
+	// A closed connection's session is torn down with nothing left to drop.
+	tc.Close()
+	waitFor(t, "TC session teardown", func() bool {
+		return scrapeMetrics(t, exp.Addr())["nvmeopf_disconnects_total"] == "1"
+	})
+	if got := scrapeMetrics(t, exp.Addr())["nvmeopf_teardown_dropped_total"]; got != "0" {
+		t.Errorf("teardown dropped %s requests of a quiesced connection", got)
 	}
 }
 

@@ -117,7 +117,7 @@ func (r *Registry) AutotuneLog() []AutotuneDecision {
 }
 
 // AutotuneStates returns every controlled tenant's current state, in
-// tenant order (deterministic for golden tests and /metrics).
+// tenant order (deterministic for golden tests and /debug/autotune).
 func (r *Registry) AutotuneStates() []AutotuneTenantState {
 	if r == nil {
 		return nil

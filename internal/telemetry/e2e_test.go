@@ -258,8 +258,8 @@ func TestDebugE2EGolden(t *testing.T) {
 	diffGolden(t, got, e2eGoldenJSON)
 }
 
-// e2ePromGolden is the exact nvmeopf_e2e_* + clock-re-estimate section of
-// the exposition for e2eGoldenRegistry.
+// e2ePromGolden is the exact nvmeopf_e2e_* section of the exposition for
+// e2eGoldenRegistry.
 const e2ePromGolden = `# HELP nvmeopf_e2e_latency_hist_ns Host-observed end-to-end latency histogram per class, merged from TelemetryUpdate deltas.
 # TYPE nvmeopf_e2e_latency_hist_ns histogram
 nvmeopf_e2e_latency_hist_ns_bucket{tenant="2",class="ls",le="1023"} 0
@@ -286,27 +286,6 @@ nvmeopf_e2e_latency_hist_ns_bucket{tenant="2",class="ls",le="1073741823"} 2
 nvmeopf_e2e_latency_hist_ns_bucket{tenant="2",class="ls",le="+Inf"} 2
 nvmeopf_e2e_latency_hist_ns_sum{tenant="2",class="ls"} 2000000
 nvmeopf_e2e_latency_hist_ns_count{tenant="2",class="ls"} 2
-# HELP nvmeopf_e2e_gap_ns Egress gap: host-observed e2e p99 minus target-side service p99.
-# TYPE nvmeopf_e2e_gap_ns gauge
-nvmeopf_e2e_gap_ns{tenant="2",class="ls"} 959424
-# HELP nvmeopf_e2e_updates_total TelemetryUpdate PDUs merged from hosts.
-# TYPE nvmeopf_e2e_updates_total counter
-nvmeopf_e2e_updates_total{tenant="2"} 1
-# HELP nvmeopf_e2e_host_queue_depth Host-side outstanding commands at the last update.
-# TYPE nvmeopf_e2e_host_queue_depth gauge
-nvmeopf_e2e_host_queue_depth{tenant="2"} 7
-# HELP nvmeopf_e2e_busy_total Host-observed StatusBusy completions.
-# TYPE nvmeopf_e2e_busy_total counter
-nvmeopf_e2e_busy_total{tenant="2"} 1
-# HELP nvmeopf_e2e_retries_total Host-side resubmissions reported over the feedback channel.
-# TYPE nvmeopf_e2e_retries_total counter
-nvmeopf_e2e_retries_total{tenant="2"} 2
-# HELP nvmeopf_clock_reestimate_delta_ns Last periodic clock-offset re-estimate minus the previous estimate.
-# TYPE nvmeopf_clock_reestimate_delta_ns gauge
-nvmeopf_clock_reestimate_delta_ns{tenant="2"} 1200
-# HELP nvmeopf_clock_reestimates_total Periodic clock-offset re-estimates performed.
-# TYPE nvmeopf_clock_reestimates_total counter
-nvmeopf_clock_reestimates_total{tenant="2"} 1
 `
 
 func TestE2EPrometheusGolden(t *testing.T) {
@@ -324,13 +303,10 @@ func TestE2EPrometheusGolden(t *testing.T) {
 
 // TestE2ESectionAbsentWhenUnused pins the disabled-is-invisible contract:
 // a registry that never merged a TelemetryUpdate emits no nvmeopf_e2e_*
-// or clock series at all.
+// series at all.
 func TestE2ESectionAbsentWhenUnused(t *testing.T) {
-	text := goldenRegistry().PrometheusText()
-	for _, forbidden := range []string{"nvmeopf_e2e_", "nvmeopf_clock_"} {
-		if strings.Contains(text, forbidden) {
-			t.Fatalf("idle registry exposes %s series", forbidden)
-		}
+	if text := goldenRegistry().PrometheusText(); strings.Contains(text, "nvmeopf_e2e_") {
+		t.Fatal("idle registry exposes nvmeopf_e2e_ series")
 	}
 	if body := fetchJSON(t, goldenRegistry(), "/debug/e2e"); !strings.Contains(body, `"tenants": null`) {
 		t.Fatalf("idle /debug/e2e body: %s", body)
@@ -343,7 +319,7 @@ func TestE2ESectionAbsentWhenUnused(t *testing.T) {
 func TestDebugEndpointsRejectNonGET(t *testing.T) {
 	srv := httptest.NewServer(e2eGoldenRegistry(t).Handler())
 	defer srv.Close()
-	paths := []string{"/debug/tenants", "/debug/windows", "/debug/slo", "/debug/autotune", "/debug/e2e"}
+	paths := []string{"/debug/tenants", "/debug/autotune", "/debug/e2e"}
 	for _, p := range paths {
 		resp, err := http.Post(srv.URL+p, "application/json", strings.NewReader("{}"))
 		if err != nil {

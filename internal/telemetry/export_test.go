@@ -7,14 +7,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // goldenRegistry builds a registry with fixed, deterministic contents.
 func goldenRegistry() *Registry {
 	r := New()
 	r.SetClass(0, 1) // latency-sensitive
-	r.SetSLO(0, 2*time.Microsecond, 0.999)
 	r.IncSubmitted(0, 0)
 	r.IncCompleted(0, 1, 1500, 4096, true)
 	r.IncLSBypass(0)
@@ -114,13 +112,6 @@ nvmeopf_replayed_requests_total{tenant="3"} 2
 # TYPE nvmeopf_tenant_coalescing_ratio gauge
 nvmeopf_tenant_coalescing_ratio{tenant="0"} 0.0000
 nvmeopf_tenant_coalescing_ratio{tenant="3"} 16.0000
-# HELP nvmeopf_tenant_latency_ns End-to-end latency quantiles from the log-bucketed histograms.
-# TYPE nvmeopf_tenant_latency_ns gauge
-nvmeopf_tenant_latency_ns{tenant="0",quantile="0.5"} 1500
-nvmeopf_tenant_latency_ns{tenant="0",quantile="0.95"} 1500
-nvmeopf_tenant_latency_ns{tenant="0",quantile="0.99"} 1500
-nvmeopf_tenant_latency_ns{tenant="0",quantile="0.999"} 1500
-nvmeopf_tenant_latency_ns{tenant="0",quantile="1"} 1500
 # HELP nvmeopf_tenant_latency_hist_ns End-to-end latency histogram per class (log-bucketed, ~1.6% relative error).
 # TYPE nvmeopf_tenant_latency_hist_ns histogram
 nvmeopf_tenant_latency_hist_ns_bucket{tenant="0",class="ls",le="1023"} 0
@@ -147,18 +138,6 @@ nvmeopf_tenant_latency_hist_ns_bucket{tenant="0",class="ls",le="1073741823"} 1
 nvmeopf_tenant_latency_hist_ns_bucket{tenant="0",class="ls",le="+Inf"} 1
 nvmeopf_tenant_latency_hist_ns_sum{tenant="0",class="ls"} 1500
 nvmeopf_tenant_latency_hist_ns_count{tenant="0",class="ls"} 1
-# HELP nvmeopf_tenant_slo_objective_ns Declared per-tenant latency objective.
-# TYPE nvmeopf_tenant_slo_objective_ns gauge
-nvmeopf_tenant_slo_objective_ns{tenant="0"} 2000
-# HELP nvmeopf_tenant_slo_good_total Completions within the latency objective.
-# TYPE nvmeopf_tenant_slo_good_total counter
-nvmeopf_tenant_slo_good_total{tenant="0"} 1
-# HELP nvmeopf_tenant_slo_violations_total Completions slower than the objective.
-# TYPE nvmeopf_tenant_slo_violations_total counter
-nvmeopf_tenant_slo_violations_total{tenant="0"} 0
-# HELP nvmeopf_tenant_slo_burn_rate Error-budget burn rate per trailing window (1 = consuming exactly the budget).
-# TYPE nvmeopf_tenant_slo_burn_rate gauge
-nvmeopf_tenant_slo_burn_rate{tenant="0",window="total"} 0.0000
 # HELP nvmeopf_connections_total Connections established.
 # TYPE nvmeopf_connections_total counter
 nvmeopf_connections_total 2
@@ -247,32 +226,6 @@ func TestDebugTenantsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDebugWindowsEndpoint(t *testing.T) {
-	r := New()
-	r.RecordWindowDecision(WindowDecision{Tenant: 4, Window: 32, PrevWindow: 16, Bytes: 1 << 20, Source: SourceDynamic})
-	r.RecordWindowDecision(WindowDecision{Tenant: 4, Window: 16, PrevWindow: 32, Source: SourceDynamic})
-	srv := httptest.NewServer(r.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/windows")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var decoded struct {
-		Windows []WindowDecision `json:"windows"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&decoded); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(decoded.Windows) != 2 {
-		t.Fatalf("window log length = %d, want 2", len(decoded.Windows))
-	}
-	if decoded.Windows[0].Window != 32 || decoded.Windows[1].Window != 16 ||
-		decoded.Windows[0].Seq != 1 || decoded.Windows[1].Seq != 2 {
-		t.Fatalf("window log wrong: %+v", decoded.Windows)
-	}
-}
-
 func TestServeAndClose(t *testing.T) {
 	r := goldenRegistry()
 	exp, err := r.Serve("127.0.0.1:0")
@@ -325,59 +278,6 @@ func diffGolden(t *testing.T, got, want string) {
 		}
 	}
 	t.Fatalf("length mismatch: got %d lines, want %d", len(gl), len(wl))
-}
-
-// sloGoldenText is the exact /debug/slo body for the registry built in
-// TestDebugSLOGolden. Field order and shape are a contract: dashboards
-// parse this, so any change must be deliberate.
-const sloGoldenText = `{
-  "windows": [
-    "1m",
-    "5m",
-    "1h",
-    "total"
-  ],
-  "slos": [
-    {
-      "tenant": 2,
-      "objective_ns": 1000000,
-      "budget_ppm": 10000,
-      "good": 98,
-      "violations": 2,
-      "compliance": 0.98,
-      "burn_rate": [
-        -1,
-        4,
-        4
-      ],
-      "burn_total": 2
-    }
-  ]
-}
-`
-
-func TestDebugSLOGolden(t *testing.T) {
-	r := New()
-	const t0 = int64(10_000_000_000_000) // fixed virtual epoch: no wall clock
-	r.SetClock(func() int64 { return t0 + int64(2*time.Minute) })
-	defer r.SetClock(nil)
-	r.SetSLO(2, time.Millisecond, 0.99) // 10000 ppm error budget
-	// 50 in-objective completions checkpointed at t0: the 1m window has no
-	// checkpoint young enough (burn -1), the 5m and 1h windows measure the
-	// delta past t0.
-	for i := 0; i < 50; i++ {
-		r.IncCompleted(2, 1, 500_000, 0, true)
-	}
-	r.TickSLO(t0)
-	// Then 48 good and 2 violating completions inside the trailing window:
-	// interval violation fraction 2/50 = 4x the 1% budget, lifetime
-	// fraction 2/100 = 2x.
-	for i := 0; i < 48; i++ {
-		r.IncCompleted(2, 1, 500_000, 0, true)
-	}
-	r.IncCompleted(2, 1, 2_000_000, 0, true)
-	r.IncCompleted(2, 1, 3_000_000, 0, true)
-	diffGolden(t, fetchJSON(t, r, "/debug/slo"), sloGoldenText)
 }
 
 // autotuneGoldenText is the exact /debug/autotune body for the decisions
@@ -523,5 +423,88 @@ func TestAutotuneLogWraps(t *testing.T) {
 	if log[0].Seq != 6 || log[len(log)-1].Seq != uint64(autotuneLogCap+5) {
 		t.Fatalf("wrap kept wrong range: first seq %d, last seq %d",
 			log[0].Seq, log[len(log)-1].Seq)
+	}
+}
+
+// TestHandlerServesOnlyReadSurfaces pins the audited surface (DESIGN.md,
+// "Telemetry surfaces and their readers"): every route with a reader
+// answers 200, every deleted route 404, and a registry with every
+// instrument touched exports exactly the /metrics families that have a
+// reader.
+func TestHandlerServesOnlyReadSurfaces(t *testing.T) {
+	r := e2eGoldenRegistry(t)
+	for i := 0; i < 2; i++ {
+		r.IncSubmitted(3, 4096)
+		r.IncScavQueued(3)
+		r.ObserveScavDrain(3, i == 0)
+	}
+	r.RecordAutotune(AutotuneDecision{Tenant: 3, Action: "shrink", Window: 8, PrevWindow: 16})
+	r.SetShards(2)
+	r.IncFailover()
+	r.SetClusterEpoch(3)
+	r.SetClusterDegraded(true)
+	r.SetRecorder(NewRecorder(RecorderConfig{Role: "target"}))
+	srv := httptest.NewServer(r.Handler())
+	defer srv.Close()
+	for path, want := range map[string]int{
+		"/metrics":             http.StatusOK,
+		"/debug/tenants":       http.StatusOK,
+		"/debug/autotune":      http.StatusOK,
+		"/debug/e2e":           http.StatusOK,
+		"/debug/trace":         http.StatusOK,
+		"/debug/windows":       http.StatusNotFound,
+		"/debug/slo":           http.StatusNotFound,
+		"/debug/pprof/":        http.StatusNotFound,
+		"/debug/pprof/cmdline": http.StatusNotFound,
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+
+	var families []string
+	for _, line := range strings.Split(r.PrometheusText(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			families = append(families, f[2])
+		}
+	}
+	want := []string{
+		"nvmeopf_tenant_submitted_total",
+		"nvmeopf_tenant_completed_total",
+		"nvmeopf_tenant_errors_total",
+		"nvmeopf_tenant_bytes_read_total",
+		"nvmeopf_tenant_bytes_written_total",
+		"nvmeopf_tenant_ls_bypass_total",
+		"nvmeopf_tenant_tc_queued_total",
+		"nvmeopf_tenant_queue_depth",
+		"nvmeopf_tenant_drain_window",
+		"nvmeopf_tenant_drains_total",
+		"nvmeopf_tenant_forced_drains_total",
+		"nvmeopf_tenant_suppressed_total",
+		"nvmeopf_tenant_responses_total",
+		"nvmeopf_tenant_coalesced_responses_total",
+		"nvmeopf_busy_rejections_total",
+		"nvmeopf_replayed_requests_total",
+		"nvmeopf_scavenger_queued_total",
+		"nvmeopf_scavenger_queue_depth",
+		"nvmeopf_scavenger_drains_total",
+		"nvmeopf_scavenger_aged_drains_total",
+		"nvmeopf_tenant_coalescing_ratio",
+		"nvmeopf_tenant_latency_hist_ns",
+		"nvmeopf_e2e_latency_hist_ns",
+		"nvmeopf_connections_total",
+		"nvmeopf_reconnects_total",
+		"nvmeopf_transport_errors_total",
+		"nvmeopf_disconnects_total",
+		"nvmeopf_teardown_dropped_total",
+		"nvmeopf_target_shards",
+	}
+	if strings.Join(families, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("exported families:\n%s\nwant:\n%s", strings.Join(families, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/proto"
 )
 
@@ -224,11 +223,9 @@ func (r *Recorder) snapshotStall(t proto.TenantID, now, age int64) {
 	})
 }
 
-// Snapshots returns the retained anomaly snapshots, oldest first.
-func (r *Recorder) Snapshots() []AnomalySnapshot {
-	if r == nil {
-		return nil
-	}
+// snapshots returns the retained anomaly snapshots, oldest first. Their
+// reader is opf-trace: WriteJSONL carries them in every dump.
+func (r *Recorder) snapshots() []AnomalySnapshot {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
 	out := make([]AnomalySnapshot, len(r.snaps))
@@ -248,17 +245,6 @@ type RecordedEvent struct {
 	Prio   uint8  `json:"prio"`
 	Aux    int64  `json:"aux"`
 	Name   string `json:"name,omitempty"` // Stage.String(), informational
-}
-
-// Event converts back to the live representation.
-func (e RecordedEvent) Event() Event {
-	return Event{
-		Stage:  Stage(e.Stage),
-		Tenant: proto.TenantID(e.Tenant),
-		CID:    nvme.CID(e.CID),
-		Prio:   proto.Priority(e.Prio),
-		Aux:    e.Aux,
-	}
 }
 
 // tenantEvents reads one tenant's ring, oldest first. Seq reconstructs
@@ -343,7 +329,7 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		return fmt.Errorf("telemetry: nil recorder")
 	}
 	evs := r.Events()
-	snaps := r.Snapshots()
+	snaps := r.snapshots()
 	off, rtt := r.ClockOffset()
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

@@ -20,7 +20,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	if off, rtt := r.ClockOffset(); off != 0 || rtt != 0 {
 		t.Fatalf("nil recorder ClockOffset = %d,%d", off, rtt)
 	}
-	if r.Role() != "" || r.Events() != nil || r.Snapshots() != nil {
+	if r.Role() != "" || r.Events() != nil {
 		t.Fatal("nil recorder accessors not inert")
 	}
 	if err := r.WriteJSONL(&bytes.Buffer{}); err == nil {
@@ -112,13 +112,13 @@ func TestRecorderStallTrigger(t *testing.T) {
 	r.Trace(Event{Stage: StageEnqueue, Tenant: 5, CID: 1})
 	clk.now = 50
 	r.Trace(Event{Stage: StageDrainStart, Tenant: 5})
-	if n := len(r.Snapshots()); n != 0 {
+	if n := len(r.snapshots()); n != 0 {
 		t.Fatalf("fast drain produced %d snapshots", n)
 	}
 	// Drain with nothing enqueued: no snapshot however late.
 	clk.now = 10_000
 	r.Trace(Event{Stage: StageDrainStart, Tenant: 5})
-	if n := len(r.Snapshots()); n != 0 {
+	if n := len(r.snapshots()); n != 0 {
 		t.Fatalf("empty-queue drain produced %d snapshots", n)
 	}
 	// Repeated stalls: capped at maxSnapshots.
@@ -128,7 +128,7 @@ func TestRecorderStallTrigger(t *testing.T) {
 		clk.now += 500
 		r.Trace(Event{Stage: StageDrainStart, Tenant: 5})
 	}
-	snaps := r.Snapshots()
+	snaps := r.snapshots()
 	if len(snaps) != maxSnapshots {
 		t.Fatalf("retained %d snapshots, want maxSnapshots=%d", len(snaps), maxSnapshots)
 	}

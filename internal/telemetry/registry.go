@@ -3,7 +3,6 @@ package telemetry
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nvmeopf/internal/proto"
 	"nvmeopf/internal/stats"
@@ -24,14 +23,6 @@ const (
 
 // tenantPage is one contiguous block of tenant slots.
 type tenantPage [tenantPageSize]tenantSlot
-
-// windowLogCap bounds the window-decision log (cold path, mutex-guarded).
-const windowLogCap = 128
-
-// sloCheckpointCap bounds each tenant's SLO checkpoint ring. Checkpoints
-// are taken once per Tick (scrape), so 256 of them cover hours of history
-// at typical scrape intervals.
-const sloCheckpointCap = 256
 
 // tenantSlot holds one tenant's instruments. Counters only ever grow;
 // gauges are last-value.
@@ -73,14 +64,6 @@ type tenantSlot struct {
 	// registry stays small; after installation Record is allocation-free.
 	hist [numClasses]atomic.Pointer[stats.AtomicHistogram]
 
-	// SLO instruments. objective 0 means "no per-tenant SLO declared"
-	// (the registry default, if any, applies); budgetPPM is the error
-	// budget — violations allowed per million completions.
-	sloObjective atomic.Int64
-	sloBudgetPPM atomic.Int64
-	sloGood      atomic.Int64
-	sloBad       atomic.Int64
-
 	// Host-reported end-to-end view, merged from TelemetryUpdate PDUs
 	// (see e2e.go). The histograms share the service-side geometry, so
 	// host deltas add in exactly.
@@ -108,16 +91,6 @@ func installHist(p *atomic.Pointer[stats.AtomicHistogram]) *stats.AtomicHistogra
 		return h
 	}
 	return p.Load()
-}
-
-// sloCheckpoint is one (time, counters) sample of a tenant's SLO
-// accounting, taken by Tick; burn rates are computed from the deltas
-// between the newest counters and the checkpoint closest to each window's
-// left edge.
-type sloCheckpoint struct {
-	ts   int64
-	good int64
-	bad  int64
 }
 
 // Registry is the metrics store. The zero value is not used directly —
@@ -149,18 +122,6 @@ type Registry struct {
 	clusterEpoch    atomic.Int64
 	clusterDegraded atomic.Int64
 
-	// Registry-wide default SLO, applied to tenants without their own.
-	defObjective atomic.Int64
-	defBudgetPPM atomic.Int64
-
-	winMu  sync.Mutex
-	winSeq uint64
-	winLog []WindowDecision // ring of the last windowLogCap decisions
-	winPos int
-
-	sloMu     sync.Mutex
-	sloChecks map[uint16][]sloCheckpoint // ring per tenant, oldest first
-
 	// Adaptive drain-window controller state (see autotune.go).
 	atMu    sync.Mutex
 	atSeq   uint64
@@ -168,43 +129,12 @@ type Registry struct {
 	atPos   int
 	atState map[uint16]*autotuneTenant
 
-	// clock overrides the exporter's time source (nil: wall clock).
-	clock atomic.Pointer[func() int64]
-
 	// rec is the attached flight recorder (nil: /debug/trace disabled).
 	rec atomic.Pointer[Recorder]
 }
 
-// SetClock overrides the time source the HTTP exporter stamps scrapes
-// with (SLO checkpoints, burn-rate edges). Simulated deployments pass
-// their virtual clock; golden tests pass a fixed one. Nil restores the
-// wall clock.
-func (r *Registry) SetClock(fn func() int64) {
-	if r == nil {
-		return
-	}
-	if fn == nil {
-		r.clock.Store(nil)
-		return
-	}
-	r.clock.Store(&fn)
-}
-
-// now reads the registry's time source.
-func (r *Registry) now() int64 {
-	if r != nil {
-		if p := r.clock.Load(); p != nil {
-			return (*p)()
-		}
-	}
-	return time.Now().UnixNano()
-}
-
 // New creates an enabled registry.
 func New() *Registry { return &Registry{} }
-
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil }
 
 func (r *Registry) slot(t proto.TenantID) *tenantSlot {
 	pg := r.tenants[t>>8].Load()
@@ -235,7 +165,7 @@ func (r *Registry) peek(t proto.TenantID) *tenantSlot {
 }
 
 // eachTouched visits every tenant slot with recorded activity, in tenant
-// order. Cold path (exports, snapshots, SLO ticks).
+// order. Cold path (exports and snapshots).
 func (r *Registry) eachTouched(fn func(id int, s *tenantSlot)) {
 	for p := range r.tenants {
 		pg := r.tenants[p].Load()
@@ -259,14 +189,6 @@ func (r *Registry) SetRecorder(rec *Recorder) {
 		return
 	}
 	r.rec.Store(rec)
-}
-
-// Recorder returns the attached flight recorder (nil when none).
-func (r *Registry) Recorder() *Recorder {
-	if r == nil {
-		return nil
-	}
-	return r.rec.Load()
 }
 
 // SetClass records the tenant's connection priority class (shown in the
@@ -295,8 +217,7 @@ func (r *Registry) IncSubmitted(t proto.TenantID, bytesWritten int64) {
 // IncCompleted records one application-visible completion: the request's
 // wire priority (selecting the LS or TC latency histogram), its
 // end-to-end latency (clock units; <0 skips the sample), and the bytes
-// read. SLO accounting compares the latency against the tenant's declared
-// objective (or the registry default).
+// read.
 func (r *Registry) IncCompleted(t proto.TenantID, prio proto.Priority, latency int64, bytesRead int64, ok bool) {
 	if r == nil {
 		return
@@ -311,17 +232,6 @@ func (r *Registry) IncCompleted(t proto.TenantID, prio proto.Priority, latency i
 	}
 	if latency >= 0 {
 		installHist(&s.hist[ClassOf(prio)]).Record(latency)
-		obj := s.sloObjective.Load()
-		if obj == 0 {
-			obj = r.defObjective.Load()
-		}
-		if obj > 0 {
-			if latency > obj {
-				s.sloBad.Add(1)
-			} else {
-				s.sloGood.Add(1)
-			}
-		}
 	}
 }
 
@@ -497,14 +407,6 @@ func (r *Registry) SetShards(n int) {
 	r.shards.Store(int64(n))
 }
 
-// Shards returns the recorded reactor shard count (0 when unset).
-func (r *Registry) Shards() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.shards.Load())
-}
-
 // IncDisconnect counts one session teardown: an initiator connection that
 // died (or closed) and had its target-side session reclaimed.
 func (r *Registry) IncDisconnect() {
@@ -570,197 +472,6 @@ func (r *Registry) SetClusterDegraded(degraded bool) {
 		v = 1
 	}
 	r.clusterDegraded.Store(v)
-}
-
-// SetSLO declares one tenant's latency objective: completions slower than
-// objective count against an error budget of (1-target) of all requests
-// (e.g. target 0.999 tolerates one violation per thousand). A zero
-// objective clears the tenant's SLO.
-func (r *Registry) SetSLO(t proto.TenantID, objective time.Duration, target float64) {
-	if r == nil {
-		return
-	}
-	s := r.slot(t)
-	s.sloObjective.Store(int64(objective))
-	s.sloBudgetPPM.Store(targetToBudgetPPM(target))
-}
-
-// SetDefaultSLO declares the objective applied to every tenant that has
-// not declared its own (zero objective disables the default).
-func (r *Registry) SetDefaultSLO(objective time.Duration, target float64) {
-	if r == nil {
-		return
-	}
-	r.defObjective.Store(int64(objective))
-	r.defBudgetPPM.Store(targetToBudgetPPM(target))
-}
-
-// targetToBudgetPPM converts a compliance target (fraction of requests
-// that must meet the objective) to an error budget in parts per million.
-func targetToBudgetPPM(target float64) int64 {
-	if target <= 0 || target >= 1 {
-		return 1000 // default: 99.9%
-	}
-	ppm := int64((1 - target) * 1e6)
-	if ppm < 1 {
-		ppm = 1
-	}
-	return ppm
-}
-
-// TickSLO snapshots every SLO-tracked tenant's good/bad counters at the
-// given wall (or virtual) time. The exporter calls it once per scrape;
-// burn rates are computed from the retained checkpoints. Cold path.
-func (r *Registry) TickSLO(now int64) {
-	if r == nil {
-		return
-	}
-	r.sloMu.Lock()
-	defer r.sloMu.Unlock()
-	if r.sloChecks == nil {
-		r.sloChecks = make(map[uint16][]sloCheckpoint)
-	}
-	r.eachTouched(func(i int, s *tenantSlot) {
-		if s.sloObjective.Load() == 0 && r.defObjective.Load() == 0 {
-			return
-		}
-		cp := sloCheckpoint{ts: now, good: s.sloGood.Load(), bad: s.sloBad.Load()}
-		ring := r.sloChecks[uint16(i)]
-		if n := len(ring); n > 0 && ring[n-1].ts == now {
-			ring[n-1] = cp
-		} else if n >= sloCheckpointCap {
-			copy(ring, ring[1:])
-			ring[n-1] = cp
-		} else {
-			ring = append(ring, cp)
-		}
-		r.sloChecks[uint16(i)] = ring
-	})
-}
-
-// SLOBurnWindows are the trailing windows burn rates are reported over,
-// newest-first the way multi-window burn-rate alerting consumes them.
-var SLOBurnWindows = []struct {
-	Name string
-	D    time.Duration
-}{
-	{"1m", time.Minute},
-	{"5m", 5 * time.Minute},
-	{"1h", time.Hour},
-}
-
-// SLOSnapshot is one tenant's SLO accounting at a point in time. A burn
-// rate of 1.0 means the error budget is being consumed exactly as fast as
-// it accrues; >1 means the SLO will be violated if sustained.
-type SLOSnapshot struct {
-	Tenant      uint16  `json:"tenant"`
-	ObjectiveNS int64   `json:"objective_ns"`
-	BudgetPPM   int64   `json:"budget_ppm"`
-	Good        int64   `json:"good"`
-	Violations  int64   `json:"violations"`
-	Compliance  float64 `json:"compliance"` // lifetime fraction within objective
-	// BurnRate per window in SLOBurnWindows order; -1 when the window has
-	// no delta yet (no checkpoint old enough, or no traffic).
-	BurnRate []float64 `json:"burn_rate"`
-	// BurnTotal is the lifetime burn rate.
-	BurnTotal float64 `json:"burn_total"`
-}
-
-// SLOs reports every SLO-tracked tenant's state as of now, using the
-// checkpoints TickSLO retained for the windowed burn rates.
-func (r *Registry) SLOs(now int64) []SLOSnapshot {
-	if r == nil {
-		return nil
-	}
-	var out []SLOSnapshot
-	r.sloMu.Lock()
-	defer r.sloMu.Unlock()
-	r.eachTouched(func(i int, s *tenantSlot) {
-		obj := s.sloObjective.Load()
-		ppm := s.sloBudgetPPM.Load()
-		if obj == 0 {
-			obj = r.defObjective.Load()
-			ppm = r.defBudgetPPM.Load()
-		}
-		if obj == 0 {
-			return
-		}
-		good, bad := s.sloGood.Load(), s.sloBad.Load()
-		snap := SLOSnapshot{
-			Tenant:      uint16(i),
-			ObjectiveNS: obj,
-			BudgetPPM:   ppm,
-			Good:        good,
-			Violations:  bad,
-			BurnRate:    make([]float64, len(SLOBurnWindows)),
-			BurnTotal:   burnRate(good, bad, ppm),
-		}
-		if total := good + bad; total > 0 {
-			snap.Compliance = float64(good) / float64(total)
-		}
-		ring := r.sloChecks[uint16(i)]
-		for w, win := range SLOBurnWindows {
-			snap.BurnRate[w] = -1
-			edge := now - int64(win.D)
-			// Oldest checkpoint not older than the window's left edge.
-			for _, cp := range ring {
-				if cp.ts < edge {
-					continue
-				}
-				if cp.ts >= now {
-					break
-				}
-				snap.BurnRate[w] = burnRate(good-cp.good, bad-cp.bad, ppm)
-				break
-			}
-		}
-		out = append(out, snap)
-	})
-	return out
-}
-
-// burnRate is the violation fraction over the error budget fraction.
-func burnRate(good, bad, budgetPPM int64) float64 {
-	total := good + bad
-	if total <= 0 || budgetPPM <= 0 {
-		return -1
-	}
-	violFrac := float64(bad) / float64(total)
-	return violFrac / (float64(budgetPPM) / 1e6)
-}
-
-// WindowSource etc. live in telemetry.go; the decision log below.
-
-// RecordWindowDecision appends one optimizer decision to the /debug/windows
-// log. Cold path: once per drain epoch, never per request.
-func (r *Registry) RecordWindowDecision(d WindowDecision) {
-	if r == nil {
-		return
-	}
-	r.winMu.Lock()
-	r.winSeq++
-	d.Seq = r.winSeq
-	if len(r.winLog) < windowLogCap {
-		r.winLog = append(r.winLog, d)
-	} else {
-		r.winLog[r.winPos] = d
-		r.winPos = (r.winPos + 1) % windowLogCap
-	}
-	r.winMu.Unlock()
-	r.SetWindow(d.Tenant, d.Window)
-}
-
-// WindowLog returns the retained decisions, oldest first.
-func (r *Registry) WindowLog() []WindowDecision {
-	if r == nil {
-		return nil
-	}
-	r.winMu.Lock()
-	defer r.winMu.Unlock()
-	out := make([]WindowDecision, 0, len(r.winLog))
-	out = append(out, r.winLog[r.winPos:]...)
-	out = append(out, r.winLog[:r.winPos]...)
-	return out
 }
 
 // TenantSnapshot is a point-in-time copy of one tenant's instruments.

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"testing"
-	"time"
 
 	"nvmeopf/internal/proto"
 )
@@ -12,9 +11,6 @@ import (
 // datapath is wired with by default.
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
 	r.SetClass(1, proto.PrioThroughputCritical)
 	r.IncSubmitted(1, 4096)
 	r.IncCompleted(1, proto.PrioThroughputCritical, 100, 4096, true)
@@ -28,34 +24,18 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.IncConnection()
 	r.IncReconnect()
 	r.IncTransportError()
-	r.RecordWindowDecision(WindowDecision{Tenant: 1, Window: 8, Source: SourceDynamic})
-	r.SetSLO(1, time.Millisecond, 0.999)
-	r.SetDefaultSLO(time.Millisecond, 0.999)
-	r.TickSLO(1000)
 	r.SetRecorder(nil)
-	if got := r.SLOs(2000); got != nil {
-		t.Fatalf("nil registry SLOs() = %v, want nil", got)
-	}
-	if got := r.Recorder(); got != nil {
-		t.Fatalf("nil registry Recorder() = %v, want nil", got)
-	}
 	if got := r.LatencyHist(1, ClassTC); got != nil {
 		t.Fatalf("nil registry LatencyHist() = %v, want nil", got)
 	}
 	if got := r.Tenants(); got != nil {
 		t.Fatalf("nil registry Tenants() = %v, want nil", got)
 	}
-	if got := r.WindowLog(); got != nil {
-		t.Fatalf("nil registry WindowLog() = %v, want nil", got)
-	}
 	if g := r.Global(); g != (GlobalSnapshot{}) {
 		t.Fatalf("nil registry Global() = %+v, want zero", g)
 	}
 	if r.PrometheusText() == "" {
 		t.Fatal("nil registry PrometheusText() empty")
-	}
-	if r.SnapshotTable() == "" {
-		t.Fatal("nil registry SnapshotTable() empty")
 	}
 }
 
@@ -136,67 +116,6 @@ func TestLatencyHistogramUnbounded(t *testing.T) {
 	}
 	if h := r.LatencyHist(tid, ClassTC); h != nil {
 		t.Fatalf("TC hist installed without TC samples")
-	}
-}
-
-// TestSLOAccounting checks the good/violation split against both a
-// per-tenant and the registry-default objective.
-func TestSLOAccounting(t *testing.T) {
-	r := New()
-	r.SetSLO(1, time.Microsecond, 0.99) // 1000ns objective, 1% budget
-	r.SetDefaultSLO(2*time.Microsecond, 0.999)
-	for i := 0; i < 10; i++ {
-		lat := int64(500)
-		if i < 3 {
-			lat = 1500 // violates tenant 1's objective, meets the default
-		}
-		r.IncCompleted(1, proto.PrioLatencySensitive, lat, 0, true)
-		r.IncCompleted(2, proto.PrioLatencySensitive, lat, 0, true)
-	}
-	slos := r.SLOs(0)
-	if len(slos) != 2 {
-		t.Fatalf("SLOs() returned %d tenants, want 2", len(slos))
-	}
-	t1, t2 := slos[0], slos[1]
-	if t1.Tenant != 1 || t1.ObjectiveNS != 1000 || t1.Good != 7 || t1.Violations != 3 {
-		t.Fatalf("tenant 1 SLO wrong: %+v", t1)
-	}
-	if t1.BudgetPPM != 10_000 {
-		t.Fatalf("tenant 1 budget = %d ppm, want 10000", t1.BudgetPPM)
-	}
-	// 30% violations against a 1% budget: burn rate 30.
-	if t1.BurnTotal < 29.9 || t1.BurnTotal > 30.1 {
-		t.Fatalf("tenant 1 burn total = %v, want 30", t1.BurnTotal)
-	}
-	if t2.Tenant != 2 || t2.ObjectiveNS != 2000 || t2.Good != 10 || t2.Violations != 0 {
-		t.Fatalf("tenant 2 (default SLO) wrong: %+v", t2)
-	}
-	if t2.Compliance != 1 {
-		t.Fatalf("tenant 2 compliance = %v, want 1", t2.Compliance)
-	}
-}
-
-func TestWindowLogRing(t *testing.T) {
-	r := New()
-	for i := 0; i < windowLogCap+10; i++ {
-		r.RecordWindowDecision(WindowDecision{Tenant: 2, Window: i + 1, Source: SourceDynamic})
-	}
-	log := r.WindowLog()
-	if len(log) != windowLogCap {
-		t.Fatalf("log length = %d, want %d", len(log), windowLogCap)
-	}
-	// Oldest retained entry is decision #11; newest is #(cap+10).
-	if log[0].Seq != 11 || log[len(log)-1].Seq != uint64(windowLogCap+10) {
-		t.Fatalf("ring order wrong: first seq %d, last seq %d", log[0].Seq, log[len(log)-1].Seq)
-	}
-	for i := 1; i < len(log); i++ {
-		if log[i].Seq != log[i-1].Seq+1 {
-			t.Fatalf("non-monotone seq at %d: %d after %d", i, log[i].Seq, log[i-1].Seq)
-		}
-	}
-	// RecordWindowDecision also refreshes the tenant's window gauge.
-	if w := r.Tenants()[0].Window; w != windowLogCap+10 {
-		t.Fatalf("window gauge = %d, want %d", w, windowLogCap+10)
 	}
 }
 

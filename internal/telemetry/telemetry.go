@@ -18,11 +18,11 @@
 //     TestDisabledRegistryZeroAllocs).
 //   - An enabled Registry keeps one fixed slot per possible tenant
 //     (proto.TenantID is uint16) in lazily installed pages holding only atomic
-//     counters/gauges and a lock-free ring of latency samples. No maps, no
-//     locks, no allocation on the record path.
-//   - Cold paths — the window-decision log and the exporter's snapshots —
-//     take a mutex; they run once per drain epoch or per scrape, never per
-//     request.
+//     counters/gauges and per-class latency histograms. No maps, no locks,
+//     no allocation on the record path.
+//   - Cold paths — the autotune decision log and the exporter's snapshots
+//     — take a mutex; they run once per controller decision or per scrape,
+//     never per request.
 //
 // The trace hook (TraceFunc) is invoked by internal/core, internal/hostqp
 // and internal/targetqp at the PDU lifecycle points of Algorithms 1–4, so
@@ -124,17 +124,6 @@ func (s Stage) String() string {
 	}
 }
 
-// StageFromString inverts Stage.String (used by dump readers). The second
-// result is false for unknown names.
-func StageFromString(s string) (Stage, bool) {
-	for st := StageSubmit; st <= StageForcedDrain; st++ {
-		if st.String() == s {
-			return st, true
-		}
-	}
-	return 0, false
-}
-
 // rank orders stages causally within one request's lifecycle (the const
 // order is historical: arrive/complete were appended to keep recorded
 // numeric values stable).
@@ -191,33 +180,3 @@ func (e Event) String() string {
 // disables tracing at zero cost (the emitters check before building the
 // Event).
 type TraceFunc func(Event)
-
-// WindowSource says which mechanism produced a window decision.
-type WindowSource string
-
-// Window decision sources.
-const (
-	// SourceStatic: the §IV-D static selection at connection setup.
-	SourceStatic WindowSource = "static"
-	// SourceDynamic: the runtime hill-climbing tuner after a drain.
-	SourceDynamic WindowSource = "dynamic"
-	// SourceDrain: a window observed at the target when a drain released
-	// it (batch size as seen target-side).
-	SourceDrain WindowSource = "drain"
-)
-
-// WindowDecision is one entry of the window-optimizer decision log served
-// at /debug/windows.
-type WindowDecision struct {
-	Tenant proto.TenantID `json:"tenant"`
-	// Window is the size chosen (host side) or observed (target side).
-	Window int `json:"window"`
-	// PrevWindow is the size before the decision (0 when unknown).
-	PrevWindow int `json:"prev_window,omitempty"`
-	// Bytes moved by the epoch/window that triggered the decision.
-	Bytes int64 `json:"bytes,omitempty"`
-	// Source tells which mechanism decided.
-	Source WindowSource `json:"source"`
-	// Seq is a registry-assigned monotone sequence number.
-	Seq uint64 `json:"seq"`
-}

@@ -171,8 +171,7 @@ func OptimalWindow(kind string, gbps float64, tcInitiators, qd int) int {
 // bit-identically). Attach via ServerConfig.Autotune (one controller per
 // reactor shard, sharing one LS signal) or SimOptions.Autotune (one per
 // simulated target node); only ObjectiveNS is required. Decisions are
-// visible on /debug/autotune and /metrics when a Telemetry registry is
-// attached.
+// visible on /debug/autotune when a Telemetry registry is attached.
 type AutotuneConfig = autotune.Config
 
 // AutotuneBudgetPPM converts an SLO compliance target (e.g. 0.999) to the
@@ -218,9 +217,10 @@ func DefaultExperimentConfig() ExperimentConfig { return experiments.DefaultConf
 func QuickExperimentConfig() ExperimentConfig { return experiments.QuickConfig() }
 
 // Telemetry is the live observability registry: lock-free per-tenant
-// counters/gauges and latency samples, a window-decision log, and an HTTP
-// exporter (Serve) with /metrics (Prometheus text), /debug/tenants and
-// /debug/windows endpoints. Create one with NewTelemetry, attach it via
+// counters, gauges and latency histograms, and an HTTP exporter (Serve)
+// with /metrics (Prometheus text), the /debug/tenants, /debug/autotune and
+// /debug/e2e tables opf-top renders, and /debug/trace (the flight-recorder
+// dump opf-trace reads). Create one with NewTelemetry, attach it via
 // InitiatorConfig.Telemetry (host-side instruments), ServerConfig.Telemetry
 // (target-side), or SimOptions.Telemetry (simulated targets), and read it
 // back with the Telemetry() accessor on Conn, Server, or SimCluster. A nil
