@@ -24,8 +24,11 @@ type HostPM struct {
 	window  int
 	sinceDr int // TC requests sent since the last drain
 	pending CIDQueue
-	dyn     *DynamicWindow
-	stats   HostPMStats
+	// one holds OnResponse's answer for a single CID, so individual
+	// responses allocate nothing.
+	one   [1]nvme.CID
+	dyn   *DynamicWindow
+	stats HostPMStats
 	// Observability hook (optional; see SetTelemetry). tenant is the
 	// target-assigned ID the instruments are keyed by.
 	tel    *telemetry.Registry
@@ -159,14 +162,18 @@ func (h *HostPM) DropPending() []nvme.CID {
 // OnResponse processes one wire response (Alg. 2). It returns the CIDs
 // the application must observe as completed, in submission order. For a
 // coalesced response naming CID c, that is every pending CID up to and
-// including c; for individual responses it is just the named CID. An
-// unknown CID is a protocol violation and returns an error.
+// including c, in a slice of its own; for individual responses it is just
+// the named CID, in an array the PM owns and overwrites on the next call
+// (a caller reads it before completing anything that could re-enter the
+// PM, as ranging over it does). An unknown CID is a protocol violation and
+// returns an error.
 func (h *HostPM) OnResponse(cid nvme.CID, coalesced bool) ([]nvme.CID, error) {
 	if !h.prio.ThroughputCritical() {
 		// LS/normal connections get one response per request and keep no
 		// pending queue.
 		h.stats.IndividualResps++
-		return []nvme.CID{cid}, nil
+		h.one[0] = cid
+		return h.one[:], nil
 	}
 	if coalesced {
 		done, ok := h.pending.DrainThrough(cid)
@@ -184,7 +191,8 @@ func (h *HostPM) OnResponse(cid nvme.CID, coalesced bool) ([]nvme.CID, error) {
 		return nil, fmt.Errorf("core: response names unknown CID %d", cid)
 	}
 	h.stats.IndividualResps++
-	return []nvme.CID{cid}, nil
+	h.one[0] = cid
+	return h.one[:], nil
 }
 
 // OnDrainCompleted notifies the dynamic tuner (if enabled) that a window

@@ -505,8 +505,9 @@ func (s *Session) Submit(io IO) error {
 			s.cfg.Trace(telemetry.Event{Stage: telemetry.StageDrainMark, Tenant: s.tenant, CID: cid, Prio: wire, Aux: int64(s.pm.Window())})
 		}
 	}
-	// From the pool the transport's writer recycles sent capsules into; a
-	// send hook that never recycles (the simulator) just keeps drawing new.
+	// From the pool both fabrics recycle sent capsules into: the TCP writer
+	// after marshal, the simulator once the target has handled it. A send
+	// hook that never recycles just keeps drawing new.
 	c := proto.GetCapsuleCmd()
 	c.Cmd, c.Prio, c.Tenant, c.Data = cmd, wire, s.tenant, data
 	s.send(c)

@@ -13,8 +13,8 @@ package proto
 //     life. Only common headers, the fixed part of data-bearing PDUs and
 //     small control PDUs pass through it; payloads never do.
 //
-// Ownership rules (the transports enforce them; the simulator never
-// pools):
+// Ownership rules (the transports enforce them; the simulator recycles
+// PDU structs once their receiver is done but never pools a payload):
 //
 //   - A buffer obtained from GetBuf has exactly one owner at a time; the
 //     owner either hands it off (send path) or returns it with PutBuf.

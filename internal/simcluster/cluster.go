@@ -251,20 +251,37 @@ type Initiator struct {
 // crosses them), the receiver's poller takes delivery, and the receiving
 // protocol session handles it.
 type route struct {
-	c       *Cluster
-	tx, rx  *simnet.CPU
-	links   [2]*simnet.Link
+	c      *Cluster
+	tx, rx *simnet.CPU
+	links  [2]*simnet.Link
+	// sole[i]: links[i], in this direction, takes PDUs from the resource
+	// before it on the route and from nothing else. The host's cable is
+	// fed by the host's poller alone, the target NIC's egress by the
+	// target's poller, and the cable back by that egress; the NIC's
+	// ingress merges every initiator's cable.
+	sole    [2]bool
 	dir     int
 	deliver func(proto.PDU) error
 }
 
+// handOff reports whether the resource before links[i] hands a PDU on to
+// links[i] when the PDU is scheduled on it, rather than from an event when
+// the PDU clears it. links[i] must take PDUs from that resource alone, so
+// they reach it in the order the resource finishes them. Neither link
+// involved may carry a fault profile: the one before could drop the PDU,
+// and links[i]'s must be consulted at the real hand-off time.
+func (r *route) handOff(i int) bool {
+	return r.sole[i] && r.links[i].Faults() == nil && (i == 0 || r.links[0].Faults() == nil)
+}
+
 // transit is one PDU on its way along a route. The same record is handed
-// from hop to hop: every Exec/Send gets step, a method value bound once
-// when the record is made, so a hop costs one event on the hop's resource
-// timeline and nothing else. Records recycle through the cluster's free
-// list; one returns there just before its PDU is delivered, so the sends
-// that delivery triggers reuse it straight away. (A PDU an attached fault
-// profile drops never reaches delivery; its record is left to the GC.)
+// from hop to hop: every Exec/SendAt that ends in an event gets step, a
+// method value bound once when the record is made, so a hop costs at most
+// one event on the hop's resource timeline and nothing else. Records
+// recycle through the cluster's free list; one returns there just before
+// its PDU is delivered, so the sends that delivery triggers reuse it
+// straight away. (A PDU an attached fault profile drops never reaches
+// delivery; its record is left to the GC.)
 type transit struct {
 	route      *route
 	pdu        proto.PDU
@@ -291,24 +308,46 @@ func (r *route) send(p proto.PDU) {
 	t.advance()
 }
 
-// advance moves the PDU one hop further; the hop's resource calls it again
-// when the PDU has cleared it.
+// advance moves the PDU on from the hop it has just cleared. While the
+// next link takes it from the current resource alone (handOff), the PDU is
+// handed over at once, at the instant it will clear the current one; the
+// first resource shared with other senders gets step, and its event calls
+// advance again. Either way each resource sees the PDU at the same instant,
+// so only shared resources cost an event: the NIC's ingress and the
+// receiving poller.
 func (t *transit) advance() {
 	r := t.route
-	hop := t.hop
-	t.hop++
-	switch hop {
-	case 0:
-		r.tx.Exec(r.tx.TxCost(t.payload, t.standalone), t.step)
-	case 1, 2:
-		r.links[hop-1].Send(r.dir, t.size, t.step)
-	case 3:
-		r.rx.Exec(r.rx.RxCost(t.payload, t.standalone), t.step)
-	default:
-		p := t.pdu
-		t.route, t.pdu = nil, nil
-		t.next, r.c.freeTransits = r.c.freeTransits, t
-		r.c.fail(r.deliver(p))
+	at := r.c.Eng.Now()
+	for {
+		hop := t.hop
+		t.hop++
+		switch hop {
+		case 0:
+			cost := r.tx.TxCost(t.payload, t.standalone)
+			if r.handOff(0) {
+				at = r.tx.Exec(cost, nil)
+				continue
+			}
+			r.tx.Exec(cost, t.step)
+		case 1, 2:
+			l := r.links[hop-1]
+			if hop == 1 && r.handOff(1) {
+				at = l.SendAt(r.dir, t.size, at, nil)
+				continue
+			}
+			l.SendAt(r.dir, t.size, at, t.step)
+		case 3:
+			r.rx.Exec(r.rx.RxCost(t.payload, t.standalone), t.step)
+		default:
+			p := t.pdu
+			t.route, t.pdu = nil, nil
+			t.next, r.c.freeTransits = r.c.freeTransits, t
+			r.c.fail(r.deliver(p))
+			// The receiver is done with the struct, as the live reader's
+			// proto.ReleaseInbound assumes; the payload is not pooled here.
+			proto.Recycle(p)
+		}
+		return
 	}
 }
 
@@ -348,10 +387,10 @@ func (n *InitiatorNode) Connect(cfg hostqp.Config) (*Initiator, error) {
 	ini := &Initiator{Node: n}
 	// Host -> target: host poller tx, host link, target NIC, target rx.
 	ini.toTarget = route{c: c, tx: n.CPU, rx: tn.CPU,
-		links: [2]*simnet.Link{n.Link, tn.NIC}, dir: simnet.DirAtoB}
+		links: [2]*simnet.Link{n.Link, tn.NIC}, sole: [2]bool{true, false}, dir: simnet.DirAtoB}
 	// Target -> host: target poller tx, target NIC, host link, host rx.
 	ini.toHost = route{c: c, tx: tn.CPU, rx: n.CPU,
-		links: [2]*simnet.Link{tn.NIC, n.Link}, dir: simnet.DirBtoA}
+		links: [2]*simnet.Link{tn.NIC, n.Link}, sole: [2]bool{true, true}, dir: simnet.DirBtoA}
 
 	tsess, err := tn.Target.NewSession(ini.toHost.send)
 	if err != nil {

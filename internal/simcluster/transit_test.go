@@ -9,11 +9,16 @@ import (
 )
 
 // TestTransitRoundTripAllocatesNothing pins the fabric model's per-PDU
-// cost at zero objects: a command capsule crossing host poller, link,
-// target NIC and target poller, answered by a data PDU and a response
-// crossing back — twelve hops, twelve engine events — reuses warmed
-// transit records and builds no closure. The protocol sessions are
-// replaced by stubs so only the transit path is measured.
+// cost at zero objects and one event per shared resource: a command
+// capsule crossing host poller, cable, target NIC and target poller,
+// answered by a data PDU and a response crossing back, takes seven engine
+// events. The command's cable is handed the capsule when the host poller
+// schedules it, and the way back hands both the NIC's egress and the cable
+// over from the target poller; what is left is the NIC's ingress and the
+// pollers on the receiving side. Transit records are warmed and reused,
+// and every PDU is drawn from proto's pools, as the sessions do, and goes
+// back after delivery. The protocol sessions are replaced by stubs so
+// only the transit path is measured.
 func TestTransitRoundTripAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -22,21 +27,21 @@ func TestTransitRoundTripAllocatesNothing(t *testing.T) {
 		hostqp.Config{Class: proto.PrioThroughputCritical, Window: 16, QueueDepth: 32, NSID: 1}, false)
 	c.Run() // the handshake, through the real sessions
 
-	cmd := &proto.CapsuleCmd{}
-	data := &proto.C2HData{Data: make([]byte, 4096)}
-	resp := &proto.CapsuleResp{}
+	payload := make([]byte, 4096)
 	delivered := 0
 	ini.toTarget.deliver = func(p proto.PDU) error {
 		delivered++
-		ini.toHost.send(data) // both in flight at once: two records
-		ini.toHost.send(resp)
+		d := proto.GetC2HData()
+		d.Data = payload
+		ini.toHost.send(d) // both in flight at once: two records
+		ini.toHost.send(proto.GetCapsuleResp())
 		return nil
 	}
 	ini.toHost.deliver = func(proto.PDU) error { delivered++; return nil }
 
-	events := c.Eng.Pending()
+	events, ran := c.Eng.Pending(), c.Eng.Executed()
 	allocs := testing.AllocsPerRun(200, func() {
-		ini.toTarget.send(cmd)
+		ini.toTarget.send(proto.GetCapsuleCmd())
 		c.Run()
 	})
 	if allocs != 0 {
@@ -44,6 +49,9 @@ func TestTransitRoundTripAllocatesNothing(t *testing.T) {
 	}
 	if delivered != 3*201 || c.Eng.Pending() != events {
 		t.Fatalf("delivered %d PDUs over 201 round trips, %d events left", delivered, c.Eng.Pending())
+	}
+	if n := c.Eng.Executed() - ran; n != 7*201 {
+		t.Errorf("201 round trips ran %d events, want 7 each", n)
 	}
 	if err := c.CheckHealthy(); err != nil {
 		t.Fatal(err)

@@ -48,8 +48,6 @@ type CPU struct {
 	cfg       CPUConfig
 	name      string
 	busyUntil Time
-	busyTotal Time
-	events    int64
 }
 
 // NewCPU creates a poller CPU.
@@ -64,7 +62,9 @@ func NewCPU(eng *Engine, name string, cfg CPUConfig) *CPU {
 func (c *CPU) Config() CPUConfig { return c.cfg }
 
 // Exec occupies the CPU for cost nanoseconds (FIFO after already-queued
-// work) and then runs fn. It returns the completion time.
+// work) and then runs fn. It returns the completion time; a nil fn only
+// reserves the time, for a caller that hands the work's result on itself
+// (see Link.SendAt).
 func (c *CPU) Exec(cost Time, fn func()) Time {
 	if cost < 0 {
 		cost = 0
@@ -76,10 +76,8 @@ func (c *CPU) Exec(cost Time, fn func()) Time {
 	}
 	done := start + cost
 	c.busyUntil = done
-	c.busyTotal += cost
-	c.events++
 	if fn != nil {
-		c.done.at(done, fn)
+		c.done.at(done, now, fn)
 	}
 	return done
 }
@@ -110,22 +108,3 @@ func (c *CPU) TxCost(payloadBytes int, standalone bool) Time {
 
 // SubmitCost returns the per-command submission cost.
 func (c *CPU) SubmitCost() Time { return c.cfg.SubmitOp }
-
-// BusyTotal returns cumulative busy nanoseconds.
-func (c *CPU) BusyTotal() Time { return c.busyTotal }
-
-// Events returns the number of Exec calls.
-func (c *CPU) Events() int64 { return c.events }
-
-// Utilization returns busy fraction of [0, now].
-func (c *CPU) Utilization() float64 {
-	now := c.eng.Now()
-	if now <= 0 {
-		return 0
-	}
-	busy := c.busyTotal
-	if busy > now {
-		busy = now
-	}
-	return float64(busy) / float64(now)
-}

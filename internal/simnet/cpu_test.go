@@ -32,9 +32,6 @@ func TestCPUExecSerializes(t *testing.T) {
 	if len(done) != 2 || done[0] != 100 || done[1] != 200 {
 		t.Fatalf("done = %v", done)
 	}
-	if c.BusyTotal() != 200 || c.Events() != 2 {
-		t.Fatalf("busy=%d events=%d", c.BusyTotal(), c.Events())
-	}
 }
 
 func TestCPUIdleGap(t *testing.T) {
@@ -88,16 +85,5 @@ func TestCPUCostModel(t *testing.T) {
 	}
 	if c.SubmitCost() != 300 {
 		t.Errorf("SubmitCost = %d", c.SubmitCost())
-	}
-}
-
-func TestCPUUtilization(t *testing.T) {
-	e := NewEngine()
-	c := NewCPU(e, "t", testCPUCfg())
-	c.Exec(500, nil)
-	e.At(1000, func() {})
-	e.Run()
-	if u := c.Utilization(); u != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", u)
 	}
 }

@@ -17,15 +17,23 @@ import (
 type Time = int64
 
 type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among same-timestamp events
-	fn  func()
+	at Time
+	// from is the instant the event was handed over: the clock when it was
+	// scheduled, or, for a message a resource took ahead of time (see
+	// Link.SendAt), the instant it reached that resource. Among events at
+	// one instant, those handed over earlier run first.
+	from Time
+	seq  uint64 // tie-breaker: FIFO among events handed over at one instant
+	fn   func()
 }
 
-// before orders events by (at, seq). seq is unique, so the order is total:
-// whatever shape the heap takes, the pop sequence is the same.
+// before orders events by (at, from, seq). seq is unique, so the order is
+// total: whatever shape the heap takes, the pop sequence is the same. For
+// events scheduled at the clock, from never decreases as seq grows, so the
+// order is (at, seq); from places an event handed over early where an
+// event scheduled at its hand-off instant would have been.
 func (a *event) before(b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+	return a.at < b.at || (a.at == b.at && (a.from < b.from || (a.from == b.from && a.seq < b.seq)))
 }
 
 // heapArity is the fan-out of the event heap. Four children per node halve
@@ -58,6 +66,7 @@ type Engine struct {
 	// the common case, a callback handing its PDU to the next resource.
 	hole    bool
 	stopped bool
+	ran     uint64 // events run, for Executed
 }
 
 // NewEngine returns a fresh engine at time zero.
@@ -67,7 +76,8 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Schedule runs fn after delay d (clamped to now for negative d). Events
-// scheduled for the same instant run in scheduling order.
+// scheduled for the same instant run in scheduling order, after any that
+// were handed over at an earlier instant (see Link.SendAt).
 func (e *Engine) Schedule(d time.Duration, fn func()) {
 	e.At(e.now+int64(d), fn)
 }
@@ -77,11 +87,14 @@ func (e *Engine) At(t Time, fn func()) {
 	if fn == nil {
 		panic("simnet: nil event function")
 	}
-	if t < e.now {
-		t = e.now
-	}
+	e.handOff(t, e.now, fn)
+}
+
+// handOff schedules fn at t (clamped to from) for a callback handed over
+// at from, which is at or after the clock.
+func (e *Engine) handOff(t, from Time, fn func()) {
 	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	e.push(event{at: max(t, from), from: from, seq: e.seq, fn: fn})
 }
 
 // push adds ev to the heap as it is: its time and sequence number are
@@ -112,6 +125,7 @@ func (e *Engine) push(ev event) {
 func (e *Engine) runNext() {
 	top := e.events[0]
 	e.now = top.at
+	e.ran++
 	e.hole = true
 	top.fn()
 	if e.hole {
@@ -191,6 +205,11 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 // Stop halts Run/RunUntil after the current event returns.
 func (e *Engine) Stop() { e.stopped = true }
+
+// Executed returns how many events the engine has run. Like the event
+// order, it is a function of the seed, so it compares two versions of a
+// simulation exactly where their wall time cannot.
+func (e *Engine) Executed() uint64 { return e.ran }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int {

@@ -7,10 +7,13 @@ import (
 
 // eventSpec is one node of a generated scheduling program: how the event
 // is scheduled (At with an absolute time, or Schedule with a delay — either
-// may lie in the past) and which further events its callback schedules.
+// may lie in the past), how far ahead of the clock it is handed over (0:
+// scheduled at the clock; more: a message a resource takes early, see
+// Link.SendAt), and which further events its callback schedules.
 type eventSpec struct {
 	abs  bool
 	v    int64
+	lead int64
 	kids []int
 }
 
@@ -39,6 +42,7 @@ func parseProgram(data []byte) (roots int, specs []eventSpec) {
 		} else {
 			s.v = int64(int8(b)) % 12 // negative delays clamp to now
 		}
+		s.lead = int64(a>>1) / 5 % 4
 		for k := int(a>>1) % 5; k > 0 && next < n; k-- {
 			s.kids = append(s.kids, next)
 			next++
@@ -57,12 +61,12 @@ type firing struct {
 
 // modelOrder is the reference scheduler: the pending set is a plain slice
 // in call order, and the next event is the first one with the smallest
-// clamped timestamp — a stable sort by (clamped at, call order), one
-// element at a time.
+// clamped timestamp and, among those, the earliest hand-off instant — a
+// stable sort by (clamped at, hand-off, call order), one element at a time.
 func modelOrder(roots int, specs []eventSpec) []firing {
 	type pend struct {
-		at Time
-		id int
+		at, from Time
+		id       int
 	}
 	var pending []pend
 	var now Time
@@ -71,10 +75,8 @@ func modelOrder(roots int, specs []eventSpec) []firing {
 		if !specs[id].abs {
 			t += now
 		}
-		if t < now {
-			t = now
-		}
-		pending = append(pending, pend{t, id})
+		from := now + specs[id].lead
+		pending = append(pending, pend{max(t, from), from, id})
 	}
 	for id := 0; id < roots; id++ {
 		schedule(id)
@@ -83,7 +85,8 @@ func modelOrder(roots int, specs []eventSpec) []firing {
 	for len(pending) > 0 {
 		best := 0
 		for i := range pending {
-			if pending[i].at < pending[best].at {
+			p, b := pending[i], pending[best]
+			if p.at < b.at || (p.at == b.at && p.from < b.from) {
 				best = i
 			}
 		}
@@ -100,9 +103,11 @@ func modelOrder(roots int, specs []eventSpec) []firing {
 
 // engineOrder runs the same program on the real engine. step > 0 drives it
 // through RunUntil in step-wide slices instead of one Run; lanes > 0
-// schedules every event through one of that many timelines instead of
-// Engine.At, whether or not its time keeps the timeline in FIFO order. The
-// order must depend on neither.
+// schedules every event through one of that many timelines instead of the
+// engine, whether or not its time keeps the timeline in FIFO order. The
+// order must depend on neither. An event handed over ahead of the clock
+// goes through the engine's handOff, as a timeline's out-of-order event
+// does.
 func engineOrder(roots int, specs []eventSpec, step Time, lanes int) []firing {
 	e := NewEngine()
 	tls := make([]*timeline, lanes)
@@ -118,11 +123,15 @@ func engineOrder(roots int, specs []eventSpec, step Time, lanes int) []firing {
 				schedule(k)
 			}
 		}
+		t, from := specs[id].v, e.Now()+specs[id].lead
+		if !specs[id].abs {
+			t += e.Now()
+		}
 		switch {
-		case lanes > 0 && specs[id].abs:
-			tls[id%lanes].at(specs[id].v, fn)
 		case lanes > 0:
-			tls[id%lanes].at(e.Now()+specs[id].v, fn)
+			tls[id%lanes].at(t, from, fn)
+		case specs[id].lead > 0:
+			e.handOff(t, from, fn)
 		case specs[id].abs:
 			e.At(specs[id].v, fn)
 		default:
@@ -163,12 +172,12 @@ func checkAgainstModel(t *testing.T, data []byte) {
 }
 
 // TestEngineMatchesReferenceModel pins the scheduler's whole contract in
-// one statement: whatever interleaving of At and Schedule a program makes,
-// from outside the run or from inside callbacks, with past timestamps
-// and same-instant bursts, events fire in the order of a stable sort by
-// (clamped timestamp, call order), each observing Now() == its timestamp
-// and Pending() == the events still queued. Scheduling through resource
-// timelines changes none of it.
+// one statement: whatever interleaving of At, Schedule and early hand-offs
+// a program makes, from outside the run or from inside callbacks, with
+// past timestamps and same-instant bursts, events fire in the order of a
+// stable sort by (clamped timestamp, hand-off instant, call order), each
+// observing Now() == its timestamp and Pending() == the events still
+// queued. Scheduling through resource timelines changes none of it.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	rng := NewRand(19)
 	for round := 0; round < 300; round++ {

@@ -45,6 +45,10 @@ type Link struct {
 	// busyUntil per direction (0 = A->B, 1 = B->A).
 	busyUntil [2]Time
 
+	// handed per direction: the instant of the latest hand-off (see
+	// SendAt), which the next one may not precede.
+	handed [2]Time
+
 	// lastAt per direction: the latest delivery scheduled so far. The
 	// link models an ordered byte stream (TCP), so deliveries must stay
 	// FIFO even when an attached FaultProfile assigns size-dependent
@@ -72,10 +76,18 @@ type FaultProfile interface {
 	Apply(dir int, now Time, size int) (extraDelay Time, drop bool)
 }
 
-// SetFaults attaches a fault profile to the link (nil detaches).
+// SetFaults attaches a fault profile to the link (nil detaches). A
+// profile may be attached at any time. Detaching one while messages are in
+// flight can make an upstream that sent per event fall behind one that now
+// hands over early (see SendAt), and the late hand-off panics.
 func (l *Link) SetFaults(p FaultProfile) { l.faults = p }
 
-// LinkStats accumulates per-direction transmission counters.
+// Faults returns the attached fault profile, nil if none.
+func (l *Link) Faults() FaultProfile { return l.faults }
+
+// LinkStats accumulates per-direction transmission counters. A message
+// is counted when it is handed to the link, which for SendAt may be ahead
+// of the instant it reaches the link.
 type LinkStats struct {
 	Messages int64 // PDUs sent
 	Packets  int64 // MTU-sized packets on the wire
@@ -124,16 +136,32 @@ func (l *Link) txTime(wire int64) Time {
 
 // Send transmits a message of size bytes in direction dir and runs deliver
 // when the last bit arrives at the far end. It returns the scheduled
-// delivery time.
+// delivery time. It is SendAt at the engine's clock.
 func (l *Link) Send(dir int, size int, deliver func()) Time {
+	return l.SendAt(dir, size, l.eng.Now(), deliver)
+}
+
+// SendAt is Send for a message that reaches the link at instant at, at or
+// after the engine's clock. A direction fed by a single FIFO resource
+// knows when each message will clear that resource as soon as it is
+// scheduled there, so the upstream can hand it over straight away instead
+// of from an event at at: the delivery happens at the same instant either
+// way. Hand-offs must come in non-decreasing at order on a direction, the
+// order in which the messages reach it; an earlier one panics. An attached
+// FaultProfile is consulted with at as the current time.
+func (l *Link) SendAt(dir int, size int, at Time, deliver func()) Time {
 	if dir != DirAtoB && dir != DirBtoA {
 		panic(fmt.Sprintf("simnet: bad link direction %d", dir))
 	}
-	now := l.eng.Now()
+	if at < l.eng.Now() || at < l.handed[dir] {
+		panic(fmt.Sprintf("simnet: %s: hand-off at %d, before the clock (%d) or the previous hand-off (%d)",
+			l.name, at, l.eng.Now(), l.handed[dir]))
+	}
+	l.handed[dir] = at
 	var extra Time
 	if l.faults != nil {
 		var drop bool
-		extra, drop = l.faults.Apply(dir, now, size)
+		extra, drop = l.faults.Apply(dir, at, size)
 		if drop {
 			// The message still occupied the wire (it was transmitted and
 			// lost), so serialization accounting proceeds; only delivery
@@ -142,10 +170,7 @@ func (l *Link) Send(dir int, size int, deliver func()) Time {
 			deliver = nil
 		}
 	}
-	start := l.busyUntil[dir]
-	if start < now {
-		start = now
-	}
+	start := max(l.busyUntil[dir], at)
 	packets := int64(l.PacketsFor(size))
 	wire := int64(size) + packets*int64(l.cfg.PacketOverhead)
 	tx := l.txTime(wire)
@@ -156,33 +181,19 @@ func (l *Link) Send(dir int, size int, deliver func()) Time {
 	st.Packets += packets
 	st.Bytes += wire
 	st.BusyTime += tx
-	at := done + l.cfg.PropagationDelay + extra
+	arrive := done + l.cfg.PropagationDelay + extra
 	// An ordered stream never reorders: a message cannot arrive before
 	// one serialized ahead of it, whatever per-message delay the fault
 	// profile added.
-	if at < l.lastAt[dir] {
-		at = l.lastAt[dir]
+	if arrive < l.lastAt[dir] {
+		arrive = l.lastAt[dir]
 	}
-	l.lastAt[dir] = at
+	l.lastAt[dir] = arrive
 	if deliver != nil {
-		l.deliveries[dir].at(at, deliver)
+		l.deliveries[dir].at(arrive, at, deliver)
 	}
-	return at
+	return arrive
 }
 
 // Stats returns the accumulated counters for a direction.
 func (l *Link) Stats(dir int) LinkStats { return l.stats[dir] }
-
-// Utilization returns the fraction of the interval [0, now] a direction
-// spent serializing.
-func (l *Link) Utilization(dir int) float64 {
-	now := l.eng.Now()
-	if now <= 0 {
-		return 0
-	}
-	busy := l.stats[dir].BusyTime
-	if busy > now {
-		busy = now
-	}
-	return float64(busy) / float64(now)
-}

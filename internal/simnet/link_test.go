@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -109,29 +110,6 @@ func TestLinkStats(t *testing.T) {
 	}
 }
 
-func TestLinkUtilization(t *testing.T) {
-	e := NewEngine()
-	l := NewLink(e, "t", testLinkCfg())
-	// Saturate A->B for ~1ms.
-	var send func()
-	sent := 0
-	send = func() {
-		if sent >= 100 {
-			return
-		}
-		sent++
-		l.Send(DirAtoB, 1500, send)
-	}
-	send()
-	e.Run()
-	if u := l.Utilization(DirAtoB); u < 0.01 {
-		t.Errorf("utilization = %v, want > 0", u)
-	}
-	if u := l.Utilization(DirBtoA); u != 0 {
-		t.Errorf("idle direction utilization = %v", u)
-	}
-}
-
 func TestLinkBadDirectionPanics(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, "t", testLinkCfg())
@@ -141,6 +119,93 @@ func TestLinkBadDirectionPanics(t *testing.T) {
 		}
 	}()
 	l.Send(2, 100, nil)
+}
+
+// TestLinkSendAtMatchesSend drives a CPU that feeds a link that feeds a
+// second link, the shape of a simulated PDU's route, twice: once with an
+// event per hop calling Send, once handing each message on when it is
+// scheduled (Exec without a callback, then SendAt at the instant the
+// upstream releases it). Every message must arrive at the same instant and
+// in the same order.
+func TestLinkSendAtMatchesSend(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		perHop, early := sendChain(seed, false), sendChain(seed, true)
+		if len(perHop) != 300 {
+			t.Fatalf("seed %d: %d of 300 messages arrived", seed, len(perHop))
+		}
+		if !reflect.DeepEqual(perHop, early) {
+			t.Fatalf("seed %d: arrivals differ\nper hop: %v\nearly:   %v", seed, perHop, early)
+		}
+	}
+}
+
+type arrival struct {
+	msg int
+	at  Time
+}
+
+func sendChain(seed uint64, early bool) []arrival {
+	e := NewEngine()
+	rng := NewRand(seed)
+	cpu := NewCPU(e, "cpu", testCPUCfg())
+	a := NewLink(e, "a", testLinkCfg())
+	b := NewLink(e, "b", testLinkCfg())
+	var got []arrival
+	for i := 0; i < 300; i++ {
+		size, cost := int(rng.Int63n(9000)), rng.Int63n(3000)
+		deliver := func() { got = append(got, arrival{i, e.Now()}) }
+		// Submissions land in bursts, so the CPU and both links queue.
+		e.At(rng.Int63n(50)*10_000, func() {
+			if early {
+				at := cpu.Exec(cost, nil)
+				at = a.SendAt(DirAtoB, size, at, nil)
+				b.SendAt(DirAtoB, size, at, deliver)
+				return
+			}
+			cpu.Exec(cost, func() {
+				a.Send(DirAtoB, size, func() { b.Send(DirAtoB, size, deliver) })
+			})
+		})
+	}
+	e.Run()
+	return got
+}
+
+// TestLinkSendAtRejectsOutOfOrderHandOff: a hand-off before the previous
+// one on its direction, or before the clock, panics; the other direction
+// is independent.
+func TestLinkSendAtRejectsOutOfOrderHandOff(t *testing.T) {
+	cases := map[string]func(e *Engine, l *Link){
+		"earlier hand-off": func(e *Engine, l *Link) {
+			l.SendAt(DirAtoB, 100, 500, nil)
+			l.SendAt(DirAtoB, 100, 499, nil)
+		},
+		"send behind a hand-off": func(e *Engine, l *Link) {
+			l.SendAt(DirBtoA, 100, 500, nil)
+			l.Send(DirBtoA, 100, nil)
+		},
+		"before the clock": func(e *Engine, l *Link) {
+			e.At(1000, func() { l.SendAt(DirAtoB, 100, 999, nil) })
+			e.Run()
+		},
+	}
+	for name, fn := range cases {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			l := NewLink(e, "t", testLinkCfg())
+			defer func() {
+				if recover() == nil {
+					t.Fatal("want panic")
+				}
+			}()
+			fn(e, l)
+		})
+	}
+	e := NewEngine()
+	l := NewLink(e, "t", testLinkCfg())
+	l.SendAt(DirAtoB, 100, 500, nil)
+	l.SendAt(DirAtoB, 100, 500, nil) // the same instant is in order
+	l.Send(DirBtoA, 100, nil)
 }
 
 // Property: N back-to-back sends of the same size arrive exactly N*txTime

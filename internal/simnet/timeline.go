@@ -5,16 +5,17 @@ package simnet
 // order it takes them, so their event times never decrease, and whatever
 // runs next on the engine can only be the earliest of them. Only that head
 // sits in the engine's heap; the rest wait in a FIFO, each with the
-// sequence number Engine.At would have given it. The heap therefore pops the
-// same (time, sequence) order as if every event were in it, while a backlog
-// of hundreds of PDUs (the baseline target's CPU at saturation) costs it one
-// entry instead of hundreds.
+// hand-off instant and sequence number the engine would have given it. The
+// heap therefore pops the same order as if every event were in it, while a
+// backlog of hundreds of PDUs (the baseline target's CPU at saturation)
+// costs it one entry instead of hundreds.
 type timeline struct {
-	eng    *Engine
-	head   func()      // the callback of the event in the heap; nil if none
-	last   Time        // time of the latest event scheduled
-	behind Ring[event] // the events after the head, in order
-	run    func()      // runHead, bound once: what the heap holds for head
+	eng      *Engine
+	head     func()      // the callback of the event in the heap; nil if none
+	last     Time        // time of the latest event scheduled
+	lastFrom Time        // and when it was handed over
+	behind   Ring[event] // the events after the head, in order
+	run      func()      // runHead, bound once: what the heap holds for head
 }
 
 func newTimeline(eng *Engine) *timeline {
@@ -23,27 +24,26 @@ func newTimeline(eng *Engine) *timeline {
 	return tl
 }
 
-// at schedules fn at t exactly as eng.At(t, fn) would: same clamp, same
-// sequence number, same place in the run order.
-func (tl *timeline) at(t Time, fn func()) {
+// at schedules fn at t, handed over at from (at or after the clock),
+// exactly as the engine would: same clamp, same sequence number, same
+// place in the run order. At the clock, that is eng.At(t, fn).
+func (tl *timeline) at(t, from Time, fn func()) {
 	e := tl.eng
-	if t < e.now {
-		t = e.now
-	}
+	t = max(t, from)
 	if tl.head == nil {
-		tl.head, tl.last = fn, t
+		tl.head, tl.last, tl.lastFrom = fn, t, from
 		e.seq++
-		e.push(event{at: t, seq: e.seq, fn: tl.run})
+		e.push(event{at: t, from: from, seq: e.seq, fn: tl.run})
 		return
 	}
-	if t < tl.last {
+	if t < tl.last || (t == tl.last && from < tl.lastFrom) {
 		// Out of FIFO order: the heap sorts it like any other event.
-		e.At(t, fn)
+		e.handOff(t, from, fn)
 		return
 	}
-	tl.last = t
+	tl.last, tl.lastFrom = t, from
 	e.seq++
-	tl.behind.Push(event{at: t, seq: e.seq, fn: fn})
+	tl.behind.Push(event{at: t, from: from, seq: e.seq, fn: fn})
 	e.behind++
 }
 
@@ -56,7 +56,8 @@ func (tl *timeline) runHead() {
 		next := tl.behind.Pop()
 		tl.eng.behind--
 		tl.head = next.fn
-		tl.eng.push(event{at: next.at, seq: next.seq, fn: tl.run})
+		next.fn = tl.run
+		tl.eng.push(next)
 	} else {
 		tl.head = nil
 	}

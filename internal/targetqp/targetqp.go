@@ -150,15 +150,17 @@ type Config struct {
 	// Zero values mean base 0, stride 1 (a single unsharded target).
 	TenantBase   int
 	TenantStride int
-	// PooledPayloads opts the target into the proto buffer/struct pools:
-	// inbound write payloads are treated as pool-owned (taken from the
-	// CapsuleCmd and released once the device completes — or, when the
-	// backend keeps one, the buffer it hands back is released instead), and
-	// outbound CapsuleResp/C2HData PDUs come from the struct pools with
-	// pooled read buffers, to be released by the send function after
-	// marshal. Only a transport whose send path honours that ownership
-	// contract (the TCP server) may set it; the simulator passes PDUs by
-	// reference and must leave it false.
+	// PooledPayloads opts the target into the proto buffer pool: inbound
+	// write payloads are treated as pool-owned (taken from the CapsuleCmd
+	// and released once the device completes — or, when the backend keeps
+	// one, the buffer it hands back is released instead), and read data
+	// goes out in pooled buffers the send function releases after marshal.
+	// Only a transport whose send path honours that ownership contract
+	// (the TCP server) may set it; the simulator passes payloads by
+	// reference and must leave it false. Outbound CapsuleResp and C2HData
+	// structs come from proto's struct pools either way: the TCP writer
+	// recycles them after marshal, the simulator once the host has handled
+	// them.
 	PooledPayloads bool
 }
 
@@ -814,15 +816,11 @@ func (s *Session) onDeviceCompletion(req *Request, st nvme.Status, data []byte) 
 			maxSeg := int(t.cfg.MaxDataLen)
 			if len(data) <= maxSeg {
 				t.stats.DataPDUs++
-				if t.cfg.PooledPayloads {
-					d := proto.GetC2HData()
-					d.CCCID = cid
-					d.Data = data
-					data = nil // the send path releases payload and struct
-					s.send(d)
-				} else {
-					s.send(&proto.C2HData{CCCID: cid, Offset: 0, Data: data})
-				}
+				d := proto.GetC2HData()
+				d.CCCID = cid
+				d.Data = data
+				data = nil // the PDU carries it on (and, pooled, releases it)
+				s.send(d)
 			} else {
 				for off := 0; off < len(data); off += maxSeg {
 					end := off + maxSeg
@@ -830,19 +828,19 @@ func (s *Session) onDeviceCompletion(req *Request, st nvme.Status, data []byte) 
 						end = len(data)
 					}
 					t.stats.DataPDUs++
+					d := proto.GetC2HData()
+					d.CCCID = cid
+					d.Offset = uint32(off)
 					if t.cfg.PooledPayloads {
 						// Fragments must not alias one pooled buffer: the
 						// send path returns each payload to the pool
 						// independently, so every fragment gets its own.
-						d := proto.GetC2HData()
-						d.CCCID = cid
-						d.Offset = uint32(off)
 						d.Data = proto.GetBuf(end - off)
 						copy(d.Data, data[off:end])
-						s.send(d)
 					} else {
-						s.send(&proto.C2HData{CCCID: cid, Offset: uint32(off), Data: data[off:end]})
+						d.Data = data[off:end]
 					}
+					s.send(d)
 				}
 				if t.cfg.PooledPayloads {
 					proto.PutBuf(data)
@@ -900,15 +898,8 @@ func (s *Session) onDeviceCompletion(req *Request, st nvme.Status, data []byte) 
 func (s *Session) respond(cid nvme.CID, st nvme.Status, coalesced bool) {
 	t := s.target
 	t.stats.RespPDUs++
-	if t.cfg.PooledPayloads {
-		r := proto.GetCapsuleResp()
-		r.Cpl = nvme.Completion{CID: cid, Status: st}
-		r.Coalesced = coalesced
-		s.send(r)
-		return
-	}
-	s.send(&proto.CapsuleResp{
-		Cpl:       nvme.Completion{CID: cid, Status: st},
-		Coalesced: coalesced,
-	})
+	r := proto.GetCapsuleResp()
+	r.Cpl = nvme.Completion{CID: cid, Status: st}
+	r.Coalesced = coalesced
+	s.send(r)
 }
