@@ -2,7 +2,8 @@
 // evaluation (§V) on the simulated platform: window-size analysis
 // (Fig. 6), multi-tenant throughput and tail latency across
 // latency:throughput ratios (Fig. 7), scale-out patterns (Fig. 8), the
-// h5bench application study (Fig. 9), the Table I platform summary, and
+// h5bench application study (Fig. 9, replayed as h5bench's block sequence
+// by h5Rank), the Table I platform summary, and
 // the headline observations. Each experiment produces a Report whose rows
 // mirror the series the paper plots.
 package experiments

@@ -12,8 +12,7 @@ import (
 // Runner is one registered experiment.
 type Runner func(Config) (*Report, error)
 
-// registry maps experiment IDs to runners. Fig. 9 registers itself from
-// fig9.go.
+// registry maps experiment IDs to runners.
 var registry = map[string]Runner{
 	"tableI":    TableI,
 	"fig6a":     Fig6a,
@@ -23,6 +22,7 @@ var registry = map[string]Runner{
 	"fig7sum":   Fig7Summary,
 	"fig8p1":    Fig8Pattern1,
 	"fig8p2":    Fig8Pattern2,
+	"fig9":      Fig9,
 	"ablations": Ablations,
 	"shiftmix":  ShiftMix,
 	"e2egap":    E2EGap,

@@ -148,7 +148,7 @@ type TargetNode struct {
 }
 
 // NewTargetNode builds a target node. backed enables the SSD's in-memory
-// data store (needed by data-integrity tests and the HDF5 experiments;
+// data store (needed by data-integrity tests and the Fig. 9 ranks;
 // timing-only experiments leave it off).
 func (c *Cluster) NewTargetNode(name string, backed bool) (*TargetNode, error) {
 	cpu := simnet.NewCPU(c.Eng, name+"/cpu", c.profile.TargetCPU)

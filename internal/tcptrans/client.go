@@ -1045,8 +1045,8 @@ func (c *Conn) DrainNext() {
 
 // Defer runs fn on the connection's reactor goroutine, serialized with
 // every Submit completion callback (those that run on a borrowing reader
-// included). Single-goroutine state machines (e.g. the h5bench kernels) use
-// it to serialize their own transitions with their I/O callbacks.
+// included). A single-goroutine state machine driving the connection uses
+// it to serialize its own transitions with its I/O callbacks.
 func (c *Conn) Defer(fn func()) { c.post(fn) }
 
 // Telemetry returns the live metrics registry the connection was

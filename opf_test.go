@@ -96,62 +96,6 @@ func TestPublicOptimalWindow(t *testing.T) {
 	}
 }
 
-func TestPublicH5OverSim(t *testing.T) {
-	prof, _ := SimProfileFor(100)
-	cl := NewSimCluster(SimOptions{Profile: prof, Mode: ModeOPF, Seed: 2})
-	tgt, err := cl.NewTargetNode("t", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := cl.NewInitiatorNode("i", tgt)
-	ini, err := node.Connect(InitiatorConfig{Class: ThroughputCritical, Window: 8, QueueDepth: 32, NSID: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, err := NewH5SessionDevice(ini.Session, 4096, 0, 1<<20,
-		func(fn func()) { cl.Eng.Schedule(0, fn) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wrote, read bool
-	ini.Session.OnConnect(func() {
-		H5Create(dev, func(f *H5File, err error) {
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			f.CreateDataset("/d", H5Float32, 4096, func(ds *H5Dataset, err error) {
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				data := make([]byte, 4096)
-				for i := range data {
-					data[i] = byte(i * 3)
-				}
-				ds.Write(0, data, func(err error) {
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					wrote = true
-					ds.Read(0, 1024, func(got []byte, err error) {
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						read = bytes.Equal(got, data)
-					})
-				})
-			})
-		})
-	})
-	cl.Run()
-	if !wrote || !read {
-		t.Fatalf("wrote=%v read=%v", wrote, read)
-	}
-}
-
 func TestPublicDiscovery(t *testing.T) {
 	disc, err := ListenDiscovery("127.0.0.1:0")
 	if err != nil {
