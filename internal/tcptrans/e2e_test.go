@@ -105,8 +105,15 @@ func TestE2EFeedbackChannel(t *testing.T) {
 		}
 	}
 
-	// The acks re-estimated the clock offset on the host.
-	count, _ := hostTel.ClockReestimates(tenant)
+	// The acks re-estimated the clock offset on the host. The target sends
+	// each ack after its merge, so the last one may still be on the wire.
+	var count int64
+	for time.Now().Before(deadline) {
+		if count, _ = hostTel.ClockReestimates(tenant); count > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if count == 0 {
 		t.Fatal("no clock re-estimates recorded on the host")
 	}
