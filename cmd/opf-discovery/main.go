@@ -1,18 +1,18 @@
-// Command opf-discovery runs the cluster control plane: a discovery
-// endpoint that tracks member liveness through TTL'd keep-alive
+// Command opf-discovery runs the cluster control plane (cluster.
+// DiscoveryServer): it tracks member liveness through TTL'd keep-alive
 // registrations and maintains the shard → primary/replica map under a
-// monotonic epoch. Targets register via opf-target's -discovery/-nqn/
-// -keepalive flags; hosts resolve subsystems with tcptrans.DiscoverCluster,
-// nvmeopf.DialDiscovered, or route replicated I/O with cluster.Dial.
+// monotonic epoch, served as one JSON document at /cluster. Targets
+// register via opf-target's -discovery/-nqn/-keepalive flags; hosts route
+// replicated I/O with cluster.Dial (opf-perf -discovery).
 //
 // Usage:
 //
 //	opf-discovery -addr 127.0.0.1:4419
-//	opf-discovery -addr :4419 -min-shards 4 -debug-addr 127.0.0.1:9119
+//	opf-discovery -addr :4419 -debug-addr 127.0.0.1:9119
 //
-// With -debug-addr set, live membership and the shard map are served at
-// /debug/cluster and the control-plane counters (TTL expiries, stale-epoch
-// rejections, epoch, degradation) in /debug/tenants' global block.
+// With -debug-addr set, the same map is served at /debug/cluster and the
+// control-plane counters (TTL expiries, stale-epoch rejections, epoch,
+// degradation) in /debug/tenants' global block.
 package main
 
 import (
@@ -24,27 +24,20 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"nvmeopf/internal/tcptrans"
+	"nvmeopf/internal/cluster"
 	"nvmeopf/internal/telemetry"
 )
 
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:4419", "listen address")
-		minShards = flag.Int("min-shards", 0, "pre-size the shard map (it also grows to cover claimed shards)")
-		sweep     = flag.Duration("sweep", 25*time.Millisecond, "TTL-expiry sweep cadence")
 		debugAddr = flag.String("debug-addr", "", "serve /debug/cluster and the telemetry routes on this address (empty: off)")
 	)
 	flag.Parse()
 
 	tel := telemetry.New()
-	d, err := tcptrans.ListenDiscoveryCluster(*addr, tcptrans.DiscoveryConfig{
-		MinShards:     *minShards,
-		SweepInterval: *sweep,
-		Telemetry:     tel,
-	})
+	d, err := cluster.ListenDiscovery(*addr, cluster.DiscoveryConfig{Telemetry: tel})
 	if err != nil {
 		log.Fatal(err)
 	}

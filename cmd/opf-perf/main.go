@@ -112,8 +112,9 @@ func (t *tenant) run(stopAt time.Time, wg *sync.WaitGroup) {
 // client: clWrites stamped 4K writes striped over every shard (each
 // retried through failovers until acknowledged), then a full read-back
 // verification. Designed to complete even when a target is killed
-// mid-run — that is the CI failover smoke.
-func clusterMode(discoveryAddr string, clWrites int, allowUnreplicated bool) {
+// mid-run — that is the CI failover smoke — so a shard left without a
+// replica keeps taking unreplicated writes.
+func clusterMode(discoveryAddr string, clWrites int) {
 	tel := telemetry.New()
 	cc, err := cluster.Dial(cluster.Config{
 		DiscoveryAddr: discoveryAddr,
@@ -126,7 +127,7 @@ func clusterMode(discoveryAddr string, clWrites int, allowUnreplicated bool) {
 			},
 		},
 		RefreshInterval:   50 * time.Millisecond,
-		AllowUnreplicated: allowUnreplicated,
+		AllowUnreplicated: true,
 		Telemetry:         tel,
 	})
 	if err != nil {
@@ -214,13 +215,12 @@ func main() {
 		telInt   = flag.Duration("telemetry-interval", 0, "emit in-band TelemetryUpdate e2e feedback to the target at this cadence (0: off, wire-identical to builds without the channel)")
 		traceOut = flag.String("trace-dump", "", "write a host-side flight-recorder dump (JSONL) to this file at exit; pair with the target's /debug/trace for opf-trace")
 
-		discovery  = flag.String("discovery", "", "cluster mode: route a replicated workload through this discovery control plane instead of -addr")
-		clWrites   = flag.Int("cluster-writes", 2000, "cluster mode: bounded workload size (writes, then read-back verification)")
-		clReplOnly = flag.Bool("cluster-replicated-only", false, "cluster mode: refuse unreplicated writes (default tolerates a degraded shard so a failover smoke completes)")
+		discovery = flag.String("discovery", "", "cluster mode: route a replicated workload through this discovery control plane instead of -addr")
+		clWrites  = flag.Int("cluster-writes", 2000, "cluster mode: bounded workload size (writes, then read-back verification)")
 	)
 	flag.Parse()
 	if *discovery != "" {
-		clusterMode(*discovery, *clWrites, !*clReplOnly)
+		clusterMode(*discovery, *clWrites)
 		return
 	}
 	if *ls < 0 || *tc < 0 || *scav < 0 || *ls+*tc+*scav == 0 {

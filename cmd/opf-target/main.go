@@ -23,7 +23,6 @@ import (
 	"nvmeopf/internal/autotune"
 	"nvmeopf/internal/bdev"
 	"nvmeopf/internal/cluster"
-	"nvmeopf/internal/proto"
 	"nvmeopf/internal/targetqp"
 	"nvmeopf/internal/tcptrans"
 	"nvmeopf/internal/telemetry"
@@ -59,7 +58,7 @@ func main() {
 		statsSec  = flag.Int("stats", 10, "stats print interval seconds (0: off)")
 		discovery = flag.String("discovery", "", "discovery endpoint to register with (optional)")
 		nqn       = flag.String("nqn", "nqn.2024-01.io.nvmeopf:target", "subsystem NQN for discovery registration")
-		keepalive = flag.Duration("keepalive", 0, "re-register with -discovery at this cadence, TTL 3x (0: register once, never expire)")
+		keepalive = flag.Duration("keepalive", 500*time.Millisecond, "re-register with -discovery at this cadence; the registration's TTL is 3x")
 		clusterSh = flag.String("cluster-shards", "", "comma-separated namespace shards this target serves (e.g. 0,1); requires -discovery")
 		metrics   = flag.String("metrics-addr", "", "serve /metrics and /debug endpoints on this address (empty: off)")
 		recEvents = flag.Int("recorder-events", 4096, "flight-recorder ring capacity per tenant (0: recorder off)")
@@ -174,26 +173,20 @@ func main() {
 		if perr != nil {
 			log.Fatalf("-cluster-shards: %v", perr)
 		}
-		if *keepalive > 0 || len(shards) > 0 {
-			reg, derr := cluster.StartRegistrar(cluster.RegistrarConfig{
-				DiscoveryAddr: *discovery,
-				Entry:         proto.DiscEntry{NQN: *nqn, Addr: srv.Addr(), Mode: uint8(m)},
-				Shards:        shards,
-				Interval:      *keepalive,
-			})
-			if derr != nil {
-				log.Printf("discovery registration failed: %v", derr)
-			} else {
-				defer reg.Stop()
-				log.Printf("registered %q with discovery at %s (keep-alive %v, shards %v)",
-					*nqn, *discovery, *keepalive, shards)
-			}
-		} else if _, derr := tcptrans.RegisterCluster(*discovery, proto.DiscRegister{
-			Entry: proto.DiscEntry{NQN: *nqn, Addr: srv.Addr(), Mode: uint8(m)},
-		}, nil); derr != nil {
+		reg, derr := cluster.StartRegistrar(cluster.RegistrarConfig{
+			DiscoveryAddr: *discovery,
+			NQN:           *nqn,
+			Addr:          srv.Addr(),
+			Mode:          uint8(m),
+			Shards:        shards,
+			Interval:      *keepalive,
+		})
+		if derr != nil {
 			log.Printf("discovery registration failed: %v", derr)
 		} else {
-			log.Printf("registered %q with discovery at %s", *nqn, *discovery)
+			defer reg.Stop()
+			log.Printf("registered %q with discovery at %s (keep-alive %v, shards %v)",
+				*nqn, *discovery, *keepalive, shards)
 		}
 	}
 

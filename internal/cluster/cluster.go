@@ -1,9 +1,11 @@
-// Package cluster is the host-side view of a replicated NVMe-oPF
-// deployment: a Client that routes each I/O by namespace shard to the
-// shard's primary target, mirrors writes to the replica, and fails over
-// through the transport's reconnect-and-replay machinery when a target
-// dies — re-pointed at the promoted replica by a resolver backed by the
-// discovery control plane's shard map.
+// Package cluster is the control plane of a replicated NVMe-oPF
+// deployment and nothing of it is on the datapath: the DiscoveryServer
+// that keeps membership and the shard map, the Registrar each target
+// keeps itself in the map with, and the host-side Client that routes each
+// I/O by namespace shard to the shard's primary target, mirrors writes to
+// the replica, and fails over through the transport's
+// reconnect-and-replay machinery when a target dies — re-pointed at the
+// promoted replica by a resolver backed by the shard map.
 //
 // Consistency contract: a write is acknowledged only after both the
 // primary and the replica persisted it (or after the primary alone when
@@ -54,7 +56,7 @@ type Config struct {
 	Dial tcptrans.DialConfig
 	// DiscoveryDialer optionally replaces net.Dial for control-plane
 	// traffic only (fault injection partitions host↔discovery here).
-	DiscoveryDialer tcptrans.Dialer
+	DiscoveryDialer Dialer
 	// RefreshInterval is the background map-refresh cadence (default
 	// 100ms; 0 keeps the default, negative disables the loop).
 	RefreshInterval time.Duration
@@ -79,12 +81,13 @@ type shardConn struct {
 
 // Client routes I/O across a replicated multi-target cluster.
 type Client struct {
-	cfg Config
+	cfg  Config
+	disc endpoint
 
 	mu      sync.Mutex
 	epoch   uint64
 	addrs   map[string]string // NQN -> dial address
-	assign  []proto.ShardAssignment
+	assign  []ShardAssignment
 	nshards int
 	closed  bool
 
@@ -101,20 +104,20 @@ func Dial(cfg Config) (*Client, error) {
 	if cfg.RefreshInterval == 0 {
 		cfg.RefreshInterval = 100 * time.Millisecond
 	}
-	c := &Client{cfg: cfg, quit: make(chan struct{})}
-	resp, err := tcptrans.DiscoverCluster(cfg.DiscoveryAddr, cfg.DiscoveryDialer)
+	c := &Client{cfg: cfg, disc: newEndpoint(cfg.DiscoveryAddr, cfg.DiscoveryDialer), quit: make(chan struct{})}
+	m, err := c.disc.discover()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: initial discovery: %w", err)
 	}
-	if len(resp.Assignments) == 0 {
+	if len(m.Assignments) == 0 {
 		return nil, errors.New("cluster: discovery map has no shards")
 	}
-	c.nshards = len(resp.Assignments)
+	c.nshards = len(m.Assignments)
 	c.shards = make([]*shardConn, c.nshards)
 	for i := range c.shards {
 		c.shards[i] = &shardConn{}
 	}
-	c.adopt(resp)
+	c.adopt(m)
 	if cfg.RefreshInterval > 0 {
 		c.wg.Add(1)
 		go c.refreshLoop()
@@ -168,37 +171,37 @@ func (c *Client) refreshLoop() {
 // Refresh pulls the current map from discovery and adopts it if it is
 // not older than the one held.
 func (c *Client) Refresh() error {
-	resp, err := tcptrans.DiscoverCluster(c.cfg.DiscoveryAddr, c.cfg.DiscoveryDialer)
+	m, err := c.disc.discover()
 	if err != nil {
 		return err
 	}
-	return c.adopt(resp)
+	return c.adopt(m)
 }
 
 // adopt installs a discovery map. Maps older than the held epoch are
 // rejected (split-brain protection); equal epochs refresh addresses only.
-func (c *Client) adopt(resp *proto.DiscResp) error {
+func (c *Client) adopt(m *Map) error {
 	c.mu.Lock()
-	if resp.Epoch < c.epoch {
+	if m.Epoch < c.epoch {
 		held := c.epoch
 		c.mu.Unlock()
 		c.cfg.Telemetry.IncStaleEpoch()
-		return fmt.Errorf("cluster: rejecting stale map epoch %d < held %d", resp.Epoch, held)
+		return fmt.Errorf("cluster: rejecting stale map epoch %d < held %d", m.Epoch, held)
 	}
-	addrs := make(map[string]string, len(resp.Entries))
-	for _, e := range resp.Entries {
-		addrs[e.NQN] = e.Addr
+	addrs := make(map[string]string, len(m.Members))
+	for _, mb := range m.Members {
+		addrs[mb.NQN] = mb.Addr
 	}
 	failovers := 0
-	if resp.Epoch > c.epoch || c.addrs == nil {
-		for i, a := range resp.Assignments {
+	if m.Epoch > c.epoch || c.addrs == nil {
+		for i, a := range m.Assignments {
 			if i < len(c.assign) && c.assign[i].Primary != "" && a.Primary != "" &&
 				a.Primary != c.assign[i].Primary {
 				failovers++
 			}
 		}
-		c.assign = append(c.assign[:0], resp.Assignments...)
-		c.epoch = resp.Epoch
+		c.assign = append(c.assign[:0], m.Assignments...)
+		c.epoch = m.Epoch
 	}
 	c.addrs = addrs
 	degraded := false

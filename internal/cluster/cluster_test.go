@@ -88,7 +88,9 @@ func startTarget(t *testing.T, discAddr, nqn string, shards []uint32) *target {
 	}
 	reg, err := StartRegistrar(RegistrarConfig{
 		DiscoveryAddr: discAddr,
-		Entry:         proto.DiscEntry{NQN: nqn, Addr: srv.Addr(), Mode: uint8(targetqp.ModeOPF)},
+		NQN:           nqn,
+		Addr:          srv.Addr(),
+		Mode:          uint8(targetqp.ModeOPF),
 		Shards:        shards,
 		Interval:      50 * time.Millisecond,
 		TTL:           150 * time.Millisecond,
@@ -138,7 +140,7 @@ func TestClusterFailoverMidWindowNoLostAcks(t *testing.T) {
 	base := runtime.NumGoroutine()
 	hostReg := telemetry.New()
 	discReg := telemetry.New()
-	disc, err := tcptrans.ListenDiscoveryCluster("127.0.0.1:0", tcptrans.DiscoveryConfig{
+	disc, err := ListenDiscovery("127.0.0.1:0", DiscoveryConfig{
 		Telemetry: discReg, SweepInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -152,7 +154,7 @@ func TestClusterFailoverMidWindowNoLostAcks(t *testing.T) {
 	t2 := startTarget(t, disc.Addr(), "nqn.cluster.b", []uint32{0, 1})
 	t3 := startTarget(t, disc.Addr(), "nqn.cluster.c", []uint32{0, 1})
 	waitFor(t, "initial map", func() bool {
-		as := disc.Assignments()
+		as := disc.snapshot().Assignments
 		return len(as) == 2 && as[0].Primary == t1.nqn && as[0].Replica == t2.nqn &&
 			as[1].Primary == t2.nqn && as[1].Replica == t3.nqn
 	})
@@ -256,7 +258,7 @@ func TestClusterFailoverMidWindowNoLostAcks(t *testing.T) {
 	t1.kill()
 
 	waitFor(t, "replica promoted", func() bool {
-		as := disc.Assignments()
+		as := disc.snapshot().Assignments
 		return len(as) == 2 && as[0].Primary == t2.nqn && as[0].Replica == t3.nqn
 	})
 	// The writers must make post-failover progress on both shards.
@@ -324,7 +326,7 @@ func TestClusterFailoverMidWindowNoLostAcks(t *testing.T) {
 // rejected, counted, and changes nothing.
 func TestClusterStaleEpochMapRejected(t *testing.T) {
 	hostReg := telemetry.New()
-	disc, err := tcptrans.ListenDiscoveryCluster("127.0.0.1:0", tcptrans.DiscoveryConfig{})
+	disc, err := ListenDiscovery("127.0.0.1:0", DiscoveryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,10 +352,10 @@ func TestClusterStaleEpochMapRejected(t *testing.T) {
 		t.Fatalf("expected two joins to have bumped the epoch, held %d", held)
 	}
 	// A partitioned discovery replica serves yesterday's map.
-	staleMap := &proto.DiscResp{
+	staleMap := &Map{
 		Epoch:       held - 1,
-		Entries:     []proto.DiscEntry{{NQN: "nqn.ghost", Addr: "10.9.9.9:1", Mode: 1}},
-		Assignments: []proto.ShardAssignment{{Shard: 0, Primary: "nqn.ghost"}},
+		Members:     []Member{{NQN: "nqn.ghost", Addr: "10.9.9.9:1", Mode: 1}},
+		Assignments: []ShardAssignment{{Shard: 0, Primary: "nqn.ghost"}},
 	}
 	if err := cc.adopt(staleMap); err == nil || !strings.Contains(err.Error(), "stale") {
 		t.Fatalf("stale map not rejected: %v", err)
@@ -374,7 +376,7 @@ func TestClusterStaleEpochMapRejected(t *testing.T) {
 // replica dies with no standby, writes fail with ErrReadOnly (an acked
 // write must always be replicated) while reads keep being served.
 func TestClusterDegradedReadOnly(t *testing.T) {
-	disc, err := tcptrans.ListenDiscoveryCluster("127.0.0.1:0", tcptrans.DiscoveryConfig{
+	disc, err := ListenDiscovery("127.0.0.1:0", DiscoveryConfig{
 		SweepInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -385,7 +387,7 @@ func TestClusterDegradedReadOnly(t *testing.T) {
 	defer t1.stop()
 	t2 := startTarget(t, disc.Addr(), "nqn.deg.b", []uint32{0})
 	waitFor(t, "replicated map", func() bool {
-		as := disc.Assignments()
+		as := disc.snapshot().Assignments
 		return len(as) == 1 && as[0].Primary == t1.nqn && as[0].Replica == t2.nqn
 	})
 
@@ -432,7 +434,7 @@ func TestClusterDegradedReadOnly(t *testing.T) {
 // path cut, I/O keeps flowing on the held map, and the client recovers
 // its refresh loop when the partition heals.
 func TestClusterDiscoveryPartitionTolerated(t *testing.T) {
-	disc, err := tcptrans.ListenDiscoveryCluster("127.0.0.1:0", tcptrans.DiscoveryConfig{})
+	disc, err := ListenDiscovery("127.0.0.1:0", DiscoveryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +497,7 @@ func TestClusterDiscoveryPartitionTolerated(t *testing.T) {
 // was NOT declared idempotent must fail with the original transport
 // error rather than being silently replayed on reconnect.
 func TestClusterNonReplayableWriteSurfacesTransportError(t *testing.T) {
-	disc, err := tcptrans.ListenDiscoveryCluster("127.0.0.1:0", tcptrans.DiscoveryConfig{
+	disc, err := ListenDiscovery("127.0.0.1:0", DiscoveryConfig{
 		SweepInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -562,7 +564,7 @@ func TestClusterNonReplayableWriteSurfacesTransportError(t *testing.T) {
 // TestClusterShardRouting pins the NSID→shard mapping and the no-shard
 // dial failure.
 func TestClusterShardRouting(t *testing.T) {
-	disc, err := tcptrans.ListenDiscoveryCluster("127.0.0.1:0", tcptrans.DiscoveryConfig{})
+	disc, err := ListenDiscovery("127.0.0.1:0", DiscoveryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

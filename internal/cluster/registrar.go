@@ -1,20 +1,19 @@
 package cluster
 
 import (
-	"strings"
+	"errors"
 	"sync"
 	"time"
-
-	"nvmeopf/internal/proto"
-	"nvmeopf/internal/tcptrans"
 )
 
 // RegistrarConfig configures a target's keep-alive registration loop.
 type RegistrarConfig struct {
 	// DiscoveryAddr is the control plane endpoint.
 	DiscoveryAddr string
-	// Entry describes this target in the discovery log.
-	Entry proto.DiscEntry
+	// NQN, Addr and Mode describe this target in the map.
+	NQN  string
+	Addr string
+	Mode uint8
 	// Shards are the namespace shards this target volunteers to serve.
 	Shards []uint32
 	// Interval is the re-registration cadence (default 500ms).
@@ -24,24 +23,24 @@ type RegistrarConfig struct {
 	TTL time.Duration
 	// Dialer optionally replaces net.Dial for registration traffic
 	// (fault injection partitions target↔discovery here).
-	Dialer tcptrans.Dialer
+	Dialer Dialer
 }
 
 // Registrar keeps one target registered with the control plane: it
 // re-registers every Interval carrying the last map epoch the plane
 // returned, so the plane can tell a heartbeat from a stale rejoin. If a
-// registration is rejected for a stale epoch (this target expired and
+// registration is refused for a stale epoch (this target expired and
 // the map moved on), the registrar re-discovers the current map first
 // and rejoins with the fresh epoch — it may come back only as a standby,
 // never silently resuming its old role.
 type Registrar struct {
 	cfg  RegistrarConfig
+	disc endpoint
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	mu      sync.Mutex
-	epoch   uint64
-	lastErr error
+	mu    sync.Mutex
+	epoch uint64
 }
 
 // StartRegistrar performs one synchronous registration (failing fast if
@@ -54,27 +53,13 @@ func StartRegistrar(cfg RegistrarConfig) (*Registrar, error) {
 	if cfg.TTL <= 0 {
 		cfg.TTL = 3 * cfg.Interval
 	}
-	r := &Registrar{cfg: cfg, quit: make(chan struct{})}
+	r := &Registrar{cfg: cfg, disc: newEndpoint(cfg.DiscoveryAddr, cfg.Dialer), quit: make(chan struct{})}
 	if err := r.registerOnce(); err != nil {
 		return nil, err
 	}
 	r.wg.Add(1)
 	go r.loop()
 	return r, nil
-}
-
-// Epoch returns the last map epoch the control plane returned.
-func (r *Registrar) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
-}
-
-// Err returns the most recent keep-alive error (nil after a success).
-func (r *Registrar) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastErr
 }
 
 // Stop ends the keep-alive loop. The registration is left to expire via
@@ -101,20 +86,18 @@ func (r *Registrar) loop() {
 		case <-r.quit:
 			return
 		case <-t.C:
-			err := r.registerOnce()
-			if err != nil && isStaleEpoch(err) {
+			// Any other failure (a partition, a restarting plane) is
+			// retried on the next tick, inside the TTL's slack.
+			if err := r.registerOnce(); errors.Is(err, ErrStaleEpoch) {
 				// Expired while partitioned: adopt the current map's
 				// epoch, then rejoin acting on fresh state.
-				if resp, derr := tcptrans.DiscoverCluster(r.cfg.DiscoveryAddr, r.cfg.Dialer); derr == nil {
+				if m, derr := r.disc.discover(); derr == nil {
 					r.mu.Lock()
-					r.epoch = resp.Epoch
+					r.epoch = m.Epoch
 					r.mu.Unlock()
-					err = r.registerOnce()
+					_ = r.registerOnce()
 				}
 			}
-			r.mu.Lock()
-			r.lastErr = err
-			r.mu.Unlock()
 		}
 	}
 }
@@ -123,24 +106,19 @@ func (r *Registrar) registerOnce() error {
 	r.mu.Lock()
 	epoch := r.epoch
 	r.mu.Unlock()
-	resp, err := tcptrans.RegisterCluster(r.cfg.DiscoveryAddr, proto.DiscRegister{
-		Entry:  r.cfg.Entry,
-		TTLMs:  uint32(r.cfg.TTL.Milliseconds()),
+	m, err := r.disc.register(Registration{
+		NQN:    r.cfg.NQN,
+		Addr:   r.cfg.Addr,
+		Mode:   r.cfg.Mode,
+		TTLMs:  r.cfg.TTL.Milliseconds(),
 		Epoch:  epoch,
 		Shards: r.cfg.Shards,
-	}, r.cfg.Dialer)
+	})
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
-	r.epoch = resp.Epoch
-	r.lastErr = nil
+	r.epoch = m.Epoch
 	r.mu.Unlock()
 	return nil
-}
-
-// isStaleEpoch matches the control plane's stale-epoch rejection (which
-// arrives as a formatted TermReq reason, not a typed error).
-func isStaleEpoch(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "stale epoch")
 }

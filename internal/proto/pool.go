@@ -7,7 +7,7 @@ package proto
 //     payload decode. Amortized zero allocations per PDU.
 //   - PDU structs (Recycle): the three hot capsule types cycle through
 //     sync.Pools so a steady-state datapath never allocates a PDU header
-//     object. Cold types (ICReq, ICResp, TermReq, discovery) are not
+//     object. Cold types (ICReq, ICResp, TermReq, telemetry) are not
 //     pooled — they appear once per connection, not once per request.
 //   - the Reader's scratch buffer: one per connection, 4 KiB for its whole
 //     life. Only common headers, the fixed part of data-bearing PDUs and
@@ -291,8 +291,9 @@ func (rd *Reader) alloc(typ Type) (PDU, error) {
 
 // readWhole reads an n-byte body without a detachable payload and decodes
 // it in place. The per-request types fit scratch; a rare larger one (a
-// discovery log page, a TermReq with a long reason) gets a buffer for the
-// one call, so nothing a peer sends pins memory to the connection.
+// TelemetryUpdate with many buckets, a TermReq with a long reason) gets a
+// buffer for the one call, so nothing a peer sends pins memory to the
+// connection.
 func (rd *Reader) readWhole(p PDU, n int) error {
 	body := rd.scratch[chSize:]
 	if n > len(body) {

@@ -621,12 +621,6 @@ func newPDU(typ Type) (PDU, error) {
 		return &H2CData{}, nil
 	case TypeH2CTermReq, TypeC2HTermReq:
 		return &TermReq{Dir: typ}, nil
-	case TypeDiscReq:
-		return &DiscReq{}, nil
-	case TypeDiscResp:
-		return &DiscResp{}, nil
-	case TypeDiscRegister:
-		return &DiscRegister{}, nil
 	case TypeTelemetryUpdate:
 		return &TelemetryUpdate{}, nil
 	case TypeTelemetryAck:

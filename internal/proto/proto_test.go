@@ -315,104 +315,6 @@ func TestUnmarshalRobustness(t *testing.T) {
 	}
 }
 
-func TestDiscoveryPDURoundTrip(t *testing.T) {
-	in := &DiscResp{Entries: []DiscEntry{
-		{NQN: "nqn.2024-01.io.nvmeopf:sub1", Addr: "10.0.0.1:4420", Mode: 1},
-		{NQN: "nqn.2024-01.io.nvmeopf:sub2", Addr: "[::1]:4421", Mode: 0},
-	}}
-	out := roundTrip(t, in).(*DiscResp)
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("got %+v, want %+v", out, in)
-	}
-	req := roundTrip(t, &DiscReq{}).(*DiscReq)
-	_ = req
-	// Empty log round-trips to zero entries.
-	empty := roundTrip(t, &DiscResp{}).(*DiscResp)
-	if len(empty.Entries) != 0 {
-		t.Fatalf("empty log decoded to %+v", empty.Entries)
-	}
-}
-
-// TestDiscoveryClusterExtensionRoundTrip pins the cluster fields layered
-// onto the discovery PDUs: TTL/epoch/shard claims on DiscRegister, map
-// epoch and shard assignments on DiscResp — and that a legacy body (no
-// trailing extension) still decodes with the extension zeroed.
-func TestDiscoveryClusterExtensionRoundTrip(t *testing.T) {
-	reg := &DiscRegister{
-		Entry:  DiscEntry{NQN: "nqn.2024-01.io.nvmeopf:t0", Addr: "10.0.0.1:4420", Mode: 1},
-		TTLMs:  1500,
-		Epoch:  42,
-		Shards: []uint32{0, 2, 5},
-	}
-	gotReg := roundTrip(t, reg).(*DiscRegister)
-	if !reflect.DeepEqual(gotReg, reg) {
-		t.Fatalf("DiscRegister got %+v, want %+v", gotReg, reg)
-	}
-	resp := &DiscResp{
-		Entries: []DiscEntry{
-			{NQN: "nqn.a", Addr: "h:1", Mode: 1},
-			{NQN: "nqn.b", Addr: "h:2", Mode: 1},
-		},
-		Epoch: 7,
-		Assignments: []ShardAssignment{
-			{Shard: 0, Primary: "nqn.a", Replica: "nqn.b"},
-			{Shard: 1, Primary: "nqn.b", Replica: ""},
-		},
-	}
-	gotResp := roundTrip(t, resp).(*DiscResp)
-	if !reflect.DeepEqual(gotResp, resp) {
-		t.Fatalf("DiscResp got %+v, want %+v", gotResp, resp)
-	}
-
-	// A legacy register body — everything up to and including the mode
-	// byte, no extension — must decode with TTL/epoch/shards zeroed.
-	full := Marshal(reg)
-	legacyLen := chSize + 2 + len(reg.Entry.NQN) + 2 + len(reg.Entry.Addr) + 1
-	legacy := make([]byte, legacyLen)
-	copy(legacy, full[:legacyLen])
-	legacy[4] = byte(legacyLen)
-	legacy[5], legacy[6], legacy[7] = byte(legacyLen>>8), 0, 0
-	dec, err := Unmarshal(legacy)
-	if err != nil {
-		t.Fatalf("legacy DiscRegister rejected: %v", err)
-	}
-	lr := dec.(*DiscRegister)
-	if lr.TTLMs != 0 || lr.Epoch != 0 || lr.Shards != nil {
-		t.Fatalf("legacy body decoded nonzero extension: %+v", lr)
-	}
-	if lr.Entry != reg.Entry {
-		t.Fatalf("legacy entry mismatch: %+v", lr.Entry)
-	}
-}
-
-func TestDiscRespTruncationDetected(t *testing.T) {
-	buf := Marshal(&DiscResp{Entries: []DiscEntry{{NQN: "nqn.a", Addr: "x:1", Mode: 1}}})
-	short := buf[:len(buf)-2]
-	short[4] = byte(len(short))
-	short[5], short[6], short[7] = byte(len(short)>>8), 0, 0
-	if _, err := Unmarshal(short); err == nil {
-		t.Fatal("truncated DiscResp accepted")
-	}
-}
-
-func TestDiscEntryValidate(t *testing.T) {
-	good := DiscEntry{NQN: "nqn.x", Addr: "h:1"}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []DiscEntry{
-		{NQN: "", Addr: "h:1"},
-		{NQN: string(make([]byte, 300)), Addr: "h:1"},
-		{NQN: "nqn.x", Addr: ""},
-		{NQN: "nqn.x", Addr: string(make([]byte, 300))},
-	}
-	for i, e := range bad {
-		if err := e.Validate(); err == nil {
-			t.Errorf("bad entry %d accepted", i)
-		}
-	}
-}
-
 // FuzzUnmarshal ensures the PDU decoder never panics on arbitrary framed
 // bytes (run with `go test -fuzz=FuzzUnmarshal ./internal/proto/` to
 // explore; the seed corpus runs in every normal `go test`).
@@ -422,8 +324,8 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(Marshal(&CapsuleCmd{Cmd: nvme.Command{Opcode: nvme.OpWrite, CID: 1}, Data: []byte("abc")}))
 	f.Add(Marshal(&CapsuleResp{Cpl: nvme.Completion{CID: 5}, Coalesced: true}))
 	f.Add(Marshal(&C2HData{CCCID: 3, Data: []byte{1, 2, 3, 4}}))
-	f.Add(Marshal(&DiscResp{Entries: []DiscEntry{{NQN: "nqn.x", Addr: "a:1", Mode: 1}}}))
-	f.Add(Marshal(&DiscRegister{Entry: DiscEntry{NQN: "nqn.y", Addr: "b:2"}}))
+	f.Add(Marshal(&TelemetryUpdate{SubBits: 6, Classes: []TelemetryClassDelta{{Class: PrioLatencySensitive, Buckets: []TelemetryBucket{{Index: 7, Count: 2}}}}}))
+	f.Add(Marshal(&TelemetryAck{EchoHostClock: 5, TargetClock: 9}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		p, err := Unmarshal(raw)

@@ -5,9 +5,9 @@ import (
 	"fmt"
 )
 
-// Telemetry PDU types. These extend the dialect past the discovery range
-// (0x08–0x0A): an in-band host→target feedback channel that closes the
-// egress-queue blind spot — the target's own service-latency telemetry
+// Telemetry PDU types. These extend the dialect past the retired
+// discovery codes (0x08–0x0A, refused on decode): an in-band
+// host→target feedback channel that closes the egress-queue blind spot — the target's own service-latency telemetry
 // cannot see queueing that happens after its completions leave the NIC,
 // so each host periodically reports what it actually observed.
 const (

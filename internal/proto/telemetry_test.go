@@ -76,12 +76,19 @@ func TestTelemetryAckRoundTrip(t *testing.T) {
 }
 
 // TestTelemetryTypesPastDiscovery pins the type-code allocation: telemetry
-// PDUs must not collide with the core (0x00–0x07) or discovery
-// (0x08–0x0A) ranges.
+// PDUs sit past the core range (0x00–0x07) and the retired discovery
+// codes (0x08–0x0A). Those three are not free: the cluster control plane
+// left the wire, and a peer still sending one must be refused, so no new
+// PDU may take them and the telemetry codes must not move into them.
 func TestTelemetryTypesPastDiscovery(t *testing.T) {
 	if TypeTelemetryUpdate != 0x0B || TypeTelemetryAck != 0x0C {
 		t.Fatalf("telemetry PDU types moved: update=0x%02x ack=0x%02x",
 			uint8(TypeTelemetryUpdate), uint8(TypeTelemetryAck))
+	}
+	for typ := Type(0x08); typ <= 0x0A; typ++ {
+		if p, err := newPDU(typ); err == nil {
+			t.Fatalf("retired type 0x%02x decodes as %T", uint8(typ), p)
+		}
 	}
 	for _, typ := range []Type{TypeTelemetryUpdate, TypeTelemetryAck} {
 		if strings.HasPrefix(typ.String(), "Type(") {

@@ -83,9 +83,9 @@ type RecoveryConfig struct {
 	// consume budget.
 	BusyBackoff time.Duration
 	// Resolver, when set, is consulted before every reconnect attempt and
-	// returns the address to dial — the cluster failover hook: a resolver
-	// backed by the discovery map re-points recovery at the promoted
-	// replica instead of the dead primary. A resolver error fails that
+	// returns the address to dial — the failover hook: a resolver can
+	// re-point recovery at a promoted replica instead of the dead
+	// primary. A resolver error fails that
 	// attempt (the retry loop backs off and asks again); nil keeps the
 	// original address forever.
 	Resolver func() (string, error)

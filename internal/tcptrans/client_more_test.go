@@ -99,9 +99,3 @@ func TestServerDoubleClose(t *testing.T) {
 		t.Errorf("stats after close: %+v", st)
 	}
 }
-
-func TestDiscoverUnreachable(t *testing.T) {
-	if _, err := DiscoverCluster("127.0.0.1:1", nil); err == nil {
-		t.Fatal("unreachable discovery succeeded")
-	}
-}

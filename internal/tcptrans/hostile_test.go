@@ -6,6 +6,7 @@ package tcptrans
 // CID, so both must bounds-check what the other sends.
 
 import (
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -168,5 +169,69 @@ func TestResponseForCIDOutsideDepthResetsConnection(t *testing.T) {
 			t.Fatal("client never reset the hostile connection")
 		}
 		c.Close()
+	}
+}
+
+// TestHostilePeerRetiredControlPlaneTypes: the type codes 0x08–0x0A once
+// carried discovery PDUs; the control plane has left the datapath, so a
+// target must refuse them like any unknown type. A raw peer on an
+// established connection parks one TC write and then sends one retired
+// type. Only that connection is reset — its session torn down, the parked
+// write dropped — while a latency-sensitive neighbour on the same shard
+// keeps completing throughout.
+func TestHostilePeerRetiredControlPlaneTypes(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Mode: targetqp.ModeOPF, Device: newBdevMemory(t, 4096, 1<<10), Shards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	neighbour := dial(t, srv, proto.PrioLatencySensitive, 1, 1)
+	var stop atomic.Bool
+	var reads, failures atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			if _, err := neighbour.Read(7, 1, 0); err != nil {
+				failures.Add(1)
+				return
+			}
+			reads.Add(1)
+		}
+	}()
+
+	for i, typ := range []byte{0x08, 0x09, 0x0A} {
+		peer := dialRaw(t, srv, proto.PrioThroughputCritical)
+		peer.cmd(nvme.OpWrite, 0, uint64(100+i), 1, 0) // parks: no drain flag
+		// A bare 16-byte frame: an 8-byte common header (type, flags,
+		// header length, data offset, total length) and an empty body.
+		frame := []byte{typ, 0, 8, 8, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+		if _, err := peer.nc.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		peer.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		// A close arrives as EOF (nil from Copy) or as a reset; a timeout
+		// means the target is still reading.
+		var ne net.Error
+		if _, err := io.Copy(io.Discard, peer.nc); errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("type 0x%02x: connection still open: %v", typ, err)
+		}
+		waitFor(t, "the peer's session to be torn down", func() bool {
+			st := srv.Stats()
+			return st.Disconnects == int64(i+1) && st.TeardownDrops == int64(i+1)
+		})
+		before := reads.Load()
+		waitFor(t, "the neighbour to keep completing", func() bool { return reads.Load() > before+10 })
+	}
+	stop.Store(true)
+	<-done
+	if n := failures.Load(); n != 0 {
+		t.Fatalf("the neighbour's read failed")
+	}
+	if pm := srv.PMStats(); pm.TCQueued != 3 || pm.Drains != 0 || pm.LSBypassed != reads.Load() {
+		t.Errorf("PM saw more than the three parked writes and the neighbour's reads: %+v", pm)
 	}
 }

@@ -276,31 +276,3 @@ var CorrelateTraces = telemetry.Correlate
 // ChainTrace composes trace hooks so one event stream can feed several
 // consumers (e.g. a recorder plus a custom TraceFunc).
 var ChainTrace = telemetry.ChainTrace
-
-// DiscoveryServer is a discovery endpoint: targets register their
-// subsystems, hosts resolve them (the dialect's NVMe-oF discovery
-// controller).
-type DiscoveryServer = tcptrans.DiscoveryServer
-
-// DiscoveryEntry is one discovery log record.
-type DiscoveryEntry = proto.DiscEntry
-
-// ListenDiscovery starts a discovery endpoint.
-func ListenDiscovery(addr string) (*DiscoveryServer, error) {
-	return tcptrans.ListenDiscovery(addr)
-}
-
-// Discover queries a discovery endpoint for its subsystem log.
-func Discover(addr string) ([]DiscoveryEntry, error) {
-	resp, err := tcptrans.DiscoverCluster(addr, nil)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil
-}
-
-// DialDiscovered resolves a subsystem NQN through a discovery endpoint and
-// connects to it.
-func DialDiscovered(discoveryAddr, nqn string, cfg InitiatorConfig) (*Conn, error) {
-	return tcptrans.DialDiscovered(discoveryAddr, nqn, cfg)
-}

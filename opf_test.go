@@ -96,39 +96,6 @@ func TestPublicOptimalWindow(t *testing.T) {
 	}
 }
 
-func TestPublicDiscovery(t *testing.T) {
-	disc, err := ListenDiscovery("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disc.Close()
-	srv, err := ListenMemory("127.0.0.1:0", ModeOPF, 4096, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if err := disc.Register("nqn.test", srv.Addr(), ModeOPF); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := Discover(disc.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].NQN != "nqn.test" {
-		t.Fatalf("entries = %+v", entries)
-	}
-	conn, err := DialDiscovered(disc.Addr(), "nqn.test", InitiatorConfig{
-		Class: LatencySensitive, Window: 1, QueueDepth: 1, NSID: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Write(0, make([]byte, 4096), 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPublicExperimentConfigs(t *testing.T) {
 	d, q := DefaultExperimentConfig(), QuickExperimentConfig()
 	if d.SimMillis <= q.SimMillis {
