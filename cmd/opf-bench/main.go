@@ -30,7 +30,6 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		plot     = flag.Bool("plot", false, "append an ASCII bar sketch of each figure")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		metrics  = flag.String("metrics-addr", "", "serve the simulated targets' /metrics and /debug endpoints on this address while experiments run (empty: off)")
 		traceOut = flag.String("trace-dump", "", "write flight-recorder dumps of the last simulated case to <path>.host.jsonl and <path>.target.jsonl (analyze with opf-trace)")
 	)
 	flag.Parse()
@@ -40,16 +39,6 @@ func main() {
 		return
 	}
 	cfg := experiments.Config{SimMillis: *simMS, WarmupMillis: *warmMS, Seed: *seed}
-	if *metrics != "" {
-		cfg.Telemetry = telemetry.New()
-		srv, err := cfg.Telemetry.Serve(*metrics)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "opf-bench: metrics: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics\n", srv.Addr())
-	}
 	var lastCluster *simcluster.Cluster
 	if *traceOut != "" {
 		cfg.OnCluster = func(cl *simcluster.Cluster) {

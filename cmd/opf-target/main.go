@@ -45,13 +45,15 @@ func parseShards(s string) ([]uint32, error) {
 	return out, nil
 }
 
+// blockSize is the namespace block size: 4 KiB, the paper's I/O unit.
+const blockSize = 4096
+
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:4420", "listen address")
 		mode      = flag.String("mode", "opf", "target mode: opf or baseline")
 		file      = flag.String("file", "", "backing file (empty: in-memory)")
 		blocks    = flag.Uint64("blocks", 1<<18, "device capacity in blocks")
-		blockSize = flag.Uint("block-size", 4096, "block size in bytes")
 		readLat   = flag.Duration("read-lat", 0, "injected per-read device latency")
 		writeLat  = flag.Duration("write-lat", 0, "injected per-write device latency")
 		shards    = flag.Int("shards", 0, "reactor shards owning sessions round-robin (0: GOMAXPROCS)")
@@ -61,7 +63,6 @@ func main() {
 		keepalive = flag.Duration("keepalive", 500*time.Millisecond, "re-register with -discovery at this cadence; the registration's TTL is 3x")
 		clusterSh = flag.String("cluster-shards", "", "comma-separated namespace shards this target serves (e.g. 0,1); requires -discovery")
 		metrics   = flag.String("metrics-addr", "", "serve /metrics and /debug endpoints on this address (empty: off)")
-		recEvents = flag.Int("recorder-events", 4096, "flight-recorder ring capacity per tenant (0: recorder off)")
 		recStall  = flag.Duration("recorder-stall", 0, "drain-stall anomaly threshold for auto snapshots (0: off)")
 		sloObj    = flag.Duration("slo", 0, "LS latency objective -autotune enforces (required with -autotune)")
 		sloTarget = flag.Float64("slo-target", 0.999, "fraction of LS completions that must meet -slo")
@@ -78,8 +79,6 @@ func main() {
 		scavHeadroom     = flag.Int("scavenger-headroom", 0, "additional slots of -max-pending-global scavenger requests may never occupy")
 		drainWatchdog    = flag.Duration("drain-watchdog", 0, "force-drain a TC queue parked this long with no draining flag (0: off)")
 		scavAging        = flag.Duration("scavenger-aging", 0, "force-drain a scavenger queue parked this long behind foreground traffic (0: drain only on idle capacity)")
-
-		maxDataLen = flag.Uint("max-data-len", 0, "largest single C2HData payload; larger reads are segmented (0: default 1 MiB)")
 	)
 	flag.Parse()
 
@@ -97,13 +96,13 @@ func main() {
 	var err error
 	if *file != "" {
 		var fd *bdev.File
-		fd, err = bdev.OpenFile(*file, uint32(*blockSize), *blocks)
+		fd, err = bdev.OpenFile(*file, blockSize, *blocks)
 		if err == nil {
 			defer fd.Close()
 			dev = fd
 		}
 	} else {
-		dev, err = bdev.NewMemory(uint32(*blockSize), *blocks)
+		dev, err = bdev.NewMemory(blockSize, *blocks)
 	}
 	if err != nil {
 		log.Fatalf("device: %v", err)
@@ -113,14 +112,11 @@ func main() {
 	var rec *telemetry.Recorder
 	if *metrics != "" {
 		tel = telemetry.New()
-		if *recEvents > 0 {
-			rec = telemetry.NewRecorder(telemetry.RecorderConfig{
-				PerTenant:      *recEvents,
-				StallThreshold: *recStall,
-				Role:           "target",
-			})
-			tel.SetRecorder(rec) // serves JSONL dumps at /debug/trace
-		}
+		rec = telemetry.NewRecorder(telemetry.RecorderConfig{
+			StallThreshold: *recStall, // 4096 events per tenant
+			Role:           "target",
+		})
+		tel.SetRecorder(rec) // serves JSONL dumps at /debug/trace
 	}
 	var atCfg *autotune.Config
 	if *auto {
@@ -150,7 +146,6 @@ func main() {
 		ScavengerHeadroom:   *scavHeadroom,
 		DrainWatchdog:       *drainWatchdog,
 		ScavengerAging:      *scavAging,
-		MaxDataLen:          uint32(*maxDataLen),
 		Telemetry:           tel,
 		Recorder:            rec,
 		Autotune:            atCfg,
@@ -159,7 +154,7 @@ func main() {
 		log.Fatalf("listen: %v", err)
 	}
 	defer srv.Close()
-	log.Printf("nvme-opf target (%s, %d shards) serving %d x %dB blocks on %s", m, srv.Shards(), *blocks, *blockSize, srv.Addr())
+	log.Printf("nvme-opf target (%s, %d shards) serving %d x %dB blocks on %s", m, srv.Shards(), *blocks, blockSize, srv.Addr())
 	if tel != nil {
 		exp, merr := tel.Serve(*metrics)
 		if merr != nil {
@@ -185,7 +180,7 @@ func main() {
 			log.Printf("discovery registration failed: %v", derr)
 		} else {
 			defer reg.Stop()
-			log.Printf("registered %q with discovery at %s (keep-alive %v, shards %v)",
+			log.Printf("keeping %q registered with discovery at %s (keep-alive %v, shards %v)",
 				*nqn, *discovery, *keepalive, shards)
 		}
 	}

@@ -242,9 +242,8 @@ func render(f *frame, h *history, addr string, clear bool) {
 
 func main() {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:9110", "telemetry exporter address (a -metrics-addr)")
-		interval = flag.Duration("interval", time.Second, "poll/refresh interval")
-		once     = flag.Bool("once", false, "render a single plain frame and exit (CI smoke)")
+		addr = flag.String("addr", "127.0.0.1:9110", "telemetry exporter address (a -metrics-addr)")
+		once = flag.Bool("once", false, "render a single plain frame and exit (CI smoke)")
 	)
 	flag.Parse()
 
@@ -270,7 +269,7 @@ func main() {
 		return
 	}
 	render(f, h, *addr, false)
-	for range time.Tick(*interval) {
+	for range time.Tick(time.Second) {
 		f, err := poll(client, base)
 		if err != nil {
 			fmt.Printf("opf-top: %v (retrying)\n", err)

@@ -41,7 +41,6 @@ func readDump(path string) (*telemetry.Dump, error) {
 func main() {
 	var (
 		stall  = flag.Duration("stall", 0, "flag requests that waited longer than this between arrival and drain start (0: only dump-carried stall snapshots)")
-		holFac = flag.Float64("hol-factor", 4, "flag LS requests whose device service exceeds this multiple of the LS median under another tenant's drain window")
 		top    = flag.Int("top", 5, "slowest-requests table size")
 		minRec = flag.Float64("min-complete", 0, "exit non-zero when the reconstructed fraction falls below this (e.g. 0.99)")
 	)
@@ -78,7 +77,6 @@ func main() {
 	corr := telemetry.Correlate(host, target)
 	report := telemetry.Analyze(corr, telemetry.AnalyzeOptions{
 		StallThreshold: stall.Nanoseconds(),
-		HoLFactor:      *holFac,
 		Top:            *top,
 	})
 	if err := report.WriteText(os.Stdout); err != nil {

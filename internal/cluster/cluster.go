@@ -337,19 +337,14 @@ func (c *Client) ensureReplica(shard int) (*tcptrans.Conn, error) {
 	return conn, nil
 }
 
-// submit issues one asynchronous I/O, folding a non-OK device status into
-// the error and delivering exactly one value.
+// submit runs one I/O through Conn.Do on its own goroutine, so both
+// copies of a mirrored write are in flight at once, and delivers exactly
+// one error.
 func submit(c *tcptrans.Conn, io hostqp.IO, errs chan<- error) {
-	io.Done = func(r hostqp.Result) {
-		err := r.Err
-		if err == nil && !r.Status.OK() {
-			err = fmt.Errorf("cluster: I/O failed: %v", r.Status)
-		}
+	go func() {
+		_, err := c.Do(io)
 		errs <- err
-	}
-	if err := c.Submit(io); err != nil {
-		errs <- err
-	}
+	}()
 }
 
 // Write stores data on the namespace's shard: mirrored to primary and

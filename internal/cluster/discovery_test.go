@@ -412,3 +412,45 @@ func TestClusterRegistrarRejoinsAsReplica(t *testing.T) {
 		t.Fatalf("stale-epoch rejections = %d, want exactly the one 409 before the rejoin", n)
 	}
 }
+
+// TestRegistrarJoinsAPlaneThatStartsLater starts a target's registrar
+// before its control plane listens: the first registration is refused a
+// connection, and the keep-alive loop must register the target once the
+// plane is up. A plane that answers and refuses the entry (an invalid
+// NQN) still fails StartRegistrar at once.
+func TestRegistrarJoinsAPlaneThatStartsLater(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nothing listens here until the plane starts below
+	r, err := StartRegistrar(RegistrarConfig{
+		DiscoveryAddr: addr, NQN: "nqn.late.a", Addr: "nqn.late.a:4420", Mode: 1,
+		Shards: []uint32{0}, Interval: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("registrar gave up on a plane that is not up yet: %v", err)
+	}
+	t.Cleanup(r.Stop)
+	time.Sleep(50 * time.Millisecond) // a few keep-alives find nobody
+	d, err := ListenDiscovery(addr, DiscoveryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	waitFor(t, "the late plane to list the target", func() bool {
+		m := d.snapshot()
+		return len(m.Members) == 1 && m.Members[0].NQN == "nqn.late.a"
+	})
+
+	start := time.Now()
+	if _, err := StartRegistrar(RegistrarConfig{DiscoveryAddr: addr, NQN: "", Addr: "x:4420"}); err == nil {
+		t.Fatal("registrar started with an empty NQN")
+	} else if !strings.Contains(err.Error(), "400") {
+		t.Fatalf("refusal = %v, want the plane's 400", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("refusal took %v, want fail-fast", el)
+	}
+}

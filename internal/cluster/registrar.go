@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"net/url"
 	"sync"
 	"time"
 )
@@ -43,9 +44,10 @@ type Registrar struct {
 	epoch uint64
 }
 
-// StartRegistrar performs one synchronous registration (failing fast if
-// the control plane is unreachable or rejects the entry) and then keeps
-// it alive in the background until Stop.
+// StartRegistrar performs one synchronous registration and then keeps it
+// alive in the background until Stop. It fails fast only when the control
+// plane refuses the entry; a plane it cannot reach yet is retried on the
+// keep-alive cadence, like one that restarts later.
 func StartRegistrar(cfg RegistrarConfig) (*Registrar, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
@@ -54,7 +56,8 @@ func StartRegistrar(cfg RegistrarConfig) (*Registrar, error) {
 		cfg.TTL = 3 * cfg.Interval
 	}
 	r := &Registrar{cfg: cfg, disc: newEndpoint(cfg.DiscoveryAddr, cfg.Dialer), quit: make(chan struct{})}
-	if err := r.registerOnce(); err != nil {
+	var unreachable *url.Error // the request got no answer
+	if err := r.registerOnce(); err != nil && !errors.As(err, &unreachable) {
 		return nil, err
 	}
 	r.wg.Add(1)

@@ -277,3 +277,18 @@ func TestCIDQueueModelProperty(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCIDQueue measures the zero-copy pending queue: one window of
+// 32 pushes and the drain through its last CID.
+func BenchmarkCIDQueue(b *testing.B) {
+	var q CIDQueue
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 32; j++ {
+			q.Push(nvme.CID(j))
+		}
+		if _, ok := q.DrainThrough(31); !ok {
+			b.Fatal("drain failed")
+		}
+	}
+}

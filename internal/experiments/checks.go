@@ -7,10 +7,6 @@ import (
 	"nvmeopf/internal/workload"
 )
 
-func init() {
-	registry["checks"] = Checks
-}
-
 // CheckFailures counts rows whose expectation did not hold in the last
 // Checks run (the CLI turns it into an exit code).
 var CheckFailures int

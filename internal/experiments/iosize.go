@@ -8,10 +8,6 @@ import (
 	"nvmeopf/internal/workload"
 )
 
-func init() {
-	registry["iosize"] = IOSizeSweep
-}
-
 // IOSizeSweep is an extension experiment beyond the paper's 4 KiB-only
 // evaluation: it sweeps the I/O size for one TC read initiator at
 // 25 Gbps and reports the oPF gain at each size. The paper's abstract

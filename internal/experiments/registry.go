@@ -27,6 +27,9 @@ var registry = map[string]Runner{
 	"shiftmix":  ShiftMix,
 	"e2egap":    E2EGap,
 	"summary":   Summary,
+	"iosize":    IOSizeSweep,
+	"tailcdf":   TailCDF,
+	"checks":    Checks,
 }
 
 // Names returns the registered experiment IDs, sorted.

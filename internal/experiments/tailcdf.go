@@ -11,10 +11,6 @@ import (
 	"nvmeopf/internal/workload"
 )
 
-func init() {
-	registry["tailcdf"] = TailCDF
-}
-
 // TailCDF is an analysis experiment behind Fig. 7(d–f): the full
 // latency-sensitive latency distribution (not just one tail point) under
 // the paper's flagship contention scenario — 1 LS + 4 TC read tenants at

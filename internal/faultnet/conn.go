@@ -185,13 +185,6 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.inner.SetReadDeadli
 // SetWriteDeadline implements net.Conn.
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }
 
-// BytesMoved returns the cumulative payload bytes accounted in dir.
-func (c *Conn) BytesMoved(dir int) int64 {
-	c.mu[dir].Lock()
-	defer c.mu[dir].Unlock()
-	return c.moved[dir]
-}
-
 // Listener wraps a net.Listener so every accepted connection comes up
 // under the injector's fault policy — the target-side counterpart of
 // wrapping a dialer.

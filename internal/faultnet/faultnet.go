@@ -143,14 +143,6 @@ func (i *Injector) SetSchedule(dir int, s Schedule) {
 	i.scheds[dir] = s
 }
 
-// Clear removes all faults and schedules in both directions.
-func (i *Injector) Clear() {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.dirs = [2]Faults{}
-	i.scheds = [2]Schedule{}
-}
-
 // faults returns the impairments in effect for dir after elapsed time.
 func (i *Injector) faults(dir int, elapsed time.Duration) Faults {
 	i.mu.Lock()

@@ -155,7 +155,9 @@ type IO struct {
 	// reader may still be landing bytes in them.
 	Data []byte
 	// Prio optionally overrides the connection class for this request
-	// (zero value means "use the connection class").
+	// (zero value means "use the connection class"). PrioTCDraining is a
+	// TC request that closes the current window: it carries the draining
+	// flag whatever the window count.
 	Prio proto.Priority
 	// Idempotent declares that resubmitting this request verbatim is safe
 	// even if the original may have executed (e.g. a whole-block write of
@@ -450,6 +452,9 @@ func (s *Session) Submit(io IO) error {
 	switch {
 	case eff.ThroughputCritical():
 		// Alg. 1: queue the CID and let the PM decide when to drain.
+		if eff.Draining() {
+			s.pm.ForceDrainNext()
+		}
 		wire = s.pm.Stamp(cid)
 		req.coalescable = true
 	case eff.Scavenger():

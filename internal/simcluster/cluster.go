@@ -16,7 +16,7 @@ import (
 
 // Cluster is one simulated deployment: an engine plus the nodes built on
 // it. Build target nodes first, then initiator nodes, then Connect
-// initiators; run the engine through Run/RunFor.
+// initiators; run the engine through Run.
 type Cluster struct {
 	Eng       *simnet.Engine
 	profile   Profile
@@ -435,12 +435,8 @@ func (n *InitiatorNode) Connect(cfg hostqp.Config) (*Initiator, error) {
 	return ini, nil
 }
 
-// Run processes events until the queue empties; RunFor advances the
-// virtual clock by d nanoseconds.
+// Run processes events until the queue empties.
 func (c *Cluster) Run() int64 { return c.Eng.Run() }
-
-// RunFor advances the cluster by d nanoseconds of virtual time.
-func (c *Cluster) RunFor(d int64) int64 { return c.Eng.RunUntil(c.Eng.Now() + d) }
 
 // CheckHealthy returns an error if any protocol error was recorded.
 func (c *Cluster) CheckHealthy() error {

@@ -208,15 +208,6 @@ func (s *SSD) admit(o *op) {
 	s.dispatch()
 }
 
-// SubmitBatch admits a window of requests back-to-back (the target PM's
-// drain execution, Alg. 3: "for all reqs queued do send to execution
-// state").
-func (s *SSD) SubmitBatch(reqs []Request, high bool) {
-	for _, r := range reqs {
-		s.Submit(r, high)
-	}
-}
-
 // dispatch assigns queued requests to free channels.
 func (s *SSD) dispatch() {
 	now := s.eng.Now()

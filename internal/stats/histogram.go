@@ -278,26 +278,6 @@ func (h *Histogram) String() string {
 		h.n, h.Mean(), h.P50(), h.P99(), h.P9999(), h.max)
 }
 
-// Percentiles returns (quantile, value) pairs for a default ladder, for
-// report rendering.
-func (h *Histogram) Percentiles() []struct {
-	Q float64
-	V int64
-} {
-	qs := []float64{0.5, 0.9, 0.99, 0.999, 0.9999}
-	out := make([]struct {
-		Q float64
-		V int64
-	}, 0, len(qs))
-	for _, q := range qs {
-		out = append(out, struct {
-			Q float64
-			V int64
-		}{q, h.Quantile(q)})
-	}
-	return out
-}
-
 // ExactQuantile computes the q-quantile of raw samples; used by tests to
 // validate Histogram against ground truth.
 func ExactQuantile(samples []int64, q float64) int64 {

@@ -343,3 +343,23 @@ func TestNearestRank(t *testing.T) {
 		t.Error("NearestRank of no samples not 0")
 	}
 }
+
+// BenchmarkHistogramRecord measures the O(1) record of both views of the
+// grid: the plain one the simulator and experiments use, and the
+// concurrent one behind the live telemetry.
+func BenchmarkHistogramRecord(b *testing.B) {
+	b.Run("plain", func(b *testing.B) {
+		var h Histogram
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.Record(int64(i%1_000_000 + 50_000))
+		}
+	})
+	b.Run("atomic", func(b *testing.B) {
+		var h AtomicHistogram
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.Record(int64(i%1_000_000 + 50_000))
+		}
+	})
+}

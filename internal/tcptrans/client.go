@@ -920,10 +920,15 @@ func (c *Conn) submitLent(io hostqp.IO) error {
 // ended without a device status, else a non-OK status. A read submitted
 // with io.Data nil gets a destination allocated here — the result
 // outlives the completion callback, so it must be the caller's to keep,
-// not one the session lends and reuses.
+// not one the session lends and reuses. A TC request closes its window:
+// the caller waits on it, so it must not park at the target until the
+// idle drain timer flushes it.
 func (c *Conn) Do(io hostqp.IO) (hostqp.Result, error) {
 	if io.Op == nvme.OpRead && io.Data == nil {
 		io.Data = make([]byte, int(io.Blocks)*int(c.bs.Load()))
+	}
+	if io.Prio.ThroughputCritical() || io.Prio == proto.PrioNormal && c.cfg.Class.ThroughputCritical() {
+		io.Prio = proto.PrioTCDraining
 	}
 	ch := make(chan hostqp.Result, 1)
 	io.Done = func(r hostqp.Result) { ch <- r }

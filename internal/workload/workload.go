@@ -122,9 +122,6 @@ func (r *Result) SLOBurn(budgetPPM int64) float64 {
 	return (float64(r.SLOBad) / float64(total)) / (float64(budgetPPM) / 1e6)
 }
 
-// MeasuredNanos returns the measurement window length.
-func (s Spec) MeasuredNanos() int64 { return s.StopAt - s.WarmupUntil }
-
 // Validate checks the spec.
 func (s Spec) Validate() error {
 	if s.QueueDepth < 1 {
