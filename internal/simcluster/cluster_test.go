@@ -196,6 +196,28 @@ func runOne(t *testing.T, mode targetqp.Mode, gbps float64, window int, mix work
 	return r.Result(), tn
 }
 
+// TestWriteOnConnectAt25GLeavesClusterHealthy: on the 25 Gbps profile an
+// LS initiator's single write, issued from its connect callback, completes
+// OK and the run records no protocol error.
+func TestWriteOnConnectAt25GLeavesClusterHealthy(t *testing.T) {
+	c, ini, _ := buildPair(t, targetqp.ModeOPF, 25,
+		hostqp.Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 1, NSID: 1}, true)
+	done := false
+	ini.Session.OnConnect(func() {
+		_ = ini.Session.Submit(hostqp.IO{
+			Op: nvme.OpWrite, LBA: 1, Blocks: 1, Data: make([]byte, 4096),
+			Done: func(r hostqp.Result) { done = r.Status.OK() },
+		})
+	})
+	c.Run()
+	if !done {
+		t.Fatal("simulated write never completed")
+	}
+	if err := c.CheckHealthy(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestOPFBeatsBaselineThroughputRead10G(t *testing.T) {
 	base, _ := runOne(t, targetqp.ModeBaseline, 10, 32, workload.ReadOnly, 60)
 	opf, _ := runOne(t, targetqp.ModeOPF, 10, 32, workload.ReadOnly, 60)
