@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"nvmeopf/internal/cluster"
 	"nvmeopf/internal/core"
 	"nvmeopf/internal/hostqp"
 	"nvmeopf/internal/nvme"
@@ -108,98 +107,6 @@ func (t *tenant) run(stopAt time.Time, wg *sync.WaitGroup) {
 	}()
 }
 
-// clusterMode drives a bounded replicated workload through the cluster
-// client: clWrites stamped 4K writes striped over every shard (each
-// retried through failovers until acknowledged), then a full read-back
-// verification. Designed to complete even when a target is killed
-// mid-run — that is the CI failover smoke — so a shard left without a
-// replica keeps taking unreplicated writes.
-func clusterMode(discoveryAddr string, clWrites int) {
-	tel := telemetry.New()
-	cc, err := cluster.Dial(cluster.Config{
-		DiscoveryAddr: discoveryAddr,
-		Conn:          hostqp.Config{Class: proto.PrioThroughputCritical, Window: 8, QueueDepth: 16, NSID: 1},
-		Dial: tcptrans.DialConfig{
-			RequestTimeout: 5 * time.Second,
-			Recovery: &tcptrans.RecoveryConfig{
-				MaxAttempts: 40, Backoff: 25 * time.Millisecond,
-				RequeueLS: true, RequeueTC: true,
-			},
-		},
-		RefreshInterval:   50 * time.Millisecond,
-		AllowUnreplicated: true,
-		Telemetry:         tel,
-	})
-	if err != nil {
-		log.Fatalf("cluster dial: %v", err)
-	}
-	defer cc.Close()
-	fmt.Printf("cluster mode: %d shards at epoch %d, %d writes\n", cc.NumShards(), cc.Epoch(), clWrites)
-
-	stamp := func(buf []byte, seq uint64) {
-		for off := 0; off+8 <= len(buf); off += 8 {
-			buf[off] = byte(seq)
-			buf[off+1] = byte(seq >> 8)
-			buf[off+2] = byte(seq >> 16)
-			buf[off+3] = byte(seq >> 24)
-			buf[off+4], buf[off+5], buf[off+6], buf[off+7] = byte(seq>>32), byte(seq>>40), byte(seq>>48), byte(seq>>56)
-		}
-	}
-	nShards := uint32(cc.NumShards())
-	buf := make([]byte, 4096)
-	start := time.Now()
-	retries := 0
-	for i := 0; i < clWrites; i++ {
-		seq := uint64(i + 1)
-		nsid := uint32(i)%nShards + 1
-		lba := uint64(i) / uint64(nShards) % (1 << 13)
-		stamp(buf, seq)
-		// Retry through the failover window: the invariant under test is
-		// that the workload completes, not that no write ever errors.
-		var werr error
-		for attempt := 0; attempt < 200; attempt++ {
-			if werr = cc.Write(nsid, lba, buf, 0, true); werr == nil {
-				break
-			}
-			retries++
-			time.Sleep(50 * time.Millisecond)
-		}
-		if werr != nil {
-			log.Fatalf("write %d (nsid %d, lba %d) never completed: %v", i, nsid, lba, werr)
-		}
-	}
-	wallWrites := time.Since(start)
-
-	// Read-back verification: the LAST write per (nsid, lba) must read
-	// back exactly — across whatever failovers happened mid-run.
-	type loc struct {
-		nsid uint32
-		lba  uint64
-	}
-	last := make(map[loc]uint64, clWrites)
-	for i := 0; i < clWrites; i++ {
-		last[loc{uint32(i)%nShards + 1, uint64(i) / uint64(nShards) % (1 << 13)}] = uint64(i + 1)
-	}
-	verified := 0
-	for l, seq := range last {
-		data, err := cc.Read(l.nsid, l.lba, 1, 0)
-		if err != nil {
-			log.Fatalf("read back nsid %d lba %d: %v", l.nsid, l.lba, err)
-		}
-		for off := 0; off+8 <= len(data); off += 8 {
-			got := uint64(data[off]) | uint64(data[off+1])<<8 | uint64(data[off+2])<<16 | uint64(data[off+3])<<24 |
-				uint64(data[off+4])<<32 | uint64(data[off+5])<<40 | uint64(data[off+6])<<48 | uint64(data[off+7])<<56
-			if got != seq {
-				log.Fatalf("acked write lost: nsid %d lba %d word %d = %d, want %d", l.nsid, l.lba, off, got, seq)
-			}
-		}
-		verified++
-	}
-	g := tel.Global()
-	fmt.Printf("cluster workload complete: %d writes in %.2fs (%d retries), %d locations verified, failovers=%d stale_epochs=%d final_epoch=%d\n",
-		clWrites, wallWrites.Seconds(), retries, verified, g.Failovers, g.StaleEpochs, cc.Epoch())
-}
-
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:4420", "target address")
@@ -214,15 +121,8 @@ func main() {
 		metrics  = flag.String("metrics-addr", "", "serve host-side /metrics and /debug endpoints on this address (empty: off)")
 		telInt   = flag.Duration("telemetry-interval", 0, "emit in-band TelemetryUpdate e2e feedback to the target at this cadence (0: off, wire-identical to builds without the channel)")
 		traceOut = flag.String("trace-dump", "", "write a host-side flight-recorder dump (JSONL) to this file at exit; pair with the target's /debug/trace for opf-trace")
-
-		discovery = flag.String("discovery", "", "cluster mode: route a replicated workload through this discovery control plane instead of -addr")
-		clWrites  = flag.Int("cluster-writes", 2000, "cluster mode: bounded workload size (writes, then read-back verification)")
 	)
 	flag.Parse()
-	if *discovery != "" {
-		clusterMode(*discovery, *clWrites)
-		return
-	}
 	if *ls < 0 || *tc < 0 || *scav < 0 || *ls+*tc+*scav == 0 {
 		fmt.Fprintf(os.Stderr, "opf-perf: -ls, -tc and -scav must not be negative, and open at least one connection between them (got %d, %d, %d)\n", *ls, *tc, *scav)
 		flag.Usage()

@@ -15,35 +15,15 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"nvmeopf/internal/autotune"
 	"nvmeopf/internal/bdev"
-	"nvmeopf/internal/cluster"
 	"nvmeopf/internal/targetqp"
 	"nvmeopf/internal/tcptrans"
 	"nvmeopf/internal/telemetry"
 )
-
-// parseShards turns "0,1,2" into shard claims ("" claims none).
-func parseShards(s string) ([]uint32, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]uint32, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.ParseUint(strings.TrimSpace(p), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad shard %q: %v", p, err)
-		}
-		out = append(out, uint32(n))
-	}
-	return out, nil
-}
 
 // blockSize is the namespace block size: 4 KiB, the paper's I/O unit.
 const blockSize = 4096
@@ -58,10 +38,6 @@ func main() {
 		writeLat  = flag.Duration("write-lat", 0, "injected per-write device latency")
 		shards    = flag.Int("shards", 0, "reactor shards owning sessions round-robin (0: GOMAXPROCS)")
 		statsSec  = flag.Int("stats", 10, "stats print interval seconds (0: off)")
-		discovery = flag.String("discovery", "", "discovery endpoint to register with (optional)")
-		nqn       = flag.String("nqn", "nqn.2024-01.io.nvmeopf:target", "subsystem NQN for discovery registration")
-		keepalive = flag.Duration("keepalive", 500*time.Millisecond, "re-register with -discovery at this cadence; the registration's TTL is 3x")
-		clusterSh = flag.String("cluster-shards", "", "comma-separated namespace shards this target serves (e.g. 0,1); requires -discovery")
 		metrics   = flag.String("metrics-addr", "", "serve /metrics and /debug endpoints on this address (empty: off)")
 		recStall  = flag.Duration("recorder-stall", 0, "drain-stall anomaly threshold for auto snapshots (0: off)")
 		sloObj    = flag.Duration("slo", 0, "LS latency objective -autotune enforces (required with -autotune)")
@@ -163,28 +139,6 @@ func main() {
 		defer exp.Close()
 		log.Printf("telemetry on http://%s/metrics (debug: /debug/tenants, /debug/autotune, /debug/e2e, /debug/trace)", exp.Addr())
 	}
-	if *discovery != "" {
-		shards, perr := parseShards(*clusterSh)
-		if perr != nil {
-			log.Fatalf("-cluster-shards: %v", perr)
-		}
-		reg, derr := cluster.StartRegistrar(cluster.RegistrarConfig{
-			DiscoveryAddr: *discovery,
-			NQN:           *nqn,
-			Addr:          srv.Addr(),
-			Mode:          uint8(m),
-			Shards:        shards,
-			Interval:      *keepalive,
-		})
-		if derr != nil {
-			log.Printf("discovery registration failed: %v", derr)
-		} else {
-			defer reg.Stop()
-			log.Printf("keeping %q registered with discovery at %s (keep-alive %v, shards %v)",
-				*nqn, *discovery, *keepalive, shards)
-		}
-	}
-
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	if *statsSec > 0 {

@@ -28,7 +28,6 @@ import (
 type debugTenants struct {
 	Global struct {
 		Connections int64 `json:"connections"`
-		Reconnects  int64 `json:"reconnects"`
 	} `json:"global"`
 	Tenants []struct {
 		Tenant     uint16 `json:"tenant"`
@@ -207,9 +206,9 @@ func render(f *frame, h *history, addr string, clear bool) {
 	if clear {
 		fmt.Print("\x1b[2J\x1b[H")
 	}
-	fmt.Printf("opf-top  %s  %s  conns=%d reconnects=%d  tenants=%d\n",
+	fmt.Printf("opf-top  %s  %s  conns=%d  tenants=%d\n",
 		addr, f.at.Format("15:04:05"),
-		f.tenants.Global.Connections, f.tenants.Global.Reconnects, len(f.tenants.Tenants))
+		f.tenants.Global.Connections, len(f.tenants.Tenants))
 	fmt.Printf("%-3s %-5s %4s %4s %4s %9s %8s %7s %9s %9s %5s %5s  %s\n",
 		"TEN", "CLASS", "WIN", "CAP", "QD", "IOPS", "MB/s", "BURN", "e2e_p99u", "gap_p99u", "SHRK", "GROW", "IOPS HISTORY")
 

@@ -135,7 +135,7 @@ func TestGoldenReport(t *testing.T) {
 	}
 
 	corr := telemetry.Correlate(host, target)
-	report := telemetry.Analyze(corr, telemetry.AnalyzeOptions{HoLFactor: 4, Top: 5})
+	report := telemetry.Analyze(corr, telemetry.AnalyzeOptions{Top: 5})
 	if r := report.ReconstructionRatio(); r < 0.99 {
 		t.Fatalf("fixture reconstruction ratio %.3f < 0.99", r)
 	}

@@ -301,10 +301,12 @@ type TargetPM struct {
 	drainHook func(DrainCompletion)
 
 	// Reused across calls so the steady state allocates nothing: retired
-	// batch records, the decisions OnDeviceCompletion returns, and the
-	// sweep order of ExpireStale and PollScavenger.
+	// batch records, the decisions OnDeviceCompletion returns, the batches
+	// PollScavenger returns, and the sweep order of ExpireStale and
+	// PollScavenger.
 	freeBatches []*drainBatch
 	resp        []RespDecision
+	scavOut     [][]TaggedCID
 	order       byAge
 }
 
@@ -709,6 +711,10 @@ func (pm *TargetPM) expire(q *pendingQueue) []TaggedCID {
 // appear), and from a ticker for the aging bound. With no scavenger tenant
 // connected it returns at once, so callers need not read a clock for now
 // before they know one is.
+//
+// The returned slice is the PM's scratch, overwritten by the next call (nil
+// when nothing drains): a caller whose handling of one batch can re-enter
+// the PM must copy the rest out first.
 func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
 	if len(pm.scavs) == 0 {
 		return nil
@@ -726,7 +732,7 @@ func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
 	if len(pm.order.ts) > 1 {
 		sort.Sort(&pm.order)
 	}
-	var out [][]TaggedCID
+	out := pm.scavOut[:0]
 	for _, ts := range pm.order.ts {
 		t, q := ts.id, &ts.scav
 		aged := pm.cfg.ScavengerAgingNS > 0 && pm.cfg.Clock != nil &&
@@ -764,6 +770,10 @@ func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
 		out = append(out, b.members)
 	}
 	clear(pm.order.ts)
+	if len(out) == 0 {
+		return nil
+	}
+	pm.scavOut = out
 	return out
 }
 

@@ -105,10 +105,7 @@ func RunE2EGap(cfg Config, label string, at *autotune.Config) (E2EGapResult, err
 	if err != nil {
 		return E2EGapResult{}, err
 	}
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.New()
-	}
+	reg := telemetry.New()
 	if at != nil {
 		at.Telemetry = reg
 	}

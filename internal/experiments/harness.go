@@ -17,7 +17,6 @@ import (
 	"nvmeopf/internal/simcluster"
 	"nvmeopf/internal/stats"
 	"nvmeopf/internal/targetqp"
-	"nvmeopf/internal/telemetry"
 	"nvmeopf/internal/workload"
 )
 
@@ -32,9 +31,6 @@ type Config struct {
 	WarmupMillis int64
 	// Seed drives all stochastic components.
 	Seed uint64
-	// Telemetry optionally attaches one live metrics registry to every
-	// target node of every case (the same registry across cases).
-	Telemetry *telemetry.Registry
 	// OnCluster, when non-nil, is invoked with each case's cluster right
 	// after construction, before any node exists — the hook opf-perf uses
 	// to attach flight recorders (and keep the cluster for a post-run
@@ -140,7 +136,6 @@ func runWithBlocks(cfg Config, cs Case, blocks uint32) (CaseResult, error) {
 		Mode:                cs.Mode,
 		SharedQueueAblation: cs.SharedQueueAblation,
 		Seed:                cfg.Seed,
-		Telemetry:           cfg.Telemetry,
 	})
 	if cfg.OnCluster != nil {
 		cfg.OnCluster(cl)

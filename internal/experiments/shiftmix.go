@@ -99,21 +99,16 @@ func RunShiftMix(cfg Config, label string, window int, at *autotune.Config) (Shi
 	if err != nil {
 		return ShiftResult{}, err
 	}
-	// Decision counters come from a telemetry registry; use the config's
-	// when attached so live dashboards see the run, else a private one.
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.New()
-	}
+	// Decision counters come from the controller's telemetry registry.
+	reg := telemetry.New()
 	if at != nil {
 		at.Telemetry = reg
 	}
 	cl := simcluster.New(simcluster.Options{
-		Profile:   prof,
-		Mode:      targetqp.ModeOPF,
-		Seed:      cfg.Seed,
-		Telemetry: cfg.Telemetry,
-		Autotune:  at,
+		Profile:  prof,
+		Mode:     targetqp.ModeOPF,
+		Seed:     cfg.Seed,
+		Autotune: at,
 	})
 	if cfg.OnCluster != nil {
 		cfg.OnCluster(cl)

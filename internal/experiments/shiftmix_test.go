@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"testing"
-
-	"nvmeopf/internal/telemetry"
 )
 
 // shiftCfg is the reference configuration for the acceptance claim: long
@@ -41,10 +39,8 @@ func TestShiftMixNoStaticWindowMeetsSLO(t *testing.T) {
 // both phases. It must do so by actually deciding — shrinking into phase
 // A's overload and growing back for phase B's survivor.
 func TestShiftMixAdaptiveHoldsSLOAcrossShift(t *testing.T) {
-	cfg := shiftCfg()
-	reg := telemetry.New()
-	cfg.Telemetry = reg
-	r, err := RunShiftMix(cfg, "adaptive", shiftWindowMax, shiftAutotune())
+	at := shiftAutotune()
+	r, err := RunShiftMix(shiftCfg(), "adaptive", shiftWindowMax, at)
 	if err != nil {
 		t.Fatalf("adaptive: %v", err)
 	}
@@ -76,8 +72,9 @@ func TestShiftMixAdaptiveHoldsSLOAcrossShift(t *testing.T) {
 		t.Errorf("phase-B TC = %.0f MB/s, want > static w=1's %.0f MB/s", r.B.TCBps/1e6, s1.B.TCBps/1e6)
 	}
 
-	// The decisions are visible: the registry the run was wired to holds
-	// per-tenant controller state and a decision log.
+	// The decisions are visible: the registry the controller was wired to
+	// holds per-tenant controller state and a decision log.
+	reg := at.Telemetry
 	if len(reg.AutotuneStates()) == 0 {
 		t.Error("no controller state exported to telemetry")
 	}

@@ -128,8 +128,8 @@ type Result struct {
 	CompletedAt int64 // clock value at application-visible completion
 	// Err is non-nil exactly when the request ended without a device
 	// status: it never reached a completion because its connection was
-	// lost or closed (FailAll's cause), or a transport's recovery policy
-	// gave up on it. Status is then StatusAborted (or the local rejection).
+	// lost or closed (FailAll's cause). Status is then StatusAborted (or
+	// the local rejection).
 	Err error
 }
 
@@ -159,13 +159,6 @@ type IO struct {
 	// TC request that closes the current window: it carries the draining
 	// flag whatever the window count.
 	Prio proto.Priority
-	// Idempotent declares that resubmitting this request verbatim is safe
-	// even if the original may have executed (e.g. a whole-block write of
-	// self-contained content). Reads and flushes are always idempotent;
-	// writes are replayed after a connection loss only when the caller
-	// sets this. Only a transport's recovery policy (tcptrans
-	// DialConfig.Recovery) consults it.
-	Idempotent bool
 	// Done receives the completion. It runs in the session's event
 	// context: the simulator loop, or the transport's reactor — over
 	// tcptrans that is the connection's reactor goroutine or, on a

@@ -62,8 +62,10 @@ type TelemetryUpdate struct {
 	QueueDepth uint32
 	// Busy counts StatusBusy completions since the previous update.
 	Busy uint32
-	// Retries counts commands resubmitted (replayed after a connection
-	// loss or re-sent after busy push-back) since the previous update.
+	// Retries counts commands the host resubmitted since the previous
+	// update. This repository's host resubmits nothing and sends 0; the
+	// field keeps the PDU's layout, and the target still merges what a
+	// peer reports.
 	Retries uint32
 	// Classes holds one delta per priority class with new samples.
 	Classes []TelemetryClassDelta

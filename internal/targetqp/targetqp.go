@@ -19,6 +19,7 @@ package targetqp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"nvmeopf/internal/autotune"
@@ -361,8 +362,8 @@ func (t *Target) ActiveSessions() int { return t.sessions.Len() }
 // never be answered), the session stops sending PDUs and recording
 // per-tenant telemetry, and its tenant ID returns to the free list once
 // the last in-flight device callback lands — never earlier, so a stale
-// completion cannot be attributed to the ID's next owner. Idempotent;
-// a session that never finished its handshake is a no-op.
+// completion cannot be attributed to the ID's next owner. A second call,
+// or one for a session that never finished its handshake, is a no-op.
 func (t *Target) CloseSession(s *Session) {
 	if s == nil || !s.connected || s.dead {
 		return
@@ -734,10 +735,16 @@ func (t *Target) CheckScavenger() (int, error) {
 	return t.pollScavenger()
 }
 
-// pollScavenger is CheckScavenger at the target's current stamp.
+// pollScavenger is CheckScavenger at the target's current stamp. The
+// batches are the PM's scratch, and a batch that completes inline polls
+// the PM again before executeBatch returns: a lone batch runs from its own
+// slice header, and several are copied out first.
 func (t *Target) pollScavenger() (int, error) {
 	batches := t.pm.PollScavenger(t.now)
-	for _, batch := range batches {
+	if len(batches) == 1 {
+		return 1, t.executeBatch(batches[0])
+	}
+	for _, batch := range slices.Clone(batches) {
 		if err := t.executeBatch(batch); err != nil {
 			return len(batches), err
 		}

@@ -620,7 +620,7 @@ func TestCloseSessionDropsQueueAndRecyclesTenantID(t *testing.T) {
 	if pm := tgt.PMStats(); pm.TeardownDrops != 3 {
 		t.Fatalf("PM TeardownDrops = %d", pm.TeardownDrops)
 	}
-	// Idempotent.
+	// A second close is a no-op.
 	tgt.CloseSession(tsess)
 	if tgt.Stats().Disconnects != 1 {
 		t.Fatal("CloseSession not idempotent")

@@ -111,8 +111,8 @@ func TestChaosVictimKilledSurvivorsMeetDrainWindows(t *testing.T) {
 		}
 	}()
 
-	// Victim: writes until its connection is killed, then reconnects with
-	// backoff and keeps going.
+	// Victim: writes until its connection is killed, then dials a new one
+	// and keeps going.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -124,9 +124,9 @@ func TestChaosVictimKilledSurvivorsMeetDrainWindows(t *testing.T) {
 				return
 			default:
 			}
-			c, err := DialRetryWith(srv.Addr(),
+			c, err := DialWith(srv.Addr(),
 				hostqp.Config{Class: proto.PrioThroughputCritical, Window: 4, QueueDepth: 8, NSID: 1},
-				victimDial, 50, 2*time.Millisecond)
+				victimDial)
 			if err != nil {
 				// A reset can land mid-handshake on every attempt; that is
 				// chaos working, not a failure. Back off and try again.
@@ -280,9 +280,9 @@ func TestChaosVectoredFlushKill(t *testing.T) {
 		}
 		first := true
 		for !stopped() {
-			c, err := DialRetryWith(srv.Addr(),
+			c, err := DialWith(srv.Addr(),
 				hostqp.Config{Class: proto.PrioThroughputCritical, Window: 4, QueueDepth: 16, NSID: 1},
-				victimDial, 50, 2*time.Millisecond)
+				victimDial)
 			if err != nil {
 				time.Sleep(5 * time.Millisecond)
 				continue

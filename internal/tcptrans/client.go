@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -47,67 +46,6 @@ type DialConfig struct {
 	// appears on the wire and the session skips e2e accumulation, so
 	// behavior is bit-identical to a build without it.
 	TelemetryInterval time.Duration
-	// Recovery is the connection's policy when its socket dies. Nil (the
-	// default) fails fast: every outstanding request completes with the
-	// cause in Result.Err and later submissions are refused the same way.
-	// Set, the same Conn re-dials in the background and resubmits what the
-	// policy allows — the replayed requests re-enter the reactor's backlog
-	// in order — instead of surfacing the loss to the caller.
-	Recovery *RecoveryConfig
-}
-
-// RecoveryConfig is a Conn's reconnect-and-replay policy. The zero value
-// of each field selects the default documented on it.
-type RecoveryConfig struct {
-	// MaxAttempts bounds each reconnect's dial loop (default 8); the
-	// backoff policy is DialRetry's (exponential, 32× cap, jitter).
-	MaxAttempts int
-	// Backoff is the base reconnect backoff (default 10ms).
-	Backoff time.Duration
-	// Budget is the retry token bucket capacity (default 64). Every
-	// replayed or busy-retried request consumes one token; an empty
-	// bucket fails the request instead, so a sick target is never
-	// amplified by a retry storm.
-	Budget int
-	// RefillInterval returns one token per interval (default 100ms).
-	RefillInterval time.Duration
-	// RequeueLS / RequeueTC gate replay after a connection loss by wire
-	// class (latency-sensitive/normal vs throughput-critical). Replay
-	// additionally requires the request to be idempotent: reads and
-	// flushes always are; writes only with IO.Idempotent set.
-	RequeueLS bool
-	RequeueTC bool
-	// BusyBackoff is the wait before resubmitting a request the target
-	// answered with StatusBusy (default 2ms). Busy rejections were never
-	// executed, so they retry regardless of idempotency — but still
-	// consume budget.
-	BusyBackoff time.Duration
-	// Resolver, when set, is consulted before every reconnect attempt and
-	// returns the address to dial — the failover hook: a resolver can
-	// re-point recovery at a promoted replica instead of the dead
-	// primary. A resolver error fails that
-	// attempt (the retry loop backs off and asks again); nil keeps the
-	// original address forever.
-	Resolver func() (string, error)
-}
-
-func (r RecoveryConfig) withDefaults() RecoveryConfig {
-	if r.MaxAttempts == 0 {
-		r.MaxAttempts = 8
-	}
-	if r.Backoff == 0 {
-		r.Backoff = 10 * time.Millisecond
-	}
-	if r.Budget == 0 {
-		r.Budget = 64
-	}
-	if r.RefillInterval == 0 {
-		r.RefillInterval = 100 * time.Millisecond
-	}
-	if r.BusyBackoff == 0 {
-		r.BusyBackoff = 2 * time.Millisecond
-	}
-	return r
 }
 
 // Defaults for DialConfig zero fields.
@@ -153,19 +91,18 @@ func (d DialConfig) withDefaults() DialConfig {
 // is open in the process, so the flood's hand-offs stop holding the LS
 // connection's goroutines off the processors (see parkInPoller).
 //
-// The reactor, its run queue and its backlog belong to the Conn; the
-// socket, session, reader and writer belong to a link, which is what a
-// reconnect under DialConfig.Recovery replaces.
+// A Conn lives as long as its socket. When the socket dies, every
+// outstanding request completes once with the cause in Result.Err, and
+// later submissions are refused the same way; going on means dialing a new
+// Conn.
 type Conn struct {
-	addr      string // what the next dial goes to (the Resolver may move it)
 	cfg       hostqp.Config
 	dcfg      DialConfig
-	rcfg      *RecoveryConfig // nil: fail fast
 	tel       *telemetry.Registry
 	q         burstQueue[cliEvent] // the reactor's run queue
 	quit      chan struct{}
-	dead      chan struct{} // closed when a fail-fast connection breaks
-	wg        sync.WaitGroup
+	dead      chan struct{}  // closed when the connection breaks
+	wg        sync.WaitGroup // reactor, reader, writer and tickers
 	closeOnce sync.Once
 	closed    atomic.Bool
 	// ls: the connection's class is latency-sensitive, so its submissions,
@@ -177,45 +114,14 @@ type Conn struct {
 	mu  sync.Mutex
 	err error // Err's answer, written by the reactor
 
-	// bs is the namespace block size of the latest handshake; an outage
-	// keeps it (Read and Write size their commands with it).
-	bs         atomic.Uint32
-	reconnects atomic.Int64
+	// bs is the namespace block size of the handshake (Read and Write size
+	// their commands with it).
+	bs atomic.Uint32
 
-	// Owned by the reactor.
-	ln   *link
-	sess *hostqp.Session // ln's session
-	// connErr is why ln is down; nil while it is handshaking or up.
-	connErr  error
-	waiting  []hostqp.IO // submissions beyond the queue depth, FIFO
-	staged   []proto.PDU // the current burst's output, not yet in ln.out
-	idle     *time.Timer // tail-flush timer (see armIdleDrain)
-	idleOn   bool        // idle is armed and has not fired
-	lastPump int64       // now, when the reactor last pumped with a TC window open
-	// now is the wall clock (UnixNano) as of the burst being handled: the
-	// reactor reads it once per burst, and the session's clock, the
-	// request-deadline sweep and the idle-drain timer all go by it.
-	now int64
-
-	// Recovery state, owned by the reactor (see recovery.go).
-	dialing    bool       // a redial is in progress
-	replaying  bool       // failAll is failing in-flight requests of a lost link
-	parked     []parkedIO // busy rejections waiting out BusyBackoff, by due time
-	retry      *time.Timer
-	retryOn    bool
-	owed       int64 // resubmissions not yet counted in telemetry
-	tokens     int
-	lastRefill int64
-}
-
-// link is one socket's worth of a Conn: the part a reconnect replaces.
-type link struct {
 	nc      net.Conn
 	out     burstQueue[proto.PDU] // the writer's queue; the reactor produces
 	direct  *direct               // nil: every write goes through the writer
-	wg      sync.WaitGroup        // reader and writer
 	up      chan error            // the handshake's outcome, sent once
-	settled bool                  // up was sent (reactor-owned)
 	netOnce sync.Once
 	netErr  error
 
@@ -227,20 +133,36 @@ type link struct {
 	// slot and falls back to the pooled, bounded path.
 	readMu   sync.Mutex
 	readBufs [][]byte
+
+	// Owned by the reactor.
+	sess *hostqp.Session
+	// connErr is why the connection is down; nil while it is handshaking
+	// or up.
+	connErr  error
+	settled  bool        // up was sent
+	waiting  []hostqp.IO // submissions beyond the queue depth, FIFO
+	staged   []proto.PDU // the current burst's output, not yet in out
+	idle     *time.Timer // tail-flush timer (see armIdleDrain)
+	idleOn   bool        // idle is armed and has not fired
+	lastPump int64       // now, when the reactor last pumped with a TC window open
+	// now is the wall clock (UnixNano) as of the burst being handled: the
+	// reactor reads it once per burst, and the session's clock, the
+	// request-deadline sweep and the idle-drain timer all go by it.
+	now int64
 }
 
-// close closes the socket exactly once, from whichever path gets there
-// first (writer error, request-timeout escalation, failAll).
-func (ln *link) close() {
-	ln.netOnce.Do(func() { ln.netErr = ln.nc.Close() })
+// closeSocket closes the socket exactly once, from whichever path gets
+// there first (writer error, request-timeout escalation, failAll).
+func (c *Conn) closeSocket() {
+	c.netOnce.Do(func() { c.netErr = c.nc.Close() })
 }
 
 // settle reports the handshake's outcome to the dial waiting for it, once.
 // Runs on the reactor.
-func (ln *link) settle(err error) {
-	if !ln.settled {
-		ln.settled = true
-		ln.up <- err
+func (c *Conn) settle(err error) {
+	if !c.settled {
+		c.settled = true
+		c.up <- err
 	}
 }
 
@@ -267,48 +189,54 @@ func Dial(addr string, cfg hostqp.Config) (*Conn, error) {
 	return DialWith(addr, cfg, DialConfig{})
 }
 
-// DialWith is Dial with explicit transport timeouts, an optional custom
-// dialer, and an optional recovery policy. It returns once the first
-// handshake completes: a target that is down at start-up fails the dial
-// whatever the policy.
+// DialWith is Dial with explicit transport timeouts and an optional custom
+// dialer. It returns once the handshake completes.
 func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	dcfg = dcfg.withDefaults()
-	c := &Conn{
-		addr:    addr,
-		cfg:     cfg,
-		dcfg:    dcfg,
-		tel:     cfg.Telemetry,
-		quit:    make(chan struct{}),
-		dead:    make(chan struct{}),
-		connErr: ErrClosed, // no link yet
-		dialing: true,      // the first dial below
-		ls:      cfg.Class.LatencySensitive(),
+	nc, err := dcfg.Dialer("tcp", addr)
+	if err != nil {
+		return nil, err
 	}
-	if dcfg.Recovery != nil {
-		r := dcfg.Recovery.withDefaults()
-		c.rcfg = &r
-		c.tokens = r.Budget
+	c := &Conn{
+		cfg:  cfg,
+		dcfg: dcfg,
+		tel:  cfg.Telemetry,
+		quit: make(chan struct{}),
+		dead: make(chan struct{}),
+		ls:   cfg.Class.LatencySensitive(),
+		nc:   nc,
+		up:   make(chan error, 1),
 	}
 	if c.ls {
-		lsConns.Add(1) // Close lowers it, whether or not the dial succeeds
+		lsConns.Add(1) // Close lowers it, whether or not the handshake succeeds
 	}
 	c.now = time.Now().UnixNano()
-	c.lastRefill = c.now
 	c.q.init()
 	c.q.poller = cfg.Class.ThroughputCritical()
+	c.out.init()
+	c.out.poller = c.q.poller
+	c.start()
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		c.run()
 	}()
-	if err := c.connect(addr); err != nil {
+	timeout := time.AfterFunc(dcfg.HandshakeTimeout, func() {
+		c.post(func() {
+			if c.connErr == nil && !c.sess.Connected() {
+				c.failAll(fmt.Errorf("tcptrans: handshake timeout after %v", dcfg.HandshakeTimeout))
+			}
+		})
+	})
+	err = <-c.up
+	timeout.Stop()
+	if err != nil {
 		c.Close()
-		return nil, err
+		return nil, fmt.Errorf("tcptrans: handshake failed: %w", err)
 	}
-	c.post(func() { c.redialed(nil) })
 
 	// Request-deadline sweeper: if the oldest outstanding request exceeds
 	// RequestTimeout, reset the connection (all CIDs fail and release via
@@ -340,75 +268,34 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 	return c, nil
 }
 
-// connect dials addr and runs the handshake on the reactor, returning once
-// it has completed or failed. A failed link's reader and writer have
-// exited by the time it returns, so nothing of it can reach the reactor
-// after a later link is installed. Runs off the reactor: the dial blocks.
-func (c *Conn) connect(addr string) error {
-	nc, err := c.dcfg.Dialer("tcp", addr)
-	if err != nil {
-		return err
-	}
-	ln := &link{nc: nc, up: make(chan error, 1)}
-	ln.out.init()
-	ln.out.poller = c.q.poller
-	ln.wg.Add(2) // install starts the reader and the writer, or stands in for them
-	if !c.post(func() { c.install(ln) }) {
-		nc.Close()
-		return ErrClosed
-	}
-	timeout := time.AfterFunc(c.dcfg.HandshakeTimeout, func() {
-		c.post(func() {
-			if c.ln == ln && c.connErr == nil && !c.sess.Connected() {
-				c.failAll(fmt.Errorf("tcptrans: handshake timeout after %v", c.dcfg.HandshakeTimeout))
-			}
-		})
-	})
-	err = <-ln.up
-	timeout.Stop()
-	if err != nil {
-		ln.wg.Wait()
-		return fmt.Errorf("tcptrans: handshake failed: %w", err)
-	}
-	return nil
-}
-
-// install makes ln the connection's link — a fresh session, its writer and
-// reader — and sends the ICReq. Runs on the reactor.
-func (c *Conn) install(ln *link) {
-	if c.closed.Load() {
-		ln.close()
-		ln.wg.Done()
-		ln.wg.Done()
-		ln.settle(ErrClosed)
-		return
-	}
+// start builds the session, starts the writer and the reader, and sends
+// the ICReq. It runs before the reactor does, so it stands in for it.
+func (c *Conn) start() {
 	// The read-buffer hooks are transport-owned: the session announces
 	// each read's destination before the command hits the wire and retires
 	// it when the request leaves the pending set, so the reader's sink can
 	// land C2HData payloads with no staging copy. The session hands out
 	// CIDs below its queue depth only, so both hooks index in range.
-	ln.readBufs = make([][]byte, c.cfg.QueueDepth)
+	c.readBufs = make([][]byte, c.cfg.QueueDepth)
 	cfg := c.cfg
 	cfg.OnReadBuffer = func(cid nvme.CID, buf []byte) {
-		ln.readMu.Lock()
-		ln.readBufs[cid] = buf
-		ln.readMu.Unlock()
+		c.readMu.Lock()
+		c.readBufs[cid] = buf
+		c.readMu.Unlock()
 	}
 	cfg.OnReadRetire = func(cid nvme.CID) {
-		ln.readMu.Lock()
-		ln.readBufs[cid] = nil
-		ln.readMu.Unlock()
+		c.readMu.Lock()
+		c.readBufs[cid] = nil
+		c.readMu.Unlock()
 	}
 	// The session's output is staged on the reactor and published by
 	// flush, once per burst. cfg was validated by DialWith.
-	sess, _ := hostqp.New(cfg, c.stage, c.clock)
+	c.sess, _ = hostqp.New(cfg, c.stage, c.clock)
 	if c.dcfg.TelemetryInterval > 0 {
-		sess.EnableE2E()
+		c.sess.EnableE2E()
 	}
-	c.ln, c.sess, c.connErr = ln, sess, nil
 	if c.ls {
-		ln.direct = newDirect(ln.nc, releaseClientPDU, nil)
+		c.direct = newDirect(c.nc, releaseClientPDU, nil)
 	}
 
 	// Writer: stages queued PDUs into vectored batches (the same drain
@@ -418,35 +305,36 @@ func (c *Conn) install(ln *link) {
 	// write payloads stay caller-owned, only the reference is dropped.
 	// The writer gets the raw conn so writev is not defeated by a
 	// wrapper type; socket teardown stays on the once-only close path.
+	c.wg.Add(2)
 	go func() {
-		defer ln.wg.Done()
-		drainWriter(ln.nc, &ln.out, writerConfig{
+		defer c.wg.Done()
+		drainWriter(c.nc, &c.out, writerConfig{
 			release:   releaseClientPDU,
-			closeConn: ln.close,
-			direct:    ln.direct,
+			closeConn: c.closeSocket,
+			direct:    c.direct,
 		})
 	}()
 	go func() {
-		defer ln.wg.Done()
-		c.read(ln)
+		defer c.wg.Done()
+		c.read()
 	}()
-	sess.OnConnect(func() {
-		c.bs.Store(sess.BlockSize())
-		c.setErr(nil)
-		ln.settle(nil)
+	c.sess.OnConnect(func() {
+		c.bs.Store(c.sess.BlockSize())
+		c.settle(nil)
 	})
-	sess.Start()
+	c.sess.Start()
+	c.flush()
 }
 
 func (c *Conn) stage(p proto.PDU) { c.staged = append(c.staged, p) }
 
 func (c *Conn) clock() int64 { return c.now }
 
-// live reports whether the link is up and past its handshake. Runs on the
-// reactor.
+// live reports whether the connection is up and past its handshake. Runs on
+// the reactor.
 func (c *Conn) live() bool { return c.connErr == nil && c.sess.Connected() }
 
-// read is ln's reader: a pooling decoder with a zero-copy sink — C2HData
+// read is the connection's reader: a pooling decoder with a zero-copy sink — C2HData
 // payloads for registered reads are written from the socket directly into
 // the request's destination buffer at Offset (no pool staging, no copy),
 // with out-of-range offsets and unknown CIDs declined here (bounded pooled
@@ -456,20 +344,20 @@ func (c *Conn) live() bool { return c.connErr == nil && c.sess.Connected() }
 // Everything the socket delivered at once reaches the reactor in one post —
 // or, on a latency-sensitive connection whose reactor is parked with
 // nothing queued, is handled here on a loan of the reactor.
-func (c *Conn) read(ln *link) {
+func (c *Conn) read() {
 	// Buffered socket reads: the zero-copy sink splits each C2HData into
 	// header/PSH/payload reads, so without buffering every data PDU would
 	// cost an extra read syscall. With the buffer, headers come from
 	// memory and payload reads drain the buffer before falling through to
 	// direct reads into the destination.
-	rd := proto.NewReader(bufio.NewReaderSize(ln.nc, 64<<10), true)
+	rd := proto.NewReader(bufio.NewReaderSize(c.nc, 64<<10), true)
 	rd.SetC2HSink(func(cid nvme.CID, off, n uint32) []byte {
 		var buf []byte
-		ln.readMu.Lock()
-		if int(cid) < len(ln.readBufs) {
-			buf = ln.readBufs[cid]
+		c.readMu.Lock()
+		if int(cid) < len(c.readBufs) {
+			buf = c.readBufs[cid]
 		}
-		ln.readMu.Unlock()
+		c.readMu.Unlock()
 		if end := uint64(off) + uint64(n); buf == nil || end > uint64(len(buf)) {
 			return nil
 		}
@@ -490,9 +378,7 @@ func (c *Conn) read(ln *link) {
 		} else {
 			// After what was decoded before it, the error.
 			burst = append(burst, cliEvent{fn: func() {
-				if c.ln == ln {
-					c.failAll(fmt.Errorf("tcptrans: read: %w", err))
-				}
+				c.failAll(fmt.Errorf("tcptrans: read: %w", err))
 			}})
 		}
 		switch {
@@ -516,8 +402,8 @@ func (c *Conn) read(ln *link) {
 	}
 }
 
-// every runs fn on the reactor each period while the link is up, from a
-// goroutine that ends with the connection.
+// every runs fn on the reactor each period while the connection is up, from
+// a goroutine that ends with it.
 func (c *Conn) every(period time.Duration, fn func()) {
 	tick := func() {
 		if c.live() {
@@ -543,9 +429,9 @@ func (c *Conn) every(period time.Duration, fn func()) {
 }
 
 // run is the reactor loop. Once the connection is closed it handles what
-// was still queued — a submission fails, a freshly dialed link is shut —
-// and then fails everything outstanding with ErrClosed, so every
-// completion has run by the time Close returns.
+// was still queued — a submission fails — and then fails everything
+// outstanding with ErrClosed, so every completion has run by the time Close
+// returns.
 func (c *Conn) run() {
 	var burst []cliEvent
 	for {
@@ -560,9 +446,6 @@ func (c *Conn) run() {
 	c.failAll(ErrClosed)
 	if c.idle != nil {
 		c.idle.Stop()
-	}
-	if c.retry != nil {
-		c.retry.Stop()
 	}
 }
 
@@ -591,12 +474,6 @@ func (c *Conn) handle(burst []cliEvent) {
 			}
 			proto.ReleaseInbound(ev.pdu)
 			traffic = true
-		case c.rcfg != nil:
-			c.waiting = append(c.waiting, c.guard(ev.io))
-			if c.connErr != nil {
-				c.redial()
-			}
-			traffic = true
 		case c.connErr != nil:
 			ev.io.Done(hostqp.Result{Status: nvme.StatusAborted, Err: c.connErr})
 		default:
@@ -620,9 +497,9 @@ func (c *Conn) flush() {
 	if len(c.staged) == 0 {
 		return
 	}
-	if d := c.ln.direct; d != nil && d.fits(c.staged) && c.ln.out.borrow() {
-		c.ln.out.giveBack(d.send(c.staged))
-	} else if !c.ln.out.put(laneNormal, c.staged...) {
+	if d := c.direct; d != nil && d.fits(c.staged) && c.out.borrow() {
+		c.out.giveBack(d.send(c.staged))
+	} else if !c.out.put(laneNormal, c.staged...) {
 		for _, p := range c.staged {
 			releaseClientPDU(p)
 		}
@@ -631,90 +508,9 @@ func (c *Conn) flush() {
 	c.staged = c.staged[:0]
 }
 
-// IsPermanent reports whether a dial error is a protocol-level rejection
-// (version mismatch, unknown namespace, target termination) that retrying
-// the same configuration can never fix.
-func IsPermanent(err error) bool {
-	var pe *hostqp.ProtocolError
-	return errors.As(err, &pe)
-}
-
-// DialRetry dials with up to attempts tries. backoff is the wait after
-// the first failure; it doubles per attempt (capped at 32×) with up to
-// 50% added jitter so a fleet of initiators reconnecting to a restarted
-// target does not stampede in lockstep. Permanent protocol rejections
-// (see IsPermanent) abort the loop immediately: a target that speaks the
-// wrong PFV or lacks the namespace will still do so on attempt N. Every
-// successful dial after the first failed attempt counts as a reconnect in
-// cfg.Telemetry.
-func DialRetry(addr string, cfg hostqp.Config, attempts int, backoff time.Duration) (*Conn, error) {
-	return DialRetryWith(addr, cfg, DialConfig{}, attempts, backoff)
-}
-
-// DialRetryWith is DialRetry with explicit transport timeouts.
-func DialRetryWith(addr string, cfg hostqp.Config, dcfg DialConfig, attempts int, backoff time.Duration) (*Conn, error) {
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	c, used, err := retryLoop(attempts, backoff, time.Sleep, rng, func() (*Conn, error) {
-		return DialWith(addr, cfg, dcfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if used > 1 {
-		cfg.Telemetry.IncReconnect()
-	}
-	return c, nil
-}
-
-// defaultRetryBackoff floors the DialRetry backoff: a zero (or negative)
-// base would make every wait zero — maxBackoff = 32×0 — so a fleet
-// pointed at a dead target would reconnect-hammer it in a busy loop with
-// no jitter to break the lockstep.
-const defaultRetryBackoff = 10 * time.Millisecond
-
-// retryLoop is the backoff engine of DialRetry and of a recovering Conn's
-// redial, with the clock (sleep) and jitter source injectable so the
-// policy is testable without real waits: the wait after attempt N doubles
-// per attempt from backoff (floored at defaultRetryBackoff), capped at
-// 32×backoff, plus up to 50% jitter; a permanent protocol rejection stops
-// the loop immediately. Returns how many attempts were consumed.
-func retryLoop(attempts int, backoff time.Duration, sleep func(time.Duration), rng *rand.Rand, dial func() (*Conn, error)) (*Conn, int, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
-	maxBackoff := 32 * backoff
-	wait := backoff
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			d := wait
-			if d > 0 {
-				d += time.Duration(rng.Int63n(int64(d)/2 + 1))
-			}
-			sleep(d)
-			if wait *= 2; wait > maxBackoff {
-				wait = maxBackoff
-			}
-		}
-		c, err := dial()
-		if err == nil {
-			return c, i + 1, nil
-		}
-		lastErr = err
-		if IsPermanent(err) {
-			return nil, i + 1, lastErr
-		}
-	}
-	return nil, attempts, lastErr
-}
-
 // Err returns the error that broke the connection, or nil while it is
-// healthy (under a recovery policy: while its link is up). It is the
-// cause every request failed by the break carries in Result.Err, and it
-// is ErrClosed to errors.Is. Safe from any goroutine.
+// healthy. It is the cause every request failed by the break carries in
+// Result.Err, and it is ErrClosed to errors.Is. Safe from any goroutine.
 func (c *Conn) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -730,60 +526,39 @@ func (c *Conn) setErr(err error) {
 // post schedules fn on the reactor; false once the connection is closed.
 func (c *Conn) post(fn func()) bool { return c.q.put(laneNormal, cliEvent{fn: fn}) }
 
-// failAll takes the link down — closes its socket and ends its writer —
-// and fails what it held: in-flight CIDs through hostqp.Session.FailAll
-// (releasing them, so queue-pair depth cannot leak), and, without a
-// recovery policy or at Close, the backlog too. Under a policy the
-// requests it may replay re-enter the backlog instead, and a redial
-// starts. Every failed request carries the cause, wrapped as ErrClosed, in
-// Result.Err. Runs on the reactor.
+// failAll takes the connection down — closes its socket and ends its
+// writer — and fails what it held: in-flight CIDs through
+// hostqp.Session.FailAll (releasing them, so queue-pair depth cannot leak)
+// and the backlog. Every failed request carries the cause, wrapped as
+// ErrClosed, in Result.Err. Runs on the reactor.
 func (c *Conn) failAll(err error) {
-	closing := c.closed.Load()
 	if c.connErr == nil {
-		c.ln.settle(err)
+		c.settle(err)
 		if !errors.Is(err, ErrClosed) {
 			err = fmt.Errorf("%w (%w)", ErrClosed, err)
 		}
 		c.connErr = err
 		c.setErr(err)
-		if !closing {
+		if !c.closed.Load() {
 			// Count only real failures, not the reader unblocking during a
 			// deliberate Close.
 			c.tel.IncTransportError()
 		}
-		c.ln.close()
-		c.ln.out.close() // the writer ends here; later output is released, not queued
-		if c.rcfg == nil {
-			close(c.dead)
-		}
+		c.closeSocket()
+		c.out.close() // the writer ends here; later output is released, not queued
+		close(c.dead)
 	}
-	if c.sess == nil {
-		return // no link was ever installed
-	}
-	c.replaying = c.rcfg != nil && !closing
 	c.sess.FailAll(c.connErr)
-	c.replaying = false
-	if c.rcfg != nil && !closing {
-		c.redial()
-		return
-	}
 	for _, io := range c.waiting {
 		io.Done(hostqp.Result{Status: nvme.StatusAborted, Err: c.connErr})
 	}
-	for _, p := range c.parked {
-		p.io.Done(hostqp.Result{Status: nvme.StatusAborted, Err: c.connErr})
-	}
 	clear(c.waiting)
-	clear(c.parked)
-	c.waiting, c.parked = c.waiting[:0], c.parked[:0]
+	c.waiting = c.waiting[:0]
 }
 
 // pump submits queued ops while the session has queue-depth headroom.
 // Runs on the reactor, once per burst of events.
 func (c *Conn) pump() {
-	if c.owed > 0 {
-		c.countReplays()
-	}
 	n := 0
 	for ; n < len(c.waiting); n++ {
 		io := c.waiting[n]
@@ -889,12 +664,12 @@ func (c *Conn) Submit(io hostqp.IO) error {
 
 // submitLent is Submit on a loan of the parked reactor: the request goes to
 // the session and its command to the wire on the caller's goroutine, unless
-// the reactor would only have queued it (the link is down, requests wait
-// for queue depth, replays are owed) — then it is posted after all. A
-// failed submission's Done is posted too: it never runs on the caller.
+// the reactor would only have queued it (the connection is down, or
+// requests wait for queue depth) — then it is posted after all. A failed
+// submission's Done is posted too: it never runs on the caller.
 func (c *Conn) submitLent(io hostqp.IO) error {
 	defer c.q.giveBack(false)
-	if !c.live() || len(c.waiting) > 0 || c.owed > 0 || !c.sess.CanSubmit() {
+	if !c.live() || len(c.waiting) > 0 || !c.sess.CanSubmit() {
 		if !c.q.put(laneNormal, cliEvent{io: io}) {
 			return ErrClosed
 		}
@@ -903,9 +678,6 @@ func (c *Conn) submitLent(io hostqp.IO) error {
 	}
 	c.lsInline.Add(1)
 	c.now = time.Now().UnixNano()
-	if c.rcfg != nil {
-		io = c.guard(io)
-	}
 	if err := c.sessionSubmit(io); err != nil && !c.post(func() {
 		io.Done(hostqp.Result{Status: nvme.StatusInternalError, Err: err})
 	}) {
@@ -956,11 +728,10 @@ func (c *Conn) Read(lba uint64, blocks uint32, prio proto.Priority) ([]byte, err
 }
 
 // Write stores data (a multiple of the namespace block size)
-// synchronously. Under a recovery policy it is not replayed after a
-// connection loss; Do with IO.Idempotent set is the write that may be.
+// synchronously.
 func (c *Conn) Write(lba uint64, data []byte, prio proto.Priority) error {
-	// bs is the handshake's geometry, kept across outages; a closed or
-	// broken connection is reported by Do.
+	// bs is the handshake's geometry; a closed or broken connection is
+	// reported by Do.
 	bs := int(c.bs.Load())
 	if len(data) == 0 || len(data)%bs != 0 {
 		return fmt.Errorf("tcptrans: %d bytes is not a multiple of the %dB block size", len(data), bs)
@@ -975,9 +746,8 @@ func (c *Conn) Flush() error {
 	return err
 }
 
-// BlockSize returns the namespace block size of the latest handshake — an
-// outage keeps it — and 0 once the connection is closed. It does not wait
-// for the reactor.
+// BlockSize returns the namespace block size of the handshake, and 0 once
+// the connection is closed. It does not wait for the reactor.
 func (c *Conn) BlockSize() uint32 {
 	if c.closed.Load() {
 		return 0
@@ -1033,15 +803,10 @@ func (c *Conn) ClockOffset() (offset, rtt int64) {
 	return p[0], p[1]
 }
 
-// Tenant returns the target-assigned tenant ID of the current session (a
-// reconnect may be handed another).
+// Tenant returns the target-assigned tenant ID of the session.
 func (c *Conn) Tenant() proto.TenantID {
 	return ask(c, func() proto.TenantID { return c.sess.Tenant() })
 }
-
-// Reconnects reports how many times a recovery policy re-established the
-// connection (0 without one).
-func (c *Conn) Reconnects() int64 { return c.reconnects.Load() }
 
 // DrainNext forces the next TC submission to carry the draining flag.
 func (c *Conn) DrainNext() {
@@ -1060,8 +825,8 @@ func (c *Conn) Defer(fn func()) { c.post(fn) }
 func (c *Conn) Telemetry() *telemetry.Registry { return c.tel }
 
 // Close tears the connection down: every outstanding request completes
-// with ErrClosed, then the socket closes and the reader, writer, reactor,
-// ticker and redial goroutines exit. Idempotent and safe to call
+// with ErrClosed, then the socket closes and the reader, writer, reactor
+// and ticker goroutines exit. It is safe to call more than once and
 // concurrently — every caller blocks until the teardown (whichever call
 // performs it) has finished.
 func (c *Conn) Close() error {
@@ -1073,13 +838,6 @@ func (c *Conn) Close() error {
 		close(c.quit)
 		c.q.close()
 		c.wg.Wait()
-		// The reactor has exited, so its link is safe to read.
-		if c.ln != nil {
-			c.ln.wg.Wait()
-		}
 	})
-	if c.ln == nil {
-		return nil
-	}
-	return c.ln.netErr
+	return c.netErr
 }

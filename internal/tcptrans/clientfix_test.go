@@ -1,13 +1,11 @@
 package tcptrans
 
-// Regression tests for the transport-edge bugs: the DialRetry busy-spin
-// when backoff is zero, the per-pump idle-timer churn, Conn.Write
-// inventing a 4096-byte geometry on a closed connection, and Conn.Write
-// waiting on the reactor for a block size it already had.
+// Regression tests for the transport-edge bugs: the per-pump idle-timer
+// churn, Conn.Write inventing a 4096-byte geometry on a closed connection,
+// and Conn.Write waiting on the reactor for a block size it already had.
 
 import (
 	"errors"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -19,36 +17,6 @@ import (
 	"nvmeopf/internal/targetqp"
 	"nvmeopf/internal/telemetry"
 )
-
-// TestRetryLoopZeroBackoffFloored pins the busy-spin fix: with a zero
-// base backoff every wait used to be zero (maxBackoff = 32×0), so a
-// fleet pointed at a dead target would hammer it in a tight loop. The
-// floor must make every sleep at least the default base.
-func TestRetryLoopZeroBackoffFloored(t *testing.T) {
-	for _, backoff := range []time.Duration{0, -time.Second} {
-		var sleeps []time.Duration
-		record := func(d time.Duration) { sleeps = append(sleeps, d) }
-		rng := rand.New(rand.NewSource(1))
-		_, used, err := retryLoop(5, backoff, record, rng, func() (*Conn, error) {
-			return nil, errors.New("connection refused")
-		})
-		if err == nil || used != 5 {
-			t.Fatalf("backoff=%v: used=%d err=%v", backoff, used, err)
-		}
-		if len(sleeps) != 4 {
-			t.Fatalf("backoff=%v: %d sleeps, want 4", backoff, len(sleeps))
-		}
-		for i, d := range sleeps {
-			if d < defaultRetryBackoff {
-				t.Errorf("backoff=%v sleep %d = %v: below the %v floor (busy-spin)", backoff, i, d, defaultRetryBackoff)
-			}
-		}
-		// The floored base must still back off exponentially, not sit flat.
-		if last := sleeps[len(sleeps)-1]; last < 4*defaultRetryBackoff {
-			t.Errorf("backoff=%v: final sleep %v shows no exponential growth", backoff, last)
-		}
-	}
-}
 
 // TestIdleDrainTimerReused pins the timer-churn fix: pumping a stream of
 // TC submissions must re-arm one reusable timer, not allocate a fresh

@@ -133,7 +133,7 @@ func TestAbruptClientDisconnect(t *testing.T) {
 		_ = victim.Submit(hostqp.IO{Op: nvme.OpWrite, LBA: uint64(i), Blocks: 1, Data: make([]byte, 4096),
 			Done: func(hostqp.Result) {}})
 	}
-	victim.ln.nc.Close() // abrupt: no graceful teardown
+	victim.nc.Close() // abrupt: no graceful teardown
 
 	// A healthy tenant keeps working.
 	healthy, err := Dial(srv.Addr(), hostqp.Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 1, NSID: 1})

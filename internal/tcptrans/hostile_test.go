@@ -160,8 +160,8 @@ func TestResponseForCIDOutsideDepthResetsConnection(t *testing.T) {
 		if _, err := c.Read(0, 1, 0); err == nil {
 			t.Fatal("read against a hostile target succeeded")
 		}
-		waitFor(t, "connection marked permanently failed", func() bool {
-			return c.Err() != nil && IsPermanent(c.Err())
+		waitFor(t, "connection failed with a protocol error", func() bool {
+			return isProtocolError(c.Err())
 		})
 		select {
 		case <-hungUp:

@@ -1,7 +1,6 @@
 package tcptrans
 
 import (
-	"bytes"
 	"errors"
 	"runtime"
 	"strings"
@@ -31,6 +30,14 @@ func waitGoroutines(t *testing.T, base int) {
 	buf := make([]byte, 1<<16)
 	n := runtime.Stack(buf, true)
 	t.Fatalf("goroutines leaked: %d > %d+%d\n%s", runtime.NumGoroutine(), base, slack, buf[:n])
+}
+
+// isProtocolError reports whether err carries the session's protocol-level
+// rejection (version mismatch, unknown namespace, target termination): a
+// failure that dialing again with the same configuration cannot fix.
+func isProtocolError(err error) bool {
+	var pe *hostqp.ProtocolError
+	return errors.As(err, &pe)
 }
 
 func lsConfig() hostqp.Config {
@@ -188,8 +195,8 @@ func TestFailedDialLeaksNothing(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("rejection took %v: dial waited for the timeout instead of the TermReq", elapsed)
 	}
-	if !IsPermanent(err) {
-		t.Fatalf("namespace rejection not classified permanent: %v", err)
+	if !isProtocolError(err) {
+		t.Fatalf("namespace rejection is not a protocol error: %v", err)
 	}
 	srv.Close()
 	waitGoroutines(t, base)
@@ -281,72 +288,5 @@ func TestRequestTimeoutReleasesAllCIDs(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("request %d of %d stranded: CID never released", i+1, n)
 		}
-	}
-}
-
-// TestDialRetryStopsOnPermanentError: protocol rejections must abort the
-// retry loop immediately — attempt 2 cannot fix a PFV or namespace
-// mismatch, and backing off just hides the misconfiguration.
-func TestDialRetryStopsOnPermanentError(t *testing.T) {
-	srv, err := NewMemoryServer("127.0.0.1:0", targetqp.ModeOPF, 4096, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cfg := lsConfig()
-	cfg.NSID = 99
-	start := time.Now()
-	_, err = DialRetry(srv.Addr(), cfg, 6, 300*time.Millisecond)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("retry against unknown namespace succeeded")
-	}
-	if !IsPermanent(err) {
-		t.Fatalf("error not classified permanent: %v", err)
-	}
-	// Six attempts with exponential backoff from 300ms would take >9s.
-	if elapsed > 3*time.Second {
-		t.Fatalf("DialRetry kept retrying a permanent rejection for %v", elapsed)
-	}
-}
-
-// TestDialRetryRecoversFromTransientFailure: a target that comes up late
-// must be reachable through the backoff loop.
-func TestDialRetryRecoversFromTransientFailure(t *testing.T) {
-	srv, err := NewMemoryServer("127.0.0.1:0", targetqp.ModeOPF, 4096, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
-	srv.Close() // nothing listens: first attempts fail at connect()
-
-	type dialRes struct {
-		c   *Conn
-		err error
-	}
-	res := make(chan dialRes, 1)
-	go func() {
-		c, err := DialRetry(addr, lsConfig(), 40, 20*time.Millisecond)
-		res <- dialRes{c, err}
-	}()
-	// Bring a server back on the same address mid-retry.
-	time.Sleep(100 * time.Millisecond)
-	srv2, err := NewMemoryServer(addr, targetqp.ModeOPF, 4096, 1024)
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	defer srv2.Close()
-	select {
-	case r := <-res:
-		if r.err != nil {
-			t.Fatalf("retry never connected: %v", r.err)
-		}
-		payload := bytes.Repeat([]byte{7}, 4096)
-		if err := r.c.Write(0, payload, 0); err != nil {
-			t.Fatal(err)
-		}
-		r.c.Close()
-	case <-time.After(15 * time.Second):
-		t.Fatal("DialRetry hung")
 	}
 }

@@ -266,7 +266,8 @@ func (q *burstQueue[T]) next(spare []T) ([]T, bool) {
 }
 
 // close stops the queue: puts fail from here on and the consumer's wait
-// reports it. What is still queued stays for a final take. Idempotent.
+// reports it. What is still queued stays for a final take. A second close
+// is a no-op.
 // A close during a loan wakes the consumer when the loan is given back.
 func (q *burstQueue[T]) close() {
 	q.mu.Lock()

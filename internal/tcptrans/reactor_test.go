@@ -692,8 +692,7 @@ func TestSessionOwnedReadBuffersAcrossReuse(t *testing.T) {
 // first result has to survive the reads that follow.
 func TestSynchronousReadResultsAreNotLent(t *testing.T) {
 	srv := startServer(t, targetqp.ModeOPF)
-	rc, err := DialWith(srv.Addr(), hostqp.Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 4, NSID: 1},
-		DialConfig{Recovery: &RecoveryConfig{MaxAttempts: 1}})
+	rc, err := Dial(srv.Addr(), hostqp.Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 4, NSID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

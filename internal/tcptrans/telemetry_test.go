@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"nvmeopf/internal/bdev"
 	"nvmeopf/internal/hostqp"
@@ -369,7 +368,7 @@ func TestMetricsFollowTheDatapath(t *testing.T) {
 	}
 
 	// Every tenant: each command completed once, nothing errored, nothing
-	// was refused admission or replayed, and no request is still queued.
+	// was refused admission, and no request is still queued.
 	for _, c := range []struct {
 		conn *Conn
 		ops  int
@@ -380,7 +379,6 @@ func TestMetricsFollowTheDatapath(t *testing.T) {
 		expect("nvmeopf_tenant_errors_total", id, 0)
 		expect("nvmeopf_tenant_queue_depth", id, 0)
 		expect("nvmeopf_busy_rejections_total", id, 0)
-		expect("nvmeopf_replayed_requests_total", id, 0)
 		expect("nvmeopf_tenant_forced_drains_total", id, 0)
 	}
 
@@ -441,7 +439,6 @@ func TestMetricsFollowTheDatapath(t *testing.T) {
 	// Target-wide: three healthy connections on every shard.
 	for series, want := range map[string]int{
 		"nvmeopf_connections_total":      3,
-		"nvmeopf_reconnects_total":       0,
 		"nvmeopf_transport_errors_total": 0,
 		"nvmeopf_disconnects_total":      0,
 		"nvmeopf_teardown_dropped_total": 0,
@@ -458,51 +455,5 @@ func TestMetricsFollowTheDatapath(t *testing.T) {
 	})
 	if got := scrapeMetrics(t, exp.Addr())["nvmeopf_teardown_dropped_total"]; got != "0" {
 		t.Errorf("teardown dropped %s requests of a quiesced connection", got)
-	}
-}
-
-// TestDialRetryCountsReconnects verifies the reconnect counter: the first
-// attempts hit a dead address, then the target comes up.
-func TestDialRetryCountsReconnects(t *testing.T) {
-	dev, err := bdev.NewMemory(512, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reserve an address, then close it so the first dial fails.
-	srv0, err := Listen("127.0.0.1:0", ServerConfig{Mode: targetqp.ModeOPF, Device: dev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv0.Addr()
-	srv0.Close()
-
-	tel := telemetry.New()
-	started := make(chan *Server, 1)
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		srv, err := Listen(addr, ServerConfig{Mode: targetqp.ModeOPF, Device: dev})
-		if err != nil {
-			started <- nil
-			return
-		}
-		started <- srv
-	}()
-	conn, err := DialRetry(addr, hostqp.Config{
-		Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 1, NSID: 1,
-		Telemetry: tel,
-	}, 50, 20*time.Millisecond)
-	srv := <-started
-	if srv != nil {
-		defer srv.Close()
-	}
-	if err != nil {
-		t.Fatalf("DialRetry never connected: %v", err)
-	}
-	defer conn.Close()
-	if g := tel.Global(); g.Reconnects != 1 {
-		t.Fatalf("reconnects = %d, want 1", g.Reconnects)
-	}
-	if _, err := conn.Read(0, 1, 0); err != nil {
-		t.Fatalf("post-reconnect read: %v", err)
 	}
 }

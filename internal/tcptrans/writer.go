@@ -37,7 +37,7 @@ type writerConfig struct {
 	// slice is referenced by the write vector until the syscall lands.
 	release func(proto.PDU)
 	// closeConn overrides how the writer tears the socket down (nil means
-	// conn.Close). The client passes its link's once-only close here while
+	// conn.Close). The client passes its once-only socket close here while
 	// writing to the raw *net.TCPConn, so the writev fast path is not
 	// defeated by a wrapper type.
 	closeConn func()

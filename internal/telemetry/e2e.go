@@ -36,14 +36,13 @@ func (c Class) wirePriority() proto.Priority {
 // TelemetryUpdates. Record runs on the completion path (lock-free, no
 // allocation after the first sample per class); FillUpdate runs on the
 // emission cadence and extracts the delta since the previous call.
-// AddBusy/AddRetries are safe from any goroutine; Record and FillUpdate
+// AddBusy is safe from any goroutine; Record and FillUpdate
 // must run on the session's event context (they share the delta
 // baseline).
 type E2EAccum struct {
-	hist    [numClasses]*stats.AtomicHistogram
-	prev    [numClasses]*stats.Histogram // baseline of the next delta
-	busy    atomic.Int64
-	retries atomic.Int64
+	hist [numClasses]*stats.AtomicHistogram
+	prev [numClasses]*stats.Histogram // baseline of the next delta
+	busy atomic.Int64
 }
 
 // NewE2EAccum creates an accumulator.
@@ -71,19 +70,11 @@ func (a *E2EAccum) AddBusy() {
 	a.busy.Add(1)
 }
 
-// AddRetries counts n resubmitted commands (replays after a connection
-// loss, re-sends after busy push-back).
-func (a *E2EAccum) AddRetries(n int64) {
-	if a == nil || n <= 0 {
-		return
-	}
-	a.retries.Add(n)
-}
-
 // FillUpdate writes the deltas since the previous FillUpdate into u
-// (Classes, SubBits, Busy, Retries) and advances the baseline. The caller
-// fills HostClock and QueueDepth. Returns true when the update carries
-// any new information (samples, busy or retry counts) — heartbeat-only
+// (Classes, SubBits, Busy; Retries is always 0, since a host resubmits
+// nothing) and advances the baseline. The caller fills HostClock and
+// QueueDepth. Returns true when the update carries any new information
+// (samples or busy counts) — heartbeat-only
 // updates still refresh the clock estimate and queue-depth gauge, so
 // callers typically send either way.
 func (a *E2EAccum) FillUpdate(u *proto.TelemetryUpdate) bool {
@@ -93,8 +84,8 @@ func (a *E2EAccum) FillUpdate(u *proto.TelemetryUpdate) bool {
 		return false
 	}
 	u.Busy = uint32(a.busy.Swap(0))
-	u.Retries = uint32(a.retries.Swap(0))
-	fresh := u.Busy > 0 || u.Retries > 0
+	u.Retries = 0
+	fresh := u.Busy > 0
 	for c := Class(0); c < numClasses; c++ {
 		if a.hist[c] == nil {
 			continue

@@ -87,20 +87,20 @@ func TestE2EAccumDeltaIsDelta(t *testing.T) {
 	}
 }
 
-// TestE2EAccumBusyRetries asserts busy/retry counters are
-// reported-and-reset per update (window counters, not running totals on
-// the wire) while the registry accumulates them as totals.
+// TestE2EAccumBusyRetries asserts the busy counter is reported-and-reset
+// per update (a window counter, not a running total on the wire), that a
+// host reports no retries, and that the registry accumulates what peers
+// report of both as totals.
 func TestE2EAccumBusyRetries(t *testing.T) {
 	acc := NewE2EAccum()
 	acc.AddBusy()
 	acc.AddBusy()
-	acc.AddRetries(3)
-	var u proto.TelemetryUpdate
+	u := proto.TelemetryUpdate{Retries: 9} // a reused PDU's stale count
 	if !acc.FillUpdate(&u) {
-		t.Fatal("busy/retry-only update not fresh")
+		t.Fatal("busy-only update not fresh")
 	}
-	if u.Busy != 2 || u.Retries != 3 {
-		t.Fatalf("busy=%d retries=%d, want 2/3", u.Busy, u.Retries)
+	if u.Busy != 2 || u.Retries != 0 {
+		t.Fatalf("busy=%d retries=%d, want 2/0", u.Busy, u.Retries)
 	}
 	acc.FillUpdate(&u)
 	if u.Busy != 0 || u.Retries != 0 {
@@ -212,14 +212,15 @@ func e2eGoldenRegistry(t *testing.T) *Registry {
 		r.IncCompleted(2, proto.PrioLatencySensitive, 40_000, 4096, true)
 	}
 	// Host-side: the same tenant saw 1 ms end to end, twice, plus busy
-	// push-back — shipped through the real accumulator.
+	// push-back — shipped through the real accumulator — and a peer that
+	// reports two retries of its own.
 	acc := NewE2EAccum()
 	acc.Record(proto.PrioLatencySensitive, 1_000_000)
 	acc.Record(proto.PrioLatencySensitive, 1_000_000)
 	acc.AddBusy()
-	acc.AddRetries(2)
 	u := &proto.TelemetryUpdate{QueueDepth: 7}
 	acc.FillUpdate(u)
+	u.Retries = 2
 	if err := r.MergeE2E(2, u); err != nil {
 		t.Fatalf("MergeE2E: %v", err)
 	}

@@ -121,7 +121,6 @@ var tenantMetrics = []metricDef{
 	{"nvmeopf_tenant_responses_total", "counter", "Wire responses emitted.", func(t TenantSnapshot) int64 { return t.Responses }},
 	{"nvmeopf_tenant_coalesced_responses_total", "counter", "Wire responses covering a whole window.", func(t TenantSnapshot) int64 { return t.Coalesced }},
 	{"nvmeopf_busy_rejections_total", "counter", "Requests refused admission with StatusBusy.", func(t TenantSnapshot) int64 { return t.BusyRejections }},
-	{"nvmeopf_replayed_requests_total", "counter", "Requests resubmitted by host-side recovery.", func(t TenantSnapshot) int64 { return t.Replayed }},
 }
 
 // PrometheusText renders the registry in the Prometheus text exposition
@@ -183,7 +182,6 @@ func (r *Registry) PrometheusText() string {
 	}
 	g := r.Global()
 	fmt.Fprintf(&b, "# HELP nvmeopf_connections_total Connections established.\n# TYPE nvmeopf_connections_total counter\nnvmeopf_connections_total %d\n", g.Connections)
-	fmt.Fprintf(&b, "# HELP nvmeopf_reconnects_total Connections re-established after failure.\n# TYPE nvmeopf_reconnects_total counter\nnvmeopf_reconnects_total %d\n", g.Reconnects)
 	fmt.Fprintf(&b, "# HELP nvmeopf_transport_errors_total Transport-level failures.\n# TYPE nvmeopf_transport_errors_total counter\nnvmeopf_transport_errors_total %d\n", g.TransportErrors)
 	fmt.Fprintf(&b, "# HELP nvmeopf_disconnects_total Sessions torn down after their connection died.\n# TYPE nvmeopf_disconnects_total counter\nnvmeopf_disconnects_total %d\n", g.Disconnects)
 	fmt.Fprintf(&b, "# HELP nvmeopf_teardown_dropped_total Queued requests discarded by session teardown.\n# TYPE nvmeopf_teardown_dropped_total counter\nnvmeopf_teardown_dropped_total %d\n", g.TeardownDrops)

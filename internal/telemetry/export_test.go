@@ -34,8 +34,6 @@ func goldenRegistry() *Registry {
 	for i := 0; i < 3; i++ {
 		r.IncBusyRejection(3)
 	}
-	r.IncReplayed(3)
-	r.IncReplayed(3)
 	r.IncConnection()
 	r.IncConnection()
 	return r
@@ -104,10 +102,6 @@ nvmeopf_tenant_coalesced_responses_total{tenant="3"} 1
 # TYPE nvmeopf_busy_rejections_total counter
 nvmeopf_busy_rejections_total{tenant="0"} 0
 nvmeopf_busy_rejections_total{tenant="3"} 3
-# HELP nvmeopf_replayed_requests_total Requests resubmitted by host-side recovery.
-# TYPE nvmeopf_replayed_requests_total counter
-nvmeopf_replayed_requests_total{tenant="0"} 0
-nvmeopf_replayed_requests_total{tenant="3"} 2
 # HELP nvmeopf_tenant_coalescing_ratio Completions per wire response (>1 means coalescing).
 # TYPE nvmeopf_tenant_coalescing_ratio gauge
 nvmeopf_tenant_coalescing_ratio{tenant="0"} 0.0000
@@ -141,9 +135,6 @@ nvmeopf_tenant_latency_hist_ns_count{tenant="0",class="ls"} 1
 # HELP nvmeopf_connections_total Connections established.
 # TYPE nvmeopf_connections_total counter
 nvmeopf_connections_total 2
-# HELP nvmeopf_reconnects_total Connections re-established after failure.
-# TYPE nvmeopf_reconnects_total counter
-nvmeopf_reconnects_total 2
 # HELP nvmeopf_transport_errors_total Transport-level failures.
 # TYPE nvmeopf_transport_errors_total counter
 nvmeopf_transport_errors_total 0
@@ -157,8 +148,6 @@ nvmeopf_teardown_dropped_total 5
 
 func TestPrometheusGolden(t *testing.T) {
 	r := goldenRegistry()
-	r.IncReconnect()
-	r.IncReconnect()
 	r.IncDisconnect()
 	r.AddTeardownDrops(5)
 	got := r.PrometheusText()
@@ -440,9 +429,6 @@ func TestHandlerServesOnlyReadSurfaces(t *testing.T) {
 	}
 	r.RecordAutotune(AutotuneDecision{Tenant: 3, Action: "shrink", Window: 8, PrevWindow: 16})
 	r.SetShards(2)
-	r.IncFailover()
-	r.SetClusterEpoch(3)
-	r.SetClusterDegraded(true)
 	r.SetRecorder(NewRecorder(RecorderConfig{Role: "target"}))
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
@@ -489,7 +475,6 @@ func TestHandlerServesOnlyReadSurfaces(t *testing.T) {
 		"nvmeopf_tenant_responses_total",
 		"nvmeopf_tenant_coalesced_responses_total",
 		"nvmeopf_busy_rejections_total",
-		"nvmeopf_replayed_requests_total",
 		"nvmeopf_scavenger_queued_total",
 		"nvmeopf_scavenger_queue_depth",
 		"nvmeopf_scavenger_drains_total",
@@ -498,7 +483,6 @@ func TestHandlerServesOnlyReadSurfaces(t *testing.T) {
 		"nvmeopf_tenant_latency_hist_ns",
 		"nvmeopf_e2e_latency_hist_ns",
 		"nvmeopf_connections_total",
-		"nvmeopf_reconnects_total",
 		"nvmeopf_transport_errors_total",
 		"nvmeopf_disconnects_total",
 		"nvmeopf_teardown_dropped_total",

@@ -49,7 +49,6 @@ type tenantSlot struct {
 	coalesced    atomic.Int64 // of which coalesced
 
 	busyRejections atomic.Int64 // admissions refused with StatusBusy
-	replayed       atomic.Int64 // requests resubmitted by recovery
 
 	// Scavenger (best-effort) class instruments. Exported in their own
 	// gated block so deployments without scavenger traffic keep their
@@ -103,24 +102,10 @@ type Registry struct {
 	tenants [numTenantPages]atomic.Pointer[tenantPage]
 
 	connections     atomic.Int64
-	reconnects      atomic.Int64
 	transportErrors atomic.Int64
 	disconnects     atomic.Int64
 	teardownDrops   atomic.Int64
 	shards          atomic.Int64
-
-	// Cluster instruments (see internal/cluster): failovers counts primary
-	// re-targets a host performed, staleEpochs counts cluster maps or
-	// registrations rejected for carrying an epoch older than the newest
-	// one seen, discoveryExpired counts TTL'd discovery registrations that
-	// lapsed, clusterEpoch is the newest map epoch observed, and
-	// clusterDegraded is 1 while a host is refusing writes because its
-	// shard has no live replica.
-	failovers       atomic.Int64
-	staleEpochs     atomic.Int64
-	discoveryExpire atomic.Int64
-	clusterEpoch    atomic.Int64
-	clusterDegraded atomic.Int64
 
 	// Adaptive drain-window controller state (see autotune.go).
 	atMu    sync.Mutex
@@ -362,30 +347,12 @@ func (r *Registry) IncBusyRejection(t proto.TenantID) {
 	r.slot(t).busyRejections.Add(1)
 }
 
-// IncReplayed records one request a recovering host resubmitted after a
-// connection died or a StatusBusy pushback.
-func (r *Registry) IncReplayed(t proto.TenantID) {
-	if r == nil {
-		return
-	}
-	r.slot(t).replayed.Add(1)
-}
-
 // IncConnection counts one accepted/established connection.
 func (r *Registry) IncConnection() {
 	if r == nil {
 		return
 	}
 	r.connections.Add(1)
-}
-
-// IncReconnect counts one re-established connection (e.g. a dial retried
-// through discovery after a transport failure).
-func (r *Registry) IncReconnect() {
-	if r == nil {
-		return
-	}
-	r.reconnects.Add(1)
 }
 
 // IncTransportError counts one transport-level failure (broken socket,
@@ -425,55 +392,6 @@ func (r *Registry) AddTeardownDrops(n int64) {
 	r.teardownDrops.Add(n)
 }
 
-// IncFailover counts one primary re-target: a cluster client moved a
-// shard's traffic to the promoted replica after the old primary died.
-func (r *Registry) IncFailover() {
-	if r == nil {
-		return
-	}
-	r.failovers.Add(1)
-}
-
-// IncStaleEpoch counts one split-brain rejection: a cluster map or a
-// discovery registration refused because its epoch was older than the
-// newest one already seen.
-func (r *Registry) IncStaleEpoch() {
-	if r == nil {
-		return
-	}
-	r.staleEpochs.Add(1)
-}
-
-// IncDiscoveryExpired counts one discovery registration whose TTL lapsed
-// without a keep-alive (exported as nvmeopf_discovery_expired_total).
-func (r *Registry) IncDiscoveryExpired() {
-	if r == nil {
-		return
-	}
-	r.discoveryExpire.Add(1)
-}
-
-// SetClusterEpoch records the newest cluster-map epoch observed.
-func (r *Registry) SetClusterEpoch(epoch uint64) {
-	if r == nil {
-		return
-	}
-	r.clusterEpoch.Store(int64(epoch))
-}
-
-// SetClusterDegraded records whether the host is in read-only degraded
-// mode (its shard has no live replica to mirror writes to).
-func (r *Registry) SetClusterDegraded(degraded bool) {
-	if r == nil {
-		return
-	}
-	var v int64
-	if degraded {
-		v = 1
-	}
-	r.clusterDegraded.Store(v)
-}
-
 // TenantSnapshot is a point-in-time copy of one tenant's instruments.
 type TenantSnapshot struct {
 	Tenant       uint16 `json:"tenant"`
@@ -492,10 +410,8 @@ type TenantSnapshot struct {
 	Suppressed   int64  `json:"suppressed"`
 	Responses    int64  `json:"responses"`
 	Coalesced    int64  `json:"coalesced"`
-	// BusyRejections counts requests refused admission with StatusBusy;
-	// Replayed counts requests the host's recovery layer resubmitted.
+	// BusyRejections counts requests refused admission with StatusBusy.
 	BusyRejections int64 `json:"busy_rejections"`
-	Replayed       int64 `json:"replayed"`
 	// Scavenger (best-effort) class instruments; all zero for tenants
 	// that never submitted scavenger traffic (omitted from JSON then).
 	ScavQueued     int64 `json:"scav_queued,omitempty"`
@@ -518,16 +434,9 @@ type TenantSnapshot struct {
 // GlobalSnapshot is a point-in-time copy of the registry-wide instruments.
 type GlobalSnapshot struct {
 	Connections     int64 `json:"connections"`
-	Reconnects      int64 `json:"reconnects"`
 	TransportErrors int64 `json:"transport_errors"`
 	Disconnects     int64 `json:"disconnects"`
 	TeardownDrops   int64 `json:"teardown_drops"`
-	// Cluster instruments; all zero outside cluster deployments.
-	Failovers        int64 `json:"failovers"`
-	StaleEpochs      int64 `json:"stale_epochs"`
-	DiscoveryExpired int64 `json:"discovery_expired"`
-	ClusterEpoch     int64 `json:"cluster_epoch"`
-	ClusterDegraded  int64 `json:"cluster_degraded"`
 }
 
 // Global snapshots the registry-wide counters.
@@ -536,16 +445,10 @@ func (r *Registry) Global() GlobalSnapshot {
 		return GlobalSnapshot{}
 	}
 	return GlobalSnapshot{
-		Connections:      r.connections.Load(),
-		Reconnects:       r.reconnects.Load(),
-		TransportErrors:  r.transportErrors.Load(),
-		Disconnects:      r.disconnects.Load(),
-		TeardownDrops:    r.teardownDrops.Load(),
-		Failovers:        r.failovers.Load(),
-		StaleEpochs:      r.staleEpochs.Load(),
-		DiscoveryExpired: r.discoveryExpire.Load(),
-		ClusterEpoch:     r.clusterEpoch.Load(),
-		ClusterDegraded:  r.clusterDegraded.Load(),
+		Connections:     r.connections.Load(),
+		TransportErrors: r.transportErrors.Load(),
+		Disconnects:     r.disconnects.Load(),
+		TeardownDrops:   r.teardownDrops.Load(),
 	}
 }
 
@@ -575,7 +478,6 @@ func (r *Registry) Tenants() []TenantSnapshot {
 			Coalesced:    s.coalesced.Load(),
 
 			BusyRejections: s.busyRejections.Load(),
-			Replayed:       s.replayed.Load(),
 
 			ScavQueued:     s.scavQueued.Load(),
 			ScavQueueDepth: s.scavQueueDepth.Load(),

@@ -22,7 +22,6 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.IncSuppressed(1)
 	r.IncResponse(1, true)
 	r.IncConnection()
-	r.IncReconnect()
 	r.IncTransportError()
 	r.SetRecorder(nil)
 	if got := r.LatencyHist(1, ClassTC); got != nil {

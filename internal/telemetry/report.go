@@ -69,15 +69,15 @@ type Anomaly struct {
 	Detail string
 }
 
+// holFactor flags an LS request whose service span exceeds this multiple
+// of the LS median while a TC drain window of another tenant overlaps it.
+const holFactor = 4
+
 // AnalyzeOptions tunes the detectors.
 type AnalyzeOptions struct {
 	// StallThreshold flags queue spans longer than this (ns). 0 disables
 	// the recomputed detector (dump-carried snapshots still surface).
 	StallThreshold int64
-	// HoLFactor flags an LS request whose service span exceeds this
-	// multiple of the LS median while a TC drain window of another tenant
-	// overlaps it (default 4).
-	HoLFactor float64
 	// Top bounds the slowest-requests table (default 5).
 	Top int
 }
@@ -116,9 +116,6 @@ func (r *Report) ReconstructionRatio() float64 {
 
 // Analyze runs the detectors and aggregations over a correlation.
 func Analyze(c *Correlation, opts AnalyzeOptions) *Report {
-	if opts.HoLFactor <= 0 {
-		opts.HoLFactor = 4
-	}
 	if opts.Top <= 0 {
 		opts.Top = 5
 	}
@@ -209,7 +206,7 @@ func Analyze(c *Correlation, opts AnalyzeOptions) *Report {
 	if len(lsService) > 0 {
 		sort.Slice(lsService, func(i, j int) bool { return lsService[i] < lsService[j] })
 		median := stats.NearestRank(lsService, 0.5)
-		limit := int64(float64(median) * opts.HoLFactor)
+		limit := int64(float64(median) * holFactor)
 		for i := range c.Timelines {
 			tl := &c.Timelines[i]
 			if !proto.Priority(tl.Prio).LatencySensitive() {
