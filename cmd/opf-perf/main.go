@@ -1,8 +1,8 @@
 // Command opf-perf is the SPDK-perf-equivalent client benchmark for a real
 // TCP target: it opens latency-sensitive, throughput-critical, and
-// scavenger (best-effort) connections, drives a closed-loop one-block workload
-// for a wall-clock duration, and reports aggregate throughput plus
-// per-class latency percentiles.
+// scavenger (best-effort) connections, drives each with a closed-loop
+// one-block workload.Runner for a wall-clock duration, and reports
+// aggregate throughput plus per-class latency percentiles.
 //
 // Usage:
 //
@@ -14,97 +14,33 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
-	"sync"
 	"time"
 
 	"nvmeopf/internal/core"
 	"nvmeopf/internal/hostqp"
-	"nvmeopf/internal/nvme"
 	"nvmeopf/internal/proto"
 	"nvmeopf/internal/stats"
 	"nvmeopf/internal/tcptrans"
 	"nvmeopf/internal/telemetry"
+	"nvmeopf/internal/workload"
 )
 
-// tenant drives one connection closed-loop.
+// tenant is one connection and the Runner that drives it. The Runner runs
+// on the connection's reactor: it is started, probed and asked whether it
+// is done only through Conn.Defer.
 type tenant struct {
 	conn  *tcptrans.Conn
 	class proto.Priority
-	qd    int
-	mix   string
-	lba   uint64
-	base  uint64
-	span  uint64
-	rng   *rand.Rand
-
-	mu   sync.Mutex
-	hist stats.Histogram
-	ops  int64
-	errs int64
+	run   *workload.Runner
 }
 
-func (t *tenant) pickOp() nvme.Opcode {
-	switch t.mix {
-	case "read":
-		return nvme.OpRead
-	case "write":
-		return nvme.OpWrite
-	default:
-		if t.rng.Intn(2) == 0 {
-			return nvme.OpRead
-		}
-		return nvme.OpWrite
-	}
-}
-
-func (t *tenant) run(stopAt time.Time, wg *sync.WaitGroup) {
-	var inner sync.WaitGroup
-	var submit func()
-	buf := make([]byte, t.conn.BlockSize())
-	var mu sync.Mutex // guards lba/rng across reactor callbacks
-	submit = func() {
-		if time.Now().After(stopAt) {
-			inner.Done()
-			return
-		}
-		mu.Lock()
-		op := t.pickOp()
-		lba := t.base + t.lba
-		t.lba = (t.lba + 1) % t.span
-		mu.Unlock()
-		var data []byte
-		if op == nvme.OpWrite {
-			data = buf
-		}
-		start := time.Now()
-		err := t.conn.Submit(hostqp.IO{
-			Op: op, LBA: lba, Blocks: 1, Data: data,
-			Done: func(r hostqp.Result) {
-				t.mu.Lock()
-				t.ops++
-				if !r.Status.OK() {
-					t.errs++
-				}
-				t.hist.Record(time.Since(start).Nanoseconds())
-				t.mu.Unlock()
-				submit()
-			},
-		})
-		if err != nil {
-			inner.Done()
-			return
-		}
-	}
-	for i := 0; i < t.qd; i++ {
-		inner.Add(1)
-		submit()
-	}
-	go func() {
-		inner.Wait()
-		wg.Done()
-	}()
+// finished reports, from the reactor, whether the tenant's loop has
+// stopped and everything it submitted has completed.
+func (t *tenant) finished() bool {
+	ch := make(chan bool, 1)
+	t.conn.Defer(func() { ch <- t.run.Done() })
+	return <-ch
 }
 
 func main() {
@@ -143,18 +79,21 @@ func main() {
 		defer exp.Close()
 		fmt.Printf("telemetry on http://%s/metrics\n", exp.Addr())
 	}
+	kind, wmix := core.WorkloadMixed, workload.Mixed5050
+	switch *mix {
+	case "read":
+		kind, wmix = core.WorkloadRead, workload.ReadOnly
+	case "write":
+		kind, wmix = core.WorkloadWrite, workload.WriteOnly
+	}
 	if *window == 0 {
-		kind := core.WorkloadRead
-		switch *mix {
-		case "write":
-			kind = core.WorkloadWrite
-		case "mixed":
-			kind = core.WorkloadMixed
-		}
 		*window = core.OptimalWindow(kind, 100, *tc, *qd)
 		fmt.Printf("window auto-selected: %d (%s, %d TC tenants, QD %d)\n", *window, *mix, *tc, *qd)
 	}
 
+	// Every Runner reads one clock, zero when the loops start.
+	var t0 time.Time
+	clock := func() int64 { return int64(time.Since(t0)) }
 	var tenants []*tenant
 	for i := 0; i < *ls+*tc+*scav; i++ {
 		class, depth, w := proto.PrioLatencySensitive, 1, 1
@@ -174,60 +113,61 @@ func main() {
 			log.Fatalf("dial %d: %v", i, err)
 		}
 		defer conn.Close()
-		tenants = append(tenants, &tenant{
-			conn: conn, class: class, qd: depth, mix: *mix,
-			base: uint64(i) * *span, span: *span,
-			rng: rand.New(rand.NewSource(int64(i) + 1)),
+		run, err := workload.NewRunner(conn, clock, workload.Spec{
+			Mix: wmix, Pattern: workload.Sequential, Blocks: 1, QueueDepth: depth,
+			RegionStart: uint64(i) * *span, RegionBlocks: *span,
+			StopAt: int64(*duration), Seed: uint64(i) + 1, BlockSize: conn.BlockSize(),
+			// Busy push-back switches the loop to slow-start probing; each
+			// probe tick runs on the reactor, like the loop's completions.
+			Defer: func(d int64, fn func()) {
+				time.AfterFunc(time.Duration(d), func() { conn.Defer(fn) })
+			},
 		})
+		if err != nil {
+			log.Fatalf("tenant %d: %v", i, err)
+		}
+		tenants = append(tenants, &tenant{conn: conn, class: class, run: run})
 	}
 
-	stopAt := time.Now().Add(*duration)
-	var wg sync.WaitGroup
-	start := time.Now()
+	t0 = time.Now()
 	for _, t := range tenants {
-		wg.Add(1)
-		t.run(stopAt, &wg)
+		t.conn.Defer(t.run.Kick)
 	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	bs := float64(tenants[0].conn.BlockSize()) // every I/O moves one block
-
-	var lsHist, tcHist, scHist stats.Histogram
-	var lsOps, tcOps, scOps, errs int64
+	// A loop stops at -duration, or at once when its connection fails.
 	for _, t := range tenants {
-		t.mu.Lock()
+		for !t.finished() {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	elapsed := min(time.Since(t0), *duration).Seconds()
+
+	var lsRes, tcRes, scRes workload.Result
+	var errs, busy int64
+	for _, t := range tenants {
+		sum := &tcRes
 		switch t.class {
 		case proto.PrioLatencySensitive:
-			lsHist.Merge(&t.hist)
-			lsOps += t.ops
+			sum = &lsRes
 		case proto.PrioScavenger:
-			scHist.Merge(&t.hist)
-			scOps += t.ops
-		default:
-			tcHist.Merge(&t.hist)
-			tcOps += t.ops
+			sum = &scRes
 		}
-		errs += t.errs
-		t.mu.Unlock()
+		res := t.run.Result()
+		sum.Recorded.Merge(res.Recorded)
+		sum.Latency.Merge(&res.Latency)
+		errs += res.Errors
+		busy += res.Busy
 	}
-	fmt.Printf("duration: %.2fs  errors: %d\n", elapsed, errs)
-	if tcOps > 0 {
-		fmt.Printf("TC: %8.0f IOPS  %s  p50=%s p99=%s p99.99=%s\n",
-			float64(tcOps)/elapsed,
-			stats.FormatBytesPerSec(float64(tcOps)*bs/elapsed),
-			stats.FormatNanos(tcHist.P50()), stats.FormatNanos(tcHist.P99()), stats.FormatNanos(tcHist.P9999()))
-	}
-	if lsOps > 0 {
-		fmt.Printf("LS: %8.0f IOPS  %s  p50=%s p99=%s p99.99=%s\n",
-			float64(lsOps)/elapsed,
-			stats.FormatBytesPerSec(float64(lsOps)*bs/elapsed),
-			stats.FormatNanos(lsHist.P50()), stats.FormatNanos(lsHist.P99()), stats.FormatNanos(lsHist.P9999()))
-	}
-	if scOps > 0 {
-		fmt.Printf("SC: %8.0f IOPS  %s  p50=%s p99=%s p99.99=%s\n",
-			float64(scOps)/elapsed,
-			stats.FormatBytesPerSec(float64(scOps)*bs/elapsed),
-			stats.FormatNanos(scHist.P50()), stats.FormatNanos(scHist.P99()), stats.FormatNanos(scHist.P9999()))
+	fmt.Printf("duration: %.2fs  errors: %d  busy: %d\n", elapsed, errs, busy)
+	for _, c := range []struct {
+		name string
+		res  *workload.Result
+	}{{"TC", &tcRes}, {"LS", &lsRes}, {"SC", &scRes}} {
+		if n := c.res.Recorded.Ops; n > 0 {
+			h := &c.res.Latency
+			fmt.Printf("%s: %8.0f IOPS  %s  p50=%s p99=%s p99.99=%s\n", c.name,
+				float64(n)/elapsed, stats.FormatBytesPerSec(float64(c.res.Recorded.Bytes)/elapsed),
+				stats.FormatNanos(h.P50()), stats.FormatNanos(h.P99()), stats.FormatNanos(h.P9999()))
+		}
 	}
 	if rec != nil {
 		f, err := os.Create(*traceOut)

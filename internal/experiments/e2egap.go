@@ -162,7 +162,7 @@ func RunE2EGap(cfg Config, label string, at *autotune.Config) (E2EGapResult, err
 	if err != nil {
 		return E2EGapResult{}, err
 	}
-	lsRun.Start()
+	lsIni.Session.OnConnect(lsRun.Kick)
 
 	var tcRuns []*workload.Runner
 	for i := 0; i < egTCTenants; i++ {
@@ -183,7 +183,7 @@ func RunE2EGap(cfg Config, label string, at *autotune.Config) (E2EGapResult, err
 		if err != nil {
 			return E2EGapResult{}, err
 		}
-		r.Start()
+		ini.Session.OnConnect(r.Kick)
 		tcRuns = append(tcRuns, r)
 	}
 

@@ -195,7 +195,7 @@ func runWithBlocks(cfg Config, cs Case, blocks uint32) (CaseResult, error) {
 			if err != nil {
 				return CaseResult{}, err
 			}
-			r.Start()
+			ini.Session.OnConnect(r.Kick)
 			lsRunners = append(lsRunners, r)
 			idx++
 		}
@@ -221,7 +221,7 @@ func runWithBlocks(cfg Config, cs Case, blocks uint32) (CaseResult, error) {
 			if err != nil {
 				return CaseResult{}, err
 			}
-			r.Start()
+			ini.Session.OnConnect(r.Kick)
 			tcRunners = append(tcRunners, r)
 			idx++
 		}

@@ -170,7 +170,7 @@ func RunShiftMix(cfg Config, label string, window int, at *autotune.Config) (Shi
 		if err != nil {
 			return nil, err
 		}
-		r.Start()
+		ini.Session.OnConnect(r.Kick)
 		return r, nil
 	}
 

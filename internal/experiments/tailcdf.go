@@ -66,7 +66,7 @@ func runLSHistogram(cfg Config, mode targetqp.Mode) (*stats.Histogram, error) {
 	if err != nil {
 		return nil, err
 	}
-	lsRun.Start()
+	lsIni.Session.OnConnect(lsRun.Kick)
 	for i := 0; i < 4; i++ {
 		ini, err := cl.NewInitiatorNode("tc", tn).Connect(hostqp.Config{
 			Class: proto.PrioThroughputCritical, Window: 32, QueueDepth: 128, NSID: 1,
@@ -82,7 +82,7 @@ func runLSHistogram(cfg Config, mode targetqp.Mode) (*stats.Histogram, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Start()
+		ini.Session.OnConnect(r.Kick)
 	}
 	cl.Run()
 	if err := cl.CheckHealthy(); err != nil {

@@ -351,11 +351,6 @@ func (s *Session) EnableE2E() {
 	}
 }
 
-// E2E returns the session's end-to-end accumulator (nil unless EnableE2E
-// ran). Transports use it to count resubmissions and busy retries that
-// happen above the session — all methods are nil-safe.
-func (s *Session) E2E() *telemetry.E2EAccum { return s.e2e }
-
 // BuildTelemetryUpdate assembles the next TelemetryUpdate PDU: the e2e
 // histogram deltas accumulated since the previous call, the current
 // outstanding depth, and the host clock for the ack's offset re-estimate.
@@ -444,8 +439,10 @@ func (s *Session) Submit(io IO) error {
 	var wire proto.Priority
 	switch {
 	case eff.ThroughputCritical():
-		// Alg. 1: queue the CID and let the PM decide when to drain.
-		if eff.Draining() {
+		// Alg. 1: queue the CID and let the PM decide when to drain. A
+		// flush command is a durability barrier, so it closes the current
+		// window: everything before it completes with it.
+		if eff.Draining() || io.Op == nvme.OpFlush {
 			s.pm.ForceDrainNext()
 		}
 		wire = s.pm.Stamp(cid)

@@ -60,20 +60,17 @@ type TelemetryUpdate struct {
 	SubBits uint8
 	// QueueDepth is the host's outstanding command count at build time.
 	QueueDepth uint32
-	// Busy counts StatusBusy completions since the previous update.
+	// Busy counts StatusBusy completions since the previous update. A
+	// reserved 4-byte word follows it on the wire: sent as 0, ignored on
+	// receipt.
 	Busy uint32
-	// Retries counts commands the host resubmitted since the previous
-	// update. This repository's host resubmits nothing and sends 0; the
-	// field keeps the PDU's layout, and the target still merges what a
-	// peer reports.
-	Retries uint32
 	// Classes holds one delta per priority class with new samples.
 	Classes []TelemetryClassDelta
 }
 
 // Fixed body sizes: update header, per-class header, per-bucket pair.
 const (
-	tuHdrSize    = 8 + 1 + 1 + 4 + 4 + 4 // HostClock SubBits NumClasses QD Busy Retries
+	tuHdrSize    = 8 + 1 + 1 + 4 + 4 + 4 // HostClock SubBits NumClasses QD Busy reserved
 	tuClassSize  = 1 + 2 + 8 + 8         // Class NumBuckets Sum Max
 	tuBucketSize = 2 + 4                 // Index Count
 )
@@ -96,7 +93,7 @@ func (p *TelemetryUpdate) encodeBody(dst []byte) {
 	dst[9] = uint8(len(p.Classes))
 	binary.LittleEndian.PutUint32(dst[10:], p.QueueDepth)
 	binary.LittleEndian.PutUint32(dst[14:], p.Busy)
-	binary.LittleEndian.PutUint32(dst[18:], p.Retries)
+	binary.LittleEndian.PutUint32(dst[18:], 0) // reserved
 	off := tuHdrSize
 	for i := range p.Classes {
 		c := &p.Classes[i]
@@ -122,7 +119,6 @@ func (p *TelemetryUpdate) decodeBody(src []byte) error {
 	nClasses := int(src[9])
 	p.QueueDepth = binary.LittleEndian.Uint32(src[10:])
 	p.Busy = binary.LittleEndian.Uint32(src[14:])
-	p.Retries = binary.LittleEndian.Uint32(src[18:])
 	p.Classes = nil
 	off := tuHdrSize
 	for i := 0; i < nClasses; i++ {

@@ -12,7 +12,6 @@ func TestTelemetryUpdateRoundTrip(t *testing.T) {
 		SubBits:    5,
 		QueueDepth: 31,
 		Busy:       4,
-		Retries:    2,
 		Classes: []TelemetryClassDelta{
 			{
 				Class: PrioLatencySensitive,
@@ -32,6 +31,26 @@ func TestTelemetryUpdateRoundTrip(t *testing.T) {
 		},
 	}
 	out := roundTrip(t, in).(*TelemetryUpdate)
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("got %+v, want %+v", out, in)
+	}
+}
+
+// TestTelemetryUpdateReservedWord pins the word after Busy, which once
+// counted host retries: it goes out as zero and is ignored on receipt, so
+// the header keeps its size.
+func TestTelemetryUpdateReservedWord(t *testing.T) {
+	in := &TelemetryUpdate{HostClock: 7, SubBits: 6, QueueDepth: 2, Busy: 3}
+	buf := Marshal(in)
+	word := buf[chSize+18 : chSize+22]
+	if !reflect.DeepEqual(word, make([]byte, 4)) {
+		t.Fatalf("reserved word sent as %x, want zero", word)
+	}
+	copy(word, []byte{1, 2, 3, 4}) // what an older peer's retry count looks like
+	out, err := Unmarshal(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("got %+v, want %+v", out, in)
 	}

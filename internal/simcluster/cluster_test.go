@@ -188,7 +188,7 @@ func runOne(t *testing.T, mode targetqp.Mode, gbps float64, window int, mix work
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Start()
+	ini.Session.OnConnect(r.Kick)
 	c.Run()
 	if err := c.CheckHealthy(); err != nil {
 		t.Fatal(err)
@@ -290,8 +290,8 @@ func TestLSTailLatencyUnderTCLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lsRun.Start()
-		tcRun.Start()
+		lsIni.Session.OnConnect(lsRun.Kick)
+		tcIni.Session.OnConnect(tcRun.Kick)
 		c.Run()
 		if err := c.CheckHealthy(); err != nil {
 			t.Fatal(err)

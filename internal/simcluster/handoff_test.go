@@ -103,7 +103,7 @@ func runHandOffCase(t *testing.T, mode targetqp.Mode, nodes int, tenants []handO
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Start()
+		ini.Session.OnConnect(r.Kick)
 		runners = append(runners, r)
 	}
 	run.now = c.Run()

@@ -104,7 +104,6 @@ func TestRandomMultiTenantInvariant(t *testing.T) {
 					// Flush the tail window once everything is issued; keep
 					// retrying from completions while the queue is full.
 					if issued == n && !flushed && sess.PartialWindow() > 0 && sess.CanSubmit() {
-						sess.Flush()
 						if sess.Submit(hostqp.IO{Op: nvme.OpFlush, Done: func(hostqp.Result) {}}) == nil {
 							flushed = true
 						}
@@ -157,7 +156,7 @@ func TestAblationDirections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lsRun.Start()
+		lsIni.Session.OnConnect(lsRun.Kick)
 		var tcRunners []*workload.Runner
 		for i := 0; i < 3; i++ {
 			ini, err := cl.NewInitiatorNode("tc", tn).Connect(hostqp.Config{
@@ -174,7 +173,7 @@ func TestAblationDirections(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.Start()
+			ini.Session.OnConnect(r.Kick)
 			tcRunners = append(tcRunners, r)
 		}
 		cl.Run()

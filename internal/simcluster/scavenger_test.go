@@ -51,12 +51,10 @@ func runLSWithBackground(t *testing.T, bgCount int, bgClass proto.Priority, agin
 		if werr != nil {
 			t.Fatal(werr)
 		}
+		ini.Session.OnConnect(r.Kick)
 		bgRuns = append(bgRuns, r)
 	}
-	lsRun.Start()
-	for _, r := range bgRuns {
-		r.Start()
-	}
+	lsIni.Session.OnConnect(lsRun.Kick)
 	c.Run()
 	if err := c.CheckHealthy(); err != nil {
 		t.Fatal(err)
@@ -159,7 +157,7 @@ func TestScavengerAgedDrainUnderContinuousLS(t *testing.T) {
 			}
 		}
 	})
-	lsRun.Start()
+	lsIni.Session.OnConnect(lsRun.Kick)
 	c.Run()
 	if err := c.CheckHealthy(); err != nil {
 		t.Fatal(err)

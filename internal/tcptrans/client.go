@@ -562,7 +562,7 @@ func (c *Conn) pump() {
 	n := 0
 	for ; n < len(c.waiting); n++ {
 		io := c.waiting[n]
-		if err := c.sessionSubmit(io); err != nil {
+		if err := c.sess.Submit(io); err != nil {
 			if errors.Is(err, hostqp.ErrQueueFull) {
 				break
 			}
@@ -577,14 +577,14 @@ func (c *Conn) pump() {
 	c.armIdleDrain()
 }
 
-// sessionSubmit hands one request to the session. Runs on the reactor.
-func (c *Conn) sessionSubmit(io hostqp.IO) error {
-	if io.Op == nvme.OpFlush {
-		// A flush is a durability barrier: make it drain the current TC
-		// window so everything before it completes with it.
-		c.sess.Flush()
-	}
-	return c.sess.Submit(io)
+// windowOpen reports whether TC requests sit at the target with no drain
+// flag sent to release them. A window closed by its own draining request
+// (a synchronous Do, say) is not open, however long it takes to complete.
+// Scavenger windows drain on the target's schedule (leftover capacity or
+// the aging bound), not the host's: flushing the tail here would defeat
+// the whole point of parking best-effort work. Runs on the reactor.
+func (c *Conn) windowOpen() bool {
+	return !c.sess.Scavenger() && c.sess.PartialWindow() > 0 && c.sess.PendingTC() > 0
 }
 
 // armIdleDrain keeps the tail-flush timer running while a TC window is
@@ -593,10 +593,7 @@ func (c *Conn) sessionSubmit(io hostqp.IO) error {
 // for whatever is left of idleDrainDelay since the last pump — one timer
 // operation per delay, not per burst.
 func (c *Conn) armIdleDrain() {
-	// Scavenger windows drain on the target's schedule (leftover capacity
-	// or the aging bound), not the host's: flushing the tail here would
-	// defeat the whole point of parking best-effort work.
-	if c.sess.Scavenger() || c.sess.PendingTC() == 0 {
+	if !c.windowOpen() {
 		return
 	}
 	c.lastPump = c.now
@@ -617,7 +614,7 @@ func (c *Conn) armIdleDrain() {
 func (c *Conn) idleFlush() {
 	c.post(func() {
 		c.idleOn = false
-		if !c.live() || c.sess.Scavenger() || c.sess.PendingTC() == 0 {
+		if !c.live() || !c.windowOpen() {
 			return
 		}
 		if quiet := time.Duration(c.now - c.lastPump); quiet < idleDrainDelay {
@@ -628,8 +625,9 @@ func (c *Conn) idleFlush() {
 		if !c.sess.CanSubmit() {
 			return // the completion that frees a slot pumps, and re-arms
 		}
-		c.sess.Flush()
-		_ = c.sess.Submit(hostqp.IO{Op: nvme.OpFlush, Done: func(hostqp.Result) {}})
+		// As TC, so that it closes the window on a connection whose class
+		// is not TC either.
+		_ = c.sess.Submit(hostqp.IO{Op: nvme.OpFlush, Prio: proto.PrioThroughputCritical, Done: func(hostqp.Result) {}})
 	})
 }
 
@@ -678,7 +676,7 @@ func (c *Conn) submitLent(io hostqp.IO) error {
 	}
 	c.lsInline.Add(1)
 	c.now = time.Now().UnixNano()
-	if err := c.sessionSubmit(io); err != nil && !c.post(func() {
+	if err := c.sess.Submit(io); err != nil && !c.post(func() {
 		io.Done(hostqp.Result{Status: nvme.StatusInternalError, Err: err})
 	}) {
 		return ErrClosed
@@ -767,10 +765,6 @@ func ask[T any](c *Conn, get func() T) (v T) {
 	}
 	return v
 }
-
-// Capacity returns the namespace capacity in blocks discovered at
-// handshake.
-func (c *Conn) Capacity() uint64 { return ask(c, func() uint64 { return c.sess.Capacity() }) }
 
 // ConnStats is what Conn.Stats reports: the current session's counters,
 // and how a latency-sensitive connection's bursts reached its reactor.

@@ -6,6 +6,7 @@ package tcptrans
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -41,8 +42,22 @@ func TestIdleDrainTimerReused(t *testing.T) {
 		return <-ch
 	}
 
+	// A synchronous Write closes its own window and arms nothing, so each
+	// write here is submitted without a drain flag and waited on: it parks
+	// a window of one that only the idle drain releases.
 	buf := make([]byte, 4096)
-	if err := c.Write(1, buf, 0); err != nil { // first pump creates the timer
+	write := func(lba uint64) error {
+		ch := make(chan hostqp.Result, 1)
+		if err := c.Submit(hostqp.IO{Op: nvme.OpWrite, LBA: lba, Blocks: 1, Data: buf,
+			Done: func(r hostqp.Result) { ch <- r }}); err != nil {
+			return err
+		}
+		if r := <-ch; r.Err != nil || !r.Status.OK() {
+			return fmt.Errorf("status %v, err %v", r.Status, r.Err)
+		}
+		return nil
+	}
+	if err := write(1); err != nil { // first pump creates the timer
 		t.Fatal(err)
 	}
 	first := timerOnReactor()
@@ -50,7 +65,7 @@ func TestIdleDrainTimerReused(t *testing.T) {
 		t.Fatal("no idle timer after first TC write")
 	}
 	for i := 0; i < 20; i++ {
-		if err := c.Write(uint64(1+i%4), buf, 0); err != nil {
+		if err := write(uint64(1 + i%4)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}

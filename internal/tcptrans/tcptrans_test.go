@@ -112,6 +112,29 @@ func TestSyncTCWritesCloseTheirWindow(t *testing.T) {
 	}
 }
 
+// TestSlowSyncWriteSendsNoIdleFlush is the same contract with a device
+// slower than idleDrainDelay: a write that closed its own window stays
+// closed while the device works, so no idle flush (on opf-target -file, an
+// fsync) follows it.
+func TestSlowSyncWriteSendsNoIdleFlush(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Mode: targetqp.ModeOPF, Device: newMemoryDevice(4096, 1024), WriteLatency: 3 * idleDrainDelay,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := dial(t, srv, proto.PrioThroughputCritical, 8, 32)
+	for i := 0; i < 3; i++ {
+		if err := c.Write(uint64(i), make([]byte, 4096), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := srv.Stats().CmdPDUs; n != 3 {
+		t.Fatalf("target saw %d commands for 3 slow writes; each extra one is an idle flush", n)
+	}
+}
+
 func TestTCCoalescingOverTCP(t *testing.T) {
 	srv := startServer(t, targetqp.ModeOPF)
 	const window, n = 8, 64

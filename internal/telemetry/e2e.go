@@ -71,9 +71,8 @@ func (a *E2EAccum) AddBusy() {
 }
 
 // FillUpdate writes the deltas since the previous FillUpdate into u
-// (Classes, SubBits, Busy; Retries is always 0, since a host resubmits
-// nothing) and advances the baseline. The caller fills HostClock and
-// QueueDepth. Returns true when the update carries any new information
+// (Classes, SubBits, Busy) and advances the baseline. The caller fills
+// HostClock and QueueDepth. Returns true when the update carries any new information
 // (samples or busy counts) — heartbeat-only
 // updates still refresh the clock estimate and queue-depth gauge, so
 // callers typically send either way.
@@ -84,7 +83,6 @@ func (a *E2EAccum) FillUpdate(u *proto.TelemetryUpdate) bool {
 		return false
 	}
 	u.Busy = uint32(a.busy.Swap(0))
-	u.Retries = 0
 	fresh := u.Busy > 0
 	for c := Class(0); c < numClasses; c++ {
 		if a.hist[c] == nil {
@@ -145,7 +143,6 @@ func (r *Registry) MergeE2E(t proto.TenantID, u *proto.TelemetryUpdate) error {
 	s.e2eUpdates.Add(1)
 	s.e2eQueueDepth.Store(int64(u.QueueDepth))
 	s.e2eBusy.Add(int64(u.Busy))
-	s.e2eRetries.Add(int64(u.Retries))
 	for i := range u.Classes {
 		cd := &u.Classes[i]
 		if len(cd.Buckets) == 0 && cd.Sum == 0 {
@@ -232,7 +229,6 @@ type E2ESnapshot struct {
 	Updates    int64              `json:"updates"`
 	QueueDepth int64              `json:"queue_depth"`
 	Busy       int64              `json:"busy"`
-	Retries    int64              `json:"retries"`
 	Classes    []E2EClassSnapshot `json:"classes"`
 }
 
@@ -252,7 +248,6 @@ func (r *Registry) E2E() []E2ESnapshot {
 			Updates:    s.e2eUpdates.Load(),
 			QueueDepth: s.e2eQueueDepth.Load(),
 			Busy:       s.e2eBusy.Load(),
-			Retries:    s.e2eRetries.Load(),
 		}
 		for c := Class(0); c < numClasses; c++ {
 			h := s.e2eHist[c].Load()

@@ -88,35 +88,35 @@ func TestE2EAccumDeltaIsDelta(t *testing.T) {
 }
 
 // TestE2EAccumBusyRetries asserts the busy counter is reported-and-reset
-// per update (a window counter, not a running total on the wire), that a
-// host reports no retries, and that the registry accumulates what peers
-// report of both as totals.
+// per update (a window counter, not a running total on the wire) and that
+// the registry accumulates what peers report as a total. Nothing counts
+// retries any more: the update's word for them is reserved.
 func TestE2EAccumBusyRetries(t *testing.T) {
 	acc := NewE2EAccum()
 	acc.AddBusy()
 	acc.AddBusy()
-	u := proto.TelemetryUpdate{Retries: 9} // a reused PDU's stale count
+	var u proto.TelemetryUpdate
 	if !acc.FillUpdate(&u) {
 		t.Fatal("busy-only update not fresh")
 	}
-	if u.Busy != 2 || u.Retries != 0 {
-		t.Fatalf("busy=%d retries=%d, want 2/0", u.Busy, u.Retries)
+	if u.Busy != 2 {
+		t.Fatalf("busy=%d, want 2", u.Busy)
 	}
 	acc.FillUpdate(&u)
-	if u.Busy != 0 || u.Retries != 0 {
-		t.Fatalf("counters not reset: busy=%d retries=%d", u.Busy, u.Retries)
+	if u.Busy != 0 {
+		t.Fatalf("busy counter not reset: %d", u.Busy)
 	}
 
 	reg := New()
-	reg.MergeE2E(1, &proto.TelemetryUpdate{SubBits: stats.SubBucketBits, Busy: 2, Retries: 3})
+	reg.MergeE2E(1, &proto.TelemetryUpdate{SubBits: stats.SubBucketBits, Busy: 2})
 	reg.MergeE2E(1, &proto.TelemetryUpdate{SubBits: stats.SubBucketBits, Busy: 1, QueueDepth: 5})
 	e2e := reg.E2E()
 	if len(e2e) != 1 {
 		t.Fatalf("e2e snapshots = %d, want 1", len(e2e))
 	}
 	s := e2e[0]
-	if s.Updates != 2 || s.Busy != 3 || s.Retries != 3 || s.QueueDepth != 5 {
-		t.Fatalf("snapshot %+v, want updates=2 busy=3 retries=3 qd=5", s)
+	if s.Updates != 2 || s.Busy != 3 || s.QueueDepth != 5 {
+		t.Fatalf("snapshot %+v, want updates=2 busy=3 qd=5", s)
 	}
 }
 
@@ -212,15 +212,13 @@ func e2eGoldenRegistry(t *testing.T) *Registry {
 		r.IncCompleted(2, proto.PrioLatencySensitive, 40_000, 4096, true)
 	}
 	// Host-side: the same tenant saw 1 ms end to end, twice, plus busy
-	// push-back — shipped through the real accumulator — and a peer that
-	// reports two retries of its own.
+	// push-back — shipped through the real accumulator.
 	acc := NewE2EAccum()
 	acc.Record(proto.PrioLatencySensitive, 1_000_000)
 	acc.Record(proto.PrioLatencySensitive, 1_000_000)
 	acc.AddBusy()
 	u := &proto.TelemetryUpdate{QueueDepth: 7}
 	acc.FillUpdate(u)
-	u.Retries = 2
 	if err := r.MergeE2E(2, u); err != nil {
 		t.Fatalf("MergeE2E: %v", err)
 	}
@@ -237,7 +235,6 @@ const e2eGoldenJSON = `{
       "updates": 1,
       "queue_depth": 7,
       "busy": 1,
-      "retries": 2,
       "classes": [
         {
           "class": "ls",

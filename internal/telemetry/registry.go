@@ -70,7 +70,6 @@ type tenantSlot struct {
 	e2eUpdates    atomic.Int64 // TelemetryUpdates merged for this tenant
 	e2eQueueDepth atomic.Int64 // gauge: host outstanding at the last update
 	e2eBusy       atomic.Int64 // host-observed StatusBusy completions
-	e2eRetries    atomic.Int64 // host-side resubmissions
 
 	// Periodic clock re-estimation (host side): how many keep-alive
 	// round trips refreshed the offset, and the last refresh's delta

@@ -65,10 +65,10 @@ type Spec struct {
 	// [WarmupUntil, StopAt] are recorded; submission stops at StopAt.
 	WarmupUntil, StopAt int64
 	// StartAt delays the first submission until the virtual clock reaches
-	// it (0: submit as soon as the session connects). Phased experiments
-	// use it to switch a tenant on mid-run; pair it with a scheduled
-	// Kick, since a connected-but-idle session has no completion to
-	// re-enter the loop from.
+	// it (0: submit from the first Kick). Phased experiments use it to
+	// switch a tenant on mid-run; pair it with a scheduled Kick, since a
+	// connected-but-idle session has no completion to re-enter the loop
+	// from.
 	StartAt int64
 	// SLOObjectiveNS, when positive, counts every recorded completion
 	// against a latency objective: Result.SLOGood/SLOBad accumulate
@@ -76,7 +76,9 @@ type Spec struct {
 	// burn-rate math.
 	SLOObjectiveNS int64
 	// Defer, when set, schedules a callback d nanoseconds ahead on the
-	// driving clock (experiments wire it to the sim engine). With Defer
+	// driving clock, in the session's event context (experiments wire it
+	// to the sim engine, opf-perf to a timer that posts to the
+	// connection's reactor). With Defer
 	// set, a busy rejection from target admission control switches the
 	// loop to slow-start probing: one command per BusyBackoffNS tick while
 	// the valve stays shut, doubling per successful tick once admissions
@@ -95,11 +97,15 @@ type Spec struct {
 
 // Result accumulates a runner's measurements.
 type Result struct {
-	Recorded  stats.Counter   // ops/bytes completed inside the window
-	Latency   stats.Histogram // per-request latency, recorded window only
+	Recorded stats.Counter // ops/bytes completed inside the window
+	// Latency runs from the Runner's clock at Submit to its clock at Done,
+	// recorded window only.
+	Latency   stats.Histogram
 	Submitted int64
 	Completed int64
-	Errors    int64
+	// Errors counts completions with a failed status; one that carries a
+	// transport error (Result.Err) also stops the loop.
+	Errors int64
 	// Busy counts target admission pushback (retried after backoff when
 	// Spec.Defer is set; those retries are not errors).
 	Busy int64
@@ -139,28 +145,49 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// Session is what a Runner drives: a simulated hostqp.Session, or a live
+// tcptrans.Conn. A Runner makes every call on the session's event context
+// and expects every Done there too, so it needs no lock of its own.
+type Session interface {
+	Submit(hostqp.IO) error
+}
+
 // Runner drives one initiator session closed-loop. All callbacks run on
-// the session's event context (the simulator loop); Runner is therefore
-// not synchronized.
+// the session's event context (the simulator loop, or a connection's
+// reactor); Runner is therefore not synchronized. It counts its own
+// commands in flight, so it asks the session for nothing but Submit.
 type Runner struct {
-	sess    *hostqp.Session
+	sess    Session
 	clock   func() int64
 	spec    Spec
 	rng     *simnet.Rand
 	nextLBA uint64
 	buf     []byte
 	res     Result
-	done    bool
-	flushed bool
-	backoff bool // a probe tick is armed
-	probe   int  // slow-start refill budget per tick
-	// doneFn is onDone bound once: a method value built per Submit would
-	// allocate a closure per request.
-	doneFn func(hostqp.Result)
+	// slots holds one record per queue-depth entry: the clock at its
+	// request's Submit and a Done bound to it once, so latency is measured
+	// on the Runner's own clock without a closure per request. free lists
+	// the slots not in flight.
+	slots    []slot
+	free     []int
+	flushFn  func(hostqp.Result)
+	flushing bool // the tail flush is in flight
+	done     bool
+	flushed  bool // the tail flush was sent, or is not needed
+	backoff  bool // a probe tick is armed
+	probe    int  // slow-start refill budget per tick
 }
 
-// NewRunner prepares a runner over a connected (or connecting) session.
-func NewRunner(sess *hostqp.Session, clock func() int64, spec Spec) (*Runner, error) {
+// slot is one queue-depth entry of a Runner.
+type slot struct {
+	start int64
+	done  func(hostqp.Result)
+}
+
+// NewRunner prepares a runner over a session. A simulated session must be
+// connected before the loop starts: sequence it with
+// Session.OnConnect(r.Kick).
+func NewRunner(sess Session, clock func() int64, spec Spec) (*Runner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -174,27 +201,25 @@ func NewRunner(sess *hostqp.Session, clock func() int64, spec Spec) (*Runner, er
 		rng:     simnet.NewRand(spec.Seed),
 		nextLBA: spec.RegionStart,
 		buf:     make([]byte, int(spec.Blocks)*int(spec.BlockSize)),
+		slots:   make([]slot, spec.QueueDepth),
+		free:    make([]int, 0, spec.QueueDepth),
 	}
-	r.doneFn = r.onDone
+	for i := spec.QueueDepth - 1; i >= 0; i-- {
+		r.slots[i].done = func(res hostqp.Result) { r.onDone(i, res) }
+		r.free = append(r.free, i)
+	}
+	r.flushFn = func(hostqp.Result) { r.flushing = false }
 	return r, nil
 }
 
-// Start begins submitting once the session connects (and, with StartAt
-// set, once the clock reaches it — schedule a Kick at StartAt).
-func (r *Runner) Start() {
-	r.sess.OnConnect(func() { r.fill() })
-}
-
-// Kick (re)fills the queue now. Phased experiments schedule it at
-// Spec.StartAt; idempotent and harmless on an already-full runner.
-func (r *Runner) Kick() { r.fill() }
-
-// fill tops the closed loop up to the queue depth.
-func (r *Runner) fill() {
+// Kick (re)fills the queue now: the loop's start once the session is
+// connected, and the re-entry a phased experiment schedules at
+// Spec.StartAt. Idempotent and harmless on an already-full runner.
+func (r *Runner) Kick() {
 	if r.clock() < r.spec.StartAt {
 		return
 	}
-	for i := 0; i < r.spec.QueueDepth && r.sess.CanSubmit(); i++ {
+	for len(r.free) > 0 {
 		if !r.submitOne() {
 			break
 		}
@@ -204,8 +229,11 @@ func (r *Runner) fill() {
 // Result returns the measurements so far.
 func (r *Runner) Result() *Result { return &r.res }
 
-// Done reports whether the runner has stopped submitting and drained.
-func (r *Runner) Done() bool { return r.done && r.sess.Outstanding() == 0 }
+// Done reports whether the runner has stopped submitting and everything
+// it submitted has completed.
+func (r *Runner) Done() bool {
+	return r.done && len(r.free) == len(r.slots) && !r.flushing
+}
 
 // pickOp draws the next opcode from the mix.
 func (r *Runner) pickOp() nvme.Opcode {
@@ -237,10 +265,11 @@ func (r *Runner) pickLBA() uint64 {
 	return lba
 }
 
-// submitOne issues the next request; returns false once past StopAt.
+// submitOne issues the next request on a free slot; returns false once the
+// loop has stopped (past StopAt, or after a transport error).
 func (r *Runner) submitOne() bool {
 	now := r.clock()
-	if now >= r.spec.StopAt {
+	if r.done || now >= r.spec.StopAt {
 		r.done = true
 		r.flushTail()
 		return false
@@ -250,36 +279,39 @@ func (r *Runner) submitOne() bool {
 	if op == nvme.OpWrite {
 		data = r.buf
 	}
+	// The slot is taken before Submit: a session may complete the request
+	// before Submit returns.
+	i := r.free[len(r.free)-1]
+	r.free = r.free[:len(r.free)-1]
+	r.slots[i].start = now
 	err := r.sess.Submit(hostqp.IO{
 		Op:     op,
 		LBA:    r.pickLBA(),
 		Blocks: r.spec.Blocks,
 		Data:   data,
-		Done:   r.doneFn,
+		Done:   r.slots[i].done,
 	})
 	if err != nil {
-		// Queue full or disconnected; closed loop retries on the next
-		// completion, so just account it.
+		// Not connected yet, or closed; the closed loop retries on the
+		// next completion or Kick.
+		r.free = append(r.free, i)
 		return false
 	}
 	r.res.Submitted++
 	return true
 }
 
-// flushTail sends one final draining request so a partial TC window left
-// at StopAt still completes (its requests would otherwise wait in the
-// target queue forever). The flush command itself is not recorded.
+// flushTail sends one final flush command so a partial TC window left at
+// StopAt still completes (its requests would otherwise wait in the target
+// queue forever): the session makes a flush close the window. The flush
+// command itself is not recorded.
 func (r *Runner) flushTail() {
-	if r.flushed || r.sess.Outstanding() == 0 || !r.sess.CanSubmit() {
+	if r.flushed || len(r.free) == 0 || len(r.free) == len(r.slots) {
 		return
 	}
-	r.sess.Flush()
-	err := r.sess.Submit(hostqp.IO{
-		Op:   nvme.OpFlush,
-		Done: func(hostqp.Result) {},
-	})
-	if err == nil {
-		r.flushed = true
+	r.flushed, r.flushing = true, true
+	if r.sess.Submit(hostqp.IO{Op: nvme.OpFlush, Done: r.flushFn}) != nil {
+		r.flushed, r.flushing = false, false
 	}
 }
 
@@ -301,7 +333,7 @@ func (r *Runner) armProbe() {
 		if r.done || r.clock() < r.spec.StartAt {
 			return
 		}
-		for i := 0; i < r.probe && r.sess.CanSubmit(); i++ {
+		for i := 0; i < r.probe && len(r.free) > 0; i++ {
 			if !r.submitOne() {
 				return
 			}
@@ -309,15 +341,26 @@ func (r *Runner) armProbe() {
 		if r.probe < r.spec.QueueDepth {
 			r.probe *= 2
 		}
-		if r.sess.CanSubmit() {
+		if len(r.free) > 0 {
 			r.armProbe()
 		}
 	})
 }
 
-// onDone records a completion and keeps the loop closed.
-func (r *Runner) onDone(res hostqp.Result) {
+// onDone records the completion of slot i's request and keeps the loop
+// closed. Latency runs from the Runner's clock at Submit to its clock
+// here.
+func (r *Runner) onDone(i int, res hostqp.Result) {
+	now := r.clock()
+	r.free = append(r.free, i)
 	r.res.Completed++
+	if res.Err != nil {
+		// The transport failed the request: the connection is gone, so is
+		// the loop, and there is no window left to flush.
+		r.res.Errors++
+		r.done, r.flushed = true, true
+		return
+	}
 	if res.Status == nvme.StatusBusy && r.spec.Defer != nil {
 		// Admission pushback is flow control, not a failure: the command
 		// never executed. Collapse to a single probe per tick and let the
@@ -330,12 +373,13 @@ func (r *Runner) onDone(res hostqp.Result) {
 	if !res.Status.OK() {
 		r.res.Errors++
 	}
-	if res.CompletedAt >= r.spec.WarmupUntil && res.CompletedAt <= r.spec.StopAt && res.Status.OK() {
+	if now >= r.spec.WarmupUntil && now <= r.spec.StopAt && res.Status.OK() {
+		lat := now - r.slots[i].start
 		bytes := int64(r.spec.Blocks) * int64(r.spec.BlockSize)
 		r.res.Recorded.Add(1, bytes)
-		r.res.Latency.Record(res.Latency())
+		r.res.Latency.Record(lat)
 		if obj := r.spec.SLOObjectiveNS; obj > 0 {
-			if res.Latency() > obj {
+			if lat > obj {
 				r.res.SLOBad++
 			} else {
 				r.res.SLOGood++

@@ -112,8 +112,8 @@ func TestClosedLoopCompletesAndRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Start()
-	// The loopback is synchronous: Start drives the whole run to
+	r.Kick()
+	// The loopback is synchronous: Kick drives the whole run to
 	// completion because each completion immediately submits the next.
 	res := r.Result()
 	if res.Completed == 0 {
@@ -151,7 +151,7 @@ func TestWarmupExcludesEarlyCompletions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Start()
+	r.Kick()
 	res := r.Result()
 	if res.Completed <= res.Recorded.Ops {
 		t.Fatalf("warmup excluded nothing: completed %d recorded %d", res.Completed, res.Recorded.Ops)
