@@ -96,6 +96,11 @@ type Config struct {
 	// OnReadRetire(cid) runs when the read leaves the pending set —
 	// completion, replay, or FailAll — so the registration never outlives
 	// the request. Nil hooks disable the path at zero cost.
+	//
+	// A session without OnReadBuffer keeps a C2HData payload that covers a
+	// whole read submitted without IO.Data as that read's Result.Data,
+	// instead of copying it into a lent buffer (see IO.Data). A transport
+	// that reuses inbound payload buffers must therefore register the hook.
 	OnReadBuffer func(cid nvme.CID, buf []byte)
 	OnReadRetire func(cid nvme.CID)
 }
@@ -121,8 +126,8 @@ type Result struct {
 	Status nvme.Status
 	// Data is the read payload (nil for writes and flushes). For a read
 	// submitted with IO.Data set it aliases that buffer; for a read
-	// submitted with IO.Data nil it is a session-owned buffer, valid only
-	// until the Done callback returns (see IO.Data).
+	// submitted with IO.Data nil it is read-only and valid only until the
+	// Done callback returns (see IO.Data).
 	Data        []byte
 	SubmittedAt int64 // clock value at submission
 	CompletedAt int64 // clock value at application-visible completion
@@ -152,7 +157,10 @@ type IO struct {
 	// another goroutine) must supply its own Data instead. Session-owned
 	// buffers are recycled only after a normal completion; the buffers of
 	// requests failed by FailAll are dropped, because the transport's
-	// reader may still be landing bytes in them.
+	// reader may still be landing bytes in them. On a session without
+	// Config.OnReadBuffer (the simulator) a payload that arrives whole is
+	// kept as Result.Data instead, uncopied: it may be the device's shared
+	// zero view, so Result.Data of such a read is never written to.
 	Data []byte
 	// Prio optionally overrides the connection class for this request
 	// (zero value means "use the connection class"). PrioTCDraining is a
@@ -176,11 +184,13 @@ type pendingReq struct {
 	coalescable  bool           // routed through the host PM's pending queue
 	submittedAt  int64
 	readBuf      []byte
-	lentBuf      bool   // readBuf came from the session's free list
-	readBytes    int    // bytes covered by accepted (non-overlapping) fragments
-	expectedRead int    // Blocks × block size; 0 when geometry is unknown
-	spans        []span // accepted C2HData fragments, kept sorted by start
-	bytesMoved   int64  // accounted on completion for the dynamic tuner
+	lentBuf      bool    // readBuf came from the session's free list
+	lendLate     bool    // lend readBuf when data arrives, unless a payload covers the read
+	readBytes    int     // bytes covered by accepted (non-overlapping) fragments
+	expectedRead int     // Blocks × block size; 0 when geometry is unknown
+	spans        []span  // accepted C2HData fragments, kept sorted by start
+	oneSpan      [1]span // spans' first backing array: a one-fragment read needs no other
+	bytesMoved   int64   // accounted on completion for the dynamic tuner
 }
 
 // span is one accepted C2HData fragment, [start, end) in buffer bytes.
@@ -251,6 +261,10 @@ type Session struct {
 	// scribble on reads of its own connection.
 	freeBufs [][]byte
 	freeReqs []*pendingReq
+	// freeCmds holds capsules handed back by Reclaim. Only a fabric that
+	// delivers on the session's own goroutine reclaims (the simulator);
+	// over TCP the writer recycles into proto's pools and this stays empty.
+	freeCmds []*proto.CapsuleCmd
 	one      [1]nvme.CID // handleResp's single-completion list
 
 	stats Stats
@@ -477,9 +491,15 @@ func (s *Session) Submit(io IO) error {
 		// validated against the expected length, not trusted. Otherwise
 		// the buffer grows as data arrives, capped at maxDataLen.
 		req.expectedRead = expectedRead
+		// Without a sink nothing needs a lent destination before the data
+		// arrives, and a payload that covers the read can stand in for it.
 		if expectedRead > 0 {
 			req.readBuf = io.Data
-			if req.readBuf == nil {
+			switch {
+			case req.readBuf != nil:
+			case s.cfg.OnReadBuffer == nil:
+				req.lendLate = true
+			default:
 				req.readBuf, req.lentBuf = s.getReadBuf(expectedRead), true
 			}
 			if s.cfg.OnReadBuffer != nil {
@@ -500,13 +520,36 @@ func (s *Session) Submit(io IO) error {
 			s.cfg.Trace(telemetry.Event{Stage: telemetry.StageDrainMark, Tenant: s.tenant, CID: cid, Prio: wire, Aux: int64(s.pm.Window())})
 		}
 	}
-	// From the pool both fabrics recycle sent capsules into: the TCP writer
-	// after marshal, the simulator once the target has handled it. A send
-	// hook that never recycles just keeps drawing new.
-	c := proto.GetCapsuleCmd()
+	// From the session's own list when the fabric reclaims (the
+	// simulator, once the target has handled the capsule), else from the
+	// pool the TCP writer recycles into after marshal. A send hook that
+	// does neither just keeps drawing new.
+	var c *proto.CapsuleCmd
+	if n := len(s.freeCmds); n > 0 {
+		c = s.freeCmds[n-1]
+		s.freeCmds = s.freeCmds[:n-1]
+	} else {
+		c = proto.GetCapsuleCmd()
+	}
 	c.Cmd, c.Prio, c.Tenant, c.Data = cmd, wire, s.tenant, data
 	s.send(c)
 	return nil
+}
+
+// Reclaim takes back a PDU this session sent once its receiver is done
+// with it, as proto.Recycle does: a capsule goes to the session's own free
+// list for its next Submit, anything else to proto.Recycle. The payload is
+// never released, only the reference dropped. The list is not
+// synchronized: only a fabric that delivers on the session's goroutine
+// may call Reclaim.
+func (s *Session) Reclaim(p proto.PDU) {
+	c, ok := p.(*proto.CapsuleCmd)
+	if !ok {
+		proto.Recycle(p)
+		return
+	}
+	*c = proto.CapsuleCmd{}
+	s.freeCmds = append(s.freeCmds, c)
 }
 
 // getReq draws request state from the session's free list.
@@ -516,7 +559,9 @@ func (s *Session) getReq() *pendingReq {
 		s.freeReqs = s.freeReqs[:n-1]
 		return r
 	}
-	return new(pendingReq)
+	r := new(pendingReq)
+	r.spans = r.oneSpan[:0]
+	return r
 }
 
 // putReq retires request state, keeping the span slice's backing array.
@@ -659,6 +704,14 @@ func (s *Session) handleData(pdu *proto.C2HData) error {
 	if !req.addSpan(off, end) {
 		return &ProtocolError{Reason: fmt.Sprintf(
 			"overlapping C2HData [%d, %d) for CID %d", off, end, pdu.CCCID)}
+	}
+	if req.lendLate {
+		req.lendLate = false
+		if len(pdu.Data) == limit {
+			req.readBuf = pdu.Data // the whole read: kept, never pooled
+		} else {
+			req.readBuf, req.lentBuf = s.getReadBuf(limit), true
+		}
 	}
 	if end > len(req.readBuf) {
 		grown := make([]byte, end)

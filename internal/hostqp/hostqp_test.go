@@ -482,21 +482,30 @@ func TestHostileOffsetRejected(t *testing.T) {
 }
 
 // TestHostileOffsetRejectedGeometryKnown: with geometry known the clamp is
-// the exact expected read length, not MaxDataLen.
+// the exact expected read length, not MaxDataLen. The rejected fragment
+// leaves the destination as it was: the preallocated 4096 bytes on a
+// session with a read sink, none at all on one without.
 func TestHostileOffsetRejectedGeometryKnown(t *testing.T) {
-	h := newHarness(t, tcConfig(1, 2))
-	h.connectGeom(t, 1, 4096)
-	_ = h.sess.Submit(IO{Op: nvme.OpRead, LBA: 0, Blocks: 1, Done: func(Result) {}})
-	cid := h.lastCmd(t).Cmd.CID
-	// One byte past the 4096-byte read: rejected even though well under
-	// MaxDataLen.
-	err := h.sess.HandlePDU(&proto.C2HData{CCCID: cid, Offset: 1, Data: make([]byte, 4096)})
-	var pe *ProtocolError
-	if !errors.As(err, &pe) {
-		t.Fatalf("out-of-bounds fragment surfaced as %T (%v), want *ProtocolError", err, err)
-	}
-	if req := h.sess.reqs.Get(cid); len(req.readBuf) != 4096 {
-		t.Fatalf("read buffer resized to %d bytes, want the preallocated 4096", len(req.readBuf))
+	for _, sink := range []bool{true, false} {
+		cfg := tcConfig(1, 2)
+		want := 0
+		if sink {
+			cfg.OnReadBuffer, want = func(nvme.CID, []byte) {}, 4096
+		}
+		h := newHarness(t, cfg)
+		h.connectGeom(t, 1, 4096)
+		_ = h.sess.Submit(IO{Op: nvme.OpRead, LBA: 0, Blocks: 1, Done: func(Result) {}})
+		cid := h.lastCmd(t).Cmd.CID
+		// One byte past the 4096-byte read: rejected even though well under
+		// MaxDataLen.
+		err := h.sess.HandlePDU(&proto.C2HData{CCCID: cid, Offset: 1, Data: make([]byte, 4096)})
+		var pe *ProtocolError
+		if !errors.As(err, &pe) {
+			t.Fatalf("sink %v: out-of-bounds fragment surfaced as %T (%v), want *ProtocolError", sink, err, err)
+		}
+		if req := h.sess.reqs.Get(cid); len(req.readBuf) != want {
+			t.Fatalf("sink %v: read buffer resized to %d bytes, want %d", sink, len(req.readBuf), want)
+		}
 	}
 }
 
@@ -706,5 +715,37 @@ func TestCIDOutsideQueueDepthIsProtocolError(t *testing.T) {
 	}
 	if h.sess.Outstanding() != 1 {
 		t.Fatalf("outstanding = %d after the rejected PDUs, want the one read", h.sess.Outstanding())
+	}
+}
+
+// TestReclaimedCapsuleStaysWithItsSession: a capsule handed back through
+// Reclaim is cleared and goes out again only in a later Submit of the
+// session that reclaimed it, never a sibling's; a PDU type the session
+// does not send passes through to proto.Recycle.
+func TestReclaimedCapsuleStaysWithItsSession(t *testing.T) {
+	a, b := newHarness(t, tcConfig(4, 8)), newHarness(t, tcConfig(4, 8))
+	a.connect(t, 1)
+	b.connect(t, 2)
+	submit := func(h *harness) *proto.CapsuleCmd {
+		t.Helper()
+		if err := h.sess.Submit(IO{Op: nvme.OpWrite, Blocks: 1, Data: make([]byte, 512), Done: func(Result) {}}); err != nil {
+			t.Fatal(err)
+		}
+		return h.lastCmd(t)
+	}
+	first := submit(a)
+	a.sess.Reclaim(first)
+	if first.Data != nil || first.Cmd != (nvme.Command{}) || first.Tenant != 0 {
+		t.Fatal("Reclaim left the capsule's fields set")
+	}
+	a.sess.Reclaim(&proto.CapsuleResp{}) // not a capsule: recycled, not listed
+	if got := submit(b); got == first {
+		t.Fatal("a sibling session sent a capsule another session reclaimed")
+	}
+	if got := submit(a); got != first {
+		t.Fatal("the reclaiming session did not reuse its capsule")
+	}
+	if got := submit(a); got == first {
+		t.Fatal("one reclaimed capsule went out twice")
 	}
 }

@@ -41,6 +41,15 @@ func lsConfig(qd int) Config {
 	return Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: qd, NSID: 1}
 }
 
+// sinkConfig is lsConfig with a read sink registered, as a transport that
+// lands payloads in place has: reads without IO.Data get a lent buffer at
+// Submit.
+func sinkConfig(qd int) Config {
+	cfg := lsConfig(qd)
+	cfg.OnReadBuffer = func(nvme.CID, []byte) {}
+	return cfg
+}
+
 // TestReadDestinationIsCallersBuffer: a supplied IO.Data receives the
 // payload and is what Result.Data returns; one of the wrong length is
 // rejected before a CID is taken or a PDU sent.
@@ -103,12 +112,14 @@ func TestWritePayloadMustMatchBlocks(t *testing.T) {
 	}
 }
 
-// TestLentReadBufferRecycledOnlyOnCompletion: without IO.Data the session
-// lends a buffer that holds the payload while Done runs and serves the next
-// read afterwards; a buffer whose read was failed by FailAll — the path a
-// dead connection and a request timeout both take — is never lent again.
+// TestLentReadBufferRecycledOnlyOnCompletion: without IO.Data a session
+// with a read sink lends a buffer that holds the payload while Done runs
+// and serves the next read afterwards; a buffer whose read was failed by
+// FailAll — the path a dead connection and a request timeout both take —
+// is never lent again. (A session without a sink lends only for payloads
+// that do not cover the read: TestWholePayloadKeptWithoutSink.)
 func TestLentReadBufferRecycledOnlyOnCompletion(t *testing.T) {
-	h := newHarness(t, lsConfig(4))
+	h := newHarness(t, sinkConfig(4))
 	h.connectGeometry(t)
 
 	var lent []*byte
@@ -213,5 +224,71 @@ func TestSteadyStateReadAllocatesNoPayload(t *testing.T) {
 	// AllocsPerRun runs the function rounds+1 times.
 	if perRead := (after.TotalAlloc - before.TotalAlloc) / (rounds + 1); perRead >= 1024 {
 		t.Errorf("a steady-state %d-byte read allocates %d bytes: a payload-sized object per read", len(payload), perRead)
+	}
+}
+
+// TestWholePayloadKeptWithoutSink: on a session without a read sink (the
+// simulator's), a read submitted without IO.Data keeps a payload that
+// covers it as Result.Data, uncopied. Every other read still gets its
+// bytes copied into a buffer of its own: one assembled from fragments, one
+// whose payload falls short, one with the caller's IO.Data, and any read
+// on a session with a sink.
+func TestWholePayloadKeptWithoutSink(t *testing.T) {
+	const n = 1024 // two 512-byte blocks
+	payload := func() []byte { return bytes.Repeat([]byte{0x5A}, n) }
+	type frag struct{ off, end int }
+	cases := []struct {
+		name  string
+		cfg   Config
+		mine  bool   // submit with IO.Data
+		frags []frag // of the payload, in arrival order
+		kept  bool   // Result.Data is the payload itself
+		ok    bool
+	}{
+		{"whole", lsConfig(2), false, []frag{{0, n}}, true, true},
+		{"fragments", lsConfig(2), false, []frag{{0, n / 2}, {n / 2, n}}, false, true},
+		{"fragments out of order", lsConfig(2), false, []frag{{n / 2, n}, {0, n / 2}}, false, true},
+		{"short", lsConfig(2), false, []frag{{0, n / 2}}, false, false},
+		{"caller's buffer", lsConfig(2), true, []frag{{0, n}}, false, true},
+		{"sink", sinkConfig(2), false, []frag{{0, n}}, false, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, tc.cfg)
+			h.connectGeometry(t)
+			var mine []byte
+			if tc.mine {
+				mine = make([]byte, n)
+			}
+			var got Result
+			if err := h.sess.Submit(IO{Op: nvme.OpRead, Blocks: 2, Data: mine, Done: func(r Result) { got = r }}); err != nil {
+				t.Fatal(err)
+			}
+			cid := h.lastCmd(t).Cmd.CID
+			p := payload()
+			for _, f := range tc.frags {
+				if err := h.sess.HandlePDU(&proto.C2HData{CCCID: cid, Offset: uint32(f.off), Data: p[f.off:f.end]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := h.sess.HandlePDU(&proto.CapsuleResp{Cpl: nvme.Completion{CID: cid}}); err != nil {
+				t.Fatal(err)
+			}
+			if got.Status.OK() != tc.ok || len(got.Data) != n {
+				t.Fatalf("status %v with %d bytes, want OK=%v with %d", got.Status, len(got.Data), tc.ok, n)
+			}
+			if kept := &got.Data[0] == &p[0]; kept != tc.kept {
+				t.Fatalf("Result.Data is the payload: %v, want %v", kept, tc.kept)
+			}
+			if tc.mine && &got.Data[0] != &mine[0] {
+				t.Fatal("Result.Data does not alias the caller's buffer")
+			}
+			if tc.ok && !bytes.Equal(got.Data, payload()) {
+				t.Fatal("wrong bytes delivered")
+			}
+			if tc.kept && len(h.sess.freeBufs) != 0 {
+				t.Fatal("a kept payload entered the session's free list")
+			}
+		})
 	}
 }

@@ -248,8 +248,8 @@ type Initiator struct {
 // route is one direction of a connection through the modelled fabric: the
 // sender's poller stages the PDU, it serializes on two links in turn (the
 // host's cable and the target node's NIC, in the order the direction
-// crosses them), the receiver's poller takes delivery, and the receiving
-// protocol session handles it.
+// crosses them), the receiver's poller takes delivery, the receiving
+// protocol session handles it, and the sending side reclaims it.
 type route struct {
 	c      *Cluster
 	tx, rx *simnet.CPU
@@ -262,6 +262,11 @@ type route struct {
 	sole    [2]bool
 	dir     int
 	deliver func(proto.PDU) error
+	// reclaim hands a handled PDU back to the side that made it: the host
+	// session (capsules) or the target (data and responses). Everything
+	// runs on the engine's goroutine, so their unsynchronized free lists
+	// take the place of proto's process-wide pools.
+	reclaim func(proto.PDU)
 }
 
 // handOff reports whether the resource before links[i] hands a PDU on to
@@ -345,7 +350,7 @@ func (t *transit) advance() {
 			r.c.fail(r.deliver(p))
 			// The receiver is done with the struct, as the live reader's
 			// proto.ReleaseInbound assumes; the payload is not pooled here.
-			proto.Recycle(p)
+			r.reclaim(p)
 		}
 		return
 	}
@@ -398,6 +403,7 @@ func (n *InitiatorNode) Connect(cfg hostqp.Config) (*Initiator, error) {
 	}
 	ini.tsess = tsess
 	ini.toTarget.deliver = tsess.HandlePDU
+	ini.toHost.reclaim = tn.Target.Reclaim
 
 	hostSend := ini.toTarget.send
 	sess, err := hostqp.New(cfg, hostSend, c.Eng.Now)
@@ -406,6 +412,7 @@ func (n *InitiatorNode) Connect(cfg hostqp.Config) (*Initiator, error) {
 	}
 	ini.Session = sess
 	ini.toHost.deliver = sess.HandlePDU
+	ini.toTarget.reclaim = sess.Reclaim
 	sess.Start()
 	if c.hostTelNS > 0 {
 		sess.EnableE2E()

@@ -44,7 +44,7 @@ func (c CPUConfig) Validate() error {
 // CPU is a serialized compute resource on the engine.
 type CPU struct {
 	eng       *Engine
-	done      *timeline
+	done      *Timeline
 	cfg       CPUConfig
 	name      string
 	busyUntil Time
@@ -55,7 +55,7 @@ func NewCPU(eng *Engine, name string, cfg CPUConfig) *CPU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &CPU{eng: eng, done: newTimeline(eng), cfg: cfg, name: name}
+	return &CPU{eng: eng, done: NewTimeline(eng), cfg: cfg, name: name}
 }
 
 // Config returns the CPU's cost model.

@@ -52,9 +52,10 @@ const heapArity = 4
 // allocation at all, which is what lets simcluster and ssdsim recycle their
 // per-PDU and per-command records instead of building a closure per hop.
 //
-// A serialized resource (a poller CPU, one direction of a link) keeps its
-// backlog in its own timeline, and only the backlog's earliest event sits in
-// the heap; behind counts the events waiting there behind it.
+// A resource whose events come due in about the order it schedules them (a
+// poller CPU, one direction of a link, a device's channels) keeps them in
+// its own Timeline, and only the earliest sits in the heap; behind counts
+// the events waiting there behind it.
 type Engine struct {
 	now    Time
 	seq    uint64

@@ -104,15 +104,15 @@ func modelOrder(roots int, specs []eventSpec) []firing {
 // engineOrder runs the same program on the real engine. step > 0 drives it
 // through RunUntil in step-wide slices instead of one Run; lanes > 0
 // schedules every event through one of that many timelines instead of the
-// engine, whether or not its time keeps the timeline in FIFO order. The
-// order must depend on neither. An event handed over ahead of the clock
-// goes through the engine's handOff, as a timeline's out-of-order event
-// does.
+// engine, whether its time appends it to the timeline, moves it into place
+// behind the head or puts it ahead of the head. The order must depend on
+// none of it. An event handed over ahead of the clock goes through the
+// engine's handOff.
 func engineOrder(roots int, specs []eventSpec, step Time, lanes int) []firing {
 	e := NewEngine()
-	tls := make([]*timeline, lanes)
+	tls := make([]*Timeline, lanes)
 	for i := range tls {
-		tls[i] = newTimeline(e)
+		tls[i] = NewTimeline(e)
 	}
 	var out []firing
 	var schedule func(id int)

@@ -57,7 +57,7 @@ type Link struct {
 	lastAt [2]Time
 
 	// deliveries per direction: lastAt keeps them in FIFO order.
-	deliveries [2]*timeline
+	deliveries [2]*Timeline
 
 	// Stats per direction.
 	stats [2]LinkStats
@@ -108,7 +108,7 @@ func NewLink(eng *Engine, name string, cfg LinkConfig) *Link {
 		panic(err)
 	}
 	return &Link{eng: eng, cfg: cfg, name: name,
-		deliveries: [2]*timeline{newTimeline(eng), newTimeline(eng)}}
+		deliveries: [2]*Timeline{NewTimeline(eng), NewTimeline(eng)}}
 }
 
 // Name returns the link's diagnostic name.

@@ -1,61 +1,94 @@
 package simnet
 
-// timeline holds the pending events of one serialized resource: a poller
-// CPU, or one direction of a link. Such a resource finishes its jobs in the
-// order it takes them, so their event times never decrease, and whatever
-// runs next on the engine can only be the earliest of them. Only that head
-// sits in the engine's heap; the rest wait in a FIFO, each with the
-// hand-off instant and sequence number the engine would have given it. The
-// heap therefore pops the same order as if every event were in it, while a
-// backlog of hundreds of PDUs (the baseline target's CPU at saturation)
-// costs it one entry instead of hundreds.
-type timeline struct {
-	eng      *Engine
-	head     func()      // the callback of the event in the heap; nil if none
-	last     Time        // time of the latest event scheduled
-	lastFrom Time        // and when it was handed over
-	behind   Ring[event] // the events after the head, in order
-	run      func()      // runHead, bound once: what the heap holds for head
+// Timeline holds the pending events of one resource whose events come due
+// in about the order they are scheduled: a poller CPU or one direction of a
+// link, which finish their jobs in the order they take them, or a device's
+// channels, each of which completes its command a service time after it
+// starts. Whatever of them runs next on the engine can only be the earliest,
+// so only that head sits in the engine's heap; the rest wait behind it in
+// order, each with the hand-off instant and sequence number the engine
+// would have given it. The heap therefore pops the same order as if every
+// event were in it, while a backlog of hundreds of PDUs (the baseline
+// target's CPU at saturation) or the sixteen channels of a busy SSD cost it
+// one entry.
+//
+// An event due after the last one waiting is appended. One due earlier is
+// moved into place from the back, which is cheap while it is due near the
+// end (a channel's completion among the others'). One due before the head
+// goes to the heap like any other event, so a Timeline behaves exactly like
+// Engine.At for any input.
+type Timeline struct {
+	eng              *Engine
+	head             func()      // the callback of the event in the heap; nil if none
+	headAt, headFrom Time        // and its time and hand-off instant
+	behind           Ring[event] // the events after the head, in order
+	run              func()      // runHead, bound once: what the heap holds for head
 }
 
-func newTimeline(eng *Engine) *timeline {
-	tl := &timeline{eng: eng}
+// NewTimeline returns an empty timeline on the engine.
+func NewTimeline(eng *Engine) *Timeline {
+	tl := &Timeline{eng: eng}
 	tl.run = tl.runHead
 	return tl
+}
+
+// At runs fn at absolute virtual time t (clamped to now if in the past),
+// in the place Engine.At would give it.
+func (tl *Timeline) At(t Time, fn func()) {
+	if fn == nil {
+		panic("simnet: nil event function")
+	}
+	tl.at(t, tl.eng.now, fn)
 }
 
 // at schedules fn at t, handed over at from (at or after the clock),
 // exactly as the engine would: same clamp, same sequence number, same
 // place in the run order. At the clock, that is eng.At(t, fn).
-func (tl *timeline) at(t, from Time, fn func()) {
+func (tl *Timeline) at(t, from Time, fn func()) {
 	e := tl.eng
 	t = max(t, from)
-	if tl.head == nil {
-		tl.head, tl.last, tl.lastFrom = fn, t, from
-		e.seq++
-		e.push(event{at: t, from: from, seq: e.seq, fn: tl.run})
-		return
-	}
-	if t < tl.last || (t == tl.last && from < tl.lastFrom) {
-		// Out of FIFO order: the heap sorts it like any other event.
-		e.handOff(t, from, fn)
-		return
-	}
-	tl.last, tl.lastFrom = t, from
 	e.seq++
-	tl.behind.Push(event{at: t, from: from, seq: e.seq, fn: fn})
-	e.behind++
+	ev := event{at: t, from: from, seq: e.seq, fn: fn}
+	switch {
+	case tl.head == nil:
+		tl.head, tl.headAt, tl.headFrom = fn, t, from
+		ev.fn = tl.run
+		e.push(ev)
+	case t < tl.headAt || (t == tl.headAt && from < tl.headFrom):
+		// Due before the head: the heap sorts it like any other event.
+		e.push(ev)
+	default:
+		tl.insert(ev)
+		e.behind++
+	}
+}
+
+// insert queues ev behind the head in (at, from, seq) order, moving later
+// events up one slot from the back until it fits.
+func (tl *Timeline) insert(ev event) {
+	r := &tl.behind
+	r.Push(ev)
+	mask := len(r.buf) - 1
+	i := r.n - 1
+	for ; i > 0; i-- {
+		prev := &r.buf[(r.head+i-1)&mask]
+		if !ev.before(prev) {
+			break
+		}
+		r.buf[(r.head+i)&mask] = *prev
+	}
+	r.buf[(r.head+i)&mask] = ev
 }
 
 // runHead runs the head's callback. Its successor, if any, first takes its
 // place in the heap under its own time and sequence number; as the head's
 // slot is still the engine's hole, that is one sift-down from the root.
-func (tl *timeline) runHead() {
+func (tl *Timeline) runHead() {
 	fn := tl.head
 	if tl.behind.Len() > 0 {
 		next := tl.behind.Pop()
 		tl.eng.behind--
-		tl.head = next.fn
+		tl.head, tl.headAt, tl.headFrom = next.fn, next.at, next.from
 		next.fn = tl.run
 		tl.eng.push(next)
 	} else {

@@ -72,6 +72,41 @@ func TestTimelineKeepsBacklogOutOfHeap(t *testing.T) {
 	}
 }
 
+// TestTimelineOrdersChannelCompletions: a device's channels each complete
+// a jittered service time after they start, so their completions come due
+// out of scheduling order. Through one timeline they still run in time
+// order, and once the start-up burst is over the heap holds the earliest
+// of them alone: each new completion is moved into place behind the head.
+func TestTimelineOrdersChannelCompletions(t *testing.T) {
+	e := NewEngine()
+	tl := NewTimeline(e)
+	rng := NewRand(5)
+	const channels, total = 16, 4000
+	var last Time
+	ran, started, crowded := 0, channels, 0
+	var complete func()
+	complete = func() {
+		if e.Now() < last {
+			t.Fatalf("completion %d ran at t=%d after one at t=%d", ran, e.Now(), last)
+		}
+		last = e.Now()
+		if ran++; ran > 100 && len(e.events) != 1 {
+			crowded++
+		}
+		if started < total {
+			started++
+			tl.At(e.Now()+rng.Jitter(52_000, 12_000), complete)
+		}
+	}
+	for i := 0; i < channels; i++ {
+		tl.At(Time(i)*3_000+rng.Jitter(52_000, 12_000), complete)
+	}
+	e.Run()
+	if ran != total || crowded != 0 {
+		t.Fatalf("ran %d of %d completions; %d ran with more than the head in the heap", ran, total, crowded)
+	}
+}
+
 // TestTimelineAllocatesNothing: once a resource's backlog ring has grown,
 // queueing more work on it allocates nothing.
 func TestTimelineAllocatesNothing(t *testing.T) {

@@ -76,6 +76,9 @@ type SSD struct {
 
 	// channelFree[i] is the time channel i finishes its current command.
 	channelFree []simnet.Time
+	// done schedules the in-service commands' completions: only the
+	// earliest is in the engine's heap, the rest wait here in order.
+	done *simnet.Timeline
 
 	// Two-level admission: high-priority requests (the oPF LS bypass)
 	// always dispatch before normal ones, no matter how deep the normal
@@ -132,7 +135,10 @@ func (o *op) advance() {
 // zeroBuf backs read completions of unbacked (timing-only) devices: the
 // fabric and CPU models charge per byte, so reads must carry
 // correctly-sized payloads even when no data store exists. Readers treat
-// device data as immutable, so one shared buffer serves every request.
+// device data as immutable, so one shared buffer serves every request of
+// every simulation in the process. The simulated host keeps a whole
+// payload as the read's Result.Data, which is read-only for that reason
+// (TestSharedZeroViewStaysZero).
 var zeroBuf = make([]byte, 1<<20)
 
 // Stats accumulates device-level counters.
@@ -159,6 +165,7 @@ func New(eng *simnet.Engine, cfg Config) (*SSD, error) {
 		cfg:         cfg,
 		rng:         simnet.NewRand(cfg.Seed),
 		channelFree: make([]simnet.Time, cfg.Channels),
+		done:        simnet.NewTimeline(eng),
 	}
 	if cfg.Backed {
 		store, err := bdev.NewMemory(cfg.Namespace.BlockSize, cfg.Namespace.Capacity)
@@ -233,7 +240,7 @@ func (s *SSD) dispatch() {
 		s.channelFree[ch] = now + svc
 		s.stats.BusyTime += svc
 		o.service = true
-		s.eng.At(now+svc, o.step)
+		s.done.At(now+svc, o.step)
 	}
 }
 

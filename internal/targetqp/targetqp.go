@@ -220,8 +220,14 @@ type Target struct {
 	// freeReqs recycles request-pool entries so a steady-state datapath
 	// never allocates a Request. Shard-local, like everything else here.
 	freeReqs []*Request
-	stats    Stats
-	sessions core.TenantTable[Session]
+	// freeData and freeResps hold PDUs handed back by Reclaim. Only a
+	// fabric that delivers on the Target's own goroutine reclaims (the
+	// simulator); over TCP the writer recycles into proto's pools and
+	// these stay empty.
+	freeData  []*proto.C2HData
+	freeResps []*proto.CapsuleResp
+	stats     Stats
+	sessions  core.TenantTable[Session]
 }
 
 // nsEntry is one attached device.
@@ -467,6 +473,35 @@ func (t *Target) getReq() *Request {
 	r := new(Request)
 	r.done = r.Complete
 	return r
+}
+
+// Reclaim takes back a PDU one of the Target's sessions sent once its
+// receiver is done with it, as proto.Recycle does: read data and response
+// PDUs go to the Target's own free lists for its next completions,
+// anything else to proto.Recycle. The payload is never released, only the
+// reference dropped. The lists are not synchronized: only a fabric that
+// delivers on the Target's goroutine may call Reclaim.
+func (t *Target) Reclaim(p proto.PDU) {
+	switch v := p.(type) {
+	case *proto.C2HData:
+		*v = proto.C2HData{}
+		t.freeData = append(t.freeData, v)
+	case *proto.CapsuleResp:
+		*v = proto.CapsuleResp{}
+		t.freeResps = append(t.freeResps, v)
+	default:
+		proto.Recycle(p)
+	}
+}
+
+// getData draws a C2HData from the Target's list, else from proto's pool.
+func (t *Target) getData() *proto.C2HData {
+	if n := len(t.freeData); n > 0 {
+		d := t.freeData[n-1]
+		t.freeData = t.freeData[:n-1]
+		return d
+	}
+	return proto.GetC2HData()
 }
 
 // putReq retires a request-pool entry. The caller releases req.data first
@@ -823,7 +858,7 @@ func (s *Session) onDeviceCompletion(req *Request, st nvme.Status, data []byte) 
 			maxSeg := int(t.cfg.MaxDataLen)
 			if len(data) <= maxSeg {
 				t.stats.DataPDUs++
-				d := proto.GetC2HData()
+				d := t.getData()
 				d.CCCID = cid
 				d.Data = data
 				data = nil // the PDU carries it on (and, pooled, releases it)
@@ -835,7 +870,7 @@ func (s *Session) onDeviceCompletion(req *Request, st nvme.Status, data []byte) 
 						end = len(data)
 					}
 					t.stats.DataPDUs++
-					d := proto.GetC2HData()
+					d := t.getData()
 					d.CCCID = cid
 					d.Offset = uint32(off)
 					if t.cfg.PooledPayloads {
@@ -905,7 +940,13 @@ func (s *Session) onDeviceCompletion(req *Request, st nvme.Status, data []byte) 
 func (s *Session) respond(cid nvme.CID, st nvme.Status, coalesced bool) {
 	t := s.target
 	t.stats.RespPDUs++
-	r := proto.GetCapsuleResp()
+	var r *proto.CapsuleResp
+	if n := len(t.freeResps); n > 0 {
+		r = t.freeResps[n-1]
+		t.freeResps = t.freeResps[:n-1]
+	} else {
+		r = proto.GetCapsuleResp()
+	}
 	r.Cpl = nvme.Completion{CID: cid, Status: st}
 	r.Coalesced = coalesced
 	s.send(r)
