@@ -1,12 +1,16 @@
 // Package autotune closes the control loop the paper's §IV-D window
-// formula leaves open: a per-shard feedback controller that, on every
-// drain completion, re-computes a tenant's TC drain window and admission
-// cap from the observed latency-sensitive signal — SLO burn rate, interval
-// p99, and drain occupancy. The law is QWin-style (PAPERS.md): multiplica-
-// tive back-off of the window while the LS error budget burns faster than
-// its target, additive growth while there is budget headroom and the
-// windows are actually filling, clamped to the static formula's bounds so
-// the controller degrades to today's behavior when telemetry is cold.
+// formula leaves open: a per-shard feedback controller that, every 8 drain
+// completions of a tenant, re-computes the tenant's TC drain window and
+// admission cap from the observed latency-sensitive signal — SLO burn
+// rate, interval p99, and drain occupancy. The law is QWin-style
+// (PAPERS.md) and has one parameterization: burn above 1 halves the window
+// (multiplicative back-off, floored at MinWindow) and caps admission at the
+// window; four consecutive intervals with burn below 0.5 and windows at
+// least half full release the tenant straight back to the static bound,
+// at most one release per 20 ms across the controller's tenants; anything
+// else holds, as does an interval with fewer than 2 LS samples. Cold or
+// healthy tenants sit at the static formula's bound, so the controller
+// degrades to today's behavior when telemetry is cold.
 //
 // Actuation is target-side only. The drain window proper is chosen by the
 // host (HostPM stamps the draining flag), so the controller constrains it
@@ -22,6 +26,7 @@
 package autotune
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -77,8 +82,8 @@ func (s *Signal) Observe(latNS int64) {
 func (s *Signal) Counts() (good, bad int64) { return s.good.Load(), s.bad.Load() }
 
 // ObserveE2E adds host-observed end-to-end within/over-objective counts
-// (from TelemetryUpdate deltas, judged against the e2e objective at the
-// merge site). Thread-safe; inert unless a controller runs with Config.E2E.
+// (Controller.ObserveE2E judges TelemetryUpdate deltas against the
+// objective). Thread-safe; inert unless a controller runs with Config.E2E.
 func (s *Signal) ObserveE2E(good, bad int64) {
 	if good > 0 {
 		s.e2eGood.Add(good)
@@ -94,13 +99,15 @@ func (s *Signal) E2ECounts() (good, bad int64) { return s.e2eGood.Load(), s.e2eB
 // Snapshot copies the latency histogram for interval-quantile math.
 func (s *Signal) Snapshot() *stats.Histogram { return s.hist.Snapshot() }
 
-// The control law's fixed thresholds.
+// The control law's constants. The decision interval, the sample gate, the
+// cap and the grow rules are the values the simulator's shiftmix and
+// e2egap experiments verify (EXPERIMENTS.md); they are not configurable,
+// so every deployment runs the one measured law.
 const (
 	// burnShrink / burnGrow bound the hysteresis band: interval burn
 	// above burnShrink halves the window (multiplicative back-off), below
-	// burnGrow allows additive growth, and the band between them holds —
-	// the damping that keeps the loop from oscillating around the
-	// threshold.
+	// burnGrow allows growth, and the band between them holds — the
+	// damping that keeps the loop from oscillating around the threshold.
 	burnShrink = 1.0
 	burnGrow   = 0.5
 	// growFill gates growth on achieved drain occupancy: windows only grow
@@ -113,16 +120,44 @@ const (
 	// the LS signal is gone — no one is left to protect — which is the one
 	// cold condition that should clear the overrides.
 	dryIntervals = 3
+	// cooldownDrains is how many drain completions a tenant accumulates
+	// between decisions: the decision interval, and the second half of the
+	// oscillation damping (an actuation must be observed before the next
+	// one).
+	cooldownDrains = 8
+	// minSamples is the fewest LS observations an interval needs for a
+	// verdict. Below it the tenant is cold: the controller holds its
+	// current actuation rather than acting on noise. Holding — not
+	// releasing — matters: back-off itself thins the tenant's decision
+	// intervals (a constrained tenant drains less often), so a release on
+	// sparseness would teleport every constrained tenant back to the static
+	// bound and undo the back-off it just earned. It is low because the LS
+	// signal may be a single QD-1 tenant: a couple of unanimous
+	// observations per interval is the best signal there is.
+	minSamples = 2
+	// growIntervals is how many consecutive healthy intervals a tenant
+	// strings together before it grows. Patience discriminates transient
+	// health inside an oscillating overload — where a back-off briefly
+	// clears the burn it caused — from a genuinely lightened load: only
+	// the latter sustains a streak.
+	growIntervals = 4
+	// growQuietNS is the controller-wide minimum spacing between grow
+	// decisions across all tenants. Constrained tenants sharing one
+	// bottleneck all see it clear at once, and a synchronized release
+	// re-floods it in a single step; the spacing serializes release so
+	// each grow's impact lands in the signal before the next tenant may
+	// follow.
+	growQuietNS = 20_000_000
 )
 
-// Config parameterizes a controller. The zero values of everything but
+// Config is what a deployment sets: its objective and budget, the window
+// bounds, the e2e term, and the signal. The zero values of everything but
 // ObjectiveNS select the documented defaults.
 type Config struct {
-	// ObjectiveNS is the LS latency objective the signal is judged
-	// against (required, > 0). Target-side controllers observe service
-	// latency (arrival to completion at the target), which excludes the
-	// fabric round trip — set it accordingly tighter than an end-to-end
-	// SLO.
+	// ObjectiveNS is the LS latency objective both terms of the law are
+	// judged against (required, > 0): the target-side service latency
+	// (arrival to completion at the target) and, with E2E, the
+	// host-observed end-to-end latency.
 	ObjectiveNS int64
 	// BudgetPPM is the error budget: LS observations per million allowed
 	// over the objective (default 1000, i.e. a 99.9% target). The burn
@@ -130,66 +165,19 @@ type Config struct {
 	// consumes the budget exactly as fast as it accrues.
 	BudgetPPM int64
 	// MinWindow / MaxWindow clamp the controlled window. MaxWindow is the
-	// static formula's value for the deployment (core.OptimalWindow);
-	// at MaxWindow the controller clears its overrides entirely, so cold
-	// or healthy tenants run today's static behavior bit-identically.
-	// Defaults 1 / 32.
+	// static formula's value for the deployment (core.OptimalWindow) and
+	// must match the hosts' window: a grow releases a tenant straight to
+	// it, and at MaxWindow the controller clears its overrides entirely,
+	// so cold or healthy tenants run today's static behavior
+	// bit-identically. Defaults 1 / 32.
 	MinWindow int
 	MaxWindow int
-	// GrowStep is the additive increase per grow decision (default 2).
-	GrowStep int
-	// GrowIntervals is how many consecutive healthy intervals a tenant
-	// must string together before each grow step (default 1: grow on
-	// the first healthy verdict). Raising it discriminates transient
-	// health inside an oscillating overload — where a back-off briefly
-	// clears the burn it caused — from a genuinely lightened load:
-	// only the latter sustains a streak.
-	GrowIntervals int
-	// GrowQuietNS is the controller-wide minimum spacing between grow
-	// decisions across all tenants (default 0: none; requires Clock).
-	// Constrained tenants sharing one bottleneck all see it clear at
-	// once, and a synchronized release re-floods it in a single step —
-	// the spacing serializes release so each probe's impact lands in
-	// the signal before the next tenant may follow.
-	GrowQuietNS int64
-	// CapFactor sets the admission-cap override to CapFactor × window
-	// while the controller is constraining a tenant (default 8; negative
-	// leaves admission caps untouched). Shrinking the window without
-	// capping pending lets a tenant hold the same backlog in more,
-	// smaller windows; the cap converts back-off into real admission
-	// push-back.
-	CapFactor int
-	// CooldownDrains is how many drain completions a tenant accumulates
-	// between decisions (default 8): the decision interval, and the
-	// second half of the oscillation damping (an actuation must be
-	// observed before the next one).
-	CooldownDrains int
-	// MinSamples is the minimum LS observations an interval needs for a
-	// verdict (default 32). Below it the tenant is cold: the controller
-	// holds its current actuation rather than acting on noise. Holding —
-	// not releasing — matters: back-off itself thins the tenant's decision
-	// intervals (a constrained tenant drains less often), so a release on
-	// sparseness would teleport every constrained tenant back to the
-	// static bound and undo the back-off it just earned.
-	MinSamples int64
 	// E2E folds the host-observed end-to-end term into the control law:
-	// within/over-objective counts fed through Signal.ObserveE2E join each
+	// LS class deltas fed through Controller.ObserveE2E join each
 	// decision, and the effective burn is the worse of the service and e2e
 	// burn rates. Off (the default) the law reads only the service signal
-	// and is bit-identical to a build without the feedback channel — e2e
-	// counts may still accumulate, they just never influence a decision.
+	// and is bit-identical to a build without the feedback channel.
 	E2E bool
-	// E2EObjectiveNS is the end-to-end latency objective host observations
-	// are judged against at the merge site (default: ObjectiveNS). An e2e
-	// objective normally sits above the service objective by the expected
-	// fabric round trip.
-	E2EObjectiveNS int64
-	// Clock stamps decisions (nanoseconds; virtual clocks work). Nil
-	// stamps zero.
-	Clock func() int64
-	// Telemetry receives per-decision records for /debug/autotune. Nil
-	// disables.
-	Telemetry *telemetry.Registry
 	// Signal is the LS observation stream. Nil creates a private one
 	// with ObjectiveNS; a sharded deployment shares one Signal across
 	// its per-shard controllers.
@@ -206,27 +194,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxWindow <= 0 {
 		cfg.MaxWindow = 32
-	}
-	if cfg.GrowStep <= 0 {
-		cfg.GrowStep = 2
-	}
-	if cfg.GrowIntervals <= 0 {
-		cfg.GrowIntervals = 1
-	}
-	switch {
-	case cfg.CapFactor == 0:
-		cfg.CapFactor = 8
-	case cfg.CapFactor < 0:
-		cfg.CapFactor = 0 // caps disabled
-	}
-	if cfg.CooldownDrains <= 0 {
-		cfg.CooldownDrains = 8
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 32
-	}
-	if cfg.E2EObjectiveNS <= 0 {
-		cfg.E2EObjectiveNS = cfg.ObjectiveNS
 	}
 	return cfg
 }
@@ -270,16 +237,23 @@ type Controller struct {
 	cfg      Config
 	sig      *Signal
 	act      Actuator
+	clock    func() int64
+	tel      *telemetry.Registry
 	tenants  map[proto.TenantID]*tenantState
 	lastGrow int64 // clock at the most recent grow decision, any tenant
 	grown    bool  // a grow has happened (lastGrow is meaningful)
 }
 
-// New creates a controller. ObjectiveNS must be positive and the window
-// bounds sane.
-func New(cfg Config) (*Controller, error) {
+// New creates a controller whose decisions are stamped by clock
+// (nanoseconds; virtual clocks work) and recorded in tel for
+// /debug/autotune (nil disables). ObjectiveNS must be positive, the window
+// bounds sane, and clock set: the grow-quiet rule spaces grows in time.
+func New(cfg Config, clock func() int64, tel *telemetry.Registry) (*Controller, error) {
 	if cfg.ObjectiveNS <= 0 {
 		return nil, fmt.Errorf("autotune: objective %dns, want > 0", cfg.ObjectiveNS)
+	}
+	if clock == nil {
+		return nil, errors.New("autotune: nil clock (the grow-quiet rule needs one)")
 	}
 	cfg = cfg.withDefaults()
 	if cfg.MinWindow > cfg.MaxWindow {
@@ -289,7 +263,7 @@ func New(cfg Config) (*Controller, error) {
 	if sig == nil {
 		sig = NewSignal(cfg.ObjectiveNS)
 	}
-	return &Controller{cfg: cfg, sig: sig, tenants: make(map[proto.TenantID]*tenantState)}, nil
+	return &Controller{cfg: cfg, sig: sig, clock: clock, tel: tel, tenants: make(map[proto.TenantID]*tenantState)}, nil
 }
 
 // Bind attaches the actuator the decisions drive (the shard's TargetPM).
@@ -302,17 +276,21 @@ func (c *Controller) Signal() *Signal { return c.sig }
 // ObserveLS records one LS service latency into the signal. Thread-safe.
 func (c *Controller) ObserveLS(latNS int64) { c.sig.Observe(latNS) }
 
-// ObserveE2E feeds host-observed e2e within/over-objective counts into
-// the signal. Thread-safe; the control law ignores them unless Config.E2E
-// is set.
-func (c *Controller) ObserveE2E(good, bad int64) { c.sig.ObserveE2E(good, bad) }
-
-// E2EEnabled reports whether the e2e term participates in decisions.
-func (c *Controller) E2EEnabled() bool { return c.cfg.E2E }
-
-// E2EObjectiveNS returns the objective e2e observations are judged
-// against (for the merge site that splits deltas into good/bad).
-func (c *Controller) E2EObjectiveNS() int64 { return c.cfg.E2EObjectiveNS }
+// ObserveE2E feeds one host TelemetryUpdate into the e2e term: each
+// latency-sensitive class delta is judged against ObjectiveNS and its
+// within/over counts join the signal. Only the LS classes count — the e2e
+// term protects the same traffic the service term does. Without
+// Config.E2E it does nothing. Thread-safe.
+func (c *Controller) ObserveE2E(u *proto.TelemetryUpdate) {
+	if !c.cfg.E2E {
+		return
+	}
+	for i := range u.Classes {
+		if cd := &u.Classes[i]; cd.Class.LatencySensitive() {
+			c.sig.ObserveE2E(telemetry.ClassDeltaGoodBad(cd, c.cfg.ObjectiveNS))
+		}
+	}
+}
 
 // WindowFor returns the controller's current window for a tenant
 // (MaxWindow — the static bound — for tenants it has never decided on).
@@ -334,7 +312,7 @@ func (c *Controller) Forget(t proto.TenantID) {
 }
 
 // OnDrainComplete feeds one completed window into the loop; wire it to
-// core.TargetPM.SetDrainHook. Every CooldownDrains completions per tenant
+// core.TargetPM.SetDrainHook. Every cooldownDrains completions per tenant
 // it takes a decision over the interval since the tenant's last one.
 func (c *Controller) OnDrainComplete(dc core.DrainCompletion) {
 	if dc.Scavenger {
@@ -361,7 +339,7 @@ func (c *Controller) OnDrainComplete(dc core.DrainCompletion) {
 	}
 	st.drains++
 	st.fillSum += dc.Window
-	if st.drains < c.cfg.CooldownDrains {
+	if st.drains < cooldownDrains {
 		return
 	}
 	c.decide(dc.Tenant, st)
@@ -407,10 +385,7 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 	if samples > 0 {
 		st.dry = 0
 	}
-	var now int64
-	if c.cfg.Clock != nil {
-		now = c.cfg.Clock()
-	}
+	now := c.clock()
 	var action, reason string
 	switch {
 	case samples == 0:
@@ -425,11 +400,11 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 		} else {
 			reason = fmt.Sprintf("no LS samples (dry %d/%d): holding %d", st.dry, dryIntervals, st.window)
 		}
-	case samples < c.cfg.MinSamples:
+	case samples < minSamples:
 		// Sparse: too few samples for a verdict, but the signal is alive.
 		// Hold the current actuation — back-off thins these very intervals.
 		action = "cold"
-		reason = fmt.Sprintf("%d LS samples < %d: holding %d", samples, c.cfg.MinSamples, st.window)
+		reason = fmt.Sprintf("%d LS samples < %d: holding %d", samples, minSamples, st.window)
 	case burn > burnShrink:
 		st.healthy = 0
 		st.window = prev / 2
@@ -446,25 +421,25 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 	case burn < burnGrow && st.window < c.cfg.MaxWindow && fill >= growFill:
 		st.healthy++
 		switch {
-		case st.healthy < c.cfg.GrowIntervals:
+		case st.healthy < growIntervals:
 			action = "hold"
-			reason = fmt.Sprintf("burn %.2f healthy %d/%d intervals: patience before growth", burn, st.healthy, c.cfg.GrowIntervals)
-		case c.cfg.GrowQuietNS > 0 && c.grown && now-c.lastGrow < c.cfg.GrowQuietNS:
+			reason = fmt.Sprintf("burn %.2f healthy %d/%d intervals: patience before growth", burn, st.healthy, growIntervals)
+		case c.grown && now-c.lastGrow < growQuietNS:
 			// Streak complete but another tenant released recently; wait
 			// for its impact to land in the signal. The streak carries
 			// over, so this tenant grows at its first decision after the
 			// quiet period.
 			action = "hold"
-			reason = fmt.Sprintf("healthy, %.1fms grow-quiet remaining after a release elsewhere", float64(c.cfg.GrowQuietNS-(now-c.lastGrow))/1e6)
+			reason = fmt.Sprintf("healthy, %.1fms grow-quiet remaining after a release elsewhere", float64(growQuietNS-(now-c.lastGrow))/1e6)
 		default:
+			// Release straight to the static bound: the patience and the
+			// quiet period already proved the load lightened, so there is
+			// nothing to probe for in smaller steps.
 			st.healthy = 0
-			st.window = prev + c.cfg.GrowStep
-			if st.window > c.cfg.MaxWindow {
-				st.window = c.cfg.MaxWindow
-			}
+			st.window = c.cfg.MaxWindow
 			c.lastGrow, c.grown = now, true
 			action = "grow"
-			reason = fmt.Sprintf("burn %.2f < %.2f, fill %.2f: additive grow", burn, burnGrow, fill)
+			reason = fmt.Sprintf("burn %.2f < %.2f, fill %.2f: release to static bound", burn, burnGrow, fill)
 		}
 	default:
 		action = "hold"
@@ -483,7 +458,7 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 	st.lastGood, st.lastBad = good, bad
 	st.lastE2EGood, st.lastE2EBad = eGood, eBad
 	st.lastHist = cur
-	c.cfg.Telemetry.RecordAutotune(telemetry.AutotuneDecision{
+	c.tel.RecordAutotune(telemetry.AutotuneDecision{
 		Tenant:     t,
 		Action:     action,
 		Window:     st.window,
@@ -498,9 +473,10 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 	})
 }
 
-// apply actuates one tenant's window, returning the cap it set (0 when
-// admission caps are untouched). At the static bound the overrides clear:
-// a controller with nothing to say must leave no fingerprints.
+// apply actuates one tenant's window and an admission cap of the same
+// size, returning the cap (0 when cleared). At the static bound the
+// overrides clear: a controller with nothing to say must leave no
+// fingerprints.
 func (c *Controller) apply(t proto.TenantID, w int) int {
 	if c.act == nil {
 		return 0
@@ -511,10 +487,6 @@ func (c *Controller) apply(t proto.TenantID, w int) int {
 		return 0
 	}
 	c.act.SetTenantWindow(t, w)
-	capv := 0
-	if c.cfg.CapFactor > 0 {
-		capv = w * c.cfg.CapFactor
-	}
-	c.act.SetTenantCap(t, capv)
-	return capv
+	c.act.SetTenantCap(t, w)
+	return w
 }

@@ -25,26 +25,20 @@ func newFakeAct() *fakeAct {
 func (a *fakeAct) SetTenantWindow(t proto.TenantID, w int) { a.wins[t] = w }
 func (a *fakeAct) SetTenantCap(t proto.TenantID, c int)    { a.caps[t] = c }
 
-// testController builds a controller with tight, test-friendly constants:
+// testController builds a controller with test-friendly deployment values:
 // objective 1µs, 10% error budget (burn = violFrac/0.1), window 1..16,
-// grow +4, decide every drain, verdicts from 4 samples.
-func testController(t *testing.T, mutate func(*Config)) (*Controller, *fakeAct, *fakeClock) {
+// decisions recorded in reg (may be nil). The law's constants are the
+// production ones.
+func testController(t *testing.T, e2e bool, reg *telemetry.Registry) (*Controller, *fakeAct, *fakeClock) {
 	t.Helper()
 	clk := &fakeClock{}
-	cfg := Config{
-		ObjectiveNS:    1000,
-		BudgetPPM:      100_000,
-		MinWindow:      1,
-		MaxWindow:      16,
-		GrowStep:       4,
-		CooldownDrains: 1,
-		MinSamples:     4,
-		Clock:          clk.now,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	c, err := New(cfg)
+	c, err := New(Config{
+		ObjectiveNS: 1000,
+		BudgetPPM:   100_000,
+		MinWindow:   1,
+		MaxWindow:   16,
+		E2E:         e2e,
+	}, clk.now, reg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -70,14 +64,55 @@ func drain(c *Controller, tenant proto.TenantID, n, window int) {
 	}
 }
 
+// interval feeds one decision interval — 8 drain completions — of the
+// given achieved batch size. A tenant's first interval only primes it: its
+// first drain baselines the signal, so the verdict is cold.
+func interval(c *Controller, tenant proto.TenantID, window int) {
+	drain(c, tenant, 8, window)
+}
+
+// shrunkTo8 primes tenant and shrinks it from the static bound 16 to 8.
+func shrunkTo8(t *testing.T, c *Controller, tenant proto.TenantID) {
+	t.Helper()
+	interval(c, tenant, 16) // prime
+	observe(c, 0, 8)
+	interval(c, tenant, 16)
+	if w := c.WindowFor(tenant); w != 8 {
+		t.Fatalf("precondition: window = %d, want 8", w)
+	}
+}
+
+// e2eUpdate builds a host TelemetryUpdate whose LS class holds good samples
+// at half the 1µs objective and bad at double it, plus TC samples (all
+// over the objective) that the e2e term must ignore.
+func e2eUpdate(good, bad int) *proto.TelemetryUpdate {
+	acc := telemetry.NewE2EAccum()
+	for i := 0; i < good; i++ {
+		acc.Record(proto.PrioLatencySensitive, 500)
+	}
+	for i := 0; i < bad; i++ {
+		acc.Record(proto.PrioLatencySensitive, 2000)
+	}
+	for i := 0; i < 50; i++ {
+		acc.Record(proto.PrioThroughputCritical, 1_000_000)
+	}
+	u := &proto.TelemetryUpdate{}
+	acc.FillUpdate(u)
+	return u
+}
+
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	clk := &fakeClock{}
+	if _, err := New(Config{}, clk.now, nil); err == nil {
 		t.Fatal("want error for zero objective")
 	}
-	if _, err := New(Config{ObjectiveNS: 1000, MinWindow: 8, MaxWindow: 4}); err == nil {
+	if _, err := New(Config{ObjectiveNS: 1000, MinWindow: 8, MaxWindow: 4}, clk.now, nil); err == nil {
 		t.Fatal("want error for min > max")
 	}
-	c, err := New(Config{ObjectiveNS: 1000})
+	if _, err := New(Config{ObjectiveNS: 1000}, nil, nil); err == nil {
+		t.Fatal("want error for a nil clock (grow-quiet needs one)")
+	}
+	c, err := New(Config{ObjectiveNS: 1000}, clk.now, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -87,9 +122,9 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestColdStartHoldsStaticBounds(t *testing.T) {
-	c, act, _ := testController(t, nil)
-	// First drain primes; second decides with zero interval samples.
-	drain(c, 7, 2, 16)
+	c, act, _ := testController(t, false, nil)
+	// The first drain primes; the decision at the 8th sees no samples.
+	interval(c, 7, 16)
 	if w := c.WindowFor(7); w != 16 {
 		t.Fatalf("cold window = %d, want the static bound 16", w)
 	}
@@ -100,75 +135,80 @@ func TestColdStartHoldsStaticBounds(t *testing.T) {
 }
 
 func TestShrinkOnBurn(t *testing.T) {
-	c, act, _ := testController(t, nil)
-	drain(c, 3, 1, 16) // prime
+	c, act, _ := testController(t, false, nil)
+	interval(c, 3, 16) // prime
 	observe(c, 8, 8)   // violFrac 0.5 → burn 5.0
-	drain(c, 3, 1, 16)
+	interval(c, 3, 16)
 	if w := c.WindowFor(3); w != 8 {
 		t.Fatalf("window after burn = %d, want 8 (halved)", w)
 	}
 	if act.wins[3] != 8 {
 		t.Fatalf("actuated window = %d, want 8", act.wins[3])
 	}
-	if act.caps[3] != 8*8 { // default CapFactor 8
-		t.Fatalf("actuated cap = %d, want %d", act.caps[3], 8*8)
+	if act.caps[3] != 8 { // the cap equals the window
+		t.Fatalf("actuated cap = %d, want 8", act.caps[3])
 	}
 }
 
 func TestConvergenceToFloorUnderSustainedBurn(t *testing.T) {
-	c, act, _ := testController(t, nil)
-	drain(c, 3, 1, 16) // prime
+	c, act, _ := testController(t, false, nil)
+	interval(c, 3, 16) // prime
 	for i := 0; i < 10; i++ {
 		observe(c, 0, 8) // all bad, every interval
-		drain(c, 3, 1, c.WindowFor(3))
+		interval(c, 3, c.WindowFor(3))
 	}
 	if w := c.WindowFor(3); w != 1 {
 		t.Fatalf("window = %d, want the floor 1", w)
 	}
-	if act.wins[3] != 1 {
-		t.Fatalf("actuated window = %d, want 1", act.wins[3])
+	if act.wins[3] != 1 || act.caps[3] != 1 {
+		t.Fatalf("overrides = (%d, %d), want (1, 1)", act.wins[3], act.caps[3])
 	}
 	// Further burn holds at the floor, it does not oscillate.
 	observe(c, 0, 8)
-	drain(c, 3, 1, 1)
+	interval(c, 3, 1)
 	if w := c.WindowFor(3); w != 1 {
 		t.Fatalf("window after burn at floor = %d, want 1", w)
 	}
 }
 
+// TestSparseIntervalHoldsActuation pins the 2-sample gate: one sample holds
+// the current actuation, two are a verdict.
 func TestSparseIntervalHoldsActuation(t *testing.T) {
-	c, act, _ := testController(t, nil)
-	drain(c, 3, 1, 16) // prime
-	observe(c, 0, 8)
-	drain(c, 3, 1, 16) // shrink to 8
-	// Sparse interval (1 sample < MinSamples 4): the signal is alive but
-	// thin — back-off itself thinned it — so the shrunk window holds.
-	observe(c, 1, 0)
-	drain(c, 3, 1, 8)
+	c, act, _ := testController(t, false, nil)
+	shrunkTo8(t, c, 3)
+	// One sample: the signal is alive but thin — back-off itself thinned
+	// it — so the shrunk window holds, cap included.
+	observe(c, 0, 1)
+	interval(c, 3, 8)
 	if w := c.WindowFor(3); w != 8 {
-		t.Fatalf("window after sparse interval = %d, want 8 held", w)
+		t.Fatalf("window after a 1-sample interval = %d, want 8 held", w)
 	}
-	if act.wins[3] != 8 || act.caps[3] != 64 {
-		t.Fatalf("overrides after sparse interval = (%d, %d), want kept (8, 64)",
+	if act.wins[3] != 8 || act.caps[3] != 8 {
+		t.Fatalf("overrides after sparse interval = (%d, %d), want kept (8, 8)",
 			act.wins[3], act.caps[3])
+	}
+	// Two samples, both bad: a verdict, and it shrinks.
+	observe(c, 0, 2)
+	interval(c, 3, 8)
+	if w := c.WindowFor(3); w != 4 {
+		t.Fatalf("window after a 2-sample burning interval = %d, want 4", w)
 	}
 }
 
 func TestDryStreakReleasesToStaticBounds(t *testing.T) {
-	c, act, _ := testController(t, nil)
-	drain(c, 3, 1, 16) // prime
-	observe(c, 0, 8)
-	drain(c, 3, 1, 16) // shrink to 8
+	c, act, _ := testController(t, false, nil)
+	shrunkTo8(t, c, 3)
 	// Two zero-sample intervals hold; the third (dryIntervals 3) proves
 	// the LS signal is gone and releases to the static bound.
-	drain(c, 3, 2, 8)
+	interval(c, 3, 8)
+	interval(c, 3, 8)
 	if w := c.WindowFor(3); w != 8 {
 		t.Fatalf("window after 2 dry intervals = %d, want 8 held", w)
 	}
 	if act.wins[3] != 8 {
 		t.Fatalf("override after 2 dry intervals = %d, want kept", act.wins[3])
 	}
-	drain(c, 3, 1, 8)
+	interval(c, 3, 8)
 	if w := c.WindowFor(3); w != 16 {
 		t.Fatalf("window after dry streak = %d, want released to 16", w)
 	}
@@ -178,154 +218,167 @@ func TestDryStreakReleasesToStaticBounds(t *testing.T) {
 }
 
 func TestDryStreakResetBySparseSamples(t *testing.T) {
-	c, _, _ := testController(t, nil)
-	drain(c, 3, 1, 16) // prime
-	observe(c, 0, 8)
-	drain(c, 3, 1, 16) // shrink to 8
-	drain(c, 3, 2, 8)  // dry 2/3
-	observe(c, 1, 0)   // one live sample resets the streak …
-	drain(c, 3, 1, 8)
-	drain(c, 3, 2, 8) // … so two more dry intervals still hold
+	c, _, _ := testController(t, false, nil)
+	shrunkTo8(t, c, 3)
+	interval(c, 3, 8) // dry 1/3
+	interval(c, 3, 8) // dry 2/3
+	observe(c, 1, 0)  // one live sample resets the streak …
+	interval(c, 3, 8)
+	interval(c, 3, 8) // … so two more dry intervals still hold
+	interval(c, 3, 8)
 	if w := c.WindowFor(3); w != 8 {
 		t.Fatalf("window = %d, want 8 (dry streak was reset)", w)
 	}
 }
 
+// TestGrowBackWithHeadroomAndFill pins the release: after four healthy,
+// full intervals a window shrunk to 4 goes straight back to MaxWindow and
+// the overrides clear.
 func TestGrowBackWithHeadroomAndFill(t *testing.T) {
-	c, act, _ := testController(t, nil)
-	drain(c, 3, 1, 16) // prime
+	c, act, _ := testController(t, false, nil)
+	shrunkTo8(t, c, 3)
 	observe(c, 0, 8)
-	drain(c, 3, 1, 16) // 16 → 8
-	observe(c, 0, 8)
-	drain(c, 3, 1, 8) // 8 → 4
+	interval(c, 3, 8) // 8 → 4
 	if w := c.WindowFor(3); w != 4 {
 		t.Fatalf("window = %d, want 4", w)
 	}
-	// Healthy intervals with full batches: additive regrowth 4 → 8 → 12
-	// → 16, then overrides clear at the bound.
-	for _, want := range []int{8, 12, 16} {
+	for i := 0; i < 4; i++ {
 		observe(c, 8, 0) // burn 0
-		drain(c, 3, 1, c.WindowFor(3))
-		if w := c.WindowFor(3); w != want {
-			t.Fatalf("window = %d, want %d", w, want)
-		}
+		interval(c, 3, 4)
+	}
+	if w := c.WindowFor(3); w != 16 {
+		t.Fatalf("window = %d, want 16 (released to the static bound)", w)
 	}
 	if act.wins[3] != 0 || act.caps[3] != 0 {
 		t.Fatalf("overrides at the bound = (%d, %d), want cleared", act.wins[3], act.caps[3])
 	}
 }
 
+// TestGrowPatienceRequiresHealthyStreak pins the 4-interval patience and
+// its reset by a burning interval.
 func TestGrowPatienceRequiresHealthyStreak(t *testing.T) {
-	c, _, _ := testController(t, func(cfg *Config) { cfg.GrowIntervals = 3 })
-	drain(c, 3, 1, 16) // prime
-	observe(c, 0, 8)
-	drain(c, 3, 1, 16) // shrink to 8
-	// Two healthy intervals: streak building, window held.
-	for i := 0; i < 2; i++ {
+	c, _, _ := testController(t, false, nil)
+	shrunkTo8(t, c, 3)
+	// Three healthy intervals: streak building, window held.
+	for i := 0; i < 3; i++ {
 		observe(c, 8, 0)
-		drain(c, 3, 1, 8)
+		interval(c, 3, 8)
 		if w := c.WindowFor(3); w != 8 {
-			t.Fatalf("window after %d healthy intervals = %d, want 8 held (patience 3)", i+1, w)
+			t.Fatalf("window after %d healthy intervals = %d, want 8 held (patience 4)", i+1, w)
 		}
 	}
 	// A burn interval resets the streak …
 	observe(c, 0, 8)
-	drain(c, 3, 1, 8) // 8 → 4
+	interval(c, 3, 8) // 8 → 4
 	if w := c.WindowFor(3); w != 4 {
 		t.Fatalf("window after burn = %d, want 4", w)
 	}
-	// … so two more healthy intervals still hold, and the third grows.
-	for i := 0; i < 2; i++ {
+	// … so three more healthy intervals still hold, and the fourth grows.
+	for i := 0; i < 3; i++ {
 		observe(c, 8, 0)
-		drain(c, 3, 1, 4)
+		interval(c, 3, 4)
 		if w := c.WindowFor(3); w != 4 {
 			t.Fatalf("window after reset + %d healthy = %d, want 4 held", i+1, w)
 		}
 	}
 	observe(c, 8, 0)
-	drain(c, 3, 1, 4)
-	if w := c.WindowFor(3); w != 8 {
-		t.Fatalf("window after a full streak = %d, want 8 (grew)", w)
+	interval(c, 3, 4)
+	if w := c.WindowFor(3); w != 16 {
+		t.Fatalf("window after a full streak = %d, want 16 (released)", w)
 	}
 }
 
+// TestGrowQuietSerializesRelease pins the 20 ms controller-wide spacing
+// between grows.
 func TestGrowQuietSerializesRelease(t *testing.T) {
-	c, _, clk := testController(t, func(cfg *Config) { cfg.GrowQuietNS = 1000 })
+	c, _, clk := testController(t, false, nil)
 	// Two tenants, both shrunk by shared pain.
-	drain(c, 3, 1, 16) // prime
-	drain(c, 9, 1, 16)
+	interval(c, 3, 16) // prime
+	interval(c, 9, 16)
 	observe(c, 0, 8)
-	drain(c, 3, 1, 16)
-	drain(c, 9, 1, 16)
+	interval(c, 3, 16)
+	interval(c, 9, 16)
 	if w3, w9 := c.WindowFor(3), c.WindowFor(9); w3 != 8 || w9 != 8 {
 		t.Fatalf("windows = (%d, %d), want both 8", w3, w9)
 	}
-	// Shared calm: the first tenant to decide grows; the second is inside
-	// the quiet period and must hold.
-	observe(c, 8, 0)
-	drain(c, 3, 1, 8)
-	drain(c, 9, 1, 8)
-	if w := c.WindowFor(3); w != 12 {
-		t.Fatalf("first tenant = %d, want 12 (grew)", w)
+	// Shared calm: both complete their streak in the same round; the first
+	// to decide grows, the second is inside the quiet period and holds.
+	for i := 0; i < 4; i++ {
+		observe(c, 8, 0)
+		interval(c, 3, 8)
+		interval(c, 9, 8)
+	}
+	if w := c.WindowFor(3); w != 16 {
+		t.Fatalf("first tenant = %d, want 16 (grew)", w)
 	}
 	if w := c.WindowFor(9); w != 8 {
 		t.Fatalf("second tenant = %d, want 8 held inside grow-quiet", w)
 	}
-	// Past the quiet period the held streak releases without re-earning.
-	clk.t += 1000
+	// 1 ns short of 20 ms it still holds …
+	clk.t += 20_000_000 - 1
 	observe(c, 8, 0)
-	drain(c, 9, 1, 8)
-	if w := c.WindowFor(9); w != 12 {
-		t.Fatalf("second tenant after quiet = %d, want 12 (grew)", w)
+	interval(c, 9, 8)
+	if w := c.WindowFor(9); w != 8 {
+		t.Fatalf("second tenant at 20ms-1ns = %d, want 8 held", w)
+	}
+	// … and past the quiet period the held streak releases without
+	// re-earning.
+	clk.t++
+	observe(c, 8, 0)
+	interval(c, 9, 8)
+	if w := c.WindowFor(9); w != 16 {
+		t.Fatalf("second tenant after quiet = %d, want 16 (grew)", w)
 	}
 }
 
 func TestGrowGatedOnFill(t *testing.T) {
-	c, _, _ := testController(t, nil)
-	drain(c, 3, 1, 16) // prime
-	observe(c, 0, 8)
-	drain(c, 3, 1, 16) // shrink to 8
-	// Healthy burn but batches only 2/8 full: no growth earned.
-	observe(c, 8, 0)
-	drain(c, 3, 1, 2)
+	c, _, _ := testController(t, false, nil)
+	shrunkTo8(t, c, 3)
+	// Healthy burn but batches only 2/8 full: no growth earned, however
+	// long the streak.
+	for i := 0; i < 6; i++ {
+		observe(c, 8, 0)
+		interval(c, 3, 2)
+	}
 	if w := c.WindowFor(3); w != 8 {
 		t.Fatalf("window = %d, want 8 held (fill 0.25 < 0.5)", w)
 	}
 }
 
 func TestHysteresisBandHolds(t *testing.T) {
-	c, _, _ := testController(t, nil)
-	drain(c, 3, 1, 16) // prime
-	observe(c, 0, 8)
-	drain(c, 3, 1, 16) // shrink to 8
+	c, _, _ := testController(t, false, nil)
+	shrunkTo8(t, c, 3)
 	// violFrac 0.08 → burn 0.8: inside [0.5, 1.0], full batches — hold.
-	observe(c, 92, 8)
-	drain(c, 3, 1, 8)
+	for i := 0; i < 6; i++ {
+		observe(c, 92, 8)
+		interval(c, 3, 8)
+	}
 	if w := c.WindowFor(3); w != 8 {
 		t.Fatalf("window = %d, want 8 held inside the hysteresis band", w)
 	}
 }
 
+// TestCooldownBatchesDecisions pins the decision interval: 8 drains.
 func TestCooldownBatchesDecisions(t *testing.T) {
 	reg := telemetry.New()
-	c, _, _ := testController(t, func(cfg *Config) {
-		cfg.CooldownDrains = 4
-		cfg.Telemetry = reg
-	})
+	c, _, _ := testController(t, false, reg)
 	observe(c, 0, 8)
-	drain(c, 3, 3, 16)
+	drain(c, 3, 7, 16)
 	if n := len(reg.AutotuneLog()); n != 0 {
-		t.Fatalf("decisions after 3 drains = %d, want 0 (cooldown 4)", n)
+		t.Fatalf("decisions after 7 drains = %d, want 0", n)
 	}
 	drain(c, 3, 1, 16)
 	if n := len(reg.AutotuneLog()); n != 1 {
-		t.Fatalf("decisions after 4 drains = %d, want 1", n)
+		t.Fatalf("decisions after 8 drains = %d, want 1", n)
 	}
-	// The priming drain baselined the counters before the observations?
-	// No: priming happens on the first drain, after observe — so the
-	// samples are pre-baseline and the first verdict is cold.
+	// Priming happens on the first drain, after observe — so the samples
+	// are pre-baseline and the first verdict is cold.
 	if d := reg.AutotuneLog()[0]; d.Action != "cold" {
 		t.Fatalf("first verdict = %q, want cold (samples predate priming)", d.Action)
+	}
+	drain(c, 3, 15, 16)
+	if n := len(reg.AutotuneLog()); n != 2 {
+		t.Fatalf("decisions after 23 drains = %d, want 2", n)
 	}
 }
 
@@ -334,20 +387,22 @@ func TestAntagonistSharedSignalFairness(t *testing.T) {
 	// device and NIC are shared — per-tenant attribution is not
 	// observable); in the healthy period only the full-batch tenant
 	// regrows.
-	c, _, _ := testController(t, nil)
-	drain(c, 3, 1, 16) // prime heavy
-	drain(c, 9, 1, 16) // prime light
+	c, _, _ := testController(t, false, nil)
+	interval(c, 3, 16) // prime heavy
+	interval(c, 9, 16) // prime light
 	observe(c, 0, 8)   // one shared burst of LS pain …
-	drain(c, 3, 1, 16) // … judged by both tenants' next decisions
-	drain(c, 9, 1, 16)
+	interval(c, 3, 16) // … judged by both tenants' next decisions
+	interval(c, 9, 16)
 	if w3, w9 := c.WindowFor(3), c.WindowFor(9); w3 != 8 || w9 != 8 {
 		t.Fatalf("windows = (%d, %d), want both 8 after shared burn", w3, w9)
 	}
-	observe(c, 8, 0)  // one shared healthy interval
-	drain(c, 3, 1, 8) // heavy: full batches → grows
-	drain(c, 9, 1, 2) // light: 25% fill → holds
-	if w := c.WindowFor(3); w != 12 {
-		t.Fatalf("heavy tenant window = %d, want 12", w)
+	for i := 0; i < 4; i++ {
+		observe(c, 8, 0)  // shared healthy intervals
+		interval(c, 3, 8) // heavy: full batches → grows
+		interval(c, 9, 2) // light: 25% fill → holds
+	}
+	if w := c.WindowFor(3); w != 16 {
+		t.Fatalf("heavy tenant window = %d, want 16", w)
 	}
 	if w := c.WindowFor(9); w != 8 {
 		t.Fatalf("light tenant window = %d, want 8 held", w)
@@ -355,10 +410,8 @@ func TestAntagonistSharedSignalFairness(t *testing.T) {
 }
 
 func TestForgetClearsStateAndOverrides(t *testing.T) {
-	c, act, _ := testController(t, nil)
-	drain(c, 3, 1, 16)
-	observe(c, 0, 8)
-	drain(c, 3, 1, 16)
+	c, act, _ := testController(t, false, nil)
+	shrunkTo8(t, c, 3)
 	if act.wins[3] != 8 {
 		t.Fatalf("precondition: actuated window = %d, want 8", act.wins[3])
 	}
@@ -373,18 +426,18 @@ func TestForgetClearsStateAndOverrides(t *testing.T) {
 
 func TestDecisionTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	c, _, clk := testController(t, func(cfg *Config) { cfg.Telemetry = reg })
+	c, _, clk := testController(t, false, reg)
 	clk.t = 42
-	drain(c, 3, 1, 16) // prime + cold decision
+	interval(c, 3, 16) // prime + cold decision
 	observe(c, 8, 8)
-	drain(c, 3, 1, 16) // shrink decision
+	interval(c, 3, 16) // shrink decision
 	states := reg.AutotuneStates()
 	if len(states) != 1 {
 		t.Fatalf("states = %d, want 1", len(states))
 	}
 	st := states[0]
-	if st.Tenant != 3 || st.Window != 8 || st.Cap != 64 {
-		t.Fatalf("state = %+v, want tenant 3 window 8 cap 64", st)
+	if st.Tenant != 3 || st.Window != 8 || st.Cap != 8 {
+		t.Fatalf("state = %+v, want tenant 3 window 8 cap 8", st)
 	}
 	last := st.Last
 	if last.Action != "shrink" || last.PrevWindow != 16 || last.At != 42 {
@@ -405,15 +458,16 @@ func TestDecisionTelemetry(t *testing.T) {
 }
 
 func TestIntervalQuantileUsesOnlyNewSamples(t *testing.T) {
-	c, _, _ := testController(t, func(cfg *Config) { cfg.Telemetry = telemetry.New() })
-	drain(c, 3, 1, 16) // prime
+	reg := telemetry.New()
+	c, _, _ := testController(t, false, reg)
+	interval(c, 3, 16) // prime
 	// Interval 1: slow samples.
 	observe(c, 0, 8)
-	drain(c, 3, 1, 16)
+	interval(c, 3, 16)
 	// Interval 2: all fast — p99 must reflect only these, not history.
 	observe(c, 8, 0)
-	drain(c, 3, 1, 8)
-	log := c.cfg.Telemetry.AutotuneLog()
+	interval(c, 3, 8)
+	log := reg.AutotuneLog()
 	last := log[len(log)-1]
 	if last.LSP99NS > 1000 {
 		t.Fatalf("interval p99 = %d, want ≤ objective (interval had only fast samples)", last.LSP99NS)
@@ -449,9 +503,9 @@ func TestSharedSignalAcrossControllers(t *testing.T) {
 	// Two per-shard controllers on one signal: LS pain observed via shard
 	// A's controller shrinks a tenant decided by shard B's.
 	sig := NewSignal(1000)
+	clk := &fakeClock{}
 	mk := func() *Controller {
-		c, err := New(Config{ObjectiveNS: 1000, BudgetPPM: 100_000, MaxWindow: 16,
-			CooldownDrains: 1, MinSamples: 4, Signal: sig})
+		c, err := New(Config{ObjectiveNS: 1000, BudgetPPM: 100_000, MaxWindow: 16, Signal: sig}, clk.now, nil)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -459,25 +513,29 @@ func TestSharedSignalAcrossControllers(t *testing.T) {
 		return c
 	}
 	a, b := mk(), mk()
-	drain(b, 5, 1, 16) // prime b's tenant
+	interval(b, 5, 16) // prime b's tenant
 	for i := 0; i < 8; i++ {
 		a.ObserveLS(2000) // pain lands via shard A
 	}
-	drain(b, 5, 1, 16)
+	interval(b, 5, 16)
 	if w := b.WindowFor(5); w != 8 {
 		t.Fatalf("shard-B window = %d, want 8 (shrunk by shard-A pain)", w)
 	}
 }
 
 // TestE2ETermIgnoredWhenDisabled pins the off-is-bit-identical contract:
-// e2e pain fed into the signal must not move a controller built without
-// Config.E2E.
+// a controller built without Config.E2E drops host updates, and e2e pain
+// that reaches its signal anyway (a shared signal) moves no decision.
 func TestE2ETermIgnoredWhenDisabled(t *testing.T) {
-	c, act, _ := testController(t, nil)
-	drain(c, 5, 1, 16) // prime
+	c, act, _ := testController(t, false, nil)
+	interval(c, 5, 16) // prime
 	observe(c, 8, 0)   // healthy service signal
-	c.ObserveE2E(0, 100)
-	drain(c, 5, 1, 16)
+	c.ObserveE2E(e2eUpdate(0, 100))
+	if good, bad := c.Signal().E2ECounts(); good != 0 || bad != 0 {
+		t.Fatalf("e2e counts = (%d, %d) with the term off, want none", good, bad)
+	}
+	c.Signal().ObserveE2E(0, 100)
+	interval(c, 5, 16)
 	if w := c.WindowFor(5); w != 16 {
 		t.Fatalf("window = %d after ignored e2e pain, want 16", w)
 	}
@@ -490,11 +548,11 @@ func TestE2ETermIgnoredWhenDisabled(t *testing.T) {
 // signal is healthy (the target finishes fast) while the host sees e2e
 // violations — only the e2e term can justify back-off.
 func TestE2ETermTriggersBackoff(t *testing.T) {
-	c, act, _ := testController(t, func(cfg *Config) { cfg.E2E = true })
-	drain(c, 5, 1, 16) // prime
+	c, act, _ := testController(t, true, nil)
+	interval(c, 5, 16) // prime
 	observe(c, 8, 0)   // service side: all good
-	c.ObserveE2E(0, 100)
-	drain(c, 5, 1, 16)
+	c.ObserveE2E(e2eUpdate(0, 100))
+	interval(c, 5, 16)
 	if w := c.WindowFor(5); w != 8 {
 		t.Fatalf("window = %d, want 8 (halved on e2e burn)", w)
 	}
@@ -507,10 +565,10 @@ func TestE2ETermTriggersBackoff(t *testing.T) {
 // cold-interval gate: a tenant whose service signal is empty still gets a
 // verdict from host observations.
 func TestE2ETermCarriesSampleGate(t *testing.T) {
-	c, _, _ := testController(t, func(cfg *Config) { cfg.E2E = true })
-	drain(c, 5, 1, 16) // prime
-	c.ObserveE2E(0, 100)
-	drain(c, 5, 1, 16)
+	c, _, _ := testController(t, true, nil)
+	interval(c, 5, 16) // prime
+	c.ObserveE2E(e2eUpdate(0, 100))
+	interval(c, 5, 16)
 	if w := c.WindowFor(5); w != 8 {
 		t.Fatalf("window = %d, want 8 (e2e-only interval must decide)", w)
 	}
@@ -519,29 +577,23 @@ func TestE2ETermCarriesSampleGate(t *testing.T) {
 // TestE2EHealthyDoesNotShrink: a healthy e2e stream must not override a
 // healthy service stream into back-off.
 func TestE2EHealthyDoesNotShrink(t *testing.T) {
-	c, _, _ := testController(t, func(cfg *Config) { cfg.E2E = true })
-	drain(c, 5, 1, 16)
+	c, _, _ := testController(t, true, nil)
+	interval(c, 5, 16)
 	observe(c, 8, 0)
-	c.ObserveE2E(100, 0)
-	drain(c, 5, 1, 16)
+	c.ObserveE2E(e2eUpdate(100, 0))
+	interval(c, 5, 16)
 	if w := c.WindowFor(5); w != 16 {
 		t.Fatalf("window = %d, want 16 (both signals healthy)", w)
 	}
 }
 
-func TestE2EObjectiveDefault(t *testing.T) {
-	c, err := New(Config{ObjectiveNS: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.E2EObjectiveNS(); got != 1000 {
-		t.Fatalf("default e2e objective = %d, want the service objective", got)
-	}
-	c, err = New(Config{ObjectiveNS: 1000, E2EObjectiveNS: 5000, E2E: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.E2EEnabled() || c.E2EObjectiveNS() != 5000 {
-		t.Fatalf("explicit e2e objective lost: enabled=%v obj=%d", c.E2EEnabled(), c.E2EObjectiveNS())
+// TestE2ETermJudgedAgainstObjective: host-reported LS samples are split at
+// ObjectiveNS — the one objective both terms share — and the TC classes of
+// the same update never reach the signal.
+func TestE2ETermJudgedAgainstObjective(t *testing.T) {
+	c, _, _ := testController(t, true, nil)
+	c.ObserveE2E(e2eUpdate(3, 5))
+	if good, bad := c.Signal().E2ECounts(); good != 3 || bad != 5 {
+		t.Fatalf("e2e counts = (%d good, %d bad), want (3, 5) judged at the 1µs objective", good, bad)
 	}
 }

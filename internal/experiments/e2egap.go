@@ -21,7 +21,7 @@ import (
 // return path itself is degraded with faultnet bandwidth pacing. The
 // target's oPF scheduler and the SSD's priority path keep the LS tenant's
 // service latency (arrival to completion, measured on the target's clock)
-// comfortably inside the controller's service objective, because every
+// comfortably inside the controller's objective, because every
 // nanosecond of LS pain accrues AFTER completion: in the egress FIFO
 // behind 32 KiB TC messages and on the paced wire. A service-latency-only
 // controller is therefore structurally blind here — burn rate computed
@@ -51,24 +51,18 @@ const (
 )
 
 // egAutotune is the controller both adaptive variants run; only the e2e
-// feedback term differs. The service objective is deliberately easy to
-// meet — the point of the experiment is that no service-side threshold,
-// however tight, observes latency accrued after completion — and the e2e
-// objective equals the tenant's actual end-to-end SLO, judged at the
-// target from the merged host deltas.
+// feedback term differs. Its one objective is the tenant's actual
+// end-to-end SLO: the service term judges target-clock service latency
+// against it, which never comes near it here — no service-side
+// threshold observes latency accrued after completion — and the e2e term
+// judges the merged host deltas against it.
 func egAutotune(e2e bool) *autotune.Config {
 	return &autotune.Config{
-		ObjectiveNS:    250_000,
-		BudgetPPM:      20_000,
-		MinWindow:      4,
-		MaxWindow:      egWindowMax,
-		GrowStep:       egWindowMax,
-		GrowIntervals:  4,
-		GrowQuietNS:    20_000_000,
-		CapFactor:      1,
-		MinSamples:     2,
-		E2E:            e2e,
-		E2EObjectiveNS: egLSObjectiveNS,
+		ObjectiveNS: egLSObjectiveNS,
+		BudgetPPM:   20_000,
+		MinWindow:   4,
+		MaxWindow:   egWindowMax,
+		E2E:         e2e,
 	}
 }
 
@@ -106,9 +100,6 @@ func RunE2EGap(cfg Config, label string, at *autotune.Config) (E2EGapResult, err
 		return E2EGapResult{}, err
 	}
 	reg := telemetry.New()
-	if at != nil {
-		at.Telemetry = reg
-	}
 	cl := simcluster.New(simcluster.Options{
 		Profile:         prof,
 		Mode:            targetqp.ModeOPF,
@@ -266,7 +257,7 @@ func E2EGap(cfg Config) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("LS SLO: %d us end-to-end at %.1f%% compliance; all LS pain accrues after target completion (egress FIFO behind %d KiB TC reads + %d MB/s pacing on the shared return path)",
 			egLSObjectiveNS/1000, 100*(1-float64(egLSBudgetPPM)/1e6), egBlocksTC*4, egPaceBPS/1_000_000),
-		"svc_p99 is the target-clock service latency the service-only controller watches: it stays inside the 250 us objective, so that controller never decides (shrink = 0)",
+		fmt.Sprintf("svc_p99 is the target-clock service latency the service-only controller watches: it stays inside the %d us objective, so that controller never decides (shrink = 0)", egLSObjectiveNS/1000),
 		"the e2e-fed controller judges the merged host deltas against the e2e objective at the target, backs the TC windows into admission caps, and drains the egress queue the LS responses were stuck behind")
 	return rep, nil
 }

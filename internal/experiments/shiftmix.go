@@ -26,9 +26,9 @@ import (
 // static-bound throughput.
 
 // Shift-mix deployment constants. The end-to-end LS objective is
-// deliberately looser than the controller's service-side objective
-// (shiftAutotune): the controller watches arrival-to-completion latency at
-// the target, which excludes the fabric round trip and the host queue.
+// deliberately looser than the controller's objective (shiftAutotune): the
+// controller watches arrival-to-completion latency at the target, which
+// excludes the fabric round trip and the host queue.
 const (
 	shiftGbps          = 10
 	shiftLSObjectiveNS = 1_000_000 // end-to-end LS objective: 1 ms
@@ -42,31 +42,23 @@ const (
 )
 
 // shiftAutotune is the controller configuration the adaptive variant runs:
-// a 250 µs service-side objective at a 98% compliance target, windows
-// clamped to [4, static bound], back-off converted 1:1 into admission
-// caps. The service objective is much tighter than the e2e SLO because the
-// target-side signal excludes the egress NIC queue — the very thing that
-// hurts LS under TC read pressure — so the controller must react while the
-// service latency is still a fraction of the e2e objective. MinSamples is
-// low because the LS signal is a single QD-1 tenant in phase A — a handful
-// of unanimous observations per interval is the best signal available, and
-// the sparse-hold law absorbs the thin intervals. Growth is patient (three
-// consecutive healthy intervals), serialized (10 ms grow-quiet: the nine
-// capped tenants all see the decongestion they jointly created, and a
-// synchronized release would re-flood the NIC in one step), and then
-// bang-bang back to the static bound — phase B's lone surviving TC tenant
+// a 250 µs service-side objective at a 98% compliance target and windows
+// clamped to [4, static bound]; the law itself (caps equal to the window,
+// patient and serialized release to the static bound) is autotune's one
+// parameterization. The objective is much tighter than the e2e SLO
+// because the target-side signal excludes the egress NIC queue — the very
+// thing that hurts LS under TC read pressure — so the controller must
+// react while the service latency is still a fraction of the e2e
+// objective. The release rules matter in phase B: the nine capped tenants
+// all see the decongestion they jointly created, a synchronized release
+// would re-flood the NIC in one step, and the lone surviving TC tenant
 // pays one quiet period and one streak, then gets the full valve at once.
 func shiftAutotune() *autotune.Config {
 	return &autotune.Config{
-		ObjectiveNS:   250_000,
-		BudgetPPM:     20_000,
-		MinWindow:     4,
-		MaxWindow:     shiftWindowMax,
-		GrowStep:      shiftWindowMax,
-		GrowIntervals: 3,
-		GrowQuietNS:   10_000_000,
-		CapFactor:     1,
-		MinSamples:    2,
+		ObjectiveNS: 250_000,
+		BudgetPPM:   20_000,
+		MinWindow:   4,
+		MaxWindow:   shiftWindowMax,
 	}
 }
 
@@ -99,16 +91,15 @@ func RunShiftMix(cfg Config, label string, window int, at *autotune.Config) (Shi
 	if err != nil {
 		return ShiftResult{}, err
 	}
-	// Decision counters come from the controller's telemetry registry.
+	// Decision counters come from the target's telemetry registry, which
+	// the controller records into.
 	reg := telemetry.New()
-	if at != nil {
-		at.Telemetry = reg
-	}
 	cl := simcluster.New(simcluster.Options{
-		Profile:  prof,
-		Mode:     targetqp.ModeOPF,
-		Seed:     cfg.Seed,
-		Autotune: at,
+		Profile:   prof,
+		Mode:      targetqp.ModeOPF,
+		Seed:      cfg.Seed,
+		Telemetry: reg,
+		Autotune:  at,
 	})
 	if cfg.OnCluster != nil {
 		cfg.OnCluster(cl)

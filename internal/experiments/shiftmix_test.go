@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"testing"
+
+	"nvmeopf/internal/simcluster"
+	"nvmeopf/internal/telemetry"
 )
 
 // shiftCfg is the reference configuration for the acceptance claim: long
@@ -39,8 +42,10 @@ func TestShiftMixNoStaticWindowMeetsSLO(t *testing.T) {
 // both phases. It must do so by actually deciding — shrinking into phase
 // A's overload and growing back for phase B's survivor.
 func TestShiftMixAdaptiveHoldsSLOAcrossShift(t *testing.T) {
-	at := shiftAutotune()
-	r, err := RunShiftMix(shiftCfg(), "adaptive", shiftWindowMax, at)
+	cfg := shiftCfg()
+	var reg *telemetry.Registry
+	cfg.OnCluster = func(cl *simcluster.Cluster) { reg = cl.Telemetry() }
+	r, err := RunShiftMix(cfg, "adaptive", shiftWindowMax, shiftAutotune())
 	if err != nil {
 		t.Fatalf("adaptive: %v", err)
 	}
@@ -72,9 +77,9 @@ func TestShiftMixAdaptiveHoldsSLOAcrossShift(t *testing.T) {
 		t.Errorf("phase-B TC = %.0f MB/s, want > static w=1's %.0f MB/s", r.B.TCBps/1e6, s1.B.TCBps/1e6)
 	}
 
-	// The decisions are visible: the registry the controller was wired to
-	// holds per-tenant controller state and a decision log.
-	reg := at.Telemetry
+	// The decisions are visible: the target's registry, which the
+	// controller records into, holds per-tenant controller state and a
+	// decision log.
 	if len(reg.AutotuneStates()) == 0 {
 		t.Error("no controller state exported to telemetry")
 	}

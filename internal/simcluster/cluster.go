@@ -57,10 +57,9 @@ type Options struct {
 	// on the event loop: keep it fast.
 	Trace telemetry.TraceFunc
 	// Autotune enables the closed-loop adaptive drain-window controller
-	// at every target node (one controller per node, on the virtual
-	// clock). The config's Clock/Telemetry fields are filled in from the
-	// cluster's when unset. Nil runs the static windows bit-identically
-	// to a cluster without the field.
+	// at every target node (one controller per node, on the virtual clock,
+	// recording its decisions in Telemetry). Nil runs the static windows
+	// bit-identically to a cluster without the field.
 	Autotune *autotune.Config
 	// ScavengerAging bounds (in virtual nanoseconds) how long a parked
 	// scavenger queue can starve behind continuous LS/TC traffic before
@@ -166,23 +165,6 @@ func (c *Cluster) NewTargetNode(name string, backed bool) (*TargetNode, error) {
 		return nil, err
 	}
 	tn := &TargetNode{c: c, Name: name, CPU: cpu, NIC: nic, SSD: ssd}
-	var ctrl *autotune.Controller
-	if c.atCfg != nil {
-		// Each target node owns one controller on the virtual clock — the
-		// simulated analogue of the TCP server's per-shard controllers.
-		ac := *c.atCfg
-		if ac.Clock == nil {
-			ac.Clock = c.Eng.Now
-		}
-		if ac.Telemetry == nil {
-			ac.Telemetry = c.tel
-		}
-		var err error
-		ctrl, err = autotune.New(ac)
-		if err != nil {
-			return nil, err
-		}
-	}
 	tgt, err := targetqp.NewTarget(targetqp.Config{
 		Mode:                c.mode,
 		MaxPending:          4096,
@@ -191,7 +173,7 @@ func (c *Cluster) NewTargetNode(name string, backed bool) (*TargetNode, error) {
 		Telemetry:           c.tel,
 		Trace:               c.trace,
 		Clock:               c.Eng.Now, // virtual time drives latency samples
-		Autotune:            ctrl,
+		Autotune:            c.atCfg,
 	}, &ssdBackend{node: tn})
 	if err != nil {
 		return nil, err

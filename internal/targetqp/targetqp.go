@@ -138,12 +138,14 @@ type Config struct {
 	// the same virtual time anyway.
 	Clock func() int64
 	// Autotune optionally attaches an adaptive drain-window controller
-	// owned by this target's reactor shard: it is bound to the PM, fed
-	// every drain completion, and fed LS service latencies (requires
-	// Clock for the latter). Nil leaves the static window configuration
+	// owned by this target's reactor shard, built on the target's Clock
+	// (required) and Telemetry: it is bound to the PM and fed every drain
+	// completion, LS service latencies and, with Autotune.E2E, the hosts'
+	// TelemetryUpdates. Sibling shards share one LS signal by sharing
+	// Autotune.Signal. Nil leaves the static window configuration
 	// untouched — behavior is bit-identical to a target without the
 	// field.
-	Autotune *autotune.Controller
+	Autotune *autotune.Config
 	// TenantBase and TenantStride carve the shared 0..65535 tenant-ID space
 	// between shard-partitioned targets: this target assigns TenantBase,
 	// TenantBase+TenantStride, TenantBase+2*TenantStride, … so sibling
@@ -211,7 +213,8 @@ type Target struct {
 	namespaces []nsEntry // attached devices: one or a few, so routing a command is a scan
 	defaultNS  uint32
 	pm         *core.TargetPM
-	now        int64 // the current stamp of Config.Clock (see Stamp)
+	at         *autotune.Controller // nil without Config.Autotune
+	now        int64                // the current stamp of Config.Clock (see Stamp)
 	nextTenant int
 	// freeTenants holds IDs recycled from torn-down sessions, reusable
 	// once the dead session's last in-flight device callback lands — so a
@@ -299,8 +302,13 @@ func NewTarget(cfg Config, backend Backend) (*Target, error) {
 	t.pm.SetTelemetry(cfg.Telemetry)
 	t.pm.SetTrace(cfg.Trace)
 	if cfg.Autotune != nil {
-		cfg.Autotune.Bind(t.pm)
-		t.pm.SetDrainHook(cfg.Autotune.OnDrainComplete)
+		at, err := autotune.New(*cfg.Autotune, cfg.Clock, cfg.Telemetry)
+		if err != nil {
+			return nil, fmt.Errorf("targetqp: %w", err)
+		}
+		at.Bind(t.pm)
+		t.pm.SetDrainHook(at.OnDrainComplete)
+		t.at = at
 	}
 	return t, nil
 }
@@ -352,10 +360,6 @@ func (t *Target) PMStats() core.TargetPMStats { return t.pm.Stats() }
 // with (nil when telemetry is disabled).
 func (t *Target) Telemetry() *telemetry.Registry { return t.cfg.Telemetry }
 
-// Autotune returns the adaptive drain-window controller this target was
-// configured with (nil when adaptation is off).
-func (t *Target) Autotune() *autotune.Controller { return t.cfg.Autotune }
-
 // Mode returns the target's operating mode.
 func (t *Target) Mode() Mode { return t.cfg.Mode }
 
@@ -392,11 +396,11 @@ func (t *Target) CloseSession(s *Session) {
 	}
 	t.stats.Disconnects++
 	t.stats.TeardownDrops += int64(len(dropped))
-	if t.cfg.Autotune != nil {
+	if t.at != nil {
 		// Drop the controller's loop state and clear its PM overrides: the
 		// tenant ID recycles, and the next owner must not inherit a window
 		// shrunk for this one's behavior.
-		t.cfg.Autotune.Forget(s.tenant)
+		t.at.Forget(s.tenant)
 	}
 	t.cfg.Telemetry.IncDisconnect()
 	t.cfg.Telemetry.AddTeardownDrops(int64(len(dropped)))
@@ -631,17 +635,8 @@ func (s *Session) handleTelemetryUpdate(pdu *proto.TelemetryUpdate) error {
 		return fmt.Errorf("targetqp: %w", err)
 	}
 	t.stats.TelemetryUpdates++
-	if at := t.cfg.Autotune; at != nil && at.E2EEnabled() {
-		// Only the latency-sensitive classes join the signal: the e2e term
-		// protects the same traffic the service term does.
-		obj := at.E2EObjectiveNS()
-		for i := range pdu.Classes {
-			cd := &pdu.Classes[i]
-			if !cd.Class.LatencySensitive() {
-				continue
-			}
-			at.ObserveE2E(telemetry.ClassDeltaGoodBad(cd, obj))
-		}
+	if t.at != nil {
+		t.at.ObserveE2E(pdu)
 	}
 	ack := &proto.TelemetryAck{EchoHostClock: pdu.HostClock}
 	if t.cfg.Clock != nil {
@@ -840,10 +835,10 @@ func (s *Session) onDeviceCompletion(req *Request, st nvme.Status, data []byte) 
 		if t.cfg.Clock != nil && req.arrivedAt != 0 {
 			svcLat = now - req.arrivedAt
 		}
-		if t.cfg.Autotune != nil && svcLat >= 0 && req.prio.LatencySensitive() {
+		if t.at != nil && svcLat >= 0 && req.prio.LatencySensitive() {
 			// Feed the controller's LS signal with the target-side service
 			// latency — the quantity its objective is declared against.
-			t.cfg.Autotune.ObserveLS(svcLat)
+			t.at.ObserveLS(svcLat)
 		}
 		t.cfg.Telemetry.IncCompleted(tenant, req.prio, svcLat, int64(len(data)), st.OK())
 		if t.cfg.Trace != nil {

@@ -41,7 +41,6 @@ func TestAutotuneChaosAdaptsAcrossReplay(t *testing.T) {
 		Autotune: &autotune.Config{
 			ObjectiveNS: 1, BudgetPPM: 100_000,
 			MinWindow: 1, MaxWindow: 32,
-			CooldownDrains: 1, MinSamples: 1,
 		},
 	})
 	if err != nil {
@@ -84,7 +83,9 @@ func TestAutotuneChaosAdaptsAcrossReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const n = 48
+	// Each wave of n/2 writes at window 4 completes at least 12 windows:
+	// more than the 8 drains a decision takes.
+	const n = 96
 	var completed atomic.Int64
 	counts := make([]atomic.Int32, n)
 	ok := make([]atomic.Bool, n)

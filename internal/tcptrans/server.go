@@ -169,12 +169,11 @@ type ServerConfig struct {
 	// /debug/trace). Nil disables.
 	Recorder *telemetry.Recorder
 	// Autotune enables the closed-loop adaptive drain-window controller:
-	// each reactor shard owns one autotune.Controller (fed by its own
-	// target's drain completions and LS service latencies), and all shards
-	// share one LS signal so a TC tenant backs off for LS pain anywhere on
-	// the target. The config's Clock/Telemetry/Signal fields are filled in
-	// from the server's when unset. Nil runs the static windows
-	// bit-identically to a server without the field.
+	// each reactor shard's target owns one (fed by its own drain
+	// completions and LS service latencies), and all shards share one LS
+	// signal so a TC tenant backs off for LS pain anywhere on the target.
+	// Nil runs the static windows bit-identically to a server without the
+	// field.
 	Autotune *autotune.Config
 }
 
@@ -236,18 +235,11 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	clock := func() int64 { return time.Now().UnixNano() }
 	// Adaptive windows: one controller per shard (owned by its reactor,
 	// like the PM it drives), all reading one shared LS signal.
-	var atCfg autotune.Config
-	if cfg.Autotune != nil {
-		atCfg = *cfg.Autotune
-		if atCfg.Clock == nil {
-			atCfg.Clock = clock
-		}
-		if atCfg.Telemetry == nil {
-			atCfg.Telemetry = cfg.Telemetry
-		}
-		if atCfg.Signal == nil {
-			atCfg.Signal = autotune.NewSignal(atCfg.ObjectiveNS)
-		}
+	atCfg := cfg.Autotune
+	if atCfg != nil && atCfg.Signal == nil {
+		shared := *atCfg
+		shared.Signal = autotune.NewSignal(shared.ObjectiveNS)
+		atCfg = &shared
 	}
 	// The global admission cap and LS headroom are target-wide budgets;
 	// each shard polices an even (ceiling) slice of them.
@@ -261,14 +253,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{srv: s}
 		sh.q.init()
-		var ctrl *autotune.Controller
-		if cfg.Autotune != nil {
-			ctrl, err = autotune.New(atCfg)
-			if err != nil {
-				ln.Close()
-				return nil, err
-			}
-		}
 		be := newExecBackend(sh, 1, cfg.Device)
 		pooled = pooled || !be.inline
 		tgt, err := targetqp.NewTarget(targetqp.Config{
@@ -285,7 +269,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 			Trace:               cfg.Trace,
 			Recorder:            cfg.Recorder,
 			Clock:               clock,
-			Autotune:            ctrl,
+			Autotune:            atCfg,
 			TenantBase:          i,
 			TenantStride:        cfg.Shards,
 			PooledPayloads:      true,
