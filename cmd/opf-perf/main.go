@@ -43,6 +43,17 @@ func (t *tenant) finished() bool {
 	return <-ch
 }
 
+// checkRegion refuses a connection whose region [i*span, (i+1)*span) runs
+// past a namespace of capacity blocks: every I/O past the end fails, so the
+// run would only measure errors.
+func checkRegion(i int, span, capacity uint64) error {
+	if end := uint64(i+1) * span; end > capacity {
+		return fmt.Errorf("connection %d would use blocks [%d, %d), past the target's %d-block namespace: lower -span or open fewer connections",
+			i, uint64(i)*span, end, capacity)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:4420", "target address")
@@ -53,7 +64,7 @@ func main() {
 		window   = flag.Int("window", 0, "TC drain window size (0: paper's static selection)")
 		mix      = flag.String("mix", "read", "workload: read, write, mixed")
 		duration = flag.Duration("duration", 10*time.Second, "run duration")
-		span     = flag.Uint64("span", 1<<16, "LBA span per connection")
+		span     = flag.Uint64("span", 1<<16, "LBA span per connection: connection i uses blocks [i*span, (i+1)*span), which must fit the namespace")
 		metrics  = flag.String("metrics-addr", "", "serve host-side /metrics and /debug endpoints on this address (empty: off)")
 		telInt   = flag.Duration("telemetry-interval", 0, "emit in-band TelemetryUpdate e2e feedback to the target at this cadence (0: off, wire-identical to builds without the channel)")
 		traceOut = flag.String("trace-dump", "", "write a host-side flight-recorder dump (JSONL) to this file at exit; pair with the target's /debug/trace for opf-trace")
@@ -113,6 +124,10 @@ func main() {
 			log.Fatalf("dial %d: %v", i, err)
 		}
 		defer conn.Close()
+		if err := checkRegion(i, *span, conn.Capacity()); err != nil {
+			fmt.Fprintf(os.Stderr, "opf-perf: %v\n", err)
+			os.Exit(2)
+		}
 		run, err := workload.NewRunner(conn, clock, workload.Spec{
 			Mix: wmix, Pattern: workload.Sequential, Blocks: 1, QueueDepth: depth,
 			RegionStart: uint64(i) * *span, RegionBlocks: *span,

@@ -115,8 +115,9 @@ type Conn struct {
 	err error // Err's answer, written by the reactor
 
 	// bs is the namespace block size of the handshake (Read and Write size
-	// their commands with it).
-	bs atomic.Uint32
+	// their commands with it), capacity its size in blocks.
+	bs       atomic.Uint32
+	capacity atomic.Uint64
 
 	nc      net.Conn
 	out     burstQueue[proto.PDU] // the writer's queue; the reactor produces
@@ -320,6 +321,7 @@ func (c *Conn) start() {
 	}()
 	c.sess.OnConnect(func() {
 		c.bs.Store(c.sess.BlockSize())
+		c.capacity.Store(c.sess.Capacity())
 		c.settle(nil)
 	})
 	c.sess.Start()
@@ -751,6 +753,15 @@ func (c *Conn) BlockSize() uint32 {
 		return 0
 	}
 	return c.bs.Load()
+}
+
+// Capacity returns the namespace capacity in blocks of the handshake, and
+// 0 once the connection is closed. It does not wait for the reactor.
+func (c *Conn) Capacity() uint64 {
+	if c.closed.Load() {
+		return 0
+	}
+	return c.capacity.Load()
 }
 
 // ask runs get on the reactor and returns its answer, or the zero value
