@@ -74,7 +74,11 @@ type SSD struct {
 	rng   *simnet.Rand
 	store *bdev.Memory
 
-	// channelFree[i] is the time channel i finishes its current command.
+	// channelFree holds the time each channel finishes its current
+	// command, as a binary min-heap. A channel is free once its time has
+	// come, even before its completion event runs, so the root says
+	// whether any channel is. Which free channel serves a command is not
+	// observable, so dispatch always takes the root.
 	channelFree []simnet.Time
 	// done schedules the in-service commands' completions: only the
 	// earliest is in the engine's heap, the rest wait here in order.
@@ -215,33 +219,48 @@ func (s *SSD) admit(o *op) {
 	s.dispatch()
 }
 
-// dispatch assigns queued requests to free channels.
+// dispatch assigns queued requests to free channels. When every channel
+// is busy, completion events re-dispatch.
 func (s *SSD) dispatch() {
 	now := s.eng.Now()
-	for s.QueueDepth() > 0 {
-		// Find a free channel.
-		ch := -1
-		for i, free := range s.channelFree {
-			if free <= now {
-				ch = i
-				break
-			}
-		}
-		if ch < 0 {
-			return // all channels busy; completion events re-dispatch
-		}
+	for s.channelFree[0] <= now {
 		var o *op
-		if s.high.Len() > 0 {
+		switch {
+		case s.high.Len() > 0:
 			o = s.high.Pop()
-		} else {
+		case s.normal.Len() > 0:
 			o = s.normal.Pop()
+		default:
+			return
 		}
 		svc := s.serviceTime(o.req.Cmd)
-		s.channelFree[ch] = now + svc
+		s.reserve(now + svc)
 		s.stats.BusyTime += svc
 		o.service = true
 		s.done.At(now+svc, o.step)
 	}
+}
+
+// reserve keeps the earliest-free channel busy until t: the root of the
+// channelFree heap takes t and sinks to its place.
+func (s *SSD) reserve(t simnet.Time) {
+	h := s.channelFree
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if t <= h[c] {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = t
 }
 
 // serviceTime draws the service duration for a command.
