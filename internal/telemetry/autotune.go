@@ -21,8 +21,9 @@ var AutotuneActions = []string{"shrink", "grow", "hold", "cold"}
 type AutotuneDecision struct {
 	Tenant proto.TenantID `json:"tenant"`
 	// Action is one of AutotuneActions: "shrink" (multiplicative
-	// back-off), "grow" (additive increase), "hold" (hysteresis band or
-	// bound), "cold" (too few LS samples; static bounds applied).
+	// back-off), "grow" (release to the static bound), "hold" (hysteresis
+	// band or bound), "cold" (too few LS samples: the window holds, and a
+	// streak of empty intervals releases it to the static bound).
 	Action     string `json:"action"`
 	Window     int    `json:"window"`
 	PrevWindow int    `json:"prev_window"`
