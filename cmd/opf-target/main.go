@@ -44,8 +44,6 @@ func main() {
 		sloObj    = flag.Duration("slo", 0, "LS latency objective: set, an adaptive controller fits TC drain windows to it (0: static windows, bit-identical behavior)")
 		sloTarget = flag.Float64("slo-target", 0.999, "fraction of LS completions that must meet -slo")
 
-		autoMin = flag.Int("autotune-min-window", 0, "adaptive window floor (0: 1)")
-		autoMax = flag.Int("autotune-max-window", 0, "adaptive window ceiling and cold/healthy fallback; must match the hosts' window (0: 32)")
 		autoE2E = flag.Bool("autotune-e2e", false, "also judge host-reported e2e latency (in-band TelemetryUpdate deltas) against -slo; off: service-side signal only, bit-identical behavior")
 
 		maxPendingTenant = flag.Int("max-pending-tenant", 0, "per-tenant pending-request cap: excess answered StatusBusy (0: off)")
@@ -98,8 +96,6 @@ func main() {
 		atCfg = &autotune.Config{
 			ObjectiveNS: sloObj.Nanoseconds(),
 			BudgetPPM:   autotune.BudgetPPMForTarget(*sloTarget),
-			MinWindow:   *autoMin,
-			MaxWindow:   *autoMax,
 			E2E:         *autoE2E,
 		}
 	} else if *autoE2E {

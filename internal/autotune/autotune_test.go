@@ -26,9 +26,10 @@ func (a *fakeAct) SetTenantWindow(t proto.TenantID, w int) { a.wins[t] = w }
 func (a *fakeAct) SetTenantCap(t proto.TenantID, c int)    { a.caps[t] = c }
 
 // testController builds a controller with test-friendly deployment values:
-// objective 1µs, 10% error budget (burn = violFrac/0.1), window 1..16,
+// objective 1µs, 10% error budget (burn = violFrac/0.1), window floor 1,
 // decisions recorded in reg (may be nil). The law's constants are the
-// production ones.
+// production ones. Tests open their tenants at a declared window of 16
+// unless they say otherwise.
 func testController(t *testing.T, e2e bool, reg *telemetry.Registry) (*Controller, *fakeAct, *fakeClock) {
 	t.Helper()
 	clk := &fakeClock{}
@@ -36,7 +37,6 @@ func testController(t *testing.T, e2e bool, reg *telemetry.Registry) (*Controlle
 		ObjectiveNS: 1000,
 		BudgetPPM:   100_000,
 		MinWindow:   1,
-		MaxWindow:   16,
 		E2E:         e2e,
 	}, clk.now, reg)
 	if err != nil {
@@ -71,9 +71,10 @@ func interval(c *Controller, tenant proto.TenantID, window int) {
 	drain(c, tenant, 8, window)
 }
 
-// shrunkTo8 primes tenant and shrinks it from the static bound 16 to 8.
+// shrunkTo8 opens tenant at window 16, primes it and shrinks it to 8.
 func shrunkTo8(t *testing.T, c *Controller, tenant proto.TenantID) {
 	t.Helper()
+	c.Open(tenant, 16)
 	interval(c, tenant, 16) // prime
 	observe(c, 0, 8)
 	interval(c, tenant, 16)
@@ -106,9 +107,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}, clk.now, nil); err == nil {
 		t.Fatal("want error for zero objective")
 	}
-	if _, err := New(Config{ObjectiveNS: 1000, MinWindow: 8, MaxWindow: 4}, clk.now, nil); err == nil {
-		t.Fatal("want error for min > max")
-	}
 	if _, err := New(Config{ObjectiveNS: 1000}, nil, nil); err == nil {
 		t.Fatal("want error for a nil clock (grow-quiet needs one)")
 	}
@@ -123,10 +121,11 @@ func TestNewValidation(t *testing.T) {
 
 func TestColdStartHoldsStaticBounds(t *testing.T) {
 	c, act, _ := testController(t, false, nil)
+	c.Open(7, 16)
 	// The first drain primes; the decision at the 8th sees no samples.
 	interval(c, 7, 16)
 	if w := c.WindowFor(7); w != 16 {
-		t.Fatalf("cold window = %d, want the static bound 16", w)
+		t.Fatalf("cold window = %d, want the declared bound 16", w)
 	}
 	// Hands-off at the bound: overrides cleared, not set to 16.
 	if act.wins[7] != 0 || act.caps[7] != 0 {
@@ -134,8 +133,14 @@ func TestColdStartHoldsStaticBounds(t *testing.T) {
 	}
 }
 
+// TestShrinkOnBurn: a host that declared 16 has its first shrink land on
+// 8, a valve and cap below the window it runs, so the shrink binds.
 func TestShrinkOnBurn(t *testing.T) {
 	c, act, _ := testController(t, false, nil)
+	c.Open(3, 16)
+	if w := c.WindowFor(3); w != 16 {
+		t.Fatalf("opened window = %d, want the declared 16", w)
+	}
 	interval(c, 3, 16) // prime
 	observe(c, 8, 8)   // violFrac 0.5 → burn 5.0
 	interval(c, 3, 16)
@@ -150,8 +155,89 @@ func TestShrinkOnBurn(t *testing.T) {
 	}
 }
 
+// TestTenantsHoldTheirOwnBounds: two tenants on one controller declare 8
+// and 32. Shared pain halves each from its own window, and each releases
+// to, and clears its overrides at, its own bound.
+func TestTenantsHoldTheirOwnBounds(t *testing.T) {
+	c, act, clk := testController(t, false, nil)
+	c.Open(3, 8)
+	c.Open(9, 32)
+	interval(c, 3, 8) // prime
+	interval(c, 9, 32)
+	observe(c, 0, 8)
+	interval(c, 3, 8)
+	interval(c, 9, 32)
+	if w3, w9 := c.WindowFor(3), c.WindowFor(9); w3 != 4 || w9 != 16 {
+		t.Fatalf("windows after shared burn = (%d, %d), want (4, 16)", w3, w9)
+	}
+	if act.wins[3] != 4 || act.wins[9] != 16 {
+		t.Fatalf("actuated windows = (%d, %d), want (4, 16)", act.wins[3], act.wins[9])
+	}
+	for i := 0; i < 4; i++ {
+		observe(c, 8, 0)
+		interval(c, 3, 4)
+		interval(c, 9, 16)
+	}
+	clk.t += 20_000_000 // past the grow-quiet period the first release opened
+	observe(c, 8, 0)
+	interval(c, 9, 16)
+	if w3, w9 := c.WindowFor(3), c.WindowFor(9); w3 != 8 || w9 != 32 {
+		t.Fatalf("windows after release = (%d, %d), want their bounds (8, 32)", w3, w9)
+	}
+	for _, tn := range []proto.TenantID{3, 9} {
+		if act.wins[tn] != 0 || act.caps[tn] != 0 {
+			t.Fatalf("tenant %d overrides at its bound = (%d, %d), want cleared", tn, act.wins[tn], act.caps[tn])
+		}
+	}
+}
+
+// TestMinWindowAboveBoundClamps: a tenant that declares a window below
+// MinWindow is floored at its own window, so burn never constrains it.
+func TestMinWindowAboveBoundClamps(t *testing.T) {
+	clk := &fakeClock{}
+	c, err := New(Config{ObjectiveNS: 1000, BudgetPPM: 100_000, MinWindow: 4}, clk.now, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	act := newFakeAct()
+	c.Bind(act)
+	c.Open(3, 2)
+	interval(c, 3, 2) // prime
+	for i := 0; i < 3; i++ {
+		observe(c, 0, 8)
+		interval(c, 3, 2)
+	}
+	if w := c.WindowFor(3); w != 2 {
+		t.Fatalf("window = %d, want 2 (MinWindow 4 clamps to the bound)", w)
+	}
+	if act.wins[3] != 0 || act.caps[3] != 0 {
+		t.Fatalf("overrides = (%d, %d), want none at the bound", act.wins[3], act.caps[3])
+	}
+}
+
+// TestUndeclaredWindowNeverConstrained: a tenant whose host declared no
+// window (a peer that predates the field) takes no decisions at all.
+func TestUndeclaredWindowNeverConstrained(t *testing.T) {
+	reg := telemetry.New()
+	c, act, _ := testController(t, false, reg)
+	c.Open(3, 0)
+	interval(c, 3, 16)
+	observe(c, 0, 8)
+	interval(c, 3, 16)
+	if w := c.WindowFor(3); w != 0 {
+		t.Fatalf("window = %d, want 0 (not controlled)", w)
+	}
+	if _, ok := act.wins[3]; ok {
+		t.Fatalf("actuated window %d for a tenant that declared none", act.wins[3])
+	}
+	if n := len(reg.AutotuneLog()); n != 0 {
+		t.Fatalf("decisions = %d, want none", n)
+	}
+}
+
 func TestConvergenceToFloorUnderSustainedBurn(t *testing.T) {
 	c, act, _ := testController(t, false, nil)
+	c.Open(3, 16)
 	interval(c, 3, 16) // prime
 	for i := 0; i < 10; i++ {
 		observe(c, 0, 8) // all bad, every interval
@@ -199,7 +285,7 @@ func TestDryStreakReleasesToStaticBounds(t *testing.T) {
 	c, act, _ := testController(t, false, nil)
 	shrunkTo8(t, c, 3)
 	// Two zero-sample intervals hold; the third (dryIntervals 3) proves
-	// the LS signal is gone and releases to the static bound.
+	// the LS signal is gone and releases to the declared bound.
 	interval(c, 3, 8)
 	interval(c, 3, 8)
 	if w := c.WindowFor(3); w != 8 {
@@ -232,7 +318,7 @@ func TestDryStreakResetBySparseSamples(t *testing.T) {
 }
 
 // TestGrowBackWithHeadroomAndFill pins the release: after four healthy,
-// full intervals a window shrunk to 4 goes straight back to MaxWindow and
+// full intervals a window shrunk to 4 goes straight back to its declared 16 and
 // the overrides clear.
 func TestGrowBackWithHeadroomAndFill(t *testing.T) {
 	c, act, _ := testController(t, false, nil)
@@ -247,7 +333,7 @@ func TestGrowBackWithHeadroomAndFill(t *testing.T) {
 		interval(c, 3, 4)
 	}
 	if w := c.WindowFor(3); w != 16 {
-		t.Fatalf("window = %d, want 16 (released to the static bound)", w)
+		t.Fatalf("window = %d, want 16 (released to the declared bound)", w)
 	}
 	if act.wins[3] != 0 || act.caps[3] != 0 {
 		t.Fatalf("overrides at the bound = (%d, %d), want cleared", act.wins[3], act.caps[3])
@@ -292,6 +378,8 @@ func TestGrowPatienceRequiresHealthyStreak(t *testing.T) {
 // between grows.
 func TestGrowQuietSerializesRelease(t *testing.T) {
 	c, _, clk := testController(t, false, nil)
+	c.Open(3, 16)
+	c.Open(9, 16)
 	// Two tenants, both shrunk by shared pain.
 	interval(c, 3, 16) // prime
 	interval(c, 9, 16)
@@ -362,6 +450,7 @@ func TestHysteresisBandHolds(t *testing.T) {
 func TestCooldownBatchesDecisions(t *testing.T) {
 	reg := telemetry.New()
 	c, _, _ := testController(t, false, reg)
+	c.Open(3, 16)
 	observe(c, 0, 8)
 	drain(c, 3, 7, 16)
 	if n := len(reg.AutotuneLog()); n != 0 {
@@ -388,6 +477,8 @@ func TestAntagonistSharedSignalFairness(t *testing.T) {
 	// observable); in the healthy period only the full-batch tenant
 	// regrows.
 	c, _, _ := testController(t, false, nil)
+	c.Open(3, 16)
+	c.Open(9, 16)
 	interval(c, 3, 16) // prime heavy
 	interval(c, 9, 16) // prime light
 	observe(c, 0, 8)   // one shared burst of LS pain …
@@ -419,14 +510,22 @@ func TestForgetClearsStateAndOverrides(t *testing.T) {
 	if act.wins[3] != 0 || act.caps[3] != 0 {
 		t.Fatalf("overrides after Forget = (%d, %d), want cleared", act.wins[3], act.caps[3])
 	}
-	if w := c.WindowFor(3); w != 16 {
-		t.Fatalf("window after Forget = %d, want the static bound 16", w)
+	if w := c.WindowFor(3); w != 0 {
+		t.Fatalf("window after Forget = %d, want 0 (no longer controlled)", w)
+	}
+	// Drains of a forgotten tenant take no decisions until it opens again.
+	observe(c, 0, 8)
+	interval(c, 3, 8)
+	interval(c, 3, 8)
+	if act.wins[3] != 0 || act.caps[3] != 0 {
+		t.Fatalf("overrides after drains of a forgotten tenant = (%d, %d), want none", act.wins[3], act.caps[3])
 	}
 }
 
 func TestDecisionTelemetry(t *testing.T) {
 	reg := telemetry.New()
 	c, _, clk := testController(t, false, reg)
+	c.Open(3, 16)
 	clk.t = 42
 	interval(c, 3, 16) // prime + cold decision
 	observe(c, 8, 8)
@@ -460,6 +559,7 @@ func TestDecisionTelemetry(t *testing.T) {
 func TestIntervalQuantileUsesOnlyNewSamples(t *testing.T) {
 	reg := telemetry.New()
 	c, _, _ := testController(t, false, reg)
+	c.Open(3, 16)
 	interval(c, 3, 16) // prime
 	// Interval 1: slow samples.
 	observe(c, 0, 8)
@@ -505,7 +605,7 @@ func TestSharedSignalAcrossControllers(t *testing.T) {
 	sig := NewSignal(1000)
 	clk := &fakeClock{}
 	mk := func() *Controller {
-		c, err := New(Config{ObjectiveNS: 1000, BudgetPPM: 100_000, MaxWindow: 16, Signal: sig}, clk.now, nil)
+		c, err := New(Config{ObjectiveNS: 1000, BudgetPPM: 100_000, Signal: sig}, clk.now, nil)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -513,6 +613,7 @@ func TestSharedSignalAcrossControllers(t *testing.T) {
 		return c
 	}
 	a, b := mk(), mk()
+	b.Open(5, 16)
 	interval(b, 5, 16) // prime b's tenant
 	for i := 0; i < 8; i++ {
 		a.ObserveLS(2000) // pain lands via shard A
@@ -528,6 +629,7 @@ func TestSharedSignalAcrossControllers(t *testing.T) {
 // that reaches its signal anyway (a shared signal) moves no decision.
 func TestE2ETermIgnoredWhenDisabled(t *testing.T) {
 	c, act, _ := testController(t, false, nil)
+	c.Open(5, 16)
 	interval(c, 5, 16) // prime
 	observe(c, 8, 0)   // healthy service signal
 	c.ObserveE2E(e2eUpdate(0, 100))
@@ -549,6 +651,7 @@ func TestE2ETermIgnoredWhenDisabled(t *testing.T) {
 // violations — only the e2e term can justify back-off.
 func TestE2ETermTriggersBackoff(t *testing.T) {
 	c, act, _ := testController(t, true, nil)
+	c.Open(5, 16)
 	interval(c, 5, 16) // prime
 	observe(c, 8, 0)   // service side: all good
 	c.ObserveE2E(e2eUpdate(0, 100))
@@ -566,6 +669,7 @@ func TestE2ETermTriggersBackoff(t *testing.T) {
 // verdict from host observations.
 func TestE2ETermCarriesSampleGate(t *testing.T) {
 	c, _, _ := testController(t, true, nil)
+	c.Open(5, 16)
 	interval(c, 5, 16) // prime
 	c.ObserveE2E(e2eUpdate(0, 100))
 	interval(c, 5, 16)
@@ -578,6 +682,7 @@ func TestE2ETermCarriesSampleGate(t *testing.T) {
 // healthy service stream into back-off.
 func TestE2EHealthyDoesNotShrink(t *testing.T) {
 	c, _, _ := testController(t, true, nil)
+	c.Open(5, 16)
 	interval(c, 5, 16)
 	observe(c, 8, 0)
 	c.ObserveE2E(e2eUpdate(100, 0))

@@ -148,9 +148,10 @@ func TestHostPMDynamicIntegration(t *testing.T) {
 // TestOptimalWindowEdgeTable pins the static formula across the edge
 // cases a feedback controller's clamp bounds must survive: degenerate
 // queue depths, zero/negative line rates, tenancy boundaries, and
-// LS-only / TC-only extremes. The adaptive controller (internal/autotune)
-// uses OptimalWindow as its MaxWindow; these values changing silently
-// would move its bounds.
+// LS-only / TC-only extremes. Hosts that auto-select their window use
+// OptimalWindow and declare it in the handshake, where it becomes the
+// adaptive controller's (internal/autotune) bound; these values changing
+// silently would move its bounds.
 func TestOptimalWindowEdgeTable(t *testing.T) {
 	cases := []struct {
 		name         string

@@ -61,7 +61,6 @@ func egAutotune(e2e bool) *autotune.Config {
 		ObjectiveNS: egLSObjectiveNS,
 		BudgetPPM:   20_000,
 		MinWindow:   4,
-		MaxWindow:   egWindowMax,
 		E2E:         e2e,
 	}
 }

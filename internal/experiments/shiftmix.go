@@ -43,7 +43,7 @@ const (
 
 // shiftAutotune is the controller configuration the adaptive variant runs:
 // a 250 µs service-side objective at a 98% compliance target and windows
-// clamped to [4, static bound]; the law itself (caps equal to the window,
+// clamped to [4, the hosts' declared window]; the law itself (caps equal to the window,
 // patient and serialized release to the static bound) is autotune's one
 // parameterization. The objective is much tighter than the e2e SLO
 // because the target-side signal excludes the egress NIC queue — the very
@@ -58,7 +58,6 @@ func shiftAutotune() *autotune.Config {
 		ObjectiveNS: 250_000,
 		BudgetPPM:   20_000,
 		MinWindow:   4,
-		MaxWindow:   shiftWindowMax,
 	}
 }
 

@@ -192,14 +192,18 @@ type PDU interface {
 }
 
 // ICReq opens a queue pair: the host proposes protocol version, its queue
-// depth, the priority class it wants this connection to run under, and the
-// namespace whose geometry the ICResp should describe (0 selects the
-// target's default namespace).
+// depth, the priority class it wants this connection to run under, the
+// drain window it opens with, and the namespace whose geometry the ICResp
+// should describe (0 selects the target's namespace).
 type ICReq struct {
 	PFV        uint16 // protocol format version
 	QueueDepth uint16
 	Prio       Priority
-	NSID       uint32
+	// Window is the TC drain window the host opens with: the bound the
+	// target's adaptive controller holds the tenant to. Zero (a peer built
+	// before hosts declared it) declares none.
+	Window uint16
+	NSID   uint32
 }
 
 // ICReqSize is the wire size of an ICReq.
@@ -215,6 +219,7 @@ func (p *ICReq) encodeBody(dst []byte) {
 	binary.LittleEndian.PutUint16(dst[0:], p.PFV)
 	binary.LittleEndian.PutUint16(dst[2:], p.QueueDepth)
 	dst[4] = encodePriority(p.Prio)
+	binary.LittleEndian.PutUint16(dst[6:], p.Window)
 	binary.LittleEndian.PutUint32(dst[8:], p.NSID)
 }
 
@@ -225,6 +230,7 @@ func (p *ICReq) decodeBody(src []byte) error {
 	p.PFV = binary.LittleEndian.Uint16(src[0:])
 	p.QueueDepth = binary.LittleEndian.Uint16(src[2:])
 	p.Prio = decodePriority(src[4])
+	p.Window = binary.LittleEndian.Uint16(src[6:])
 	p.NSID = binary.LittleEndian.Uint32(src[8:])
 	return nil
 }

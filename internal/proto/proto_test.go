@@ -24,10 +24,15 @@ func roundTrip(t *testing.T, p PDU) PDU {
 }
 
 func TestICReqRoundTrip(t *testing.T) {
-	in := &ICReq{PFV: 1, QueueDepth: 128, Prio: PrioThroughputCritical}
+	in := &ICReq{PFV: 1, QueueDepth: 128, Prio: PrioThroughputCritical, Window: 16, NSID: 3}
 	out := roundTrip(t, in).(*ICReq)
 	if *out != *in {
 		t.Fatalf("got %+v, want %+v", out, in)
+	}
+	// The window rides in bytes 6-7 of the body, reserved before it was
+	// declared, so the PDU keeps its size and older peers read zero there.
+	if n := len(Marshal(in)); n != 24 {
+		t.Fatalf("ICReq is %d bytes on the wire, want 24", n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"nvmeopf/internal/autotune"
 	"nvmeopf/internal/hostqp"
 	"nvmeopf/internal/nvme"
+	"nvmeopf/internal/proto"
 	"nvmeopf/internal/telemetry"
 )
 
@@ -26,7 +27,6 @@ func TestAutotuneWiring(t *testing.T) {
 			// makes every LS completion a violation: pure pain on the
 			// signal.
 			ObjectiveNS: 1, BudgetPPM: 100_000,
-			MinWindow: 1, MaxWindow: 16,
 		},
 	}, be)
 	if err != nil {
@@ -81,16 +81,17 @@ func TestAutotuneWiring(t *testing.T) {
 	}
 
 	// The next interval sees burn 10x the budget: multiplicative back-off
-	// from the static bound, actuated as PM valve + admission cap.
+	// from the window the host declared, actuated as PM valve + admission
+	// cap.
 	interval()
-	if w := ctrl.WindowFor(tenant); w != 8 {
-		t.Fatalf("controller window = %d, want 8 (16 halved)", w)
+	if w := ctrl.WindowFor(tenant); w != 2 {
+		t.Fatalf("controller window = %d, want 2 (the declared 4 halved)", w)
 	}
-	if w := tgt.pm.TenantWindow(tenant); w != 8 {
-		t.Fatalf("PM valve override = %d, want 8", w)
+	if w := tgt.pm.TenantWindow(tenant); w != 2 {
+		t.Fatalf("PM valve override = %d, want 2", w)
 	}
-	if limit := tgt.pm.TenantCap(tenant); limit != 8 {
-		t.Fatalf("PM admission cap = %d, want 8 (the window)", limit)
+	if limit := tgt.pm.TenantCap(tenant); limit != 2 {
+		t.Fatalf("PM admission cap = %d, want 2 (the window)", limit)
 	}
 	if n := len(reg.AutotuneLog()); n != 2 {
 		t.Fatalf("decision log has %d entries, want 2 (cold, shrink)", n)
@@ -99,8 +100,8 @@ func TestAutotuneWiring(t *testing.T) {
 	// Teardown forgets the tenant: the recycled ID's next owner must not
 	// inherit a window shrunk for this one's behavior.
 	tgt.CloseSession(tcSess)
-	if w := ctrl.WindowFor(tenant); w != 16 {
-		t.Fatalf("controller window after Forget = %d, want MaxWindow 16", w)
+	if w := ctrl.WindowFor(tenant); w != 0 {
+		t.Fatalf("controller window after Forget = %d, want 0 (not controlled)", w)
 	}
 	if w, limit := tgt.pm.TenantWindow(tenant), tgt.pm.TenantCap(tenant); w != 0 || limit != 0 {
 		t.Fatalf("PM overrides after Forget = (%d, %d), want cleared", w, limit)
@@ -112,7 +113,7 @@ func TestAutotuneWiring(t *testing.T) {
 // refuses Autotune without one, since the grow-quiet rule spaces grows in
 // time.
 func TestAutotuneRunsOnTheTargetClock(t *testing.T) {
-	at := &autotune.Config{ObjectiveNS: 1_000_000, MaxWindow: 16}
+	at := &autotune.Config{ObjectiveNS: 1_000_000}
 	if _, err := NewTarget(Config{Mode: ModeOPF, Autotune: at}, newFakeBackend(t, true)); err == nil {
 		t.Fatal("NewTarget accepted Autotune without a Clock")
 	}
@@ -143,5 +144,67 @@ func TestAutotuneRunsOnTheTargetClock(t *testing.T) {
 	}
 	if d := log[0]; d.At <= base || d.At > now {
 		t.Fatalf("decision stamped %d, want a reading of the target's clock in (%d, %d]", d.At, base, now)
+	}
+}
+
+// TestDeclaredWindowReachesTheController: the window a host declares in
+// its ICReq becomes the controller's bound for its tenant, and a peer that
+// declares none (window 0) is left alone however much LS pain there is.
+func TestDeclaredWindowReachesTheController(t *testing.T) {
+	now := int64(0)
+	clock := func() int64 { now += 1000; return now }
+	tgt, err := NewTarget(Config{
+		Mode: ModeOPF, MaxPending: 256, Clock: clock,
+		Autotune: &autotune.Config{ObjectiveNS: 1, BudgetPPM: 100_000},
+	}, newFakeBackend(t, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := tgt.at
+	tc, _ := pair(t, tgt, tcCfg(8, 16))
+	if w := ctrl.WindowFor(tc.Tenant()); w != 8 {
+		t.Fatalf("controller window = %d, want the declared 8", w)
+	}
+
+	// A raw peer: its ICReq carries no window, and it stamps its own
+	// draining flag on every 4th write.
+	raw, err := tgt.NewSession(func(proto.PDU) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.HandlePDU(&proto.ICReq{PFV: ProtocolVersion, QueueDepth: 16, Prio: proto.PrioThroughputCritical}); err != nil {
+		t.Fatal(err)
+	}
+	ls, _ := pair(t, tgt, lsCfg())
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 8; i++ {
+			if err := ls.Submit(hostqp.IO{Op: nvme.OpRead, LBA: 0, Blocks: 1, Done: func(hostqp.Result) {}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for d := 0; d < 8; d++ {
+			for i := 0; i < 4; i++ {
+				prio := proto.PrioThroughputCritical
+				if i == 3 {
+					prio = proto.PrioTCDraining
+				}
+				err := raw.HandlePDU(&proto.CapsuleCmd{
+					Cmd:  nvme.Command{Opcode: nvme.OpWrite, CID: nvme.CID(i), NSID: 1, SLBA: uint64(i)},
+					Prio: prio, Data: make([]byte, 512),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if w := ctrl.WindowFor(raw.Tenant()); w != 0 {
+		t.Fatalf("controller window for the raw peer = %d, want 0 (not controlled)", w)
+	}
+	if w, limit := tgt.pm.TenantWindow(raw.Tenant()), tgt.pm.TenantCap(raw.Tenant()); w != 0 || limit != 0 {
+		t.Fatalf("PM overrides for the raw peer = (%d, %d), want none", w, limit)
+	}
+	if good, bad := ctrl.Signal().Counts(); bad == 0 {
+		t.Fatalf("LS signal = (%d good, %d bad), want the pain the raw peer ignored", good, bad)
 	}
 }

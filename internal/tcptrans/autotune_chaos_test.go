@@ -12,7 +12,10 @@ package tcptrans
 //     verdict lands in the decision log);
 //   - every victim write completes exactly once on each connection it was
 //     submitted to, and succeeds on the first or the replacement one —
-//     adaptation never costs correctness;
+//     adaptation never costs correctness. The controller's admission cap
+//     refuses writes with the retryable StatusBusy, which the writer
+//     resubmits, as an application must: a refused write never ran, so
+//     it has not completed;
 //   - teardown is clean: zero live sessions, no goroutine leaks.
 
 import (
@@ -40,7 +43,6 @@ func TestAutotuneChaosAdaptsAcrossReplay(t *testing.T) {
 		WriteLatency: 300 * time.Microsecond,
 		Autotune: &autotune.Config{
 			ObjectiveNS: 1, BudgetPPM: 100_000,
-			MinWindow: 1, MaxWindow: 32,
 		},
 	})
 	if err != nil {
@@ -90,18 +92,26 @@ func TestAutotuneChaosAdaptsAcrossReplay(t *testing.T) {
 	counts := make([]atomic.Int32, n)
 	ok := make([]atomic.Bool, n)
 	// submit writes ops lo..hi-1 on c; each Done counts, and records
-	// whether the write succeeded.
+	// whether the write succeeded. A busy refusal is resubmitted from its
+	// Done (Submit only posts to the connection's reactor) and not
+	// counted.
 	submit := func(c *Conn, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			err := c.Submit(hostqp.IO{
+			var io hostqp.IO
+			io = hostqp.IO{
 				Op: nvme.OpWrite, LBA: uint64(i), Blocks: 1, Data: chaosPayload(i, 4096),
 				Done: func(r hostqp.Result) {
+					if r.Err == nil && r.Status == nvme.StatusBusy {
+						if err := c.Submit(io); err == nil {
+							return
+						}
+					}
 					counts[i].Add(1)
 					ok[i].Store(r.Err == nil && r.Status.OK())
 					completed.Add(1)
 				},
-			})
-			if err != nil {
+			}
+			if err := c.Submit(io); err != nil {
 				t.Fatalf("submit %d: %v", i, err)
 			}
 		}
