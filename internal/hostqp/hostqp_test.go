@@ -81,6 +81,11 @@ func TestWindowClampedToQueueDepth(t *testing.T) {
 	if h.sess.Window() != 8 {
 		t.Fatalf("window = %d, want clamped to QD 8", h.sess.Window())
 	}
+	// The handshake declares the clamped window, the one the host runs.
+	h.sess.Start()
+	if req := h.out[0].(*proto.ICReq); req.Window != 8 {
+		t.Fatalf("ICReq declares window %d, want 8", req.Window)
+	}
 }
 
 func TestSubmitBeforeHandshakeRejected(t *testing.T) {
