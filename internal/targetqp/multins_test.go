@@ -1,7 +1,6 @@
 package targetqp
 
 import (
-	"bytes"
 	"testing"
 
 	"nvmeopf/internal/bdev"
@@ -28,74 +27,11 @@ func newNSBackend(t *testing.T, nsid uint32) *nsBackend {
 	return b
 }
 
-func TestAddNamespaceValidation(t *testing.T) {
-	be1 := newNSBackend(t, 1)
-	tgt, err := NewTarget(Config{Mode: ModeOPF}, be1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tgt.AddNamespace(nil); err == nil {
-		t.Error("nil backend accepted")
-	}
-	if err := tgt.AddNamespace(newNSBackend(t, 1)); err == nil {
-		t.Error("duplicate NSID accepted")
-	}
-	if err := tgt.AddNamespace(newNSBackend(t, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tgt.Namespaces()); got != 2 {
-		t.Fatalf("namespaces = %d", got)
-	}
-}
-
 func TestNewTargetRejectsInvalidNamespace(t *testing.T) {
 	b := &nsBackend{}
 	b.ns = nvme.Namespace{ID: 0, BlockSize: 512, Capacity: 10}
 	if _, err := NewTarget(Config{}, b); err == nil {
 		t.Fatal("NSID 0 backend accepted")
-	}
-}
-
-func TestCommandsRouteByNSID(t *testing.T) {
-	be1 := newNSBackend(t, 1)
-	be2 := newNSBackend(t, 2)
-	tgt, err := NewTarget(Config{Mode: ModeOPF, MaxPending: 64}, be1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tgt.AddNamespace(be2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Two hosts, one per namespace, writing distinct data to LBA 0.
-	h1, _ := pair(t, tgt, hostqp.Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 2, NSID: 1})
-	h2, _ := pair(t, tgt, hostqp.Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 2, NSID: 2})
-	d1 := bytes.Repeat([]byte{0x11}, 512)
-	d2 := bytes.Repeat([]byte{0x22}, 512)
-	for _, w := range []struct {
-		h *hostqp.Session
-		d []byte
-	}{{h1, d1}, {h2, d2}} {
-		ok := false
-		if err := w.h.Submit(hostqp.IO{Op: nvme.OpWrite, LBA: 0, Blocks: 1, Data: w.d,
-			Done: func(r hostqp.Result) { ok = r.Status.OK() }}); err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatal("write failed")
-		}
-	}
-	// Each namespace holds only its own data.
-	got1 := make([]byte, 512)
-	got2 := make([]byte, 512)
-	if err := be1.store.ReadBlocks(got1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := be2.store.ReadBlocks(got2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got1, d1) || !bytes.Equal(got2, d2) {
-		t.Fatal("namespace data interleaved")
 	}
 }
 
@@ -153,11 +89,8 @@ func TestICRespDescribesRequestedNamespace(t *testing.T) {
 	store, _ := bdev.NewMemory(4096, 1<<20)
 	big.store, big.auto = store, true
 
-	tgt, err := NewTarget(Config{Mode: ModeOPF}, newNSBackend(t, 1))
+	tgt, err := NewTarget(Config{Mode: ModeOPF}, big)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tgt.AddNamespace(big); err != nil {
 		t.Fatal(err)
 	}
 	h, _ := pair(t, tgt, hostqp.Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 1, NSID: 2})

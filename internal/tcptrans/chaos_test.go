@@ -50,9 +50,8 @@ func TestChaosVictimKilledSurvivorsMeetDrainWindows(t *testing.T) {
 		Latency: 200 * time.Microsecond, Jitter: 100 * time.Microsecond, MaxChunk: 512,
 	})
 	victimDial := DialConfig{
-		HandshakeTimeout: 5 * time.Second,
-		RequestTimeout:   500 * time.Millisecond,
-		Dialer:           faultnet.Dialer(inj),
+		RequestTimeout: 500 * time.Millisecond,
+		Dialer:         faultnet.Dialer(inj),
 	}
 
 	stop := make(chan struct{})
@@ -217,9 +216,8 @@ func TestChaosVectoredFlushKill(t *testing.T) {
 	inj := faultnet.NewInjector(2)
 	inj.Set(faultnet.DirSend, faultnet.Faults{MaxChunk: 256}) // fragment the vectored stream
 	victimDial := DialConfig{
-		HandshakeTimeout: 5 * time.Second,
-		RequestTimeout:   500 * time.Millisecond,
-		Dialer:           faultnet.Dialer(inj),
+		RequestTimeout: 500 * time.Millisecond,
+		Dialer:         faultnet.Dialer(inj),
 	}
 
 	stop := make(chan struct{})

@@ -25,8 +25,6 @@ type ConnConfig = hostqp.Config
 // DialConfig bounds a connection's transport-level waits. The zero value
 // gives the defaults below.
 type DialConfig struct {
-	// HandshakeTimeout bounds the ICReq/ICResp exchange (default 10s).
-	HandshakeTimeout time.Duration
 	// RequestTimeout bounds how long any submitted request may stay
 	// outstanding (default 30s, the Linux nvme-tcp io-timeout default; <0
 	// disables). A request exceeding it does not fail alone: like the
@@ -48,16 +46,13 @@ type DialConfig struct {
 	TelemetryInterval time.Duration
 }
 
-// Defaults for DialConfig zero fields.
-const (
-	DefaultHandshakeTimeout = 10 * time.Second
-	DefaultRequestTimeout   = 30 * time.Second
-)
+// HandshakeTimeout bounds every connection's ICReq/ICResp exchange.
+const HandshakeTimeout = 10 * time.Second
+
+// DefaultRequestTimeout is DialConfig.RequestTimeout's zero-value default.
+const DefaultRequestTimeout = 30 * time.Second
 
 func (d DialConfig) withDefaults() DialConfig {
-	if d.HandshakeTimeout == 0 {
-		d.HandshakeTimeout = DefaultHandshakeTimeout
-	}
 	if d.RequestTimeout == 0 {
 		d.RequestTimeout = DefaultRequestTimeout
 	}
@@ -225,10 +220,10 @@ func DialWith(addr string, cfg hostqp.Config, dcfg DialConfig) (*Conn, error) {
 		defer c.wg.Done()
 		c.run()
 	}()
-	timeout := time.AfterFunc(dcfg.HandshakeTimeout, func() {
+	timeout := time.AfterFunc(HandshakeTimeout, func() {
 		c.post(func() {
 			if c.connErr == nil && !c.sess.Connected() {
-				c.failAll(fmt.Errorf("tcptrans: handshake timeout after %v", dcfg.HandshakeTimeout))
+				c.failAll(fmt.Errorf("tcptrans: handshake timeout after %v", HandshakeTimeout))
 			}
 		})
 	})

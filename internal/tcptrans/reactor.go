@@ -366,12 +366,11 @@ func (c *srvConn) onFlush(bytes int) {
 	c.wake()
 }
 
-// execBackend executes device commands for one (shard, namespace) pair
-// and delivers completions on the shard's reactor.
+// execBackend executes one shard's device commands and delivers their
+// completions on the shard's reactor. The device serves NSID 1.
 type execBackend struct {
-	sh   *shard
-	nsid uint32
-	dev  bdev.Device
+	sh  *shard
+	dev bdev.Device
 	// adopt is dev, when it can keep a write's payload buffer instead of
 	// copying it; nil otherwise.
 	adopt bdev.Adopter
@@ -382,16 +381,16 @@ type execBackend struct {
 	inline bool
 }
 
-func newExecBackend(sh *shard, nsid uint32, dev bdev.Device) *execBackend {
+func newExecBackend(sh *shard, dev bdev.Device) *execBackend {
 	cfg := &sh.srv.cfg
 	adopt, _ := dev.(bdev.Adopter)
-	return &execBackend{sh: sh, nsid: nsid, dev: dev, adopt: adopt,
+	return &execBackend{sh: sh, dev: dev, adopt: adopt,
 		inline: bdev.IsNonBlocking(dev) && cfg.ReadLatency == 0 && cfg.WriteLatency == 0}
 }
 
 // Namespace implements targetqp.Backend.
 func (b *execBackend) Namespace() nvme.Namespace {
-	return nvme.Namespace{ID: b.nsid, BlockSize: b.dev.BlockSize(), Capacity: b.dev.NumBlocks()}
+	return nvme.Namespace{ID: 1, BlockSize: b.dev.BlockSize(), Capacity: b.dev.NumBlocks()}
 }
 
 // SubmitRequest implements targetqp.RequestBackend, the entry point the

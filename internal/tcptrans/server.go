@@ -100,6 +100,11 @@ import (
 	"nvmeopf/internal/telemetry"
 )
 
+// workers is the size of the executor pool that serves blocking devices
+// for all shards. Devices that never block run on the reactors and do not
+// use it.
+const workers = 8
+
 // ServerConfig describes a TCP target.
 type ServerConfig struct {
 	// Mode selects oPF or baseline behaviour.
@@ -143,17 +148,10 @@ type ServerConfig struct {
 	// so parked windows age out even on an otherwise idle connection.
 	// Zero disables the bound.
 	ScavengerAging time.Duration
-	// Workers is the size of the executor pool (default 8) that serves
-	// blocking devices for all shards. Devices that never block run on the
-	// reactors and do not use it.
-	Workers int
 	// ReadLatency/WriteLatency optionally inject device service time, so
 	// a RAM-backed target behaves like flash. The injection is a sleep, so
 	// setting either moves every device onto the executor pool.
 	ReadLatency, WriteLatency time.Duration
-	// ExtraNamespaces attaches additional devices under explicit NSIDs
-	// (Device itself serves NSID 1).
-	ExtraNamespaces map[uint32]bdev.Device
 	// Telemetry optionally attaches a live metrics registry to the
 	// target (served over HTTP with telemetry.Registry.Serve). The
 	// registry is lock-free and shared by all shards. Nil disables at
@@ -212,9 +210,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.MaxPending == 0 {
 		cfg.MaxPending = 4096
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -253,7 +248,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{srv: s}
 		sh.q.init()
-		be := newExecBackend(sh, 1, cfg.Device)
+		be := newExecBackend(sh, cfg.Device)
 		pooled = pooled || !be.inline
 		tgt, err := targetqp.NewTarget(targetqp.Config{
 			Mode:                cfg.Mode,
@@ -277,14 +272,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		if err != nil {
 			ln.Close()
 			return nil, err
-		}
-		for nsid, dev := range cfg.ExtraNamespaces {
-			be := newExecBackend(sh, nsid, dev)
-			pooled = pooled || !be.inline
-			if err := tgt.AddNamespace(be); err != nil {
-				ln.Close()
-				return nil, err
-			}
 		}
 		sh.target = tgt
 		s.shards = append(s.shards, sh)
@@ -326,7 +313,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	// Device executor pool for blocking devices, shared across shards (the
 	// bdev has its own synchronization; completions route back to the
 	// owning shard). A server whose devices all run inline starts none.
-	for i := 0; i < cfg.Workers && pooled; i++ {
+	for i := 0; i < workers && pooled; i++ {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()

@@ -294,7 +294,6 @@ func TestLSLatencyUnderTCLoadOverTCP(t *testing.T) {
 		srv, err := Listen("127.0.0.1:0", ServerConfig{
 			Mode:         mode,
 			Device:       mustMem(t),
-			Workers:      2,
 			ReadLatency:  200 * time.Microsecond,
 			WriteLatency: 500 * time.Microsecond,
 		})
