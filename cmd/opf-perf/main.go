@@ -43,15 +43,12 @@ func (t *tenant) finished() bool {
 	return <-ch
 }
 
-// checkRegion refuses a connection whose region [i*span, (i+1)*span) runs
-// past a namespace of capacity blocks: every I/O past the end fails, so the
-// run would only measure errors.
-func checkRegion(i int, span, capacity uint64) error {
-	if end := uint64(i+1) * span; end > capacity {
-		return fmt.Errorf("connection %d would use blocks [%d, %d), past the target's %d-block namespace: lower -span or open fewer connections",
-			i, uint64(i)*span, end, capacity)
-	}
-	return nil
+// region returns connection i's LBA slice when n connections split a
+// namespace of capacity blocks, the capacity the handshake reported:
+// equal slices, side by side from block 0, none past the end.
+func region(i, n int, capacity uint64) (start, blocks uint64) {
+	blocks = capacity / uint64(n)
+	return uint64(i) * blocks, blocks
 }
 
 func main() {
@@ -64,7 +61,6 @@ func main() {
 		window   = flag.Int("window", 0, "TC drain window size (0: paper's static selection)")
 		mix      = flag.String("mix", "read", "workload: read, write, mixed")
 		duration = flag.Duration("duration", 10*time.Second, "run duration")
-		span     = flag.Uint64("span", 1<<16, "LBA span per connection: connection i uses blocks [i*span, (i+1)*span), which must fit the namespace")
 		metrics  = flag.String("metrics-addr", "", "serve host-side /metrics and /debug endpoints on this address (empty: off)")
 		telInt   = flag.Duration("telemetry-interval", 0, "emit in-band TelemetryUpdate e2e feedback to the target at this cadence (0: off, wire-identical to builds without the channel)")
 		traceOut = flag.String("trace-dump", "", "write a host-side flight-recorder dump (JSONL) to this file at exit; pair with the target's /debug/trace for opf-trace")
@@ -106,7 +102,8 @@ func main() {
 	var t0 time.Time
 	clock := func() int64 { return int64(time.Since(t0)) }
 	var tenants []*tenant
-	for i := 0; i < *ls+*tc+*scav; i++ {
+	conns := *ls + *tc + *scav
+	for i := 0; i < conns; i++ {
 		class, depth, w := proto.PrioLatencySensitive, 1, 1
 		switch {
 		case i >= *ls+*tc:
@@ -124,13 +121,10 @@ func main() {
 			log.Fatalf("dial %d: %v", i, err)
 		}
 		defer conn.Close()
-		if err := checkRegion(i, *span, conn.Capacity()); err != nil {
-			fmt.Fprintf(os.Stderr, "opf-perf: %v\n", err)
-			os.Exit(2)
-		}
+		start, blocks := region(i, conns, conn.Capacity())
 		run, err := workload.NewRunner(conn, clock, workload.Spec{
 			Mix: wmix, Pattern: workload.Sequential, Blocks: 1, QueueDepth: depth,
-			RegionStart: uint64(i) * *span, RegionBlocks: *span,
+			RegionStart: start, RegionBlocks: blocks,
 			StopAt: int64(*duration), Seed: uint64(i) + 1, BlockSize: conn.BlockSize(),
 			// Busy push-back switches the loop to slow-start probing; each
 			// probe tick runs on the reactor, like the loop's completions.

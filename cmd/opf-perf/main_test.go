@@ -1,7 +1,6 @@
 package main
 
 import (
-	"strings"
 	"testing"
 
 	"nvmeopf/internal/bdev"
@@ -10,12 +9,11 @@ import (
 	"nvmeopf/internal/tcptrans"
 )
 
-// TestRegionsMustFitTheNamespace: the capacity a connection learns in its
-// handshake bounds the regions opf-perf hands out. On a 1024-block device
-// four 256-block regions fit and a fifth is refused, naming the connection
-// and the capacity.
-func TestRegionsMustFitTheNamespace(t *testing.T) {
-	dev, err := bdev.NewMemory(4096, 1024)
+// TestRegionsTileTheNamespace: the capacity a connection learns in its
+// handshake is split into equal regions that sit side by side from block
+// 0 and never run past the namespace, however many connections share it.
+func TestRegionsTileTheNamespace(t *testing.T) {
+	dev, err := bdev.NewMemory(4096, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,21 +28,21 @@ func TestRegionsMustFitTheNamespace(t *testing.T) {
 	}
 	defer conn.Close()
 	capacity := conn.Capacity()
-	if capacity != 1024 {
-		t.Fatalf("Capacity() = %d, want the device's 1024 blocks", capacity)
+	if capacity != 1000 {
+		t.Fatalf("Capacity() = %d, want the device's 1000 blocks", capacity)
 	}
-	for i := 0; i < 4; i++ {
-		if err := checkRegion(i, 256, capacity); err != nil {
-			t.Fatalf("connection %d refused: %v", i, err)
+	for _, n := range []int{1, 3, 4, 5, 7} {
+		var next uint64
+		for i := 0; i < n; i++ {
+			start, blocks := region(i, n, capacity)
+			if start != next || blocks != capacity/uint64(n) {
+				t.Fatalf("%d connections: region %d = [%d, %d), want [%d, %d)",
+					n, i, start, start+blocks, next, next+capacity/uint64(n))
+			}
+			next = start + blocks
 		}
-	}
-	err = checkRegion(4, 256, capacity)
-	if err == nil {
-		t.Fatal("a fifth 256-block region on a 1024-block namespace was accepted")
-	}
-	for _, want := range []string{"connection 4", "[1024, 1280)", "1024-block"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
+		if next > capacity || capacity-next >= uint64(n) {
+			t.Fatalf("%d connections end at block %d of %d: past the end, or a region's worth unused", n, next, capacity)
 		}
 	}
 }
