@@ -55,9 +55,6 @@ func NewHostPM(class proto.Priority, window int) *HostPM {
 	return &HostPM{prio: class, window: window}
 }
 
-// Class returns the connection's priority class.
-func (h *HostPM) Class() proto.Priority { return h.prio }
-
 // Window returns the current drain window size.
 func (h *HostPM) Window() int { return h.window }
 

@@ -18,7 +18,6 @@ import (
 type Conn struct {
 	inner  net.Conn
 	inj    *Injector
-	start  time.Time
 	killed atomic.Bool
 
 	// Per-direction serialization clocks for bandwidth pacing and byte
@@ -30,7 +29,7 @@ type Conn struct {
 
 // Wrap places c under the injector's fault policy.
 func Wrap(c net.Conn, inj *Injector) *Conn {
-	fc := &Conn{inner: c, inj: inj, start: time.Now()}
+	fc := &Conn{inner: c, inj: inj}
 	inj.register(fc)
 	return fc
 }
@@ -89,7 +88,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		if c.killed.Load() {
 			return total, ErrInjectedReset
 		}
-		f := c.inj.faults(DirSend, time.Since(c.start))
+		f := c.inj.faults(DirSend)
 		chunk := b
 		if f.MaxChunk > 0 && len(chunk) > f.MaxChunk {
 			chunk = chunk[:f.MaxChunk]
@@ -133,7 +132,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 		if c.killed.Load() {
 			return 0, ErrInjectedReset
 		}
-		f := c.inj.faults(DirRecv, time.Since(c.start))
+		f := c.inj.faults(DirRecv)
 		buf := b
 		if f.MaxChunk > 0 && len(buf) > f.MaxChunk {
 			buf = buf[:f.MaxChunk]
@@ -222,9 +221,6 @@ func (l *Listener) Close() error { return l.inner.Close() }
 
 // Addr implements net.Listener.
 func (l *Listener) Addr() net.Addr { return l.inner.Addr() }
-
-// Injector returns the listener's injector.
-func (l *Listener) Injector() *Injector { return l.inj }
 
 // Dialer returns a dial function that wraps every outbound connection
 // under inj — it plugs directly into tcptrans.DialConfig.Dialer.

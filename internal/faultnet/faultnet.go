@@ -11,10 +11,9 @@
 // target state machines through the impaired pipe; the chaos harness in
 // internal/tcptrans does exactly that under the race detector.
 //
-// Faults are described declaratively (Faults), optionally phased over the
-// connection's lifetime (Schedule), and applied per direction: DirSend
-// governs Writes, DirRecv governs Reads. All randomness is drawn from a
-// seeded generator owned by the Injector, so a failing run can be
+// Faults are described declaratively (Faults) and applied per direction:
+// DirSend governs Writes, DirRecv governs Reads. All randomness is drawn
+// from a seeded generator owned by the Injector, so a failing run can be
 // reproduced from its seed.
 package faultnet
 
@@ -72,50 +71,16 @@ type Faults struct {
 // active reports whether any impairment is configured.
 func (f Faults) active() bool { return f != Faults{} }
 
-// Phase is one time window of a Schedule, relative to the moment the
-// connection was wrapped.
-type Phase struct {
-	// Start is when the phase begins.
-	Start time.Duration
-	// Duration bounds the phase; 0 means it runs until a later phase
-	// starts or forever.
-	Duration time.Duration
-	// Faults applied while the phase is active.
-	Faults Faults
-}
-
-// Schedule is an ordered list of fault phases. At returns the faults of
-// the last phase covering the elapsed time, so later phases override
-// earlier ones; gaps fall back to a transparent pipe.
-type Schedule []Phase
-
-// At returns the faults in effect after elapsed time.
-func (s Schedule) At(elapsed time.Duration) Faults {
-	var out Faults
-	for _, p := range s {
-		if elapsed < p.Start {
-			continue
-		}
-		if p.Duration > 0 && elapsed >= p.Start+p.Duration {
-			continue
-		}
-		out = p.Faults
-	}
-	return out
-}
-
-// Injector owns the fault policy for a set of connections: static
-// per-direction faults, optional per-direction schedules (which take
-// precedence while a phase is active), a seeded random source, and the
-// registry of live connections so tests can reset them all at once.
+// Injector owns the fault policy for a set of connections: per-direction
+// faults, a seeded random source, and the registry of live connections so
+// tests can reset them all at once.
 //
 // All methods are safe for concurrent use.
 type Injector struct {
-	mu     sync.Mutex
-	dirs   [2]Faults
-	scheds [2]Schedule
-	rng    *rand.Rand
-	conns  map[*Conn]struct{}
+	mu    sync.Mutex
+	dirs  [2]Faults
+	rng   *rand.Rand
+	conns map[*Conn]struct{}
 }
 
 // NewInjector creates an injector whose random decisions (drops,
@@ -127,31 +92,17 @@ func NewInjector(seed int64) *Injector {
 	}
 }
 
-// Set installs static faults for one direction, replacing any schedule.
+// Set installs the faults for one direction.
 func (i *Injector) Set(dir int, f Faults) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.dirs[dir] = f
-	i.scheds[dir] = nil
 }
 
-// SetSchedule installs a phased fault schedule for one direction; it
-// overrides the static faults whenever a phase is active.
-func (i *Injector) SetSchedule(dir int, s Schedule) {
+// faults returns the impairments in effect for dir.
+func (i *Injector) faults(dir int) Faults {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.scheds[dir] = s
-}
-
-// faults returns the impairments in effect for dir after elapsed time.
-func (i *Injector) faults(dir int, elapsed time.Duration) Faults {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if s := i.scheds[dir]; len(s) > 0 {
-		if f := s.At(elapsed); f.active() {
-			return f
-		}
-	}
 	return i.dirs[dir]
 }
 

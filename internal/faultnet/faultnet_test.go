@@ -185,29 +185,6 @@ func TestResetAllUnblocksReader(t *testing.T) {
 	}
 }
 
-func TestSchedulePhases(t *testing.T) {
-	s := Schedule{
-		{Start: 0, Duration: 100 * time.Millisecond, Faults: Faults{Latency: 1}},
-		{Start: 100 * time.Millisecond, Duration: 100 * time.Millisecond, Faults: Faults{Latency: 2}},
-		{Start: 300 * time.Millisecond, Faults: Faults{Latency: 3}},
-	}
-	cases := []struct {
-		at   time.Duration
-		want time.Duration
-	}{
-		{0, 1},
-		{50 * time.Millisecond, 1},
-		{150 * time.Millisecond, 2},
-		{250 * time.Millisecond, 0}, // gap: transparent
-		{500 * time.Millisecond, 3}, // open-ended tail phase
-	}
-	for _, c := range cases {
-		if got := s.At(c.at).Latency; got != c.want {
-			t.Errorf("At(%v).Latency = %v, want %v", c.at, got, c.want)
-		}
-	}
-}
-
 func TestListenerWrapsAccepted(t *testing.T) {
 	inj := NewInjector(1)
 	inj.Set(DirSend, Faults{Latency: 30 * time.Millisecond})
@@ -275,7 +252,7 @@ func TestLinkProfileDeterminism(t *testing.T) {
 		p.Set(simnet.DirAtoB, Faults{DropProb: 0.5})
 		out := make([]bool, 32)
 		for i := range out {
-			_, out[i] = p.Apply(simnet.DirAtoB, 0, 1024)
+			_, out[i] = p.Apply(simnet.DirAtoB, 1024)
 		}
 		return out
 	}

@@ -3,15 +3,14 @@ package faultnet
 import (
 	"math/rand"
 	"sync"
-	"time"
 
 	"nvmeopf/internal/simnet"
 )
 
 // LinkProfile adapts the faultnet fault vocabulary to the discrete-event
 // simulator: attach one to a simnet.Link with SetFaults and the same
-// Schedule that impairs a real TCP connection degrades a simulated one,
-// on the virtual clock. Latency, Jitter, BandwidthBPS (as additional
+// Faults that impair a real TCP connection degrade a simulated one, on
+// the virtual clock. Latency, Jitter, BandwidthBPS (as additional
 // serialization delay on top of the link's own line rate), and DropProb
 // are honored; MaxChunk, CorruptProb, and ResetAfterBytes have no
 // simulator equivalent (the sim moves whole messages, not byte streams)
@@ -20,10 +19,9 @@ import (
 // LinkProfile is deterministic for a given seed, preserving the
 // simulator's reproducibility guarantee.
 type LinkProfile struct {
-	mu     sync.Mutex
-	dirs   [2]Faults
-	scheds [2]Schedule
-	rng    *rand.Rand
+	mu   sync.Mutex
+	dirs [2]Faults
+	rng  *rand.Rand
 }
 
 // NewLinkProfile creates a profile whose random decisions derive from
@@ -32,34 +30,19 @@ func NewLinkProfile(seed int64) *LinkProfile {
 	return &LinkProfile{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Set installs static faults for one direction (simnet.DirAtoB or
-// simnet.DirBtoA), replacing any schedule.
+// Set installs the faults for one direction (simnet.DirAtoB or
+// simnet.DirBtoA).
 func (p *LinkProfile) Set(dir int, f Faults) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.dirs[dir] = f
-	p.scheds[dir] = nil
-}
-
-// SetSchedule installs a phased schedule for one direction; phases are
-// evaluated against the virtual clock (Start/Duration in nanoseconds of
-// simulated time).
-func (p *LinkProfile) SetSchedule(dir int, s Schedule) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.scheds[dir] = s
 }
 
 // Apply implements simnet.FaultProfile.
-func (p *LinkProfile) Apply(dir int, now simnet.Time, size int) (simnet.Time, bool) {
+func (p *LinkProfile) Apply(dir int, size int) (simnet.Time, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	f := p.dirs[dir]
-	if s := p.scheds[dir]; len(s) > 0 {
-		if sf := s.At(time.Duration(now)); sf.active() {
-			f = sf
-		}
-	}
 	if !f.active() {
 		return 0, false
 	}

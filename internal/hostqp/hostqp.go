@@ -885,9 +885,6 @@ func (s *Session) FailAll(cause error) int {
 	return failed
 }
 
-// PMStats exposes the host priority manager counters.
-func (s *Session) PMStats() core.HostPMStats { return s.pm.Stats() }
-
 // PendingTC returns the number of throughput-critical requests whose
 // completion notifications are still owed (queued or executing at the
 // target). Transports use it to decide whether an idle-drain is needed.

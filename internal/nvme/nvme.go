@@ -61,12 +61,6 @@ const (
 // OK reports whether the status indicates success.
 func (s Status) OK() bool { return s == StatusSuccess }
 
-// Retryable reports whether the command may be resubmitted verbatim and is
-// expected to succeed once the target sheds load. Today only StatusBusy
-// (admission-control rejection) qualifies: the command was never executed,
-// so a retry cannot double-apply it.
-func (s Status) Retryable() bool { return s == StatusBusy }
-
 // String implements fmt.Stringer.
 func (s Status) String() string {
 	switch s {

@@ -27,11 +27,13 @@ func FuzzPDUDecode(f *testing.F) {
 		&CapsuleResp{Cpl: nvme.Completion{CID: 3}, Coalesced: true},
 		&C2HData{CCCID: 3, Offset: 512, Data: bytes.Repeat([]byte{0x77}, 256)},
 		&C2HData{CCCID: 9, Offset: 0},
-		&H2CData{CCCID: 4, Offset: 0, Data: []byte{1, 2, 3}},
 		&TermReq{Dir: TypeC2HTermReq, FES: 2, Reason: "bad offset"},
 	} {
 		f.Add(Marshal(p))
 	}
+	// The retired H2CData code, framed as a peer of the spec would send it:
+	// Unmarshal refuses it (TestRetiredH2CDataRefused), so Next must too.
+	f.Add(retiredH2CDataFrame(3))
 	// Adversarial seeds: truncated common header, PLen lies (oversized,
 	// undersized, max), hostile C2HData offset, unknown type.
 	f.Add([]byte{byte(TypeCapsuleCmd), 0, 8})

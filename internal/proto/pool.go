@@ -156,9 +156,6 @@ func ReleaseInbound(p PDU) {
 			PutBuf(v.Data)
 		}
 		v.Data = nil
-	case *H2CData:
-		PutBuf(v.Data)
-		v.Data = nil
 	}
 	Recycle(p)
 }
@@ -236,7 +233,7 @@ func (rd *Reader) SetC2HSink(s C2HSink) { rd.sink = s }
 // reader's internal buffer.
 //
 // Only the fixed fields of a PDU pass through scratch. A data-bearing PDU
-// (CapsuleCmd, C2HData, H2CData) has its payload read from the stream
+// (CapsuleCmd, C2HData) has its payload read from the stream
 // straight into the buffer it will be handed on in, chosen by payloadBuf;
 // from there to PutBuf (ReleaseInbound, or whoever the consumer passed the
 // buffer to) nothing copies it again.

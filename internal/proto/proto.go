@@ -25,17 +25,12 @@ import (
 	"nvmeopf/internal/nvme"
 )
 
-// StatusBusy is the retryable admission-control status a target returns
-// when a tenant (or the target globally) is past its pending-request cap.
-// The command was never executed; hosts should back off and resubmit.
-// Re-exported here because it is part of the wire contract between
-// initiator and target, not a device-level status.
-const StatusBusy = nvme.StatusBusy
-
 // Type identifies a PDU type (values follow the NVMe/TCP spec).
 type Type uint8
 
-// PDU types.
+// PDU types. 0x06, the spec's H2CData, is retired: this dialect carries
+// every write in-capsule, so a peer that sends one is refused at the type
+// byte, before any of its payload is read.
 const (
 	TypeICReq       Type = 0x00
 	TypeICResp      Type = 0x01
@@ -43,7 +38,6 @@ const (
 	TypeC2HTermReq  Type = 0x03
 	TypeCapsuleCmd  Type = 0x04
 	TypeCapsuleResp Type = 0x05
-	TypeH2CData     Type = 0x06
 	TypeC2HData     Type = 0x07
 )
 
@@ -62,8 +56,6 @@ func (t Type) String() string {
 		return "CapsuleCmd"
 	case TypeCapsuleResp:
 		return "CapsuleResp"
-	case TypeH2CData:
-		return "H2CData"
 	case TypeC2HData:
 		return "C2HData"
 	case TypeTelemetryUpdate:
@@ -417,67 +409,20 @@ func (p *C2HData) setPayload(b []byte) { p.Data = b }
 
 func (*C2HData) fixedSize() int { return c2hPSHSize }
 
-func (p *C2HData) decodeFixed(src []byte, payload int) (err error) {
-	p.CCCID, p.Offset, err = decodeDataPSH(TypeC2HData, src, payload)
-	return err
+// decodeFixed holds the PSH's length field to the payload bytes the
+// common header's PLen leaves after it.
+func (p *C2HData) decodeFixed(src []byte, payload int) error {
+	if n := binary.LittleEndian.Uint32(src[8:]); uint64(n) != uint64(payload) {
+		return fmt.Errorf("proto: %v length field %d != payload %d", TypeC2HData, n, payload)
+	}
+	p.CCCID, p.Offset = binary.LittleEndian.Uint16(src[0:]), binary.LittleEndian.Uint32(src[4:])
+	return nil
 }
 
 func (p *C2HData) decodeBody(src []byte) error { return decodeSplit(p, src) }
 
 func (p *C2HData) headerFlags() uint8     { return 0 }
 func (p *C2HData) setHeaderFlags(f uint8) {}
-
-// H2CData carries write data from host to target when it does not fit
-// in-capsule. The runtime prefers in-capsule data; this PDU exists for
-// completeness and large-I/O tests.
-type H2CData struct {
-	CCCID  nvme.CID
-	Offset uint32
-	Data   []byte
-}
-
-// PDUType implements PDU.
-func (*H2CData) PDUType() Type { return TypeH2CData }
-
-// WireSize implements PDU.
-func (p *H2CData) WireSize() int { return chSize + c2hPSHSize + len(p.Data) }
-
-func (p *H2CData) encodeBody(dst []byte) {
-	p.encodeFixed(dst)
-	copy(dst[c2hPSHSize:], p.Data)
-}
-
-func (p *H2CData) encodeFixed(dst []byte) {
-	binary.LittleEndian.PutUint16(dst[0:], p.CCCID)
-	binary.LittleEndian.PutUint32(dst[4:], p.Offset)
-	binary.LittleEndian.PutUint32(dst[8:], uint32(len(p.Data)))
-}
-
-func (p *H2CData) payloadRef() []byte { return p.Data }
-
-func (p *H2CData) setPayload(b []byte) { p.Data = b }
-
-func (*H2CData) fixedSize() int { return c2hPSHSize }
-
-func (p *H2CData) decodeFixed(src []byte, payload int) (err error) {
-	p.CCCID, p.Offset, err = decodeDataPSH(TypeH2CData, src, payload)
-	return err
-}
-
-func (p *H2CData) decodeBody(src []byte) error { return decodeSplit(p, src) }
-
-// decodeDataPSH decodes the 16-byte PDU-specific header C2HData and
-// H2CData share, holding its length field to the payload bytes the common
-// header's PLen leaves after it.
-func decodeDataPSH(t Type, src []byte, payload int) (cccid nvme.CID, offset uint32, err error) {
-	if n := binary.LittleEndian.Uint32(src[8:]); uint64(n) != uint64(payload) {
-		return 0, 0, fmt.Errorf("proto: %v length field %d != payload %d", t, n, payload)
-	}
-	return binary.LittleEndian.Uint16(src[0:]), binary.LittleEndian.Uint32(src[4:]), nil
-}
-
-func (p *H2CData) headerFlags() uint8     { return 0 }
-func (p *H2CData) setHeaderFlags(f uint8) {}
 
 // TermReq aborts a connection with a fatal error status (both directions
 // use the same body).
@@ -537,8 +482,8 @@ func Marshal(p PDU) []byte {
 	return AppendPDU(make([]byte, 0, p.WireSize()), p)
 }
 
-// splitPDU is implemented by the data-bearing PDU types (CapsuleCmd,
-// C2HData, H2CData), whose encoding is a fixed part — the 64-byte SQE or
+// splitPDU is implemented by the data-bearing PDU types (CapsuleCmd and
+// C2HData), whose encoding is a fixed part — the 64-byte SQE or
 // the 16-byte PDU-specific header — followed by a verbatim payload. Both
 // directions split there: a scatter-gather writer marshals the fixed part
 // and sends the payload straight from the owner's buffer, and a decoder
@@ -623,8 +568,6 @@ func newPDU(typ Type) (PDU, error) {
 		return &CapsuleResp{}, nil
 	case TypeC2HData:
 		return &C2HData{}, nil
-	case TypeH2CData:
-		return &H2CData{}, nil
 	case TypeH2CTermReq, TypeC2HTermReq:
 		return &TermReq{Dir: typ}, nil
 	case TypeTelemetryUpdate:

@@ -143,11 +143,31 @@ func TestC2HDataRoundTrip(t *testing.T) {
 	}
 }
 
-func TestH2CDataRoundTrip(t *testing.T) {
-	in := &H2CData{CCCID: 6, Offset: 0, Data: []byte{1, 2, 3}}
-	out := roundTrip(t, in).(*H2CData)
-	if !reflect.DeepEqual(out, in) {
-		t.Fatal("H2CData round trip mismatch")
+// retiredH2CDataFrame is a well-formed frame of the spec's H2CData (type
+// 0x06, a 16-byte PSH whose length field matches the n payload bytes that
+// follow), a type this dialect no longer decodes.
+func retiredH2CDataFrame(n int) []byte {
+	wire := Marshal(&C2HData{CCCID: 6, Data: make([]byte, n)})
+	wire[0] = 0x06
+	return wire
+}
+
+// TestRetiredH2CDataRefused: Unmarshal and every Reader mode refuse a
+// 0x06 frame at its type byte, so the Reader consumes only the common
+// header and never reads a payload the peer declared.
+func TestRetiredH2CDataRefused(t *testing.T) {
+	wire := retiredH2CDataFrame(4096)
+	if p, err := Unmarshal(wire); err == nil {
+		t.Fatalf("Unmarshal decoded type 0x06 as %T", p)
+	}
+	for _, pooled := range []bool{false, true} {
+		src := bytes.NewReader(wire)
+		if p, err := NewReader(src, pooled).Next(); err == nil {
+			t.Fatalf("pooled=%v: Next decoded type 0x06 as %T", pooled, p)
+		}
+		if read := len(wire) - src.Len(); read != chSize {
+			t.Fatalf("pooled=%v: Next read %d bytes of a refused frame, want the %d-byte common header", pooled, read, chSize)
+		}
 	}
 }
 

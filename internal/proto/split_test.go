@@ -28,7 +28,6 @@ func splitTestPDUs() []PDU {
 		&CapsuleResp{Cpl: nvme.Completion{CID: 3, Status: nvme.StatusSuccess}, Coalesced: true},
 		&C2HData{CCCID: 3, Offset: 512, Data: bytes.Repeat([]byte{0x77}, 4096)},
 		&C2HData{CCCID: 9, Offset: 0},
-		&H2CData{CCCID: 4, Offset: 0, Data: []byte{1, 2, 3}},
 		&TermReq{Dir: TypeC2HTermReq, FES: 2, Reason: "bad offset"},
 	}
 }
@@ -55,7 +54,6 @@ func TestPayloadRefAliases(t *testing.T) {
 	for _, p := range []PDU{
 		&CapsuleCmd{Cmd: nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1}, Data: data},
 		&C2HData{CCCID: 1, Data: data},
-		&H2CData{CCCID: 1, Data: data},
 	} {
 		ref := PayloadRef(p)
 		if len(ref) != len(data) || &ref[0] != &data[0] {

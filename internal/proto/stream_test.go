@@ -120,22 +120,18 @@ func checkStreamMatchesUnmarshal(t *testing.T, data []byte, maxPDUs int) {
 	}
 }
 
-// dataPDU builds one of the three data-bearing PDU types around payload.
+// dataPDU builds one of the two data-bearing PDU types around payload.
 func dataPDU(typ Type, payload []byte) PDU {
-	switch typ {
-	case TypeCapsuleCmd:
+	if typ == TypeCapsuleCmd {
 		return &CapsuleCmd{
 			Cmd:  nvme.Command{Opcode: nvme.OpWrite, CID: 7, NSID: 1, SLBA: 64},
 			Prio: PrioTCDraining, Tenant: 5, Data: payload,
 		}
-	case TypeC2HData:
-		return &C2HData{CCCID: 7, Offset: 4096, Data: payload}
-	default:
-		return &H2CData{CCCID: 7, Offset: 4096, Data: payload}
 	}
+	return &C2HData{CCCID: 7, Offset: 4096, Data: payload}
 }
 
-var dataTypes = []Type{TypeCapsuleCmd, TypeC2HData, TypeH2CData}
+var dataTypes = []Type{TypeCapsuleCmd, TypeC2HData}
 
 // TestReaderScratchStaysSmall: a payload never passes through the
 // connection's scratch, so the largest PDU the protocol allows leaves it
@@ -220,13 +216,9 @@ func TestReaderFailedReadReleasesOnce(t *testing.T) {
 					}
 					if mode.pooled {
 						checkPoolsHoldNoDuplicate(t, name, typ, payloadLen, dst)
-						wantAllocs := pooledStructAllocs(typ)
-						if k < chSize {
-							wantAllocs = 0 // fails before the type is known
-						}
 						if !raceEnabled {
-							if got := testing.AllocsPerRun(20, func() { fail() }); got != wantAllocs {
-								t.Fatalf("%s: %v allocs per failed Next, want %v: something drawn from a pool did not go back", name, got, wantAllocs)
+							if got := testing.AllocsPerRun(20, func() { fail() }); got != 0 {
+								t.Fatalf("%s: %v allocs per failed Next, want 0: something drawn from a pool did not go back", name, got)
 							}
 						}
 					}
@@ -236,56 +228,45 @@ func TestReaderFailedReadReleasesOnce(t *testing.T) {
 	}
 }
 
-// TestReaderLengthFieldMismatchReleasesOnce: a C2HData or H2CData whose
-// own length field disagrees with the payload PLen leaves is refused
-// before any payload buffer is chosen, and the pooled struct goes back
-// once: failing costs a pooling Reader exactly the struct less than it
-// costs a plain one, where the type has a struct pool at all.
+// TestReaderLengthFieldMismatchReleasesOnce: a C2HData whose own length
+// field disagrees with the payload PLen leaves is refused before any
+// payload buffer is chosen, and the pooled struct goes back once: failing
+// costs a pooling Reader exactly the struct less than it costs a plain
+// one.
 func TestReaderLengthFieldMismatchReleasesOnce(t *testing.T) {
 	dst := make([]byte, 4096)
-	for _, typ := range []Type{TypeC2HData, TypeH2CData} {
-		for _, delta := range []int{-1, 1, 1 << 20} {
-			wire := Marshal(dataPDU(typ, make([]byte, 4096)))
-			binary.LittleEndian.PutUint32(wire[chSize+8:], uint32(4096+delta))
-			if _, err := Unmarshal(wire); err == nil {
-				t.Fatalf("%v length %+d: Unmarshal accepted it", typ, delta)
+	for _, delta := range []int{-1, 1, 1 << 20} {
+		wire := Marshal(dataPDU(TypeC2HData, make([]byte, 4096)))
+		binary.LittleEndian.PutUint32(wire[chSize+8:], uint32(4096+delta))
+		if _, err := Unmarshal(wire); err == nil {
+			t.Fatalf("length %+d: Unmarshal accepted it", delta)
+		}
+		var plainAllocs float64
+		for _, mode := range readerModes {
+			name := fmt.Sprintf("%s length %+d", mode.name, delta)
+			src := &flakyReader{data: wire, chunk: len(wire), k: -1, err: io.EOF}
+			rd := newModeReader(src, mode.pooled, mode.sink, dst)
+			fail := func() {
+				src.off = 0
+				if p, err := rd.Next(); err == nil {
+					t.Fatalf("%s: Next returned a %v", name, p.PDUType())
+				}
 			}
-			var plainAllocs float64
-			for _, mode := range readerModes {
-				name := fmt.Sprintf("%s %v length %+d", mode.name, typ, delta)
-				src := &flakyReader{data: wire, chunk: len(wire), k: -1, err: io.EOF}
-				rd := newModeReader(src, mode.pooled, mode.sink, dst)
-				fail := func() {
-					src.off = 0
-					if p, err := rd.Next(); err == nil {
-						t.Fatalf("%s: Next returned a %v", name, p.PDUType())
-					}
-				}
-				fail()
-				if mode.pooled {
-					checkPoolsHoldNoDuplicate(t, name, typ, 4096, dst)
-				}
-				if raceEnabled {
-					continue
-				}
-				allocs := testing.AllocsPerRun(20, fail)
-				if !mode.pooled {
-					plainAllocs = allocs
-				} else if want := plainAllocs - 1 + pooledStructAllocs(typ); allocs != want {
-					t.Fatalf("%s: %v allocs per failed Next, want %v (plain: %v)", name, allocs, want, plainAllocs)
-				}
+			fail()
+			if mode.pooled {
+				checkPoolsHoldNoDuplicate(t, name, TypeC2HData, 4096, dst)
+			}
+			if raceEnabled {
+				continue
+			}
+			allocs := testing.AllocsPerRun(20, fail)
+			if !mode.pooled {
+				plainAllocs = allocs
+			} else if allocs != plainAllocs-1 {
+				t.Fatalf("%s: %v allocs per failed Next, want %v (plain: %v)", name, allocs, plainAllocs-1, plainAllocs)
 			}
 		}
 	}
-}
-
-// pooledStructAllocs is what a pooling Reader allocates per PDU of the
-// type in steady state: nothing, except that H2CData has no struct pool.
-func pooledStructAllocs(typ Type) float64 {
-	if typ == TypeH2CData {
-		return 1
-	}
-	return 0
 }
 
 // checkPoolsHoldNoDuplicate draws twice from the buffer class and from the

@@ -119,16 +119,6 @@ func (c *Cluster) HostRecorder() *telemetry.Recorder { return c.hostRec }
 // TargetRecorder returns the attached target-side flight recorder.
 func (c *Cluster) TargetRecorder() *telemetry.Recorder { return c.targetRec }
 
-// Profile returns the cluster's platform profile.
-func (c *Cluster) Profile() Profile { return c.profile }
-
-// Mode returns the target operating mode (baseline or oPF).
-func (c *Cluster) Mode() targetqp.Mode { return c.mode }
-
-// Errors returns protocol errors recorded during the run. A correct
-// simulation finishes with none.
-func (c *Cluster) Errors() []error { return c.errs }
-
 func (c *Cluster) fail(err error) {
 	if err != nil {
 		c.errs = append(c.errs, err)
@@ -256,7 +246,8 @@ type route struct {
 // the PDU clears it. links[i] must take PDUs from that resource alone, so
 // they reach it in the order the resource finishes them. Neither link
 // involved may carry a fault profile: the one before could drop the PDU,
-// and links[i]'s must be consulted at the real hand-off time.
+// and links[i]'s must be consulted at the real hand-off time, so that its
+// seeded draws come in the order the per-hop path would make them.
 func (r *route) handOff(i int) bool {
 	return r.sole[i] && r.links[i].Faults() == nil && (i == 0 || r.links[0].Faults() == nil)
 }
@@ -345,8 +336,6 @@ func payloadBytes(p proto.PDU) int {
 	case *proto.CapsuleCmd:
 		return len(pdu.Data)
 	case *proto.C2HData:
-		return len(pdu.Data)
-	case *proto.H2CData:
 		return len(pdu.Data)
 	default:
 		return 0

@@ -21,7 +21,7 @@ import (
 // the reference the hand-off is checked against.
 type noFaults struct{}
 
-func (noFaults) Apply(int, simnet.Time, int) (simnet.Time, bool) { return 0, false }
+func (noFaults) Apply(int, int) (simnet.Time, bool) { return 0, false }
 
 // handOffTenant is one initiator of a hand-off case.
 type handOffTenant struct {
@@ -190,7 +190,7 @@ func TestHandOffMatchesPerHopEvents(t *testing.T) {
 // dropAll is a fault profile that loses every message.
 type dropAll struct{}
 
-func (dropAll) Apply(int, simnet.Time, int) (simnet.Time, bool) { return 0, true }
+func (dropAll) Apply(int, int) (simnet.Time, bool) { return 0, true }
 
 // TestHandOffStopsAtAFaultyLink: a link with a fault profile is reached
 // through an event, and so is the link after it. A PDU the profile drops

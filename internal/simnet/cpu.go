@@ -58,9 +58,6 @@ func NewCPU(eng *Engine, name string, cfg CPUConfig) *CPU {
 	return &CPU{eng: eng, done: NewTimeline(eng), cfg: cfg, name: name}
 }
 
-// Config returns the CPU's cost model.
-func (c *CPU) Config() CPUConfig { return c.cfg }
-
 // Exec occupies the CPU for cost nanoseconds (FIFO after already-queued
 // work) and then runs fn. It returns the completion time; a nil fn only
 // reserves the time, for a caller that hands the work's result on itself

@@ -73,7 +73,7 @@ type Link struct {
 // the real transport does). internal/faultnet provides an implementation
 // sharing the chaos harness's fault vocabulary.
 type FaultProfile interface {
-	Apply(dir int, now Time, size int) (extraDelay Time, drop bool)
+	Apply(dir int, size int) (extraDelay Time, drop bool)
 }
 
 // SetFaults attaches a fault profile to the link (nil detaches). A
@@ -111,12 +111,6 @@ func NewLink(eng *Engine, name string, cfg LinkConfig) *Link {
 		deliveries: [2]*Timeline{NewTimeline(eng), NewTimeline(eng)}}
 }
 
-// Name returns the link's diagnostic name.
-func (l *Link) Name() string { return l.name }
-
-// Config returns the link configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // Packets returns how many wire packets a message of size bytes needs.
 func (l *Link) PacketsFor(size int) int {
 	if size <= 0 {
@@ -147,8 +141,7 @@ func (l *Link) Send(dir int, size int, deliver func()) Time {
 // scheduled there, so the upstream can hand it over straight away instead
 // of from an event at at: the delivery happens at the same instant either
 // way. Hand-offs must come in non-decreasing at order on a direction, the
-// order in which the messages reach it; an earlier one panics. An attached
-// FaultProfile is consulted with at as the current time.
+// order in which the messages reach it; an earlier one panics.
 func (l *Link) SendAt(dir int, size int, at Time, deliver func()) Time {
 	if dir != DirAtoB && dir != DirBtoA {
 		panic(fmt.Sprintf("simnet: bad link direction %d", dir))
@@ -161,7 +154,7 @@ func (l *Link) SendAt(dir int, size int, at Time, deliver func()) Time {
 	var extra Time
 	if l.faults != nil {
 		var drop bool
-		extra, drop = l.faults.Apply(dir, at, size)
+		extra, drop = l.faults.Apply(dir, size)
 		if drop {
 			// The message still occupied the wire (it was transmitted and
 			// lost), so serialization accounting proceeds; only delivery

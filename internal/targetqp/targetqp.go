@@ -82,7 +82,7 @@ type Config struct {
 	SharedQueueAblation bool
 	// MaxPendingPerTenant caps one tenant's admitted-but-uncompleted
 	// requests; past the cap commands are answered with the retryable
-	// proto.StatusBusy instead of buffered. Zero disables.
+	// nvme.StatusBusy instead of buffered. Zero disables.
 	MaxPendingPerTenant int
 	// MaxPendingGlobal caps admitted-but-uncompleted requests across all
 	// tenants. Zero disables.
@@ -313,9 +313,6 @@ func (t *Target) PMStats() core.TargetPMStats { return t.pm.Stats() }
 // Telemetry returns the live metrics registry the target was configured
 // with (nil when telemetry is disabled).
 func (t *Target) Telemetry() *telemetry.Registry { return t.cfg.Telemetry }
-
-// Mode returns the target's operating mode.
-func (t *Target) Mode() Mode { return t.cfg.Mode }
 
 // ActiveSessions returns the number of handshaken sessions not yet torn
 // down.

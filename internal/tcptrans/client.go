@@ -18,10 +18,6 @@ import (
 // ErrClosed is returned for operations on a closed connection.
 var ErrClosed = errors.New("tcptrans: connection closed")
 
-// ConnConfig configures one initiator connection (class, window, queue
-// depth, namespace).
-type ConnConfig = hostqp.Config
-
 // DialConfig bounds a connection's transport-level waits. The zero value
 // gives the defaults below.
 type DialConfig struct {

@@ -6,6 +6,7 @@ package tcptrans
 // CID, so both must bounds-check what the other sends.
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -172,6 +173,35 @@ func TestResponseForCIDOutsideDepthResetsConnection(t *testing.T) {
 	}
 }
 
+// lsNeighbour runs a latency-sensitive connection that reads one block in
+// a loop until stop is called; reads counts its completions, and stop
+// fails the test if any read failed.
+func lsNeighbour(t *testing.T, srv *Server) (reads *atomic.Int64, stop func()) {
+	t.Helper()
+	neighbour := dial(t, srv, proto.PrioLatencySensitive, 1, 1)
+	reads = new(atomic.Int64)
+	var quit, failed atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !quit.Load() {
+			if _, err := neighbour.Read(7, 1, 0); err != nil {
+				failed.Store(true)
+				return
+			}
+			reads.Add(1)
+		}
+	}()
+	return reads, func() {
+		t.Helper()
+		quit.Store(true)
+		<-done
+		if failed.Load() {
+			t.Fatalf("the neighbour's read failed")
+		}
+	}
+}
+
 // TestHostilePeerRetiredControlPlaneTypes: the type codes 0x08–0x0A once
 // carried discovery PDUs; the control plane has left the datapath, so a
 // target must refuse them like any unknown type. A raw peer on an
@@ -188,20 +218,7 @@ func TestHostilePeerRetiredControlPlaneTypes(t *testing.T) {
 	}
 	defer srv.Close()
 
-	neighbour := dial(t, srv, proto.PrioLatencySensitive, 1, 1)
-	var stop atomic.Bool
-	var reads, failures atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for !stop.Load() {
-			if _, err := neighbour.Read(7, 1, 0); err != nil {
-				failures.Add(1)
-				return
-			}
-			reads.Add(1)
-		}
-	}()
+	reads, stopNeighbour := lsNeighbour(t, srv)
 
 	for i, typ := range []byte{0x08, 0x09, 0x0A} {
 		peer := dialRaw(t, srv, proto.PrioThroughputCritical)
@@ -226,12 +243,47 @@ func TestHostilePeerRetiredControlPlaneTypes(t *testing.T) {
 		before := reads.Load()
 		waitFor(t, "the neighbour to keep completing", func() bool { return reads.Load() > before+10 })
 	}
-	stop.Store(true)
-	<-done
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("the neighbour's read failed")
-	}
+	stopNeighbour()
 	if pm := srv.PMStats(); pm.TCQueued != 3 || pm.Drains != 0 || pm.LSBypassed != reads.Load() {
 		t.Errorf("PM saw more than the three parked writes and the neighbour's reads: %+v", pm)
 	}
+}
+
+// TestHostilePeerRetiredDataType: 0x06 was the spec's H2CData, which this
+// dialect never sends (every write travels in-capsule). A raw peer sends a
+// well-formed H2CData header and PSH that declare a 1 MiB payload, and
+// then nothing more. The target must refuse the frame at its type byte and
+// reset the connection at once rather than wait for the payload, while a
+// latency-sensitive neighbour on the same shard keeps completing.
+func TestHostilePeerRetiredDataType(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Mode: targetqp.ModeOPF, Device: newBdevMemory(t, 4096, 1<<10), Shards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	reads, stopNeighbour := lsNeighbour(t, srv)
+
+	const payload = 1 << 20
+	peer := dialRaw(t, srv, proto.PrioThroughputCritical)
+	// An 8-byte common header (type, flags, header length, data offset,
+	// total length) and a 16-byte PSH (CCCID, offset, data length).
+	frame := make([]byte, 24)
+	frame[0], frame[2], frame[3] = 0x06, 24, 24
+	binary.LittleEndian.PutUint32(frame[4:], 24+payload)
+	binary.LittleEndian.PutUint32(frame[16:], payload)
+	if _, err := peer.nc.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	peer.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if _, err := io.Copy(io.Discard, peer.nc); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open, the target waiting for the payload: %v", err)
+	}
+	waitFor(t, "the peer's session to be torn down", func() bool { return srv.Stats().Disconnects == 1 })
+	before := reads.Load()
+	waitFor(t, "the neighbour to keep completing", func() bool { return reads.Load() > before+10 })
+	stopNeighbour()
 }

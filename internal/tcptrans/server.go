@@ -126,7 +126,7 @@ type ServerConfig struct {
 	MaxPending int
 	// MaxPendingPerTenant / MaxPendingGlobal / LSHeadroom configure
 	// admission control: past a cap the target answers the retryable
-	// proto.StatusBusy instead of buffering unboundedly, with LSHeadroom
+	// nvme.StatusBusy instead of buffering unboundedly, with LSHeadroom
 	// slots of the global cap reserved for latency-sensitive requests.
 	// Zero caps disable admission control. The global cap and headroom
 	// are divided evenly (ceiling) across shards.

@@ -29,9 +29,6 @@ const joinThreshold = 16 << 10
 
 // writerConfig parameterizes one connection's drainWriter.
 type writerConfig struct {
-	// batch caps how many wire bytes one drain may stage before flushing
-	// (<=0 means maxWriteBatch; 1 degenerates to one flush per PDU).
-	batch int
 	// release retires each staged PDU after its bytes are flushed (or
 	// dropped on error/teardown) — never earlier, because the payload
 	// slice is referenced by the write vector until the syscall lands.
@@ -163,7 +160,7 @@ func (b *wbatch) retire(release func(proto.PDU)) {
 // server and the client: it swaps whole bursts of PDUs out of q, stages
 // them — headers marshalled allocation-free into one reused buffer, large
 // payloads referenced in place — picking up whatever else was queued
-// meanwhile, up to cfg.batch bytes, then flushes the whole batch with a
+// meanwhile, up to maxWriteBatch bytes, then flushes the whole batch with a
 // single (vectored) write. Payload bytes travel from the owner's buffer
 // to the socket without an intermediate copy, and a burst of N coalesced
 // responses costs one syscall instead of N. Producers never block on q
@@ -182,9 +179,6 @@ func (b *wbatch) retire(release func(proto.PDU)) {
 // closes q itself in the last two cases, so later puts fail and their
 // callers release what they hold.
 func drainWriter(conn net.Conn, q *burstQueue[proto.PDU], cfg writerConfig) {
-	if cfg.batch <= 0 {
-		cfg.batch = maxWriteBatch
-	}
 	closeConn := cfg.closeConn
 	if closeConn == nil {
 		closeConn = func() { conn.Close() }
@@ -236,7 +230,7 @@ func drainWriter(conn net.Conn, q *burstQueue[proto.PDU], cfg writerConfig) {
 			}
 		}
 		closeAfter := false
-		for next < len(in) && b.bytes < cfg.batch && !closeAfter {
+		for next < len(in) && b.bytes < maxWriteBatch && !closeAfter {
 			p := in[next]
 			in[next] = nil
 			next++
@@ -246,7 +240,7 @@ func drainWriter(conn net.Conn, q *burstQueue[proto.PDU], cfg writerConfig) {
 				b.add(p)
 			}
 		}
-		if next == len(in) && b.bytes < cfg.batch && !closeAfter {
+		if next == len(in) && b.bytes < maxWriteBatch && !closeAfter {
 			// The burst ran dry below the cap: take what was queued while
 			// it was being staged.
 			if in, next = q.take(laneNormal, in), 0; len(in) > 0 {

@@ -126,9 +126,9 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 	return c, r.c
 }
 
-// TestWriterWireIdentity pins the acceptance criterion: at every batch
-// size, over both a real TCP socket (writev) and a non-TCP pipe
-// (sequential fallback), the vectored writer emits a byte stream identical
+// TestWriterWireIdentity pins the acceptance criterion: over both a real
+// TCP socket (writev) and a non-TCP pipe (sequential fallback), the
+// vectored writer emits a byte stream identical
 // to concatenating proto.Marshal for each PDU.
 func TestWriterWireIdentity(t *testing.T) {
 	cases := []struct {
@@ -138,7 +138,6 @@ func TestWriterWireIdentity(t *testing.T) {
 	}{
 		{"default-tcp", writerConfig{}, true},
 		{"default-pipe", writerConfig{}, false},
-		{"batch1-tcp", writerConfig{batch: 1}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -247,13 +246,18 @@ func (c *errConn) Close() error {
 // TestWriterReleaseExactlyOnceWriteError: a failing flush must release
 // the staged batch and everything queued behind it once, close the
 // connection, and close the queue so that later puts hand their PDUs back
-// to the caller — never a double release.
+// to the caller — never a double release. The queue holds more than
+// maxWriteBatch bytes, so the cap leaves part of the burst unstaged when
+// the first flush fails.
 func TestWriterReleaseExactlyOnceWriteError(t *testing.T) {
 	pdus := writerTestPDUs()
+	for n := 0; n <= maxWriteBatch; n += 8192 {
+		pdus = append(pdus, &proto.C2HData{CCCID: nvme.CID(n / 8192), Data: make([]byte, 8192)})
+	}
 	conn := &errConn{failAfter: 0} // first write fails
 	cr := newCountReleases()
 	q := newOutQueue(pdus...)
-	drainWriter(conn, q, writerConfig{batch: 1, release: cr.release})
+	drainWriter(conn, q, writerConfig{release: cr.release})
 	cr.verify(t, pdus)
 	if conn.closed.Load() == 0 {
 		t.Error("write error did not close the connection")
