@@ -1,11 +1,11 @@
 // Package autotune closes the control loop the paper's §IV-D window
 // formula leaves open: a per-shard feedback controller that, every 8 drain
-// completions of a tenant, re-computes the tenant's TC drain window and
-// admission cap from the observed latency-sensitive signal — SLO burn
-// rate, interval p99, and drain occupancy. The law is QWin-style
-// (PAPERS.md) and has one parameterization: burn above 1 halves the window
-// (multiplicative back-off, floored at MinWindow) and caps admission at the
-// window; four consecutive intervals with burn below 0.5 and windows at
+// completions of a tenant, re-computes the tenant's TC drain window from
+// the observed latency-sensitive signal — SLO burn rate and drain
+// occupancy. The law is QWin-style (PAPERS.md) and has one
+// parameterization: burn above 1 halves the window (multiplicative
+// back-off, floored at MinWindow), and the window also caps admission;
+// four consecutive intervals with burn below 0.5 and windows at
 // least half full release the tenant straight back to its bound, at most
 // one release per 20 ms across the controller's tenants; anything else
 // holds, as does an interval with fewer than 2 LS samples. Cold or healthy
@@ -15,16 +15,16 @@
 // Each tenant's bound is the drain window its host declared in the
 // handshake (Open). Actuation is target-side only. The drain window proper
 // is chosen by the host (HostPM stamps the draining flag), so the
-// controller constrains it through the TargetPM's per-tenant force-drain
-// valve: with the valve at w below the host's window, the tenant's queue
-// releases at depth w. At the bound the controller clears its overrides
-// entirely — hands-off means bit-identical to the uncontrolled target. A
-// tenant that declares no window (a peer built before hosts declared one)
-// is never constrained.
+// controller constrains it through the TargetPM's per-tenant limit: with
+// the limit at w below the host's window, the tenant's queue releases at
+// depth w and admission refuses it past w pending. At the bound the
+// controller clears the limit — hands-off means bit-identical to the
+// uncontrolled target. A tenant that declares no window (a peer built
+// before hosts declared one) is never constrained.
 //
 // Threading mirrors the PM it drives: a Controller is owned by one reactor
 // shard and is not synchronized; only the Signal (the LS observation
-// stream, fed from every shard and from LS completions) is thread-safe.
+// counts, fed from every shard and from LS completions) is thread-safe.
 package autotune
 
 import (
@@ -34,46 +34,38 @@ import (
 
 	"nvmeopf/internal/core"
 	"nvmeopf/internal/proto"
-	"nvmeopf/internal/stats"
 	"nvmeopf/internal/telemetry"
 )
 
-// Actuator is what a controller drives: the per-tenant window valve and
-// admission cap of a target-side priority manager. *core.TargetPM
-// implements it.
+// Actuator is what a controller drives: the per-tenant limit of a
+// target-side priority manager, which binds as both its force-drain valve
+// and its admission cap (0 clears it). *core.TargetPM implements it.
 type Actuator interface {
-	SetTenantWindow(t proto.TenantID, w int)
-	SetTenantCap(t proto.TenantID, c int)
+	SetTenantLimit(t proto.TenantID, n int)
 }
 
-// Signal is the shared LS observation stream: thread-safe counters and a
-// histogram of latency-sensitive service latencies against one objective.
-// On a sharded target every shard's controller reads the same Signal, so
-// a TC tenant on shard 0 backs off for LS pain inflicted on shard 3 — the
+// Signal is the shared LS observation stream: thread-safe counts of
+// latency-sensitive service latencies within and over one objective. On a
+// sharded target every shard's controller reads the same Signal, so a TC
+// tenant on shard 0 backs off for LS pain inflicted on shard 3 — the
 // device and NIC they contend on are target-wide.
 type Signal struct {
-	objective atomic.Int64
+	objective int64
 	good      atomic.Int64
 	bad       atomic.Int64
 	e2eGood   atomic.Int64
 	e2eBad    atomic.Int64
-	hist      stats.AtomicHistogram
 }
 
 // NewSignal creates a signal judging observations against objectiveNS.
-func NewSignal(objectiveNS int64) *Signal {
-	s := &Signal{}
-	s.objective.Store(objectiveNS)
-	return s
-}
+func NewSignal(objectiveNS int64) *Signal { return &Signal{objective: objectiveNS} }
 
 // Observe records one LS service latency (negative samples are ignored).
 func (s *Signal) Observe(latNS int64) {
 	if latNS < 0 {
 		return
 	}
-	s.hist.Record(latNS)
-	if latNS > s.objective.Load() {
+	if latNS > s.objective {
 		s.bad.Add(1)
 	} else {
 		s.good.Add(1)
@@ -98,9 +90,6 @@ func (s *Signal) ObserveE2E(good, bad int64) {
 // E2ECounts returns the cumulative e2e within/over-objective counts.
 func (s *Signal) E2ECounts() (good, bad int64) { return s.e2eGood.Load(), s.e2eBad.Load() }
 
-// Snapshot copies the latency histogram for interval-quantile math.
-func (s *Signal) Snapshot() *stats.Histogram { return s.hist.Snapshot() }
-
 // The control law's constants. The decision interval, the sample gate, the
 // cap and the grow rules are the values the simulator's shiftmix and
 // e2egap experiments verify (EXPERIMENTS.md); they are not configurable,
@@ -120,7 +109,7 @@ const (
 	// dryIntervals is how many consecutive zero-sample intervals release a
 	// tenant to the static bounds. A streak of truly empty intervals means
 	// the LS signal is gone — no one is left to protect — which is the one
-	// cold condition that should clear the overrides.
+	// cold condition that should clear the limit.
 	dryIntervals = 3
 	// cooldownDrains is how many drain completions a tenant accumulates
 	// between decisions: the decision interval, and the second half of the
@@ -218,7 +207,6 @@ type tenantState struct {
 	lastBad     int64
 	lastE2EGood int64 // e2e signal counters at the last decision
 	lastE2EBad  int64
-	lastHist    *stats.Histogram
 	primed      bool // baseline counters captured
 	dry         int  // consecutive zero-sample decision intervals
 	healthy     int  // consecutive healthy grow-eligible intervals
@@ -240,13 +228,17 @@ type Controller struct {
 	grown    bool  // a grow has happened (lastGrow is meaningful)
 }
 
-// New creates a controller whose decisions are stamped by clock
-// (nanoseconds; virtual clocks work) and recorded in tel for
-// /debug/autotune (nil disables). ObjectiveNS must be positive and clock
-// set: the grow-quiet rule spaces grows in time.
-func New(cfg Config, clock func() int64, tel *telemetry.Registry) (*Controller, error) {
+// New creates a controller whose decisions drive act (the shard's
+// TargetPM), are stamped by clock (nanoseconds; virtual clocks work) and
+// are recorded in tel for /debug/autotune (nil disables). ObjectiveNS must
+// be positive, act set, and clock set: the grow-quiet rule spaces grows in
+// time.
+func New(cfg Config, act Actuator, clock func() int64, tel *telemetry.Registry) (*Controller, error) {
 	if cfg.ObjectiveNS <= 0 {
 		return nil, fmt.Errorf("autotune: objective %dns, want > 0", cfg.ObjectiveNS)
+	}
+	if act == nil {
+		return nil, errors.New("autotune: nil actuator")
 	}
 	if clock == nil {
 		return nil, errors.New("autotune: nil clock (the grow-quiet rule needs one)")
@@ -256,11 +248,8 @@ func New(cfg Config, clock func() int64, tel *telemetry.Registry) (*Controller, 
 	if sig == nil {
 		sig = NewSignal(cfg.ObjectiveNS)
 	}
-	return &Controller{cfg: cfg, sig: sig, clock: clock, tel: tel, tenants: make(map[proto.TenantID]*tenantState)}, nil
+	return &Controller{cfg: cfg, sig: sig, act: act, clock: clock, tel: tel, tenants: make(map[proto.TenantID]*tenantState)}, nil
 }
-
-// Bind attaches the actuator the decisions drive (the shard's TargetPM).
-func (c *Controller) Bind(act Actuator) { c.act = act }
 
 // Signal returns the controller's LS observation stream (for sharing
 // across shards, or feeding from tests).
@@ -287,7 +276,7 @@ func (c *Controller) ObserveE2E(u *proto.TelemetryUpdate) {
 
 // Open starts controlling a tenant whose host declared window w in its
 // handshake: w is the tenant's bound, the window it grows back to and at
-// which its overrides clear. A tenant that declares 0 is never controlled.
+// which its limit clears. A tenant that declares 0 is never controlled.
 // Open pairs with Forget at teardown.
 func (c *Controller) Open(t proto.TenantID, w int) {
 	if w <= 0 {
@@ -305,14 +294,11 @@ func (c *Controller) WindowFor(t proto.TenantID) int {
 	return 0
 }
 
-// Forget drops a tenant's loop state and clears its actuator overrides
-// (session teardown: the tenant ID may be recycled).
+// Forget drops a tenant's loop state and clears its limit (session
+// teardown: the tenant ID may be recycled).
 func (c *Controller) Forget(t proto.TenantID) {
 	delete(c.tenants, t)
-	if c.act != nil {
-		c.act.SetTenantWindow(t, 0)
-		c.act.SetTenantCap(t, 0)
-	}
+	c.act.SetTenantLimit(t, 0)
 }
 
 // OnDrainComplete feeds one completed window into the loop; wire it to
@@ -337,7 +323,6 @@ func (c *Controller) OnDrainComplete(dc core.DrainCompletion) {
 		// before it connected.
 		st.lastGood, st.lastBad = c.sig.Counts()
 		st.lastE2EGood, st.lastE2EBad = c.sig.E2ECounts()
-		st.lastHist = c.sig.Snapshot()
 		st.primed = true
 	}
 	st.drains++
@@ -356,11 +341,6 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 	good, bad := c.sig.Counts()
 	dGood, dBad := good-st.lastGood, bad-st.lastBad
 	samples := dGood + dBad
-	cur := c.sig.Snapshot()
-	p99 := int64(-1) // no LS sample in the interval
-	if d := cur.Since(st.lastHist); d.Count() > 0 {
-		p99 = d.P99()
-	}
 	fill := float64(st.fillSum) / float64(st.drains*st.window)
 	burn := -1.0
 	if samples > 0 {
@@ -458,7 +438,6 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 	capv := c.apply(t, st)
 	st.lastGood, st.lastBad = good, bad
 	st.lastE2EGood, st.lastE2EBad = eGood, eBad
-	st.lastHist = cur
 	c.tel.RecordAutotune(telemetry.AutotuneDecision{
 		Tenant:     t,
 		Action:     action,
@@ -466,7 +445,6 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 		PrevWindow: prev,
 		Cap:        capv,
 		BurnRate:   burn,
-		LSP99NS:    p99,
 		Fill:       fill,
 		Samples:    samples,
 		Reason:     reason,
@@ -474,21 +452,14 @@ func (c *Controller) decide(t proto.TenantID, st *tenantState) {
 	})
 }
 
-// apply actuates one tenant's window and an admission cap of the same
-// size, returning the cap (0 when cleared). At the tenant's bound the
-// overrides clear: a controller with nothing to say must leave no
-// fingerprints.
+// apply sets one tenant's limit to its window, returning the limit (0
+// when cleared). At the tenant's bound the limit clears: a controller with
+// nothing to say must leave no fingerprints.
 func (c *Controller) apply(t proto.TenantID, st *tenantState) int {
-	if c.act == nil {
-		return 0
+	limit := st.window
+	if limit >= st.bound {
+		limit = 0
 	}
-	w := st.window
-	if w >= st.bound {
-		c.act.SetTenantWindow(t, 0)
-		c.act.SetTenantCap(t, 0)
-		return 0
-	}
-	c.act.SetTenantWindow(t, w)
-	c.act.SetTenantCap(t, w)
-	return w
+	c.act.SetTenantLimit(t, limit)
+	return limit
 }

@@ -13,17 +13,16 @@ type fakeClock struct{ t int64 }
 
 func (c *fakeClock) now() int64 { return c.t }
 
-// fakeAct records the controller's actuations per tenant.
+// fakeAct records the controller's last limit per tenant and counts its
+// calls: one per actuation.
 type fakeAct struct {
-	wins map[proto.TenantID]int
-	caps map[proto.TenantID]int
+	limits map[proto.TenantID]int
+	calls  int
 }
 
-func newFakeAct() *fakeAct {
-	return &fakeAct{wins: map[proto.TenantID]int{}, caps: map[proto.TenantID]int{}}
-}
-func (a *fakeAct) SetTenantWindow(t proto.TenantID, w int) { a.wins[t] = w }
-func (a *fakeAct) SetTenantCap(t proto.TenantID, c int)    { a.caps[t] = c }
+func newFakeAct() *fakeAct { return &fakeAct{limits: map[proto.TenantID]int{}} }
+
+func (a *fakeAct) SetTenantLimit(t proto.TenantID, n int) { a.limits[t] = n; a.calls++ }
 
 // testController builds a controller with test-friendly deployment values:
 // objective 1µs, 10% error budget (burn = violFrac/0.1), window floor 1,
@@ -33,17 +32,16 @@ func (a *fakeAct) SetTenantCap(t proto.TenantID, c int)    { a.caps[t] = c }
 func testController(t *testing.T, e2e bool, reg *telemetry.Registry) (*Controller, *fakeAct, *fakeClock) {
 	t.Helper()
 	clk := &fakeClock{}
+	act := newFakeAct()
 	c, err := New(Config{
 		ObjectiveNS: 1000,
 		BudgetPPM:   100_000,
 		MinWindow:   1,
 		E2E:         e2e,
-	}, clk.now, reg)
+	}, act, clk.now, reg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	act := newFakeAct()
-	c.Bind(act)
 	return c, act, clk
 }
 
@@ -103,14 +101,17 @@ func e2eUpdate(good, bad int) *proto.TelemetryUpdate {
 }
 
 func TestNewValidation(t *testing.T) {
-	clk := &fakeClock{}
-	if _, err := New(Config{}, clk.now, nil); err == nil {
+	clk, act := &fakeClock{}, newFakeAct()
+	if _, err := New(Config{}, act, clk.now, nil); err == nil {
 		t.Fatal("want error for zero objective")
 	}
-	if _, err := New(Config{ObjectiveNS: 1000}, nil, nil); err == nil {
+	if _, err := New(Config{ObjectiveNS: 1000}, nil, clk.now, nil); err == nil {
+		t.Fatal("want error for a nil actuator")
+	}
+	if _, err := New(Config{ObjectiveNS: 1000}, act, nil, nil); err == nil {
 		t.Fatal("want error for a nil clock (grow-quiet needs one)")
 	}
-	c, err := New(Config{ObjectiveNS: 1000}, clk.now, nil)
+	c, err := New(Config{ObjectiveNS: 1000}, act, clk.now, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -127,14 +128,14 @@ func TestColdStartHoldsStaticBounds(t *testing.T) {
 	if w := c.WindowFor(7); w != 16 {
 		t.Fatalf("cold window = %d, want the declared bound 16", w)
 	}
-	// Hands-off at the bound: overrides cleared, not set to 16.
-	if act.wins[7] != 0 || act.caps[7] != 0 {
-		t.Fatalf("cold overrides = (%d, %d), want cleared (0, 0)", act.wins[7], act.caps[7])
+	// Hands-off at the bound: the limit cleared, not set to 16.
+	if act.limits[7] != 0 {
+		t.Fatalf("cold limit = %d, want cleared 0", act.limits[7])
 	}
 }
 
 // TestShrinkOnBurn: a host that declared 16 has its first shrink land on
-// 8, a valve and cap below the window it runs, so the shrink binds.
+// 8, a limit below the window it runs, so the shrink binds.
 func TestShrinkOnBurn(t *testing.T) {
 	c, act, _ := testController(t, false, nil)
 	c.Open(3, 16)
@@ -147,17 +148,17 @@ func TestShrinkOnBurn(t *testing.T) {
 	if w := c.WindowFor(3); w != 8 {
 		t.Fatalf("window after burn = %d, want 8 (halved)", w)
 	}
-	if act.wins[3] != 8 {
-		t.Fatalf("actuated window = %d, want 8", act.wins[3])
+	if act.limits[3] != 8 {
+		t.Fatalf("actuated limit = %d, want 8", act.limits[3])
 	}
-	if act.caps[3] != 8 { // the cap equals the window
-		t.Fatalf("actuated cap = %d, want 8", act.caps[3])
+	if act.calls != 2 {
+		t.Fatalf("actuator calls = %d, want 2: one per decision (cold, shrink)", act.calls)
 	}
 }
 
 // TestTenantsHoldTheirOwnBounds: two tenants on one controller declare 8
 // and 32. Shared pain halves each from its own window, and each releases
-// to, and clears its overrides at, its own bound.
+// to, and clears its limit at, its own bound.
 func TestTenantsHoldTheirOwnBounds(t *testing.T) {
 	c, act, clk := testController(t, false, nil)
 	c.Open(3, 8)
@@ -170,8 +171,8 @@ func TestTenantsHoldTheirOwnBounds(t *testing.T) {
 	if w3, w9 := c.WindowFor(3), c.WindowFor(9); w3 != 4 || w9 != 16 {
 		t.Fatalf("windows after shared burn = (%d, %d), want (4, 16)", w3, w9)
 	}
-	if act.wins[3] != 4 || act.wins[9] != 16 {
-		t.Fatalf("actuated windows = (%d, %d), want (4, 16)", act.wins[3], act.wins[9])
+	if act.limits[3] != 4 || act.limits[9] != 16 {
+		t.Fatalf("actuated limits = (%d, %d), want (4, 16)", act.limits[3], act.limits[9])
 	}
 	for i := 0; i < 4; i++ {
 		observe(c, 8, 0)
@@ -185,8 +186,8 @@ func TestTenantsHoldTheirOwnBounds(t *testing.T) {
 		t.Fatalf("windows after release = (%d, %d), want their bounds (8, 32)", w3, w9)
 	}
 	for _, tn := range []proto.TenantID{3, 9} {
-		if act.wins[tn] != 0 || act.caps[tn] != 0 {
-			t.Fatalf("tenant %d overrides at its bound = (%d, %d), want cleared", tn, act.wins[tn], act.caps[tn])
+		if act.limits[tn] != 0 {
+			t.Fatalf("tenant %d limit at its bound = %d, want cleared", tn, act.limits[tn])
 		}
 	}
 }
@@ -195,12 +196,11 @@ func TestTenantsHoldTheirOwnBounds(t *testing.T) {
 // MinWindow is floored at its own window, so burn never constrains it.
 func TestMinWindowAboveBoundClamps(t *testing.T) {
 	clk := &fakeClock{}
-	c, err := New(Config{ObjectiveNS: 1000, BudgetPPM: 100_000, MinWindow: 4}, clk.now, nil)
+	act := newFakeAct()
+	c, err := New(Config{ObjectiveNS: 1000, BudgetPPM: 100_000, MinWindow: 4}, act, clk.now, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	act := newFakeAct()
-	c.Bind(act)
 	c.Open(3, 2)
 	interval(c, 3, 2) // prime
 	for i := 0; i < 3; i++ {
@@ -210,8 +210,8 @@ func TestMinWindowAboveBoundClamps(t *testing.T) {
 	if w := c.WindowFor(3); w != 2 {
 		t.Fatalf("window = %d, want 2 (MinWindow 4 clamps to the bound)", w)
 	}
-	if act.wins[3] != 0 || act.caps[3] != 0 {
-		t.Fatalf("overrides = (%d, %d), want none at the bound", act.wins[3], act.caps[3])
+	if act.limits[3] != 0 {
+		t.Fatalf("limit = %d, want none at the bound", act.limits[3])
 	}
 }
 
@@ -227,8 +227,8 @@ func TestUndeclaredWindowNeverConstrained(t *testing.T) {
 	if w := c.WindowFor(3); w != 0 {
 		t.Fatalf("window = %d, want 0 (not controlled)", w)
 	}
-	if _, ok := act.wins[3]; ok {
-		t.Fatalf("actuated window %d for a tenant that declared none", act.wins[3])
+	if _, ok := act.limits[3]; ok {
+		t.Fatalf("actuated limit %d for a tenant that declared none", act.limits[3])
 	}
 	if n := len(reg.AutotuneLog()); n != 0 {
 		t.Fatalf("decisions = %d, want none", n)
@@ -246,8 +246,8 @@ func TestConvergenceToFloorUnderSustainedBurn(t *testing.T) {
 	if w := c.WindowFor(3); w != 1 {
 		t.Fatalf("window = %d, want the floor 1", w)
 	}
-	if act.wins[3] != 1 || act.caps[3] != 1 {
-		t.Fatalf("overrides = (%d, %d), want (1, 1)", act.wins[3], act.caps[3])
+	if act.limits[3] != 1 {
+		t.Fatalf("limit = %d, want 1", act.limits[3])
 	}
 	// Further burn holds at the floor, it does not oscillate.
 	observe(c, 0, 8)
@@ -263,15 +263,14 @@ func TestSparseIntervalHoldsActuation(t *testing.T) {
 	c, act, _ := testController(t, false, nil)
 	shrunkTo8(t, c, 3)
 	// One sample: the signal is alive but thin — back-off itself thinned
-	// it — so the shrunk window holds, cap included.
+	// it — so the shrunk limit holds.
 	observe(c, 0, 1)
 	interval(c, 3, 8)
 	if w := c.WindowFor(3); w != 8 {
 		t.Fatalf("window after a 1-sample interval = %d, want 8 held", w)
 	}
-	if act.wins[3] != 8 || act.caps[3] != 8 {
-		t.Fatalf("overrides after sparse interval = (%d, %d), want kept (8, 8)",
-			act.wins[3], act.caps[3])
+	if act.limits[3] != 8 {
+		t.Fatalf("limit after sparse interval = %d, want kept 8", act.limits[3])
 	}
 	// Two samples, both bad: a verdict, and it shrinks.
 	observe(c, 0, 2)
@@ -291,15 +290,15 @@ func TestDryStreakReleasesToStaticBounds(t *testing.T) {
 	if w := c.WindowFor(3); w != 8 {
 		t.Fatalf("window after 2 dry intervals = %d, want 8 held", w)
 	}
-	if act.wins[3] != 8 {
-		t.Fatalf("override after 2 dry intervals = %d, want kept", act.wins[3])
+	if act.limits[3] != 8 {
+		t.Fatalf("limit after 2 dry intervals = %d, want kept", act.limits[3])
 	}
 	interval(c, 3, 8)
 	if w := c.WindowFor(3); w != 16 {
 		t.Fatalf("window after dry streak = %d, want released to 16", w)
 	}
-	if act.wins[3] != 0 || act.caps[3] != 0 {
-		t.Fatalf("overrides after release = (%d, %d), want cleared", act.wins[3], act.caps[3])
+	if act.limits[3] != 0 {
+		t.Fatalf("limit after release = %d, want cleared", act.limits[3])
 	}
 }
 
@@ -319,7 +318,7 @@ func TestDryStreakResetBySparseSamples(t *testing.T) {
 
 // TestGrowBackWithHeadroomAndFill pins the release: after four healthy,
 // full intervals a window shrunk to 4 goes straight back to its declared 16 and
-// the overrides clear.
+// the limit clears.
 func TestGrowBackWithHeadroomAndFill(t *testing.T) {
 	c, act, _ := testController(t, false, nil)
 	shrunkTo8(t, c, 3)
@@ -335,8 +334,8 @@ func TestGrowBackWithHeadroomAndFill(t *testing.T) {
 	if w := c.WindowFor(3); w != 16 {
 		t.Fatalf("window = %d, want 16 (released to the declared bound)", w)
 	}
-	if act.wins[3] != 0 || act.caps[3] != 0 {
-		t.Fatalf("overrides at the bound = (%d, %d), want cleared", act.wins[3], act.caps[3])
+	if act.limits[3] != 0 {
+		t.Fatalf("limit at the bound = %d, want cleared", act.limits[3])
 	}
 }
 
@@ -503,12 +502,12 @@ func TestAntagonistSharedSignalFairness(t *testing.T) {
 func TestForgetClearsStateAndOverrides(t *testing.T) {
 	c, act, _ := testController(t, false, nil)
 	shrunkTo8(t, c, 3)
-	if act.wins[3] != 8 {
-		t.Fatalf("precondition: actuated window = %d, want 8", act.wins[3])
+	if act.limits[3] != 8 {
+		t.Fatalf("precondition: actuated limit = %d, want 8", act.limits[3])
 	}
 	c.Forget(3)
-	if act.wins[3] != 0 || act.caps[3] != 0 {
-		t.Fatalf("overrides after Forget = (%d, %d), want cleared", act.wins[3], act.caps[3])
+	if act.limits[3] != 0 {
+		t.Fatalf("limit after Forget = %d, want cleared", act.limits[3])
 	}
 	if w := c.WindowFor(3); w != 0 {
 		t.Fatalf("window after Forget = %d, want 0 (no longer controlled)", w)
@@ -517,8 +516,8 @@ func TestForgetClearsStateAndOverrides(t *testing.T) {
 	observe(c, 0, 8)
 	interval(c, 3, 8)
 	interval(c, 3, 8)
-	if act.wins[3] != 0 || act.caps[3] != 0 {
-		t.Fatalf("overrides after drains of a forgotten tenant = (%d, %d), want none", act.wins[3], act.caps[3])
+	if act.limits[3] != 0 {
+		t.Fatalf("limit after drains of a forgotten tenant = %d, want none", act.limits[3])
 	}
 }
 
@@ -548,15 +547,12 @@ func TestDecisionTelemetry(t *testing.T) {
 	if last.Samples != 16 {
 		t.Fatalf("samples = %d, want 16", last.Samples)
 	}
-	if last.LSP99NS <= 1000 {
-		t.Fatalf("interval p99 = %d, want > objective (bad samples at 2000)", last.LSP99NS)
-	}
 	if got := reg.AutotuneLog(); len(got) != 2 || got[0].Action != "cold" {
 		t.Fatalf("log = %+v, want [cold, shrink]", got)
 	}
 }
 
-func TestIntervalQuantileUsesOnlyNewSamples(t *testing.T) {
+func TestIntervalBurnUsesOnlyNewSamples(t *testing.T) {
 	reg := telemetry.New()
 	c, _, _ := testController(t, false, reg)
 	c.Open(3, 16)
@@ -564,13 +560,13 @@ func TestIntervalQuantileUsesOnlyNewSamples(t *testing.T) {
 	// Interval 1: slow samples.
 	observe(c, 0, 8)
 	interval(c, 3, 16)
-	// Interval 2: all fast — p99 must reflect only these, not history.
+	// Interval 2: all fast — the burn must reflect only these, not history.
 	observe(c, 8, 0)
 	interval(c, 3, 8)
 	log := reg.AutotuneLog()
 	last := log[len(log)-1]
-	if last.LSP99NS > 1000 {
-		t.Fatalf("interval p99 = %d, want ≤ objective (interval had only fast samples)", last.LSP99NS)
+	if last.BurnRate != 0 || last.Samples != 8 {
+		t.Fatalf("interval burn %v over %d samples, want 0 over 8 (interval had only fast samples)", last.BurnRate, last.Samples)
 	}
 }
 
@@ -605,11 +601,10 @@ func TestSharedSignalAcrossControllers(t *testing.T) {
 	sig := NewSignal(1000)
 	clk := &fakeClock{}
 	mk := func() *Controller {
-		c, err := New(Config{ObjectiveNS: 1000, BudgetPPM: 100_000, Signal: sig}, clk.now, nil)
+		c, err := New(Config{ObjectiveNS: 1000, BudgetPPM: 100_000, Signal: sig}, newFakeAct(), clk.now, nil)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		c.Bind(newFakeAct())
 		return c
 	}
 	a, b := mk(), mk()
@@ -641,8 +636,8 @@ func TestE2ETermIgnoredWhenDisabled(t *testing.T) {
 	if w := c.WindowFor(5); w != 16 {
 		t.Fatalf("window = %d after ignored e2e pain, want 16", w)
 	}
-	if act.wins[5] != 0 || act.caps[5] != 0 {
-		t.Fatalf("overrides = (%d, %d), want cleared", act.wins[5], act.caps[5])
+	if act.limits[5] != 0 {
+		t.Fatalf("limit = %d, want cleared", act.limits[5])
 	}
 }
 
@@ -659,8 +654,8 @@ func TestE2ETermTriggersBackoff(t *testing.T) {
 	if w := c.WindowFor(5); w != 8 {
 		t.Fatalf("window = %d, want 8 (halved on e2e burn)", w)
 	}
-	if act.wins[5] != 8 {
-		t.Fatalf("actuated window = %d, want 8", act.wins[5])
+	if act.limits[5] != 8 {
+		t.Fatalf("actuated limit = %d, want 8", act.limits[5])
 	}
 }
 

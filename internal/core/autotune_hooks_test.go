@@ -8,13 +8,14 @@ import (
 )
 
 // The tests below pin the controller-facing PM surface added for
-// internal/autotune: per-tenant valve/cap overrides and the drain hook.
+// internal/autotune: the per-tenant limit, which binds as both the
+// force-drain valve and the admission cap, and the drain hook.
 
 func TestTenantWindowValveForcesDrain(t *testing.T) {
 	pm := isolatedPM() // MaxPending 256
-	pm.SetTenantWindow(1, 4)
-	if pm.TenantWindow(1) != 4 {
-		t.Fatalf("TenantWindow = %d, want 4", pm.TenantWindow(1))
+	pm.SetTenantLimit(1, 4)
+	if pm.TenantLimit(1) != 4 {
+		t.Fatalf("TenantLimit = %d, want 4", pm.TenantLimit(1))
 	}
 	for i := 0; i < 3; i++ {
 		d, _ := pm.OnCommand(1, nvme.CID(i), proto.PrioThroughputCritical)
@@ -29,7 +30,7 @@ func TestTenantWindowValveForcesDrain(t *testing.T) {
 	if pm.Stats().ForcedDrains != 1 {
 		t.Fatalf("ForcedDrains = %d, want 1", pm.Stats().ForcedDrains)
 	}
-	// Other tenants are untouched by tenant 1's override.
+	// Other tenants are untouched by tenant 1's limit.
 	for i := 0; i < 10; i++ {
 		if d, _ := pm.OnCommand(2, nvme.CID(100+i), proto.PrioThroughputCritical); d != DispositionQueued {
 			t.Fatalf("tenant 2 request %d disposition = %v", i, d)
@@ -39,8 +40,8 @@ func TestTenantWindowValveForcesDrain(t *testing.T) {
 
 func TestTenantWindowOverrideOnlyTightens(t *testing.T) {
 	pm := NewTargetPM(TargetPMConfig{Isolated: true, MaxPending: 4})
-	// An override looser than the configured valve must not loosen it.
-	pm.SetTenantWindow(1, 1000)
+	// A limit looser than the configured valve must not loosen it.
+	pm.SetTenantLimit(1, 1000)
 	for i := 0; i < 3; i++ {
 		pm.OnCommand(1, nvme.CID(i), proto.PrioThroughputCritical)
 	}
@@ -52,28 +53,28 @@ func TestTenantWindowOverrideOnlyTightens(t *testing.T) {
 
 func TestTenantWindowOverrideClears(t *testing.T) {
 	pm := isolatedPM()
-	pm.SetTenantWindow(1, 2)
-	pm.SetTenantWindow(1, 0)
+	pm.SetTenantLimit(1, 2)
+	pm.SetTenantLimit(1, 0)
 	for i := 0; i < 8; i++ {
 		if d, _ := pm.OnCommand(1, nvme.CID(i), proto.PrioThroughputCritical); d != DispositionQueued {
 			t.Fatalf("request %d disposition = %v after clear, want queued", i, d)
 		}
 	}
-	// Negative is normalized to "no override".
-	pm.SetTenantWindow(1, -5)
-	if pm.TenantWindow(1) != 0 {
-		t.Fatalf("TenantWindow after negative set = %d, want 0", pm.TenantWindow(1))
+	// Negative is normalized to "no limit".
+	pm.SetTenantLimit(1, -5)
+	if pm.TenantLimit(1) != 0 {
+		t.Fatalf("TenantLimit after negative set = %d, want 0", pm.TenantLimit(1))
 	}
 }
 
 func TestTenantCapOverrideAdmission(t *testing.T) {
 	pm := isolatedPM() // MaxPendingPerTenant 0 (off)
-	pm.SetTenantCap(1, 2)
+	pm.SetTenantLimit(1, 2)
 	if !pm.Admit(1, proto.PrioThroughputCritical) || !pm.Admit(1, proto.PrioThroughputCritical) {
 		t.Fatal("first two admissions refused")
 	}
 	if pm.Admit(1, proto.PrioThroughputCritical) {
-		t.Fatal("third admission allowed past the cap override")
+		t.Fatal("third admission allowed past the limit")
 	}
 	// Draining requests are always admitted — rejecting one would wedge
 	// the parked window.
@@ -94,7 +95,7 @@ func TestTenantCapOverrideAdmission(t *testing.T) {
 
 func TestTenantCapOverrideOnlyTightens(t *testing.T) {
 	pm := NewTargetPM(TargetPMConfig{Isolated: true, MaxPending: 256, MaxPendingPerTenant: 2})
-	pm.SetTenantCap(1, 50) // looser than configured: configured wins
+	pm.SetTenantLimit(1, 50) // looser than configured: configured wins
 	pm.Admit(1, proto.PrioThroughputCritical)
 	pm.Admit(1, proto.PrioThroughputCritical)
 	if pm.Admit(1, proto.PrioThroughputCritical) {
@@ -102,14 +103,26 @@ func TestTenantCapOverrideOnlyTightens(t *testing.T) {
 	}
 }
 
-func TestResetTenantControls(t *testing.T) {
-	pm := isolatedPM()
-	pm.SetTenantWindow(1, 4)
-	pm.SetTenantCap(1, 8)
-	pm.ResetTenantControls(1)
-	if pm.TenantWindow(1) != 0 || pm.TenantCap(1) != 0 {
-		t.Fatalf("controls after reset = (%d, %d), want cleared",
-			pm.TenantWindow(1), pm.TenantCap(1))
+// TestTenantLimitBindsValveAndCap: one limit n is both bounds at once. The
+// tenant's queue force-drains at depth n, and with n requests admitted the
+// next non-draining one is refused.
+func TestTenantLimitBindsValveAndCap(t *testing.T) {
+	pm := isolatedPM() // MaxPending 256, MaxPendingPerTenant 0 (off)
+	pm.SetTenantLimit(1, 3)
+	for i := 0; i < 3; i++ {
+		if !pm.Admit(1, proto.PrioThroughputCritical) {
+			t.Fatalf("admission %d refused under a limit of 3", i)
+		}
+		d, batch := pm.OnCommand(1, nvme.CID(i), proto.PrioThroughputCritical)
+		if want := i == 2; (d == DispositionDrainBatch) != want {
+			t.Fatalf("request %d disposition = %v (batch %v), want force-drain only at depth 3", i, d, batch)
+		}
+	}
+	if pm.Admit(1, proto.PrioThroughputCritical) {
+		t.Fatal("fourth admission allowed past a limit of 3")
+	}
+	if pm.Stats().ForcedDrains != 1 || pm.Stats().BusyRejections != 1 {
+		t.Fatalf("stats = %+v, want one forced drain and one rejection", pm.Stats())
 	}
 }
 
@@ -131,8 +144,8 @@ func TestDrainHookFiresOnCoalescedRelease(t *testing.T) {
 		t.Fatalf("hook fired %d times, want 1", len(got))
 	}
 	dc := got[0]
-	if dc.Tenant != 1 || dc.Window != 4 || dc.Forced || dc.Queued != 0 {
-		t.Fatalf("completion = %+v, want tenant 1 window 4 unforced", dc)
+	if dc.Tenant != 1 || dc.Window != 4 || dc.Scavenger {
+		t.Fatalf("completion = %+v, want tenant 1 window 4", dc)
 	}
 }
 
@@ -148,8 +161,8 @@ func TestDrainHookForcedWindow(t *testing.T) {
 	for _, m := range batch {
 		pm.OnDeviceCompletion(m.Tenant, m.CID, nvme.StatusSuccess)
 	}
-	if len(got) != 1 || !got[0].Forced || got[0].Window != 2 {
-		t.Fatalf("completions = %+v, want one forced window of 2", got)
+	if len(got) != 1 || got[0].Window != 2 {
+		t.Fatalf("completions = %+v, want one window of 2", got)
 	}
 }
 
@@ -179,22 +192,18 @@ func TestDrainHookWindowOrderAcrossBatches(t *testing.T) {
 }
 
 func TestDrainHookReentrantControl(t *testing.T) {
-	// The hook is documented to allow re-entrant Set* calls — the
-	// controller actuates from inside it.
+	// The hook is documented to allow re-entrant SetTenantLimit calls —
+	// the controller actuates from inside it.
 	pm := isolatedPM()
-	pm.SetDrainHook(func(dc DrainCompletion) {
-		pm.SetTenantWindow(dc.Tenant, 2)
-		pm.SetTenantCap(dc.Tenant, 16)
-	})
+	pm.SetDrainHook(func(dc DrainCompletion) { pm.SetTenantLimit(dc.Tenant, 2) })
 	pm.OnCommand(1, 0, proto.PrioThroughputCritical)
 	pm.OnCommand(1, 1, proto.PrioTCDraining)
 	pm.OnDeviceCompletion(1, 0, nvme.StatusSuccess)
 	pm.OnDeviceCompletion(1, 1, nvme.StatusSuccess)
-	if pm.TenantWindow(1) != 2 || pm.TenantCap(1) != 16 {
-		t.Fatalf("re-entrant controls = (%d, %d), want (2, 16)",
-			pm.TenantWindow(1), pm.TenantCap(1))
+	if pm.TenantLimit(1) != 2 {
+		t.Fatalf("re-entrant limit = %d, want 2", pm.TenantLimit(1))
 	}
-	// And the override takes effect on the very next window.
+	// And the limit takes effect on the very next window.
 	pm.OnCommand(1, 10, proto.PrioThroughputCritical)
 	d, batch := pm.OnCommand(1, 11, proto.PrioThroughputCritical)
 	if d != DispositionDrainBatch || len(batch) != 2 {

@@ -251,19 +251,15 @@ func TestScavengerAdmissionYieldsBeforeLSHeadroom(t *testing.T) {
 // TestTenantIDOver256FullCycle is the regression for the reactor panic:
 // the per-tenant window/cap overrides were stored in [256]int32 arrays
 // indexed by the uint16 tenant ID, so the 257th initiator (tenant 256)
-// crashed the shard on its first SetTenantWindow/valveFor touch. The
+// crashed the shard on its first override/valveFor touch. The
 // paged tenantVals storage must carry the full admit/queue/drain/release
 // cycle for any ID in 0..65535.
 func TestTenantIDOver256FullCycle(t *testing.T) {
 	pm := NewTargetPM(TargetPMConfig{Isolated: true, MaxPending: 8})
 	for _, tenant := range []proto.TenantID{256, 300, 4096, 65535} {
-		pm.SetTenantWindow(tenant, 4)
-		if got := pm.TenantWindow(tenant); got != 4 {
-			t.Fatalf("tenant %d: TenantWindow = %d, want 4", tenant, got)
-		}
-		pm.SetTenantCap(tenant, 6)
-		if got := pm.TenantCap(tenant); got != 6 {
-			t.Fatalf("tenant %d: TenantCap = %d, want 6", tenant, got)
+		pm.SetTenantLimit(tenant, 4)
+		if got := pm.TenantLimit(tenant); got != 4 {
+			t.Fatalf("tenant %d: TenantLimit = %d, want 4", tenant, got)
 		}
 		// Full TC cycle: admit, park, drain, complete, release.
 		for cid := nvme.CID(1); cid <= 2; cid++ {
@@ -294,19 +290,19 @@ func TestTenantIDOver256FullCycle(t *testing.T) {
 		if pm.PendingRequests(tenant) != 0 {
 			t.Fatalf("tenant %d: %d pending after full cycle", tenant, pm.PendingRequests(tenant))
 		}
-		pm.ResetTenantControls(tenant)
-		if pm.TenantWindow(tenant) != 0 || pm.TenantCap(tenant) != 0 {
-			t.Fatalf("tenant %d: overrides survive reset", tenant)
+		pm.SetTenantLimit(tenant, 0)
+		if pm.TenantLimit(tenant) != 0 {
+			t.Fatalf("tenant %d: limit survives a clear", tenant)
 		}
 	}
 	// Reading an ID whose page was never allocated is a zero, not a panic,
 	// and writing zero to it must not allocate the page.
-	if pm.TenantWindow(50000) != 0 {
-		t.Fatal("unset override not zero")
+	if pm.TenantLimit(50000) != 0 {
+		t.Fatal("unset limit not zero")
 	}
-	pm.SetTenantWindow(50000, 0)
-	if pm.TenantWindow(50000) != 0 {
-		t.Fatal("zero write changed an unset override")
+	pm.SetTenantLimit(50000, 0)
+	if pm.TenantLimit(50000) != 0 {
+		t.Fatal("zero write changed an unset limit")
 	}
 }
 

@@ -142,20 +142,13 @@ const DefaultScavengerChunk = 4
 // DrainCompletion describes one TC window whose device work has fully
 // completed and released (in window order). The drain hook receives it so a
 // feedback controller (internal/autotune) can re-evaluate the tenant's
-// window and caps once per drain epoch — the cadence QWin-style tuners
-// decide at, and the only point where a whole window's occupancy is known.
+// limit once per drain epoch — the cadence QWin-style tuners decide at,
+// and the only point where a whole window's occupancy is known.
 type DrainCompletion struct {
 	// Tenant owning the completed window.
 	Tenant proto.TenantID
 	// Window is the batch size at formation (the achieved occupancy).
 	Window int
-	// Forced marks a window released by the safety valve or watchdog
-	// rather than a draining flag.
-	Forced bool
-	// Queued is the tenant's parked (unexecuted) request count at release.
-	Queued int
-	// Pending is the tenant's admitted-but-uncompleted request count.
-	Pending int
 	// Scavenger marks a best-effort window. Controllers must treat it as
 	// a free-capacity signal, never a burn/fill signal: scavenger windows
 	// drain from leftover capacity by design, so their occupancy says
@@ -168,7 +161,6 @@ type DrainCompletion struct {
 type drainBatch struct {
 	owner     *tenantState // tenant whose drain (or overflow) formed the batch
 	drainCID  nvme.CID
-	hasDrain  bool
 	size      int // window size at formation (remaining counts down)
 	remaining int
 	status    nvme.Status
@@ -202,7 +194,7 @@ func (q *pendingQueue) push(e TaggedCID) { q.entries = append(q.entries, e) }
 func (q *pendingQueue) depth() int       { return len(q.entries) }
 
 // tenantState is everything the PM keeps for one tenant — its queues, its
-// executing windows, its admission count and its controller overrides —
+// executing windows, its admission count and its controller limit —
 // behind a single TenantTable lookup per call. Records are created on a
 // tenant's first request and kept: tenant IDs recycle, so their number is
 // bounded by the peak number of concurrent tenants.
@@ -231,11 +223,11 @@ type tenantState struct {
 	// pending counts admitted-but-uncompleted requests (all classes) for
 	// admission control.
 	pending int
-	// winOv/capOv are overrides a controller may set at run time,
-	// tightening (never loosening) the configured MaxPending valve and
-	// MaxPendingPerTenant cap. Zero means "no override", so an idle
-	// controller leaves behavior bit-identical to the static configuration.
-	winOv, capOv int32
+	// limit is the bound a controller may set at run time (SetTenantLimit),
+	// tightening (never loosening) both the configured MaxPending valve and
+	// MaxPendingPerTenant cap. Zero means "none", so an idle controller
+	// leaves behavior bit-identical to the static configuration.
+	limit int32
 }
 
 // byAge sorts tenants oldest queue first, tenant ID as the tie-break.
@@ -362,8 +354,8 @@ func (pm *TargetPM) SetTrace(fn telemetry.TraceFunc) { pm.trace = fn }
 
 // SetDrainHook attaches a function invoked once per TC window whose device
 // work has fully completed, at in-order release (nil disables). The hook
-// runs on the PM's own execution context (the reactor) and may call the
-// Set*/Reset* control methods re-entrantly.
+// runs on the PM's own execution context (the reactor) and may call
+// SetTenantLimit re-entrantly.
 func (pm *TargetPM) SetDrainHook(fn func(DrainCompletion)) { pm.drainHook = fn }
 
 // tenant returns t's record, creating it on first use.
@@ -377,62 +369,37 @@ func (pm *TargetPM) tenant(t proto.TenantID) *tenantState {
 	return ts
 }
 
-// SetTenantWindow sets (w > 0) or clears (w <= 0) tenant t's drain-window
-// valve override: the tenant's queue force-drains at depth w even when the
-// host keeps stamping a larger window, so the effective window becomes
-// min(host window, w). The override can only tighten the configured
-// MaxPending valve, never loosen it.
-func (pm *TargetPM) SetTenantWindow(t proto.TenantID, w int) { pm.tenant(t).winOv = int32(max(w, 0)) }
+// SetTenantLimit sets (n > 0) or clears (n <= 0) tenant t's controller
+// limit. One limit binds twice: the tenant's TC queue force-drains at depth
+// n even when the host keeps stamping a larger window, so the effective
+// window becomes min(host window, n), and admission refuses the tenant past
+// n pending requests. It can only tighten the configured MaxPending valve
+// and MaxPendingPerTenant cap, never loosen them.
+func (pm *TargetPM) SetTenantLimit(t proto.TenantID, n int) { pm.tenant(t).limit = int32(max(n, 0)) }
 
-// TenantWindow returns tenant t's valve override (0 when none).
-func (pm *TargetPM) TenantWindow(t proto.TenantID) int {
+// TenantLimit returns tenant t's controller limit (0 when none).
+func (pm *TargetPM) TenantLimit(t proto.TenantID) int {
 	if ts := pm.tenants.Get(t); ts != nil {
-		return int(ts.winOv)
+		return int(ts.limit)
 	}
 	return 0
 }
 
-// SetTenantCap sets (c > 0) or clears (c <= 0) tenant t's admission-cap
-// override, tightening (never loosening) MaxPendingPerTenant for this
-// tenant only.
-func (pm *TargetPM) SetTenantCap(t proto.TenantID, c int) { pm.tenant(t).capOv = int32(max(c, 0)) }
-
-// TenantCap returns tenant t's admission-cap override (0 when none).
-func (pm *TargetPM) TenantCap(t proto.TenantID) int {
-	if ts := pm.tenants.Get(t); ts != nil {
-		return int(ts.capOv)
-	}
-	return 0
-}
-
-// ResetTenantControls clears both of tenant t's overrides (session
-// teardown: the ID may be recycled to an unrelated initiator).
-func (pm *TargetPM) ResetTenantControls(t proto.TenantID) {
-	if ts := pm.tenants.Get(t); ts != nil {
-		ts.winOv, ts.capOv = 0, 0
-	}
-}
-
-// valveFor returns the effective force-drain valve for a request arriving
-// from ts: the tighter of the configured MaxPending and the tenant's
-// override (0 disables).
-func (pm *TargetPM) valveFor(ts *tenantState) int {
-	v := pm.cfg.MaxPending
-	if o := int(ts.winOv); o > 0 && (v == 0 || o < v) {
-		return o
-	}
-	return v
-}
-
-// capFor returns ts's effective pending-request cap: the tighter of
-// MaxPendingPerTenant and the tenant's override (0 disables).
-func (pm *TargetPM) capFor(ts *tenantState) int {
-	c := pm.cfg.MaxPendingPerTenant
-	if o := int(ts.capOv); o > 0 && (c == 0 || o < c) {
+// tighter returns the tighter of a configured bound c and ts's limit, where
+// 0 means "none" for both.
+func tighter(c int, ts *tenantState) int {
+	if o := int(ts.limit); o > 0 && (c == 0 || o < c) {
 		return o
 	}
 	return c
 }
+
+// valveFor returns the effective force-drain valve for a request arriving
+// from ts (0 disables).
+func (pm *TargetPM) valveFor(ts *tenantState) int { return tighter(pm.cfg.MaxPending, ts) }
+
+// capFor returns ts's effective pending-request cap (0 disables).
+func (pm *TargetPM) capFor(ts *tenantState) int { return tighter(pm.cfg.MaxPendingPerTenant, ts) }
 
 // tcQueue returns the TC queue serving ts: its own when isolated, the one
 // shared queue otherwise.
@@ -585,7 +552,7 @@ func (pm *TargetPM) OnCommand(t proto.TenantID, cid nvme.CID, prio proto.Priorit
 		q := pm.tcQueue(ts)
 		pm.tcParked -= q.depth()
 		q.push(self)
-		b := pm.formBatch(q, q.depth(), 0, true, false)
+		b := pm.formBatch(q, q.depth(), 0, false)
 		pm.stats.Drains++
 		pm.tel.ObserveDrain(t, b.size, false)
 		pm.tel.SetQueueDepth(t, 0)
@@ -631,7 +598,7 @@ func (pm *TargetPM) OnCommand(t proto.TenantID, cid nvme.CID, prio proto.Priorit
 // parked request's tenant.
 func (pm *TargetPM) forceDrain(q *pendingQueue, watchdog bool) *drainBatch {
 	pm.tcParked -= q.depth()
-	b := pm.formBatch(q, q.depth(), 0, false, false)
+	b := pm.formBatch(q, q.depth(), 0, false)
 	pm.stats.ForcedDrains++
 	if watchdog {
 		pm.stats.WatchdogDrains++
@@ -753,7 +720,7 @@ func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
 		// restarts now (inside formBatch), so under continuous foreground
 		// load a deep backlog drains one chunk per aging period — slow, but
 		// bounded, which is all best-effort promises.
-		b := pm.formBatch(q, chunk, now, false, true)
+		b := pm.formBatch(q, chunk, now, true)
 		pm.stats.ScavDrains++
 		forced := aged && !foregroundIdle
 		if forced {
@@ -782,7 +749,7 @@ func (pm *TargetPM) PollScavenger(now int64) [][]TaggedCID {
 // counted. The window's owner and drain CID are its last member's. When
 // entries remain parked, their aging anchor restarts at now: the drained
 // chunk consumed this deadline, and the remainder earns its own.
-func (pm *TargetPM) formBatch(q *pendingQueue, n int, now int64, hasDrain, scavenger bool) *drainBatch {
+func (pm *TargetPM) formBatch(q *pendingQueue, n int, now int64, scavenger bool) *drainBatch {
 	var b *drainBatch
 	if k := len(pm.freeBatches); k > 0 {
 		b = pm.freeBatches[k-1]
@@ -804,7 +771,6 @@ func (pm *TargetPM) formBatch(q *pendingQueue, n int, now int64, hasDrain, scave
 	*b = drainBatch{
 		owner:     owner,
 		drainCID:  last.CID,
-		hasDrain:  hasDrain,
 		size:      len(members),
 		remaining: len(members),
 		status:    nvme.StatusSuccess,
@@ -900,9 +866,6 @@ func (pm *TargetPM) releaseInOrder(owner *tenantState, out []RespDecision) []Res
 			pm.drainHook(DrainCompletion{
 				Tenant:    owner.id,
 				Window:    b.size,
-				Forced:    !b.hasDrain,
-				Queued:    pm.tcQueue(owner).depth(),
-				Pending:   owner.pending,
 				Scavenger: b.scavenger,
 			})
 		}

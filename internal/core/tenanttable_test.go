@@ -47,24 +47,27 @@ func TestTenantTableMatchesMapModel(t *testing.T) {
 
 // TestPMTenantRecordMatchesModel checks the per-tenant record the PM keeps
 // behind the table against plain counters: random admits, releases (double
-// releases included), control overrides and teardown drops across tenant
-// IDs from every part of the 16-bit space.
+// releases included) and controller limits, which also cap admission,
+// across tenant IDs from every part of the 16-bit space.
 func TestPMTenantRecordMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pm := NewTargetPM(TargetPMConfig{Isolated: true})
 	ids := []proto.TenantID{0, 1, 255, 256, 257, 4095, 40000, 65535}
 	pending := map[proto.TenantID]int{}
-	window := map[proto.TenantID]int{}
+	limit := map[proto.TenantID]int{}
 	total := 0
 	for step := 0; step < 20000; step++ {
 		id := ids[rng.Intn(len(ids))]
 		switch rng.Intn(5) {
 		case 0, 1:
-			if !pm.Admit(id, proto.PrioNormal) {
-				t.Fatal("admission refused with no cap configured")
+			want := limit[id] == 0 || pending[id] < limit[id]
+			if got := pm.Admit(id, proto.PrioNormal); got != want {
+				t.Fatalf("step %d tenant %d: admitted %v at %d pending under limit %d", step, id, got, pending[id], limit[id])
 			}
-			pending[id]++
-			total++
+			if want {
+				pending[id]++
+				total++
+			}
 		case 2:
 			pm.Release(id, proto.PrioNormal) // a no-op at zero
 			if pending[id] > 0 {
@@ -73,18 +76,18 @@ func TestPMTenantRecordMatchesModel(t *testing.T) {
 			}
 		case 3:
 			w := rng.Intn(4) // 0 clears
-			pm.SetTenantWindow(id, w)
-			window[id] = w
+			pm.SetTenantLimit(id, w)
+			limit[id] = w
 		case 4:
-			pm.ResetTenantControls(id)
-			window[id] = 0
+			pm.SetTenantLimit(id, -1) // negative clears too
+			limit[id] = 0
 		}
 		if pm.PendingRequests(id) != pending[id] || pm.PendingTotal() != total {
 			t.Fatalf("step %d tenant %d: pending %d (total %d), model %d (total %d)",
 				step, id, pm.PendingRequests(id), pm.PendingTotal(), pending[id], total)
 		}
-		if pm.TenantWindow(id) != window[id] {
-			t.Fatalf("step %d tenant %d: window override %d, model %d", step, id, pm.TenantWindow(id), window[id])
+		if pm.TenantLimit(id) != limit[id] {
+			t.Fatalf("step %d tenant %d: limit %d, model %d", step, id, pm.TenantLimit(id), limit[id])
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Conn is a net.Conn with faults injected on both directions. Wrap an
-// existing connection with Wrap, or let a Listener wrap accepted ones.
+// Conn is a net.Conn with faults injected on both directions: Wrap an
+// existing connection, or dial through Dialer.
 //
 // Conn applies, per operation and in order: chunking (MaxChunk), delay
 // (Latency + Jitter + serialization at BandwidthBPS), the byte-count
@@ -183,44 +183,6 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.inner.SetReadDeadli
 
 // SetWriteDeadline implements net.Conn.
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }
-
-// Listener wraps a net.Listener so every accepted connection comes up
-// under the injector's fault policy — the target-side counterpart of
-// wrapping a dialer.
-type Listener struct {
-	inner net.Listener
-	inj   *Injector
-}
-
-// WrapListener places ln under inj.
-func WrapListener(ln net.Listener, inj *Injector) *Listener {
-	return &Listener{inner: ln, inj: inj}
-}
-
-// Listen opens a TCP listener on addr with faults injected on every
-// accepted connection.
-func Listen(addr string, inj *Injector) (*Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return WrapListener(ln, inj), nil
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.inner.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return Wrap(c, l.inj), nil
-}
-
-// Close implements net.Listener.
-func (l *Listener) Close() error { return l.inner.Close() }
-
-// Addr implements net.Listener.
-func (l *Listener) Addr() net.Addr { return l.inner.Addr() }
 
 // Dialer returns a dial function that wraps every outbound connection
 // under inj — it plugs directly into tcptrans.DialConfig.Dialer.

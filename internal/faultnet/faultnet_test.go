@@ -185,37 +185,6 @@ func TestResetAllUnblocksReader(t *testing.T) {
 	}
 }
 
-func TestListenerWrapsAccepted(t *testing.T) {
-	inj := NewInjector(1)
-	inj.Set(DirSend, Faults{Latency: 30 * time.Millisecond})
-	ln, err := Listen("127.0.0.1:0", inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		c.Write([]byte("pong"))
-		c.Close()
-	}()
-	cl, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	start := time.Now()
-	buf := make([]byte, 4)
-	if _, err := io.ReadFull(cl, buf); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 25*time.Millisecond {
-		t.Fatalf("accepted conn not impaired: reply after %v", d)
-	}
-}
-
 func TestLinkProfileOnSimnet(t *testing.T) {
 	eng := simnet.NewEngine()
 	link := simnet.NewLink(eng, "test", simnet.LinkConfig{

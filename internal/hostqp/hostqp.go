@@ -87,10 +87,9 @@ type Config struct {
 	// dumps onto one time axis. Nil disables.
 	Recorder *telemetry.Recorder
 	// OnReadBuffer and OnReadRetire are transport-owned hooks for the
-	// zero-copy read path. When a read's length is known, Submit settles
-	// its destination buffer (IO.Data, or one lent from the session's free
-	// list) and announces it via
-	// OnReadBuffer(cid, buf) before the command reaches the wire; the
+	// zero-copy read path. Submit settles each read's destination buffer
+	// (IO.Data, or one lent from the session's free list) and announces it
+	// via OnReadBuffer(cid, buf) before the command reaches the wire; the
 	// transport registers it so its reader can land C2HData payloads
 	// directly at the right offset (proto.Reader.SetC2HSink).
 	// OnReadRetire(cid) runs when the read leaves the pending set —
@@ -187,7 +186,7 @@ type pendingReq struct {
 	lentBuf      bool    // readBuf came from the session's free list
 	lendLate     bool    // lend readBuf when data arrives, unless a payload covers the read
 	readBytes    int     // bytes covered by accepted (non-overlapping) fragments
-	expectedRead int     // Blocks × block size; 0 when geometry is unknown
+	expectedRead int     // Blocks × block size
 	spans        []span  // accepted C2HData fragments, kept sorted by start
 	oneSpan      [1]span // spans' first backing array: a one-fragment read needs no other
 	bytesMoved   int64   // accounted on completion for the dynamic tuner
@@ -229,12 +228,15 @@ type Stats struct {
 // the transport layer serializes calls (event loop or a per-connection
 // goroutine).
 type Session struct {
-	cfg    Config
-	send   func(proto.PDU)
-	clock  func() int64
-	pm     *core.HostPM
-	cids   *nvme.CIDAllocator
-	reqs   nvme.Slots[pendingReq] // in flight, by CID: one slot per CID the allocator hands out
+	cfg   Config
+	send  func(proto.PDU)
+	clock func() int64
+	pm    *core.HostPM
+	reqs  nvme.Slots[pendingReq] // in flight, by CID
+	// free holds the CIDs whose slots are vacant, taken from the end:
+	// filled with depth-1 … 0, so never-used CIDs come out in ascending
+	// order, and a CID a completion vacates is the next one handed out.
+	free   []nvme.CID
 	tenant proto.TenantID
 
 	connected    bool
@@ -242,7 +244,6 @@ type Session struct {
 	drainedBytes int64 // bytes completed since last drain (tuner input)
 	nsBlockSize  uint32
 	nsCapacity   uint64
-	maxDataLen   uint32 // from ICResp; caps geometry-unknown read assembly
 
 	// Clock correlation from the handshake (see handleICResp), refreshed
 	// by every TelemetryAck when the feedback channel runs.
@@ -294,13 +295,17 @@ func New(cfg Config, send func(proto.PDU), clock func() int64) (*Session, error)
 		// recorder.
 		cfg.Trace = telemetry.ChainTrace(cfg.Trace, cfg.Recorder.Trace)
 	}
+	free := make([]nvme.CID, cfg.QueueDepth)
+	for i := range free {
+		free[i] = nvme.CID(cfg.QueueDepth - 1 - i)
+	}
 	return &Session{
 		cfg:   cfg,
 		send:  send,
 		clock: clock,
 		pm:    pm,
-		cids:  nvme.NewCIDAllocator(cfg.QueueDepth),
 		reqs:  nvme.NewSlots[pendingReq](cfg.QueueDepth),
+		free:  free,
 	}, nil
 }
 
@@ -337,7 +342,7 @@ func (s *Session) Connected() bool { return s.connected }
 func (s *Session) Tenant() proto.TenantID { return s.tenant }
 
 // BlockSize returns the namespace logical block size learned during the
-// handshake (0 before connect, or when talking to a pre-geometry target).
+// handshake (0 before connect).
 func (s *Session) BlockSize() uint32 { return s.nsBlockSize }
 
 // Capacity returns the namespace capacity in logical blocks learned during
@@ -379,20 +384,18 @@ func (s *Session) BuildTelemetryUpdate() *proto.TelemetryUpdate {
 	}
 	u := &proto.TelemetryUpdate{
 		HostClock:  s.clock(),
-		QueueDepth: uint32(s.cids.Outstanding()),
+		QueueDepth: uint32(s.reqs.Len()),
 	}
 	s.e2e.FillUpdate(u)
 	return u
 }
 
 // Outstanding returns the number of commands in flight.
-func (s *Session) Outstanding() int { return s.cids.Outstanding() }
+func (s *Session) Outstanding() int { return s.reqs.Len() }
 
 // CanSubmit reports whether another Submit would be admitted by the queue
 // depth bound.
-func (s *Session) CanSubmit() bool {
-	return s.connected && s.cids.Outstanding() < s.cfg.QueueDepth
-}
+func (s *Session) CanSubmit() bool { return s.connected && len(s.free) > 0 }
 
 // Submit issues one I/O. It returns an error if the session is not
 // connected, the queue is full, or the request is malformed. A rejected
@@ -426,29 +429,22 @@ func (s *Session) Submit(io IO) error {
 		return errors.New("hostqp: throughput-critical override on a scavenger connection; open a TC-class connection instead")
 	}
 	// A write payload and a caller-supplied read destination are checked
-	// here, before the CID allocation, for the same reason. Without
-	// namespace geometry the caller's length is the only statement of the
-	// transfer's size there is.
-	if n := int(io.Blocks) * int(s.nsBlockSize); io.Op == nvme.OpWrite && n != 0 && len(io.Data) != n {
+	// here, before the CID allocation, for the same reason.
+	size := int(io.Blocks) * int(s.nsBlockSize)
+	if io.Op == nvme.OpWrite && len(io.Data) != size {
 		return fmt.Errorf("hostqp: write payload is %d bytes, want %d (%d blocks of %d)",
-			len(io.Data), n, io.Blocks, s.nsBlockSize)
+			len(io.Data), size, io.Blocks, s.nsBlockSize)
 	}
-	var expectedRead int
-	if io.Op == nvme.OpRead {
-		expectedRead = int(io.Blocks) * int(s.nsBlockSize)
-		if io.Data != nil {
-			if expectedRead == 0 {
-				expectedRead = len(io.Data)
-			} else if len(io.Data) != expectedRead {
-				return fmt.Errorf("hostqp: read destination is %d bytes, want %d (%d blocks of %d)",
-					len(io.Data), expectedRead, io.Blocks, s.nsBlockSize)
-			}
-		}
+	if io.Op == nvme.OpRead && io.Data != nil && len(io.Data) != size {
+		return fmt.Errorf("hostqp: read destination is %d bytes, want %d (%d blocks of %d)",
+			len(io.Data), size, io.Blocks, s.nsBlockSize)
 	}
-	cid, ok := s.cids.Alloc()
-	if !ok {
+	k := len(s.free)
+	if k == 0 {
 		return ErrQueueFull
 	}
+	cid := s.free[k-1]
+	s.free = s.free[:k-1]
 
 	req := s.getReq()
 	req.io, req.submittedAt = io, s.clock()
@@ -486,27 +482,24 @@ func (s *Session) Submit(io IO) error {
 		req.bytesMoved = int64(len(data))
 		s.stats.BytesWrited += int64(len(data))
 	case nvme.OpRead:
-		// With the length known the whole destination exists up front —
-		// the caller's buffer, or one lent from the free list — so inbound
-		// C2HData can land directly at Offset (the transport's reader
-		// sinks payload bytes straight into it) and wire offsets are
-		// validated against the expected length, not trusted. Otherwise
-		// the buffer grows as data arrives, capped at maxDataLen.
-		req.expectedRead = expectedRead
+		// The whole destination exists up front — the caller's buffer, or
+		// one lent from the free list — so inbound C2HData can land
+		// directly at Offset (the transport's reader sinks payload bytes
+		// straight into it) and wire offsets are validated against the
+		// expected length, not trusted.
+		req.expectedRead = size
 		// Without a sink nothing needs a lent destination before the data
 		// arrives, and a payload that covers the read can stand in for it.
-		if expectedRead > 0 {
-			req.readBuf = io.Data
-			switch {
-			case req.readBuf != nil:
-			case s.cfg.OnReadBuffer == nil:
-				req.lendLate = true
-			default:
-				req.readBuf, req.lentBuf = s.getReadBuf(expectedRead), true
-			}
-			if s.cfg.OnReadBuffer != nil {
-				s.cfg.OnReadBuffer(cid, req.readBuf)
-			}
+		req.readBuf = io.Data
+		switch {
+		case req.readBuf != nil:
+		case s.cfg.OnReadBuffer == nil:
+			req.lendLate = true
+		default:
+			req.readBuf, req.lentBuf = s.getReadBuf(size), true
+		}
+		if s.cfg.OnReadBuffer != nil {
+			s.cfg.OnReadBuffer(cid, req.readBuf)
 		}
 	}
 	s.reqs.Set(cid, req)
@@ -617,13 +610,14 @@ func (s *Session) handleICResp(pdu *proto.ICResp) error {
 	if pdu.PFV != ProtocolVersion {
 		return &ProtocolError{Reason: fmt.Sprintf("protocol version mismatch: target speaks PFV %d, host speaks %d", pdu.PFV, ProtocolVersion)}
 	}
+	// Every transfer is sized from the geometry: without it a read has no
+	// length and a write none to check.
+	if err := (nvme.Namespace{ID: s.cfg.NSID, BlockSize: pdu.BlockSize, Capacity: pdu.Capacity}).Validate(); err != nil {
+		return &ProtocolError{Reason: "handshake without a usable namespace geometry: " + err.Error()}
+	}
 	s.tenant = pdu.Tenant
 	s.nsBlockSize = pdu.BlockSize
 	s.nsCapacity = pdu.Capacity
-	s.maxDataLen = pdu.MaxDataLen
-	if s.maxDataLen == 0 {
-		s.maxDataLen = 1 << 20 // pre-geometry target: assume the default
-	}
 	if pdu.TargetClock != 0 {
 		// NTP-style one-shot estimate: the target sampled its clock midway
 		// through our round trip, so offset = T - (t0 + rtt/2), with the
@@ -672,8 +666,7 @@ func (s *Session) handleTelemetryAck(pdu *proto.TelemetryAck) error {
 
 // handleData assembles one C2HData fragment into the read's destination
 // buffer. Wire offsets are never trusted: a fragment must fit inside the
-// request's expected read length (or, on geometry-unknown sessions, the
-// handshake-advertised MaxDataLen), so a corrupt or hostile target cannot
+// request's expected read length, so a corrupt or hostile target cannot
 // force a ~4 GiB allocation with an attacker-chosen uint32 offset, and
 // overlapping or duplicate fragments are rejected rather than
 // double-counted. Every rejection is a typed *ProtocolError, which
@@ -693,9 +686,6 @@ func (s *Session) handleData(pdu *proto.C2HData) error {
 	off := int(pdu.Offset)
 	end := off + len(pdu.Data)
 	limit := req.expectedRead
-	if limit == 0 {
-		limit = int(s.maxDataLen)
-	}
 	if end > limit {
 		return &ProtocolError{Reason: fmt.Sprintf(
 			"C2HData [%d, %d) for CID %d exceeds the %d-byte read", off, end, pdu.CCCID, limit)}
@@ -714,11 +704,6 @@ func (s *Session) handleData(pdu *proto.C2HData) error {
 		} else {
 			req.readBuf, req.lentBuf = s.getReadBuf(limit), true
 		}
-	}
-	if end > len(req.readBuf) {
-		grown := make([]byte, end)
-		copy(grown, req.readBuf)
-		req.readBuf = grown
 	}
 	if &req.readBuf[off] != &pdu.Data[0] {
 		// Not already landed in place by the transport's zero-copy sink.
@@ -767,14 +752,12 @@ func (s *Session) handleResp(pdu *proto.CapsuleResp) error {
 		if r == nil {
 			return fmt.Errorf("hostqp: completion replay names unknown CID %d", c)
 		}
-		if err := s.cids.Release(c); err != nil {
-			return err
-		}
+		s.free = append(s.free, c)
 		if r.io.Op == nvme.OpRead && s.cfg.OnReadRetire != nil {
 			s.cfg.OnReadRetire(c)
 		}
 		st := pdu.Cpl.Status
-		if st.OK() && r.expectedRead > 0 && r.readBytes < r.expectedRead {
+		if st.OK() && r.readBytes < r.expectedRead {
 			// The target claims success but the accepted fragments do not
 			// cover the read (dropped or rejected-duplicate data): surface
 			// a transfer error instead of returning a buffer with holes.
@@ -865,7 +848,7 @@ func (s *Session) FailAll(cause error) int {
 			continue
 		}
 		failed++
-		_ = s.cids.Release(cid) // outstanding: it held a slot
+		s.free = append(s.free, cid)
 		if req.io.Op == nvme.OpRead && s.cfg.OnReadRetire != nil {
 			s.cfg.OnReadRetire(cid)
 		}

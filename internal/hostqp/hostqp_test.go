@@ -2,6 +2,7 @@ package hostqp
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"nvmeopf/internal/core"
@@ -27,7 +28,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	return h
 }
 
-// connect completes the handshake.
+// connect completes the handshake on a namespace of 4 KiB blocks.
 func (h *harness) connect(t *testing.T, tenant proto.TenantID) {
 	t.Helper()
 	h.sess.Start()
@@ -38,7 +39,10 @@ func (h *harness) connect(t *testing.T, tenant proto.TenantID) {
 		t.Fatalf("Start sent %v", h.out[0].PDUType())
 	}
 	h.out = nil
-	if err := h.sess.HandlePDU(&proto.ICResp{PFV: ProtocolVersion, Tenant: tenant, MaxDataLen: 1 << 20}); err != nil {
+	if err := h.sess.HandlePDU(&proto.ICResp{
+		PFV: ProtocolVersion, Tenant: tenant, MaxDataLen: 1 << 20,
+		BlockSize: 4096, Capacity: 1 << 20,
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -353,7 +357,7 @@ func TestFailAllReleasesEverything(t *testing.T) {
 	h.connect(t, 3)
 	var results []Result
 	for i := 0; i < 3; i++ {
-		err := h.sess.Submit(IO{Op: nvme.OpWrite, LBA: uint64(i), Blocks: 1, Data: make([]byte, 512),
+		err := h.sess.Submit(IO{Op: nvme.OpWrite, LBA: uint64(i), Blocks: 1, Data: make([]byte, 4096),
 			Done: func(r Result) { results = append(results, r) }})
 		if err != nil {
 			t.Fatal(err)
@@ -384,6 +388,75 @@ func TestFailAllReleasesEverything(t *testing.T) {
 	st := h.sess.Stats()
 	if st.Completed != 3 || st.Errors != 3 {
 		t.Fatalf("stats after FailAll: completed=%d errors=%d", st.Completed, st.Errors)
+	}
+}
+
+// TestSessionCIDsDenseAndReused: the session hands out the CIDs of its
+// vacant slots. Never-used CIDs come out in ascending order, a full queue
+// refuses without sending anything, and the CID a completion vacates is
+// the next one handed out.
+func TestSessionCIDsDenseAndReused(t *testing.T) {
+	h := newHarness(t, Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 4, NSID: 1})
+	h.connect(t, 1)
+	submit := func() error {
+		return h.sess.Submit(IO{Op: nvme.OpWrite, Blocks: 1, Data: make([]byte, 4096), Done: func(Result) {}})
+	}
+	for want := 0; want < 4; want++ {
+		if err := submit(); err != nil {
+			t.Fatal(err)
+		}
+		if cid := h.lastCmd(t).Cmd.CID; cid != nvme.CID(want) {
+			t.Fatalf("submit %d got CID %d, want %d", want, cid, want)
+		}
+		if n := h.sess.Outstanding(); n != want+1 {
+			t.Fatalf("outstanding = %d after %d submits", n, want+1)
+		}
+	}
+	sent := len(h.out)
+	if err := submit(); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("fifth submit at QD 4: %v, want ErrQueueFull", err)
+	}
+	if len(h.out) != sent || h.sess.Outstanding() != 4 || h.sess.CanSubmit() {
+		t.Fatalf("refused submit sent %d PDUs, outstanding %d, can submit %v", len(h.out)-sent, h.sess.Outstanding(), h.sess.CanSubmit())
+	}
+	if err := h.sess.HandlePDU(&proto.CapsuleResp{Cpl: nvme.Completion{CID: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if h.sess.Outstanding() != 3 || !h.sess.CanSubmit() {
+		t.Fatalf("after completing CID 2: outstanding %d, can submit %v", h.sess.Outstanding(), h.sess.CanSubmit())
+	}
+	if err := submit(); err != nil {
+		t.Fatal(err)
+	}
+	if cid := h.lastCmd(t).Cmd.CID; cid != 2 || h.sess.Outstanding() != 4 {
+		t.Fatalf("submit after completing CID 2 got CID %d with %d outstanding, want CID 2 with 4", cid, h.sess.Outstanding())
+	}
+	// Random submits and completions never hand out a CID in flight, and
+	// refuse exactly when all four are.
+	live := map[nvme.CID]bool{0: true, 1: true, 2: true, 3: true}
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 2000; step++ {
+		if rng.Intn(2) == 0 {
+			err := submit()
+			if full := len(live) == 4; full != errors.Is(err, ErrQueueFull) || (!full && err != nil) {
+				t.Fatalf("step %d: submit with %d in flight: %v", step, len(live), err)
+			}
+			if err == nil {
+				cid := h.lastCmd(t).Cmd.CID
+				if live[cid] {
+					t.Fatalf("step %d: CID %d handed out while in flight", step, cid)
+				}
+				live[cid] = true
+			}
+		} else if cid := nvme.CID(rng.Intn(4)); live[cid] {
+			if err := h.sess.HandlePDU(&proto.CapsuleResp{Cpl: nvme.Completion{CID: cid}}); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, cid)
+		}
+		if h.sess.Outstanding() != len(live) {
+			t.Fatalf("step %d: outstanding = %d, want %d", step, h.sess.Outstanding(), len(live))
+		}
 	}
 }
 
@@ -449,26 +522,11 @@ func TestBadPFVIsProtocolError(t *testing.T) {
 	}
 }
 
-// connectGeom completes the handshake with a namespace geometry, so reads
-// preallocate their full destination buffer at submit time.
-func (h *harness) connectGeom(t *testing.T, tenant proto.TenantID, blockSize uint32) {
-	t.Helper()
-	h.sess.Start()
-	h.out = nil
-	if err := h.sess.HandlePDU(&proto.ICResp{
-		PFV: ProtocolVersion, Tenant: tenant, MaxDataLen: 1 << 20,
-		BlockSize: blockSize, Capacity: 1 << 20,
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestHostileOffsetRejected: a C2HData whose wire offset points past the
 // read's expected length used to size the reassembly buffer — a hostile
 // target could force a ~4 GiB allocation with a single 16-byte fragment.
-// The offset must be clamped against the expected read length (or the
-// handshake MaxDataLen when geometry is unknown), rejected as a typed
-// *ProtocolError, and must not grow the buffer.
+// The offset must be clamped against the expected read length, rejected as
+// a typed *ProtocolError, and must not grow the buffer.
 func TestHostileOffsetRejected(t *testing.T) {
 	h := newHarness(t, tcConfig(1, 2))
 	h.connect(t, 1)
@@ -486,8 +544,8 @@ func TestHostileOffsetRejected(t *testing.T) {
 	}
 }
 
-// TestHostileOffsetRejectedGeometryKnown: with geometry known the clamp is
-// the exact expected read length, not MaxDataLen. The rejected fragment
+// TestHostileOffsetRejectedGeometryKnown: the clamp is the exact expected
+// read length, not MaxDataLen. The rejected fragment
 // leaves the destination as it was: the preallocated 4096 bytes on a
 // session with a read sink, none at all on one without.
 func TestHostileOffsetRejectedGeometryKnown(t *testing.T) {
@@ -498,7 +556,7 @@ func TestHostileOffsetRejectedGeometryKnown(t *testing.T) {
 			cfg.OnReadBuffer, want = func(nvme.CID, []byte) {}, 4096
 		}
 		h := newHarness(t, cfg)
-		h.connectGeom(t, 1, 4096)
+		h.connect(t, 1)
 		_ = h.sess.Submit(IO{Op: nvme.OpRead, LBA: 0, Blocks: 1, Done: func(Result) {}})
 		cid := h.lastCmd(t).Cmd.CID
 		// One byte past the 4096-byte read: rejected even though well under
@@ -530,7 +588,7 @@ func TestOverlappingFragmentsRejected(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t, tcConfig(1, 2))
-			h.connectGeom(t, 1, 4096)
+			h.connect(t, 1)
 			var done bool
 			_ = h.sess.Submit(IO{Op: nvme.OpRead, LBA: 0, Blocks: 2, Done: func(Result) { done = true }})
 			cid := h.lastCmd(t).Cmd.CID
@@ -553,7 +611,7 @@ func TestOverlappingFragmentsRejected(t *testing.T) {
 // at a boundary) are not overlaps.
 func TestNonOverlappingFragmentsStillAssemble(t *testing.T) {
 	h := newHarness(t, tcConfig(1, 2))
-	h.connectGeom(t, 1, 4096)
+	h.connect(t, 1)
 	var got []byte
 	var st nvme.Status
 	_ = h.sess.Submit(IO{Op: nvme.OpRead, LBA: 0, Blocks: 2, Done: func(r Result) { got, st = r.Data, r.Status }})
@@ -583,7 +641,7 @@ func TestNonOverlappingFragmentsStillAssemble(t *testing.T) {
 // surface as a clean read — the coverage gap becomes StatusDataXferError.
 func TestShortReadEscalatesToDataXferError(t *testing.T) {
 	h := newHarness(t, tcConfig(1, 2))
-	h.connectGeom(t, 1, 4096)
+	h.connect(t, 1)
 	var st nvme.Status
 	_ = h.sess.Submit(IO{Op: nvme.OpRead, LBA: 0, Blocks: 2, Done: func(r Result) { st = r.Status }})
 	cid := h.lastCmd(t).Cmd.CID
@@ -599,8 +657,7 @@ func TestShortReadEscalatesToDataXferError(t *testing.T) {
 	}
 }
 
-// TestReadBufferHooksLifecycle: with geometry known, Submit preallocates
-// the full destination and announces it via OnReadBuffer; completion (and
+// TestReadBufferHooksLifecycle: Submit preallocates the full destination and announces it via OnReadBuffer; completion (and
 // FailAll) retire the registration via OnReadRetire — the window in which
 // a transport zero-copy sink may land payload bytes directly.
 func TestReadBufferHooksLifecycle(t *testing.T) {
@@ -610,7 +667,7 @@ func TestReadBufferHooksLifecycle(t *testing.T) {
 	cfg.OnReadBuffer = func(cid nvme.CID, buf []byte) { bufs[cid] = buf }
 	cfg.OnReadRetire = func(cid nvme.CID) { retired[cid]++ }
 	h := newHarness(t, cfg)
-	h.connectGeom(t, 1, 4096)
+	h.connect(t, 1)
 
 	var got []byte
 	_ = h.sess.Submit(IO{Op: nvme.OpRead, LBA: 0, Blocks: 2, Done: func(r Result) { got = r.Data }})
@@ -666,32 +723,6 @@ func bytes47(n int) []byte {
 	return b
 }
 
-// TestGeometryUnknownReadsStillGrow: sessions whose handshake carried no
-// BlockSize (older targets) keep the lazy-grow assembly path, capped at
-// the advertised MaxDataLen.
-func TestGeometryUnknownReadsStillGrow(t *testing.T) {
-	called := false
-	cfg := tcConfig(1, 2)
-	cfg.OnReadBuffer = func(nvme.CID, []byte) { called = true }
-	h := newHarness(t, cfg)
-	h.connect(t, 1) // BlockSize 0: geometry unknown
-	var got []byte
-	_ = h.sess.Submit(IO{Op: nvme.OpRead, LBA: 0, Blocks: 1, Done: func(r Result) { got = r.Data }})
-	if called {
-		t.Fatal("geometry-unknown read registered a zero-copy buffer")
-	}
-	cid := h.lastCmd(t).Cmd.CID
-	if err := h.sess.HandlePDU(&proto.C2HData{CCCID: cid, Offset: 0, Data: bytes47(4096)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.sess.HandlePDU(&proto.CapsuleResp{Cpl: nvme.Completion{CID: cid}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4096 || got[0] != 47 {
-		t.Fatalf("lazy-grow assembly wrong: len=%d", len(got))
-	}
-}
-
 // TestCIDOutsideQueueDepthIsProtocolError: the session has one slot per CID
 // of its queue depth. A response or a data PDU naming any other CID comes
 // from a target that is not speaking the negotiated protocol — a typed
@@ -733,7 +764,7 @@ func TestReclaimedCapsuleStaysWithItsSession(t *testing.T) {
 	b.connect(t, 2)
 	submit := func(h *harness) *proto.CapsuleCmd {
 		t.Helper()
-		if err := h.sess.Submit(IO{Op: nvme.OpWrite, Blocks: 1, Data: make([]byte, 512), Done: func(Result) {}}); err != nil {
+		if err := h.sess.Submit(IO{Op: nvme.OpWrite, Blocks: 1, Data: make([]byte, 4096), Done: func(Result) {}}); err != nil {
 			t.Fatal(err)
 		}
 		return h.lastCmd(t)

@@ -58,15 +58,3 @@ func TestTableCSV(t *testing.T) {
 		t.Fatalf("CSV = %q, want %q", out, want)
 	}
 }
-
-func TestBar(t *testing.T) {
-	if Bar(5, 10, 10) != "#####" {
-		t.Errorf("Bar(5,10,10) = %q", Bar(5, 10, 10))
-	}
-	if Bar(20, 10, 10) != "##########" {
-		t.Errorf("overflow bar should clamp")
-	}
-	if Bar(-1, 10, 10) != "" || Bar(1, 0, 10) != "" {
-		t.Errorf("degenerate bars should be empty")
-	}
-}

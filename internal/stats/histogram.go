@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 )
 
 // subBucketBits controls histogram resolution: each power-of-two range is
@@ -324,17 +323,4 @@ func FormatBytesPerSec(bps float64) string {
 	default:
 		return fmt.Sprintf("%.0fB/s", bps)
 	}
-}
-
-// Bar renders a crude ASCII bar of width proportional to v/max, used by the
-// experiment CLI to sketch figures in the terminal.
-func Bar(v, max float64, width int) string {
-	if max <= 0 || v <= 0 || width <= 0 {
-		return ""
-	}
-	n := int(v / max * float64(width))
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("#", n)
 }

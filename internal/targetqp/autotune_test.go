@@ -13,7 +13,7 @@ import (
 // TestAutotuneWiring drives a real target with the adaptive controller
 // attached and checks every wire: the controller NewTarget builds, bound
 // to the PM with its drain hook, LS completions feeding the signal,
-// decisions actuating PM overrides, and Forget on session teardown.
+// decisions actuating the PM limit, and Forget on session teardown.
 func TestAutotuneWiring(t *testing.T) {
 	be := newFakeBackend(t, true)
 	now := int64(0)
@@ -59,10 +59,10 @@ func TestAutotuneWiring(t *testing.T) {
 	}
 
 	// The first drain primes the tenant, so its first verdict is always
-	// cold (the interval holds no samples) and leaves no overrides.
+	// cold (the interval holds no samples) and leaves no limit.
 	interval()
-	if w := tgt.pm.TenantWindow(tenant); w != 0 {
-		t.Fatalf("override after cold verdict = %d, want none", w)
+	if n := tgt.pm.TenantLimit(tenant); n != 0 {
+		t.Fatalf("limit after cold verdict = %d, want none", n)
 	}
 
 	// LS traffic lands on the controller's signal — and only LS traffic:
@@ -81,17 +81,14 @@ func TestAutotuneWiring(t *testing.T) {
 	}
 
 	// The next interval sees burn 10x the budget: multiplicative back-off
-	// from the window the host declared, actuated as PM valve + admission
-	// cap.
+	// from the window the host declared, actuated as the PM limit (valve
+	// and admission cap at once).
 	interval()
 	if w := ctrl.WindowFor(tenant); w != 2 {
 		t.Fatalf("controller window = %d, want 2 (the declared 4 halved)", w)
 	}
-	if w := tgt.pm.TenantWindow(tenant); w != 2 {
-		t.Fatalf("PM valve override = %d, want 2", w)
-	}
-	if limit := tgt.pm.TenantCap(tenant); limit != 2 {
-		t.Fatalf("PM admission cap = %d, want 2 (the window)", limit)
+	if n := tgt.pm.TenantLimit(tenant); n != 2 {
+		t.Fatalf("PM limit = %d, want 2 (the window)", n)
 	}
 	if n := len(reg.AutotuneLog()); n != 2 {
 		t.Fatalf("decision log has %d entries, want 2 (cold, shrink)", n)
@@ -103,8 +100,8 @@ func TestAutotuneWiring(t *testing.T) {
 	if w := ctrl.WindowFor(tenant); w != 0 {
 		t.Fatalf("controller window after Forget = %d, want 0 (not controlled)", w)
 	}
-	if w, limit := tgt.pm.TenantWindow(tenant), tgt.pm.TenantCap(tenant); w != 0 || limit != 0 {
-		t.Fatalf("PM overrides after Forget = (%d, %d), want cleared", w, limit)
+	if n := tgt.pm.TenantLimit(tenant); n != 0 {
+		t.Fatalf("PM limit after Forget = %d, want cleared", n)
 	}
 }
 
@@ -201,8 +198,8 @@ func TestDeclaredWindowReachesTheController(t *testing.T) {
 	if w := ctrl.WindowFor(raw.Tenant()); w != 0 {
 		t.Fatalf("controller window for the raw peer = %d, want 0 (not controlled)", w)
 	}
-	if w, limit := tgt.pm.TenantWindow(raw.Tenant()), tgt.pm.TenantCap(raw.Tenant()); w != 0 || limit != 0 {
-		t.Fatalf("PM overrides for the raw peer = (%d, %d), want none", w, limit)
+	if n := tgt.pm.TenantLimit(raw.Tenant()); n != 0 {
+		t.Fatalf("PM limit for the raw peer = %d, want none", n)
 	}
 	if good, bad := ctrl.Signal().Counts(); bad == 0 {
 		t.Fatalf("LS signal = (%d good, %d bad), want the pain the raw peer ignored", good, bad)

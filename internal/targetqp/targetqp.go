@@ -282,11 +282,10 @@ func NewTarget(cfg Config, backend Backend) (*Target, error) {
 	t.pm.SetTelemetry(cfg.Telemetry)
 	t.pm.SetTrace(cfg.Trace)
 	if cfg.Autotune != nil {
-		at, err := autotune.New(*cfg.Autotune, cfg.Clock, cfg.Telemetry)
+		at, err := autotune.New(*cfg.Autotune, t.pm, cfg.Clock, cfg.Telemetry)
 		if err != nil {
 			return nil, fmt.Errorf("targetqp: %w", err)
 		}
-		at.Bind(t.pm)
 		t.pm.SetDrainHook(at.OnDrainComplete)
 		t.at = at
 	}
@@ -348,7 +347,7 @@ func (t *Target) CloseSession(s *Session) {
 	t.stats.Disconnects++
 	t.stats.TeardownDrops += int64(len(dropped))
 	if t.at != nil {
-		// Drop the controller's loop state and clear its PM overrides: the
+		// Drop the controller's loop state and clear its PM limit: the
 		// tenant ID recycles, and the next owner must not inherit a window
 		// shrunk for this one's behavior.
 		t.at.Forget(s.tenant)

@@ -2,11 +2,14 @@ package tcptrans
 
 // Regression tests for the transport-edge bugs: the per-pump idle-timer
 // churn, Conn.Write inventing a 4096-byte geometry on a closed connection,
-// and Conn.Write waiting on the reactor for a block size it already had.
+// Conn.Write waiting on the reactor for a block size it already had, and a
+// handshake without geometry accepted.
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -161,6 +164,40 @@ func TestBlockSizeDoesNotWaitForTheReactor(t *testing.T) {
 	releaseOnce()
 	if err := c.Write(0, make([]byte, 512), 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockSizeZeroRefusedAtHandshake: a target whose ICResp carries no
+// namespace geometry (BlockSize 0) is refused at the handshake with a
+// protocol error. Accepting it left a connection whose Write divided by a
+// zero block size.
+func TestBlockSizeZeroRefusedAtHandshake(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if p, err := proto.NewReader(conn, false).Next(); err != nil {
+			return
+		} else if _, ok := p.(*proto.ICReq); !ok {
+			return
+		}
+		conn.Write(proto.Marshal(&proto.ICResp{PFV: hostqp.ProtocolVersion, Tenant: 1, MaxDataLen: 1 << 20}))
+		io.Copy(io.Discard, conn) // until the host hangs up
+	}()
+	c, err := Dial(ln.Addr().String(), hostqp.Config{Class: proto.PrioLatencySensitive, Window: 1, QueueDepth: 2, NSID: 1})
+	if err == nil {
+		defer c.Close()
+		t.Fatalf("Dial accepted a handshake without geometry (block size %d)", c.BlockSize())
+	}
+	if !isProtocolError(err) {
+		t.Fatalf("Dial failed with %v, want a *hostqp.ProtocolError", err)
 	}
 }
 

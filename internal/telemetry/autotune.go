@@ -27,13 +27,12 @@ type AutotuneDecision struct {
 	Action     string `json:"action"`
 	Window     int    `json:"window"`
 	PrevWindow int    `json:"prev_window"`
-	// Cap is the admission cap set alongside the window (0: cleared).
+	// Cap is the limit set on the tenant, which binds as both its valve and
+	// its admission cap: the window, or 0 when cleared at the bound.
 	Cap int `json:"cap"`
 	// BurnRate is the interval LS error-budget burn that drove the
 	// decision (-1: no samples).
 	BurnRate float64 `json:"burn_rate"`
-	// LSP99NS is the interval LS service-latency p99 (-1: no samples).
-	LSP99NS int64 `json:"ls_p99_ns"`
 	// Fill is mean achieved batch size over the window (drain occupancy).
 	Fill float64 `json:"fill"`
 	// Samples is the LS observation count in the decision interval.

@@ -7,7 +7,7 @@ import (
 // Cross-runtime timeline correlation: merge a host-side and a target-side
 // flight-recorder dump into per-request timelines on one time axis.
 //
-// Correlation key. CIDs are reused (the host allocator recycles a CID as
+// Correlation key. CIDs are reused (the host session recycles a CID as
 // soon as its completion lands), so (tenant, CID) alone is ambiguous
 // across a long run. But both sides observe one TCP byte stream, so the
 // k-th StageSubmit of (tenant, cid) on the host pairs with the k-th

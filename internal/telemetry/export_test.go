@@ -297,7 +297,6 @@ const autotuneGoldenText = `{
         "prev_window": 32,
         "cap": 128,
         "burn_rate": 2.5,
-        "ls_p99_ns": 250000,
         "fill": 0.75,
         "samples": 64,
         "reason": "burn 2.50 > 1.00: multiplicative back-off",
@@ -322,7 +321,6 @@ const autotuneGoldenText = `{
         "prev_window": 8,
         "cap": 96,
         "burn_rate": 0.25,
-        "ls_p99_ns": 90000,
         "fill": 1,
         "samples": 32,
         "reason": "burn 0.25 < 0.50, fill 1.00: additive grow",
@@ -339,7 +337,6 @@ const autotuneGoldenText = `{
       "prev_window": 32,
       "cap": 0,
       "burn_rate": -1,
-      "ls_p99_ns": -1,
       "fill": 0,
       "samples": 0,
       "reason": "interval samples 0 < 8: static bounds",
@@ -353,7 +350,6 @@ const autotuneGoldenText = `{
       "prev_window": 32,
       "cap": 128,
       "burn_rate": 2.5,
-      "ls_p99_ns": 250000,
       "fill": 0.75,
       "samples": 64,
       "reason": "burn 2.50 > 1.00: multiplicative back-off",
@@ -367,7 +363,6 @@ const autotuneGoldenText = `{
       "prev_window": 8,
       "cap": 96,
       "burn_rate": 0.25,
-      "ls_p99_ns": 90000,
       "fill": 1,
       "samples": 32,
       "reason": "burn 0.25 < 0.50, fill 1.00: additive grow",
@@ -381,18 +376,17 @@ const autotuneGoldenText = `{
 func TestDebugAutotuneGolden(t *testing.T) {
 	r := New()
 	r.RecordAutotune(AutotuneDecision{
-		Tenant: 3, Action: "cold", Window: 32, PrevWindow: 32,
-		BurnRate: -1, LSP99NS: -1,
+		Tenant: 3, Action: "cold", Window: 32, PrevWindow: 32, BurnRate: -1,
 		Reason: "interval samples 0 < 8: static bounds", At: 100,
 	})
 	r.RecordAutotune(AutotuneDecision{
 		Tenant: 3, Action: "shrink", Window: 16, PrevWindow: 32, Cap: 128,
-		BurnRate: 2.5, LSP99NS: 250_000, Fill: 0.75, Samples: 64,
+		BurnRate: 2.5, Fill: 0.75, Samples: 64,
 		Reason: "burn 2.50 > 1.00: multiplicative back-off", At: 200,
 	})
 	r.RecordAutotune(AutotuneDecision{
 		Tenant: 5, Action: "grow", Window: 12, PrevWindow: 8, Cap: 96,
-		BurnRate: 0.25, LSP99NS: 90_000, Fill: 1, Samples: 32,
+		BurnRate: 0.25, Fill: 1, Samples: 32,
 		Reason: "burn 0.25 < 0.50, fill 1.00: additive grow", At: 300,
 	})
 	diffGolden(t, fetchJSON(t, r, "/debug/autotune"), autotuneGoldenText)
