@@ -94,9 +94,17 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "[%s took %.1fs]\n", name, time.Since(start).Seconds())
-		if name == "checks" && experiments.CheckFailures > 0 {
-			fmt.Fprintf(os.Stderr, "opf-bench: %d regression check(s) failed\n", experiments.CheckFailures)
-			os.Exit(2)
+		if name == "checks" {
+			failed := 0
+			for _, row := range rep.Table.Rows {
+				if row[3] == "FAIL" {
+					failed++
+				}
+			}
+			if failed > 0 {
+				fmt.Fprintf(os.Stderr, "opf-bench: %d regression check(s) failed\n", failed)
+				os.Exit(2)
+			}
 		}
 	}
 }

@@ -300,9 +300,13 @@ func TestTenantIDOver256FullCycle(t *testing.T) {
 	if pm.TenantLimit(50000) != 0 {
 		t.Fatal("unset limit not zero")
 	}
+	seen := len(pm.all)
 	pm.SetTenantLimit(50000, 0)
 	if pm.TenantLimit(50000) != 0 {
 		t.Fatal("zero write changed an unset limit")
+	}
+	if pm.tenants.pages[50000>>8] != nil || len(pm.all) != seen {
+		t.Fatalf("clearing an unseen tenant's limit allocated its page or record (%d records, was %d)", len(pm.all), seen)
 	}
 }
 

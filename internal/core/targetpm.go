@@ -374,8 +374,15 @@ func (pm *TargetPM) tenant(t proto.TenantID) *tenantState {
 // n even when the host keeps stamping a larger window, so the effective
 // window becomes min(host window, n), and admission refuses the tenant past
 // n pending requests. It can only tighten the configured MaxPending valve
-// and MaxPendingPerTenant cap, never loosen them.
-func (pm *TargetPM) SetTenantLimit(t proto.TenantID, n int) { pm.tenant(t).limit = int32(max(n, 0)) }
+// and MaxPendingPerTenant cap, never loosen them. Clearing the limit of a
+// tenant the PM has never seen allocates nothing.
+func (pm *TargetPM) SetTenantLimit(t proto.TenantID, n int) {
+	if n > 0 {
+		pm.tenant(t).limit = int32(n)
+	} else if ts := pm.tenants.Get(t); ts != nil {
+		ts.limit = 0
+	}
+}
 
 // TenantLimit returns tenant t's controller limit (0 when none).
 func (pm *TargetPM) TenantLimit(t proto.TenantID) int {

@@ -114,9 +114,6 @@ func TestChecksPassAtQuickScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if CheckFailures != 0 {
-		t.Fatalf("%d regression checks failed:\n%s", CheckFailures, rep.String())
-	}
 	for _, row := range rep.Table.Rows {
 		if row[3] != "PASS" {
 			t.Errorf("check %q: %s (%s)", row[0], row[3], row[2])

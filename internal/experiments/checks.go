@@ -7,27 +7,24 @@ import (
 	"nvmeopf/internal/workload"
 )
 
-// CheckFailures counts rows whose expectation did not hold in the last
-// Checks run (the CLI turns it into an exit code).
-var CheckFailures int
-
 // Checks is the reproduction's regression gate: a small set of directional
 // assertions distilled from the paper's observations, each evaluated at
 // the configured scale. A row FAILS when the direction (not the exact
 // magnitude) breaks — e.g. oPF no longer beating the baseline where the
-// paper says it must. cmd/opf-bench -exp checks exits nonzero on failure.
+// paper says it must. cmd/opf-bench -exp checks exits nonzero when a row's
+// status reads FAIL.
 func Checks(cfg Config) (*Report, error) {
 	rep := &Report{
 		ID:    "checks",
 		Title: "Directional regression checks (paper observations)",
 		Table: newFigTable("check", "expected", "measured", "status"),
 	}
-	CheckFailures = 0
+	failures := 0
 	add := func(name, expected, measured string, ok bool) {
 		status := "PASS"
 		if !ok {
 			status = "FAIL"
-			CheckFailures++
+			failures++
 		}
 		rep.Table.AddRow(name, expected, measured, status)
 	}
@@ -84,6 +81,6 @@ func Checks(cfg Config) (*Report, error) {
 	add("isolated vs shared TC queues", "isolated > shared",
 		fmt.Sprintf("%.0f vs %.0f MB/s", o100.TCBps/1e6, shared.TCBps/1e6), o100.TCBps > shared.TCBps)
 
-	rep.Notes = append(rep.Notes, fmt.Sprintf("%d failure(s)", CheckFailures))
+	rep.Notes = append(rep.Notes, fmt.Sprintf("%d failure(s)", failures))
 	return rep, nil
 }

@@ -53,14 +53,14 @@ func (s *recordingSession) Flush() {
 	s.Session.Flush()
 }
 
-// newTestRank connects one TC initiator (window 4, QD 2) to a backed
-// target of a CL-profile cluster built from opts, and returns a rank of
-// two 3-block timesteps on the partition at base 1000, with the given
-// read gap.
-func newTestRank(t *testing.T, opts simcluster.Options, gap time.Duration) (*simcluster.Cluster, *h5Rank, *recordingSession) {
+// newTestRank connects one TC initiator (window 4, QD 2) to a backed oPF
+// target of a CL-profile cluster with flight recorders attached, and
+// returns a rank of two 3-block timesteps on the partition at base 1000,
+// with the given read gap.
+func newTestRank(t *testing.T, gap time.Duration) (*simcluster.Cluster, *h5Rank, *recordingSession) {
 	t.Helper()
-	opts.Profile, opts.Seed = simcluster.ProfileCL(), 3
-	cl := simcluster.New(opts)
+	cl := simcluster.New(simcluster.Options{Profile: simcluster.ProfileCL(), Mode: targetqp.ModeOPF, Seed: 3})
+	cl.AttachFlightRecorders(telemetry.RecorderConfig{})
 	tn, err := cl.NewTargetNode("tgt", true)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func runBoth(t *testing.T, cl *simcluster.Cluster, r *h5Rank, rec *recordingSess
 }
 
 func TestH5RankSequence(t *testing.T) {
-	cl, r, rec := newTestRank(t, simcluster.Options{Mode: targetqp.ModeOPF}, 0)
+	cl, r, rec := newTestRank(t, 0)
 	runBoth(t, cl, r, rec)
 
 	const ls = proto.PrioLatencySensitive
@@ -156,7 +156,7 @@ func TestH5RankPartialWindow(t *testing.T) {
 // still moves in both phases, and the timestep's Flush leaves no window
 // open at the session.
 func TestH5RankPartialTimestep(t *testing.T) {
-	cl, r, rec := newTestRank(t, simcluster.Options{Mode: targetqp.ModeOPF}, 0)
+	cl, r, rec := newTestRank(t, 0)
 	r.blocks = 5
 	runBoth(t, cl, r, rec)
 	for _, p := range []*h5Phase{&r.write, &r.read} {
@@ -172,7 +172,7 @@ func TestH5RankPartialTimestep(t *testing.T) {
 // However many blocks a timestep holds, the rank keeps exactly qd of them
 // in flight while it can, and every command completes.
 func TestH5RankDepthBound(t *testing.T) {
-	cl, r, rec := newTestRank(t, simcluster.Options{Mode: targetqp.ModeOPF}, 0)
+	cl, r, rec := newTestRank(t, 0)
 	r.blocks = 6
 	runBoth(t, cl, r, rec)
 	if rec.maxInflight != r.qd || rec.inflight != 0 {
@@ -187,18 +187,19 @@ func TestH5RankDepthBound(t *testing.T) {
 // throughput-critical class: two LS commands per flush and for the open,
 // one TC command per data block.
 func TestH5RankMetaArrivesLatencySensitive(t *testing.T) {
+	cl, r, rec := newTestRank(t, 0)
+	runBoth(t, cl, r, rec)
 	var ls, tc int
-	trace := func(e telemetry.Event) {
+	for _, e := range cl.TargetRecorder().Events() {
+		prio := proto.Priority(e.Prio)
 		switch {
-		case e.Stage != telemetry.StageArrive:
-		case e.Prio.LatencySensitive():
+		case telemetry.Stage(e.Stage) != telemetry.StageArrive:
+		case prio.LatencySensitive():
 			ls++
-		case e.Prio.ThroughputCritical():
+		case prio.ThroughputCritical():
 			tc++
 		}
 	}
-	cl, r, rec := newTestRank(t, simcluster.Options{Mode: targetqp.ModeOPF, Trace: trace}, 0)
-	runBoth(t, cl, r, rec)
 	wantLS, wantTC := 2*(h5CreateFlushes+r.steps)+2, 2*r.steps*r.blocks
 	if ls != wantLS || tc != wantTC {
 		t.Fatalf("arrived %d LS and %d TC commands, want %d and %d", ls, tc, wantLS, wantTC)
@@ -207,7 +208,7 @@ func TestH5RankMetaArrivesLatencySensitive(t *testing.T) {
 
 func TestH5RankLoadGapLowersReadBandwidth(t *testing.T) {
 	readNs := func(gap time.Duration) int64 {
-		cl, r, rec := newTestRank(t, simcluster.Options{Mode: targetqp.ModeOPF}, gap)
+		cl, r, rec := newTestRank(t, gap)
 		runBoth(t, cl, r, rec)
 		return r.read.EndNs - r.read.StartNs
 	}
@@ -221,7 +222,7 @@ func TestH5RankLoadGapLowersReadBandwidth(t *testing.T) {
 // block: the superblock reads back zeros. The check fails the rank in the
 // instant the read completes.
 func TestH5RankDetectsUnwrittenBlocks(t *testing.T) {
-	cl, r, rec := newTestRank(t, simcluster.Options{Mode: targetqp.ModeOPF}, 0)
+	cl, r, rec := newTestRank(t, 0)
 	var got error
 	rec.OnConnect(func() { r.readPhase(func(err error) { got = err }) })
 	cl.Run()

@@ -78,13 +78,11 @@ type Config struct {
 	// decisions) keyed by the target-assigned tenant ID. Nil disables at
 	// zero cost.
 	Telemetry *telemetry.Registry
-	// Trace optionally receives PDU lifecycle events (submit, drain-mark,
-	// replay, complete). Nil disables.
-	Trace telemetry.TraceFunc
-	// Recorder optionally attaches a host-side flight recorder: its Trace
-	// hook is chained after Trace, and the ICReq/ICResp handshake feeds it
-	// the clock-offset estimate that lets opf-trace merge host and target
-	// dumps onto one time axis. Nil disables.
+	// Recorder optionally attaches a host-side flight recorder: it receives
+	// the session's PDU lifecycle events (submit, drain-mark, replay,
+	// complete), and the ICReq/ICResp handshake feeds it the clock-offset
+	// estimate that lets opf-trace merge host and target dumps onto one
+	// time axis. Nil disables.
 	Recorder *telemetry.Recorder
 	// OnReadBuffer and OnReadRetire are transport-owned hooks for the
 	// zero-copy read path. Submit settles each read's destination buffer
@@ -289,11 +287,6 @@ func New(cfg Config, send func(proto.PDU), clock func() int64) (*Session, error)
 	pm := core.NewHostPM(proto.PrioThroughputCritical, cfg.Window)
 	if cfg.Dynamic != nil {
 		pm.EnableDynamicWindow(cfg.Dynamic)
-	}
-	if cfg.Recorder != nil {
-		// One chained hook feeds both the caller's trace and the flight
-		// recorder.
-		cfg.Trace = telemetry.ChainTrace(cfg.Trace, cfg.Recorder.Trace)
 	}
 	free := make([]nvme.CID, cfg.QueueDepth)
 	for i := range free {
@@ -506,13 +499,13 @@ func (s *Session) Submit(io IO) error {
 	s.stats.Submitted++
 	s.stats.CmdPDUs++
 	s.cfg.Telemetry.IncSubmitted(s.tenant, int64(len(data)))
-	if s.cfg.Trace != nil {
+	if s.cfg.Recorder != nil {
 		// Causal order: the request exists (submit) before the flag it
 		// carries does, so the window's own draining request reconstructs
 		// like every other.
-		s.cfg.Trace(telemetry.Event{Stage: telemetry.StageSubmit, Tenant: s.tenant, CID: cid, Prio: wire})
+		s.cfg.Recorder.Trace(telemetry.Event{Stage: telemetry.StageSubmit, Tenant: s.tenant, CID: cid, Prio: wire})
 		if wire.Draining() {
-			s.cfg.Trace(telemetry.Event{Stage: telemetry.StageDrainMark, Tenant: s.tenant, CID: cid, Prio: wire, Aux: int64(s.pm.Window())})
+			s.cfg.Recorder.Trace(telemetry.Event{Stage: telemetry.StageDrainMark, Tenant: s.tenant, CID: cid, Prio: wire, Aux: int64(s.pm.Window())})
 		}
 	}
 	// From the session's own list when the fabric reclaims (the
@@ -781,11 +774,11 @@ func (s *Session) handleResp(pdu *proto.CapsuleResp) error {
 			s.e2e.Record(r.prio, now-r.submittedAt)
 		}
 		s.cfg.Telemetry.IncCompleted(s.tenant, r.prio, now-r.submittedAt, int64(r.readBytes), st.OK())
-		if s.cfg.Trace != nil {
+		if s.cfg.Recorder != nil {
 			if pdu.Coalesced {
-				s.cfg.Trace(telemetry.Event{Stage: telemetry.StageReplay, Tenant: s.tenant, CID: c, Prio: r.prio, Aux: now - r.submittedAt})
+				s.cfg.Recorder.Trace(telemetry.Event{Stage: telemetry.StageReplay, Tenant: s.tenant, CID: c, Prio: r.prio, Aux: now - r.submittedAt})
 			}
-			s.cfg.Trace(telemetry.Event{Stage: telemetry.StageComplete, Tenant: s.tenant, CID: c, Prio: r.prio, Aux: now - r.submittedAt})
+			s.cfg.Recorder.Trace(telemetry.Event{Stage: telemetry.StageComplete, Tenant: s.tenant, CID: c, Prio: r.prio, Aux: now - r.submittedAt})
 		}
 		r.io.Done(Result{
 			Status:      st,
@@ -855,8 +848,8 @@ func (s *Session) FailAll(cause error) int {
 		s.stats.Completed++
 		s.stats.Errors++
 		s.cfg.Telemetry.IncCompleted(s.tenant, req.prio, now-req.submittedAt, int64(req.readBytes), false)
-		if s.cfg.Trace != nil {
-			s.cfg.Trace(telemetry.Event{Stage: telemetry.StageComplete, Tenant: s.tenant, CID: cid, Prio: req.prio, Aux: now - req.submittedAt})
+		if s.cfg.Recorder != nil {
+			s.cfg.Recorder.Trace(telemetry.Event{Stage: telemetry.StageComplete, Tenant: s.tenant, CID: cid, Prio: req.prio, Aux: now - req.submittedAt})
 		}
 		req.io.Done(Result{
 			Status:      nvme.StatusAborted,

@@ -28,7 +28,6 @@ type Cluster struct {
 	hostTelNS int64
 	telTicks  int // telemetry cadence events currently in the queue
 	tel       *telemetry.Registry
-	trace     telemetry.TraceFunc
 	hostRec   *telemetry.Recorder
 	targetRec *telemetry.Recorder
 	errs      []error
@@ -53,9 +52,6 @@ type Options struct {
 	// of only post-run histograms. Nil disables at zero cost. (Host-side
 	// instruments attach per initiator via hostqp.Config.Telemetry.)
 	Telemetry *telemetry.Registry
-	// Trace optionally receives target-side PDU lifecycle events. Runs
-	// on the event loop: keep it fast.
-	Trace telemetry.TraceFunc
 	// Autotune enables the closed-loop adaptive drain-window controller
 	// at every target node (one controller per node, on the virtual clock,
 	// recording its decisions in Telemetry). Nil runs the static windows
@@ -88,7 +84,6 @@ func New(opts Options) *Cluster {
 		scavAging: opts.ScavengerAging,
 		hostTelNS: opts.HostTelemetryNS,
 		tel:       opts.Telemetry,
-		trace:     opts.Trace,
 	}
 }
 
@@ -99,16 +94,15 @@ func (c *Cluster) Telemetry() *telemetry.Registry { return c.tel }
 // AttachFlightRecorders creates a host-side and a target-side flight
 // recorder on the cluster's virtual clock and wires them into every node
 // built afterwards: call it before NewTargetNode/Connect. The target
-// recorder chains onto the cluster trace hook; the host recorder attaches
-// to each initiator created by Connect (unless that Config brings its
-// own). cfg.Clock and cfg.Role are overridden.
+// recorder traces every target node; the host recorder attaches to each
+// initiator created by Connect (unless that Config brings its own).
+// cfg.Clock and cfg.Role are overridden.
 func (c *Cluster) AttachFlightRecorders(cfg telemetry.RecorderConfig) (host, target *telemetry.Recorder) {
 	hostCfg, targetCfg := cfg, cfg
 	hostCfg.Clock, targetCfg.Clock = c.Eng.Now, c.Eng.Now
 	hostCfg.Role, targetCfg.Role = "host", "target"
 	c.hostRec = telemetry.NewRecorder(hostCfg)
 	c.targetRec = telemetry.NewRecorder(targetCfg)
-	c.trace = telemetry.ChainTrace(c.trace, c.targetRec.Trace)
 	return c.hostRec, c.targetRec
 }
 
@@ -155,16 +149,18 @@ func (c *Cluster) NewTargetNode(name string, backed bool) (*TargetNode, error) {
 		return nil, err
 	}
 	tn := &TargetNode{c: c, Name: name, CPU: cpu, NIC: nic, SSD: ssd}
-	tgt, err := targetqp.NewTarget(targetqp.Config{
+	cfg := targetqp.Config{
 		Mode:                c.mode,
-		MaxPending:          4096,
 		SharedQueueAblation: c.shared,
 		ScavengerAging:      time.Duration(c.scavAging),
 		Telemetry:           c.tel,
-		Trace:               c.trace,
 		Clock:               c.Eng.Now, // virtual time drives latency samples
 		Autotune:            c.atCfg,
-	}, &ssdBackend{node: tn})
+	}
+	if c.targetRec != nil {
+		cfg.Trace = c.targetRec.Trace
+	}
+	tgt, err := targetqp.NewTarget(cfg, &ssdBackend{node: tn})
 	if err != nil {
 		return nil, err
 	}

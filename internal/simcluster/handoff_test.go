@@ -79,22 +79,22 @@ func runHandOffCase(t *testing.T, mode targetqp.Mode, nodes int, tenants []handO
 		}
 	}
 	const warm, stop = 2_000_000, 12_000_000
+	// Every initiator records into one host flight recorder on the virtual
+	// clock. A request leaves at most four host events and no tenant
+	// completes 2000 in a run, so no tenant's ring wraps.
+	rec := telemetry.NewRecorder(telemetry.RecorderConfig{Clock: c.Eng.Now, PerTenant: 1 << 14})
 	run := handOffRun{done: make([][]completion, len(tenants))}
 	var runners []*workload.Runner
+	var inis []*Initiator
 	for i, tc := range tenants {
-		done := &run.done[i]
 		ini, err := ins[tc.node].Connect(hostqp.Config{
 			Class: tc.class, Window: core.OptimalWindow(core.WorkloadRead, 100, tcs, tc.qd),
-			QueueDepth: tc.qd, NSID: 1,
-			Trace: func(e telemetry.Event) {
-				if e.Stage == telemetry.StageComplete {
-					*done = append(*done, completion{e.CID, c.Eng.Now()})
-				}
-			},
+			QueueDepth: tc.qd, NSID: 1, Recorder: rec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		inis = append(inis, ini)
 		r, err := workload.NewRunner(ini.Session, c.Eng.Now, workload.Spec{
 			Mix: tc.mix, Pattern: workload.Sequential, Blocks: 1, QueueDepth: tc.qd,
 			RegionStart: uint64(i) << 20, RegionBlocks: 1 << 20,
@@ -109,6 +109,24 @@ func runHandOffCase(t *testing.T, mode targetqp.Mode, nodes int, tenants []handO
 	run.now = c.Run()
 	if err := c.CheckHealthy(); err != nil {
 		t.Fatal(err)
+	}
+	// Each tenant's completions in order, from its ring: one tenant's
+	// events sort by stamp, then by emission, so the first one seen is the
+	// oldest retained.
+	index := map[uint16]int{}
+	for i, ini := range inis {
+		index[uint16(ini.Session.Tenant())] = i
+	}
+	seen := map[uint16]bool{}
+	for _, e := range rec.Events() {
+		if !seen[e.Tenant] && e.Seq != 0 {
+			t.Fatalf("tenant %d's ring wrapped: its oldest event is number %d", e.Tenant, e.Seq)
+		}
+		seen[e.Tenant] = true
+		i := index[e.Tenant]
+		if telemetry.Stage(e.Stage) == telemetry.StageComplete {
+			run.done[i] = append(run.done[i], completion{nvme.CID(e.CID), e.TS})
+		}
 	}
 	for _, r := range runners {
 		run.results = append(run.results, *r.Result())

@@ -1,6 +1,7 @@
 package simcluster
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -170,7 +171,7 @@ func TestClusterTelemetryInstruments(t *testing.T) {
 	}
 }
 
-// TestClusterTraceTimeline attaches trace hooks to both sides and
+// TestClusterTraceTimeline attaches flight recorders to both sides and
 // reconstructs one TC window's lifecycle: every stage must appear, in
 // causal order, for the drain request.
 func TestClusterTraceTimeline(t *testing.T) {
@@ -178,12 +179,8 @@ func TestClusterTraceTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The sim is single-threaded (one event loop), so a plain slice is a
-	// safe collector.
-	var events []telemetry.Event
-	collect := func(e telemetry.Event) { events = append(events, e) }
-
-	c := New(Options{Profile: prof, Mode: targetqp.ModeOPF, Seed: 7, Trace: collect})
+	c := New(Options{Profile: prof, Mode: targetqp.ModeOPF, Seed: 7})
+	hostRec, targetRec := c.AttachFlightRecorders(telemetry.RecorderConfig{})
 	tn, err := c.NewTargetNode("tgt0", false)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +189,6 @@ func TestClusterTraceTimeline(t *testing.T) {
 	const window = 4
 	ini, err := in.Connect(hostqp.Config{
 		Class: proto.PrioThroughputCritical, Window: window, QueueDepth: 16, NSID: 1,
-		Trace: collect,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,12 +204,18 @@ func TestClusterTraceTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Both recorders stamp the one virtual clock, so the two sides merge
+	// onto one timeline; a PDU hop takes time, so no cause shares its
+	// stamp with an effect on the other side.
+	events := append(hostRec.Events(), targetRec.Events()...)
+	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
 	count := map[telemetry.Stage]int{}
 	firstIdx := map[telemetry.Stage]int{}
 	for i, e := range events {
-		count[e.Stage]++
-		if _, seen := firstIdx[e.Stage]; !seen {
-			firstIdx[e.Stage] = i
+		st := telemetry.Stage(e.Stage)
+		count[st]++
+		if _, seen := firstIdx[st]; !seen {
+			firstIdx[st] = i
 		}
 	}
 	if count[telemetry.StageSubmit] != window {

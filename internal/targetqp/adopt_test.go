@@ -114,7 +114,7 @@ func TestAdoptedWritePayloadOwnership(t *testing.T) {
 				backend = poolBackend{be}
 			}
 			reg := telemetry.New()
-			tgt, err := NewTarget(Config{Mode: ModeOPF, PooledPayloads: true, Telemetry: reg}, backend)
+			tgt, err := NewTarget(Config{Mode: ModeOPF, Clock: ticks(), PooledPayloads: true, Telemetry: reg}, backend)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,7 +20,7 @@ func TestAutotuneWiring(t *testing.T) {
 	clock := func() int64 { now += 1000; return now }
 	reg := telemetry.New()
 	tgt, err := NewTarget(Config{
-		Mode: ModeOPF, MaxPending: 256,
+		Mode:  ModeOPF,
 		Clock: clock, Telemetry: reg,
 		Autotune: &autotune.Config{
 			// A 1ns objective with the clock advancing 1000ns per reading
@@ -106,21 +106,15 @@ func TestAutotuneWiring(t *testing.T) {
 }
 
 // TestAutotuneRunsOnTheTargetClock: NewTarget builds the controller on its
-// own Clock — the decisions it records carry that clock's readings — and
-// refuses Autotune without one, since the grow-quiet rule spaces grows in
-// time.
+// own Clock — the decisions it records carry that clock's readings.
 func TestAutotuneRunsOnTheTargetClock(t *testing.T) {
 	at := &autotune.Config{ObjectiveNS: 1_000_000}
-	if _, err := NewTarget(Config{Mode: ModeOPF, Autotune: at}, newFakeBackend(t, true)); err == nil {
-		t.Fatal("NewTarget accepted Autotune without a Clock")
-	}
-
 	const base = int64(5_000_000_000)
 	now := base
 	clock := func() int64 { now++; return now }
 	reg := telemetry.New()
 	tgt, err := NewTarget(Config{
-		Mode: ModeOPF, MaxPending: 256, Clock: clock, Telemetry: reg, Autotune: at,
+		Mode: ModeOPF, Clock: clock, Telemetry: reg, Autotune: at,
 	}, newFakeBackend(t, true))
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +145,7 @@ func TestDeclaredWindowReachesTheController(t *testing.T) {
 	now := int64(0)
 	clock := func() int64 { now += 1000; return now }
 	tgt, err := NewTarget(Config{
-		Mode: ModeOPF, MaxPending: 256, Clock: clock,
+		Mode: ModeOPF, Clock: clock,
 		Autotune: &autotune.Config{ObjectiveNS: 1, BudgetPPM: 100_000},
 	}, newFakeBackend(t, true))
 	if err != nil {

@@ -21,6 +21,7 @@ type rawSession struct {
 func newRawSession(t *testing.T, depth uint16, cfg Config) *rawSession {
 	t.Helper()
 	r := &rawSession{t: t, be: newFakeBackend(t, false)}
+	cfg.Clock = ticks()
 	var err error
 	if r.tgt, err = NewTarget(cfg, r.be); err != nil {
 		t.Fatal(err)
@@ -66,7 +67,7 @@ func (r *rawSession) lastResp() proto.CapsuleResp {
 // InvalidField and leaves the slot table, the admission counts and the PM
 // exactly as they were; the four in-range CIDs still work around it.
 func TestCIDPastAdvertisedDepthIsRefused(t *testing.T) {
-	r := newRawSession(t, 4, Config{Mode: ModeOPF, MaxPending: 256})
+	r := newRawSession(t, 4, Config{Mode: ModeOPF})
 	tenant := r.sess.Tenant()
 	for _, cid := range []nvme.CID{4, 5, 1000, 65535} {
 		r.cmd(nvme.OpRead, cid, 0, proto.PrioThroughputCritical)
@@ -109,7 +110,7 @@ func TestCIDPastAdvertisedDepthIsRefused(t *testing.T) {
 // TestUnadvertisedDepthGrowsOnDemand: a peer that advertises no depth may
 // use any CID; the table grows to hold it and stops at the CID space.
 func TestUnadvertisedDepthGrowsOnDemand(t *testing.T) {
-	r := newRawSession(t, 0, Config{Mode: ModeOPF, MaxPending: 256})
+	r := newRawSession(t, 0, Config{Mode: ModeOPF})
 	for _, cid := range []nvme.CID{0, 17, 65535} {
 		r.cmd(nvme.OpRead, cid, 0, proto.PrioLatencySensitive)
 	}
@@ -138,8 +139,9 @@ func FuzzSessionSlots(f *testing.F) {
 	f.Add([]byte{0, 0, tc, 2, 0, 1, 0, tc, 1, 0, 2, 0, tc, 2, 1, 3, 0, tc, 0, 0, 0xfe, 0, 2, 0, 0, 0xfe, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, steps []byte) {
 		const depth = 4
-		r := newRawSession(t, depth, Config{Mode: ModeOPF, MaxPending: 3, MaxPendingPerTenant: 3})
+		r := newRawSession(t, depth, Config{Mode: ModeOPF})
 		tenant := r.sess.Tenant()
+		r.tgt.pm.SetTenantLimit(tenant, 3)
 		held := 0 // admitted minus completed, counted from outside
 		for i := 0; i+5 <= len(steps); i += 5 {
 			s := steps[i : i+5]

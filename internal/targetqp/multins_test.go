@@ -30,13 +30,13 @@ func newNSBackend(t *testing.T, nsid uint32) *nsBackend {
 func TestNewTargetRejectsInvalidNamespace(t *testing.T) {
 	b := &nsBackend{}
 	b.ns = nvme.Namespace{ID: 0, BlockSize: 512, Capacity: 10}
-	if _, err := NewTarget(Config{}, b); err == nil {
+	if _, err := NewTarget(Config{Clock: ticks()}, b); err == nil {
 		t.Fatal("NSID 0 backend accepted")
 	}
 }
 
 func TestConnectToUnknownNamespaceTerminated(t *testing.T) {
-	tgt, err := NewTarget(Config{Mode: ModeOPF}, newNSBackend(t, 1))
+	tgt, err := NewTarget(Config{Mode: ModeOPF, Clock: ticks()}, newNSBackend(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestConnectToUnknownNamespaceTerminated(t *testing.T) {
 }
 
 func TestCommandToUnknownNamespaceErrors(t *testing.T) {
-	tgt, err := NewTarget(Config{Mode: ModeOPF, MaxPending: 64}, newNSBackend(t, 1))
+	tgt, err := NewTarget(Config{Mode: ModeOPF, Clock: ticks()}, newNSBackend(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestICRespDescribesRequestedNamespace(t *testing.T) {
 	store, _ := bdev.NewMemory(4096, 1<<20)
 	big.store, big.auto = store, true
 
-	tgt, err := NewTarget(Config{Mode: ModeOPF}, big)
+	tgt, err := NewTarget(Config{Mode: ModeOPF, Clock: ticks()}, big)
 	if err != nil {
 		t.Fatal(err)
 	}

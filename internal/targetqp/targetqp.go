@@ -72,11 +72,14 @@ type RequestBackend interface {
 	SubmitRequest(r *Request, highPrio bool)
 }
 
+// maxPending is the per-queue safety valve handed to the PM: a TC queue
+// that parks this many requests with no draining flag force-drains (the
+// §IV-A lockup guard). SetTenantLimit tightens it per tenant.
+const maxPending = 4096
+
 // Config describes a target.
 type Config struct {
 	Mode Mode
-	// MaxPending is the per-tenant safety valve passed to the PM.
-	MaxPending int
 	// SharedQueueAblation disables per-tenant queue isolation (for the
 	// ablation benchmark only).
 	SharedQueueAblation bool
@@ -98,12 +101,12 @@ type Config struct {
 	// ScavengerAging bounds how long a parked scavenger queue can wait
 	// while the target stays busy with LS/TC work: once the oldest parked
 	// request has aged past it, the queue force-drains even though
-	// capacity is not free. Requires Clock. Zero disables the bound
+	// capacity is not free. Zero disables the bound
 	// (scavengers drain only on idle capacity).
 	ScavengerAging time.Duration
 	// DrainWatchdog force-drains a TC queue whose oldest parked request
 	// has waited this long with no draining flag (host crashed or went
-	// silent mid-window). Requires Clock. Zero disables.
+	// silent mid-window). Zero disables.
 	DrainWatchdog time.Duration
 	// MaxDataLen is the largest in-capsule data accepted (advertised in
 	// ICResp). Zero means 1 MiB.
@@ -114,16 +117,13 @@ type Config struct {
 	// cost.
 	Telemetry *telemetry.Registry
 	// Trace optionally receives PDU lifecycle events (arrive, enqueue,
-	// drain-start, device-complete, coalesced-notify). Nil disables.
+	// drain-start, device-complete, coalesced-notify): a flight recorder's
+	// Trace wherever one is attached. Nil disables.
 	Trace telemetry.TraceFunc
-	// Recorder optionally attaches a target-side flight recorder: its
-	// Trace hook is chained after Trace. Nil disables.
-	Recorder *telemetry.Recorder
-	// Clock provides timestamps for service-latency samples (virtual in
-	// the simulator, wall clock on the TCP transport). It is also the
-	// clock the ICResp shares with hosts for cross-runtime trace
-	// correlation. Nil disables latency recording; counters are
-	// unaffected.
+	// Clock provides timestamps for service-latency samples, queue ages and
+	// the drain watchdog (virtual in the simulator, wall clock on the TCP
+	// transport). It is also the clock the ICResp shares with hosts for
+	// cross-runtime trace correlation. Required.
 	//
 	// The target does not call it per use. It keeps one reading — a stamp —
 	// and refreshes it in Stamp: on entry to HandlePDU, CheckWatchdog and
@@ -237,8 +237,8 @@ type Target struct {
 // NewTarget creates a target whose backend serves its namespace under the
 // namespace's own ID; commands naming any other NSID are refused.
 func NewTarget(cfg Config, backend Backend) (*Target, error) {
-	if backend == nil {
-		return nil, errors.New("targetqp: nil backend")
+	if backend == nil || cfg.Clock == nil {
+		return nil, errors.New("targetqp: nil backend or clock")
 	}
 	if cfg.MaxDataLen == 0 {
 		cfg.MaxDataLen = 1 << 20
@@ -253,9 +253,6 @@ func NewTarget(cfg Config, backend Backend) (*Target, error) {
 	if err := ns.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Recorder != nil {
-		cfg.Trace = telemetry.ChainTrace(cfg.Trace, cfg.Recorder.Trace)
-	}
 	t := &Target{
 		cfg:        cfg,
 		be:         backend,
@@ -263,22 +260,19 @@ func NewTarget(cfg Config, backend Backend) (*Target, error) {
 		nextTenant: cfg.TenantBase,
 	}
 	t.rb, _ = backend.(RequestBackend)
-	pmCfg := core.TargetPMConfig{
+	t.pm = core.NewTargetPM(core.TargetPMConfig{
 		Isolated:            !cfg.SharedQueueAblation,
-		MaxPending:          cfg.MaxPending,
+		MaxPending:          maxPending,
 		MaxPendingPerTenant: cfg.MaxPendingPerTenant,
 		MaxPendingGlobal:    cfg.MaxPendingGlobal,
 		LSHeadroom:          cfg.LSHeadroom,
 		ScavengerHeadroom:   cfg.ScavengerHeadroom,
 		WatchdogNS:          cfg.DrainWatchdog.Nanoseconds(),
 		ScavengerAgingNS:    cfg.ScavengerAging.Nanoseconds(),
-	}
-	if cfg.Clock != nil {
 		// The PM anchors queue ages at the target's stamp, the same reading
 		// its polls are handed.
-		pmCfg.Clock = func() int64 { return t.now }
-	}
-	t.pm = core.NewTargetPM(pmCfg)
+		Clock: func() int64 { return t.now },
+	})
 	t.pm.SetTelemetry(cfg.Telemetry)
 	t.pm.SetTrace(cfg.Trace)
 	if cfg.Autotune != nil {
@@ -293,13 +287,10 @@ func NewTarget(cfg Config, backend Backend) (*Target, error) {
 }
 
 // Stamp reads Config.Clock and makes the reading the target's time until
-// the next Stamp (see Config.Clock). It returns the reading, 0 with no
-// clock. A reactor calls it once per burst of PDUs it is about to deliver
-// through HandleStamped.
+// the next Stamp (see Config.Clock), and returns it. A reactor calls it
+// once per burst of PDUs it is about to deliver through HandleStamped.
 func (t *Target) Stamp() int64 {
-	if t.cfg.Clock != nil {
-		t.now = t.cfg.Clock()
-	}
+	t.now = t.cfg.Clock()
 	return t.now
 }
 
@@ -308,10 +299,6 @@ func (t *Target) Stats() Stats { return t.stats }
 
 // PMStats returns the priority manager's counters.
 func (t *Target) PMStats() core.TargetPMStats { return t.pm.Stats() }
-
-// Telemetry returns the live metrics registry the target was configured
-// with (nil when telemetry is disabled).
-func (t *Target) Telemetry() *telemetry.Registry { return t.cfg.Telemetry }
 
 // ActiveSessions returns the number of handshaken sessions not yet torn
 // down.
@@ -388,7 +375,7 @@ type Request struct {
 	prio proto.Priority
 	data []byte
 	// arrivedAt is the target's clock stamp at command arrival, for
-	// target-side service-latency samples (0 when no clock is wired).
+	// target-side service-latency samples.
 	arrivedAt int64
 	// sess owns the request while it is admitted; nil in the free list.
 	sess *Session
@@ -551,19 +538,16 @@ func (s *Session) handleICReq(pdu *proto.ICReq) error {
 	t.cfg.Telemetry.SetClass(s.tenant, pdu.Prio)
 	s.connected = true
 	ns := t.be.Namespace()
-	resp := &proto.ICResp{
+	s.send(&proto.ICResp{
 		PFV:        ProtocolVersion,
 		Tenant:     s.tenant,
 		MaxDataLen: t.cfg.MaxDataLen,
 		BlockSize:  ns.BlockSize,
 		Capacity:   ns.Capacity,
-	}
-	if t.cfg.Clock != nil {
 		// Share the target clock so the host can estimate the offset
 		// between the runtimes (flight-recorder correlation).
-		resp.TargetClock = t.cfg.Clock()
-	}
-	s.send(resp)
+		TargetClock: t.cfg.Clock(),
+	})
 	return nil
 }
 
@@ -587,11 +571,7 @@ func (s *Session) handleTelemetryUpdate(pdu *proto.TelemetryUpdate) error {
 	if t.at != nil {
 		t.at.ObserveE2E(pdu)
 	}
-	ack := &proto.TelemetryAck{EchoHostClock: pdu.HostClock}
-	if t.cfg.Clock != nil {
-		ack.TargetClock = t.cfg.Clock()
-	}
-	s.send(ack)
+	s.send(&proto.TelemetryAck{EchoHostClock: pdu.HostClock, TargetClock: t.cfg.Clock()})
 	return nil
 }
 
@@ -684,9 +664,9 @@ func (t *Target) executeBatch(batch []core.TaggedCID) error {
 // Config.DrainWatchdog is force-drained and executed now. Returns the
 // number of queues expired. The caller must invoke it from the same
 // context that delivers PDUs (the reactor/event loop); the transport runs
-// it on a timer. No-op unless both Clock and DrainWatchdog are set.
+// it on a timer. No-op unless DrainWatchdog is set.
 func (t *Target) CheckWatchdog() (int, error) {
-	if t.cfg.Clock == nil || t.cfg.DrainWatchdog <= 0 {
+	if t.cfg.DrainWatchdog <= 0 {
 		return 0, nil
 	}
 	batches := t.pm.ExpireStale(t.Stamp())
@@ -780,7 +760,7 @@ func (s *Session) onDeviceCompletion(req *Request, st nvme.Status, data []byte) 
 	}
 	if !s.dead {
 		var svcLat int64 = -1 // <0 skips the latency sample
-		if t.cfg.Clock != nil && req.arrivedAt != 0 {
+		if req.arrivedAt != 0 {
 			svcLat = now - req.arrivedAt
 		}
 		if t.at != nil && svcLat >= 0 && req.prio.LatencySensitive() {

@@ -125,9 +125,24 @@ func pair(t *testing.T, tgt *Target, hostCfg hostqp.Config) (*hostqp.Session, *S
 	return host, tsess
 }
 
+// ticks returns a clock that advances one nanosecond per reading.
+func ticks() func() int64 {
+	var now int64
+	return func() int64 { now++; return now }
+}
+
+// TestNewTargetRequiresClock: service latency, queue ages, the watchdog and
+// the ICResp's clock share all read Config.Clock, so a target refuses to
+// exist without one.
+func TestNewTargetRequiresClock(t *testing.T) {
+	if _, err := NewTarget(Config{Mode: ModeOPF}, newFakeBackend(t, true)); err == nil {
+		t.Fatal("NewTarget accepted a nil Clock")
+	}
+}
+
 func opfTarget(t *testing.T, be Backend) *Target {
 	t.Helper()
-	tgt, err := NewTarget(Config{Mode: ModeOPF, MaxPending: 256}, be)
+	tgt, err := NewTarget(Config{Mode: ModeOPF, Clock: ticks()}, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +237,7 @@ func TestCoalescingReducesResponses(t *testing.T) {
 
 func TestBaselineSendsOneResponsePerRequest(t *testing.T) {
 	be := newFakeBackend(t, true)
-	tgt, err := NewTarget(Config{Mode: ModeBaseline}, be)
+	tgt, err := NewTarget(Config{Mode: ModeBaseline, Clock: ticks()}, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +466,7 @@ func TestPerIOPriorityOverride(t *testing.T) {
 
 func TestSharedQueueAblationStillCompletesEverything(t *testing.T) {
 	be := newFakeBackend(t, true)
-	tgt, err := NewTarget(Config{Mode: ModeOPF, MaxPending: 256, SharedQueueAblation: true}, be)
+	tgt, err := NewTarget(Config{Mode: ModeOPF, Clock: ticks(), SharedQueueAblation: true}, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +556,7 @@ func TestCommandBeforeHandshakeRejected(t *testing.T) {
 
 func TestOversizedInCapsuleDataRejected(t *testing.T) {
 	be := newFakeBackend(t, true)
-	tgt, _ := NewTarget(Config{Mode: ModeOPF, MaxDataLen: 1024}, be)
+	tgt, _ := NewTarget(Config{Mode: ModeOPF, Clock: ticks(), MaxDataLen: 1024}, be)
 	var got []proto.PDU
 	tsess, _ := tgt.NewSession(func(p proto.PDU) { got = append(got, p) })
 	if err := tsess.HandlePDU(&proto.ICReq{PFV: ProtocolVersion}); err != nil {
@@ -568,7 +583,7 @@ func TestTenantSpaceExhaustion(t *testing.T) {
 	be := newFakeBackend(t, true)
 	// Start the allocator two IDs below the 16-bit ceiling so exhaustion
 	// is reached after two handshakes instead of 65536.
-	tgt, err := NewTarget(Config{Mode: ModeOPF, MaxPending: 256, TenantBase: 65534}, be)
+	tgt, err := NewTarget(Config{Mode: ModeOPF, Clock: ticks(), TenantBase: 65534}, be)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ func watchdogTarget(t *testing.T, be Backend, now *int64) *Target {
 	t.Helper()
 	tgt, err := NewTarget(Config{
 		Mode:          ModeOPF,
-		MaxPending:    256,
 		DrainWatchdog: time.Millisecond,
 		Clock:         func() int64 { return *now },
 	}, be)

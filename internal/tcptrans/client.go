@@ -815,11 +815,6 @@ func (c *Conn) DrainNext() {
 // it to serialize its own transitions with its I/O callbacks.
 func (c *Conn) Defer(fn func()) { c.post(fn) }
 
-// Telemetry returns the live metrics registry the connection was
-// configured with (nil when telemetry is disabled). Safe from any
-// goroutine.
-func (c *Conn) Telemetry() *telemetry.Registry { return c.tel }
-
 // Close tears the connection down: every outstanding request completes
 // with ErrClosed, then the socket closes and the reader, writer, reactor
 // and ticker goroutines exit. It is safe to call more than once and

@@ -212,19 +212,9 @@ func TestDrainNextKeepsItsPlaceInABurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	var mu sync.Mutex
-	var submits, marks []nvme.CID
+	rec := countingRecorder()
 	c, err := Dial(srv.Addr(), hostqp.Config{Class: proto.PrioThroughputCritical, Window: 8, QueueDepth: 16, NSID: 1,
-		Trace: func(e telemetry.Event) {
-			mu.Lock()
-			defer mu.Unlock()
-			switch e.Stage {
-			case telemetry.StageSubmit:
-				submits = append(submits, e.CID)
-			case telemetry.StageDrainMark:
-				marks = append(marks, e.CID)
-			}
-		}})
+		Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +236,15 @@ func TestDrainNextKeepsItsPlaceInABurst(t *testing.T) {
 	close(gate)
 	<-done
 	<-done
-	mu.Lock()
-	defer mu.Unlock()
+	var submits, marks []uint16
+	for _, e := range rec.Events() {
+		switch telemetry.Stage(e.Stage) {
+		case telemetry.StageSubmit:
+			submits = append(submits, e.CID)
+		case telemetry.StageDrainMark:
+			marks = append(marks, e.CID)
+		}
+	}
 	// (A slow run may add the idle-drain's own flush behind the two.)
 	if len(submits) < 2 || len(marks) < 1 || marks[0] != submits[1] {
 		t.Fatalf("submitted CIDs %v, draining flag on %v: want it first on the second submission", submits, marks)

@@ -246,16 +246,10 @@ func TestWatchdogForceDrainsSilentHost(t *testing.T) {
 	reg := telemetry.New()
 	dev := newMemoryDevice(4096, 1024)
 	const deadline = 40 * time.Millisecond
-	var traceMu sync.Mutex
-	var stages []telemetry.Stage
+	rec := telemetry.NewRecorder(telemetry.RecorderConfig{})
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
 		Mode: targetqp.ModeOPF, Device: dev,
-		DrainWatchdog: deadline, Telemetry: reg,
-		Trace: func(e telemetry.Event) {
-			traceMu.Lock()
-			stages = append(stages, e.Stage)
-			traceMu.Unlock()
-		},
+		DrainWatchdog: deadline, Telemetry: reg, Recorder: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,14 +307,12 @@ func TestWatchdogForceDrainsSilentHost(t *testing.T) {
 		st := srv.PMStats()
 		return st.WatchdogDrains >= 1 && st.ForcedDrains >= 1
 	})
-	traceMu.Lock()
 	var sawForced bool
-	for _, s := range stages {
-		if s == telemetry.StageForcedDrain {
+	for _, e := range rec.Events() {
+		if telemetry.Stage(e.Stage) == telemetry.StageForcedDrain {
 			sawForced = true
 		}
 	}
-	traceMu.Unlock()
 	if !sawForced {
 		t.Error("trace recorded no StageForcedDrain event")
 	}

@@ -11,6 +11,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,24 +67,17 @@ func TestBurstQueueLanesAndClose(t *testing.T) {
 }
 
 // reactorFixture is a one-shard inline target whose reactor the test can
-// hold still, plus everything the target traced.
+// hold still, plus a flight recorder of everything the target traced.
 type reactorFixture struct {
 	srv *Server
 	sh  *shard
-
-	mu     sync.Mutex
-	events []telemetry.Event
+	rec *telemetry.Recorder
 }
 
 func newReactorFixture(t *testing.T, cfg ServerConfig) *reactorFixture {
 	t.Helper()
-	f := &reactorFixture{}
-	cfg.Mode, cfg.Shards = targetqp.ModeOPF, 1
-	cfg.Trace = func(e telemetry.Event) {
-		f.mu.Lock()
-		f.events = append(f.events, e)
-		f.mu.Unlock()
-	}
+	f := &reactorFixture{rec: countingRecorder()}
+	cfg.Mode, cfg.Shards, cfg.Recorder = targetqp.ModeOPF, 1, f.rec
 	srv, err := Listen("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -114,15 +108,22 @@ func (f *reactorFixture) queued(lane int) int {
 // traced returns the events of one stage, in the order the reactor
 // emitted them.
 func (f *reactorFixture) traced(stage telemetry.Stage) []telemetry.Event {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	var out []telemetry.Event
-	for _, e := range f.events {
-		if e.Stage == stage {
-			out = append(out, e)
+	for _, e := range f.rec.Events() {
+		if telemetry.Stage(e.Stage) == stage {
+			out = append(out, telemetry.Event{Stage: stage, Tenant: proto.TenantID(e.Tenant),
+				CID: nvme.CID(e.CID), Prio: proto.Priority(e.Prio), Aux: e.Aux})
 		}
 	}
 	return out
+}
+
+// countingRecorder is a flight recorder whose clock counts its readings,
+// so its events sort in the order they were recorded, across tenants too.
+// Its rings hold more events than any test here traces.
+func countingRecorder() *telemetry.Recorder {
+	var n atomic.Int64
+	return telemetry.NewRecorder(telemetry.RecorderConfig{Clock: func() int64 { return n.Add(1) }, PerTenant: 1 << 14})
 }
 
 // rawConn is an initiator driven PDU by PDU over a real socket.
@@ -486,7 +487,7 @@ func TestStalledReaderDoesNotBlockShard(t *testing.T) {
 	if td := f.traced(telemetry.StageTeardown)[0]; td.Tenant != a.tenant {
 		t.Fatalf("tenant %d torn down, want the stalled tenant %d", td.Tenant, a.tenant)
 	}
-	if n := f.srv.Telemetry().Global().TransportErrors; n != 1 {
+	if n := f.srv.cfg.Telemetry.Global().TransportErrors; n != 1 {
 		t.Errorf("%d transport errors counted, want the one reset", n)
 	}
 	waitFor(t, "the stalled session to go", func() bool { return f.srv.ActiveSessions() == 1 })

@@ -122,8 +122,6 @@ type ServerConfig struct {
 	// than this are segmented into multiple C2HData fragments with
 	// ascending offsets.
 	MaxDataLen uint32
-	// MaxPending is the PM safety valve (default 4096).
-	MaxPending int
 	// MaxPendingPerTenant / MaxPendingGlobal / LSHeadroom configure
 	// admission control: past a cap the target answers the retryable
 	// nvme.StatusBusy instead of buffering unboundedly, with LSHeadroom
@@ -157,14 +155,11 @@ type ServerConfig struct {
 	// registry is lock-free and shared by all shards. Nil disables at
 	// zero cost.
 	Telemetry *telemetry.Registry
-	// Trace optionally receives PDU lifecycle events from the target
-	// state machines. It runs on the reactor goroutines, or on an LS
-	// reader running a burst in its shard's place — possibly several
-	// concurrently — so it must be fast and thread-safe.
-	Trace telemetry.TraceFunc
-	// Recorder optionally attaches a target-side flight recorder (chained
-	// after Trace; attach it to Telemetry with SetRecorder to serve
-	// /debug/trace). Nil disables.
+	// Recorder optionally attaches a target-side flight recorder that
+	// receives the target state machines' PDU lifecycle events (attach it
+	// to Telemetry with SetRecorder to serve /debug/trace). It records on
+	// the reactor goroutines, or on an LS reader running a burst in its
+	// shard's place — possibly several concurrently. Nil disables.
 	Recorder *telemetry.Recorder
 	// Autotune enables the closed-loop adaptive drain-window controller:
 	// each reactor shard's target owns one (fed by its own drain
@@ -207,9 +202,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.Device == nil {
 		return nil, errors.New("tcptrans: nil device")
 	}
-	if cfg.MaxPending == 0 {
-		cfg.MaxPending = 4096
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -228,6 +220,12 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		conns: make(map[*srvConn]struct{}),
 	}
 	clock := func() int64 { return time.Now().UnixNano() }
+	var trace telemetry.TraceFunc
+	if cfg.Recorder != nil {
+		// A nil recorder's method value is a non-nil func: pass it only
+		// when there is a recorder to feed.
+		trace = cfg.Recorder.Trace
+	}
 	// Adaptive windows: one controller per shard (owned by its reactor,
 	// like the PM it drives), all reading one shared LS signal.
 	atCfg := cfg.Autotune
@@ -252,7 +250,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		pooled = pooled || !be.inline
 		tgt, err := targetqp.NewTarget(targetqp.Config{
 			Mode:                cfg.Mode,
-			MaxPending:          cfg.MaxPending,
 			MaxPendingPerTenant: cfg.MaxPendingPerTenant,
 			MaxPendingGlobal:    perShard(cfg.MaxPendingGlobal),
 			LSHeadroom:          perShard(cfg.LSHeadroom),
@@ -261,8 +258,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 			ScavengerAging:      cfg.ScavengerAging,
 			MaxDataLen:          cfg.MaxDataLen,
 			Telemetry:           cfg.Telemetry,
-			Trace:               cfg.Trace,
-			Recorder:            cfg.Recorder,
+			Trace:               trace,
 			Clock:               clock,
 			Autotune:            atCfg,
 			TenantBase:          i,
@@ -359,11 +355,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Telemetry returns the server's live metrics registry (nil when
-// telemetry is disabled). Safe to read from any goroutine — the registry
-// is lock-free.
-func (s *Server) Telemetry() *telemetry.Registry { return s.cfg.Telemetry }
 
 // Shards returns the number of reactor shards the server runs.
 func (s *Server) Shards() int { return len(s.shards) }

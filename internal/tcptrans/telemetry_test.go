@@ -34,9 +34,6 @@ func TestServerTelemetryScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.Telemetry() != tel {
-		t.Fatal("Server.Telemetry() accessor mismatch")
-	}
 
 	exp, err := tel.Serve("127.0.0.1:0")
 	if err != nil {
@@ -53,9 +50,6 @@ func TestServerTelemetryScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if conn.Telemetry() != hostTel {
-		t.Fatal("Conn.Telemetry() accessor mismatch")
-	}
 
 	const n = 16
 	buf := make([]byte, 512)

@@ -36,7 +36,7 @@ func TestCorrelateReconstructsEveryWindowMember(t *testing.T) {
 	hostRec := telemetry.NewRecorder(telemetry.RecorderConfig{Clock: clock, Role: "host"})
 	targetRec := telemetry.NewRecorder(telemetry.RecorderConfig{Clock: clock, Role: "target"})
 
-	target, err := targetqp.NewTarget(targetqp.Config{Mode: targetqp.ModeOPF, Clock: clock, Recorder: targetRec}, syncBackend{})
+	target, err := targetqp.NewTarget(targetqp.Config{Mode: targetqp.ModeOPF, Clock: clock, Trace: targetRec.Trace}, syncBackend{})
 	if err != nil {
 		t.Fatal(err)
 	}

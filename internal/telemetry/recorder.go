@@ -405,25 +405,3 @@ func ReadDump(rd io.Reader) (*Dump, error) {
 	sortRecorded(d.Events)
 	return d, nil
 }
-
-// ChainTrace composes trace hooks: each non-nil hook sees every event.
-// Useful to feed a recorder alongside an existing TraceFunc.
-func ChainTrace(fns ...TraceFunc) TraceFunc {
-	var live []TraceFunc
-	for _, fn := range fns {
-		if fn != nil {
-			live = append(live, fn)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(e Event) {
-		for _, fn := range live {
-			fn(e)
-		}
-	}
-}

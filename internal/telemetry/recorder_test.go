@@ -154,25 +154,3 @@ func TestReadDumpHeaderless(t *testing.T) {
 		t.Fatalf("events not re-sorted: %+v", d.Events)
 	}
 }
-
-func TestChainTrace(t *testing.T) {
-	if ChainTrace(nil, nil) != nil {
-		t.Fatal("all-nil chain should be nil")
-	}
-	var a, b int
-	fa := func(Event) { a++ }
-	if got := ChainTrace(nil, fa); got == nil {
-		t.Fatal("single-hook chain dropped the hook")
-	} else {
-		got(Event{})
-	}
-	if a != 1 {
-		t.Fatalf("single-hook chain fired %d times", a)
-	}
-	chained := ChainTrace(fa, func(Event) { b++ }, nil)
-	chained(Event{})
-	chained(Event{})
-	if a != 3 || b != 2 {
-		t.Fatalf("chain fan-out wrong: a=%d b=%d", a, b)
-	}
-}

@@ -24,9 +24,10 @@
 //     — take a mutex; they run once per controller decision or per scrape,
 //     never per request.
 //
-// The trace hook (TraceFunc) is invoked by internal/core, internal/hostqp
-// and internal/targetqp at the PDU lifecycle points of Algorithms 1–4, so
-// tests and debugging tools can reconstruct a request's full timeline:
+// Lifecycle events are emitted by internal/core and internal/targetqp
+// through a TraceFunc, and by internal/hostqp into its Recorder, at the PDU
+// lifecycle points of Algorithms 1–4, so a flight recorder on each side
+// can reconstruct a request's full timeline:
 //
 //	submit → drain-mark → enqueue → drain-start → device-complete →
 //	coalesced-notify → replay

@@ -45,12 +45,12 @@ func newLoopback(t *testing.T, class proto.Priority, window, qd int) *loopback {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt, err := targetqp.NewTarget(targetqp.Config{Mode: targetqp.ModeOPF, MaxPending: 1024},
+	lb := &loopback{}
+	tgt, err := targetqp.NewTarget(targetqp.Config{Mode: targetqp.ModeOPF, Clock: func() int64 { return lb.clock }},
 		&instantBackend{ns: ns, store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := &loopback{}
 	var tsess *targetqp.Session
 	tsess, err = tgt.NewSession(func(p proto.PDU) {
 		if herr := lb.host.HandlePDU(p); herr != nil {
